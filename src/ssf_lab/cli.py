@@ -26,8 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a '{name}' experiment config")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count recorded in the config echo")
     return parser
 
 
@@ -39,8 +37,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    if args.workers is not None:
-        doc["workers"] = args.workers
     try:
         cfg = ExperimentConfig.from_dict(doc)
         if cfg.experiment != args.command:

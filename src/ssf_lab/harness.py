@@ -109,7 +109,6 @@ class ExperimentConfig:
     experiment: str
     variant: str | None
     seed: int
-    workers: int
     out: str
 
     @staticmethod
@@ -144,7 +143,6 @@ class ExperimentConfig:
             experiment=experiment,
             variant=variant,
             seed=int(doc.get("seed", 0)),
-            workers=int(doc.get("workers", 1)),
             out=str(doc.get("out", "out")),
         )
 

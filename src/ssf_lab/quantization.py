@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bumps import ProductCutoff, bump_profile, transition
 from .quadrature import gauss_rule
-from .symbols import MatrixPotential, hermiticity_defect
+from .symbols import MatrixPotential
 
 __all__ = [
     "CoverageError",
@@ -40,6 +40,7 @@ __all__ = [
     "Grid1D",
     "GridOperator",
     "required_points",
+    "potential_samples",
     "build_schrodinger",
     "weyl_quantize",
     "WindowTheta",
@@ -131,46 +132,93 @@ class Grid1D:
         return (0.5 * self.p_max) ** 2
 
 
-def _kinetic_circulant(grid: Grid1D) -> np.ndarray:
-    """Dense kinetic matrix F* diag(p^2) F as a real symmetric circulant."""
-    p2 = grid.momenta_fft_order**2
-    row = np.fft.ifft(p2).real
-    idx = (np.arange(grid.M)[:, None] - np.arange(grid.M)[None, :]) % grid.M
-    k = row[idx]
-    return 0.5 * (k + k.T)
+def _kinetic_column(grid: Grid1D) -> np.ndarray:
+    """First column c of the kinetic matrix F* diag(p^2) F, symmetrized.
+
+    The matrix is the real symmetric circulant K[i, j] = c[(i - j) % M] with
+    c[m] = (r[m] + r[-m]) / 2, where r is the first column of the plain
+    circulant k; so K equals (k + k^T) / 2 entry for entry.
+    """
+    r = np.fft.ifft(grid.momenta_fft_order**2).real
+    return 0.5 * (r + np.roll(r[::-1], 1))
 
 
-@dataclass
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Read-only view C[i, j] = c[(i - j) % M] of the circulant with first column c."""
+    m = c.size
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([c[1:], c]), m)[:, ::-1]
+
+
+_CHECK_BLOCK = 1 << 20  # entries per row block of the hermiticity check
+
+
+def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
+    """``matrix`` made exactly hermitian; ValueError when its shape does not
+    match ``dim`` or its hermiticity defect exceeds 1e-11 of its largest entry.
+
+    Defect and scale are taken over blocks of rows, so no temporary of the
+    matrix's size is formed.  A matrix whose defect is exactly 0 is returned
+    as it is, since (A + A^H) / 2 equals A then.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"matrix shape {matrix.shape} does not match grid")
+    if matrix.dtype.kind not in "fc":
+        matrix = matrix.astype(float)
+    scales, defects = [], []
+    step = max(1, _CHECK_BLOCK // dim)
+    for lo in range(0, dim, step):
+        rows = matrix[lo:lo + step]
+        scales.append(np.max(np.abs(rows)))
+        defects.append(np.max(np.abs(rows - matrix[:, lo:lo + step].conj().T)))
+    scale = float(np.max(scales)) or 1.0
+    defect = float(np.max(defects))
+    if defect > 1e-11 * scale:
+        raise ValueError(f"relative hermiticity defect {defect/scale:.2e} too large")
+    if defect == 0.0:
+        return matrix
+    return 0.5 * (matrix + matrix.conj().T)
+
+
 class GridOperator:
     """Dense hermitian operator on the grid with a lazy eigendecomposition.
 
     ``eigenvalues`` uses a values-only solve; ``eigenpairs`` upgrades to a
     full decomposition (and replaces the cached values so both views stay
-    mutually consistent).  Constant-potential operators carry an analytic
-    spectrum instead: plane waves tensored with channel eigenvectors.
+    mutually consistent).  A ``matrix`` must match the grid and be hermitian
+    to 1e-11 relative; it is kept exactly hermitian.
+
+    Constant-potential operators carry an ``analytic`` spectrum instead:
+    plane waves tensored with channel eigenvectors.  They are made with an
+    ``assemble`` callable in place of the matrix, which builds the dense
+    matrix on the first read of ``.matrix``; the result is checked like a
+    passed matrix and kept.  An operator whose spectrum alone is read never
+    holds a dense matrix.
     """
 
-    grid: Grid1D
-    N: int
-    matrix: np.ndarray
-    label: str = ""
-    _values: np.ndarray | None = field(default=None, repr=False)
-    _vectors: np.ndarray | None = field(default=None, repr=False)
-    _analytic: tuple | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        dim = self.grid.M * self.N
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match grid")
-        scale = float(np.max(np.abs(self.matrix))) or 1.0
-        defect = hermiticity_defect(self.matrix)
-        if defect > 1e-11 * scale:
-            raise ValueError(f"relative hermiticity defect {defect/scale:.2e} too large")
-        self.matrix = 0.5 * (self.matrix + self.matrix.conj().T)
+    def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
+                 label: str = "", *, assemble=None, analytic: tuple | None = None):
+        if (matrix is None) == (assemble is None):
+            raise ValueError("give exactly one of matrix and assemble")
+        self.grid = grid
+        self.N = N
+        self.label = label
+        self._analytic = analytic
+        self._assemble = assemble
+        self._matrix = None if matrix is None else _checked_hermitian(matrix, self.dim)
+        self._values: np.ndarray | None = None
+        self._vectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.grid.M * self.N
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _checked_hermitian(self._assemble(), self.dim)
+            self._assemble = None
+        return self._matrix
 
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
@@ -203,14 +251,13 @@ class GridOperator:
     def _analytic_pairs(self):
         vals, order = self._analytic_order()
         _, channel_vecs = self._analytic
-        m_grid = self.grid.M
-        phases = np.exp(1j * np.outer(self.grid.nodes, self.grid.momenta / self.grid.h))
-        phases /= math.sqrt(m_grid)
-        vectors = np.zeros((m_grid * self.N, m_grid * self.N), dtype=complex)
-        for col, flat in enumerate(order):
-            m_idx, k_idx = divmod(flat, self.N)
-            vectors[:, col] = np.kron(phases[:, m_idx], channel_vecs[:, k_idx])
-        return vals[order], vectors
+        m_idx, k_idx = np.divmod(order, self.N)
+        grid = self.grid
+        # column j is the plane wave m_idx[j] tensored with channel vector k_idx[j]
+        phases = np.exp(1j * np.outer(grid.nodes, grid.momenta[m_idx] / grid.h))
+        phases /= math.sqrt(grid.M)
+        vectors = phases[:, None, :] * channel_vecs[None, :, k_idx]
+        return vals[order], vectors.reshape(self.dim, self.dim)
 
     def reconstruction_residual(self) -> float:
         vals, vecs = self.eigenpairs()
@@ -219,37 +266,58 @@ class GridOperator:
         return float(np.max(np.abs(approx - self.matrix))) / scale
 
 
-def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
-    """Dense matrix of the kinetic circulant tensor identity plus block
-    potential; constant potentials additionally get an analytic spectrum."""
-    if v.n != 1:
-        raise NotImplementedError("the quantization engine is one-dimensional")
+def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
+    """Hermitian parts (V + V^H)/2 of the potential at the grid nodes, (M, N, N)."""
     blocks = []
     for x in grid.nodes:
         b = np.asarray(v.eval(float(x)))
         blocks.append(0.5 * (b + b.conj().T))
-    blocks = np.stack(blocks)
+    return np.stack(blocks)
 
-    kin = _kinetic_circulant(grid)
-    real = bool(np.max(np.abs(blocks.imag)) == 0.0)
-    dtype = float if real else complex
-    mat = np.kron(kin, np.eye(v.N)).astype(dtype)
-    for j in range(grid.M):
-        sl = slice(j * v.N, (j + 1) * v.N)
-        mat[sl, sl] += blocks[j].real if real else blocks[j]
 
-    op = GridOperator(grid=grid, N=v.N, matrix=mat, label=f"schrodinger({v.name})")
-    const = bool(np.max(np.abs(blocks - blocks[0])) == 0.0)
-    if const:
-        b0 = blocks[0]
-        off = b0 - np.diag(np.diag(b0))
-        if np.max(np.abs(off), initial=0.0) == 0.0:
-            channel_vals = np.diag(b0).real.copy()
-            channel_vecs = np.eye(v.N, dtype=complex)
-        else:
-            channel_vals, channel_vecs = np.linalg.eigh(b0)
-        op._analytic = (channel_vals, channel_vecs)
-    return op
+def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
+    """Kinetic circulant tensor identity plus block-diagonal potential, written
+    into one array of the final dtype (real unless a sample is complex)."""
+    if not np.any(samples.imag):
+        samples = samples.real
+    n_ch = samples.shape[1]
+    dim = grid.M * n_ch
+    mat = np.zeros((dim, dim), dtype=np.result_type(samples.dtype, np.float64))
+    kin = _circulant(_kinetic_column(grid))
+    for c in range(n_ch):
+        mat[c::n_ch, c::n_ch] = kin
+    # entry (j N + a, j N + b) of the flat matrix, for j = 0 .. M-1
+    flat = mat.reshape(-1)
+    for a in range(n_ch):
+        for b in range(n_ch):
+            flat[a * dim + b::n_ch * (dim + 1)] += samples[:, a, b]
+    return mat
+
+
+def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
+    """Kinetic circulant tensor identity plus block potential.
+
+    The dense matrix is assembled at once, except for constant potentials:
+    they get an analytic spectrum and a dense matrix that is built only when
+    ``.matrix`` is read.
+    """
+    if v.n != 1:
+        raise NotImplementedError("the quantization engine is one-dimensional")
+    samples = potential_samples(v, grid)
+    label = f"schrodinger({v.name})"
+    if np.any(samples != samples[0]):
+        return GridOperator(grid=grid, N=v.N, matrix=_assemble_schrodinger(grid, samples),
+                            label=label)
+    b0 = samples[0]
+    off = b0 - np.diag(np.diag(b0))
+    if np.max(np.abs(off), initial=0.0) == 0.0:
+        channel_vals = np.diag(b0).real.copy()
+        channel_vecs = np.eye(v.N, dtype=complex)
+    else:
+        channel_vals, channel_vecs = np.linalg.eigh(b0)
+    return GridOperator(grid=grid, N=v.N, label=label,
+                        assemble=lambda: _assemble_schrodinger(grid, samples),
+                        analytic=(channel_vals, channel_vecs))
 
 
 def _index_tables(grid: Grid1D):
@@ -505,7 +573,8 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
-    lam = h_op.eigenvalues()
+    # with a cutoff the eigenvectors are needed anyway: one solve gives both
+    lam = h_op.eigenvalues() if a_op is None else h_op.eigenpairs()[0]
     fv = np.asarray(f(lam), dtype=float) if callable(f) else np.asarray(f, dtype=float)
     if a_op is None:
         weights = fv.astype(complex)

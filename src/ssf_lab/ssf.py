@@ -34,6 +34,7 @@ from .quantization import (
     build_schrodinger,
     fourier_window,
     loglog_slope,
+    potential_samples,
     window_primitive,
 )
 from .symbols import MatrixPotential, model_potential
@@ -52,7 +53,6 @@ __all__ = [
     "weyl_check",
     "DerivativeReport",
     "derivative_check",
-    "sturm_count",
 ]
 
 
@@ -82,10 +82,12 @@ class OperatorPair:
 
 
 def build_pair(v: MatrixPotential, grid: Grid1D, margin_tol: float = 1e-10) -> OperatorPair:
-    """Assemble (P1, P0); P0 gets the analytic constant-potential spectrum.
+    """Assemble (P1, P0); P0 gets the analytic constant-potential spectrum
+    and builds its dense matrix only if ``P0.matrix`` is read.
 
-    If V samples bitwise equal to the limit everywhere, P0 *is* P1 (shared
-    object) so every difference-based estimator vanishes exactly.
+    If the hermitian parts of the V samples equal the limit bitwise at every
+    node, P0 *is* P1 (shared object) so every difference-based estimator
+    vanishes exactly.
     """
     seam = np.linspace(grid.R - 1.0, grid.R, 9)
     worst = 0.0
@@ -96,11 +98,11 @@ def build_pair(v: MatrixPotential, grid: Grid1D, margin_tol: float = 1e-10) -> O
             f"|V - V_inf| = {worst:.2e} at the box edge exceeds {margin_tol:.0e}; enlarge R"
         )
     p1 = build_schrodinger(v, grid)
+    samples = potential_samples(v, grid)
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
-    p0 = build_schrodinger(free, grid)
-    if np.array_equal(p1.matrix, p0.matrix):
-        p0 = p1
-    return OperatorPair(P1=p1, P0=p0, potential=v)
+    if np.array_equal(samples, np.broadcast_to(free.eval(0.0), samples.shape)):
+        return OperatorPair(P1=p1, P0=p1, potential=v)
+    return OperatorPair(P1=p1, P0=build_schrodinger(free, grid), potential=v)
 
 
 def _check_window(pair: OperatorPair, f: TestFunction) -> None:
@@ -302,25 +304,3 @@ def derivative_check(
     ok = rel[-1] <= rel_threshold and (order is None or order >= order_threshold)
     return DerivativeReport(hs=hs, values=values, reference=ref, rel_errors=rel,
                             residual_order=order, verdict="PASS" if ok else "FAIL")
-
-
-def sturm_count(v_diag: Callable[[np.ndarray], np.ndarray], h: float, tau: float,
-                R: float = 12.0, nodes: int = 40000) -> int:
-    """Independent eigenvalue count below tau for -h^2 u'' + v(x) u on [-R, R]
-    with Dirichlet ends: Sturm sign-change count of the finite-difference
-    tridiagonal via its LDL pivots."""
-    xs = np.linspace(-R, R, nodes + 2)[1:-1]
-    dx = xs[1] - xs[0]
-    diag = 2.0 * h * h / dx**2 + v_diag(xs) - tau
-    off = -h * h / dx**2
-    count = 0
-    d = diag[0]
-    if d < 0:
-        count += 1
-    for i in range(1, len(diag)):
-        if d == 0.0:
-            d = 1e-300  # tau collided with a Ritz value; nudge the pivot
-        d = diag[i] - off * off / d
-        if d < 0:
-            count += 1
-    return count

@@ -19,3 +19,26 @@ def rng():
 def random_hermitian(rng, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def _kron_reference(v, grid) -> np.ndarray:
+    """The Schrodinger matrix as the kron product of the symmetrized kinetic
+    circulant with the identity, plus the symmetrized potential blocks."""
+    blocks = []
+    for x in grid.nodes:
+        b = np.asarray(v.eval(float(x)))
+        blocks.append(0.5 * (b + b.conj().T))
+    blocks = np.stack(blocks)
+    row = np.fft.ifft(grid.momenta_fft_order**2).real
+    k = row[(np.arange(grid.M)[:, None] - np.arange(grid.M)[None, :]) % grid.M]
+    real = bool(np.max(np.abs(blocks.imag)) == 0.0)
+    mat = np.kron(0.5 * (k + k.T), np.eye(v.N)).astype(float if real else complex)
+    for j in range(grid.M):
+        sl = slice(j * v.N, (j + 1) * v.N)
+        mat[sl, sl] += blocks[j].real if real else blocks[j]
+    return mat
+
+
+@pytest.fixture
+def kron_reference():
+    return _kron_reference

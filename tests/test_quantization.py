@@ -21,7 +21,9 @@ from ssf_lab.quantization import (
     weyl_quantize,
     window_primitive,
 )
-from ssf_lab.symbols import model_potential, schrodinger_symbol
+from ssf_lab import quantization as qz
+from ssf_lab.quantization import GridOperator
+from ssf_lab.symbols import MatrixPotential, model_potential, schrodinger_symbol
 
 
 def small_grid(h=0.25, R=6.0, tau_max=1.5, M=None):
@@ -29,6 +31,7 @@ def small_grid(h=0.25, R=6.0, tau_max=1.5, M=None):
 
 
 CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 1.2))
+SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
 
 
 class TestGrid:
@@ -101,6 +104,95 @@ class TestBuildSchrodinger:
         g = small_grid(h=0.5, M=64)
         op = build_schrodinger(model_potential("constant", v_inf=[0.3, 0.9], N=2), g)
         assert op.reconstruction_residual() < 1e-10
+
+    @pytest.mark.parametrize("v", [
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]),
+        model_potential("reference"),
+        model_potential("avoided_crossing", gap=0.2),
+        MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * SIGMA2 + np.diag([0.0, 0.3]),
+                        grad=None, v_infinity=np.diag([0.0, 0.3]), name="complex"),
+        model_potential("constant", v_inf=[0.3, 0.9], N=2),
+    ], ids=lambda v: v.name)
+    def test_assembly_matches_kron_reference(self, v, kron_reference):
+        g = small_grid(h=0.25, M=48)
+        op = build_schrodinger(v, g)
+        ref = kron_reference(v, g)
+        assert op.matrix.dtype == ref.dtype
+        assert np.array_equal(op.matrix, ref)
+
+    def test_constant_potential_assembles_on_demand(self, kron_reference):
+        g = small_grid(h=0.25, M=48)
+        v = model_potential("constant", v_inf=[0.3, 0.9], N=2)
+        op = build_schrodinger(v, g)
+        op.eigenpairs()
+        assert op._matrix is None
+        mat = op.matrix
+        assert op.matrix is mat
+        assert np.array_equal(mat, kron_reference(v, g))
+
+    def test_analytic_pairs_columnwise(self):
+        # the plane wave m tensored with the channel vector k, column by column
+        g = small_grid(h=0.5, M=32)
+        coupled = np.array([[0.3, 0.2], [0.2, 0.9]])
+        v = MatrixPotential(n=1, N=2, eval=lambda x: coupled, grad=None,
+                            v_infinity=np.diag([0.3, 0.9]), name="coupled")
+        op = build_schrodinger(v, g)
+        vals, vecs = op.eigenpairs()
+        channel_vals, channel_vecs = op._analytic
+        order = np.argsort((g.momenta[:, None] ** 2 + channel_vals[None, :]).ravel(),
+                           kind="stable")
+        phases = np.exp(1j * np.outer(g.nodes, g.momenta / g.h)) / math.sqrt(g.M)
+        for col, flat in enumerate(order):
+            m_idx, k_idx = divmod(flat, 2)
+            expect = np.kron(phases[:, m_idx], channel_vecs[:, k_idx])
+            assert np.array_equal(vecs[:, col], expect)
+
+
+class TestGridOperatorChecks:
+    @pytest.fixture(params=[1 << 20, 64], ids=["one-block", "row-blocks"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(qz, "_CHECK_BLOCK", request.param)
+
+    def hermitian(self, rng, g):
+        a = rng.standard_normal((g.M, g.M))
+        return a + a.T
+
+    def test_wrong_shape_rejected(self, rng, block):
+        g = small_grid(h=0.5, M=32)
+        with pytest.raises(ValueError, match="shape"):
+            GridOperator(grid=g, N=1, matrix=np.eye(g.M + 2))
+        with pytest.raises(ValueError, match="shape"):
+            GridOperator(grid=g, N=2, matrix=self.hermitian(rng, g))
+
+    @pytest.mark.parametrize("row", [0, 30])
+    def test_hermiticity_defect_rejected(self, rng, block, row):
+        g = small_grid(h=0.5, M=32)
+        a = self.hermitian(rng, g)
+        a[row, 5] += 1e-10 * np.max(np.abs(a))
+        with pytest.raises(ValueError, match="hermiticity defect"):
+            GridOperator(grid=g, N=1, matrix=a)
+        b = self.hermitian(rng, g).astype(complex)
+        b[row, row] += 1e-9j * np.max(np.abs(b))
+        with pytest.raises(ValueError, match="hermiticity defect"):
+            GridOperator(grid=g, N=1, matrix=b)
+
+    def test_small_defect_symmetrized(self, rng, block):
+        g = small_grid(h=0.5, M=32)
+        a = self.hermitian(rng, g)
+        a[30, 5] += 1e-13 * np.max(np.abs(a))
+        op = GridOperator(grid=g, N=1, matrix=a)
+        assert np.array_equal(op.matrix, 0.5 * (a + a.T))
+        assert np.array_equal(op.matrix, op.matrix.T)
+
+    def test_exact_hermitian_kept(self, rng, block):
+        g = small_grid(h=0.5, M=32)
+        a = self.hermitian(rng, g)
+        assert GridOperator(grid=g, N=1, matrix=a).matrix is a
+
+    def test_matrix_or_assembler_required(self):
+        g = small_grid(h=0.5, M=32)
+        with pytest.raises(ValueError):
+            GridOperator(grid=g, N=1)
 
 
 class TestWeylQuantize:
@@ -266,6 +358,35 @@ class TestSmoothedTrace:
         f = bump_test_function((0.5, 1.5))
         with pytest.raises(GridMismatchError):
             smoothed_trace(a, op, f, WindowTheta(), 1.0)
+
+    def test_one_solve_with_cutoff(self, monkeypatch):
+        g = small_grid(h=0.25)
+        v = model_potential("reference")
+        a = weyl_quantize(CHI, g)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        taus = [0.9, 1.0]
+        lam, vecs = np.linalg.eigh(build_schrodinger(v, g).matrix)
+        uv = vecs.reshape(g.M, 2, -1)
+        diag = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
+        expect = fourier_window(w, g.h, np.subtract.outer(taus, lam)) @ (f(lam) * diag)
+
+        op = build_schrodinger(v, g)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        def refused(m):
+            raise AssertionError("values-only solve of an operator that needs eigenpairs")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        got = smoothed_trace(a, op, f, w, taus)
+        assert calls == [(op.dim, op.dim)]
+        assert np.array_equal(got, expect)
 
     def test_tau_vectorized(self):
         g = small_grid(h=0.25)

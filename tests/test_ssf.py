@@ -14,10 +14,30 @@ from ssf_lab.ssf import (
     ssf_counting,
     ssf_estimate,
     ssf_mollified,
-    sturm_count,
     weak_pairing,
 )
 from ssf_lab.symbols import model_potential
+
+
+def sturm_count(v_diag, h: float, tau: float, R: float = 12.0, nodes: int = 40000) -> int:
+    """Independent eigenvalue count below tau for -h^2 u'' + v(x) u on [-R, R]
+    with Dirichlet ends: Sturm sign-change count of the finite-difference
+    tridiagonal via its LDL pivots."""
+    xs = np.linspace(-R, R, nodes + 2)[1:-1]
+    dx = xs[1] - xs[0]
+    diag = 2.0 * h * h / dx**2 + v_diag(xs) - tau
+    off = -h * h / dx**2
+    count = 0
+    d = diag[0]
+    if d < 0:
+        count += 1
+    for i in range(1, len(diag)):
+        if d == 0.0:
+            d = 1e-300  # tau collided with a Ritz value; nudge the pivot
+        d = diag[i] - off * off / d
+        if d < 0:
+            count += 1
+    return count
 
 
 def gauss_well(depth=-1.0):
@@ -55,6 +75,29 @@ class TestBuildPair:
         lhs = float(np.trace(pair.P1.matrix - pair.P0.matrix).real)
         rhs = float(sum(np.trace(v(x) - v.v_infinity).real for x in pair.grid.nodes))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [gauss_well(), model_potential("reference")],
+                             ids=lambda v: v.name)
+    def test_free_operator_assembled_only_on_demand(self, v, kron_reference):
+        pair = make_pair(v)
+        f = bump_test_function((0.8, 1.2))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        weak_pairing(pair, f)
+        ssf_mollified(pair, w, None, [0.9, 1.0, 1.1])
+        mollified_density_pairing(pair, f, w, 1.0)
+        assert pair.P0 is not pair.P1
+        assert pair.P0._matrix is None
+        free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
+        assert np.array_equal(pair.P0.matrix, kron_reference(free, pair.grid))
+        assert pair.P0.matrix is pair.P0.matrix
+
+    def test_degeneracy_decided_from_samples(self):
+        # a perturbation far below the rounding of the kinetic diagonal
+        # still makes P1 differ from P0
+        v = gauss_well(depth=1e-300)
+        pair = make_pair(v)
+        assert pair.P0 is not pair.P1
+        assert pair.P0._matrix is None
 
     def test_margin_rejection(self):
         wide = model_potential("diagonal_bumps", depths=[1.0], centers=[0.0], widths=[6.0])
