@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -402,9 +402,18 @@ class LocalizedDensity:
     steps: np.ndarray
 
 
-def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
-                 x_order: int, scan: int, atol: float) -> float:
-    """Omega(tau) = int chi(x, xi) #{k : branch_k(x, xi) <= tau} dx dxi."""
+class _BranchGrid(NamedTuple):
+    """Sorted symbol branches on the Gauss x-nodes times an xi scan."""
+
+    x: np.ndarray        # (x_order,) Gauss nodes on chi's x-support
+    w: np.ndarray        # (x_order,) Gauss weights on [-1, 1]
+    xis: np.ndarray      # (scan,) uniform scan of chi's xi-support
+    values: np.ndarray   # (x_order, scan, N) branch values
+
+
+def _branch_grid(p: MatrixSymbol, chi: ProductCutoff, x_order: int,
+                 scan: int) -> _BranchGrid:
+    """The tau-independent branch scan shared by every band volume of one symbol."""
     if p.n != 1:
         raise NotImplementedError("band volume is implemented for n = 1")
     (xa, xb) = chi.x_support
@@ -412,11 +421,24 @@ def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
     xn, xw = gauss_rule(x_order)
     xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
     xis = np.linspace(qa, qb, scan)
+    mats = np.stack([np.asarray(p.eval(float(x), float(q))) for x in xm for q in xis])
+    mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
+    values = np.linalg.eigvalsh(mats).reshape(len(xm), len(xis), p.N)
+    return _BranchGrid(x=xm, w=xw, xis=xis, values=values)
+
+
+def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
+                 grid: _BranchGrid, atol: float) -> float:
+    """Omega(tau) = int chi(x, xi) #{k : branch_k(x, xi) <= tau} dx dxi.
+
+    ``grid`` is ``_branch_grid(p, chi, ...)``; the scan brackets the branch
+    crossings of tau, which are then bisected on p itself.
+    """
+    (xa, xb) = chi.x_support
+    (qa, qb) = chi.xi_support
+    xis = grid.xis
     total = 0.0
-    for x, wx in zip(xm, xw):
-        mats = np.stack([np.asarray(p.eval(float(x), float(q))) for q in xis])
-        mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-        branch_grid = np.linalg.eigvalsh(mats)  # (scan, N)
+    for x, wx, branch_grid in zip(grid.x, grid.w, grid.values):
         cell = 0.0
         for k in range(p.N):
             vals = branch_grid[:, k] - tau
@@ -426,10 +448,11 @@ def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
                 return float(fast_eigvalsh(0.5 * (m + m.conj().T))[_k]) - tau
 
             roots = []
-            for i in range(scan - 1):
+            head, tail = vals[:-1], vals[1:]
+            for i in np.flatnonzero((head == 0.0) | (head * tail < 0.0)):
                 if vals[i] == 0.0:
                     roots.append(float(xis[i]))
-                elif vals[i] * vals[i + 1] < 0.0:
+                else:
                     a, b = float(xis[i]), float(xis[i + 1])
                     fa = float(vals[i])
                     for _ in range(60):
@@ -462,9 +485,11 @@ def gamma0_localized(p: MatrixSymbol, chi: ProductCutoff, tau: float,
     Flags non-convergence (typically tau at a branch critical value) instead
     of raising.
     """
+    grid = _branch_grid(p, chi, x_order, scan)
+
     def central(step: float) -> float:
-        up = _band_volume(p, chi, tau + step, x_order, scan, atol)
-        dn = _band_volume(p, chi, tau - step, x_order, scan, atol)
+        up = _band_volume(p, chi, tau + step, grid, atol)
+        dn = _band_volume(p, chi, tau - step, grid, atol)
         return (up - dn) / (2.0 * step)
 
     steps = [dtau]

@@ -230,19 +230,34 @@ def check_pointwise(
             )
         c0 = 0.5 * c
 
-    best_slack = -math.inf
-    for c1 in C1_LADDER:
-        slack = check_definition(h, rho0, tv, c0, c1)
-        best_slack = max(best_slack, slack)
-        if slack >= 0.0:
-            return MicrohyperbolicityCertificate(
-                valid=True, points=rho0[None, :], T=tv, C0=c0, C1=c1,
-                kernel_tol=kernel_tol, margin=slack,
-            )
+    # the whole C1 ladder as one stacked problem; each rung is formed as
+    # check_definition forms it, so each slack equals its value bit for bit
+    rungs = g + np.asarray(C1_LADDER)[:, None, None] * (a.conj().T @ a) - c0 * np.eye(h.N)
+    slacks = np.linalg.eigvalsh(rungs)[:, 0]
+    passing = np.flatnonzero(slacks >= 0.0)
+    if passing.size:
+        i = int(passing[0])
+        return MicrohyperbolicityCertificate(
+            valid=True, points=rho0[None, :], T=tv, C0=c0, C1=C1_LADDER[i],
+            kernel_tol=kernel_tol, margin=float(slacks[i]),
+        )
     return MicrohyperbolicityCertificate(
         valid=False, points=rho0[None, :], T=tv, C0=c0, C1=C1_LADDER[-1],
-        kernel_tol=kernel_tol, margin=best_slack, failures=[rho0],
+        kernel_tol=kernel_tol, margin=float(slacks.max()), failures=[rho0],
     )
+
+
+def _min_eigs(tvecs: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """min-eig of <T, proj> for every row T of ``tvecs``, as one stacked problem.
+
+    Each <T, proj> is a (1, dim) @ (dim, r*r) product, the one
+    ``np.tensordot(T, proj, axes=(0, 0))`` makes for a single T, so every value
+    is bit-identical to a single-direction call; one (k, dim) @ (dim, r*r)
+    product would round differently.
+    """
+    k, (dim, r, _) = len(tvecs), proj.shape
+    stacked = np.matmul(tvecs[:, None, :], proj.reshape(dim, r * r)).reshape(k, r, r)
+    return np.linalg.eigvalsh(stacked)[:, 0]
 
 
 def _kernel_projected_value(h: MatrixSymbol, rho0, tv, kernel_tol) -> float:
@@ -290,7 +305,8 @@ def find_direction(
 
     if dim == 2:
         angles = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
-        vals = np.array([value(np.array([math.cos(p), math.sin(p)])) for p in angles])
+        coarse_t = np.array([[math.cos(p), math.sin(p)] for p in angles])
+        vals = _min_eigs(coarse_t, proj)
         i_best = int(np.argmax(vals))
         lo = angles[i_best] - 2.0 * math.pi / coarse
         hi = angles[i_best] + 2.0 * math.pi / coarse
@@ -317,8 +333,7 @@ def find_direction(
     rng = np.random.default_rng(0)
     cands = rng.standard_normal((max(coarse, 1024), dim))
     cands /= np.linalg.norm(cands, axis=1)[:, None]
-    vals = np.array([value(c) for c in cands])
-    best = cands[int(np.argmax(vals))]
+    best = cands[int(np.argmax(_min_eigs(cands, proj)))]
     step = 0.5
     fbest = value(best)
     for _ in range(refine_steps):
@@ -456,35 +471,19 @@ def crossing_condition(
     grad = v.gradient(x0)
     proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
 
-    def value(tvec):
-        s = np.tensordot(tvec, proj, axes=(0, 0))
-        return float(np.linalg.eigvalsh(s).min())
-
     if v.n == 1:
-        cands = [np.array([1.0]), np.array([-1.0])]
+        cands = np.array([[1.0], [-1.0]])
     else:
         rng = np.random.default_rng(0)
-        cands = list(rng.standard_normal((coarse, v.n)))
-        cands = [c / np.linalg.norm(c) for c in cands]
-    vals = [value(c) for c in cands]
+        cands = np.stack([c / np.linalg.norm(c) for c in rng.standard_normal((coarse, v.n))])
+    vals = _min_eigs(cands, proj)
     i_best = int(np.argmax(vals))
-    best, fbest = cands[i_best], vals[i_best]
+    best, fbest = cands[i_best], float(vals[i_best])
     if fbest <= 0.0:
         return CrossingResult(ok=False, T1=None, C=None, kernel_dim=int(mask.sum()),
                               best_value=fbest)
     return CrossingResult(ok=True, T1=best, C=1.0 / fbest, kernel_dim=int(mask.sum()),
                           best_value=fbest)
-
-
-def _shell_points_by_branch(v: MatrixPotential, tau0, x_grid, allowed_tol):
-    """(x, k) pairs in the classically allowed region tau0 - e_k(x) >= -tol."""
-    out = []
-    for x in x_grid:
-        evals = hermitian_eigen(v(x)).values
-        for k, ek in enumerate(evals):
-            if tau0 - ek >= -allowed_tol:
-                out.append((float(x), k, float(ek)))
-    return out
 
 
 def escape_check_general(
@@ -504,19 +503,17 @@ def escape_check_general(
         return EscapeCertificate(valid=False, tau0=tau0, G_kind=g.name or "general",
                                  C=0.0, samples=pts, shell_tol=shell_tol,
                                  failures=["empty shell"])
-    worst = math.inf
-    failures = []
+    n = p.n
+    brackets = []
     for x, xi in pts:
         gp = symbol_gradient(p, np.array([x, xi]))
         gg = g.gradient(x, xi)
-        n = p.n
-        bracket = sum(gg[i] * gp[n + i] for i in range(n)) - sum(
+        brackets.append(sum(gg[i] * gp[n + i] for i in range(n)) - sum(
             gg[n + i] * gp[i] for i in range(n)
-        )
-        w = float(np.linalg.eigvalsh(bracket).min())
-        if w <= 0.0:
-            failures.append(np.array([x, xi]))
-        worst = min(worst, w)
+        ))
+    ws = np.linalg.eigvalsh(np.stack(brackets))[:, 0]
+    worst = float(ws.min())
+    failures = [np.array([x, xi]) for (x, xi), w in zip(pts, ws) if w <= 0.0]
     valid = not failures
     return EscapeCertificate(valid=valid, tau0=tau0, G_kind=g.name or "general",
                              C=worst if valid else 0.0, samples=pts,
@@ -540,35 +537,25 @@ def escape_check_dilation(
     if v.n != 1:
         raise NotImplementedError("dilation check is implemented for n = 1")
     xs = np.linspace(x_range[0], x_range[1], grid_points)
-    sup_v = 0.0
-    sup_xdv = 0.0
-    worst = math.inf
-    worst_at = None
-    failures = []
-    samples = []
-    eye = np.eye(v.N)
-    for x in xs:
-        mat = v(x)
-        gv = v.gradient(x)[0]
-        sup_v = max(sup_v, float(np.linalg.norm(mat, 2)))
-        sup_xdv = max(sup_xdv, 0.5 * float(np.linalg.norm(x * gv, 2)))
-        evals = hermitian_eigen(mat).values
-        for k, ek in enumerate(evals):
-            if tau0 - ek < -allowed_tol:
-                continue
-            samples.append((x, k))
-            w = float(np.linalg.eigvalsh(2.0 * (tau0 - ek) * eye - x * gv).min())
-            if w < worst:
-                worst, worst_at = w, (x, k)
-            if w <= 0.0:
-                failures.append(np.array([x, float(k)]))
-    threshold = sup_xdv + sup_v
-    valid = worst > 0.0 and not failures and bool(samples)
+    shape = (len(xs), v.N, v.N)
+    # v(x) rejects a non-hermitian sample, in sample order
+    mats = np.array([v(x) for x in xs]).reshape(shape)
+    gvs = np.array([v.gradient(x)[0] for x in xs]).reshape(shape)
+    sup_v = float(np.max(np.linalg.norm(mats, 2, axis=(1, 2)), initial=0.0))
+    xgv = xs[:, None, None] * gvs
+    sup_xdv = 0.5 * float(np.max(np.linalg.norm(xgv, 2, axis=(1, 2)), initial=0.0))
+    evals = np.linalg.eigh(0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1)))))[0]
+    # (x, k) pairs of the classically allowed region, x-major as sampled
+    ix, ks = np.nonzero(~(tau0 - evals < -allowed_tol))
+    dil = 2.0 * (tau0 - evals[ix, ks])[:, None, None] * np.eye(v.N) - xgv[ix]
+    ws = np.linalg.eigvalsh(dil)[:, 0]
+    samples = np.column_stack([xs[ix], ks.astype(float)])
+    failures = [samples[i].copy() for i in np.flatnonzero(ws <= 0.0)]
+    worst = float(ws.min()) if ws.size else 0.0
+    valid = worst > 0.0 and not failures
     return EscapeCertificate(
-        valid=valid, tau0=tau0, G_kind="dilation",
-        C=worst if valid else (worst if worst_at is not None else 0.0),
-        samples=np.asarray(samples, dtype=float).reshape(-1, 2),
-        shell_tol=allowed_tol, failures=failures, threshold_bound=threshold,
+        valid=valid, tau0=tau0, G_kind="dilation", C=worst, samples=samples,
+        shell_tol=allowed_tol, failures=failures, threshold_bound=sup_xdv + sup_v,
     )
 
 

@@ -6,6 +6,8 @@ import pytest
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import (
     ThresholdError,
+    _band_volume,
+    _branch_grid,
     a0,
     bump_test_function,
     c0,
@@ -17,7 +19,13 @@ from ssf_lab.coefficients import (
     sphere_volume,
 )
 from ssf_lab.quadrature import adaptive_gauss, gauss_rule
-from ssf_lab.symbols import MatrixPotential, model_potential, schrodinger_symbol
+from ssf_lab.symbols import (
+    MatrixPotential,
+    MatrixSymbol,
+    fast_eigvalsh,
+    model_potential,
+    schrodinger_symbol,
+)
 
 # Frozen oracle values, computed with a 10^6-node composite Gauss rule (and,
 # for the singular case, cross-checked against an endpoint-substituted rule):
@@ -189,6 +197,54 @@ class TestC0:
         assert abs(c0(vab, f) - c0(va, f) - c0(vb, f)) <= 1e-9
 
 
+def _band_volume_rebuilt(p, chi, tau, x_order, scan, atol):
+    """Reference: the band volume rebuilding its branch scan for each tau and
+    bracketing the crossings with a per-cell loop."""
+    (xa, xb) = chi.x_support
+    (qa, qb) = chi.xi_support
+    xn, xw = gauss_rule(x_order)
+    xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
+    xis = np.linspace(qa, qb, scan)
+    total = 0.0
+    for x, wx in zip(xm, xw):
+        mats = np.stack([np.asarray(p.eval(float(x), float(q))) for q in xis])
+        mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
+        branch_grid = np.linalg.eigvalsh(mats)
+        cell = 0.0
+        for k in range(p.N):
+            vals = branch_grid[:, k] - tau
+
+            def hk(q, _k=k, _x=x):
+                m = np.asarray(p.eval(float(_x), float(q)))
+                return float(fast_eigvalsh(0.5 * (m + m.conj().T))[_k]) - tau
+
+            roots = []
+            for i in range(scan - 1):
+                if vals[i] == 0.0:
+                    roots.append(float(xis[i]))
+                elif vals[i] * vals[i + 1] < 0.0:
+                    a, b = float(xis[i]), float(xis[i + 1])
+                    fa = float(vals[i])
+                    for _ in range(60):
+                        mq = 0.5 * (a + b)
+                        fm = hk(mq)
+                        if fa * fm <= 0.0:
+                            b = mq
+                        else:
+                            a, fa = mq, fm
+                        if b - a < 1e-12:
+                            break
+                    roots.append(0.5 * (a + b))
+            edges = [qa] + roots + [qb]
+            for a, b in zip(edges[:-1], edges[1:]):
+                if b - a < 1e-13:
+                    continue
+                if hk(0.5 * (a + b)) <= 0.0:
+                    cell += adaptive_gauss(lambda q: chi.k(q), a, b, atol=atol)
+        total += wx * chi.g(float(x)) * cell
+    return 0.5 * (xb - xa) * total
+
+
 class TestLocalizedDensity:
     CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 2.0))
 
@@ -207,12 +263,38 @@ class TestLocalizedDensity:
         assert out.value == 0.0
 
     def test_band_volume_monotone(self):
-        from ssf_lab.coefficients import _band_volume
-
         p = schrodinger_symbol(model_potential("conical_crossing"))
+        grid = _branch_grid(p, self.CHI, 48, 512)
         taus = np.linspace(0.5, 1.5, 6)
-        vols = [_band_volume(p, self.CHI, float(t), 48, 512, 1e-10) for t in taus]
+        vols = [_band_volume(p, self.CHI, float(t), grid, 1e-10) for t in taus]
         assert np.all(np.diff(vols) >= -1e-12)
+
+    @pytest.mark.parametrize("kind,params", [("conical_crossing", {}),
+                                             ("avoided_crossing", {"gap": 0.2}),
+                                             ("reference", {})])
+    def test_band_volume_shared_grid_matches_rebuild(self, kind, params):
+        p = schrodinger_symbol(model_potential(kind, **params))
+        grid = _branch_grid(p, self.CHI, 24, 256)
+        for tau in np.linspace(-0.3, 1.9, 5):
+            assert _band_volume(p, self.CHI, float(tau), grid, 1e-10) == \
+                _band_volume_rebuilt(p, self.CHI, float(tau), 24, 256, 1e-10)
+
+    def test_branch_grid_built_once_per_call(self):
+        base = schrodinger_symbol(model_potential("conical_crossing"))
+        calls = []
+
+        def counting_eval(x, xi):
+            calls.append((x, xi))
+            return base.eval(x, xi)
+
+        p = MatrixSymbol(n=1, N=2, eval=counting_eval, grad=base.grad)
+        x_order, scan = 16, 128
+        out = gamma0_localized(p, self.CHI, 1.0, x_order=x_order, scan=scan)
+        grid = _branch_grid(base, self.CHI, x_order, scan)
+        nodes = {(float(x), float(q)) for x in grid.x for q in grid.xis}
+        # every band volume (two per step) used to rescan the whole grid
+        assert 2 * len(out.steps) >= 6
+        assert sum(c in nodes for c in calls) == x_order * scan
 
     def test_boundary_value_route(self):
         from ssf_lab.microhyperbolicity import boundary_value_extrapolate

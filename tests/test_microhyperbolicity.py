@@ -10,27 +10,38 @@ from ssf_lab.bumps import Bump1D, ProductCutoff, ScalarPhaseFunction, dilation_g
 from ssf_lab.microhyperbolicity import (
     C1_LADDER,
     Direction,
+    EscapeCertificate,
     KernelSplitError,
+    _kernel_compression,
+    _min_eigs,
     boundary_value_extrapolate,
     check_definition,
     check_on_energy_shell,
     check_pointwise,
     crossing_condition,
+    default_kernel_tol,
+    default_shell_tol,
+    directional_derivative,
     escape_check_dilation,
     escape_check_general,
     extend_to_global,
     find_direction,
     flatten_symbol,
     linearized_block_symbol,
+    shell_sample,
 )
 from ssf_lab.quadrature import adaptive_gauss
 from ssf_lab.symbols import (
+    SIGMA1,
     SIGMA3,
     MatrixPotential,
     MatrixSymbol,
+    NonHermitianError,
+    hermitian_eigen,
     model_potential,
     schrodinger_symbol,
     shifted_symbol,
+    symbol_gradient,
 )
 
 
@@ -541,3 +552,333 @@ class TestBoundaryValues:
             boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=0)
         with pytest.raises(ValueError):
             boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, form="weird")
+
+
+# Reference loops: the certificate layer before its small eigenproblems were
+# stacked, one eigvalsh call per direction, rung or sample.  The batched code
+# must agree with them bit for bit.
+
+def _find_direction_loop(h, rho0, kernel_tol=None, coarse=256, refine_steps=40):
+    rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
+    dim = 2 * h.n
+    if kernel_tol is None:
+        kernel_tol = default_kernel_tol(h.at(rho0))
+    grad = symbol_gradient(h, rho0)
+    eig = hermitian_eigen(h.at(rho0))
+    mask = np.abs(eig.values) <= kernel_tol
+    if not np.any(mask):
+        mask = np.ones(h.N, dtype=bool)
+    vk = eig.vectors[:, mask]
+    proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
+
+    def value(tvec):
+        return float(np.linalg.eigvalsh(np.tensordot(tvec, proj, axes=(0, 0))).min())
+
+    if dim == 2:
+        angles = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+        vals = np.array([value(np.array([math.cos(p), math.sin(p)])) for p in angles])
+        i_best = int(np.argmax(vals))
+        lo = angles[i_best] - 2.0 * math.pi / coarse
+        hi = angles[i_best] + 2.0 * math.pi / coarse
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc = value(np.array([math.cos(c), math.sin(c)]))
+        fd = value(np.array([math.cos(d), math.sin(d)]))
+        for _ in range(refine_steps):
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = value(np.array([math.cos(c), math.sin(c)]))
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = value(np.array([math.cos(d), math.sin(d)]))
+        phi_best = 0.5 * (lo + hi)
+        best = np.array([math.cos(phi_best), math.sin(phi_best)])
+        return None if value(best) <= 0.0 else Direction(best)
+
+    rng = np.random.default_rng(0)
+    cands = rng.standard_normal((max(coarse, 1024), dim))
+    cands /= np.linalg.norm(cands, axis=1)[:, None]
+    best = cands[int(np.argmax([value(c) for c in cands]))]
+    step = 0.5
+    fbest = value(best)
+    for _ in range(refine_steps):
+        improved = False
+        for i in range(dim):
+            for sgn in (+1.0, -1.0):
+                trial = best + sgn * step * np.eye(dim)[i]
+                trial /= np.linalg.norm(trial)
+                ft = value(trial)
+                if ft > fbest:
+                    best, fbest, improved = trial, ft, True
+        if not improved:
+            step *= 0.5
+    return None if fbest <= 0.0 else Direction(best / np.linalg.norm(best))
+
+
+def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
+    rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
+    tv = Direction.normalized(t).vec
+    a = h.at(rho0)
+    if kernel_tol is None:
+        kernel_tol = default_kernel_tol(a)
+    s, eig, _ = _kernel_compression(a, directional_derivative(h, rho0, tv), kernel_tol)
+    if s is None:
+        c0 = 0.5 * float(np.min(np.abs(eig.values)))
+    else:
+        c = float(np.linalg.eigvalsh(s).min())
+        if c <= 0.0:
+            return dict(valid=False, C0=c, C1=0.0, margin=c)
+        c0 = 0.5 * c
+    best_slack = -math.inf
+    for c1 in C1_LADDER:
+        slack = check_definition(h, rho0, tv, c0, c1)
+        best_slack = max(best_slack, slack)
+        if slack >= 0.0:
+            return dict(valid=True, C0=c0, C1=c1, margin=slack)
+    return dict(valid=False, C0=c0, C1=C1_LADDER[-1], margin=best_slack)
+
+
+def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
+    xs = np.linspace(-8.0, 8.0, grid_points)
+    sup_v = sup_xdv = 0.0
+    worst, worst_at = math.inf, None
+    failures, samples = [], []
+    eye = np.eye(v.N)
+    for x in xs:
+        mat = v(x)
+        gv = v.gradient(x)[0]
+        sup_v = max(sup_v, float(np.linalg.norm(mat, 2)))
+        sup_xdv = max(sup_xdv, 0.5 * float(np.linalg.norm(x * gv, 2)))
+        for k, ek in enumerate(hermitian_eigen(mat).values):
+            if tau0 - ek < -allowed_tol:
+                continue
+            samples.append((x, k))
+            w = float(np.linalg.eigvalsh(2.0 * (tau0 - ek) * eye - x * gv).min())
+            if w < worst:
+                worst, worst_at = w, (x, k)
+            if w <= 0.0:
+                failures.append(np.array([x, float(k)]))
+    valid = worst > 0.0 and not failures and bool(samples)
+    return EscapeCertificate(
+        valid=valid, tau0=tau0, G_kind="dilation",
+        C=worst if valid else (worst if worst_at is not None else 0.0),
+        samples=np.asarray(samples, dtype=float).reshape(-1, 2),
+        shell_tol=allowed_tol, failures=failures, threshold_bound=sup_xdv + sup_v,
+    )
+
+
+def _crossing_condition_loop(v, x0, tau0, coarse=256):
+    """(T1, value) of the best candidate, or None when no level touches tau0."""
+    eig = hermitian_eigen(v(x0) - tau0 * np.eye(v.N))
+    mask = np.abs(eig.values) <= default_shell_tol(tau0)
+    if not np.any(mask):
+        return None
+    vk = eig.vectors[:, mask]
+    proj = np.stack([vk.conj().T @ gi @ vk for gi in v.gradient(x0)])
+    if v.n == 1:
+        cands = [np.array([1.0]), np.array([-1.0])]
+    else:
+        rng = np.random.default_rng(0)
+        cands = [c / np.linalg.norm(c) for c in rng.standard_normal((coarse, v.n))]
+    vals = [float(np.linalg.eigvalsh(np.tensordot(c, proj, axes=(0, 0))).min()) for c in cands]
+    i_best = int(np.argmax(vals))
+    return cands[i_best], vals[i_best]
+
+
+def _escape_check_general_loop(p, g, tau0, box, grid_points):
+    """(shell points, bracket min-eig per point), one eigvalsh per point."""
+    pts = shell_sample(p, tau0, box, default_shell_tol(tau0), grid_points)
+    ws = []
+    for x, xi in pts:
+        gp = symbol_gradient(p, np.array([x, xi]))
+        gg = g.gradient(x, xi)
+        ws.append(float(np.linalg.eigvalsh(gg[0] * gp[1] - gg[1] * gp[0]).min()))
+    return pts, ws
+
+def jet_symbol(a, grads, n):
+    """H(rho) = A + <rho, grads> on R^(2n): a symbol with a prescribed gradient."""
+    def ev(x, xi):
+        rho = np.concatenate([np.atleast_1d(x), np.atleast_1d(xi)])
+        return a + np.tensordot(rho, grads, axes=(0, 0))
+
+    def gr(x, xi):
+        return grads
+
+    return MatrixSymbol(n=n, N=a.shape[0], eval=ev, grad=gr)
+
+
+def random_jet(rng, n_ch, n):
+    """A jet at 0 whose value has a kernel of random dimension (0 = invertible),
+    with a small non-kernel part half the time and real entries half the time."""
+    a = random_hermitian(rng, n_ch)
+    k = int(rng.integers(0, n_ch + 1))
+    a[:k, :] = 0.0
+    a[:, :k] = 0.0
+    if rng.integers(2):
+        a *= 10.0 ** rng.uniform(-5.0, 0.0)
+    grads = np.stack([random_hermitian(rng, n_ch) for _ in range(2 * n)])
+    if rng.integers(2):
+        a, grads = a.real.copy(), grads.real.copy()
+    return jet_symbol(a, grads, n)
+
+
+class TestBatchedMatchesLoops:
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 4]),
+           st.sampled_from([1, 2, 3]), st.booleans())
+    def test_stacked_scan_values(self, seed, dim, r, real):
+        # every stacked value equals the single-direction value, not just the argmax
+        rng = np.random.default_rng(seed)
+        proj = np.stack([random_hermitian(rng, r) for _ in range(dim)])
+        if real:
+            proj = proj.real.copy()
+        tvecs = rng.standard_normal((257, dim))
+        ref = [float(np.linalg.eigvalsh(np.tensordot(t, proj, axes=(0, 0))).min()) for t in tvecs]
+        assert np.array_equal(_min_eigs(tvecs, proj), ref)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
+           st.sampled_from([1, 2]))
+    def test_find_direction(self, seed, n_ch, n):
+        rng = np.random.default_rng(seed)
+        h = random_jet(rng, n_ch, n)
+        rho0 = np.zeros(2 * n)
+        got, ref = find_direction(h, rho0), _find_direction_loop(h, rho0)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.array_equal(got.vec, ref.vec)
+
+    def test_find_direction_on_shell_points(self):
+        h = crossing_symbol(1.0)
+        for rho in ([0.0, 1.0], [0.5, 0.9], [-1.2, -0.8], [0.0, 0.0]):
+            got, ref = find_direction(h, rho), _find_direction_loop(h, rho)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert np.array_equal(got.vec, ref.vec)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_check_pointwise(self, seed, n_ch):
+        rng = np.random.default_rng(seed)
+        h = random_jet(rng, n_ch, 1)
+        t = rng.standard_normal(2)
+        cert = check_pointwise(h, [0.0, 0.0], t)
+        ref = _check_pointwise_loop(h, [0.0, 0.0], t)
+        assert {k: getattr(cert, k) for k in ref} == ref
+        assert len(cert.failures) == (0 if ref["valid"] else 1)
+
+    def test_check_pointwise_ladder_exhausted(self):
+        # kernel compression positive, but the complement needs C1 > 2^20
+        h = affine_jet_symbol(np.diag([0.0, 1e-4]), np.diag([1.0, -1.0]))
+        cert = check_pointwise(h, [0.0, 0.0], [1.0, 0.0])
+        ref = _check_pointwise_loop(h, [0.0, 0.0], [1.0, 0.0])
+        assert not cert.valid and cert.C1 == C1_LADDER[-1]
+        assert {k: getattr(cert, k) for k in ref} == ref
+
+    @pytest.mark.parametrize("tau0", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("v", [
+        model_potential("constant", v_inf=0.0, N=1),
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("conical_crossing"),
+        model_potential("avoided_crossing", gap=0.2),
+        model_potential("reference"),
+        MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * np.array([[1.5, 1j], [-1j, -0.5]]),
+                        grad=lambda x: -2.0 * x * math.exp(-x * x) * np.array([[[1.5, 1j], [-1j, -0.5]]]),
+                        v_infinity=np.zeros((2, 2))),
+    ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex"])
+    def test_escape_check_dilation(self, v, tau0):
+        cert = escape_check_dilation(v, tau0, grid_points=301)
+        ref = _escape_check_dilation_loop(v, tau0, grid_points=301)
+        assert np.array_equal(cert.samples, ref.samples)
+        assert cert.to_json_dict() == ref.to_json_dict()
+        assert len(cert.failures) == len(ref.failures)
+        assert all(np.array_equal(a, b) for a, b in zip(cert.failures, ref.failures))
+
+    def test_escape_check_dilation_failures(self):
+        # the engineered touching profile of TestEscapeChecks, sampled densely
+        phi = lambda x: math.exp(-((x - 1.0) ** 2))
+        beta = 1.2
+        v = MatrixPotential(
+            n=1, N=1, eval=lambda x: np.array([[beta * phi(x)]]),
+            grad=lambda x: np.array([[[-2.0 * (x - 1.0) * beta * phi(x)]]]),
+            v_infinity=np.zeros((1, 1)))
+        cert = escape_check_dilation(v, 1.0, grid_points=4001)
+        ref = _escape_check_dilation_loop(v, 1.0, grid_points=4001)
+        assert len(cert.failures) > 32
+        assert cert.to_json_dict() == ref.to_json_dict()
+        assert all(np.array_equal(a, b) for a, b in zip(cert.failures, ref.failures))
+
+    def test_escape_check_dilation_rejects_non_hermitian_sample(self):
+        v = MatrixPotential(
+            n=1, N=2, eval=lambda x: np.array([[0.0, 1.0 if x > 1.0 else 0.0], [0.0, 0.0]]),
+            grad=lambda x: np.zeros((1, 2, 2)), v_infinity=np.zeros((2, 2)))
+        with pytest.raises(NonHermitianError):
+            escape_check_dilation(v, 1.0, grid_points=101)
+
+    @pytest.mark.parametrize("x0", [0.0, 0.4, -1.1])
+    @pytest.mark.parametrize("level", [0, 1, None])
+    @pytest.mark.parametrize("v", [
+        model_potential("conical_crossing"),
+        model_potential("avoided_crossing", gap=0.2),
+        model_potential("reference"),
+        MatrixPotential(n=2, N=2, eval=lambda x: 0.3 * SIGMA1 + x[0] * SIGMA3 - x[1] * SIGMA1,
+                        grad=lambda x: np.stack([SIGMA3, -SIGMA1]),
+                        v_infinity=np.zeros((2, 2))),
+    ], ids=["conical", "avoided", "reference", "linear_n2"])
+    def test_crossing_condition(self, v, x0, level):
+        # tau0 on the lower or upper level of V(x), or on neither
+        x = x0 if v.n == 1 else np.array([x0, 0.5 * x0])
+        tau0 = 1.0 if level is None else float(np.linalg.eigvalsh(v(x))[level])
+        res = crossing_condition(v, x, tau0)
+        ref = _crossing_condition_loop(v, x, tau0)
+        if ref is None:
+            assert res.note == "no level touches tau0"
+            return
+        t1, fbest = ref
+        assert res.best_value == fbest
+        assert res.ok == (fbest > 0.0)
+        if res.ok:
+            assert np.array_equal(res.T1, t1) and res.C == 1.0 / fbest
+
+    @pytest.mark.parametrize("tau0", [0.5, 2.0])
+    @pytest.mark.parametrize("g", [
+        dilation_generator(1),
+        ScalarPhaseFunction(n=1, eval=lambda x, xi: (x - 0.5) * xi,
+                            grad=lambda x, xi: np.array([xi, x - 0.5])),
+    ], ids=["dilation", "shifted"])
+    def test_escape_check_general(self, g, tau0):
+        p = schrodinger_symbol(model_potential("reference"))
+        box = ((-3.0, 3.0), (-2.5, 2.5))
+        cert = escape_check_general(p, g, tau0, box, grid_points=21)
+        pts, ws = _escape_check_general_loop(p, g, tau0, box, 21)
+        assert np.array_equal(cert.samples, pts)
+        failures = [pt for pt, w in zip(pts, ws) if w <= 0.0]
+        assert len(cert.failures) == len(failures)
+        assert all(np.array_equal(a, b) for a, b in zip(cert.failures, failures))
+        assert cert.C == (min(ws) if not failures else 0.0)
+
+
+class TestGoldenCertificates:
+    """C0, C1 and margin on the benchmark's zoo box (11-point grid) and escape
+    grid (201 points), pinned by repr from the per-call implementation."""
+
+    BOX = ((-3.0, 3.0), (-2.5, 2.5))
+
+    @pytest.mark.parametrize("kind,tau0,c0,c1,margin", [
+        ("reference", 1.0, "0.999999999999001", "1.0", "1.0000000006557153"),
+        ("reference", 2.0, "1.533608001839097", "1.0", "1.4484706660120177"),
+        ("conical_crossing", 1.0, "0.9999999999668552", "1.0", "0.9999999999668552"),
+        ("conical_crossing", 2.0, "1.5164434300165108", "1.0", "1.5176208332883905"),
+    ])
+    def test_shell(self, kind, tau0, c0, c1, margin):
+        cert = check_on_energy_shell(schrodinger_symbol(model_potential(kind)), tau0,
+                                     self.BOX, grid_points=11)
+        assert cert.valid
+        assert (repr(cert.C0), repr(cert.C1), repr(cert.margin)) == (c0, c1, margin)
+
+    def test_escape(self):
+        cert = escape_check_dilation(model_potential("reference"), 2.0, grid_points=201)
+        doc = cert.to_json_dict()
+        assert cert.valid and doc["n_points"] == 402
+        assert (repr(doc["C"]), repr(doc["margin"])) == ("2.0262619167674587",) * 2
+        assert repr(cert.threshold_bound) == "1.6284329963911308"
