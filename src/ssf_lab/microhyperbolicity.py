@@ -96,6 +96,12 @@ def _as_direction_vec(t) -> np.ndarray:
     return Direction.normalized(t).vec
 
 
+def _failures_json(failures: list) -> list:
+    """The first 32 failures: notes stay strings, sample points become float lists."""
+    return [p if isinstance(p, str) else list(map(float, np.atleast_1d(p)))
+            for p in failures[:32]]
+
+
 @dataclass(frozen=True)
 class MicrohyperbolicityCertificate:
     """Verified constants over a sampled point set (or a refutation)."""
@@ -122,7 +128,7 @@ class MicrohyperbolicityCertificate:
             "n_points": int(np.atleast_2d(self.points).shape[0]) if np.size(self.points) else 0,
             "valid": bool(self.valid),
             "empty_shell": bool(self.empty_shell),
-            "failures": [list(map(float, np.atleast_1d(p))) for p in self.failures[:32]],
+            "failures": _failures_json(self.failures),
         }
 
 
@@ -149,7 +155,7 @@ class EscapeCertificate:
             "shell_tol": float(self.shell_tol),
             "valid": bool(self.valid),
             "threshold_bound": None if self.threshold_bound is None else float(self.threshold_bound),
-            "failures": [list(map(float, np.atleast_1d(p))) for p in self.failures[:32]],
+            "failures": _failures_json(self.failures),
         }
 
 

@@ -18,7 +18,11 @@ multiplication operators come out exactly diagonal.
 Smoothed spectral traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over
 the eigenpairs, where K is the scaled inverse Fourier transform of a window
 theta(t/eps): K(s) = (eps/h) Phi(eps s / h) with an h-independent profile
-Phi cached per window shape.
+Phi cached per window shape.  Phi is tabulated once per process and shape on
+26 081 spline knots (four uniform segments up to y = 1200) by a 768-node
+Gauss rule; on each segment the phase exp(i u y) is split into a coarse and
+a fine factor, so the table is a few small matrix products and never a
+knots x nodes phase matrix.
 """
 from __future__ import annotations
 
@@ -412,6 +416,13 @@ def _check_margins(chi: ProductCutoff, grid: Grid1D, margin: float) -> None:
 _PROFILE_CACHE: dict[str, "_WindowProfile"] = {}
 _PROFILE_YMAX = 1200.0  # the one-sided window tail is Gevrey-slow
 _GL_ORDER = 768
+# uniform knot segments (start, stop, step) of the profile splines
+_PROFILE_SEGMENTS = (
+    (0.0, 16.0, 0.002),
+    (16.0, 64.0, 0.01),
+    (64.0, 256.0, 0.05),
+    (256.0, _PROFILE_YMAX + 0.1, 0.1),
+)
 
 
 def _theta_eval(kind: str, t):
@@ -425,6 +436,22 @@ def _theta_eval(kind: str, t):
     raise ValueError(f"unknown window kind {kind!r}")
 
 
+def _segment_phase_sum(seg: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(i u_k y) for every knot y of one uniform segment.
+
+    With a block size B ~ sqrt(n), each knot is y[bB + j] = y[bB] + (y[j] - y[0]),
+    so exp(i u y) factors into a coarse and a fine phase and the whole segment
+    is one (n/B x 768) @ (768 x B) product: (n/B + B) * 768 exponentials
+    instead of n * 768, and no n x 768 phase matrix.
+    """
+    n = seg.size
+    block = math.isqrt(n - 1) + 1
+    coarse = np.exp(1j * np.outer(seg[::block], u))
+    coarse *= w
+    fine = np.exp(1j * np.outer(seg[:block] - seg[0], u))
+    return (coarse @ fine.T).ravel()[:n]
+
+
 class _WindowProfile:
     """h-independent profile Phi(y) = (1/2pi) int theta(u) exp(i u y) du."""
 
@@ -434,18 +461,14 @@ class _WindowProfile:
             supp = (-1.0, 1.0)
         else:
             supp = (0.5, 1.0)
-        ys = np.concatenate([
-            np.arange(0.0, 16.0, 0.002),
-            np.arange(16.0, 64.0, 0.01),
-            np.arange(64.0, 256.0, 0.05),
-            np.arange(256.0, _PROFILE_YMAX + 0.1, 0.1),
-        ])
+        segments = [np.arange(*seg) for seg in _PROFILE_SEGMENTS]
+        ys = np.concatenate(segments)
         un, uw = gauss_rule(_GL_ORDER)
         mid, half = 0.5 * (supp[0] + supp[1]), 0.5 * (supp[1] - supp[0])
         u = mid + half * un
         w = half * uw * _theta_eval(kind, u)
-        phase = np.exp(1j * np.outer(ys, u))
-        vals = phase @ w / (2.0 * math.pi)
+        vals = np.concatenate([_segment_phase_sum(seg, u, w) for seg in segments])
+        vals /= 2.0 * math.pi
         self.even = kind == "bump_at_zero"
         self.ys = ys
         if self.even:

@@ -18,6 +18,18 @@ from ssf_lab.microhyperbolicity import escape_check_dilation
 from ssf_lab.symbols import branches
 
 
+# the free symbol has no energy shell below 0, so the general escape check
+# returns its empty-shell certificate
+EMPTY_SHELL_ESCAPE = {
+    "schema_version": 1,
+    "experiment": "check-escape",
+    "potential": {"kind": "constant", "params": {"v_inf": 0.0, "N": 1}},
+    "tau0": -1.0,
+    "escape_kind": "general",
+    "check": {"box": [[-3.0, 3.0], [-2.5, 2.5]]},
+}
+
+
 class TestFitOrder:
     def test_pure_power(self):
         hs = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
@@ -156,6 +168,13 @@ class TestRun:
         result = run(cfg)
         assert result.exit_code == 0
         assert result.report["verdicts"]["escape"] == "PASS"
+
+    def test_check_escape_general_empty_shell(self, tmp_path):
+        cfg = dict(EMPTY_SHELL_ESCAPE, out=str(tmp_path / "esc"))
+        result = run(cfg)
+        assert result.report["verdicts"]["escape"] == "FAIL"
+        assert result.exit_code == 2
+        assert result.report["certificates"][0]["failures"] == ["empty shell"]
 
     def test_determinism(self, tmp_path):
         cfg = {
@@ -336,3 +355,10 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         proc = self._run("check-mh", "--config", str(path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
+
+    def test_escape_empty_shell_exit_code(self, tmp_path):
+        path = tmp_path / "esc.json"
+        path.write_text(json.dumps(EMPTY_SHELL_ESCAPE))
+        proc = self._run("check-escape", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "escape: FAIL" in proc.stdout

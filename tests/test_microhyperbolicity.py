@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -359,6 +360,24 @@ class TestEscapeChecks:
         cert = escape_check_general(p, neg, 1.0, ((-2, 2), (-2, 2)), grid_points=41)
         assert not cert.valid
         assert len(cert.failures) > 0
+
+    def test_general_empty_shell_serializes(self):
+        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        cert = escape_check_general(p, dilation_generator(1), -1.0,
+                                    ((-3, 3), (-2.5, 2.5)))
+        d = cert.to_json_dict()
+        assert d["valid"] is False
+        assert d["n_points"] == 0
+        assert d["failures"] == ["empty shell"]
+        assert json.loads(json.dumps(d)) == d
+
+    def test_general_failures_serialize_as_points(self):
+        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        neg = ScalarPhaseFunction(n=1, eval=lambda x, xi: -x * xi,
+                                  grad=lambda x, xi: np.array([-xi, -x]))
+        cert = escape_check_general(p, neg, 1.0, ((-2, 2), (-2, 2)), grid_points=41)
+        d = cert.to_json_dict()
+        assert d["failures"] == [[float(x), float(xi)] for x, xi in cert.failures[:32]]
 
     def test_bracket_matches_dilation_on_shell(self):
         # {p, x.xi} = 2 xi^2 I - x gradV equals the dilation matrix when

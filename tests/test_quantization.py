@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import bump_test_function
+from ssf_lab.quadrature import gauss_rule
 from ssf_lab.quantization import (
     CertificateError,
     CoverageError,
@@ -297,6 +299,53 @@ class TestWindows:
         assert window_primitive(w, 0.1, 1e9) == pytest.approx(1.0, abs=1e-8)
         with pytest.raises(ValueError):
             window_primitive(WindowTheta("bump_positive", eps=0.25), 0.1, 0.0)
+
+
+def _direct_profile(kind: str, ys: np.ndarray) -> np.ndarray:
+    """Phi on ys from the full phase matrix exp(i outer(ys, u)) @ w / 2pi."""
+    supp = (-1.0, 1.0) if kind == "bump_at_zero" else (0.5, 1.0)
+    un, uw = gauss_rule(qz._GL_ORDER)
+    mid, half = 0.5 * (supp[0] + supp[1]), 0.5 * (supp[1] - supp[0])
+    u = mid + half * un
+    w = half * uw * qz._theta_eval(kind, u)
+    return np.exp(1j * np.outer(ys, u)) @ w / (2.0 * math.pi)
+
+
+class TestWindowProfile:
+    YS = np.concatenate([
+        np.arange(0.0, 16.0, 0.002),
+        np.arange(16.0, 64.0, 0.01),
+        np.arange(64.0, 256.0, 0.05),
+        np.arange(256.0, 1200.1, 0.1),
+    ])
+
+    @pytest.mark.parametrize("kind", ["bump_at_zero", "bump_positive"])
+    def test_matches_direct_sum(self, kind):
+        prof = qz._WindowProfile(kind)
+        assert prof.ys.dtype == self.YS.dtype
+        assert np.array_equal(prof.ys, self.YS)
+        # every 7th knot, plus both sides of each segment seam and the last knot
+        seams = np.cumsum([8000, 4800, 3840])
+        idx = np.unique(np.concatenate([
+            np.arange(0, self.YS.size, 7), seams - 1, seams, [self.YS.size - 1]]))
+        ref = _direct_profile(kind, self.YS[idx])
+        # the splines interpolate, so at the knots they return the tabulated values
+        got = prof(self.YS[idx])
+        if kind == "bump_at_zero":
+            assert prof._im is None
+            ref = ref.real
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    def test_build_memory_is_bounded(self):
+        # numpy reports its buffers to tracemalloc; the full 26081 x 768 phase
+        # matrix alone would be 320 MB
+        tracemalloc.start()
+        try:
+            qz._WindowProfile("bump_at_zero")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSmoothedTrace:
