@@ -54,7 +54,7 @@ def main():
     print(f"  fitted order: {sl.fit_order(errs).slope:.2f}")
 
     taus = np.linspace(1.8, 2.2, 41)
-    a0_ref = np.array([sl.a0(v, float(t)) for t in taus])
+    a0_ref = sl.a0(v, taus)
     rep = weyl_check(pairs, taus, a0_ref, WindowTheta("bump_at_zero", eps=0.25), cert)
     print(f"\nintegrated (Weyl-type) check over tau in [1.8, 2.2]: {rep.verdict}")
     for h, e, r in zip(rep.hs, rep.sup_errors, rep.sup_rel_errors):

@@ -20,8 +20,16 @@ constant-shift case and enforced by the test suite).
 Integrands are always formed as pointwise differences so a potential equal to
 its own limit yields exact zeros.  The inverse-square-root endpoint
 singularities of the n=1 density are removed by bracketing the turning points
-of tau - e_k(x) (scan grid plus bisection to 1e-12) and substituting
-x = turning_point +/- u^2 locally.
+of tau - e_k(x) and substituting x = turning_point +/- u^2 locally.
+
+``gamma0`` and ``a0`` take one tau or an array of them.  One call scans all
+branches once on a fixed grid, brackets the turning points of every tau and
+channel from that scan, and bisects all brackets in lock-step (one branch
+evaluation per step, each bracket stopping at width 1e-12 or after 60 steps).
+Every integral of the call then goes through one breadth-first batch of
+``adaptive_gauss_batch``, as do the inner energy integrals of ``c0`` and the
+cell integrals of the band volume.  The values are bitwise those of one tau,
+one channel and one integral at a time.
 """
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
-from .quadrature import adaptive_gauss, gauss_rule
+from .quadrature import adaptive_gauss_batch, gauss_rule
 from .symbols import MatrixPotential, MatrixSymbol, fast_eigvalsh
 
 __all__ = [
@@ -163,101 +171,143 @@ def _branch_values(v: MatrixPotential, xs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)
 
 
-def _branch_fn(v: MatrixPotential, k: int):
-    def fn(xs):
-        return _branch_values(v, np.atleast_1d(np.asarray(xs, dtype=float)))[:, k]
-    return fn
+def _branch_at(v: MatrixPotential, xs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """e_{k[i]}(xs[i]): one channel per node, each distinct node solved once
+    (the integrals of a batch often share their nodes)."""
+    nodes, at = np.unique(xs, return_inverse=True)
+    return _branch_values(v, nodes)[at, k]
 
 
-def _turning_points(branch, tau: float, lo: float, hi: float,
-                    scan: int = TURNING_SCAN) -> list[float]:
-    """Roots of tau - e_k(x) on [lo, hi]: bracket on a scan grid, bisect to 1e-12."""
-    xs = np.linspace(lo, hi, scan)
-    vals = tau - branch(xs)
-    roots = []
-    sign = np.sign(vals)
-    for i in range(len(xs) - 1):
-        if sign[i] == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if sign[i] * sign[i + 1] < 0.0:
-            a, b = float(xs[i]), float(xs[i + 1])
-            fa = float(vals[i])
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = tau - float(branch(np.array([m]))[0])
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a < 1e-12:
-                    break
-            roots.append(0.5 * (a + b))
-    if sign[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return sorted(roots)
+def _taus(tau) -> tuple[np.ndarray, bool]:
+    arr = np.asarray(tau, dtype=float)
+    return np.atleast_1d(arr).ravel(), arr.ndim == 0
 
 
-def _integrate_singular_difference(branch, tau: float, c_inf: float,
-                                   lo: float, hi: float, atol: float,
-                                   weight=None) -> float:
-    """int_lo^hi w(x) [(tau - e(x))_+^(-1/2) - c_inf] dx, turning points handled.
+def _turning_points(v: MatrixPotential, taus: np.ndarray, lo: float, hi: float,
+                    scan: int = TURNING_SCAN) -> list[list[list[float]]]:
+    """Sorted roots of tau - e_k(x) on [lo, hi] for every tau and channel k.
 
-    ``weight`` defaults to 1.  On cells where the positive part vanishes the
-    contribution is the exact constant -c_inf * (cell measure); on positive
-    cells the local substitution x = turning_point +/- u^2 removes the
-    endpoint singularity.  The integrand is formed as a pointwise difference
-    so a branch bitwise equal to its limit integrates to exactly zero.
+    One scan of all branches on ``scan`` nodes brackets the roots; all brackets
+    are then bisected in lock-step, one branch evaluation per step, each one
+    stopping at width 1e-12 or after 60 steps.
     """
-    w = weight if weight is not None else (lambda x: np.ones_like(np.asarray(x, float)))
-    pts = _turning_points(branch, tau, lo, hi)
-    edges = [lo] + [p for p in pts if lo < p < hi] + [hi]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-13:
-            continue
-        mid_val = tau - float(branch(np.array([0.5 * (a + b)]))[0])
-        if mid_val <= 0.0:
-            if c_inf != 0.0:
-                if weight is None:
-                    total += -c_inf * (b - a)
-                else:
-                    total += adaptive_gauss(lambda xs: -c_inf * w(xs), a, b, atol=atol)
-            continue
-        a_sing = any(abs(a - p) < 1e-9 for p in pts)
-        b_sing = any(abs(b - p) < 1e-9 for p in pts)
+    xs = np.linspace(lo, hi, scan)
+    vals = taus[:, None, None] - _branch_values(v, xs)[None, :, :]  # (T, scan, N)
+    sign = np.sign(vals)
+    roots = [[[] for _ in range(v.N)] for _ in taus]
+    for t, i, k in zip(*np.nonzero(sign == 0.0)):
+        roots[t][k].append(float(xs[i]))
+    bt, bi, bk = np.nonzero(sign[:, :-1, :] * sign[:, 1:, :] < 0.0)
+    a, b = xs[bi], xs[bi + 1]
+    fa = vals[bt, bi, bk]
+    tau_b = taus[bt]
+    live = np.arange(bt.size)
+    for _ in range(60):
+        if live.size == 0:
+            break
+        m = 0.5 * (a[live] + b[live])
+        fm = tau_b[live] - _branch_at(v, m, bk[live])
+        left = fa[live] * fm <= 0.0
+        b[live[left]] = m[left]
+        a[live[~left]] = m[~left]
+        fa[live[~left]] = fm[~left]
+        live = live[~(b[live] - a[live] < 1e-12)]
+    for t, k, r in zip(bt, bk, 0.5 * (a + b)):
+        roots[t][k].append(float(r))
+    return [[sorted(rk) for rk in rt] for rt in roots]
 
-        def plain(xs):
-            xs = np.asarray(xs, dtype=float)
-            base = np.clip(tau - branch(xs), 0.0, None)
+
+def _power_differences(v: MatrixPotential, taus: np.ndarray, consts: np.ndarray,
+                       exponent: float, weight, roots, lo: float, hi: float,
+                       atol: float) -> np.ndarray:
+    """int_lo^hi w(x) [(tau - e_k(x))_+^exponent - consts[t, k]] dx for every
+    tau and channel, shape (T, N), as one batch with the turning points as
+    breakpoints."""
+    count = taus.size * v.N
+    tau_o = np.repeat(taus, v.N)
+    k_o = np.tile(np.arange(v.N), taus.size)
+    c_o = consts.ravel()
+
+    def diff(owner, xs):
+        base = np.clip(tau_o[owner] - _branch_at(v, xs, k_o[owner]), 0.0, None)
+        vals = base ** exponent - c_o[owner]
+        return vals if weight is None else weight(xs) * vals
+
+    out = adaptive_gauss_batch(diff, np.full(count, lo), np.full(count, hi), atol,
+                               breakpoints=[pts for rt in roots for pts in rt])
+    return out.reshape(taus.size, v.N)
+
+
+_PLAIN, _FROM_LEFT, _FROM_RIGHT = 0, 1, 2
+
+
+def _singular_differences(v: MatrixPotential, taus: np.ndarray, c_inf: np.ndarray,
+                          roots, lo: float, hi: float, atol: float) -> np.ndarray:
+    """int_lo^hi [(tau - e_k(x))_+^(-1/2) - c_inf[t, k]] dx for every tau and
+    channel, shape (T, N).
+
+    The turning points cut [lo, hi] into cells.  On cells where the positive
+    part vanishes the contribution is the exact constant -c_inf * (cell
+    measure); each positive cell is integrated in two halves, and a half that
+    ends at a turning point is substituted x = turning_point +/- u^2, which
+    removes the endpoint singularity.  The integrand is formed as a pointwise
+    difference so a branch bitwise equal to its limit integrates to exactly
+    zero.  All halves of all cells are one batch; each (tau, k) sums its
+    terms in cell order.
+    """
+    cells = []  # (t, k, a, b)
+    for t, rt in enumerate(roots):
+        for k, pts in enumerate(rt):
+            edges = [lo] + [p for p in pts if lo < p < hi] + [hi]
+            cells += [(t, k, a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a >= 1e-13]
+    mid_vals = []
+    if cells:
+        t_c, k_c, a_c, b_c = (np.array(col) for col in zip(*cells))
+        mid_vals = taus[t_c] - _branch_at(v, 0.5 * (a_c + b_c), k_c)
+    terms = [[[] for _ in range(v.N)] for _ in taus]
+    spec = []  # (t, k, kind, anchor, lower, upper)
+    for (t, k, a, b), mid_val in zip(cells, mid_vals):
+        c = float(c_inf[t, k])
+        if mid_val <= 0.0:
+            if c != 0.0:
+                terms[t][k].append(-c * (b - a))
+            continue
+        pts = roots[t][k]
+        m = 0.5 * (a + b)
+        terms[t][k].append(len(spec))
+        if any(abs(a - p) < 1e-9 for p in pts):
+            spec.append((t, k, _FROM_LEFT, a, 0.0, math.sqrt(m - a)))
+        else:
+            spec.append((t, k, _PLAIN, 0.0, a, m))
+        terms[t][k].append(len(spec))
+        if any(abs(b - p) < 1e-9 for p in pts):
+            spec.append((t, k, _FROM_RIGHT, b, 0.0, math.sqrt(b - m)))
+        else:
+            spec.append((t, k, _PLAIN, 0.0, m, b))
+    values = []
+    if spec:
+        t_o, k_o, kind, anchor, lower, upper = (np.array(col) for col in zip(*spec))
+        tau_o = taus[t_o]
+        c_o = c_inf[t_o, k_o]
+
+        def integrand(owner, u):
+            kd = kind[owner]
+            xs = np.where(kd == _FROM_LEFT, anchor[owner] + u * u,
+                          np.where(kd == _FROM_RIGHT, anchor[owner] - u * u, u))
+            base = np.clip(tau_o[owner] - _branch_at(v, xs, k_o[owner]), 0.0, None)
             with np.errstate(divide="ignore"):
                 vals = np.where(base > 0.0, base ** -0.5, 0.0)
-            return w(xs) * (vals - c_inf)
+            return np.where(kd == _PLAIN, vals - c_o[owner], 2.0 * u * (vals - c_o[owner]))
 
-        m = 0.5 * (a + b)
-        if a_sing:
-            def left(u):
-                u = np.asarray(u, dtype=float)
-                xs = a + u * u
-                base = np.clip(tau - branch(xs), 0.0, None)
-                with np.errstate(divide="ignore"):
-                    vals = np.where(base > 0.0, base ** -0.5, 0.0)
-                return 2.0 * u * w(xs) * (vals - c_inf)
-            total += adaptive_gauss(left, 0.0, math.sqrt(m - a), atol=atol)
-        else:
-            total += adaptive_gauss(plain, a, m, atol=atol)
-        if b_sing:
-            def right(u):
-                u = np.asarray(u, dtype=float)
-                xs = b - u * u
-                base = np.clip(tau - branch(xs), 0.0, None)
-                with np.errstate(divide="ignore"):
-                    vals = np.where(base > 0.0, base ** -0.5, 0.0)
-                return 2.0 * u * w(xs) * (vals - c_inf)
-            total += adaptive_gauss(right, 0.0, math.sqrt(b - m), atol=atol)
-        else:
-            total += adaptive_gauss(plain, m, b, atol=atol)
-    return total
+        values = adaptive_gauss_batch(integrand, lower, upper, atol)
+    out = np.zeros((taus.size, v.N))
+    for t, rt in enumerate(terms):
+        for k, tk in enumerate(rt):
+            total = 0.0
+            for term in tk:
+                total += term if isinstance(term, float) else float(values[term])
+            out[t, k] = total
+    return out
 
 
 def _radial_weight(n: int):
@@ -276,9 +326,17 @@ def _coordinate_range(v: MatrixPotential, x_range):
     return (0.0, DEFAULT_BOX_RADIUS)
 
 
-def gamma0(v: MatrixPotential, tau: float, n: int | None = None,
-           atol: float = 1e-10, x_range=None, threshold_tol: float = 1e-6) -> float:
-    """Leading density coefficient at energy tau.
+def _channel_sum(parts: np.ndarray) -> np.ndarray:
+    """Sum of (T, N) per-channel parts over channels, in channel order."""
+    total = np.zeros(parts.shape[0])
+    for k in range(parts.shape[1]):
+        total += parts[:, k]
+    return total
+
+
+def gamma0(v: MatrixPotential, tau, n: int | None = None,
+           atol: float = 1e-10, x_range=None, threshold_tol: float = 1e-6):
+    """Leading density coefficient at energy tau (a float, or an array of tau).
 
     Rejects tau within ``threshold_tol`` of a channel limit: there the
     integrand difference fails to be integrable.
@@ -286,61 +344,47 @@ def gamma0(v: MatrixPotential, tau: float, n: int | None = None,
     n = v.n if n is None else n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
+    taus, scalar = _taus(tau)
     thresholds = v.thresholds()
-    if np.min(np.abs(tau - thresholds)) < threshold_tol:
-        raise ThresholdError(f"tau={tau} is within {threshold_tol} of a channel limit")
+    for t in taus:
+        if np.min(np.abs(t - thresholds)) < threshold_tol:
+            raise ThresholdError(
+                f"tau={float(t)} is within {threshold_tol} of a channel limit")
     lo, hi = _coordinate_range(v, x_range)
-    weight = _radial_weight(n)
     exponent = 0.5 * (n - 2)
-    total = 0.0
-    for k in range(v.N):
-        thr = float(thresholds[k])
-        c_inf = (tau - thr) ** exponent if tau > thr else 0.0
-        branch = _branch_fn(v, k)
-
-        if exponent < 0.0:
-            total += _integrate_singular_difference(branch, tau, c_inf, lo, hi,
-                                                    atol=atol, weight=weight)
-        else:
-            def diff(xs, _b=branch, _c=c_inf):
-                xs = np.asarray(xs, dtype=float)
-                base = np.clip(tau - _b(xs), 0.0, None)
-                vals = base ** exponent
-                wgt = np.ones_like(xs) if weight is None else weight(xs)
-                return wgt * (vals - _c)
-
-            pts = _turning_points(branch, tau, lo, hi)
-            total += adaptive_gauss(diff, lo, hi, atol=atol, breakpoints=pts)
-    return 0.5 * sphere_volume(n) * total
+    c_inf = np.array([[(float(t) - float(thr)) ** exponent if t > thr else 0.0
+                       for thr in thresholds] for t in taus]).reshape(taus.size, v.N)
+    roots = _turning_points(v, taus, lo, hi)
+    if exponent < 0.0:
+        parts = _singular_differences(v, taus, c_inf, roots, lo, hi, atol)
+    else:
+        parts = _power_differences(v, taus, c_inf, exponent, _radial_weight(n), roots,
+                                   lo, hi, atol)
+    out = 0.5 * sphere_volume(n) * _channel_sum(parts)
+    return float(out[0]) if scalar else out
 
 
-def a0(v: MatrixPotential, tau: float, n: int | None = None,
-       atol: float = 1e-10, x_range=None, threshold_tol: float = 1e-6) -> float:
-    """Leading coefficient of the counting difference; needs a zero limit."""
+def a0(v: MatrixPotential, tau, n: int | None = None,
+       atol: float = 1e-10, x_range=None, threshold_tol: float = 1e-6):
+    """Leading coefficient of the counting difference (a float, or an array
+    of tau); needs a zero limit."""
     n = v.n if n is None else n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if float(np.max(np.abs(v.v_infinity))) > 1e-13:
         raise ValueError("a0 requires the potential limit to be zero")
-    if abs(tau) < threshold_tol:
-        raise ThresholdError(f"tau={tau} is too close to the threshold 0")
+    taus, scalar = _taus(tau)
+    for t in taus:
+        if abs(t) < threshold_tol:
+            raise ThresholdError(f"tau={float(t)} is too close to the threshold 0")
     lo, hi = _coordinate_range(v, x_range)
-    weight = _radial_weight(n)
     exponent = 0.5 * n
-    tau_pow = tau ** exponent if tau > 0.0 else 0.0
-    total = 0.0
-    for k in range(v.N):
-        branch = _branch_fn(v, k)
-
-        def diff(xs, _b=branch):
-            xs = np.asarray(xs, dtype=float)
-            base = np.clip(tau - _b(xs), 0.0, None)
-            wgt = np.ones_like(xs) if weight is None else weight(xs)
-            return wgt * (base ** exponent - tau_pow)
-
-        pts = _turning_points(branch, tau, lo, hi)
-        total += adaptive_gauss(diff, lo, hi, atol=atol, breakpoints=pts)
-    return sphere_volume(n) / n * total
+    tau_pow = np.array([float(t) ** exponent if t > 0.0 else 0.0 for t in taus])
+    roots = _turning_points(v, taus, lo, hi)
+    parts = _power_differences(v, taus, np.repeat(tau_pow[:, None], v.N, axis=1),
+                               exponent, _radial_weight(n), roots, lo, hi, atol)
+    out = sphere_volume(n) / n * _channel_sum(parts)
+    return float(out[0]) if scalar else out
 
 
 def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
@@ -350,41 +394,35 @@ def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
     The inner energy integral runs over t in (0, inf) restricted to where
     either argument meets supp f; the substitution u^2 = t regularizes the
     n = 1 endpoint and gives int g(t) t^((n-2)/2) dt = 2 int g(u^2) u^(n-1) du
-    in every dimension.
+    in every dimension.  Each evaluation of the outer x-integrand computes the
+    inner integrals of all its nodes and channels as one batch.
     """
     n = v.n if n is None else n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     lo, hi = _coordinate_range(v, x_range)
     weight = _radial_weight(n)
-    alpha, beta = f.support
+    beta = f.support[1]
     thresholds = v.thresholds()
 
-    def inner(x: float) -> float:
-        evals = _branch_values(v, np.array([x]))[0]
-        total = 0.0
-        for k in range(v.N):
-            thr = float(thresholds[k])
-            ek = float(evals[k])
-            u_hi = math.sqrt(max(0.0, beta - min(ek, thr)))
-            if u_hi <= 0.0:
-                continue
+    def outer(owner, xs):
+        evals = _branch_values(v, xs)
+        thr = np.broadcast_to(thresholds, evals.shape)
+        u_hi = np.sqrt(np.maximum(0.0, beta - np.minimum(evals, thr)))
+        node, channel = np.nonzero(u_hi > 0.0)
+        e_o, t_o = evals[node, channel], thr[node, channel]
 
-            def g(us, _e=ek, _t=thr):
-                us = np.asarray(us, dtype=float)
-                t = us * us
-                return 2.0 * us ** (n - 1) * (f(_t + t) - f(_e + t))
+        def g(j, us):
+            t = us * us
+            return 2.0 * us ** (n - 1) * (f(t_o[j] + t) - f(e_o[j] + t))
 
-            total += adaptive_gauss(g, 0.0, u_hi, atol=atol)
-        return total
+        inner = adaptive_gauss_batch(g, np.zeros(node.size), u_hi[node, channel], atol)
+        vals = np.zeros(xs.size)
+        for k in range(v.N):  # each node sums its channels in order
+            vals[node[channel == k]] += inner[channel == k]
+        return vals if weight is None else weight(xs) * vals
 
-    def outer(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vals = np.array([inner(float(x)) for x in xs])
-        wgt = np.ones_like(xs) if weight is None else weight(xs)
-        return wgt * vals
-
-    value = adaptive_gauss(outer, lo, hi, atol=atol)
+    value = float(adaptive_gauss_batch(outer, [lo], [hi], atol)[0])
     return 0.5 * sphere_volume(n) * value
 
 
@@ -432,14 +470,14 @@ def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
     """Omega(tau) = int chi(x, xi) #{k : branch_k(x, xi) <= tau} dx dxi.
 
     ``grid`` is ``_branch_grid(p, chi, ...)``; the scan brackets the branch
-    crossings of tau, which are then bisected on p itself.
+    crossings of tau, which are then bisected on p itself.  The chi.k
+    integrals over the xi-cells below tau, for all x-nodes, are one batch.
     """
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
     xis = grid.xis
-    total = 0.0
-    for x, wx, branch_grid in zip(grid.x, grid.w, grid.values):
-        cell = 0.0
+    cells = []  # (x-node, a, b) in the order each node sums them
+    for j, (x, branch_grid) in enumerate(zip(grid.x, grid.values)):
         for k in range(p.N):
             vals = branch_grid[:, k] - tau
 
@@ -470,8 +508,15 @@ def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
                 if b - a < 1e-13:
                     continue
                 if hk(0.5 * (a + b)) <= 0.0:
-                    cell += adaptive_gauss(lambda q: chi.k(q), a, b, atol=atol)
-        total += wx * chi.g(float(x)) * cell
+                    cells.append((j, a, b))
+    values = adaptive_gauss_batch(lambda owner, q: chi.k(q), [c[1] for c in cells],
+                                  [c[2] for c in cells], atol)
+    cell = [0.0] * len(grid.x)
+    for (j, _, _), value in zip(cells, values):
+        cell[j] += float(value)
+    total = 0.0
+    for x, wx, c in zip(grid.x, grid.w, cell):
+        total += wx * chi.g(float(x)) * c
     return 0.5 * (xb - xa) * total
 
 
@@ -535,6 +580,6 @@ def coefficient_profile(v: MatrixPotential, taus, n: int | None = None,
                         atol: float = 1e-10) -> CoefficientProfile:
     taus = np.asarray(taus, dtype=float)
     n = v.n if n is None else n
-    g = np.array([gamma0(v, float(t), n=n, atol=atol) for t in taus])
-    aa = np.array([a0(v, float(t), n=n, atol=atol) for t in taus])
+    g = gamma0(v, taus, n=n, atol=atol)
+    aa = a0(v, taus, n=n, atol=atol)
     return CoefficientProfile(tau_grid=taus, gamma0=g, a0=aa, n=n)

@@ -66,7 +66,12 @@ class SlopeFit:
 
 
 def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> SlopeFit:
-    """Fit log(error) vs log(h); needs >= 3 positive pairs and spread >= 4."""
+    """Fit log(error) vs log(h); needs >= 3 non-negative pairs and spread >= 4.
+
+    Errors all below ``floor`` give verdict BELOW_FLOOR.  An exact zero
+    among larger errors has no logarithm: the fit gives slope None and
+    verdict NO_FIT, a property of the result rather than of the config.
+    """
     pairs = list(pairs)
     hs = np.asarray([p[0] for p in pairs], dtype=float)
     errs = np.asarray([p[1] for p in pairs], dtype=float)
@@ -76,10 +81,14 @@ def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> Sl
                         threshold=threshold)
     if len(pairs) < 3:
         raise ConfigError("slope fit needs at least 3 points")
-    if np.any(errs <= 0):
-        raise ConfigError("slope fit needs positive errors")
+    if np.any(errs < 0):
+        raise ConfigError("slope fit needs non-negative errors")
     if float(np.max(hs) / np.min(hs)) < 4.0:
         raise ConfigError("h-spread max/min must be at least 4 for a slope fit")
+    if np.any(errs == 0):
+        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
+                        residual=None, below_floor=False, verdict="NO_FIT",
+                        threshold=threshold)
     logs_h = np.log(hs)
     logs_e = np.log(errs)
     coef = np.polyfit(logs_h, logs_e, 1)
@@ -413,7 +422,8 @@ def _run_ssf(cfg: ExperimentConfig):
                          "rel_error": err / max(abs(ref), 1e-300), "fitted_slope": float("nan")})
         fit = fit_order(errs, threshold=float(thresholds.get("order", 1.5)))
         last_rel = rows[-1]["rel_error"]
-        ok = (fit.verdict in ("PASS", "BELOW_FLOOR")
+        # without a fitted order the relative threshold decides alone
+        ok = (fit.verdict in ("PASS", "BELOW_FLOOR", "NO_FIT")
               and last_rel <= float(thresholds.get("rel", 0.03)))
         for r in rows:
             r["fitted_slope"] = fit.slope if fit.slope is not None else float("nan")
@@ -423,7 +433,7 @@ def _run_ssf(cfg: ExperimentConfig):
         if not cert.valid:
             return {"main": (cols, [])}, certificates, {"weyl": "NOT_CERTIFIED"}
         taus = _tau_grid_from(doc)
-        ref = np.array([coeffs.a0(v, float(t)) for t in taus])
+        ref = coeffs.a0(v, taus)
         rep = ssf_mod.weyl_check(
             pairs, taus, ref, _window_from(doc), cert,
             order_threshold=float(thresholds.get("order", 0.7)),

@@ -320,3 +320,117 @@ class TestProfile:
         assert lines[0] == "tau,gamma0,a0"
         assert len(lines) == 4
         assert prof.omega_n == 2.0
+
+
+# ---------------------------------------------------------------------------
+# batched coefficients against one tau, one channel, one integral at a time
+# ---------------------------------------------------------------------------
+
+# values of the recursive per-tau implementation, pinned by repr
+A0_REF_TAU2 = "0.45567621610287434"
+G0_REF_TAU2 = "-0.036154629189564635"
+C0_REF_BUMP = "0.008651378575620747"
+
+
+def _c0_reference(v, f, atol=1e-9):
+    """c0 as it was computed before batching: one recursive inner integral per
+    outer node and channel (n = 1)."""
+    from test_quadrature import _adaptive_reference
+
+    from ssf_lab.coefficients import _branch_values
+
+    beta = f.support[1]
+    thresholds = v.thresholds()
+
+    def inner(x):
+        evals = _branch_values(v, np.array([x]))[0]
+        total = 0.0
+        for k in range(v.N):
+            thr, ek = float(thresholds[k]), float(evals[k])
+            u_hi = math.sqrt(max(0.0, beta - min(ek, thr)))
+            if u_hi <= 0.0:
+                continue
+
+            def g(us, _e=ek, _t=thr):
+                t = us * us
+                return 2.0 * us ** 0 * (f(_t + t) - f(_e + t))
+
+            total += _adaptive_reference(g, 0.0, u_hi, atol=atol)
+        return total
+
+    value = _adaptive_reference(lambda xs: np.array([inner(float(x)) for x in xs]),
+                                -8.0, 8.0, atol=atol)
+    return 0.5 * sphere_volume(1) * value
+
+
+class TestBatchedCoefficients:
+    @pytest.mark.parametrize("v,taus", [
+        (model_potential("reference"), [-0.9, -0.3, 0.4, 1.2, 1.8, 2.0, 2.45, 3.0]),
+        (gauss_well(), [-0.8, -0.5, 0.3, 1.0, 2.3]),
+        (model_potential("conical_crossing"), [-0.4, 0.1, 0.5, 1.0]),
+        (model_potential("constant", v_inf=0.0, N=2), [0.5, 1.0, 3.0]),
+    ])
+    def test_array_tau_matches_scalar_calls(self, v, taus):
+        for fn in (a0, gamma0):
+            batch = fn(v, np.array(taus))
+            assert isinstance(batch, np.ndarray) and batch.shape == (len(taus),)
+            singles = [fn(v, t) for t in taus]
+            assert all(type(s) is float for s in singles)
+            assert [repr(float(b)) for b in batch] == [repr(s) for s in singles]
+
+    @pytest.mark.parametrize("v,taus", [
+        (model_potential("avoided_crossing", gap=0.2), [-0.5, -0.1, 0.1, 0.6, 1.4]),
+        (model_potential("constant", v_inf=[0.3, 1.1], N=2), [0.7, 2.0, 5.0]),
+    ])
+    def test_array_gamma0_nonzero_limits(self, v, taus):
+        batch = gamma0(v, np.array(taus))
+        assert [repr(float(b)) for b in batch] == [repr(gamma0(v, t)) for t in taus]
+
+    def test_exact_zeros_in_batch(self):
+        v = model_potential("constant", v_inf=[0.3, 1.1], N=2)
+        assert np.array_equal(gamma0(v, np.array([0.7, 2.0, 5.0])), np.zeros(3))
+        v0 = model_potential("constant", v_inf=0.0, N=2)
+        assert np.array_equal(a0(v0, np.array([-1.0, 0.5, 3.0])), np.zeros(3))
+
+    def test_threshold_anywhere_in_batch_rejected(self):
+        with pytest.raises(ThresholdError):
+            gamma0(gauss_well(), np.array([0.5, 1e-8, 1.0]))
+        with pytest.raises(ThresholdError):
+            a0(gauss_well(), np.array([0.5, 0.0]))
+
+    def test_pinned_values(self):
+        v = model_potential("reference")
+        assert repr(a0(v, 2.0)) == A0_REF_TAU2
+        assert repr(gamma0(v, 2.0)) == G0_REF_TAU2
+        assert repr(c0(v, bump_test_function((1.8, 2.2)))) == C0_REF_BUMP
+
+    def test_c0_matches_recursive_reference(self):
+        v = gauss_well()
+        f = bump_test_function((0.6, 1.4))
+        assert repr(c0(v, f)) == repr(_c0_reference(v, f))
+
+    def test_profile_is_the_batch(self):
+        v = model_potential("reference")
+        taus = np.linspace(1.8, 2.2, 5)
+        prof = coefficient_profile(v, taus)
+        assert np.array_equal(prof.a0, a0(v, taus))
+        assert np.array_equal(prof.gamma0, gamma0(v, taus))
+        assert [repr(float(g)) for g in prof.gamma0] == [repr(gamma0(v, t)) for t in taus]
+
+    def test_one_turning_point_scan_per_call(self):
+        from ssf_lab.coefficients import DEFAULT_BOX_RADIUS, TURNING_SCAN
+
+        base = model_potential("reference")
+        seen = []
+
+        def counting_eval(x):
+            seen.append(float(x))
+            return base.eval(x)
+
+        v = MatrixPotential(n=1, N=2, eval=counting_eval, grad=base.grad,
+                            v_infinity=base.v_infinity)
+        scan = set(np.linspace(-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS, TURNING_SCAN).tolist())
+        taus = np.linspace(1.8, 2.2, 41)
+        out = a0(v, taus)
+        assert sum(x in scan for x in seen) == TURNING_SCAN  # not 41 taus x 2 channels
+        assert np.array_equal(out, a0(base, taus))

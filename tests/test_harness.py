@@ -55,6 +55,14 @@ class TestFitOrder:
         with pytest.raises(ConfigError):
             fit_order([(1 / 16, 1.0), (1 / 32, -0.5), (1 / 128, 0.3)])
 
+    def test_zero_error_is_no_fit(self):
+        # an exact zero among positive errors has no logarithm: a verdict,
+        # not a config error
+        fit = fit_order([(1 / 16, 1e-3), (1 / 32, 0.0), (1 / 64, 2e-5)], threshold=1.5)
+        assert fit.verdict == "NO_FIT"
+        assert fit.slope is None and fit.intercept is None and fit.residual is None
+        assert not fit.below_floor and fit.threshold == 1.5
+
     def test_threshold_verdict(self):
         hs = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
         fit = fit_order([(h, h) for h in hs], threshold=1.5)
@@ -229,6 +237,36 @@ class TestRun:
         assert result.report["verdicts"]["weak"] == "PASS"
         rows = result.report["tables"]["main"]["rows"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("exact_at,verdict,code", [(-1, "PASS", 0), (0, "FAIL", 2)])
+    def test_ssf_weak_zero_error(self, tmp_path, monkeypatch, exact_at, verdict, code):
+        # one h whose pairing meets c0 exactly: no fitted order, so the
+        # relative error at the finest h decides alone
+        import ssf_lab.coefficients as coefficients
+        import ssf_lab.ssf as ssf_mod
+
+        hs = [1 / 8, 1 / 16, 1 / 32]
+        monkeypatch.setattr(ssf_mod, "build_pair", lambda v, grid: None)
+        monkeypatch.setattr(ssf_mod, "weak_pairing", lambda pair, f: 1.0)
+        monkeypatch.setattr(coefficients, "c0",
+                            lambda v, f: 2.0 * math.pi * hs[exact_at] * 1.0)
+        cfg = {
+            "schema_version": 1,
+            "experiment": "ssf",
+            "variant": "weak",
+            "potential": {"kind": "reference", "params": {}},
+            "grid": {"R": 6.0, "tau_max": 3.0, "m_cap": 8192},
+            "h_list": hs,
+            "test_function": {"kind": "bump", "support": [1.8, 2.2]},
+            "tau0": 2.0,
+            "thresholds": {"rel": 0.03, "order": 1.5},
+        }
+        result = run(cfg, str(tmp_path / "weak"))
+        assert result.report["verdicts"]["weak"] == verdict
+        assert result.exit_code == code
+        rows = result.report["tables"]["main"]["rows"]
+        assert rows[exact_at][3] == 0.0  # columns h, value, reference, rel_error, slope
+        assert all(math.isnan(r[4]) for r in rows)
 
     def test_trace_thm1_negative_control(self, tmp_path):
         # even window: the trace grows like 1/h, so the decay verdict fails
