@@ -7,14 +7,17 @@ coefficients, printing one table per check.  The h = 1/128 solve takes about
 half a minute.
 """
 import argparse
-import math
 import time
 
 import numpy as np
 
 import ssf_lab as sl
 from ssf_lab.quantization import Grid1D, WindowTheta, required_points
-from ssf_lab.ssf import build_pair, derivative_check, weak_pairing, weyl_check
+from ssf_lab.ssf import build_pair, derivative_check, weak_check, weyl_check
+
+
+def order(rep):
+    return "none" if rep.slope is None else f"{rep.slope:.2f}"
 
 
 def main():
@@ -44,22 +47,19 @@ def main():
 
     f_bump = sl.bump_test_function((1.8, 2.2))
     c0_ref = sl.c0(v, f_bump)
-    print(f"\nweak pairing vs c0 = {c0_ref:.8f}")
-    errs = []
-    for h in hs:
-        val = 2 * math.pi * h * weak_pairing(pairs[h], f_bump)
-        errs.append((h, abs(val - c0_ref)))
-        print(f"  h=1/{round(1/h):4d}  2*pi*h*pairing = {val:+.8f}  "
-              f"rel err = {abs(val-c0_ref)/abs(c0_ref):.3%}")
-    print(f"  fitted order: {sl.fit_order(errs).slope:.2f}")
+    repw = weak_check(pairs, f_bump, c0_ref)
+    print(f"\nweak pairing vs c0 = {c0_ref:.8f}: {repw.verdict}")
+    for h, val, r in zip(repw.hs, repw.values, repw.rel_errors):
+        print(f"  h=1/{round(1/h):4d}  2*pi*h*pairing = {val:+.8f}  rel err = {r:.3%}")
+    print(f"  fitted order: {order(repw)}")
 
     taus = np.linspace(1.8, 2.2, 41)
     a0_ref = sl.a0(v, taus)
     rep = weyl_check(pairs, taus, a0_ref, WindowTheta("bump_at_zero", eps=0.25), cert)
     print(f"\nintegrated (Weyl-type) check over tau in [1.8, 2.2]: {rep.verdict}")
-    for h, e, r in zip(rep.hs, rep.sup_errors, rep.sup_rel_errors):
+    for h, e, r in zip(rep.hs, rep.values, rep.rel_errors):
         print(f"  h=1/{round(1/h):4d}  sup err = {e:.3e}  sup rel = {r:.3%}")
-    print(f"  fitted remainder order: {rep.fitted_order:.2f}")
+    print(f"  fitted remainder order: {order(rep)}")
 
     f_plat = sl.plateau_test_function((1.2, 2.8), (1.6, 2.4))
     g0_ref = sl.gamma0(v, 2.0)
@@ -68,7 +68,7 @@ def main():
     print(f"\nderivative check at tau0=2 vs gamma0 = {g0_ref:.8f}: {repd.verdict}")
     for h, val, r in zip(repd.hs, repd.values, repd.rel_errors):
         print(f"  h=1/{round(1/h):4d}  value = {val:+.8f}  rel err = {r:.3%}")
-    print(f"  residual order: {repd.residual_order:.2f}")
+    print(f"  residual order: {order(repd)}")
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .microhyperbolicity import (
 from .quantization import (
     Grid1D,
     GridOperator,
+    SweepReport,
     WindowTheta,
     build_schrodinger,
     fourier_window,
@@ -48,12 +49,11 @@ from .quantization import (
 )
 from .ssf import (
     OperatorPair,
-    SSFEstimate,
     build_pair,
     derivative_check,
     ssf_counting,
-    ssf_estimate,
     ssf_mollified,
+    weak_check,
     weak_pairing,
     weyl_check,
 )

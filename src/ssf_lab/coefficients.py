@@ -426,12 +426,6 @@ def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
     return 0.5 * sphere_volume(n) * value
 
 
-def _ray_point(v: MatrixPotential, r: float):
-    e1 = np.zeros(v.n)
-    e1[0] = 1.0
-    return r * e1
-
-
 @dataclass(frozen=True)
 class LocalizedDensity:
     value: float

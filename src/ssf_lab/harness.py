@@ -11,6 +11,11 @@ it deterministically (given config and seed) and writes
 
 Verdicts are recomputable from the CSV alone; byte-identity of reports is
 defined modulo the timings block (see ``report_identity_bytes``).
+
+The trace and ssf experiments are h-sweeps: each writes the rows of one
+``SweepReport`` (columns h, value, reference, rel_error, fitted_slope) and
+its verdict.  ``ConfigError``, ``SlopeFit`` and ``fit_order`` live beside
+that report in the quantization module and are re-exported here.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from . import microhyperbolicity as mh
 from . import quantization as qz
 from . import ssf as ssf_mod
 from .bumps import Bump1D, ProductCutoff, dilation_generator
+from .quantization import ConfigError, SlopeFit, fit_order
 from .symbols import MatrixPotential, combine_potentials, model_potential
 
 __all__ = [
@@ -42,63 +48,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Config fails schema validation."""
-
-
 def reference_potential() -> MatrixPotential:
     """The two-channel Gaussian reference model used by the stock experiments."""
     return model_potential("reference")
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    """Least-squares order of an error sequence against h on log-log axes."""
-
-    hs: np.ndarray
-    errors: np.ndarray
-    slope: float | None
-    intercept: float | None
-    residual: float | None
-    below_floor: bool
-    verdict: str
-    threshold: float | None = None
-
-
-def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> SlopeFit:
-    """Fit log(error) vs log(h); needs >= 3 non-negative pairs and spread >= 4.
-
-    Errors all below ``floor`` give verdict BELOW_FLOOR.  An exact zero
-    among larger errors has no logarithm: the fit gives slope None and
-    verdict NO_FIT, a property of the result rather than of the config.
-    """
-    pairs = list(pairs)
-    hs = np.asarray([p[0] for p in pairs], dtype=float)
-    errs = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.all(np.abs(errs) < floor):
-        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
-                        residual=None, below_floor=True, verdict="BELOW_FLOOR",
-                        threshold=threshold)
-    if len(pairs) < 3:
-        raise ConfigError("slope fit needs at least 3 points")
-    if np.any(errs < 0):
-        raise ConfigError("slope fit needs non-negative errors")
-    if float(np.max(hs) / np.min(hs)) < 4.0:
-        raise ConfigError("h-spread max/min must be at least 4 for a slope fit")
-    if np.any(errs == 0):
-        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
-                        residual=None, below_floor=False, verdict="NO_FIT",
-                        threshold=threshold)
-    logs_h = np.log(hs)
-    logs_e = np.log(errs)
-    coef = np.polyfit(logs_h, logs_e, 1)
-    fitted = np.polyval(coef, logs_h)
-    resid = float(np.sqrt(np.mean((logs_e - fitted) ** 2)))
-    slope = float(coef[0])
-    verdict = "PASS" if threshold is None or slope >= threshold else "FAIL"
-    return SlopeFit(hs=hs, errors=errs, slope=slope, intercept=float(coef[1]),
-                    residual=resid, below_floor=False, verdict=verdict,
-                    threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -181,34 +133,19 @@ def _potential_for_h(doc: dict, h: float) -> MatrixPotential:
     return base
 
 
-def _grid_for(doc: dict, h: float) -> qz.Grid1D:
+def _grid_from(doc: dict, default_R: float) -> tuple:
+    """(R, tau_max, m_cap, M) of the config's grid block; ``qz.grid_for``
+    turns them into the grid of each h."""
     g = doc.get("grid") or {}
-    R = float(g.get("R", 8.0))
     tau_max = g.get("tau_max")
-    m_cap = int(g.get("m_cap", 8192))
-    if g.get("M"):
-        m = int(g["M"])
-    else:
-        if tau_max is None:
-            raise ConfigError("grid needs tau_max when M follows the coverage rule")
-        m = qz.required_points(R, h, float(tau_max))
-    if m > m_cap:
-        raise qz.CoverageError(
-            f"h={h} needs M={m} > cap {m_cap}: raise h, shrink R, or raise m_cap",
-            required_m=m,
-        )
-    return qz.Grid1D(R=R, M=m, h=h, tau_max=None if tau_max is None else float(tau_max))
+    return (float(g.get("R", default_R)), None if tau_max is None else float(tau_max),
+            int(g.get("m_cap", 8192)), int(g["M"]) if g.get("M") else None)
 
 
-def _window_from(doc: dict, h: float | None = None) -> qz.WindowTheta:
+def _window_from(doc: dict) -> qz.WindowTheta:
     w = doc.get("window") or {}
-    kind = w.get("kind", "bump_at_zero")
-    rule = w.get("eps_rule")
-    if rule is not None and h is not None:
-        if rule == "sqrt_h":
-            return qz.WindowTheta(kind=kind, eps=math.sqrt(h), eps_rule=rule)
-        raise ConfigError(f"unknown eps_rule {rule!r}")
-    return qz.WindowTheta(kind=kind, eps=float(w.get("eps", 0.25)), eps_rule=rule)
+    return qz.WindowTheta(kind=w.get("kind", "bump_at_zero"), eps=float(w.get("eps", 0.25)),
+                          eps_rule=w.get("eps_rule"))
 
 
 def _test_function_from(doc: dict) -> coeffs.TestFunction:
@@ -237,6 +174,13 @@ def _cutoff_from(doc: dict) -> ProductCutoff:
     )
 
 
+def _thresholds_from(doc: dict, **names) -> dict:
+    """Keyword arguments of a check from the config's thresholds, config key
+    to argument name; an absent key keeps the check's default."""
+    t = doc.get("thresholds") or {}
+    return {arg: float(t[key]) for key, arg in names.items() if key in t}
+
+
 def _tau_grid_from(doc: dict) -> np.ndarray:
     tg = doc.get("tau_grid") or {}
     lo = float(tg.get("lo", 1.8))
@@ -255,8 +199,6 @@ def _tau_grid_from(doc: dict) -> np.ndarray:
 def _scalar(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if isinstance(v, complex):
-        return v.real
     return v
 
 
@@ -267,6 +209,11 @@ def _csv_write(path, columns, rows) -> None:
             vals = [_scalar(row[c]) for c in columns]
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
                              for v in vals) + "\n")
+
+
+def _sweep_tables(rep: qz.SweepReport | None) -> dict:
+    """The one table of an h-sweep; no rows when the sweep did not run."""
+    return {"main": (list(qz.SweepReport.COLUMNS), [] if rep is None else list(rep.rows()))}
 
 
 def _run_check_mh(cfg: ExperimentConfig):
@@ -336,11 +283,7 @@ def _run_trace(cfg: ExperimentConfig):
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 1.0))
     hs = [float(h) for h in doc["h_list"]]
-    grid_doc = doc.get("grid") or {}
-    R = float(grid_doc.get("R", 6.0))
-    tau_max = grid_doc.get("tau_max")
-    m_cap = int(grid_doc.get("m_cap", 8192))
-    thresholds = doc.get("thresholds") or {}
+    R, tau_max, m_cap, _ = _grid_from(doc, default_R=6.0)
     from .symbols import schrodinger_symbol
 
     v = _potential_from(doc)
@@ -357,8 +300,7 @@ def _run_trace(cfg: ExperimentConfig):
         )
         certificates.append(cert.to_json_dict())
         if not cert.valid and not cert.empty_shell:
-            return ({"main": (["h", "value", "reference", "rel_error", "fitted_slope"], [])},
-                    certificates, {variant: "NOT_CERTIFIED"})
+            return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
     if variant == "thm1":
         w_doc = doc.get("window") or {}
         eps_rule = w_doc.get("eps_rule", "sqrt_h")
@@ -367,7 +309,7 @@ def _run_trace(cfg: ExperimentConfig):
             v, chi, f, tau0, hs, cert,
             window_kind=w_doc.get("kind", "bump_positive"),
             eps_rule=rule, R=R, tau_max=tau_max, m_cap=m_cap,
-            slope_threshold=float(thresholds.get("slope", 3.0)),
+            **_thresholds_from(doc, slope="slope_threshold"),
         )
     elif variant == "thm2":
         pert = doc.get("perturbation")
@@ -378,18 +320,14 @@ def _run_trace(cfg: ExperimentConfig):
         rep = qz.theorem2_check(
             v, v1, chi, f, taus, hs, _window_from(doc), R=R, tau_max=tau_max,
             m_cap=m_cap, d_sep=float(doc.get("d_sep", 2.0)),
-            slope_threshold=float(thresholds.get("slope", 3.0)),
+            **_thresholds_from(doc, slope="slope_threshold"),
         )
     else:
         rep = qz.theorem3_check(
             v, chi, f, tau0, hs, _window_from(doc), cert, R=R, tau_max=tau_max,
-            m_cap=m_cap, rel_threshold=float(thresholds.get("rel", 0.05)),
-            order_threshold=float(thresholds.get("order", 1.0)),
+            m_cap=m_cap, **_thresholds_from(doc, rel="rel_threshold", order="order_threshold"),
         )
-    cols = ["h", "value", "reference", "rel_error", "fitted_slope"]
-    rows = [{k: (complex(r[k]).real if isinstance(r[k], complex) else r[k]) for k in cols}
-            for r in rep.rows()]
-    return {"main": (cols, rows)}, certificates, {variant: rep.verdict}
+    return _sweep_tables(rep), certificates, {variant: rep.verdict}
 
 
 def _run_ssf(cfg: ExperimentConfig):
@@ -397,62 +335,29 @@ def _run_ssf(cfg: ExperimentConfig):
     variant = cfg.variant
     hs = [float(h) for h in doc["h_list"]]
     f = _test_function_from(doc)
-    thresholds = doc.get("thresholds") or {}
     tau0 = float(doc.get("tau0", 2.0))
-    pairs = {}
-    for h in hs:
-        v_h = _potential_for_h(doc, h)
-        grid = _grid_for(doc, h)
-        pairs[h] = ssf_mod.build_pair(v_h, grid)
+    R, tau_max, m_cap, M = _grid_from(doc, default_R=8.0)
+    if M is None and tau_max is None:
+        raise ConfigError("grid needs tau_max when M follows the coverage rule")
+    pairs = {h: ssf_mod.build_pair(_potential_for_h(doc, h), qz.grid_for(h, R, tau_max, m_cap, M))
+             for h in hs}
     # references come from the h-independent base potential
     v = _potential_from(doc)
     cert = mh.escape_check_dilation(v, tau0)
     certificates = [cert.to_json_dict()]
-    cols = ["h", "value", "reference", "rel_error", "fitted_slope"]
-
+    limits = _thresholds_from(doc, order="order_threshold", rel="rel_threshold")
     if variant == "weak":
-        ref = coeffs.c0(v, f)
-        rows = []
-        errs = []
-        for h in hs:
-            val = 2.0 * math.pi * h * ssf_mod.weak_pairing(pairs[h], f)
-            err = abs(val - ref)
-            errs.append((h, err))
-            rows.append({"h": h, "value": val, "reference": ref,
-                         "rel_error": err / max(abs(ref), 1e-300), "fitted_slope": float("nan")})
-        fit = fit_order(errs, threshold=float(thresholds.get("order", 1.5)))
-        last_rel = rows[-1]["rel_error"]
-        # without a fitted order the relative threshold decides alone
-        ok = (fit.verdict in ("PASS", "BELOW_FLOOR", "NO_FIT")
-              and last_rel <= float(thresholds.get("rel", 0.03)))
-        for r in rows:
-            r["fitted_slope"] = fit.slope if fit.slope is not None else float("nan")
-        return {"main": (cols, rows)}, certificates, {"weak": "PASS" if ok else "FAIL"}
-
-    if variant == "weyl":
-        if not cert.valid:
-            return {"main": (cols, [])}, certificates, {"weyl": "NOT_CERTIFIED"}
+        rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)
+    elif not cert.valid:
+        return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
+    elif variant == "weyl":
         taus = _tau_grid_from(doc)
-        ref = coeffs.a0(v, taus)
-        rep = ssf_mod.weyl_check(
-            pairs, taus, ref, _window_from(doc), cert,
-            order_threshold=float(thresholds.get("order", 0.7)),
-            rel_threshold=float(thresholds.get("rel", 0.05)),
-        )
-        rows = list(rep.rows())
-        return {"main": (cols, rows)}, certificates, {"weyl": rep.verdict}
-
-    # derivative
-    if not cert.valid:
-        return {"main": (cols, [])}, certificates, {"derivative": "NOT_CERTIFIED"}
-    ref = coeffs.gamma0(v, tau0)
-    rep = ssf_mod.derivative_check(
-        pairs, tau0, f, _window_from(doc), ref, cert,
-        order_threshold=float(thresholds.get("order", 1.5)),
-        rel_threshold=float(thresholds.get("rel", 0.05)),
-    )
-    rows = list(rep.rows())
-    return {"main": (cols, rows)}, certificates, {"derivative": rep.verdict}
+        rep = ssf_mod.weyl_check(pairs, taus, coeffs.a0(v, taus), _window_from(doc), cert,
+                                 **limits)
+    else:
+        rep = ssf_mod.derivative_check(pairs, tau0, f, _window_from(doc),
+                                       coeffs.gamma0(v, tau0), cert, **limits)
+    return _sweep_tables(rep), certificates, {variant: rep.verdict}
 
 
 _RUNNERS = {

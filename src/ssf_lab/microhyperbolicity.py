@@ -266,16 +266,6 @@ def _min_eigs(tvecs: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stacked)[:, 0]
 
 
-def _kernel_projected_value(h: MatrixSymbol, rho0, tv, kernel_tol) -> float:
-    """min-eig of the kernel compression of <T, grad H>; +inf if kernel empty."""
-    a = h.at(rho0)
-    g = directional_derivative(h, rho0, tv)
-    s, _, _ = _kernel_compression(a, g, kernel_tol)
-    if s is None:
-        return math.inf
-    return float(np.linalg.eigvalsh(s).min())
-
-
 def find_direction(
     h: MatrixSymbol,
     rho0,

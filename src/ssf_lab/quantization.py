@@ -23,12 +23,20 @@ Phi cached per window shape.  Phi is tabulated once per process and shape on
 Gauss rule; on each segment the phase exp(i u y) is split into a coarse and
 a fine factor, so the table is a few small matrix products and never a
 knots x nodes phase matrix.
+
+Every h-sweep of the package ends in one ``SweepReport`` from
+``sweep_verdict``: a value per h, the relative errors against a reference,
+the log-log order ``fit_order`` fits to the errors (at least 3 h with
+max/min >= 4) and PASS/FAIL in a decay or a comparison form.  The three
+trace-formula checks below are such sweeps, on grids from ``grid_for``;
+the ssf module holds the weak, Weyl-type and derivative sweeps.
 """
 from __future__ import annotations
 
 import inspect
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -44,6 +52,7 @@ __all__ = [
     "Grid1D",
     "GridOperator",
     "required_points",
+    "grid_for",
     "potential_samples",
     "build_schrodinger",
     "weyl_quantize",
@@ -51,9 +60,12 @@ __all__ = [
     "fourier_window",
     "window_primitive",
     "smoothed_trace",
-    "loglog_slope",
-    "DecayReport",
-    "ComparisonReport",
+    "ConfigError",
+    "CertificateError",
+    "SlopeFit",
+    "fit_order",
+    "SweepReport",
+    "sweep_verdict",
     "theorem1_check",
     "theorem2_check",
     "theorem3_check",
@@ -134,6 +146,19 @@ class Grid1D:
 
     def reliable_tau_max(self) -> float:
         return (0.5 * self.p_max) ** 2
+
+
+def grid_for(h: float, R: float, tau_max: float | None, m_cap: int,
+             M: int | None = None) -> Grid1D:
+    """The grid of one sweep step: ``M`` points if given, else the fewest that
+    cover ``tau_max``; CoverageError, with the required M, beyond ``m_cap``."""
+    m = M if M else required_points(R, h, tau_max)
+    if m > m_cap:
+        raise CoverageError(
+            f"h={h} needs M={m} > cap {m_cap}: raise h, shrink R, or raise m_cap",
+            required_m=m,
+        )
+    return Grid1D(R=R, M=m, h=h, tau_max=None if tau_max is None else float(tau_max))
 
 
 def _kinetic_column(grid: Grid1D) -> np.ndarray:
@@ -262,12 +287,6 @@ class GridOperator:
         phases /= math.sqrt(grid.M)
         vectors = phases[:, None, :] * channel_vecs[None, :, k_idx]
         return vals[order], vectors.reshape(self.dim, self.dim)
-
-    def reconstruction_residual(self) -> float:
-        vals, vecs = self.eigenpairs()
-        approx = (vecs * vals) @ vecs.conj().T
-        scale = float(np.max(np.abs(self.matrix))) or 1.0
-        return float(np.max(np.abs(approx - self.matrix))) / scale
 
 
 def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
@@ -609,63 +628,130 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     return vals[0] if np.ndim(tau) == 0 else vals
 
 
-def loglog_slope(hs, errs) -> float:
-    """Least-squares slope of log(err) against log(h)."""
-    hs = np.asarray(hs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    if np.any(errs <= 0):
-        raise ValueError("errors must be positive for a log-log fit")
-    coef = np.polyfit(np.log(hs), np.log(errs), 1)
-    return float(coef[0])
 
 
 # ---------------------------------------------------------------------------
-# empirical theorem checks
+# h-sweep verdicts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    hs: np.ndarray
-    values: np.ndarray
-    slope: float | None
-    below_floor: bool
-    verdict: str
-    floor: float
-    threshold: float
-
-    def rows(self):
-        for h, v in zip(self.hs, self.values):
-            yield {"h": h, "value": v, "reference": 0.0, "rel_error": v,
-                   "fitted_slope": self.slope if self.slope is not None else float("nan")}
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    hs: np.ndarray
-    values: np.ndarray
-    reference: float
-    rel_errors: np.ndarray
-    residual_order: float | None
-    verdict: str
-
-    def rows(self):
-        for h, v, e in zip(self.hs, self.values, self.rel_errors):
-            yield {"h": h, "value": v, "reference": self.reference, "rel_error": e,
-                   "fitted_slope": self.residual_order if self.residual_order is not None else float("nan")}
+class ConfigError(ValueError):
+    """Config fails schema validation."""
 
 
 class CertificateError(RuntimeError):
     """The check requires a valid certificate for its hypothesis."""
 
 
-def _grid_for(h: float, R: float, tau_max: float, m_cap: int) -> Grid1D:
-    need = required_points(R, h, tau_max)
-    if need > m_cap:
-        raise CoverageError(
-            f"h={h} needs M={need} > cap {m_cap}; raise h or the cap", required_m=need
-        )
-    return Grid1D(R=R, M=need, h=h, tau_max=tau_max)
+@dataclass(frozen=True)
+class SlopeFit:
+    """Least-squares order of an error sequence against h on log-log axes."""
+
+    hs: np.ndarray
+    errors: np.ndarray
+    slope: float | None
+    intercept: float | None
+    residual: float | None
+    below_floor: bool
+    verdict: str
+    threshold: float | None = None
+
+
+def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> SlopeFit:
+    """Fit log(error) vs log(h); needs >= 3 non-negative pairs and spread >= 4.
+
+    Errors all below ``floor`` give verdict BELOW_FLOOR.  An exact zero
+    among larger errors has no logarithm: the fit gives slope None and
+    verdict NO_FIT, a property of the result rather than of the config.
+    """
+    pairs = list(pairs)
+    hs = np.asarray([p[0] for p in pairs], dtype=float)
+    errs = np.asarray([p[1] for p in pairs], dtype=float)
+    if np.all(np.abs(errs) < floor):
+        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
+                        residual=None, below_floor=True, verdict="BELOW_FLOOR",
+                        threshold=threshold)
+    if len(pairs) < 3:
+        raise ConfigError("slope fit needs at least 3 points")
+    if np.any(errs < 0):
+        raise ConfigError("slope fit needs non-negative errors")
+    if float(np.max(hs) / np.min(hs)) < 4.0:
+        raise ConfigError("h-spread max/min must be at least 4 for a slope fit")
+    if np.any(errs == 0):
+        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
+                        residual=None, below_floor=False, verdict="NO_FIT",
+                        threshold=threshold)
+    logs_h = np.log(hs)
+    logs_e = np.log(errs)
+    coef = np.polyfit(logs_h, logs_e, 1)
+    fitted = np.polyval(coef, logs_h)
+    resid = float(np.sqrt(np.mean((logs_e - fitted) ** 2)))
+    slope = float(coef[0])
+    verdict = "PASS" if threshold is None or slope >= threshold else "FAIL"
+    return SlopeFit(hs=hs, errors=errs, slope=slope, intercept=float(coef[1]),
+                    residual=resid, below_floor=False, verdict=verdict,
+                    threshold=threshold)
+
+
+_DECAY_FLOOR = 1e-10  # decay values below this count as exact zeros
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """One h-sweep: a value per h, its relative error against the reference,
+    the fitted log-log order of the errors and the verdict."""
+
+    COLUMNS: ClassVar[tuple] = ("h", "value", "reference", "rel_error", "fitted_slope")
+
+    hs: np.ndarray
+    values: np.ndarray
+    reference: float
+    rel_errors: np.ndarray
+    slope: float | None
+    below_floor: bool
+    verdict: str
+
+    def rows(self):
+        slope = self.slope if self.slope is not None else float("nan")
+        for h, v, e in zip(self.hs, self.values, self.rel_errors):
+            yield dict(zip(self.COLUMNS, (h, v, self.reference, e, slope)))
+
+
+def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | None = None,
+                  *, reference: float = 0.0, errors=None, rel_errors=None,
+                  floor: float = 0.0) -> SweepReport:
+    """The verdict of one h-sweep, in one of two forms.
+
+    Decay (``rel_threshold`` None): the values are the errors, fitted above
+    a floor of 1e-10; PASS when the fitted order reaches ``order_threshold``
+    or every value is below the floor.
+
+    Comparison: the errors are |values - reference| and the relative errors
+    those over |reference|, unless both are given.  PASS when the last
+    relative error is within ``rel_threshold`` and the fit is not FAIL, so a
+    fit that is BELOW_FLOOR (every error below ``floor``) or NO_FIT (an exact
+    zero among the errors) leaves the relative threshold to decide.
+    """
+    hs = np.asarray(hs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if rel_threshold is None:
+        fit = fit_order(zip(hs, values), order_threshold, _DECAY_FLOOR)
+        ok = fit.verdict in ("PASS", "BELOW_FLOOR")
+        rel_errors = values
+    else:
+        if errors is None:
+            errors = np.abs(values - reference)
+            rel_errors = errors / max(abs(reference), 1e-300)
+        fit = fit_order(zip(hs, errors), order_threshold, floor)
+        ok = rel_errors[-1] <= rel_threshold and fit.verdict != "FAIL"
+    return SweepReport(hs=hs, values=values, reference=float(reference),
+                       rel_errors=np.asarray(rel_errors, dtype=float), slope=fit.slope,
+                       below_floor=fit.below_floor, verdict="PASS" if ok else "FAIL")
+
+
+# ---------------------------------------------------------------------------
+# empirical theorem checks
+# ---------------------------------------------------------------------------
 
 
 def _require_valid(certificate) -> None:
@@ -688,36 +774,28 @@ def theorem1_check(
     R: float = 6.0,
     tau_max: float | None = None,
     m_cap: int = 8192,
-    floor: float = 1e-10,
     slope_threshold: float = 3.0,
-) -> DecayReport:
+) -> SweepReport:
     """Decay of the off-zero-window smoothed trace along an h-sweep.
 
     With the one-sided window the trace should vanish to high order in h on a
-    certified shell; the verdict is PASS when the fitted slope reaches the
-    threshold or every value is below the floor.  Running it with the even
+    certified shell; the decay verdict is PASS when the fitted slope reaches
+    the threshold or every value is below 1e-10.  Running it with the even
     window instead exhibits the leading 1/(2 pi h) growth (negative slope),
     which callers use as the non-applicability control.
     """
     _require_valid(certificate)
     eps_rule = eps_rule or (lambda h: math.sqrt(h))
+    tau_max = tau_max if tau_max is not None else 1.6 * abs(tau0) + 0.5
     values = []
     for h in h_list:
-        grid = _grid_for(h, R, tau_max if tau_max is not None else 1.6 * abs(tau0) + 0.5, m_cap)
+        grid = grid_for(h, R, tau_max, m_cap)
         h_op = build_schrodinger(v, grid)
         a_op = weyl_quantize(chi, grid)
         eps = eps_rule(h) if callable(eps_rule) else float(eps_rule)
         w = WindowTheta(kind=window_kind, eps=eps)
         values.append(abs(complex(smoothed_trace(a_op, h_op, f, w, tau0))))
-    values = np.asarray(values)
-    hs = np.asarray(list(h_list), dtype=float)
-    below = bool(np.all(values < floor))
-    slope = None
-    if not below and np.all(values > 0):
-        slope = loglog_slope(hs, values)
-    verdict = "PASS" if below or (slope is not None and slope >= slope_threshold) else "FAIL"
-    return DecayReport(hs=hs, values=values, slope=slope, below_floor=below,
-                       verdict=verdict, floor=floor, threshold=slope_threshold)
+    return sweep_verdict(list(h_list), values, slope_threshold)
 
 
 def theorem2_check(
@@ -732,11 +810,11 @@ def theorem2_check(
     tau_max: float | None = None,
     m_cap: int = 8192,
     d_sep: float = 2.0,
-    floor: float = 1e-10,
     slope_threshold: float = 3.0,
-) -> DecayReport:
+) -> SweepReport:
     """Locality: traces of two operators agreeing near supp chi must differ
-    only to high order in h.  Rejects perturbations closer than ``d_sep``."""
+    only to high order in h (decay verdict).  Rejects perturbations closer
+    than ``d_sep``."""
     probe = np.linspace(-R, R, 4001)
     diff = np.array([
         np.max(np.abs(np.asarray(v1.eval(float(x))) - np.asarray(v0.eval(float(x)))))
@@ -754,25 +832,17 @@ def theorem2_check(
                 f"perturbation support within {d_sep} of the cutoff support (gap {gap:.2f})"
             )
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    tau_max = tau_max if tau_max is not None else 1.6 * float(np.max(np.abs(taus))) + 0.5
     values = []
     for h in h_list:
-        tmax = tau_max if tau_max is not None else 1.6 * float(np.max(np.abs(taus))) + 0.5
-        grid = _grid_for(h, R, tmax, m_cap)
+        grid = grid_for(h, R, tau_max, m_cap)
         a_op = weyl_quantize(chi, grid)
         op0 = build_schrodinger(v0, grid)
         op1 = build_schrodinger(v1, grid)
         t1 = smoothed_trace(a_op, op1, f, window, taus)
         t0 = smoothed_trace(a_op, op0, f, window, taus)
         values.append(float(np.max(np.abs(t1 - t0))))
-    values = np.asarray(values)
-    hs = np.asarray(list(h_list), dtype=float)
-    below = bool(np.all(values < floor))
-    slope = None
-    if not below and np.all(values > 0):
-        slope = loglog_slope(hs, values)
-    verdict = "PASS" if below or (slope is not None and slope >= slope_threshold) else "FAIL"
-    return DecayReport(hs=hs, values=values, slope=slope, below_floor=below,
-                       verdict=verdict, floor=floor, threshold=slope_threshold)
+    return sweep_verdict(list(h_list), values, slope_threshold)
 
 
 def theorem3_check(
@@ -783,40 +853,32 @@ def theorem3_check(
     h_list,
     window: WindowTheta,
     certificate,
-    reference: float | None = None,
     R: float = 6.0,
     tau_max: float | None = None,
     m_cap: int = 8192,
     rel_threshold: float = 0.05,
     order_threshold: float = 1.0,
-) -> ComparisonReport:
+) -> SweepReport:
     """Leading term of the localized trace: 2 pi h tr(...) against
     f(tau) * gamma0_localized(tau), with the fitted order of the residual."""
+    from .coefficients import gamma0_localized
+    from .symbols import schrodinger_symbol
+
     _require_valid(certificate)
     if not window.is_even:
         raise ValueError("the leading-term check uses the even window")
-    if reference is None:
-        from .coefficients import gamma0_localized
-        from .symbols import schrodinger_symbol
-
-        dens = gamma0_localized(schrodinger_symbol(v), chi, tau)
-        if not dens.converged:
-            raise CertificateError("localized density did not converge at this tau")
-        f_at = float(f(tau)) if callable(f) else float(f)
-        reference = f_at * dens.value
+    dens = gamma0_localized(schrodinger_symbol(v), chi, tau)
+    if not dens.converged:
+        raise CertificateError("localized density did not converge at this tau")
+    f_at = float(f(tau)) if callable(f) else float(f)
+    reference = f_at * dens.value
+    tau_max = tau_max if tau_max is not None else 1.6 * abs(tau) + 0.5
     values = []
     for h in h_list:
-        grid = _grid_for(h, R, tau_max if tau_max is not None else 1.6 * abs(tau) + 0.5, m_cap)
+        grid = grid_for(h, R, tau_max, m_cap)
         h_op = build_schrodinger(v, grid)
         a_op = weyl_quantize(chi, grid)
         tr = smoothed_trace(a_op, h_op, f, window, tau)
         values.append(2.0 * math.pi * h * float(np.real(tr)))
-    values = np.asarray(values)
-    hs = np.asarray(list(h_list), dtype=float)
-    rel = np.abs(values - reference) / max(abs(reference), 1e-300)
-    resid = np.abs(values - reference)
-    order = loglog_slope(hs, resid) if np.all(resid > 0) else None
-    ok = rel[-1] <= rel_threshold and (order is None or order >= order_threshold)
-    return ComparisonReport(hs=hs, values=values, reference=float(reference),
-                            rel_errors=rel, residual_order=order,
-                            verdict="PASS" if ok else "FAIL")
+    return sweep_verdict(list(h_list), values, order_threshold, rel_threshold,
+                         reference=reference)

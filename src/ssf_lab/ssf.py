@@ -14,14 +14,16 @@ the leading coefficients of the coefficients module:
 * 2 pi h * mollified counting diff     ->  a0(tau)      (integrated form),
 * 2 pi h * mollified density diff      ->  gamma0(tau)  (derivative form).
 
-The h-sweeps below fit the order of the residuals and gate themselves on the
+The three h-sweeps below (``weak_check``, ``weyl_check``,
+``derivative_check``) end in the quantization module's ``SweepReport``:
+comparison verdicts on the last relative error and the fitted order of the
+residuals.  The Weyl-type and derivative sweeps gate themselves on the
 certificates produced by the microhyperbolicity module.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,11 +32,12 @@ from .quantization import (
     CertificateError,
     Grid1D,
     GridOperator,
+    SweepReport,
     WindowTheta,
     build_schrodinger,
     fourier_window,
-    loglog_slope,
     potential_samples,
+    sweep_verdict,
     window_primitive,
 )
 from .symbols import MatrixPotential, model_potential
@@ -47,11 +50,8 @@ __all__ = [
     "weak_pairing",
     "ssf_counting",
     "ssf_mollified",
-    "SSFEstimate",
-    "ssf_estimate",
-    "WeylReport",
+    "weak_check",
     "weyl_check",
-    "DerivativeReport",
     "derivative_check",
 ]
 
@@ -81,9 +81,10 @@ class OperatorPair:
         return self.grid.h
 
 
-def build_pair(v: MatrixPotential, grid: Grid1D, margin_tol: float = 1e-10) -> OperatorPair:
+def build_pair(v: MatrixPotential, grid: Grid1D) -> OperatorPair:
     """Assemble (P1, P0); P0 gets the analytic constant-potential spectrum
-    and builds its dense matrix only if ``P0.matrix`` is read.
+    and builds its dense matrix only if ``P0.matrix`` is read.  MarginError
+    when |V - V_inf| exceeds 1e-10 within 1 of the box edge.
 
     If the hermitian parts of the V samples equal the limit bitwise at every
     node, P0 *is* P1 (shared object) so every difference-based estimator
@@ -93,10 +94,8 @@ def build_pair(v: MatrixPotential, grid: Grid1D, margin_tol: float = 1e-10) -> O
     worst = 0.0
     for x in np.concatenate([-seam, seam]):
         worst = max(worst, float(np.max(np.abs(np.asarray(v.eval(float(x))) - v.v_infinity))))
-    if worst > margin_tol:
-        raise MarginError(
-            f"|V - V_inf| = {worst:.2e} at the box edge exceeds {margin_tol:.0e}; enlarge R"
-        )
+    if worst > 1e-10:
+        raise MarginError(f"|V - V_inf| = {worst:.2e} at the box edge exceeds 1e-10; enlarge R")
     p1 = build_schrodinger(v, grid)
     samples = potential_samples(v, grid)
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
@@ -154,110 +153,61 @@ def ssf_mollified(pair: OperatorPair, w: WindowTheta, eps: float | None, tau):
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-@dataclass(frozen=True)
-class SSFEstimate:
-    """tau-indexed shift estimates with the method and mollification used."""
-
-    tau_grid: np.ndarray
-    values: np.ndarray
-    method: str
-    h: float
-    eps: float | None
-    grid_R: float
-    grid_M: int
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("tau,value,method,h,eps\n")
-            for t, v in zip(self.tau_grid, self.values):
-                fh.write(f"{t!r},{v!r},{self.method},{self.h!r},{self.eps!r}\n")
+def _descending(pairs: dict) -> np.ndarray:
+    return np.asarray(sorted(pairs.keys(), reverse=True), dtype=float)
 
 
-def ssf_estimate(pair: OperatorPair, taus, method: str = "mollified_counting",
-                 w: WindowTheta | None = None, eps: float | None = None) -> SSFEstimate:
-    taus = np.asarray(taus, dtype=float)
-    if method == "counting":
-        vals = ssf_counting(pair, taus).astype(float)
-        used_eps = None
-    elif method == "mollified_counting":
-        w = w or WindowTheta()
-        vals = np.asarray(ssf_mollified(pair, w, eps, taus), dtype=float)
-        used_eps = eps if eps is not None else w.eps
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SSFEstimate(tau_grid=taus, values=vals, method=method, h=pair.h,
-                       eps=used_eps, grid_R=pair.grid.R, grid_M=pair.grid.M)
+def weak_check(
+    pairs: dict[float, OperatorPair],
+    f: TestFunction,
+    c0_reference: float,
+    order_threshold: float = 1.5,
+    rel_threshold: float = 0.03,
+) -> SweepReport:
+    """2 pi h * weak pairing against the closed-form c0(f), with the fitted
+    order of the residual; residuals all below 1e-12 count as exact.
 
-
-@dataclass(frozen=True)
-class WeylReport:
-    hs: np.ndarray
-    sup_errors: np.ndarray
-    sup_rel_errors: np.ndarray
-    fitted_order: float | None
-    verdict: str
-    tau_grid: np.ndarray
-    reference: np.ndarray
-
-    def rows(self):
-        for h, e, r in zip(self.hs, self.sup_errors, self.sup_rel_errors):
-            yield {"h": h, "value": e, "reference": float(np.max(np.abs(self.reference))),
-                   "rel_error": r, "fitted_slope": self.fitted_order if self.fitted_order is not None else float("nan")}
+    ``pairs`` maps h to an OperatorPair.  The weak asymptotics need no
+    certificate.
+    """
+    hs = _descending(pairs)
+    values = [2.0 * math.pi * h * weak_pairing(pairs[h], f) for h in hs]
+    return sweep_verdict(hs, values, order_threshold, rel_threshold,
+                         reference=c0_reference, floor=1e-12)
 
 
 def weyl_check(
     pairs: dict[float, OperatorPair],
     taus,
-    a0_reference: Callable[[float], float] | np.ndarray,
+    a0_reference,
     w: WindowTheta,
     certificate,
     order_threshold: float = 0.7,
     rel_threshold: float = 0.05,
-) -> WeylReport:
+) -> SweepReport:
     """sup-tau error of 2 pi h * mollified counting against the closed-form
-    leading coefficient, with the fitted order of the remainder.
+    leading coefficient a0 on ``taus``, with the fitted order of the remainder.
 
-    ``pairs`` maps h to an OperatorPair (descending h).  Requires a valid
-    shell or escape certificate for the window.
+    ``pairs`` maps h to an OperatorPair.  The report's values are the sup
+    errors, its reference is max |a0| and its relative errors are the sup of
+    the pointwise ones.  Requires a valid shell or escape certificate for
+    the window.
     """
     if certificate is None or not getattr(certificate, "valid", False):
         raise CertificateError("weyl check requires a valid certificate for the window")
     taus = np.asarray(taus, dtype=float)
-    if callable(a0_reference):
-        ref = np.array([a0_reference(float(t)) for t in taus])
-    else:
-        ref = np.asarray(a0_reference, dtype=float)
-    hs = np.asarray(sorted(pairs.keys(), reverse=True), dtype=float)
+    ref = np.asarray(a0_reference, dtype=float)
+    hs = _descending(pairs)
     sup_err = []
     sup_rel = []
     for h in hs:
-        pair = pairs[h]
-        vals = 2.0 * math.pi * h * np.asarray(ssf_mollified(pair, w, None, taus))
+        vals = 2.0 * math.pi * h * np.asarray(ssf_mollified(pairs[h], w, None, taus))
         err = np.abs(vals - ref)
         sup_err.append(float(np.max(err)))
         sup_rel.append(float(np.max(err / np.abs(ref))))
-    sup_err = np.asarray(sup_err)
-    sup_rel = np.asarray(sup_rel)
-    order = loglog_slope(hs, sup_err) if np.all(sup_err > 0) else None
-    ok = sup_rel[-1] <= rel_threshold and (order is None or order >= order_threshold)
-    return WeylReport(hs=hs, sup_errors=sup_err, sup_rel_errors=sup_rel,
-                      fitted_order=order, verdict="PASS" if ok else "FAIL",
-                      tau_grid=taus, reference=ref)
-
-
-@dataclass(frozen=True)
-class DerivativeReport:
-    hs: np.ndarray
-    values: np.ndarray
-    reference: float
-    rel_errors: np.ndarray
-    residual_order: float | None
-    verdict: str
-
-    def rows(self):
-        for h, v, e in zip(self.hs, self.values, self.rel_errors):
-            yield {"h": h, "value": v, "reference": self.reference, "rel_error": e,
-                   "fitted_slope": self.residual_order if self.residual_order is not None else float("nan")}
+    return sweep_verdict(hs, sup_err, order_threshold, rel_threshold,
+                         reference=float(np.max(np.abs(ref))), errors=sup_err,
+                         rel_errors=sup_rel)
 
 
 def mollified_density_pairing(pair: OperatorPair, f: TestFunction, w: WindowTheta,
@@ -282,7 +232,7 @@ def derivative_check(
     certificate,
     order_threshold: float = 1.5,
     rel_threshold: float = 0.05,
-) -> DerivativeReport:
+) -> SweepReport:
     """Fixed-eps mollified density difference at tau0 against the closed-form
     density coefficient; the residual should carry the even-power signature.
 
@@ -293,14 +243,7 @@ def derivative_check(
         raise CertificateError("derivative check requires a valid escape certificate")
     if not w.is_even:
         raise ValueError("derivative check uses the even window")
-    hs = np.asarray(sorted(pairs.keys(), reverse=True), dtype=float)
-    values = np.array([
-        2.0 * math.pi * h * mollified_density_pairing(pairs[h], f, w, tau0) for h in hs
-    ])
-    ref = float(gamma0_reference)
-    rel = np.abs(values - ref) / max(abs(ref), 1e-300)
-    resid = np.abs(values - ref)
-    order = loglog_slope(hs, resid) if np.all(resid > 0) else None
-    ok = rel[-1] <= rel_threshold and (order is None or order >= order_threshold)
-    return DerivativeReport(hs=hs, values=values, reference=ref, rel_errors=rel,
-                            residual_order=order, verdict="PASS" if ok else "FAIL")
+    hs = _descending(pairs)
+    values = [2.0 * math.pi * h * mollified_density_pairing(pairs[h], f, w, tau0) for h in hs]
+    return sweep_verdict(hs, values, order_threshold, rel_threshold,
+                         reference=float(gamma0_reference))

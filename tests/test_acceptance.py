@@ -134,8 +134,8 @@ def test_criterion_2_weyl_asymptotics(vref, vref_family, escape_certificate):
                         order_threshold=0.7, rel_threshold=0.05)
     ok = rep.verdict == "PASS"
     _report("2 weyl asymptotics", ok,
-            f"sup rel err at h=1/128: {rep.sup_rel_errors[-1]:.3%} (<=5%), "
-            f"fitted order {rep.fitted_order:.2f} (>=0.7)")
+            f"sup rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=5%), "
+            f"fitted order {rep.slope:.2f} (>=0.7)")
 
 
 def test_criterion_3_weak_asymptotics(vref, vref_family):
@@ -165,7 +165,7 @@ def test_criterion_4_pointwise_derivative(vref, vref_family, escape_certificate)
     ok = rep.verdict == "PASS"
     _report("4 pointwise derivative", ok,
             f"rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=5%), "
-            f"residual order {rep.residual_order:.2f} (>=1.5)")
+            f"residual order {rep.slope:.2f} (>=1.5)")
 
 
 @pytest.fixture(scope="module")

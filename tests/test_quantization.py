@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ssf_lab.coefficients import bump_test_function
 from ssf_lab.quadrature import gauss_rule
 from ssf_lab.quantization import (
     CertificateError,
+    ConfigError,
     CoverageError,
     Grid1D,
     GridMismatchError,
@@ -18,8 +20,10 @@ from ssf_lab.quantization import (
     fourier_window,
     required_points,
     smoothed_trace,
+    sweep_verdict,
     theorem1_check,
     theorem2_check,
+    theorem3_check,
     weyl_quantize,
     window_primitive,
 )
@@ -30,6 +34,14 @@ from ssf_lab.symbols import MatrixPotential, model_potential, schrodinger_symbol
 
 def small_grid(h=0.25, R=6.0, tau_max=1.5, M=None):
     return Grid1D(R=R, M=M or required_points(R, h, tau_max), h=h, tau_max=tau_max)
+
+
+def reconstruction_residual(op: GridOperator) -> float:
+    """max |V diag(lambda) V^H - A| / max |A| of the operator's eigenpairs."""
+    vals, vecs = op.eigenpairs()
+    approx = (vecs * vals) @ vecs.conj().T
+    scale = float(np.max(np.abs(op.matrix))) or 1.0
+    return float(np.max(np.abs(approx - op.matrix))) / scale
 
 
 CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 1.2))
@@ -81,7 +93,7 @@ class TestBuildSchrodinger:
         op = build_schrodinger(model_potential("reference"), g)
         scale = np.max(np.abs(op.matrix))
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-11 * scale
-        assert op.reconstruction_residual() < 1e-10
+        assert reconstruction_residual(op) < 1e-10
 
     def test_against_finite_difference_oracle(self):
         # truncated harmonic-like well; 4th-order periodic FD at 4x resolution
@@ -105,7 +117,7 @@ class TestBuildSchrodinger:
     def test_analytic_pairs_reconstruct(self):
         g = small_grid(h=0.5, M=64)
         op = build_schrodinger(model_potential("constant", v_inf=[0.3, 0.9], N=2), g)
-        assert op.reconstruction_residual() < 1e-10
+        assert reconstruction_residual(op) < 1e-10
 
     @pytest.mark.parametrize("v", [
         model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]),
@@ -486,3 +498,58 @@ class TestTheoremCheckPlumbing:
             theorem1_check(v, CHI, f, 1.0, [1 / 4096], cert, R=6.0, tau_max=1.69,
                            m_cap=4096)
         assert err.value.required_m > 4096
+
+    def test_theorem3_two_point_sweep_rejected(self):
+        # two h with nonzero residuals admit no slope fit
+        v = model_potential("constant", v_inf=0.0, N=1)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        with pytest.raises(ConfigError):
+            theorem3_check(v, CHI, f, 1.0, [1 / 4, 1 / 8], w, SimpleNamespace(valid=True),
+                           R=6.0, tau_max=2.0)
+
+
+HS = [1 / 8, 1 / 16, 1 / 32]
+DECAY = {"order_threshold": 3.0}
+COMPARE = {"order_threshold": 1.5, "rel_threshold": 0.03, "reference": 1.0}
+
+
+class TestSweepVerdict:
+    @pytest.mark.parametrize("values,kw,verdict,below,slope", [
+        # every error below the floor: BELOW_FLOOR passes, no slope
+        ([1e-11, 5e-12, 0.0], DECAY, "PASS", True, None),
+        ([1.0 + 5e-13, 1.0 - 2e-13, 1.0], dict(COMPARE, floor=1e-12), "PASS", True, None),
+        # one exact zero among positive errors: no fit; a decay fails, a
+        # comparison is decided by the relative threshold alone
+        ([1e-3, 0.0, 1e-6], DECAY, "FAIL", False, None),
+        ([1.01, 1.0, 1.001], COMPARE, "PASS", False, None),
+        ([1.0, 1.01, 1.5], COMPARE, "FAIL", False, None),
+        # fitted slope below / above the threshold
+        ([h for h in HS], DECAY, "FAIL", False, 1.0),
+        ([1.0 + 0.01 * h for h in HS], COMPARE, "FAIL", False, 1.0),
+        ([h**4 for h in HS], DECAY, "PASS", False, 4.0),
+        ([1.0 + 0.01 * h**2 for h in HS], COMPARE, "PASS", False, 2.0),
+    ])
+    def test_forms(self, values, kw, verdict, below, slope):
+        rep = sweep_verdict(HS, values, **kw)
+        assert rep.verdict == verdict
+        assert rep.below_floor is below
+        if slope is None:
+            assert rep.slope is None
+            assert all(math.isnan(r["fitted_slope"]) for r in rep.rows())
+        else:
+            assert rep.slope == pytest.approx(slope, abs=1e-6)
+        assert [r["value"] for r in rep.rows()] == list(values)
+
+    def test_decay_rows_are_the_values(self):
+        rep = sweep_verdict(HS, [h**4 for h in HS], 3.0)
+        rows = list(rep.rows())
+        assert [tuple(r) for r in rows] == [qz.SweepReport.COLUMNS] * 3
+        assert all(r["reference"] == 0.0 and r["rel_error"] == r["value"] for r in rows)
+
+    def test_two_point_sweep(self):
+        with pytest.raises(ConfigError):
+            sweep_verdict(HS[:2], [1.1, 1.01], **COMPARE)
+        with pytest.raises(ConfigError):
+            sweep_verdict(HS[:2], [1e-3, 1e-5], **DECAY)
+        assert sweep_verdict(HS[:2], [0.0, 0.0], **DECAY).verdict == "PASS"

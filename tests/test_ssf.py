@@ -1,10 +1,18 @@
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ssf_lab.coefficients import bump_test_function, plateau_test_function
-from ssf_lab.quantization import CoverageError, Grid1D, WindowTheta, required_points
+from ssf_lab.coefficients import a0, bump_test_function, c0, plateau_test_function
+from ssf_lab.quantization import (
+    ConfigError,
+    CoverageError,
+    Grid1D,
+    WindowTheta,
+    required_points,
+)
 from ssf_lab.ssf import (
     MarginError,
     OperatorPair,
@@ -12,11 +20,47 @@ from ssf_lab.ssf import (
     build_pair,
     mollified_density_pairing,
     ssf_counting,
-    ssf_estimate,
     ssf_mollified,
+    weak_check,
     weak_pairing,
+    weyl_check,
 )
 from ssf_lab.symbols import model_potential
+
+
+@dataclass(frozen=True)
+class SSFEstimate:
+    """tau-indexed shift estimates with the method and mollification used."""
+
+    tau_grid: np.ndarray
+    values: np.ndarray
+    method: str
+    h: float
+    eps: float | None
+    grid_R: float
+    grid_M: int
+
+    def to_csv(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write("tau,value,method,h,eps\n")
+            for t, v in zip(self.tau_grid, self.values):
+                fh.write(f"{t!r},{v!r},{self.method},{self.h!r},{self.eps!r}\n")
+
+
+def ssf_estimate(pair: OperatorPair, taus, method: str = "mollified_counting",
+                 w: WindowTheta | None = None, eps: float | None = None) -> SSFEstimate:
+    taus = np.asarray(taus, dtype=float)
+    if method == "counting":
+        vals = ssf_counting(pair, taus).astype(float)
+        used_eps = None
+    elif method == "mollified_counting":
+        w = w or WindowTheta()
+        vals = np.asarray(ssf_mollified(pair, w, eps, taus), dtype=float)
+        used_eps = eps if eps is not None else w.eps
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return SSFEstimate(tau_grid=taus, values=vals, method=method, h=pair.h,
+                       eps=used_eps, grid_R=pair.grid.R, grid_M=pair.grid.M)
 
 
 def sturm_count(v_diag, h: float, tau: float, R: float = 12.0, nodes: int = 40000) -> int:
@@ -259,3 +303,30 @@ class TestDensityPairing:
         got = 2.0 * math.pi * pair.h * mollified_density_pairing(pair, f, w, 1.8)
         ref = gamma0(v, 1.8)
         assert got == pytest.approx(ref, rel=0.01)
+
+
+class TestSweeps:
+    def test_weyl_two_point_sweep_rejected(self):
+        # two h with nonzero errors admit no slope fit
+        v = gauss_well()
+        pairs = {h: make_pair(v, h=h) for h in (1 / 8, 1 / 16)}
+        taus = np.linspace(1.2, 1.4, 5)
+        ref = np.asarray(a0(v, taus))
+        with pytest.raises(ConfigError):
+            weyl_check(pairs, taus, ref, WindowTheta("bump_at_zero", eps=0.25),
+                       SimpleNamespace(valid=True))
+
+    def test_weak_check_matches_pairings(self):
+        v = gauss_well()
+        f = bump_test_function((1.0, 1.6))
+        pairs = {h: make_pair(v, h=h) for h in (1 / 8, 1 / 16, 1 / 32)}
+        ref = c0(v, f)
+        rep = weak_check(pairs, f, ref)
+        hs = [1 / 8, 1 / 16, 1 / 32]
+        assert list(rep.hs) == hs
+        assert list(rep.values) == [2.0 * math.pi * h * weak_pairing(pairs[h], f) for h in hs]
+        assert rep.reference == ref
+        rel = [abs(val - ref) / abs(ref) for val in rep.values]
+        assert list(rep.rel_errors) == rel
+        assert rep.verdict == ("PASS" if rel[-1] <= 0.03 and (rep.slope is None or rep.slope >= 1.5)
+                               else "FAIL")
