@@ -74,16 +74,6 @@ class Bump1D:
         u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
         return self.amplitude * bump_profile(u)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.halfwidth
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        w = 1.0 - ui * ui
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / w) * (-2.0 * ui / w**2)
-        return out / self.halfwidth
-
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
@@ -112,9 +102,6 @@ class ProductCutoff:
     @property
     def xi_support(self) -> tuple[float, float]:
         return self.k.support
-
-    def box(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return (self.x_support, self.xi_support)
 
     def integral(self, order: int = 200) -> float:
         return self.g.integral(order) * self.k.integral(order)

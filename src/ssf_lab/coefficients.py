@@ -316,9 +316,7 @@ def _radial_weight(n: int):
     return lambda xs: sphere_volume(n) * np.asarray(xs, dtype=float) ** (n - 1)
 
 
-def _coordinate_range(v: MatrixPotential, x_range):
-    if x_range is not None:
-        return x_range
+def _coordinate_range(v: MatrixPotential):
     if v.n == 1:
         return (-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS)
     if not v.radial:
@@ -334,12 +332,11 @@ def _channel_sum(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def gamma0(v: MatrixPotential, tau, n: int | None = None,
-           atol: float = 1e-10, x_range=None, threshold_tol: float = 1e-6):
+def gamma0(v: MatrixPotential, tau, n: int | None = None, atol: float = 1e-10):
     """Leading density coefficient at energy tau (a float, or an array of tau).
 
-    Rejects tau within ``threshold_tol`` of a channel limit: there the
-    integrand difference fails to be integrable.
+    Rejects tau within 1e-6 of a channel limit: there the integrand
+    difference fails to be integrable.
     """
     n = v.n if n is None else n
     if n not in (1, 2, 3):
@@ -347,10 +344,9 @@ def gamma0(v: MatrixPotential, tau, n: int | None = None,
     taus, scalar = _taus(tau)
     thresholds = v.thresholds()
     for t in taus:
-        if np.min(np.abs(t - thresholds)) < threshold_tol:
-            raise ThresholdError(
-                f"tau={float(t)} is within {threshold_tol} of a channel limit")
-    lo, hi = _coordinate_range(v, x_range)
+        if np.min(np.abs(t - thresholds)) < 1e-6:
+            raise ThresholdError(f"tau={float(t)} is within 1e-06 of a channel limit")
+    lo, hi = _coordinate_range(v)
     exponent = 0.5 * (n - 2)
     c_inf = np.array([[(float(t) - float(thr)) ** exponent if t > thr else 0.0
                        for thr in thresholds] for t in taus]).reshape(taus.size, v.N)
@@ -364,10 +360,9 @@ def gamma0(v: MatrixPotential, tau, n: int | None = None,
     return float(out[0]) if scalar else out
 
 
-def a0(v: MatrixPotential, tau, n: int | None = None,
-       atol: float = 1e-10, x_range=None, threshold_tol: float = 1e-6):
+def a0(v: MatrixPotential, tau, n: int | None = None, atol: float = 1e-10):
     """Leading coefficient of the counting difference (a float, or an array
-    of tau); needs a zero limit."""
+    of tau); needs a zero limit and rejects tau within 1e-6 of 0."""
     n = v.n if n is None else n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
@@ -375,9 +370,9 @@ def a0(v: MatrixPotential, tau, n: int | None = None,
         raise ValueError("a0 requires the potential limit to be zero")
     taus, scalar = _taus(tau)
     for t in taus:
-        if abs(t) < threshold_tol:
+        if abs(t) < 1e-6:
             raise ThresholdError(f"tau={float(t)} is too close to the threshold 0")
-    lo, hi = _coordinate_range(v, x_range)
+    lo, hi = _coordinate_range(v)
     exponent = 0.5 * n
     tau_pow = np.array([float(t) ** exponent if t > 0.0 else 0.0 for t in taus])
     roots = _turning_points(v, taus, lo, hi)
@@ -388,7 +383,7 @@ def a0(v: MatrixPotential, tau, n: int | None = None,
 
 
 def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
-       atol: float = 1e-9, x_range=None) -> float:
+       atol: float = 1e-9) -> float:
     """Weak-pairing coefficient: pairs with -tr(f(P1) - f(P0)).
 
     The inner energy integral runs over t in (0, inf) restricted to where
@@ -400,7 +395,7 @@ def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
     n = v.n if n is None else n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
-    lo, hi = _coordinate_range(v, x_range)
+    lo, hi = _coordinate_range(v)
     weight = _radial_weight(n)
     beta = f.support[1]
     thresholds = v.thresholds()
@@ -515,12 +510,13 @@ def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
 
 
 def gamma0_localized(p: MatrixSymbol, chi: ProductCutoff, tau: float,
-                     dtau: float = 0.02, rtol: float = 1e-5,
                      x_order: int = 96, scan: int = 1024,
-                     atol: float = 1e-11, max_halvings: int = 10) -> LocalizedDensity:
+                     atol: float = 1e-11) -> LocalizedDensity:
     """tau-derivative of the cutoff band volume by step-halved central
     differences with Richardson acceleration.
 
+    The step starts at 0.02 and halves at most 10 times; the density has
+    converged when two successive extrapolants agree to 1e-5 relative.
     Flags non-convergence (typically tau at a branch critical value) instead
     of raising.
     """
@@ -531,16 +527,16 @@ def gamma0_localized(p: MatrixSymbol, chi: ProductCutoff, tau: float,
         dn = _band_volume(p, chi, tau - step, grid, atol)
         return (up - dn) / (2.0 * step)
 
-    steps = [dtau]
-    d_vals = [central(dtau)]
+    steps = [0.02]
+    d_vals = [central(0.02)]
     extrapolated = []
     converged = False
-    for i in range(1, max_halvings + 1):
-        step = dtau / 2**i
+    for i in range(1, 11):
+        step = 0.02 / 2**i
         steps.append(step)
         d_vals.append(central(step))
         rich = (4.0 * d_vals[-1] - d_vals[-2]) / 3.0
-        if extrapolated and abs(rich - extrapolated[-1]) <= rtol * max(abs(rich), 1e-14):
+        if extrapolated and abs(rich - extrapolated[-1]) <= 1e-5 * max(abs(rich), 1e-14):
             extrapolated.append(rich)
             converged = True
             break

@@ -3,7 +3,7 @@
 A config names one experiment (hypothesis check, coefficient profile, trace
 sweep, or shift-function sweep), the model potential, the grid rule, the
 h-list, windows and test functions, and verdict thresholds.  ``run`` executes
-it deterministically (given config and seed) and writes
+it deterministically (given the config) and writes
 
 * ``data.csv``    -- the per-row table for the experiment,
 * ``report.json`` -- config echo, embedded certificates, tables, verdicts,
@@ -33,7 +33,7 @@ from . import quantization as qz
 from . import ssf as ssf_mod
 from .bumps import Bump1D, ProductCutoff, dilation_generator
 from .quantization import ConfigError, SlopeFit, fit_order
-from .symbols import MatrixPotential, combine_potentials, model_potential
+from .symbols import MatrixPotential, combine_potentials, model_potential, schrodinger_symbol
 
 __all__ = [
     "ConfigError",
@@ -69,7 +69,6 @@ class ExperimentConfig:
     raw: dict
     experiment: str
     variant: str | None
-    seed: int
     out: str
 
     @staticmethod
@@ -103,7 +102,6 @@ class ExperimentConfig:
             raw=doc,
             experiment=experiment,
             variant=variant,
-            seed=int(doc.get("seed", 0)),
             out=str(doc.get("out", "out")),
         )
 
@@ -142,10 +140,23 @@ def _grid_from(doc: dict, default_R: float) -> tuple:
             int(g.get("m_cap", 8192)), int(g["M"]) if g.get("M") else None)
 
 
-def _window_from(doc: dict) -> qz.WindowTheta:
+def _window_from(doc: dict, variant: str) -> tuple[qz.WindowTheta, str | None]:
+    """The config's window and its eps rule.
+
+    thm1 defaults to the one-sided window at eps 0.3 and, when the key is
+    absent, to the rule ``sqrt_h`` (eps = sqrt(h) at each h); null keeps eps
+    fixed.  Every other variant defaults to the even window at eps 0.25 and
+    takes no rule.
+    """
     w = doc.get("window") or {}
-    return qz.WindowTheta(kind=w.get("kind", "bump_at_zero"), eps=float(w.get("eps", 0.25)),
-                          eps_rule=w.get("eps_rule"))
+    thm1 = variant == "thm1"
+    rule = w.get("eps_rule", "sqrt_h" if thm1 else None)
+    if rule not in (("sqrt_h", None) if thm1 else (None,)):
+        allowed = 'null or "sqrt_h"' if thm1 else "null"
+        raise ConfigError(f"{variant} takes window.eps_rule {allowed}, got {rule!r}")
+    window = qz.WindowTheta(kind=w.get("kind", "bump_positive" if thm1 else "bump_at_zero"),
+                            eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
+    return window, rule
 
 
 def _test_function_from(doc: dict) -> coeffs.TestFunction:
@@ -179,6 +190,25 @@ def _thresholds_from(doc: dict, **names) -> dict:
     to argument name; an absent key keeps the check's default."""
     t = doc.get("thresholds") or {}
     return {arg: float(t[key]) for key, arg in names.items() if key in t}
+
+
+def _box_from(chk: dict, default) -> tuple:
+    box = chk.get("box", default)
+    return (tuple(map(float, box[0])), tuple(map(float, box[1])))
+
+
+def _shell_certificate(doc: dict, v: MatrixPotential, tau0: float, default_box,
+                       grid_points: int) -> mh.MicrohyperbolicityCertificate:
+    """``check_on_energy_shell`` of the Schrodinger symbol of v, set by the
+    config's check block; the runner gives its default box and grid."""
+    chk = doc.get("check") or {}
+    return mh.check_on_energy_shell(
+        schrodinger_symbol(v), tau0, _box_from(chk, default_box),
+        shell_tol=chk.get("shell_tol"),
+        mode=chk.get("mode", "per_point_T"),
+        T=None if chk.get("T") is None else np.asarray(chk["T"], dtype=float),
+        grid_points=int(chk.get("grid_points", grid_points)),
+    )
 
 
 def _tau_grid_from(doc: dict) -> np.ndarray:
@@ -218,20 +248,8 @@ def _sweep_tables(rep: qz.SweepReport | None) -> dict:
 
 def _run_check_mh(cfg: ExperimentConfig):
     doc = cfg.raw
-    v = _potential_from(doc)
-    chk = doc.get("check") or {}
-    tau0 = float(doc.get("tau0", 1.0))
-    box = chk.get("box", [[-4.0, 4.0], [-3.0, 3.0]])
-    box = (tuple(map(float, box[0])), tuple(map(float, box[1])))
-    from .symbols import schrodinger_symbol
-
-    cert = mh.check_on_energy_shell(
-        schrodinger_symbol(v), tau0, box,
-        shell_tol=chk.get("shell_tol"),
-        mode=chk.get("mode", "per_point_T"),
-        T=None if chk.get("T") is None else np.asarray(chk["T"], dtype=float),
-        grid_points=int(chk.get("grid_points", 61)),
-    )
+    cert = _shell_certificate(doc, _potential_from(doc), float(doc.get("tau0", 1.0)),
+                              [[-4.0, 4.0], [-3.0, 3.0]], 61)
     rows = [{"x": float(p[0]), "xi": float(p[1])} for p in np.atleast_2d(cert.points)] \
         if np.size(cert.points) else []
     verdict = "PASS" if cert.valid else ("EMPTY_SHELL" if cert.empty_shell else "FAIL")
@@ -251,12 +269,9 @@ def _run_check_escape(cfg: ExperimentConfig):
             grid_points=int(chk.get("grid_points", 2001)),
         )
     else:
-        from .symbols import schrodinger_symbol
-
-        box = chk.get("box", [[-4.0, 4.0], [-3.0, 3.0]])
-        box = (tuple(map(float, box[0])), tuple(map(float, box[1])))
         cert = mh.escape_check_general(
-            schrodinger_symbol(v), dilation_generator(v.n), tau0, box,
+            schrodinger_symbol(v), dilation_generator(v.n), tau0,
+            _box_from(chk, [[-4.0, 4.0], [-3.0, 3.0]]),
             shell_tol=chk.get("shell_tol"),
             grid_points=int(chk.get("grid_points", 61)),
         )
@@ -279,36 +294,23 @@ def _run_coeffs(cfg: ExperimentConfig):
 def _run_trace(cfg: ExperimentConfig):
     doc = cfg.raw
     variant = cfg.variant
+    window, eps_rule = _window_from(doc, variant)
     chi = _cutoff_from(doc)
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 1.0))
     hs = [float(h) for h in doc["h_list"]]
     R, tau_max, m_cap, _ = _grid_from(doc, default_R=6.0)
-    from .symbols import schrodinger_symbol
-
     v = _potential_from(doc)
     certificates = []
     if variant in ("thm1", "thm3"):
-        chk = doc.get("check") or {}
-        box = chk.get("box", [list(chi.x_support), list(chi.xi_support)])
-        box = (tuple(map(float, box[0])), tuple(map(float, box[1])))
-        cert = mh.check_on_energy_shell(
-            schrodinger_symbol(v), tau0, box,
-            shell_tol=chk.get("shell_tol"),
-            mode=chk.get("mode", "per_point_T"),
-            grid_points=int(chk.get("grid_points", 41)),
-        )
+        cert = _shell_certificate(doc, v, tau0, [list(chi.x_support), list(chi.xi_support)], 41)
         certificates.append(cert.to_json_dict())
         if not cert.valid and not cert.empty_shell:
             return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
     if variant == "thm1":
-        w_doc = doc.get("window") or {}
-        eps_rule = w_doc.get("eps_rule", "sqrt_h")
-        rule = (lambda h: math.sqrt(h)) if eps_rule == "sqrt_h" else float(w_doc.get("eps", 0.3))
         rep = qz.theorem1_check(
-            v, chi, f, tau0, hs, cert,
-            window_kind=w_doc.get("kind", "bump_positive"),
-            eps_rule=rule, R=R, tau_max=tau_max, m_cap=m_cap,
+            v, chi, f, tau0, hs, cert, window_kind=window.kind,
+            eps_rule=math.sqrt if eps_rule else window.eps, R=R, tau_max=tau_max, m_cap=m_cap,
             **_thresholds_from(doc, slope="slope_threshold"),
         )
     elif variant == "thm2":
@@ -318,13 +320,13 @@ def _run_trace(cfg: ExperimentConfig):
         v1 = combine_potentials(v, model_potential(pert["kind"], **pert.get("params", {})))
         taus = _tau_grid_from(doc)
         rep = qz.theorem2_check(
-            v, v1, chi, f, taus, hs, _window_from(doc), R=R, tau_max=tau_max,
+            v, v1, chi, f, taus, hs, window, R=R, tau_max=tau_max,
             m_cap=m_cap, d_sep=float(doc.get("d_sep", 2.0)),
             **_thresholds_from(doc, slope="slope_threshold"),
         )
     else:
         rep = qz.theorem3_check(
-            v, chi, f, tau0, hs, _window_from(doc), cert, R=R, tau_max=tau_max,
+            v, chi, f, tau0, hs, window, cert, R=R, tau_max=tau_max,
             m_cap=m_cap, **_thresholds_from(doc, rel="rel_threshold", order="order_threshold"),
         )
     return _sweep_tables(rep), certificates, {variant: rep.verdict}
@@ -333,6 +335,7 @@ def _run_trace(cfg: ExperimentConfig):
 def _run_ssf(cfg: ExperimentConfig):
     doc = cfg.raw
     variant = cfg.variant
+    window, _ = _window_from(doc, variant)
     hs = [float(h) for h in doc["h_list"]]
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 2.0))
@@ -352,11 +355,10 @@ def _run_ssf(cfg: ExperimentConfig):
         return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
     elif variant == "weyl":
         taus = _tau_grid_from(doc)
-        rep = ssf_mod.weyl_check(pairs, taus, coeffs.a0(v, taus), _window_from(doc), cert,
-                                 **limits)
+        rep = ssf_mod.weyl_check(pairs, taus, coeffs.a0(v, taus), window, cert, **limits)
     else:
-        rep = ssf_mod.derivative_check(pairs, tau0, f, _window_from(doc),
-                                       coeffs.gamma0(v, tau0), cert, **limits)
+        rep = ssf_mod.derivative_check(pairs, tau0, f, window, coeffs.gamma0(v, tau0), cert,
+                                       **limits)
     return _sweep_tables(rep), certificates, {variant: rep.verdict}
 
 
@@ -385,7 +387,7 @@ def _verdict_exit_code(verdicts: dict) -> int:
 
 def report_identity_bytes(report: dict) -> bytes:
     """Canonical bytes of a report with the (non-deterministic) timings
-    stripped; two runs with equal config and seed must agree on these."""
+    stripped; two runs of one config must agree on these."""
     doc = {k: v for k, v in report.items() if k != "timings"}
     return json.dumps(doc, sort_keys=True).encode()
 

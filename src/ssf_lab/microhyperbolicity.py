@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 C1_LADDER = [float(2**k) for k in range(21)]  # doubling search 1, 2, ..., 2^20
+_COARSE = 256  # coarse direction samples of find_direction and crossing_condition
+_REFINE_STEPS = 40  # refinement rounds of find_direction
 
 
 class KernelSplitError(ValueError):
@@ -270,15 +272,14 @@ def find_direction(
     h: MatrixSymbol,
     rho0,
     kernel_tol: float | None = None,
-    coarse: int = 256,
-    refine_steps: int = 40,
 ) -> Direction | None:
     """Maximize the kernel-projected directional derivative over unit T.
 
-    Coarse sphere sampling followed by golden-section refinement (exact for
-    2n = 2 where the sphere is a circle; seeded low-discrepancy sampling plus
-    coordinate refinement in higher dimension).  Returns None when no
-    direction gives a positive value.
+    Coarse sphere sampling followed by refinement: for 2n = 2, where the
+    sphere is a circle, 256 equally spaced angles and 40 golden-section
+    steps; in higher dimension 1024 seeded random directions and 40 rounds
+    of coordinate refinement.  Returns None when no direction gives a
+    positive value.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     dim = 2 * h.n
@@ -300,18 +301,18 @@ def find_direction(
         return float(np.linalg.eigvalsh(s).min())
 
     if dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
         coarse_t = np.array([[math.cos(p), math.sin(p)] for p in angles])
         vals = _min_eigs(coarse_t, proj)
         i_best = int(np.argmax(vals))
-        lo = angles[i_best] - 2.0 * math.pi / coarse
-        hi = angles[i_best] + 2.0 * math.pi / coarse
+        lo = angles[i_best] - 2.0 * math.pi / _COARSE
+        hi = angles[i_best] + 2.0 * math.pi / _COARSE
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         c = hi - invphi * (hi - lo)
         d = lo + invphi * (hi - lo)
         fc = value(np.array([math.cos(c), math.sin(c)]))
         fd = value(np.array([math.cos(d), math.sin(d)]))
-        for _ in range(refine_steps):
+        for _ in range(_REFINE_STEPS):
             if fc > fd:
                 hi, d, fd = d, c, fc
                 c = hi - invphi * (hi - lo)
@@ -327,12 +328,12 @@ def find_direction(
         return Direction(best)
 
     rng = np.random.default_rng(0)
-    cands = rng.standard_normal((max(coarse, 1024), dim))
+    cands = rng.standard_normal((1024, dim))
     cands /= np.linalg.norm(cands, axis=1)[:, None]
     best = cands[int(np.argmax(_min_eigs(cands, proj)))]
     step = 0.5
     fbest = value(best)
-    for _ in range(refine_steps):
+    for _ in range(_REFINE_STEPS):
         improved = False
         for i in range(dim):
             for sgn in (+1.0, -1.0):
@@ -446,20 +447,17 @@ def check_on_energy_shell(
     )
 
 
-def crossing_condition(
-    v: MatrixPotential,
-    x0,
-    tau0: float,
-    level_tol: float | None = None,
-    coarse: int = 256,
-) -> CrossingResult:
+def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
     """Search a spatial direction making <T1, grad V(x0)> positive on
-    ker(V(x0) - tau0 I)."""
-    if level_tol is None:
-        level_tol = default_shell_tol(tau0)
+    ker(V(x0) - tau0 I).
+
+    Levels within ``default_shell_tol(tau0)`` of tau0 count as the kernel.
+    For n = 1 the candidates are +-1; otherwise 256 seeded random unit
+    directions.
+    """
     a = v(x0) - tau0 * np.eye(v.N)
     eig = hermitian_eigen(a)
-    mask = np.abs(eig.values) <= level_tol
+    mask = np.abs(eig.values) <= default_shell_tol(tau0)
     if not np.any(mask):
         return CrossingResult(ok=False, T1=None, C=None, kernel_dim=0,
                               best_value=-math.inf, note="no level touches tau0")
@@ -471,7 +469,7 @@ def crossing_condition(
         cands = np.array([[1.0], [-1.0]])
     else:
         rng = np.random.default_rng(0)
-        cands = np.stack([c / np.linalg.norm(c) for c in rng.standard_normal((coarse, v.n))])
+        cands = np.stack([c / np.linalg.norm(c) for c in rng.standard_normal((_COARSE, v.n))])
     vals = _min_eigs(cands, proj)
     i_best = int(np.argmax(vals))
     best, fbest = cands[i_best], float(vals[i_best])
@@ -520,16 +518,17 @@ def escape_check_dilation(
     v: MatrixPotential,
     tau0: float,
     x_range=(-8.0, 8.0),
-    allowed_tol: float = 1e-9,
     grid_points: int = 2001,
 ) -> EscapeCertificate:
     """Dilation-generator escape check for Schrodinger symbols.
 
     Certifies min-eig(2 (tau0 - e_k(x)) I - x . grad V(x)) >= C > 0 over every
-    channel k and every sampled x in the classically allowed region, and
-    reports the crude sufficient threshold sup||x.gradV/2|| + sup||V|| for
-    comparison (tau0 above it guarantees success).
+    channel k and every sampled x in the classically allowed region
+    tau0 - e_k(x) >= -1e-9 (the certificate's ``shell_tol``), and reports the
+    crude sufficient threshold sup||x.gradV/2|| + sup||V|| for comparison
+    (tau0 above it guarantees success).
     """
+    allowed_tol = 1e-9
     if v.n != 1:
         raise NotImplementedError("dilation check is implemented for n = 1")
     xs = np.linspace(x_range[0], x_range[1], grid_points)
@@ -564,7 +563,8 @@ def linearized_block_symbol(
     frozen on the invertible complement, expressed in the original frame.
 
     The conjugating matrix is taken unitary (the eigenvector matrix of the
-    hermitian H(rho0)), which keeps every block hermitian.
+    hermitian H(rho0)), which keeps every block hermitian.  The symbol
+    carries no analytic gradient; gradients fall back to finite differences.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     a = h.at(rho0)
@@ -588,11 +588,10 @@ def linearized_block_symbol(
     u_c = u[:, ~mask]
     m22 = u_c.conj().T @ a @ u_c if u_c.shape[1] else None
 
-    n2 = 2 * h.n
-    big_n = h.N
-
-    def _assemble(delta: np.ndarray) -> np.ndarray:
-        out = np.zeros((big_n, big_n), dtype=complex)
+    def _eval(x, xi):
+        delta = np.concatenate([np.atleast_1d(np.asarray(x, float)),
+                                np.atleast_1d(np.asarray(xi, float))]) - rho0
+        out = np.zeros((h.N, h.N), dtype=complex)
         if uk.shape[1]:
             blk = np.tensordot(delta, gk, axes=(0, 0))
             out[np.ix_(mask.nonzero()[0], mask.nonzero()[0])] = blk
@@ -602,23 +601,7 @@ def linearized_block_symbol(
         full = u @ out @ u.conj().T
         return 0.5 * (full + full.conj().T)
 
-    def _eval(x, xi):
-        rho = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                              np.atleast_1d(np.asarray(xi, float))])
-        return _assemble(rho - rho0)
-
-    const_grad = []
-    for i in range(n2):
-        e = np.zeros(n2)
-        e[i] = 1.0
-        const_grad.append(_assemble(e) - _assemble(np.zeros(n2)))
-    const_grad = np.stack(const_grad)
-
-    def _grad(x, xi):
-        return const_grad.copy()
-
-    return MatrixSymbol(n=h.n, N=h.N, eval=_eval, grad=_grad,
-                        name=f"linearized({h.name})")
+    return MatrixSymbol(n=h.n, N=h.N, eval=_eval, name=f"linearized({h.name})")
 
 
 @dataclass(frozen=True)
@@ -640,7 +623,6 @@ def extend_to_global(
     delta: float,
     kernel_tol: float | None = None,
     grid_points: int = 9,
-    max_halvings: int = 20,
 ) -> tuple[MatrixSymbol, ExtensionReport]:
     """Cutoff interpolation between H near rho0 and its affine/block model.
 
@@ -650,7 +632,7 @@ def extend_to_global(
     report scans check_definition on a dense grid over |rho-rho0| <= 4 delta
     plus far-field samples; delta is halved (and, if the frozen block needs
     it, C1 enlarged along the doubling ladder) until the worst slack is
-    positive.
+    positive, at most 20 times; after that the report has ``ok=False``.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     tv = _as_direction_vec(t)
@@ -711,7 +693,7 @@ def extend_to_global(
                                          far_slacks=far_slacks)
                 return hd, report
         n_halvings += 1
-        if n_halvings > max_halvings:
+        if n_halvings > 20:
             report = ExtensionReport(ok=False, delta=delta_cur, C0=base.C0,
                                      C1=C1_LADDER[-1], worst_slack=worst,
                                      n_halvings=n_halvings - 1,
@@ -766,7 +748,7 @@ class BoundaryValue:
 
 
 def _resolvent_trace_at(p: MatrixSymbol, g_field, chi: ProductCutoff, z: complex,
-                        sandwich: bool, x_order: int, quad_limit: int) -> complex:
+                        sandwich: bool, x_order: int) -> complex:
     """integral of chi * tr[(z-p)^-1 G (z-p)^-1] (or single resolvent) d rho."""
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
@@ -811,9 +793,9 @@ def _resolvent_trace_at(p: MatrixSymbol, g_field, chi: ProductCutoff, z: complex
             # the peak sharpens as eps shrinks; accuracy is audited by the
             # Richardson contraction, not by QUADPACK's own flag
             warnings.simplefilter("ignore", IntegrationWarning)
-            re, _ = quad(integrand, qa, qb, args=(0,), limit=quad_limit,
+            re, _ = quad(integrand, qa, qb, args=(0,), limit=200,
                          epsabs=1e-11, epsrel=1e-11)
-            im, _ = quad(integrand, qa, qb, args=(1,), limit=quad_limit,
+            im, _ = quad(integrand, qa, qb, args=(1,), limit=200,
                          epsabs=1e-11, epsrel=1e-11)
         total += w * (re + 1j * im)
     return 0.5 * (xb - xa) * total
@@ -826,28 +808,26 @@ def boundary_value_extrapolate(
     tau: float,
     side: int = +1,
     form: str = "sandwich",
-    eps0: float = 0.1,
     levels: int = 9,
     x_order: int = 48,
-    quad_limit: int = 200,
-    contraction: float = 1.5,
 ) -> BoundaryValue:
     """Richardson extrapolation of a resolvent integral to the real axis.
 
     ``form="sandwich"`` evaluates tr[(z-p)^-1 G (z-p)^-1]; ``form="single"``
     evaluates tr[(z-p)^-1 G] (the density route used by the localized
     coefficient cross-check).  z = tau + i*side*eps with eps halving from
-    eps0; non-convergence is flagged when the extrapolant differences stop
-    contracting by the required factor.
+    0.1; each xi-integral is one QUADPACK call with at most 200 subintervals.
+    Non-convergence is flagged when the last extrapolant differences stop
+    contracting by a factor 1.5.
     """
     if form not in ("sandwich", "single"):
         raise ValueError(f"unknown form {form!r}")
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
-    eps_list = [eps0 / 2**i for i in range(levels)]
+    eps_list = [0.1 / 2**i for i in range(levels)]
     raw = np.array([
         _resolvent_trace_at(p, g_field, chi, tau + 1j * side * eps,
-                            form == "sandwich", x_order, quad_limit)
+                            form == "sandwich", x_order)
         for eps in eps_list
     ])
     # Richardson triangle assuming an error series in powers of eps
@@ -865,7 +845,7 @@ def boundary_value_extrapolate(
     scale = max(1.0, float(np.abs(diag[-1])))
     tiny = diffs[-1] <= 1e-8 * scale
     tail = ratios[-2:][np.isfinite(ratios[-2:])]
-    converged = bool(tiny or (tail.size and np.all(tail >= contraction)))
+    converged = bool(tiny or (tail.size and np.all(tail >= 1.5)))
     return BoundaryValue(
         value=complex(diag[-1]),
         error=float(diffs[-1]) if diffs.size else 0.0,

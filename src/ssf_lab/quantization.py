@@ -363,16 +363,15 @@ def _midpoint_values(values_half: np.ndarray, mid_idx, ambiguous, m_pts: int):
     return out
 
 
-def weyl_quantize(a, grid: Grid1D, margin: float = 2.0,
-                  general_m_cap: int = 2048) -> GridOperator:
+def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     """Weyl quantization of a scalar phase-space symbol on the grid.
 
     Accepted symbols: a number (multiple of the identity), a function of x
     alone (multiplication operator; both assembled through the closed-form
     discrete delta, hence exact), a ``ProductCutoff`` g(x) k(xi) (separable
     fast path), or a general callable a(x, xi) (table path, M capped for
-    memory).  Compactly supported symbols must keep ``margin`` clear of the
-    periodic seam; the xi-factor support must sit inside the momentum window.
+    memory).  A ``ProductCutoff``'s x-support must keep 2.0 clear of the
+    periodic seam at +-R; its xi-support must sit inside the momentum window.
     """
     m_pts = grid.M
 
@@ -381,7 +380,7 @@ def weyl_quantize(a, grid: Grid1D, margin: float = 2.0,
                             matrix=float(a) * np.eye(m_pts), label=f"const({a})")
 
     if isinstance(a, ProductCutoff):
-        _check_margins(a, grid, margin)
+        _check_margins(a, grid)
         kappa = np.fft.ifft(a.k(grid.momenta_fft_order))
         delta, mid_idx, ambiguous = _index_tables(grid)
         g_mid = _midpoint_values(a.g(grid.half_nodes), mid_idx, ambiguous, m_pts)
@@ -415,11 +414,11 @@ def weyl_quantize(a, grid: Grid1D, margin: float = 2.0,
     raise TypeError(f"cannot quantize object of type {type(a)!r}")
 
 
-def _check_margins(chi: ProductCutoff, grid: Grid1D, margin: float) -> None:
+def _check_margins(chi: ProductCutoff, grid: Grid1D) -> None:
     xa, xb = chi.x_support
-    if xa < -grid.R + margin or xb > grid.R - margin:
+    if xa < -grid.R + 2.0 or xb > grid.R - 2.0:
         raise SupportMarginError(
-            f"x-support [{xa}, {xb}] violates the margin {margin} inside [-R, R)"
+            f"x-support [{xa}, {xb}] violates the margin 2.0 inside [-R, R)"
         )
     qa, qb = chi.xi_support
     if qa < -grid.p_max or qb > grid.p_max:
@@ -538,12 +537,11 @@ class WindowTheta:
 
     ``bump_at_zero`` equals 1 on |t| <= eps/4 (even, real transform);
     ``bump_positive`` is supported in eps * (1/2, 1) (one-sided, complex
-    transform).  ``eps_rule`` optionally records how eps was derived from h.
+    transform).
     """
 
     kind: str = "bump_at_zero"
     eps: float = 0.25
-    eps_rule: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("bump_at_zero", "bump_positive"):

@@ -74,10 +74,6 @@ class EigenBranchSet:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
@@ -156,7 +152,7 @@ class MatrixPotential:
             if self.n == 1 and g.shape == (self.N, self.N):
                 g = g[None, :, :]
             return np.stack([0.5 * (gi + gi.conj().T) for gi in g])
-        return _finite_difference_gradient(self.eval, x, self.n, self.N, fd_step)
+        return _finite_difference_gradient(self.eval, x, self.n, fd_step)
 
     def thresholds(self) -> np.ndarray:
         """Channel limits at infinity, computed through the same values-only
@@ -205,7 +201,9 @@ def _split_phase_point(rho, n: int):
     return rho[:n], rho[n:]
 
 
-def _finite_difference_gradient(evaluate, x, n, N, fd_step):
+def _finite_difference_gradient(evaluate, x, n, fd_step):
+    """Hermitized central differences of ``evaluate`` in each of the n
+    coordinates, with a step scaled by 1 + |x|."""
     x_arr = _as_point(x, n)
     step = fd_step if fd_step is not None else 1e-5 * (1.0 + float(np.linalg.norm(x_arr)))
     comps = []
@@ -234,20 +232,8 @@ def symbol_gradient(h: MatrixSymbol, rho, fd_step: float | None = None) -> np.nd
         g = np.asarray(h.grad(x, xi))
         return np.stack([0.5 * (gi + gi.conj().T) for gi in g])
 
-    def eval_at(pt):
-        x, xi = _split_phase_point(pt, h.n)
-        return h.eval(x, xi)
-
-    step = fd_step if fd_step is not None else 1e-5 * (1.0 + float(np.linalg.norm(rho)))
-    comps = []
-    for i in range(2 * h.n):
-        e = np.zeros(2 * h.n)
-        e[i] = step
-        if np.all(rho + e == rho) or np.all(rho - e == rho):
-            raise FloatingPointError("finite-difference step underflow at this point")
-        d = (np.asarray(eval_at(rho + e)) - np.asarray(eval_at(rho - e))) / (2.0 * step)
-        comps.append(0.5 * (d + d.conj().T))
-    return np.stack(comps)
+    return _finite_difference_gradient(lambda pt: h.eval(*_split_phase_point(pt, h.n)),
+                                       rho, 2 * h.n, fd_step)
 
 
 def branches(v: MatrixPotential, x) -> EigenBranchSet:

@@ -8,6 +8,8 @@ from ssf_lab.coefficients import (
     ThresholdError,
     _band_volume,
     _branch_grid,
+    _branch_values,
+    _turning_points,
     a0,
     bump_test_function,
     c0,
@@ -279,6 +281,20 @@ class TestLocalizedDensity:
             assert _band_volume(p, self.CHI, float(tau), grid, 1e-10) == \
                 _band_volume_rebuilt(p, self.CHI, float(tau), 24, 256, 1e-10)
 
+    def test_band_volume_root_on_scan_node(self):
+        # tau = xis[i]^2 puts the free branch exactly on the scan node xis[i],
+        # which is then taken as the root itself, without bisection
+        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        grid = _branch_grid(p, self.CHI, 96, 256)
+        tau = float(grid.xis[200] * grid.xis[200])
+        assert np.all(grid.values[:, 200, 0] == tau)
+        vol = _band_volume(p, self.CHI, tau, grid, 1e-12)
+        assert vol == _band_volume_rebuilt(p, self.CHI, tau, 96, 256, 1e-12)
+        r = math.sqrt(tau)
+        closed = (adaptive_gauss(lambda x: self.CHI.g(x), -2.0, 2.0, atol=1e-14)
+                  * adaptive_gauss(lambda q: self.CHI.k(q), -r, r, atol=1e-14))
+        assert vol == pytest.approx(closed, abs=1e-9)
+
     def test_branch_grid_built_once_per_call(self):
         base = schrodinger_symbol(model_potential("conical_crossing"))
         calls = []
@@ -416,6 +432,20 @@ class TestBatchedCoefficients:
         assert np.array_equal(prof.a0, a0(v, taus))
         assert np.array_equal(prof.gamma0, gamma0(v, taus))
         assert [repr(float(g)) for g in prof.gamma0] == [repr(gamma0(v, t)) for t in taus]
+
+    def test_turning_point_on_scan_node(self):
+        # tau equal to the branch value at a scan node: the node is a root as
+        # it stands, and the coefficients stay continuous across it
+        from ssf_lab.coefficients import DEFAULT_BOX_RADIUS, TURNING_SCAN
+
+        v = gauss_well()
+        xs = np.linspace(-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS, TURNING_SCAN)
+        tau = float(_branch_values(v, xs)[900, 0])
+        assert float(xs[900]) in _turning_points(v, np.array([tau]), xs[0], xs[-1])[0][0]
+        for coefficient in (a0, gamma0):
+            here = coefficient(v, tau)
+            assert coefficient(v, tau - 1e-9) == pytest.approx(here, rel=1e-6)
+            assert coefficient(v, tau + 1e-9) == pytest.approx(here, rel=1e-6)
 
     def test_one_turning_point_scan_per_call(self):
         from ssf_lab.coefficients import DEFAULT_BOX_RADIUS, TURNING_SCAN

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from ssf_lab import cli
+from ssf_lab import microhyperbolicity as mh
+from ssf_lab import quantization as qz
+from ssf_lab import ssf as ssf_mod
 from ssf_lab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -108,7 +113,6 @@ class TestConfigValidation:
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(self.BASE)
         assert cfg.experiment == "coeffs"
-        assert cfg.seed == 0
 
     def test_version_mismatch(self):
         doc = dict(self.BASE, schema_version=2)
@@ -349,6 +353,48 @@ class TestRun:
         }
         result = run(cfg)
         assert "weak" in result.report["verdicts"]
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _config(name: str, **changes) -> dict:
+    """A stock config with some keys replaced."""
+    with open(os.path.join(CONFIGS, f"{name}.json")) as fh:
+        return dict(json.load(fh), **changes)
+
+
+class TestWindowAndCheckBlocks:
+    @pytest.fixture
+    def no_assembly(self, monkeypatch):
+        """Fail any run that gets as far as a shell check or an operator."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached past config parsing")
+
+        monkeypatch.setattr(mh, "check_on_energy_shell", refuse)
+        monkeypatch.setattr(ssf_mod, "build_pair", refuse)
+        monkeypatch.setattr(qz, "build_schrodinger", refuse)
+
+    @pytest.mark.parametrize("name,rule", [("trace_thm3_crossing", "sqrt_h"),
+                                           ("ssf_weyl_reference", "sqrt_h"),
+                                           ("trace_thm1_free", "bogus")])
+    def test_eps_rule_not_applied_is_rejected(self, tmp_path, no_assembly, name, rule):
+        doc = _config(name, out=str(tmp_path / "o"))
+        doc["window"] = dict(doc["window"], eps_rule=rule)
+        with pytest.raises(ConfigError, match="eps_rule"):
+            run(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([doc["experiment"], "--config", str(path)]) == 1
+
+    def test_trace_fixed_direction(self, tmp_path):
+        # no single direction certifies the free shell at both xi = +1 and -1
+        doc = _config("trace_thm1_free", out=str(tmp_path / "o"),
+                      check={"box": [[-2.5, 2.5], [-2.0, 2.0]], "grid_points": 21,
+                             "mode": "fixed_T", "T": [0.0, 1.0]})
+        result = run(doc)
+        assert result.report["verdicts"] == {"thm1": "NOT_CERTIFIED"}
+        assert result.report["certificates"][0]["T"] == [0.0, 1.0]
 
 
 class TestCli:

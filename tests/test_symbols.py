@@ -134,6 +134,13 @@ class TestSymbolGradient:
             scale = max(1.0, float(np.max(np.abs(ga))))
             assert np.max(np.abs(ga - gf)) / scale < 1e-6
 
+    def test_potential_fd_gradient_matches_analytic(self):
+        # a potential without grad falls back to central differences in x
+        ref = model_potential("reference")
+        fd = MatrixPotential(n=1, N=2, eval=ref.eval, grad=None, v_infinity=ref.v_infinity)
+        for x in np.linspace(-3.0, 3.0, 25):
+            np.testing.assert_allclose(fd.gradient(x), ref.gradient(x), rtol=0, atol=1e-8)
+
     def test_step_underflow_rejected(self):
         h = MatrixSymbol(n=1, N=1, eval=lambda x, xi: np.array([[x + xi]]), grad=None)
         with pytest.raises(FloatingPointError):
