@@ -10,7 +10,7 @@ thr_k at infinity, this module evaluates
 * ``c0``      -- the weak-pairing coefficient
       (omega_n/2) sum_k int int [f(thr_k + t) - f(e_k(x) + t)] t^((n-2)/2) dt dx,
 * ``gamma0_localized`` -- the phase-space localized density, realized as the
-  tau-derivative of the cutoff band volume of the symbol.
+  tau-derivative of the cutoff band volume of the symbol xi^2 + V(x).
 
 Sign bookkeeping: the weak pairing -tr(f(P1) - f(P0)) expands with c0, while
 the counting difference N1 - N0 expands with a0 and its derivative gamma0;
@@ -41,7 +41,7 @@ import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
 from .quadrature import adaptive_gauss_batch, gauss_rule
-from .symbols import MatrixPotential, MatrixSymbol, fast_eigvalsh
+from .symbols import MatrixPotential, fast_eigvalsh, schrodinger_matrices
 
 __all__ = [
     "ThresholdError",
@@ -430,101 +430,119 @@ class LocalizedDensity:
 
 
 class _BranchGrid(NamedTuple):
-    """Sorted symbol branches on the Gauss x-nodes times an xi scan."""
+    """Sorted branches of xi^2 + V(x) on the Gauss x-nodes times an xi scan."""
 
     x: np.ndarray        # (x_order,) Gauss nodes on chi's x-support
     w: np.ndarray        # (x_order,) Gauss weights on [-1, 1]
     xis: np.ndarray      # (scan,) uniform scan of chi's xi-support
+    v: np.ndarray        # (x_order, N, N) V at the x-nodes
     values: np.ndarray   # (x_order, scan, N) branch values
 
 
-def _branch_grid(p: MatrixSymbol, chi: ProductCutoff, x_order: int,
+def _symbol_stack(v_at: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Hermitian parts of xi^2 I + V for paired rows of ``v_at`` and ``xis``."""
+    mats = schrodinger_matrices(v_at, xis)
+    return 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
+
+
+def _branch_grid(v: MatrixPotential, chi: ProductCutoff, x_order: int,
                  scan: int) -> _BranchGrid:
-    """The tau-independent branch scan shared by every band volume of one symbol."""
-    if p.n != 1:
+    """The tau-independent branch scan shared by every band volume of one
+    potential; V is evaluated once per x-node."""
+    if v.n != 1:
         raise NotImplementedError("band volume is implemented for n = 1")
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
     xn, xw = gauss_rule(x_order)
     xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
     xis = np.linspace(qa, qb, scan)
-    mats = np.stack([np.asarray(p.eval(float(x), float(q))) for x in xm for q in xis])
-    mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-    values = np.linalg.eigvalsh(mats).reshape(len(xm), len(xis), p.N)
-    return _BranchGrid(x=xm, w=xw, xis=xis, values=values)
+    v_at = np.stack([np.asarray(v.eval(float(x))) for x in xm])
+    mats = _symbol_stack(np.repeat(v_at, len(xis), axis=0), np.tile(xis, len(xm)))
+    values = np.linalg.eigvalsh(mats).reshape(len(xm), len(xis), v.N)
+    return _BranchGrid(x=xm, w=xw, xis=xis, v=v_at, values=values)
 
 
-def _band_volume(p: MatrixSymbol, chi: ProductCutoff, tau: float,
-                 grid: _BranchGrid, atol: float) -> float:
+def _branch_on(grid: _BranchGrid, node: np.ndarray, k: np.ndarray,
+               q: np.ndarray) -> np.ndarray:
+    """Branch k[i] of xi^2 + V(x) at (x-node node[i], xi = q[i]), all points
+    as one ``fast_eigvalsh`` stack."""
+    values = fast_eigvalsh(_symbol_stack(grid.v[node], q))
+    return values[np.arange(len(k)), k]
+
+
+def _band_volume(chi: ProductCutoff, tau: float, grid: _BranchGrid,
+                 atol: float) -> float:
     """Omega(tau) = int chi(x, xi) #{k : branch_k(x, xi) <= tau} dx dxi.
 
-    ``grid`` is ``_branch_grid(p, chi, ...)``; the scan brackets the branch
-    crossings of tau, which are then bisected on p itself.  The chi.k
-    integrals over the xi-cells below tau, for all x-nodes, are one batch.
+    ``grid`` is ``_branch_grid(v, chi, ...)``; its scan brackets the branch
+    crossings of tau in xi.  All brackets of all x-nodes and branches are
+    bisected in lock-step, one vectorized branch evaluation per step, each
+    stopping at width 1e-12 or after 60 steps; a crossing on a scan node is
+    that node.  The xi-cells below tau then give one batch of chi.k
+    integrals, which each x-node sums in (branch, xi) order.
     """
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
     xis = grid.xis
-    cells = []  # (x-node, a, b) in the order each node sums them
-    for j, (x, branch_grid) in enumerate(zip(grid.x, grid.values)):
-        for k in range(p.N):
-            vals = branch_grid[:, k] - tau
-
-            def hk(q, _k=k, _x=x):
-                m = np.asarray(p.eval(float(_x), float(q)))
-                return float(fast_eigvalsh(0.5 * (m + m.conj().T))[_k]) - tau
-
-            roots = []
-            head, tail = vals[:-1], vals[1:]
-            for i in np.flatnonzero((head == 0.0) | (head * tail < 0.0)):
-                if vals[i] == 0.0:
-                    roots.append(float(xis[i]))
-                else:
-                    a, b = float(xis[i]), float(xis[i + 1])
-                    fa = float(vals[i])
-                    for _ in range(60):
-                        mq = 0.5 * (a + b)
-                        fm = hk(mq)
-                        if fa * fm <= 0.0:
-                            b = mq
-                        else:
-                            a, fa = mq, fm
-                        if b - a < 1e-12:
-                            break
-                    roots.append(0.5 * (a + b))
-            edges = [qa] + roots + [qb]
-            for a, b in zip(edges[:-1], edges[1:]):
-                if b - a < 1e-13:
-                    continue
-                if hk(0.5 * (a + b)) <= 0.0:
-                    cells.append((j, a, b))
-    values = adaptive_gauss_batch(lambda owner, q: chi.k(q), [c[1] for c in cells],
-                                  [c[2] for c in cells], atol)
-    cell = [0.0] * len(grid.x)
-    for (j, _, _), value in zip(cells, values):
-        cell[j] += float(value)
+    n_x, _, n_ch = grid.values.shape
+    head = grid.values[:, :-1, :] - tau
+    tail = grid.values[:, 1:, :] - tau
+    # crossings grouped by (x-node, branch), in xi order within each group
+    j, i, k = np.nonzero((head == 0.0) | (head * tail < 0.0))
+    order = np.lexsort((i, k, j))
+    j, i, k = j[order], i[order], k[order]
+    fa = head[j, i, k]
+    roots = xis[i].copy()
+    br = np.flatnonzero(fa != 0.0)
+    a, b, fa = xis[i[br]], xis[i[br] + 1], fa[br]
+    live = np.arange(br.size)
+    for _ in range(60):
+        if live.size == 0:
+            break
+        m = 0.5 * (a[live] + b[live])
+        fm = _branch_on(grid, j[br[live]], k[br[live]], m) - tau
+        left = fa[live] * fm <= 0.0
+        b[live[left]] = m[left]
+        a[live[~left]] = m[~left]
+        fa[live[~left]] = fm[~left]
+        live = live[~(b[live] - a[live] < 1e-12)]
+    roots[br] = 0.5 * (a + b)
+    # the cells of group g are its edges qa, roots..., qb taken in pairs
+    counts = np.bincount(j * n_ch + k, minlength=n_x * n_ch)
+    ends = np.cumsum(counts)
+    lower = np.insert(roots, ends - counts, qa)
+    upper = np.insert(roots, ends, qb)
+    group = np.repeat(np.arange(n_x * n_ch), counts + 1)
+    wide = np.flatnonzero(~(upper - lower < 1e-13))
+    below = _branch_on(grid, group[wide] // n_ch, group[wide] % n_ch,
+                       0.5 * (lower[wide] + upper[wide])) - tau <= 0.0
+    cells = wide[below]
+    values = adaptive_gauss_batch(lambda owner, q: chi.k(q), lower[cells], upper[cells], atol)
+    cell = [0.0] * n_x
+    for jc, value in zip((group[cells] // n_ch).tolist(), values):
+        cell[jc] += float(value)
     total = 0.0
     for x, wx, c in zip(grid.x, grid.w, cell):
         total += wx * chi.g(float(x)) * c
     return 0.5 * (xb - xa) * total
 
 
-def gamma0_localized(p: MatrixSymbol, chi: ProductCutoff, tau: float,
+def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float,
                      x_order: int = 96, scan: int = 1024,
                      atol: float = 1e-11) -> LocalizedDensity:
-    """tau-derivative of the cutoff band volume by step-halved central
-    differences with Richardson acceleration.
+    """tau-derivative of the cutoff band volume of xi^2 + V(x) by step-halved
+    central differences with Richardson acceleration.
 
     The step starts at 0.02 and halves at most 10 times; the density has
     converged when two successive extrapolants agree to 1e-5 relative.
     Flags non-convergence (typically tau at a branch critical value) instead
     of raising.
     """
-    grid = _branch_grid(p, chi, x_order, scan)
+    grid = _branch_grid(v, chi, x_order, scan)
 
     def central(step: float) -> float:
-        up = _band_volume(p, chi, tau + step, grid, atol)
-        dn = _band_volume(p, chi, tau - step, grid, atol)
+        up = _band_volume(chi, tau + step, grid, atol)
+        dn = _band_volume(chi, tau - step, grid, atol)
         return (up - dn) / (2.0 * step)
 
     steps = [0.02]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -27,6 +28,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .bumps import ProductCutoff, ScalarPhaseFunction, radial_cutoff
 from .quadrature import gauss_rule
 from .symbols import (
+    EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
     fast_eigvalsh,
@@ -197,8 +199,25 @@ def default_kernel_tol(a: np.ndarray) -> float:
     return 1e-8 * float(np.linalg.norm(a, 2)) + 1e-12
 
 
-def _kernel_compression(a: np.ndarray, g: np.ndarray, kernel_tol: float):
-    eig = hermitian_eigen(a)
+class _Jet(NamedTuple):
+    """What the point checks read of H at one phase-space point."""
+
+    rho: np.ndarray
+    a: np.ndarray            # H(rho)
+    kernel_tol: float
+    grad: np.ndarray         # symbol_gradient(H, rho)
+    eig: EigenBranchSet      # hermitian_eigen(H(rho))
+
+
+def _jet(h: MatrixSymbol, rho, kernel_tol: float | None) -> _Jet:
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    a = h.at(rho)
+    if kernel_tol is None:
+        kernel_tol = default_kernel_tol(a)
+    return _Jet(rho, a, kernel_tol, symbol_gradient(h, rho), hermitian_eigen(a))
+
+
+def _kernel_compression(eig: EigenBranchSet, g: np.ndarray, kernel_tol: float):
     mask = np.abs(eig.values) <= kernel_tol
     if not np.any(mask):
         return None, eig, mask
@@ -219,13 +238,15 @@ def check_pointwise(
     smallest ladder C1 that makes the compensated inequality hold at rho0.
     An invertible H(rho0) passes trivially with C0 = sigma_min/2.
     """
-    rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
+    return _check_jet(h, _jet(h, rho0, kernel_tol), t)
+
+
+def _check_jet(h: MatrixSymbol, jet: _Jet, t) -> MicrohyperbolicityCertificate:
+    rho0, a, kernel_tol = jet.rho, jet.a, jet.kernel_tol
     tv = _as_direction_vec(t)
-    a = h.at(rho0)
-    if kernel_tol is None:
-        kernel_tol = default_kernel_tol(a)
-    g = directional_derivative(h, rho0, tv)
-    s, eig, mask = _kernel_compression(a, g, kernel_tol)
+    # <T, grad H> as directional_derivative forms it, T normalized once more
+    g = np.tensordot(_as_direction_vec(tv), jet.grad, axes=(0, 0))
+    s, eig, mask = _kernel_compression(jet.eig, g, kernel_tol)
 
     if s is None:
         c0 = 0.5 * float(np.min(np.abs(eig.values)))
@@ -261,11 +282,19 @@ def _min_eigs(tvecs: np.ndarray, proj: np.ndarray) -> np.ndarray:
     Each <T, proj> is a (1, dim) @ (dim, r*r) product, the one
     ``np.tensordot(T, proj, axes=(0, 0))`` makes for a single T, so every value
     is bit-identical to a single-direction call; one (k, dim) @ (dim, r*r)
-    product would round differently.
+    product would round differently.  A leading axis of ``proj`` (one
+    projection per point, with ``tvecs`` of shape (points, k, dim)) is kept as
+    a batch of such products.
     """
-    k, (dim, r, _) = len(tvecs), proj.shape
-    stacked = np.matmul(tvecs[:, None, :], proj.reshape(dim, r * r)).reshape(k, r, r)
-    return np.linalg.eigvalsh(stacked)[:, 0]
+    *lead, dim, r, _ = proj.shape
+    flat = proj.reshape(*lead, 1, dim, r * r)
+    stacked = np.matmul(tvecs[..., None, :], flat)
+    return np.linalg.eigvalsh(stacked.reshape(*stacked.shape[:-2], r, r))[..., 0]
+
+
+def _unit(phis: np.ndarray) -> np.ndarray:
+    """Rows (cos phi, sin phi), from libm's cos and sin one angle at a time."""
+    return np.array([[math.cos(p), math.sin(p)] for p in phis.tolist()]).reshape(-1, 2)
 
 
 def find_direction(
@@ -281,51 +310,74 @@ def find_direction(
     of coordinate refinement.  Returns None when no direction gives a
     positive value.
     """
-    rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
-    dim = 2 * h.n
-    if kernel_tol is None:
-        kernel_tol = default_kernel_tol(h.at(rho0))
-    grad = symbol_gradient(h, rho0)
-    a = h.at(rho0)
-    eig = hermitian_eigen(a)
-    mask = np.abs(eig.values) <= kernel_tol
-    if not np.any(mask):
-        # invertible point: any direction certifies; pick the one maximizing
-        # the full directional derivative for definiteness
-        mask = np.ones(h.N, dtype=bool)
-    vk = eig.vectors[:, mask]
-    proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
+    return _find_directions(h, [_jet(h, rho0, kernel_tol)])[0]
+
+
+def _find_directions(h: MatrixSymbol, jets: list) -> list:
+    """find_direction at every point of ``jets``.
+
+    For 2n = 2 the points whose kernel projections share rank and dtype run
+    in lock-step: the coarse scan and each golden-section step are one
+    stacked eigvalsh over the points, and every value is the one a single
+    point computes.  Higher dimensions refine point by point.
+    """
+    projs = []
+    for jet in jets:
+        mask = np.abs(jet.eig.values) <= jet.kernel_tol
+        if not np.any(mask):
+            # invertible point: any direction certifies; pick the one maximizing
+            # the full directional derivative for definiteness
+            mask = np.ones(h.N, dtype=bool)
+        vk = jet.eig.vectors[:, mask]
+        projs.append(np.stack([vk.conj().T @ gi @ vk for gi in jet.grad]))
+    if h.n != 1:
+        return [_refine_coordinates(proj) for proj in projs]
+    groups: dict = {}
+    for i, proj in enumerate(projs):
+        groups.setdefault((proj.shape[1], proj.dtype.str), []).append(i)
+    out = [None] * len(jets)
+    for members in groups.values():
+        found = _golden_section(np.stack([projs[i] for i in members]))
+        for i, d in zip(members, found):
+            out[i] = d
+    return out
+
+
+def _golden_section(projs: np.ndarray) -> list:
+    """Best unit direction on the circle for each (2, r, r) projection of
+    ``projs``: 256 coarse angles, then 40 golden-section steps, all points
+    at once; None where the best value is not positive."""
+    angles = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
+    vals = _min_eigs(_unit(angles)[None], projs)
+    i_best = np.argmax(vals, axis=1)
+    lo = angles[i_best] - 2.0 * math.pi / _COARSE
+    hi = angles[i_best] + 2.0 * math.pi / _COARSE
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = _min_eigs(np.stack([_unit(c), _unit(d)], axis=1), projs).T
+    for _ in range(_REFINE_STEPS):
+        # fc > fd keeps [lo, d] and probes a new c; otherwise [c, hi] and a new d
+        right = fc > fd
+        hi = np.where(right, d, hi)
+        lo = np.where(right, lo, c)
+        probe = np.where(right, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        fp = _min_eigs(_unit(probe)[:, None, :], projs)[:, 0]
+        c, d = np.where(right, probe, d), np.where(right, c, probe)
+        fc, fd = np.where(right, fp, fd), np.where(right, fc, fp)
+    best = _unit(0.5 * (lo + hi))
+    fbest = _min_eigs(best[:, None, :], projs)[:, 0]
+    return [None if f <= 0.0 else Direction(t) for t, f in zip(best, fbest)]
+
+
+def _refine_coordinates(proj: np.ndarray) -> Direction | None:
+    """Best unit direction in 2n > 2 dimensions for one kernel projection:
+    1024 seeded random directions, then 40 rounds of coordinate steps."""
+    dim = proj.shape[0]
 
     def value(tvec):
         s = np.tensordot(tvec, proj, axes=(0, 0))
         return float(np.linalg.eigvalsh(s).min())
-
-    if dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
-        coarse_t = np.array([[math.cos(p), math.sin(p)] for p in angles])
-        vals = _min_eigs(coarse_t, proj)
-        i_best = int(np.argmax(vals))
-        lo = angles[i_best] - 2.0 * math.pi / _COARSE
-        hi = angles[i_best] + 2.0 * math.pi / _COARSE
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc = value(np.array([math.cos(c), math.sin(c)]))
-        fd = value(np.array([math.cos(d), math.sin(d)]))
-        for _ in range(_REFINE_STEPS):
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = value(np.array([math.cos(c), math.sin(c)]))
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = value(np.array([math.cos(d), math.sin(d)]))
-        phi_best = 0.5 * (lo + hi)
-        best = np.array([math.cos(phi_best), math.sin(phi_best)])
-        if value(best) <= 0.0:
-            return None
-        return Direction(best)
 
     rng = np.random.default_rng(0)
     cands = rng.standard_normal((1024, dim))
@@ -416,18 +468,19 @@ def check_on_energy_shell(
     failures = []
     tvs = []
     t_fixed = _as_direction_vec(T) if T is not None else None
-    for rho in pts:
-        if mode == "fixed_T":
-            tv = t_fixed
-        else:
-            d = find_direction(h, rho, kernel_tol=kernel_tol)
-            if d is None:
-                failures.append(rho)
-                continue
-            tv = d.vec
-        cert = check_pointwise(h, rho, tv, kernel_tol=kernel_tol)
+    # H(rho), its gradient and eigenvectors once per point, for both searches
+    jets = [_jet(h, rho, kernel_tol) for rho in pts]
+    if mode == "fixed_T":
+        directions = [t_fixed] * len(jets)
+    else:
+        directions = [None if d is None else d.vec for d in _find_directions(h, jets)]
+    for jet, tv in zip(jets, directions):
+        if tv is None:
+            failures.append(jet.rho)
+            continue
+        cert = _check_jet(h, jet, tv)
         if not cert.valid:
-            failures.append(rho)
+            failures.append(jet.rho)
             continue
         tvs.append(tv)
         worst_c0 = min(worst_c0, cert.C0)

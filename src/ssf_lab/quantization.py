@@ -344,10 +344,15 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
 
 
 def _index_tables(grid: Grid1D):
-    m_pts = grid.M
-    i = np.arange(m_pts)
-    delta = (i[:, None] - i[None, :] + m_pts // 2) % m_pts - m_pts // 2
-    mid_idx = (2 * i[None, :] + delta) % (2 * m_pts)
+    idx = np.arange(grid.M)
+    return _index_block(grid.M, idx, idx)
+
+
+def _index_block(m_pts: int, rows: np.ndarray, cols: np.ndarray):
+    """Minimal-image lags, half-grid midpoint indices and antipodal ties for
+    the entries (rows x cols) of an M x M Weyl matrix."""
+    delta = (rows[:, None] - cols[None, :] + m_pts // 2) % m_pts - m_pts // 2
+    mid_idx = (2 * cols[None, :] + delta) % (2 * m_pts)
     # at the antipodal lag |delta| = M/2 the minimal image ties and the two
     # candidate midpoints differ by R; they are averaged to keep the matrix
     # hermitian (the phase factor is the same for both representatives)
@@ -381,14 +386,8 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
 
     if isinstance(a, ProductCutoff):
         _check_margins(a, grid)
-        kappa = np.fft.ifft(a.k(grid.momenta_fft_order))
-        delta, mid_idx, ambiguous = _index_tables(grid)
-        g_mid = _midpoint_values(a.g(grid.half_nodes), mid_idx, ambiguous, m_pts)
-        mat = g_mid * kappa[delta % m_pts]
-        mat = 0.5 * (mat + mat.conj().T)
-        if np.max(np.abs(mat.imag), initial=0.0) <= 1e-14 * max(1.0, np.max(np.abs(mat.real))):
-            mat = mat.real.copy()
-        return GridOperator(grid=grid, N=1, matrix=mat, label="weyl(product)")
+        return GridOperator(grid=grid, N=1, matrix=_product_matrix(a, grid),
+                            label="weyl(product)")
 
     if callable(a):
         n_args = len(inspect.signature(a).parameters)
@@ -412,6 +411,48 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
         return GridOperator(grid=grid, N=1, matrix=mat, label="weyl(general)")
 
     raise TypeError(f"cannot quantize object of type {type(a)!r}")
+
+
+_WEYL_BLOCK = 1 << 18  # entries per row block of a ProductCutoff's Weyl matrix
+
+
+def _product_matrix(chi: ProductCutoff, grid: Grid1D) -> np.ndarray:
+    """The hermitized Weyl matrix (B + B^H) / 2 of g(x) k(xi), with
+    B[i, j] = g(mid_ij) kappa[delta_ij % M], real when its imaginary part is
+    at most 1e-14 of its largest entry.
+
+    Built in blocks of rows, so no M x M temporary is made.  The midpoint
+    index is symmetric in (i, j) and delta_ji = -delta_ij mod M (the
+    antipodal tie included), so row i of B^T is g(mid_ij) kappa[-delta_ij % M]:
+    every entry is the product the full B would hold.  A complex result
+    (rare: k not even) takes a second pass.
+    """
+    m_pts = grid.M
+    kappa = np.fft.ifft(chi.k(grid.momenta_fft_order))
+    kappa_rev = kappa[(-np.arange(m_pts)) % m_pts]
+    g_half = chi.g(grid.half_nodes)
+    idx = np.arange(m_pts)
+    step = max(1, _WEYL_BLOCK // m_pts)
+
+    def rows_of(lo):
+        delta, mid_idx, ambiguous = _index_block(m_pts, idx[lo:lo + step], idx)
+        g_mid = _midpoint_values(g_half, mid_idx, ambiguous, m_pts)
+        lag = delta % m_pts
+        return 0.5 * (g_mid * kappa[lag] + (g_mid * kappa_rev[lag]).conj())
+
+    mat = np.empty((m_pts, m_pts))
+    imag, scale = 0.0, 0.0
+    for lo in range(0, m_pts, step):
+        block = rows_of(lo)
+        mat[lo:lo + step] = block.real
+        imag = max(imag, float(np.max(np.abs(block.imag), initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(block.real))))
+    if imag <= 1e-14 * max(1.0, scale):
+        return mat
+    mat = np.empty((m_pts, m_pts), dtype=complex)
+    for lo in range(0, m_pts, step):
+        mat[lo:lo + step] = rows_of(lo)
+    return mat
 
 
 def _check_margins(chi: ProductCutoff, grid: Grid1D) -> None:
@@ -589,9 +630,12 @@ def window_primitive(w: WindowTheta, h: float, s):
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_diagonal(a_op: GridOperator, h_op: GridOperator) -> np.ndarray:
-    """<u_j, A u_j> for every eigenvector of H; A may be per-channel scalar."""
-    vals, vecs = h_op.eigenpairs()
+def _cutoff_diagonal(a_op: GridOperator, h_op: GridOperator, cols: np.ndarray) -> np.ndarray:
+    """<u_j, A u_j> for the eigenvectors u_j of H with j in ``cols``; A may be
+    per-channel scalar.  BLAS picks its kernels by the column count, so a
+    value agrees with the one a product over all eigenvectors gives to
+    rounding, and on the stock trace configs bit for bit."""
+    vecs = h_op.eigenpairs()[1][:, cols]
     if a_op.N == h_op.N:
         t = a_op.matrix @ vecs
         return np.einsum("ij,ij->j", vecs.conj(), t)
@@ -609,17 +653,21 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
 
     ``a_op=None`` means the identity.  Returns a complex scalar (or array over
     tau); for the even window and hermitian A the imaginary part is at
-    rounding level.
+    rounding level.  <u_j, A u_j> is formed only where f(lambda_j) is not 0;
+    the other weights are exact zeros.
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
     # with a cutoff the eigenvectors are needed anyway: one solve gives both
     lam = h_op.eigenvalues() if a_op is None else h_op.eigenpairs()[0]
-    fv = np.asarray(f(lam), dtype=float) if callable(f) else np.asarray(f, dtype=float)
+    fv = np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
     if a_op is None:
         weights = fv.astype(complex)
     else:
-        weights = fv * _cutoff_diagonal(a_op, h_op)
+        cols = np.flatnonzero(fv)
+        diag = _cutoff_diagonal(a_op, h_op, cols)
+        weights = np.zeros(lam.size, dtype=np.result_type(fv, diag))
+        weights[cols] = fv[cols] * diag
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights
@@ -783,7 +831,8 @@ def theorem1_check(
     which callers use as the non-applicability control.
     """
     _require_valid(certificate)
-    eps_rule = eps_rule or (lambda h: math.sqrt(h))
+    if eps_rule is None:
+        eps_rule = math.sqrt
     tau_max = tau_max if tau_max is not None else 1.6 * abs(tau0) + 0.5
     values = []
     for h in h_list:
@@ -860,12 +909,11 @@ def theorem3_check(
     """Leading term of the localized trace: 2 pi h tr(...) against
     f(tau) * gamma0_localized(tau), with the fitted order of the residual."""
     from .coefficients import gamma0_localized
-    from .symbols import schrodinger_symbol
 
     _require_valid(certificate)
     if not window.is_even:
         raise ValueError("the leading-term check uses the even window")
-    dens = gamma0_localized(schrodinger_symbol(v), chi, tau)
+    dens = gamma0_localized(v, chi, tau)
     if not dens.converged:
         raise CertificateError("localized density did not converge at this tau")
     f_at = float(f(tau)) if callable(f) else float(f)

@@ -13,6 +13,7 @@ For n = 1 scalar coordinates are accepted everywhere.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,6 +30,7 @@ __all__ = [
     "hermitian_eigen",
     "branches",
     "symbol_gradient",
+    "schrodinger_matrices",
     "schrodinger_symbol",
     "shifted_symbol",
     "model_potential",
@@ -79,16 +81,28 @@ class EigenBranchSet:
 
 
 def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues with closed forms for N <= 2 (hot inner loops)."""
-    n = a.shape[0]
+    """Sorted eigenvalues of a hermitian matrix or a stack (..., N, N), with
+    closed forms for N <= 2 (hot inner loops).
+
+    The 2x2 form runs on each matrix's own Python scalars, so a matrix has
+    the same eigenvalues alone as in a stack; ``np.hypot`` and ``np.abs`` on
+    arrays differ from ``math.hypot`` and ``abs`` in the last bit on some
+    inputs.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
     if n == 1:
-        return np.array([a[0, 0].real])
+        return a[..., 0, :].real.copy()
     if n == 2:
-        m = 0.5 * (a[0, 0].real + a[1, 1].real)
-        d = 0.5 * (a[0, 0].real - a[1, 1].real)
-        r = math.hypot(d, abs(a[0, 1]))
-        return np.array([m - r, m + r])
+        return np.array([_eigvals_2x2(e[0].real, e[3].real, e[1])
+                         for e in a.reshape(-1, 4).tolist()]).reshape(a.shape[:-1])
     return np.linalg.eigvalsh(a)
+
+
+def _eigvals_2x2(a00: float, a11: float, a01) -> tuple:
+    m = 0.5 * (a00 + a11)
+    r = math.hypot(0.5 * (a00 - a11), abs(a01))
+    return (m - r, m + r)
 
 
 def hermitian_eigen(a: np.ndarray, atol: float = 1e-12, rtol: float = 1e-12) -> EigenBranchSet:
@@ -241,13 +255,30 @@ def branches(v: MatrixPotential, x) -> EigenBranchSet:
     return hermitian_eigen(v(x))
 
 
+def schrodinger_matrices(v_at: np.ndarray, xi) -> np.ndarray:
+    """The n = 1 Schrodinger symbol xi^2 I_N + V for V values ``v_at``
+    (..., N, N) paired with scalar momenta ``xi`` (...); the symbol of
+    ``schrodinger_symbol`` is this at one point."""
+    xi2 = xi * xi
+    if getattr(xi2, "ndim", 0):
+        xi2 = xi2[..., None, None]
+    return xi2 * _identity(np.shape(v_at)[-1]) + v_at
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def schrodinger_symbol(v: MatrixPotential) -> MatrixSymbol:
     """The symbol xi^2 I_N + V(x) with exact kinetic part and exact gradient."""
     eye = np.eye(v.N)
 
     if v.n == 1:
         def _eval(x, xi):
-            return (xi * xi) * eye + v.eval(x)
+            return schrodinger_matrices(v.eval(x), xi)
 
         def _grad(x, xi):
             gv = v.gradient(x)

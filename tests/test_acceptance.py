@@ -271,7 +271,7 @@ def test_criterion_6_coefficient_identities(vref):
 
     # localized density against the boundary-value route
     p = schrodinger_symbol(sl.model_potential("conical_crossing"))
-    dens = sl.gamma0_localized(p, CHI, 1.0)
+    dens = sl.gamma0_localized(sl.model_potential("conical_crossing"), CHI, 1.0)
     bv = sl.boundary_value_extrapolate(p, np.eye(2), CHI, 1.0, side=+1,
                                        form="single", levels=8, x_order=32)
     ok_bv = dens.converged and abs(dens.value + bv.value.imag / math.pi) <= 1e-3

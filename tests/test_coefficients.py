@@ -23,7 +23,6 @@ from ssf_lab.coefficients import (
 from ssf_lab.quadrature import adaptive_gauss, gauss_rule
 from ssf_lab.symbols import (
     MatrixPotential,
-    MatrixSymbol,
     fast_eigvalsh,
     model_potential,
     schrodinger_symbol,
@@ -199,9 +198,11 @@ class TestC0:
         assert abs(c0(vab, f) - c0(va, f) - c0(vb, f)) <= 1e-9
 
 
-def _band_volume_rebuilt(p, chi, tau, x_order, scan, atol):
-    """Reference: the band volume rebuilding its branch scan for each tau and
-    bracketing the crossings with a per-cell loop."""
+def _band_volume_rebuilt(v, chi, tau, x_order, scan, atol):
+    """Reference: the band volume rebuilding its branch scan for each tau,
+    evaluating schrodinger_symbol(v) at every point and bisecting each
+    crossing on its own with scalar branch calls."""
+    p = schrodinger_symbol(v)
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
     xn, xw = gauss_rule(x_order)
@@ -247,76 +248,117 @@ def _band_volume_rebuilt(p, chi, tau, x_order, scan, atol):
     return 0.5 * (xb - xa) * total
 
 
+# the taus gamma0_localized(v, chi, 1.0) reads: 1 +- 0.02 / 2^i
+RICHARDSON_TAUS = [1.0 + sgn * 0.02 / 2**i for i in range(11) for sgn in (1.0, -1.0)]
+
+COMPLEX_V = MatrixPotential(
+    n=1, N=2, eval=lambda x: math.exp(-x * x) * np.array([[1.5, 1j], [-1j, -0.5]]),
+    grad=lambda x: -2.0 * x * math.exp(-x * x) * np.array([[[1.5, 1j], [-1j, -0.5]]]),
+    v_infinity=np.zeros((2, 2)))
+
+_H3 = np.array([[-1.0, 0.4, 0.1j], [0.4, 0.2, 0.3], [-0.1j, 0.3, 0.8]])
+THREE_CHANNEL_V = MatrixPotential(
+    n=1, N=3, eval=lambda x: math.exp(-x * x) * _H3,
+    grad=lambda x: -2.0 * x * math.exp(-x * x) * _H3[None], v_infinity=np.zeros((3, 3)))
+
+
 class TestLocalizedDensity:
     CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 2.0))
 
     def test_closed_form_free_symbol(self):
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        out = gamma0_localized(p, self.CHI, 1.0)
+        v = model_potential("constant", v_inf=0.0, N=1)
+        out = gamma0_localized(v, self.CHI, 1.0)
         assert out.converged
         ig = adaptive_gauss(lambda x: self.CHI.g(x), -2, 2, atol=1e-13)
         oracle = ig * (self.CHI.k(1.0) + self.CHI.k(-1.0)) / (2.0 * math.sqrt(1.0))
         assert out.value == pytest.approx(oracle, rel=1e-5)
 
     def test_zero_cutoff(self):
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        v = model_potential("constant", v_inf=0.0, N=1)
         chi0 = ProductCutoff(g=Bump1D(0, 2.0, amplitude=0.0), k=Bump1D(0, 2.0))
-        out = gamma0_localized(p, chi0, 1.0)
+        out = gamma0_localized(v, chi0, 1.0)
         assert out.value == 0.0
 
     def test_band_volume_monotone(self):
-        p = schrodinger_symbol(model_potential("conical_crossing"))
-        grid = _branch_grid(p, self.CHI, 48, 512)
+        v = model_potential("conical_crossing")
+        grid = _branch_grid(v, self.CHI, 48, 512)
         taus = np.linspace(0.5, 1.5, 6)
-        vols = [_band_volume(p, self.CHI, float(t), grid, 1e-10) for t in taus]
+        vols = [_band_volume(self.CHI, float(t), grid, 1e-10) for t in taus]
         assert np.all(np.diff(vols) >= -1e-12)
 
     @pytest.mark.parametrize("kind,params", [("conical_crossing", {}),
                                              ("avoided_crossing", {"gap": 0.2}),
                                              ("reference", {})])
     def test_band_volume_shared_grid_matches_rebuild(self, kind, params):
-        p = schrodinger_symbol(model_potential(kind, **params))
-        grid = _branch_grid(p, self.CHI, 24, 256)
+        v = model_potential(kind, **params)
+        grid = _branch_grid(v, self.CHI, 24, 256)
         for tau in np.linspace(-0.3, 1.9, 5):
-            assert _band_volume(p, self.CHI, float(tau), grid, 1e-10) == \
-                _band_volume_rebuilt(p, self.CHI, float(tau), 24, 256, 1e-10)
+            assert _band_volume(self.CHI, float(tau), grid, 1e-10) == \
+                _band_volume_rebuilt(v, self.CHI, float(tau), 24, 256, 1e-10)
+
+    @pytest.mark.parametrize("v", [
+        model_potential("constant", v_inf=0.0, N=1),
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("conical_crossing"),
+        model_potential("avoided_crossing", gap=0.2),
+        model_potential("reference"),
+        COMPLEX_V,
+        THREE_CHANNEL_V,
+    ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex", "three_channel"])
+    def test_band_volume_lockstep_at_richardson_taus(self, v):
+        # the batched bisection against one scalar bisection per crossing, at
+        # every tau of one gamma0_localized call
+        grid = _branch_grid(v, self.CHI, 16, 128)
+        for tau in RICHARDSON_TAUS:
+            assert _band_volume(self.CHI, tau, grid, 1e-10) == \
+                _band_volume_rebuilt(v, self.CHI, tau, 16, 128, 1e-10)
+
+    def test_branch_grid_matches_symbol_grid(self):
+        # V broadcast over the xi scan gives the grid of the symbol's own eval
+        v = COMPLEX_V
+        grid = _branch_grid(v, self.CHI, 8, 64)
+        p = schrodinger_symbol(v)
+        mats = np.stack([np.asarray(p.eval(float(x), float(q)))
+                         for x in grid.x for q in grid.xis])
+        mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
+        assert np.array_equal(grid.values, np.linalg.eigvalsh(mats).reshape(8, 64, 2))
 
     def test_band_volume_root_on_scan_node(self):
         # tau = xis[i]^2 puts the free branch exactly on the scan node xis[i],
         # which is then taken as the root itself, without bisection
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        grid = _branch_grid(p, self.CHI, 96, 256)
+        v = model_potential("constant", v_inf=0.0, N=1)
+        grid = _branch_grid(v, self.CHI, 96, 256)
         tau = float(grid.xis[200] * grid.xis[200])
         assert np.all(grid.values[:, 200, 0] == tau)
-        vol = _band_volume(p, self.CHI, tau, grid, 1e-12)
-        assert vol == _band_volume_rebuilt(p, self.CHI, tau, 96, 256, 1e-12)
+        vol = _band_volume(self.CHI, tau, grid, 1e-12)
+        assert vol == _band_volume_rebuilt(v, self.CHI, tau, 96, 256, 1e-12)
         r = math.sqrt(tau)
         closed = (adaptive_gauss(lambda x: self.CHI.g(x), -2.0, 2.0, atol=1e-14)
                   * adaptive_gauss(lambda q: self.CHI.k(q), -r, r, atol=1e-14))
         assert vol == pytest.approx(closed, abs=1e-9)
 
     def test_branch_grid_built_once_per_call(self):
-        base = schrodinger_symbol(model_potential("conical_crossing"))
+        base = model_potential("conical_crossing")
         calls = []
 
-        def counting_eval(x, xi):
-            calls.append((x, xi))
-            return base.eval(x, xi)
+        def counting_eval(x):
+            calls.append(x)
+            return base.eval(x)
 
-        p = MatrixSymbol(n=1, N=2, eval=counting_eval, grad=base.grad)
+        v = MatrixPotential(n=1, N=2, eval=counting_eval, grad=base.grad,
+                            v_infinity=base.v_infinity)
         x_order, scan = 16, 128
-        out = gamma0_localized(p, self.CHI, 1.0, x_order=x_order, scan=scan)
-        grid = _branch_grid(base, self.CHI, x_order, scan)
-        nodes = {(float(x), float(q)) for x in grid.x for q in grid.xis}
-        # every band volume (two per step) used to rescan the whole grid
+        out = gamma0_localized(v, self.CHI, 1.0, x_order=x_order, scan=scan)
+        # every band volume (two per step) used to rescan the whole grid, and
+        # every bisection step evaluated V again
         assert 2 * len(out.steps) >= 6
-        assert sum(c in nodes for c in calls) == x_order * scan
+        assert len(calls) == x_order
 
     def test_boundary_value_route(self):
         from ssf_lab.microhyperbolicity import boundary_value_extrapolate
 
         p = schrodinger_symbol(model_potential("conical_crossing"))
-        dens = gamma0_localized(p, self.CHI, 1.0)
+        dens = gamma0_localized(model_potential("conical_crossing"), self.CHI, 1.0)
         bv = boundary_value_extrapolate(p, np.eye(2), self.CHI, 1.0, side=+1,
                                         form="single", levels=8, x_order=32)
         route2 = -bv.value.imag / math.pi

@@ -643,7 +643,8 @@ def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
     a = h.at(rho0)
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(a)
-    s, eig, _ = _kernel_compression(a, directional_derivative(h, rho0, tv), kernel_tol)
+    s, eig, _ = _kernel_compression(hermitian_eigen(a), directional_derivative(h, rho0, tv),
+                                    kernel_tol)
     if s is None:
         c0 = 0.5 * float(np.min(np.abs(eig.values)))
     else:
@@ -658,6 +659,39 @@ def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
         if slack >= 0.0:
             return dict(valid=True, C0=c0, C1=c1, margin=slack)
     return dict(valid=False, C0=c0, C1=C1_LADDER[-1], margin=best_slack)
+
+
+def _check_on_energy_shell_loop(p, tau0, box, mode, T, grid_points):
+    """(valid, C0, C1, margin, failures, per_point_T) of the shell check as
+    one find_direction and one check_pointwise per shell point."""
+    tol = default_shell_tol(tau0)
+    h = shifted_symbol(p, tau0)
+    pts = shell_sample(p, tau0, box, tol, grid_points)
+    worst_c0, worst_c1, worst_margin = math.inf, 0.0, math.inf
+    failures, tvs = [], []
+    for rho in pts:
+        if mode == "fixed_T":
+            tv = Direction.normalized(T).vec
+        else:
+            d = _find_direction_loop(h, rho, kernel_tol=tol)
+            if d is None:
+                failures.append(rho)
+                continue
+            tv = d.vec
+        cert = _check_pointwise_loop(h, rho, tv, kernel_tol=tol)
+        if not cert["valid"]:
+            failures.append(rho)
+            continue
+        tvs.append(tv)
+        worst_c0 = min(worst_c0, cert["C0"])
+        worst_c1 = max(worst_c1, cert["C1"])
+        worst_margin = min(worst_margin, cert["margin"])
+    if pts.size == 0:
+        return (False, 0.0, 0.0, 0.0, [], None)
+    if failures:
+        return (False, 0.0, worst_c1, -math.inf, [f.tolist() for f in failures], None)
+    return (True, worst_c0, worst_c1, worst_margin, [],
+            np.asarray(tvs).tolist() if mode == "per_point_T" else None)
 
 
 def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
@@ -793,6 +827,30 @@ class TestBatchedMatchesLoops:
         ref = _check_pointwise_loop(h, [0.0, 0.0], [1.0, 0.0])
         assert not cert.valid and cert.C1 == C1_LADDER[-1]
         assert {k: getattr(cert, k) for k in ref} == ref
+
+    @pytest.mark.parametrize("mode,T", [("per_point_T", None), ("fixed_T", [0.6, -0.8])])
+    @pytest.mark.parametrize("tau0", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("v", [
+        model_potential("constant", v_inf=0.0, N=1),
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("conical_crossing"),
+        model_potential("avoided_crossing", gap=0.2),
+        model_potential("reference"),
+        MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * np.array([[1.5, 1j], [-1j, -0.5]]),
+                        grad=lambda x: -2.0 * x * math.exp(-x * x) * np.array([[[1.5, 1j], [-1j, -0.5]]]),
+                        v_infinity=np.zeros((2, 2))),
+    ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex"])
+    def test_check_on_energy_shell(self, v, tau0, mode, T):
+        # the lock-step directions and shared point data against one search
+        # and one pointwise check per shell point, equal by repr
+        box = ((-3.0, 3.0), (-2.5, 2.5))
+        cert = check_on_energy_shell(schrodinger_symbol(v), tau0, box, mode=mode, T=T,
+                                     grid_points=21)
+        ref = _check_on_energy_shell_loop(schrodinger_symbol(v), tau0, box, mode, T, 21)
+        got = (cert.valid, cert.C0, cert.C1, cert.margin,
+               [np.asarray(f).tolist() for f in cert.failures],
+               None if cert.per_point_T is None else cert.per_point_T.tolist())
+        assert repr(got) == repr(ref)
 
     @pytest.mark.parametrize("tau0", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("v", [

@@ -244,6 +244,28 @@ class TestWeylQuantize:
         drift = np.max(np.abs(raw - raw.conj().T))
         assert drift <= 1e-12 * max(1.0, np.max(np.abs(raw)))
 
+    @pytest.mark.parametrize("R,tau_max,h", [(6.0, 2.56, 1 / 16), (12.0, 1.69, 1 / 16),
+                                             (6.0, 2.0, 1 / 32)],
+                             ids=["thm1", "thm2", "thm3"])
+    @pytest.mark.parametrize("k", [Bump1D(0, 2.0), Bump1D(0.3, 1.0)], ids=["even", "shifted"])
+    @pytest.mark.parametrize("block", [1 << 18, 1000], ids=["one-block", "row-blocks"])
+    def test_row_blocks_match_full_tables(self, monkeypatch, R, tau_max, h, k, block):
+        # the blocked build against the product of the full M x M tables, on
+        # the trace configs' grids; every grid has the antipodal tie
+        monkeypatch.setattr(qz, "_WEYL_BLOCK", block)
+        g = Grid1D(R=R, M=required_points(R, h, tau_max), h=h)
+        chi = ProductCutoff(g=Bump1D(0, 2.0), k=k)
+        kappa = np.fft.ifft(chi.k(g.momenta_fft_order))
+        delta, mid_idx, ambiguous = qz._index_tables(g)
+        assert np.any(ambiguous)
+        raw = qz._midpoint_values(chi.g(g.half_nodes), mid_idx, ambiguous, g.M) \
+            * kappa[delta % g.M]
+        full = 0.5 * (raw + raw.conj().T)
+        if np.max(np.abs(full.imag)) <= 1e-14 * max(1.0, np.max(np.abs(full.real))):
+            full = full.real.copy()
+        got = weyl_quantize(chi, g).matrix
+        assert got.dtype == full.dtype and np.array_equal(got, full)
+
     def test_support_margin_rejection(self):
         g = small_grid()
         wide = ProductCutoff(g=Bump1D(0, 5.5), k=Bump1D(0, 1.0))
@@ -449,6 +471,45 @@ class TestSmoothedTrace:
         assert calls == [(op.dim, op.dim)]
         assert np.array_equal(got, expect)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("diagonal_bumps", {"depths": [-1.0], "centers": [0.0], "widths": [1.0]}),
+        ("reference", {}),
+        ("constant", {"v_inf": [0.0, 0.3]}),
+    ], ids=["N1", "N2", "analytic_complex"])
+    def test_cutoff_diagonal_only_where_f_nonzero(self, kind, params):
+        # <u_j, A u_j> on the columns where f(lambda_j) != 0 against that
+        # column of the full dense product; N2 uses the per-channel scalar
+        # cutoff.  BLAS picks its kernels by the column count, so a column of
+        # a narrower product agrees to rounding, not always bit for bit.
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        op = build_schrodinger(model_potential(kind, **params), g)
+        a = weyl_quantize(CHI, g)
+        lam, vecs = op.eigenpairs()
+        if kind == "analytic_complex":
+            assert op._analytic is not None and np.iscomplexobj(vecs)
+        if op.N == 1:
+            full = np.einsum("ij,ij->j", vecs.conj(), a.matrix @ vecs)
+        else:
+            uv = vecs.reshape(g.M, op.N, -1)
+            full = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
+        cols = np.flatnonzero(bump_test_function((0.5, 1.5))(lam))
+        assert 0 < cols.size < lam.size
+        assert np.array_equal(qz._cutoff_diagonal(a, op, np.arange(lam.size)), full)
+        for sub in (cols, cols[:1], cols[:2], cols[1::3]):
+            got = qz._cutoff_diagonal(a, op, sub)
+            assert np.max(np.abs(got - full[sub])) <= 1e-14 * np.max(np.abs(full))
+
+    def test_scalar_f_is_constant_function(self):
+        # a scalar f weighs every eigenvalue alike, with and without a cutoff
+        g = small_grid(h=0.25)
+        op = build_schrodinger(model_potential("reference"), g)
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        for a in (None, weyl_quantize(CHI, g)):
+            for c in (0.7, 0.0):
+                got = smoothed_trace(a, op, c, w, [0.9, 1.0])
+                assert np.array_equal(got, smoothed_trace(a, op, lambda t: np.full_like(t, c),
+                                                          w, [0.9, 1.0]))
+
     def test_tau_vectorized(self):
         g = small_grid(h=0.25)
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
@@ -466,6 +527,19 @@ class TestTheoremCheckPlumbing:
         f = bump_test_function((0.8, 1.2))
         with pytest.raises(CertificateError):
             theorem1_check(v, CHI, f, 1.0, [1 / 8, 1 / 16, 1 / 32], None)
+
+    def test_theorem1_zero_eps_rejected(self):
+        # a fixed eps of 0 reaches WindowTheta, which rejects it; only
+        # eps_rule=None means eps = sqrt(h)
+        from ssf_lab.microhyperbolicity import check_on_energy_shell
+
+        v = model_potential("constant", v_inf=0.0, N=1)
+        cert = check_on_energy_shell(schrodinger_symbol(v), 1.0, ((-2, 2), (-2, 2)),
+                                     grid_points=21)
+        f = bump_test_function((0.8, 1.2))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            theorem1_check(v, CHI, f, 1.0, [1 / 8, 1 / 16, 1 / 32], cert, R=6.0,
+                           tau_max=1.69, eps_rule=0.0)
 
     def test_theorem2_identity_exact_zero(self):
         from ssf_lab.microhyperbolicity import check_on_energy_shell

@@ -68,6 +68,17 @@ class TestHermitianEigen:
             a = random_hermitian(rng, n)
             assert np.allclose(fast_eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fast_eigvalsh_stack_matches_single_calls(self, rng, n):
+        # a stack gives each matrix the values it gets alone, bit for bit;
+        # complex 2x2 off-diagonals are where array abs/hypot would round apart
+        stack = np.stack([random_hermitian(rng, n) for _ in range(400)]).reshape(20, 20, n, n)
+        got = fast_eigvalsh(stack)
+        assert got.shape == (20, 20, n)
+        singles = np.array([fast_eigvalsh(a) for a in stack.reshape(-1, n, n)])
+        assert np.array_equal(got.reshape(-1, n), singles)
+        assert np.array_equal(fast_eigvalsh(stack[:1, 0]), fast_eigvalsh(stack[0, 0])[None])
+
 
 class TestBranches:
     def test_diagonal_potential(self):
