@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import ssf_lab as sl
-from ssf_lab.quantization import Grid1D, WindowTheta, required_points
+from ssf_lab.quantization import WindowTheta, grid_for
 from ssf_lab.ssf import build_pair, derivative_check, weak_check, weyl_check
 
 
@@ -40,7 +40,7 @@ def main():
     pairs = {}
     for h in hs:
         t0 = time.time()
-        grid = Grid1D(R=12.0, M=required_points(12.0, h, 3.24), h=h, tau_max=3.24)
+        grid = grid_for(h, 12.0, 3.24, 8192)
         pairs[h] = build_pair(v, grid)
         pairs[h].P1.eigenvalues()
         print(f"built pair at h=1/{round(1/h)} (M={grid.M}) in {time.time()-t0:.1f}s")

@@ -332,13 +332,13 @@ def _channel_sum(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def gamma0(v: MatrixPotential, tau, n: int | None = None, atol: float = 1e-10):
+def gamma0(v: MatrixPotential, tau, atol: float = 1e-10):
     """Leading density coefficient at energy tau (a float, or an array of tau).
 
     Rejects tau within 1e-6 of a channel limit: there the integrand
     difference fails to be integrable.
     """
-    n = v.n if n is None else n
+    n = v.n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     taus, scalar = _taus(tau)
@@ -360,10 +360,10 @@ def gamma0(v: MatrixPotential, tau, n: int | None = None, atol: float = 1e-10):
     return float(out[0]) if scalar else out
 
 
-def a0(v: MatrixPotential, tau, n: int | None = None, atol: float = 1e-10):
+def a0(v: MatrixPotential, tau, atol: float = 1e-10):
     """Leading coefficient of the counting difference (a float, or an array
     of tau); needs a zero limit and rejects tau within 1e-6 of 0."""
-    n = v.n if n is None else n
+    n = v.n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if float(np.max(np.abs(v.v_infinity))) > 1e-13:
@@ -382,8 +382,7 @@ def a0(v: MatrixPotential, tau, n: int | None = None, atol: float = 1e-10):
     return float(out[0]) if scalar else out
 
 
-def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
-       atol: float = 1e-9) -> float:
+def c0(v: MatrixPotential, f: TestFunction, atol: float = 1e-9) -> float:
     """Weak-pairing coefficient: pairs with -tr(f(P1) - f(P0)).
 
     The inner energy integral runs over t in (0, inf) restricted to where
@@ -392,7 +391,7 @@ def c0(v: MatrixPotential, f: TestFunction, n: int | None = None,
     in every dimension.  Each evaluation of the outer x-integrand computes the
     inner integrals of all its nodes and channels as one batch.
     """
-    n = v.n if n is None else n
+    n = v.n
     if n not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     lo, hi = _coordinate_range(v)
@@ -584,10 +583,7 @@ class CoefficientProfile:
                 fh.write(f"{t!r},{g!r},{aa!r}\n")
 
 
-def coefficient_profile(v: MatrixPotential, taus, n: int | None = None,
-                        atol: float = 1e-10) -> CoefficientProfile:
+def coefficient_profile(v: MatrixPotential, taus, atol: float = 1e-10) -> CoefficientProfile:
     taus = np.asarray(taus, dtype=float)
-    n = v.n if n is None else n
-    g = gamma0(v, taus, n=n, atol=atol)
-    aa = a0(v, taus, n=n, atol=atol)
-    return CoefficientProfile(tau_grid=taus, gamma0=g, a0=aa, n=n)
+    return CoefficientProfile(tau_grid=taus, gamma0=gamma0(v, taus, atol=atol),
+                              a0=a0(v, taus, atol=atol), n=v.n)

@@ -299,7 +299,9 @@ def _run_trace(cfg: ExperimentConfig):
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 1.0))
     hs = [float(h) for h in doc["h_list"]]
-    R, tau_max, m_cap, _ = _grid_from(doc, default_R=6.0)
+    R, tau_max, m_cap, M = _grid_from(doc, default_R=6.0)
+    if M is not None:
+        raise ConfigError("grid.M applies to ssf configs only; trace grids follow the coverage rule")
     v = _potential_from(doc)
     certificates = []
     if variant in ("thm1", "thm3"):
@@ -375,7 +377,6 @@ _RUNNERS = {
 class RunResult:
     report: dict
     report_path: str
-    csv_paths: dict
     exit_code: int
 
 
@@ -426,7 +427,7 @@ def run(config, out_dir: str | None = None) -> RunResult:
         path = os.path.join(out, "report.json")
         with open(path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
-        return RunResult(report=report, report_path=path, csv_paths={},
+        return RunResult(report=report, report_path=path,
                          exit_code=_verdict_exit_code(verdicts))
 
     runner = _RUNNERS[cfg.experiment]
@@ -434,12 +435,10 @@ def run(config, out_dir: str | None = None) -> RunResult:
     tables, certificates, verdicts = runner(cfg)
     elapsed = time.perf_counter() - t0
 
-    csv_paths = {}
     json_tables = {}
     for name, (columns, rows) in tables.items():
         path = os.path.join(out, "data.csv" if name == "main" else f"{name}.csv")
         _csv_write(path, columns, rows)
-        csv_paths[name] = path
         json_tables[name] = {
             "columns": columns,
             "rows": [[_scalar(row[c]) for c in columns] for row in rows],
@@ -455,5 +454,4 @@ def run(config, out_dir: str | None = None) -> RunResult:
     path = os.path.join(out, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    return RunResult(report=report, report_path=path, csv_paths=csv_paths,
-                     exit_code=_verdict_exit_code(verdicts))
+    return RunResult(report=report, report_path=path, exit_code=_verdict_exit_code(verdicts))

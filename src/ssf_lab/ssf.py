@@ -70,7 +70,6 @@ class OperatorPair:
 
     P1: GridOperator
     P0: GridOperator
-    potential: MatrixPotential
 
     @property
     def grid(self) -> Grid1D:
@@ -100,8 +99,8 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> OperatorPair:
     samples = potential_samples(v, grid)
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
     if np.array_equal(samples, np.broadcast_to(free.eval(0.0), samples.shape)):
-        return OperatorPair(P1=p1, P0=p1, potential=v)
-    return OperatorPair(P1=p1, P0=build_schrodinger(free, grid), potential=v)
+        return OperatorPair(P1=p1, P0=p1)
+    return OperatorPair(P1=p1, P0=build_schrodinger(free, grid))
 
 
 def _check_window(pair: OperatorPair, f: TestFunction) -> None:
@@ -144,9 +143,6 @@ def ssf_mollified(pair: OperatorPair, w: WindowTheta, eps: float | None, tau):
     lam0 = pair.P0.eigenvalues()
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     h = pair.h
-    if pair.P1 is pair.P0:
-        out = np.zeros_like(taus)
-        return float(out[0]) if np.ndim(tau) == 0 else out
     up = window_primitive(w, h, taus[:, None] - lam1[None, :]).sum(axis=1)
     dn = window_primitive(w, h, taus[:, None] - lam0[None, :]).sum(axis=1)
     out = up - dn
@@ -215,8 +211,6 @@ def mollified_density_pairing(pair: OperatorPair, f: TestFunction, w: WindowThet
     """sum_j f(l_j^1) K(tau - l_j^1) - sum_j f(l_j^0) K(tau - l_j^0)."""
     lam1 = pair.P1.eigenvalues()
     lam0 = pair.P0.eigenvalues()
-    if pair.P1 is pair.P0:
-        return 0.0
     h = pair.h
     up = float(np.sum(f(lam1) * np.real(fourier_window(w, h, tau - lam1))))
     dn = float(np.sum(f(lam0) * np.real(fourier_window(w, h, tau - lam0))))

@@ -96,7 +96,7 @@ class TestGamma0:
             n=3, N=1,
             eval=lambda x: np.array([[-math.exp(-float(np.dot(x, x)))]]),
             grad=None, v_infinity=np.zeros((1, 1)), radial=True)
-        assert gamma0(v3, 1.0, n=3) == pytest.approx(G0_RADIAL3, rel=1e-9)
+        assert gamma0(v3, 1.0) == pytest.approx(G0_RADIAL3, rel=1e-9)
 
     def test_threshold_rejection(self):
         with pytest.raises(ThresholdError):

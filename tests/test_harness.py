@@ -387,6 +387,16 @@ class TestWindowAndCheckBlocks:
         path.write_text(json.dumps(doc))
         assert cli.main([doc["experiment"], "--config", str(path)]) == 1
 
+    def test_trace_pinned_m_is_rejected(self, tmp_path, no_assembly):
+        # trace grids follow the coverage rule; a pinned M used to be dropped
+        doc = _config("trace_thm1_free", out=str(tmp_path / "o"))
+        doc["grid"] = dict(doc["grid"], M=2048)
+        with pytest.raises(ConfigError, match="grid.M"):
+            run(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["trace", "--config", str(path)]) == 1
+
     def test_trace_fixed_direction(self, tmp_path):
         # no single direction certifies the free shell at both xi = +1 and -1
         doc = _config("trace_thm1_free", out=str(tmp_path / "o"),

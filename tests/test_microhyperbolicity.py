@@ -572,6 +572,15 @@ class TestBoundaryValues:
         with pytest.raises(ValueError):
             boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, form="weird")
 
+    def test_g_must_be_scalar_identity(self):
+        p = schrodinger_symbol(model_potential("conical_crossing"))
+        for g in (np.diag([1.0, 2.0]), lambda x, xi: np.eye(2), np.eye(3)):
+            with pytest.raises(ValueError, match="scalar multiple of the identity"):
+                boundary_value_extrapolate(p, g, self.CHI, 1.0, levels=2, x_order=4)
+        one = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, levels=2, x_order=4)
+        two = boundary_value_extrapolate(p, 2.0 * np.eye(2), self.CHI, 1.0, levels=2, x_order=4)
+        assert two.value == pytest.approx(2.0 * one.value, rel=1e-9)
+
 
 # Reference loops: the certificate layer before its small eigenproblems were
 # stacked, one eigvalsh call per direction, rung or sample.  The batched code
