@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -47,6 +48,7 @@ from .symbols import MatrixPotential
 
 __all__ = [
     "CoverageError",
+    "MemoryBudgetError",
     "SupportMarginError",
     "GridMismatchError",
     "Grid1D",
@@ -54,6 +56,7 @@ __all__ = [
     "required_points",
     "grid_for",
     "potential_samples",
+    "solve_bytes",
     "build_schrodinger",
     "weyl_quantize",
     "WindowTheta",
@@ -78,6 +81,15 @@ class CoverageError(ValueError):
     def __init__(self, msg: str, required_m: int | None = None):
         super().__init__(msg)
         self.required_m = required_m
+
+
+class MemoryBudgetError(MemoryError):
+    """An operator whose solve would need more bytes than the host's memory."""
+
+    def __init__(self, msg: str, required: int, available: int):
+        super().__init__(msg)
+        self.required = required
+        self.available = available
 
 
 class SupportMarginError(ValueError):
@@ -214,15 +226,22 @@ class GridOperator:
 
     ``eigenvalues`` uses a values-only solve; ``eigenpairs`` upgrades to a
     full decomposition (and replaces the cached values so both views stay
-    mutually consistent).  A ``matrix`` must match the grid and be hermitian
-    to 1e-11 relative; it is kept exactly hermitian.
+    mutually consistent); ``eigenvectors(cols)`` gives the columns ``cols``
+    of it.  A ``matrix`` must match the grid and be hermitian to 1e-11
+    relative; it is kept exactly hermitian.
+
+    An operator that ``build_schrodinger`` finds has no entries between its
+    N channels is split: ``eigenpairs`` solves each channel's M x M block
+    (rows and columns c::N) alone, merges the values by a stable sort and
+    makes each eigenvector zero on the other channels' rows.
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
     plane waves tensored with channel eigenvectors.  They are made with an
     ``assemble`` callable in place of the matrix, which builds the dense
     matrix on the first read of ``.matrix``; the result is checked like a
     passed matrix and kept.  An operator whose spectrum alone is read never
-    holds a dense matrix.
+    holds a dense matrix, and ``eigenvectors(cols)`` forms only those
+    columns.
     """
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
@@ -233,6 +252,7 @@ class GridOperator:
         self.N = N
         self.label = label
         self._analytic = analytic
+        self._split = False
         self._assemble = assemble
         self._matrix = None if matrix is None else _checked_hermitian(matrix, self.dim)
         self._values: np.ndarray | None = None
@@ -261,9 +281,33 @@ class GridOperator:
         if self._vectors is None:
             if self._analytic is not None:
                 self._values, self._vectors = self._analytic_pairs()
+            elif self._split:
+                self._values, self._vectors = self._split_pairs()
             else:
                 self._values, self._vectors = np.linalg.eigh(self.matrix)
         return self._values, self._vectors
+
+    def eigenvectors(self, cols) -> np.ndarray:
+        """Columns ``cols`` of the eigenvectors of ``eigenpairs``, bit for bit;
+        an analytic operator forms just these columns."""
+        if self._analytic is not None:
+            return self._plane_waves(self._analytic_order()[1][cols])
+        return self.eigenpairs()[1][:, cols]
+
+    def _split_pairs(self):
+        """One ``eigh`` per channel block.  Channel c's eigenvector j goes to
+        column rank[c M + j] of the merged order, on the rows c::N."""
+        n, m = self.N, self.grid.M
+        mat = self.matrix
+        vals, blocks = zip(*(np.linalg.eigh(mat[c::n, c::n]) for c in range(n)))
+        vals = np.concatenate(vals)
+        order = np.argsort(vals, kind="stable")
+        rank = np.empty(self.dim, dtype=np.intp)
+        rank[order] = np.arange(self.dim)
+        vectors = np.zeros((self.dim, self.dim), dtype=mat.dtype)
+        for c, block in enumerate(blocks):
+            vectors[c::n, rank[c * m:(c + 1) * m]] = block
+        return vals[order], vectors
 
     # -- analytic spectrum for constant potentials ------------------------
     def _analytic_order(self):
@@ -279,14 +323,19 @@ class GridOperator:
 
     def _analytic_pairs(self):
         vals, order = self._analytic_order()
+        return vals[order], self._plane_waves(order)
+
+    def _plane_waves(self, flat: np.ndarray) -> np.ndarray:
+        """Column j is the plane wave m tensored with channel vector k, for
+        flat[j] = m N + k."""
         _, channel_vecs = self._analytic
-        m_idx, k_idx = np.divmod(order, self.N)
+        _admit(16 * flat.size * (self.grid.M + self.dim), self.label, "the plane-wave vectors")
+        m_idx, k_idx = np.divmod(flat, self.N)
         grid = self.grid
-        # column j is the plane wave m_idx[j] tensored with channel vector k_idx[j]
         phases = np.exp(1j * np.outer(grid.nodes, grid.momenta[m_idx] / grid.h))
         phases /= math.sqrt(grid.M)
         vectors = phases[:, None, :] * channel_vecs[None, :, k_idx]
-        return vals[order], vectors.reshape(self.dim, self.dim)
+        return vectors.reshape(self.dim, flat.size)
 
 
 def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
@@ -317,20 +366,67 @@ def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     return mat
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of the host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def solve_bytes(dim: int, dtype, blocks: int = 1) -> int:
+    """Peak bytes of a dense dim x dim matrix of ``dtype`` and its ``eigh``:
+    the matrix, the eigenvector array, and LAPACK's copy of the matrix with
+    its ?syevd/?heevd workspace (about two more).  Split into ``blocks``
+    diagonal blocks, LAPACK sees one block at a time and the blocks'
+    eigenvectors are held until they are scattered."""
+    item = np.dtype(dtype).itemsize
+    size = dim // blocks
+    held = dim * size if blocks > 1 else 0
+    return item * (2 * dim * dim + held + 3 * size * size)
+
+
+def _admit(required: int, label: str, what: str) -> None:
+    available = physical_memory()
+    if required > available:
+        raise MemoryBudgetError(
+            f"{label} needs {required} B (about {required / 2**20:.0f} MiB) for {what}, "
+            f"the host has {available} B (about {available / 2**20:.0f} MiB): "
+            f"raise h or shrink R",
+            required=required, available=available,
+        )
+
+
 def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     """Kinetic circulant tensor identity plus block potential.
 
     The dense matrix is assembled at once, except for constant potentials:
     they get an analytic spectrum and a dense matrix that is built only when
-    ``.matrix`` is read.
+    ``.matrix`` is read.  A potential whose off-diagonal samples are all 0
+    gives a split operator, whose eigenpairs are solved one channel at a
+    time.
+
+    Before anything is assembled, the peak bytes of the matrix and its
+    solve (``solve_bytes``) are checked against the host's physical memory:
+    MemoryBudgetError, with both figures, when they do not fit.  An analytic
+    spectrum makes the same check for its matrix when ``.matrix`` is first
+    read, and for its complex plane-wave vectors when they are formed.
     """
     if v.n != 1:
         raise NotImplementedError("the quantization engine is one-dimensional")
     samples = potential_samples(v, grid)
     label = f"schrodinger({v.name})"
+    dim = grid.M * v.N
+    dtype = complex if np.any(samples.imag) else float
     if np.any(samples != samples[0]):
-        return GridOperator(grid=grid, N=v.N, matrix=_assemble_schrodinger(grid, samples),
-                            label=label)
+        split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
+        _admit(solve_bytes(dim, dtype, v.N if split else 1), label, "the matrix and its solve")
+        op = GridOperator(grid=grid, N=v.N, matrix=_assemble_schrodinger(grid, samples),
+                          label=label)
+        op._split = split
+        return op
+
+    def assemble():
+        _admit(np.dtype(dtype).itemsize * dim * dim, label, "the matrix")
+        return _assemble_schrodinger(grid, samples)
+
     b0 = samples[0]
     off = b0 - np.diag(np.diag(b0))
     if np.max(np.abs(off), initial=0.0) == 0.0:
@@ -339,7 +435,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     else:
         channel_vals, channel_vecs = np.linalg.eigh(b0)
     return GridOperator(grid=grid, N=v.N, label=label,
-                        assemble=lambda: _assemble_schrodinger(grid, samples),
+                        assemble=assemble,
                         analytic=(channel_vals, channel_vecs))
 
 
@@ -635,7 +731,7 @@ def _cutoff_diagonal(a_op: GridOperator, h_op: GridOperator, cols: np.ndarray) -
     per-channel scalar.  BLAS picks its kernels by the column count, so a
     value agrees with the one a product over all eigenvectors gives to
     rounding, and on the stock trace configs bit for bit."""
-    vecs = h_op.eigenpairs()[1][:, cols]
+    vecs = h_op.eigenvectors(cols)
     if a_op.N == h_op.N:
         t = a_op.matrix @ vecs
         return np.einsum("ij,ij->j", vecs.conj(), t)
@@ -658,8 +754,10 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
-    # with a cutoff the eigenvectors are needed anyway: one solve gives both
-    lam = h_op.eigenvalues() if a_op is None else h_op.eigenpairs()[0]
+    # with a cutoff the eigenvectors are needed anyway: one solve gives both,
+    # unless the spectrum is analytic and its vectors are formed by column
+    values_only = a_op is None or h_op._analytic is not None
+    lam = h_op.eigenvalues() if values_only else h_op.eigenpairs()[0]
     fv = np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
     if a_op is None:
         weights = fv.astype(complex)

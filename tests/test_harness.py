@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ssf_lab import cli
+from ssf_lab import harness
 from ssf_lab import microhyperbolicity as mh
 from ssf_lab import quantization as qz
 from ssf_lab import ssf as ssf_mod
@@ -20,7 +21,7 @@ from ssf_lab.harness import (
     run,
 )
 from ssf_lab.microhyperbolicity import escape_check_dilation
-from ssf_lab.symbols import branches
+from ssf_lab.symbols import branches, combine_potentials, model_potential
 
 
 # the free symbol has no energy shell below 0, so the general escape check
@@ -405,6 +406,54 @@ class TestWindowAndCheckBlocks:
         result = run(doc)
         assert result.report["verdicts"] == {"thm1": "NOT_CERTIFIED"}
         assert result.report["certificates"][0]["T"] == [0.0, 1.0]
+
+
+class TestMemoryAdmission:
+    class Assembled(Exception):
+        pass
+
+    def test_stock_configs_are_admitted(self, monkeypatch):
+        # the operators of every stock sweep at its finest h fit half of an
+        # 8 GB host; assembly stops at the admitted estimate, so none of them
+        # is allocated
+        def stop(grid, samples):
+            raise self.Assembled
+
+        monkeypatch.setattr(qz, "physical_memory", lambda: 4 * 2**30)
+        monkeypatch.setattr(qz, "_assemble_schrodinger", stop)
+        built = 0
+        for name in sorted(os.listdir(CONFIGS)):
+            doc = _config(name[:-len(".json")])
+            if "h_list" not in doc:
+                continue
+            g = doc["grid"]
+            grid = qz.grid_for(min(doc["h_list"]), g["R"], g["tau_max"], g["m_cap"])
+            v = harness._potential_from(doc)
+            potentials = [v, model_potential("constant", v_inf=np.diag(v.v_infinity).real,
+                                             N=v.N)]
+            if "perturbation" in doc:
+                pert = doc["perturbation"]
+                potentials.append(combine_potentials(v, model_potential(pert["kind"],
+                                                                        **pert["params"])))
+            for p in potentials:
+                try:
+                    # an analytic spectrum checks its matrix when it is read
+                    qz.build_schrodinger(p, grid).matrix
+                except self.Assembled:
+                    built += 1
+        assert built == 13
+
+    def test_cli_prints_the_figures(self, tmp_path, monkeypatch, capsys):
+        def refused(grid, samples):
+            raise AssertionError("assembled past a refused admission")
+
+        monkeypatch.setattr(qz, "physical_memory", lambda: 1 << 20)
+        monkeypatch.setattr(qz, "_assemble_schrodinger", refused)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_config("ssf_weak_reference", out=str(tmp_path / "o"))))
+        assert cli.main(["ssf", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "MemoryBudgetError" in err and f"the host has {1 << 20} B" in err
 
 
 class TestCli:

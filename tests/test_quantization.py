@@ -14,12 +14,14 @@ from ssf_lab.quantization import (
     CoverageError,
     Grid1D,
     GridMismatchError,
+    MemoryBudgetError,
     SupportMarginError,
     WindowTheta,
     build_schrodinger,
     fourier_window,
     required_points,
     smoothed_trace,
+    solve_bytes,
     sweep_verdict,
     theorem1_check,
     theorem2_check,
@@ -160,6 +162,180 @@ class TestBuildSchrodinger:
             m_idx, k_idx = divmod(flat, 2)
             expect = np.kron(phases[:, m_idx], channel_vecs[:, k_idx])
             assert np.array_equal(vecs[:, col], expect)
+
+
+def counted(monkeypatch, name):
+    """Record the shape of every matrix passed to ``np.linalg.<name>``."""
+    calls = []
+    solve = getattr(np.linalg, name)
+
+    def wrapper(m):
+        calls.append(m.shape)
+        return solve(m)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+DIAGONAL_2 = model_potential("diagonal_bumps", depths=[-1.0, 0.6], centers=[0.0, 0.5],
+                             widths=[1.0, 0.7], v_inf=[0.0, 0.3])
+
+
+class TestSplitSolve:
+    """A potential with no coupling between its channels is solved one
+    channel block at a time; coupled and one-channel potentials are not."""
+
+    @pytest.fixture(params=[DIAGONAL_2, model_potential("conical_crossing")],
+                    ids=lambda v: v.name)
+    def op(self, request):
+        return build_schrodinger(request.param, small_grid(h=1 / 16, tau_max=2.0))
+
+    def test_values_match_dense(self, op):
+        dense = np.linalg.eigvalsh(op.matrix)
+        vals = op.eigenpairs()[0]
+        assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_pairs_per_channel(self, op, monkeypatch):
+        calls = counted(monkeypatch, "eigh")
+        vals, vecs = op.eigenpairs()
+        assert calls == [(op.grid.M, op.grid.M)] * op.N
+        assert np.all(np.diff(vals) >= 0)
+        assert reconstruction_residual(op) < 1e-10
+        # every eigenvector lives on one channel's rows
+        support = np.any(vecs.reshape(op.grid.M, op.N, op.dim) != 0, axis=0)
+        assert np.array_equal(support.sum(axis=0), np.ones(op.dim))
+        assert op.eigenvectors([3, 0]).shape == (op.dim, 2)
+        assert len(calls) == op.N
+
+    def test_trace_matches_dense_solve(self, op):
+        a = weyl_quantize(CHI, op.grid)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        taus = [0.9, 1.0, 1.1]
+        dense = GridOperator(grid=op.grid, N=op.N, matrix=op.matrix)
+        expect = smoothed_trace(a, dense, f, w, taus)
+        got = smoothed_trace(a, op, f, w, taus)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("v", [
+        model_potential("reference"),
+        model_potential("avoided_crossing", gap=0.2),
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+    ], ids=lambda v: f"{v.name}-N{v.N}")
+    def test_coupled_and_scalar_not_split(self, v, monkeypatch):
+        op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
+        pairs = counted(monkeypatch, "eigh")
+        values = counted(monkeypatch, "eigvalsh")
+        op.eigenvalues()
+        op.eigenpairs()
+        assert values == pairs == [(op.dim, op.dim)]
+
+
+class TestEigenvectorColumns:
+    COUPLED = np.array([[0.3, 0.2], [0.2, 0.9]])
+
+    @pytest.mark.parametrize("v", [
+        model_potential("constant", v_inf=0.0, N=1),
+        MatrixPotential(n=1, N=2, eval=lambda x: TestEigenvectorColumns.COUPLED, grad=None,
+                        v_infinity=np.diag([0.3, 0.9]), name="coupled"),
+    ], ids=lambda v: v.name)
+    def test_columns_of_the_analytic_pairs(self, v, rng):
+        g = small_grid(h=0.25)
+        op = build_schrodinger(v, g)
+        dim = op.dim
+        picks = [np.arange(dim), np.array([0]), np.array([dim - 1, 2, 5]),
+                 np.sort(rng.choice(dim, size=dim // 3, replace=False))]
+        alone = [op.eigenvectors(cols) for cols in picks]
+        assert op._vectors is None
+        vecs = op.eigenpairs()[1]
+        for cols, got in zip(picks, alone):
+            assert np.array_equal(got, vecs[:, cols])
+
+    def test_trace_forms_only_the_read_columns(self, monkeypatch):
+        g = small_grid(h=1 / 32, tau_max=2.0)
+        v = model_potential("constant", v_inf=0.0, N=1)
+        a = weyl_quantize(CHI, g)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_positive", eps=0.5)
+        taus = np.array([0.9, 1.0])
+        # the value through the full eigenvector matrix
+        lam, vecs = build_schrodinger(v, g).eigenpairs()
+        fv = f(lam)
+        cols = np.flatnonzero(fv)
+        assert 0 < cols.size < lam.size
+        sub = vecs[:, cols]
+        weights = np.zeros(lam.size, dtype=complex)
+        weights[cols] = fv[cols] * np.einsum("ij,ij->j", sub.conj(), a.matrix @ sub)
+        expect = fourier_window(w, g.h, taus[:, None] - lam[None, :]) @ weights
+
+        def refused(self):
+            raise AssertionError("the full plane-wave eigenvector matrix was built")
+
+        monkeypatch.setattr(GridOperator, "_analytic_pairs", refused)
+        op = build_schrodinger(v, g)
+        got = smoothed_trace(a, op, f, w, taus)
+        assert op._vectors is None and op._matrix is None
+        assert np.array_equal(got, expect)
+
+
+class TestMemoryAdmission:
+    """build_schrodinger checks its estimate against the host's memory before
+    it assembles; the host's figure is patched, nothing large is allocated."""
+
+    @pytest.fixture
+    def no_assembly(self, monkeypatch):
+        def refused(grid, samples):
+            raise AssertionError("assembled past a refused admission")
+
+        monkeypatch.setattr(qz, "_assemble_schrodinger", refused)
+
+    @pytest.mark.parametrize("v,blocks", [
+        (model_potential("reference"), 1),
+        (model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]), 1),
+        (model_potential("conical_crossing"), 2),
+    ], ids=lambda p: getattr(p, "name", str(p)))
+    def test_refused_with_figures(self, monkeypatch, no_assembly, v, blocks):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        need = solve_bytes(g.M * v.N, float, blocks)
+        monkeypatch.setattr(qz, "physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryBudgetError) as err:
+            build_schrodinger(v, g)
+        assert isinstance(err.value, MemoryError)
+        assert (err.value.required, err.value.available) == (need, need - 1)
+        assert f"{need} B" in str(err.value) and "MiB" in str(err.value)
+
+    def test_admitted_at_the_estimate(self, monkeypatch):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        v = model_potential("conical_crossing")
+        monkeypatch.setattr(qz, "physical_memory", lambda: solve_bytes(2 * g.M, float, 2))
+        assert build_schrodinger(v, g).dim == 2 * g.M
+
+    def test_analytic_operator_checked_where_it_allocates(self, monkeypatch):
+        # a values-only read and a few columns fit; the matrix (8 M^2 bytes)
+        # and all plane-wave vectors (32 M^2 bytes) do not
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        monkeypatch.setattr(qz, "physical_memory", lambda: 8 * g.M * g.M - 1)
+        op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
+        assert op.eigenvalues().size == g.M
+        assert op.eigenvectors(np.array([0, 1])).shape == (g.M, 2)
+        with pytest.raises(MemoryBudgetError) as err:
+            op.matrix
+        assert err.value.required == 8 * g.M * g.M
+        with pytest.raises(MemoryBudgetError) as err:
+            op.eigenpairs()
+        assert err.value.required == 32 * g.M * g.M
+        assert op._matrix is None and op._vectors is None
+
+    def test_estimates(self):
+        m = 1000
+        # dense: matrix, vectors, LAPACK's copy and a workspace of two more
+        assert solve_bytes(2 * m, float) == 8 * 5 * (2 * m) ** 2
+        assert solve_bytes(2 * m, complex) == 2 * solve_bytes(2 * m, float)
+        # split: one block at a time in LAPACK, the blocks' vectors held
+        assert solve_bytes(2 * m, float, 2) == 8 * (2 * 4 * m * m + 2 * m * m + 3 * m * m)
+        assert solve_bytes(2 * m, float, 2) < 0.7 * solve_bytes(2 * m, float)
+        # the two-channel operator at the grid cap does not fit an 8 GB host
+        assert solve_bytes(2 * 8192, float) > 8 * 10**9
 
 
 class TestGridOperatorChecks:
