@@ -48,9 +48,10 @@ from .quantization import (
     weyl_quantize,
 )
 from .ssf import (
-    OperatorPair,
+    SpectralPair,
     build_pair,
     derivative_check,
+    mollified_density_pairing,
     ssf_counting,
     ssf_mollified,
     weak_check,

@@ -334,7 +334,7 @@ def _run_trace(cfg: ExperimentConfig):
     return _sweep_tables(rep), certificates, {variant: rep.verdict}
 
 
-def _run_ssf(cfg: ExperimentConfig):
+def _run_ssf(cfg: ExperimentConfig, shared: dict):
     doc = cfg.raw
     variant = cfg.variant
     window, _ = _window_from(doc, variant)
@@ -344,11 +344,21 @@ def _run_ssf(cfg: ExperimentConfig):
     R, tau_max, m_cap, M = _grid_from(doc, default_R=8.0)
     if M is None and tau_max is None:
         raise ConfigError("grid needs tau_max when M follows the coverage rule")
-    pairs = {h: ssf_mod.build_pair(_potential_for_h(doc, h), qz.grid_for(h, R, tau_max, m_cap, M))
-             for h in hs}
+    # spectra and certificates are shared by every ssf config of one run
+    model = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
+    pairs = {}
+    for h in hs:
+        grid = qz.grid_for(h, R, tau_max, m_cap, M)
+        key = ("pair", model, grid)
+        if key not in shared:
+            shared[key] = ssf_mod.build_pair(_potential_for_h(doc, h), grid)
+        pairs[h] = shared[key]
     # references come from the h-independent base potential
     v = _potential_from(doc)
-    cert = mh.escape_check_dilation(v, tau0)
+    key = ("escape", json.dumps(doc.get("potential"), sort_keys=True), tau0)
+    if key not in shared:
+        shared[key] = mh.escape_check_dilation(v, tau0)
+    cert = shared[key]
     certificates = [cert.to_json_dict()]
     limits = _thresholds_from(doc, order="order_threshold", rel="rel_threshold")
     if variant == "weak":
@@ -369,7 +379,6 @@ _RUNNERS = {
     "check-escape": _run_check_escape,
     "coeffs": _run_coeffs,
     "trace": _run_trace,
-    "ssf": _run_ssf,
 }
 
 
@@ -394,45 +403,42 @@ def report_identity_bytes(report: dict) -> bytes:
 
 
 def run(config, out_dir: str | None = None) -> RunResult:
-    """Execute one experiment config; write CSV data and the JSON report."""
+    """Execute one experiment config; write CSV data and the JSON report.
+
+    One call solves each (potential, h_term, grid, h) spectrum and makes
+    each (potential, tau0) escape check of its ssf configs once: the
+    children of a sweep share them.
+    """
     if isinstance(config, (str, os.PathLike)):
         cfg = ExperimentConfig.from_json(config)
     elif isinstance(config, dict):
         cfg = ExperimentConfig.from_dict(config)
     else:
         cfg = config
-    out = out_dir if out_dir is not None else cfg.out
-    os.makedirs(out, exist_ok=True)
+    return _run(cfg, out_dir if out_dir is not None else cfg.out, {})
 
+
+def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
+    os.makedirs(out, exist_ok=True)
+    t0 = time.perf_counter()
     if cfg.experiment == "sweep":
         verdicts = {}
         child_reports = []
-        t0 = time.perf_counter()
         for i, sub in enumerate(cfg.raw["experiments"]):
             sub_doc = dict(sub)
             sub_doc.setdefault("schema_version", SCHEMA_VERSION)
             sub_cfg = ExperimentConfig.from_dict(sub_doc)
-            sub_out = os.path.join(out, f"{i:02d}_{sub_cfg.experiment}")
-            result = run(sub_cfg, sub_out)
+            result = _run(sub_cfg, os.path.join(out, f"{i:02d}_{sub_cfg.experiment}"), shared)
             child_reports.append(result.report_path)
             for key, val in result.report["verdicts"].items():
                 verdicts[f"{i:02d}:{sub_cfg.experiment}:{key}"] = val
-        report = {
-            "config_echo": cfg.raw,
-            "certificates": [],
-            "tables": {"children": child_reports},
-            "verdicts": verdicts,
-            "timings": {"total_s": time.perf_counter() - t0},
-        }
-        path = os.path.join(out, "report.json")
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        return RunResult(report=report, report_path=path,
-                         exit_code=_verdict_exit_code(verdicts))
+        return _write_report(out, cfg, [], {"children": child_reports}, verdicts,
+                             time.perf_counter() - t0)
 
-    runner = _RUNNERS[cfg.experiment]
-    t0 = time.perf_counter()
-    tables, certificates, verdicts = runner(cfg)
+    if cfg.experiment == "ssf":
+        tables, certificates, verdicts = _run_ssf(cfg, shared)
+    else:
+        tables, certificates, verdicts = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - t0
 
     json_tables = {}
@@ -443,11 +449,15 @@ def run(config, out_dir: str | None = None) -> RunResult:
             "columns": columns,
             "rows": [[_scalar(row[c]) for c in columns] for row in rows],
         }
+    return _write_report(out, cfg, certificates, json_tables, verdicts, elapsed)
 
+
+def _write_report(out: str, cfg: ExperimentConfig, certificates: list, tables: dict,
+                  verdicts: dict, elapsed: float) -> RunResult:
     report = {
         "config_echo": cfg.raw,
         "certificates": certificates,
-        "tables": json_tables,
+        "tables": tables,
         "verdicts": verdicts,
         "timings": {"total_s": elapsed},
     }

@@ -2,8 +2,11 @@
 
 The perturbed operator carries the potential V, the free one its constant
 limit; both share the grid so boundary and discretization effects cancel in
-differences.  The finite-box surrogate for the shift function is the
-counting difference
+differences.  Every estimator reads only the two spectra, so ``build_pair``
+solves P1 once, reads P0's analytic spectrum and returns a ``SpectralPair``
+of sorted eigenvalues; the operators and their dense matrices do not outlive
+it.  The finite-box surrogate for the shift function is the counting
+difference
 
     s_h(tau) ~ N1(tau) - N0(tau),
 
@@ -15,10 +18,11 @@ the leading coefficients of the coefficients module:
 * 2 pi h * mollified density diff      ->  gamma0(tau)  (derivative form).
 
 The three h-sweeps below (``weak_check``, ``weyl_check``,
-``derivative_check``) end in the quantization module's ``SweepReport``:
-comparison verdicts on the last relative error and the fitted order of the
-residuals.  The Weyl-type and derivative sweeps gate themselves on the
-certificates produced by the microhyperbolicity module.
+``derivative_check``) take a dict from h to ``SpectralPair`` and end in the
+quantization module's ``SweepReport``: comparison verdicts on the last
+relative error and the fitted order of the residuals.  The Weyl-type and
+derivative sweeps gate themselves on the certificates produced by the
+microhyperbolicity module.
 """
 from __future__ import annotations
 
@@ -31,7 +35,6 @@ from .coefficients import TestFunction
 from .quantization import (
     CertificateError,
     Grid1D,
-    GridOperator,
     SweepReport,
     WindowTheta,
     build_schrodinger,
@@ -45,11 +48,12 @@ from .symbols import MatrixPotential, model_potential
 __all__ = [
     "MarginError",
     "WindowRangeError",
-    "OperatorPair",
+    "SpectralPair",
     "build_pair",
     "weak_pairing",
     "ssf_counting",
     "ssf_mollified",
+    "mollified_density_pairing",
     "weak_check",
     "weyl_check",
     "derivative_check",
@@ -65,29 +69,27 @@ class WindowRangeError(ValueError):
 
 
 @dataclass(frozen=True)
-class OperatorPair:
-    """Perturbed and free operators sharing one grid."""
+class SpectralPair:
+    """Sorted spectra of the perturbed (``lam1``) and free (``lam0``)
+    operators on one grid."""
 
-    P1: GridOperator
-    P0: GridOperator
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.P1.grid
+    grid: Grid1D
+    lam1: np.ndarray
+    lam0: np.ndarray
 
     @property
     def h(self) -> float:
         return self.grid.h
 
 
-def build_pair(v: MatrixPotential, grid: Grid1D) -> OperatorPair:
-    """Assemble (P1, P0); P0 gets the analytic constant-potential spectrum
-    and builds its dense matrix only if ``P0.matrix`` is read.  MarginError
-    when |V - V_inf| exceeds 1e-10 within 1 of the box edge.
+def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
+    """Solve P1 for its values and read P0's analytic constant-potential
+    spectrum; no dense matrix outlives the call.  MarginError when
+    |V - V_inf| exceeds 1e-10 within 1 of the box edge.
 
     If the hermitian parts of the V samples equal the limit bitwise at every
-    node, P0 *is* P1 (shared object) so every difference-based estimator
-    vanishes exactly.
+    node, ``lam0`` *is* ``lam1`` (shared object) so every difference-based
+    estimator vanishes exactly.
     """
     seam = np.linspace(grid.R - 1.0, grid.R, 9)
     worst = 0.0
@@ -95,15 +97,15 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> OperatorPair:
         worst = max(worst, float(np.max(np.abs(np.asarray(v.eval(float(x))) - v.v_infinity))))
     if worst > 1e-10:
         raise MarginError(f"|V - V_inf| = {worst:.2e} at the box edge exceeds 1e-10; enlarge R")
-    p1 = build_schrodinger(v, grid)
+    lam1 = build_schrodinger(v, grid).eigenvalues()
     samples = potential_samples(v, grid)
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
     if np.array_equal(samples, np.broadcast_to(free.eval(0.0), samples.shape)):
-        return OperatorPair(P1=p1, P0=p1)
-    return OperatorPair(P1=p1, P0=build_schrodinger(free, grid))
+        return SpectralPair(grid, lam1, lam1)
+    return SpectralPair(grid, lam1, build_schrodinger(free, grid).eigenvalues())
 
 
-def _check_window(pair: OperatorPair, f: TestFunction) -> None:
+def _check_window(pair: SpectralPair, f: TestFunction) -> None:
     tau_max = pair.grid.tau_max
     if tau_max is None:
         tau_max = pair.grid.reliable_tau_max()
@@ -113,34 +115,31 @@ def _check_window(pair: OperatorPair, f: TestFunction) -> None:
         )
 
 
-def weak_pairing(pair: OperatorPair, f: TestFunction) -> float:
+def weak_pairing(pair: SpectralPair, f: TestFunction) -> float:
     """-[sum_j f(lambda_j^1) - sum_j f(lambda_j^0)] over the full spectra."""
     _check_window(pair, f)
-    s1 = float(np.sum(f(pair.P1.eigenvalues())))
-    s0 = float(np.sum(f(pair.P0.eigenvalues())))
+    s1 = float(np.sum(f(pair.lam1)))
+    s0 = float(np.sum(f(pair.lam0)))
     return -(s1 - s0)
 
 
-def ssf_counting(pair: OperatorPair, tau) -> int | np.ndarray:
+def ssf_counting(pair: SpectralPair, tau) -> int | np.ndarray:
     """Counting difference N1(tau) - N0(tau); ties count by multiplicity."""
-    lam1 = pair.P1.eigenvalues()
-    lam0 = pair.P0.eigenvalues()
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    n1 = np.searchsorted(lam1, taus, side="right")
-    n0 = np.searchsorted(lam0, taus, side="right")
+    n1 = np.searchsorted(pair.lam1, taus, side="right")
+    n0 = np.searchsorted(pair.lam0, taus, side="right")
     out = (n1 - n0).astype(int)
     return int(out[0]) if np.ndim(tau) == 0 else out
 
 
-def ssf_mollified(pair: OperatorPair, w: WindowTheta, eps: float | None, tau):
+def ssf_mollified(pair: SpectralPair, w: WindowTheta, eps: float | None, tau):
     """Mollified counting difference: each eigenvalue contributes a smoothed
     step (the primitive of the window kernel) instead of a unit jump."""
     if not w.is_even:
         raise ValueError("mollified counting uses the even window")
     if eps is not None:
         w = w.with_eps(eps)
-    lam1 = pair.P1.eigenvalues()
-    lam0 = pair.P0.eigenvalues()
+    lam1, lam0 = pair.lam1, pair.lam0
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     h = pair.h
     up = window_primitive(w, h, taus[:, None] - lam1[None, :]).sum(axis=1)
@@ -154,7 +153,7 @@ def _descending(pairs: dict) -> np.ndarray:
 
 
 def weak_check(
-    pairs: dict[float, OperatorPair],
+    pairs: dict[float, SpectralPair],
     f: TestFunction,
     c0_reference: float,
     order_threshold: float = 1.5,
@@ -163,7 +162,7 @@ def weak_check(
     """2 pi h * weak pairing against the closed-form c0(f), with the fitted
     order of the residual; residuals all below 1e-12 count as exact.
 
-    ``pairs`` maps h to an OperatorPair.  The weak asymptotics need no
+    ``pairs`` maps h to a SpectralPair.  The weak asymptotics need no
     certificate.
     """
     hs = _descending(pairs)
@@ -173,7 +172,7 @@ def weak_check(
 
 
 def weyl_check(
-    pairs: dict[float, OperatorPair],
+    pairs: dict[float, SpectralPair],
     taus,
     a0_reference,
     w: WindowTheta,
@@ -184,7 +183,7 @@ def weyl_check(
     """sup-tau error of 2 pi h * mollified counting against the closed-form
     leading coefficient a0 on ``taus``, with the fitted order of the remainder.
 
-    ``pairs`` maps h to an OperatorPair.  The report's values are the sup
+    ``pairs`` maps h to a SpectralPair.  The report's values are the sup
     errors, its reference is max |a0| and its relative errors are the sup of
     the pointwise ones.  Requires a valid shell or escape certificate for
     the window.
@@ -206,11 +205,10 @@ def weyl_check(
                          rel_errors=sup_rel)
 
 
-def mollified_density_pairing(pair: OperatorPair, f: TestFunction, w: WindowTheta,
+def mollified_density_pairing(pair: SpectralPair, f: TestFunction, w: WindowTheta,
                               tau) -> float:
     """sum_j f(l_j^1) K(tau - l_j^1) - sum_j f(l_j^0) K(tau - l_j^0)."""
-    lam1 = pair.P1.eigenvalues()
-    lam0 = pair.P0.eigenvalues()
+    lam1, lam0 = pair.lam1, pair.lam0
     h = pair.h
     up = float(np.sum(f(lam1) * np.real(fourier_window(w, h, tau - lam1))))
     dn = float(np.sum(f(lam0) * np.real(fourier_window(w, h, tau - lam0))))
@@ -218,7 +216,7 @@ def mollified_density_pairing(pair: OperatorPair, f: TestFunction, w: WindowThet
 
 
 def derivative_check(
-    pairs: dict[float, OperatorPair],
+    pairs: dict[float, SpectralPair],
     tau0: float,
     f: TestFunction,
     w: WindowTheta,

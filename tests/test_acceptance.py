@@ -47,7 +47,6 @@ def vref_family(vref):
         grid = Grid1D(R=R_BOX, M=required_points(R_BOX, h, TAU_MAX), h=h,
                       tau_max=TAU_MAX)
         pairs[h] = build_pair(vref, grid)
-        pairs[h].P1.eigenvalues()  # force the one dense solve per h
     return pairs
 
 

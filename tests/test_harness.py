@@ -251,7 +251,8 @@ class TestRun:
         import ssf_lab.ssf as ssf_mod
 
         hs = [1 / 8, 1 / 16, 1 / 32]
-        monkeypatch.setattr(ssf_mod, "build_pair", lambda v, grid: None)
+        monkeypatch.setattr(ssf_mod, "build_pair",
+                            lambda v, grid: ssf_mod.SpectralPair(grid, np.zeros(1), np.zeros(1)))
         monkeypatch.setattr(ssf_mod, "weak_pairing", lambda pair, f: 1.0)
         monkeypatch.setattr(coefficients, "c0",
                             lambda v, f: 2.0 * math.pi * hs[exact_at] * 1.0)
@@ -454,6 +455,57 @@ class TestMemoryAdmission:
         assert cli.main(["ssf", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "MemoryBudgetError" in err and f"the host has {1 << 20} B" in err
+
+
+class TestSsfReferenceSweep:
+    STOCK = ("ssf_weak_reference", "ssf_weyl_reference", "ssf_derivative_reference")
+
+    def test_children_are_the_stock_configs(self):
+        # the stock files stay the single-config entry points: the sweep's
+        # children must not drift from them
+        children = _config("ssf_reference")["experiments"]
+        assert len(children) == len(self.STOCK)
+        for child, name in zip(children, self.STOCK):
+            stock = _config(name)
+            del stock["out"], stock["schema_version"]
+            assert child == stock
+
+    def test_children_share_spectra(self, tmp_path, monkeypatch):
+        # a short ladder on a small box: weak at h = 1/4 .. 1/16, the other
+        # two at h = 1/8 .. 1/32, so four distinct grids between them
+        ladders = ([1 / 4, 1 / 8, 1 / 16], [1 / 8, 1 / 16, 1 / 32], [1 / 8, 1 / 16, 1 / 32])
+        children = [dict(_config(name), grid={"R": 7.0, "tau_max": 3.24, "m_cap": 8192},
+                         h_list=hs) for name, hs in zip(self.STOCK, ladders)]
+        for doc in children:
+            del doc["out"]
+        dims = {2 * qz.grid_for(h, 7.0, 3.24, 8192).M for h in (1 / 4, 1 / 8, 1 / 16, 1 / 32)}
+        solves = []
+        escapes = []
+        eigvalsh = np.linalg.eigvalsh
+        escape = mh.escape_check_dilation
+
+        def count_solve(a, *args, **kwargs):
+            if np.ndim(a) == 2 and len(a) in dims:
+                solves.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def count_escape(*args, **kwargs):
+            escapes.append(args)
+            return escape(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", count_solve)
+        monkeypatch.setattr(mh, "escape_check_dilation", count_escape)
+        sweep = run({"schema_version": 1, "experiment": "sweep", "experiments": children},
+                    str(tmp_path / "sweep"))
+        assert sorted(solves) == sorted(dims)
+        assert len(escapes) == 1
+        for i, (doc, path) in enumerate(zip(children, sweep.report["tables"]["children"])):
+            with open(path) as fh:
+                shared = json.load(fh)
+            alone = run(dict(doc, schema_version=1), str(tmp_path / f"alone{i}"))
+            assert report_identity_bytes(shared) == report_identity_bytes(alone.report)
+        # run alone, each child solves its own three grids
+        assert len(solves) == len(dims) + 9
 
 
 class TestCli:

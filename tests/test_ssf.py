@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -11,11 +12,13 @@ from ssf_lab.quantization import (
     CoverageError,
     Grid1D,
     WindowTheta,
+    build_schrodinger,
     required_points,
 )
+from ssf_lab import ssf as ssf_mod
 from ssf_lab.ssf import (
     MarginError,
-    OperatorPair,
+    SpectralPair,
     WindowRangeError,
     build_pair,
     mollified_density_pairing,
@@ -47,7 +50,7 @@ class SSFEstimate:
                 fh.write(f"{t!r},{v!r},{self.method},{self.h!r},{self.eps!r}\n")
 
 
-def ssf_estimate(pair: OperatorPair, taus, method: str = "mollified_counting",
+def ssf_estimate(pair: SpectralPair, taus, method: str = "mollified_counting",
                  w: WindowTheta | None = None, eps: float | None = None) -> SSFEstimate:
     taus = np.asarray(taus, dtype=float)
     if method == "counting":
@@ -88,23 +91,43 @@ def gauss_well(depth=-1.0):
     return model_potential("diagonal_bumps", depths=[depth], centers=[0.0], widths=[1.0])
 
 
+def make_grid(h=1 / 16, R=12.0, tau_max=2.0):
+    return Grid1D(R=R, M=required_points(R, h, tau_max), h=h, tau_max=tau_max)
+
+
 def make_pair(v, h=1 / 16, R=12.0, tau_max=2.0):
-    grid = Grid1D(R=R, M=required_points(R, h, tau_max), h=h, tau_max=tau_max)
-    return build_pair(v, grid)
+    return build_pair(v, make_grid(h, R, tau_max))
+
+
+def free_potential(v):
+    return model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The operators ``build_pair`` builds, in order (P1, then P0)."""
+    ops = []
+
+    def spy(v, grid):
+        ops.append(build_schrodinger(v, grid))
+        return ops[-1]
+
+    monkeypatch.setattr(ssf_mod, "build_schrodinger", spy)
+    return ops
 
 
 class TestBuildPair:
     def test_degenerate_shares_operator(self):
         v = model_potential("constant", v_inf=[0.4, 1.0], N=2)
         pair = make_pair(v)
-        assert pair.P0 is pair.P1
+        assert pair.lam0 is pair.lam1
 
     def test_difference_supported_on_potential(self):
         v = model_potential("reference")
-        pair = make_pair(v)
-        diff = pair.P1.matrix - pair.P0.matrix
+        grid = make_grid()
+        diff = build_schrodinger(v, grid).matrix - build_schrodinger(free_potential(v), grid).matrix
         # the kinetic parts cancel: what is left is the block potential
-        nodes = pair.grid.nodes
+        nodes = grid.nodes
         for j in (0, len(nodes) // 2, len(nodes) - 1):
             sl = slice(j * 2, (j + 1) * 2)
             assert np.allclose(diff[sl, sl], v(nodes[j]) - v.v_infinity, atol=1e-12)
@@ -115,33 +138,49 @@ class TestBuildPair:
 
     def test_trace_of_difference(self):
         v = model_potential("reference")
-        pair = make_pair(v)
-        lhs = float(np.trace(pair.P1.matrix - pair.P0.matrix).real)
-        rhs = float(sum(np.trace(v(x) - v.v_infinity).real for x in pair.grid.nodes))
+        grid = make_grid()
+        p1 = build_schrodinger(v, grid)
+        p0 = build_schrodinger(free_potential(v), grid)
+        lhs = float(np.trace(p1.matrix - p0.matrix).real)
+        rhs = float(sum(np.trace(v(x) - v.v_infinity).real for x in grid.nodes))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("v", [gauss_well(), model_potential("reference")],
                              ids=lambda v: v.name)
-    def test_free_operator_assembled_only_on_demand(self, v, kron_reference):
+    def test_free_operator_assembled_only_on_demand(self, v, kron_reference, built):
         pair = make_pair(v)
         f = bump_test_function((0.8, 1.2))
         w = WindowTheta("bump_at_zero", eps=0.25)
         weak_pairing(pair, f)
         ssf_mollified(pair, w, None, [0.9, 1.0, 1.1])
         mollified_density_pairing(pair, f, w, 1.0)
-        assert pair.P0 is not pair.P1
-        assert pair.P0._matrix is None
-        free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
-        assert np.array_equal(pair.P0.matrix, kron_reference(free, pair.grid))
-        assert pair.P0.matrix is pair.P0.matrix
+        assert pair.lam0 is not pair.lam1
+        _, p0 = built
+        assert p0._matrix is None
+        assert np.array_equal(p0.matrix, kron_reference(free_potential(v), pair.grid))
+        assert p0.matrix is p0.matrix
 
-    def test_degeneracy_decided_from_samples(self):
+    def test_degeneracy_decided_from_samples(self, built):
         # a perturbation far below the rounding of the kinetic diagonal
         # still makes P1 differ from P0
         v = gauss_well(depth=1e-300)
         pair = make_pair(v)
-        assert pair.P0 is not pair.P1
-        assert pair.P0._matrix is None
+        assert pair.lam0 is not pair.lam1
+        _, p0 = built
+        assert p0._matrix is None
+
+    def test_no_operator_outlives_the_call(self, monkeypatch):
+        refs = []
+
+        def spy(v, grid):
+            op = build_schrodinger(v, grid)
+            refs.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(ssf_mod, "build_schrodinger", spy)
+        pair = make_pair(model_potential("reference"))
+        assert len(refs) == 2 and refs[0]() is None and refs[1]() is None
+        assert pair.lam1.shape == pair.lam0.shape == (2 * pair.grid.M,)
 
     def test_margin_rejection(self):
         wide = model_potential("diagonal_bumps", depths=[1.0], centers=[0.0], widths=[6.0])
@@ -173,7 +212,7 @@ class TestWeakPairing:
         pair = make_pair(v, h=1 / 16, R=16.0, tau_max=2.0)
         f = bump_test_function((0.8, 1.2))
         got = weak_pairing(pair, f)
-        lam0 = pair.P0.eigenvalues()
+        lam0 = pair.lam0
         d = 1e-6
         fp = (f(lam0 + d) - f(lam0 - d)) / (2 * d)
         vbar = float(np.mean(c * np.exp(-((pair.grid.nodes / 3.0) ** 2))))
@@ -187,8 +226,8 @@ class TestWeakPairing:
         v = gauss_well()
         pair = make_pair(v, h=1 / 8)
         f = bump_test_function((0.4, 1.4))
-        lam1 = pair.P1.eigenvalues()
-        lam0 = pair.P0.eigenvalues()
+        lam1 = pair.lam1
+        lam0 = pair.lam0
         events = np.concatenate([lam1, lam0])
         signs = np.concatenate([np.ones_like(lam1), -np.ones_like(lam0)])
         order = np.argsort(events, kind="stable")
@@ -231,12 +270,12 @@ class TestCounting:
 
     def test_vectorized_and_step_structure(self):
         pair = make_pair(gauss_well(), h=0.1)
-        lam1 = pair.P1.eigenvalues()
+        lam1 = pair.lam1
         taus = np.array([lam1[3] - 1e-9, lam1[3], lam1[3] + 1e-9])
         vals = ssf_counting(pair, taus)
         assert vals[2] >= vals[0]
         # constant between consecutive eigenvalues
-        merged = np.sort(np.concatenate([lam1, pair.P0.eigenvalues()]))
+        merged = np.sort(np.concatenate([lam1, pair.lam0]))
         mid1 = 0.5 * (merged[10] + merged[11])
         mid2 = 0.4 * merged[10] + 0.6 * merged[11]
         assert ssf_counting(pair, mid1) == ssf_counting(pair, mid2)
@@ -251,14 +290,14 @@ class TestMollified:
     def test_vanishes_below_spectrum(self):
         pair = make_pair(gauss_well())
         w = WindowTheta("bump_at_zero", eps=0.25)
-        lam_min = min(pair.P1.eigenvalues().min(), pair.P0.eigenvalues().min())
+        lam_min = min(pair.lam1.min(), pair.lam0.min())
         far = lam_min - 2000.0 * pair.h / w.eps
         assert ssf_mollified(pair, w, None, far) == 0.0
 
     def test_close_to_counting(self):
         pair = make_pair(gauss_well(), h=1 / 16)
         w = WindowTheta("bump_at_zero", eps=0.25)
-        lam = np.sort(np.concatenate([pair.P1.eigenvalues(), pair.P0.eigenvalues()]))
+        lam = np.sort(np.concatenate([pair.lam1, pair.lam0]))
         for tau in (0.5, 1.0):
             smooth = ssf_mollified(pair, w, None, tau)
             stair = ssf_counting(pair, tau)
