@@ -18,11 +18,12 @@ multiplication operators come out exactly diagonal.
 Smoothed spectral traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over
 the eigenpairs, where K is the scaled inverse Fourier transform of a window
 theta(t/eps): K(s) = (eps/h) Phi(eps s / h) with an h-independent profile
-Phi cached per window shape.  Phi is tabulated once per process and shape on
-26 081 spline knots (four uniform segments up to y = 1200) by a 768-node
-Gauss rule; on each segment the phase exp(i u y) is split into a coarse and
-a fine factor, so the table is a few small matrix products and never a
-knots x nodes phase matrix.
+Phi cached per window shape.  Phi and Phi' are tabulated once per process
+and shape on 26 081 knots (four uniform segments up to y = 1200) by a
+768-node Gauss rule; on each segment the phase exp(i u y) is split into a
+coarse and a fine factor, so the tables are a few small matrix products and
+never a knots x nodes phase matrix.  Between knots Phi is interpolated by
+piecewise cubic Hermite polynomials.
 
 Every h-sweep of the package ends in one ``SweepReport`` from
 ``sweep_verdict``: a value per h, the relative errors against a reference,
@@ -40,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bumps import ProductCutoff, bump_profile, transition
 from .quadrature import gauss_rule
@@ -190,16 +190,17 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([c[1:], c]), m)[:, ::-1]
 
 
-_CHECK_BLOCK = 1 << 20  # entries per row block of the hermiticity check
+_CHECK_TILE = 256  # side of the square tiles of the hermiticity check
 
 
 def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
     """``matrix`` made exactly hermitian; ValueError when its shape does not
     match ``dim`` or its hermiticity defect exceeds 1e-11 of its largest entry.
 
-    Defect and scale are taken over blocks of rows, so no temporary of the
-    matrix's size is formed.  A matrix whose defect is exactly 0 is returned
-    as it is, since (A + A^H) / 2 equals A then.
+    Defect and scale are taken over square tiles: each tile A[I, J] with
+    I <= J against A[J, I]^H, so no temporary of the matrix's size is formed
+    and both operands stay in cache.  A matrix whose defect is exactly 0 is
+    returned as it is, since (A + A^H) / 2 equals A then.
     """
     matrix = np.asarray(matrix)
     if matrix.shape != (dim, dim):
@@ -207,11 +208,13 @@ def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
     if matrix.dtype.kind not in "fc":
         matrix = matrix.astype(float)
     scales, defects = [], []
-    step = max(1, _CHECK_BLOCK // dim)
-    for lo in range(0, dim, step):
-        rows = matrix[lo:lo + step]
-        scales.append(np.max(np.abs(rows)))
-        defects.append(np.max(np.abs(rows - matrix[:, lo:lo + step].conj().T)))
+    for lo in range(0, dim, _CHECK_TILE):
+        rows = slice(lo, lo + _CHECK_TILE)
+        for lo2 in range(lo, dim, _CHECK_TILE):
+            cols = slice(lo2, lo2 + _CHECK_TILE)
+            upper, lower = matrix[rows, cols], matrix[cols, rows]
+            scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
+            defects.append(np.max(np.abs(upper - lower.conj().T)))
     scale = float(np.max(scales)) or 1.0
     defect = float(np.max(defects))
     if defect > 1e-11 * scale:
@@ -571,7 +574,7 @@ def _check_margins(chi: ProductCutoff, grid: Grid1D) -> None:
 _PROFILE_CACHE: dict[str, "_WindowProfile"] = {}
 _PROFILE_YMAX = 1200.0  # the one-sided window tail is Gevrey-slow
 _GL_ORDER = 768
-# uniform knot segments (start, stop, step) of the profile splines
+# uniform knot segments (start, stop, step) of the profile tables
 _PROFILE_SEGMENTS = (
     (0.0, 16.0, 0.002),
     (16.0, 64.0, 0.01),
@@ -592,23 +595,33 @@ def _theta_eval(kind: str, t):
 
 
 def _segment_phase_sum(seg: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w_k exp(i u_k y) for every knot y of one uniform segment.
+    """sum_k w[r, k] exp(i u_k y) for every weight row r and every knot y of
+    one uniform segment, as an array (rows, knots).
 
     With a block size B ~ sqrt(n), each knot is y[bB + j] = y[bB] + (y[j] - y[0]),
     so exp(i u y) factors into a coarse and a fine phase and the whole segment
-    is one (n/B x 768) @ (768 x B) product: (n/B + B) * 768 exponentials
+    is one (rows * n/B x 768) @ (768 x B) product: (n/B + B) * 768 exponentials
     instead of n * 768, and no n x 768 phase matrix.
     """
     n = seg.size
     block = math.isqrt(n - 1) + 1
     coarse = np.exp(1j * np.outer(seg[::block], u))
-    coarse *= w
+    coarse = (w[:, None, :] * coarse).reshape(-1, u.size)
     fine = np.exp(1j * np.outer(seg[:block] - seg[0], u))
-    return (coarse @ fine.T).ravel()[:n]
+    return (coarse @ fine.T).reshape(w.shape[0], -1)[:, :n]
 
 
 class _WindowProfile:
-    """h-independent profile Phi(y) = (1/2pi) int theta(u) exp(i u y) du."""
+    """h-independent profile Phi(y) = (1/2pi) int theta(u) exp(i u y) du.
+
+    Phi and Phi' are tabulated on the knots ``ys`` and interpolated by cubic
+    Hermite polynomials, one per cell between neighbouring knots.  Each cell
+    keeps its Horner coefficients in the local coordinate t in [0, 1]; a
+    point finds its cell by arithmetic on the uniform segment that holds it.
+    The even profile is real and also keeps the primitive: the exact
+    integral of every cell before it plus the integral over the partial cell.
+    Phi is 0 beyond ``ys[-1]`` and the primitive is constant there.
+    """
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -622,35 +635,63 @@ class _WindowProfile:
         mid, half = 0.5 * (supp[0] + supp[1]), 0.5 * (supp[1] - supp[0])
         u = mid + half * un
         w = half * uw * _theta_eval(kind, u)
-        vals = np.concatenate([_segment_phase_sum(seg, u, w) for seg in segments])
-        vals /= 2.0 * math.pi
+        table = np.concatenate(
+            [_segment_phase_sum(seg, u, np.stack([w, 1j * u * w])) for seg in segments],
+            axis=1)
+        table /= 2.0 * math.pi
         self.even = kind == "bump_at_zero"
         self.ys = ys
         if self.even:
-            vals = vals.real
-            self._re = CubicSpline(ys, vals)
-            self._im = None
-            anti = self._re.antiderivative()
-            self._anti = anti
-            self.total = 2.0 * float(anti(ys[-1]))
-        else:
-            self._re = CubicSpline(ys, vals.real)
-            self._im = CubicSpline(ys, vals.imag)
-            self._anti = None
-            self.total = None
+            table = table.real
+        vals, ders = table
+        # segment i covers [start_i, start_{i+1}) in cells of width step_i; the
+        # last cell of a segment ends on the first knot of the next, and the
+        # last knot ys[-1] starts no cell
+        self._starts = np.array([seg[0] for seg in _PROFILE_SEGMENTS])
+        steps = np.array([seg[2] for seg in _PROFILE_SEGMENTS])
+        self._inv_steps = 1.0 / steps
+        sizes = np.array([seg.size for seg in segments])
+        self._offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self._last_cell = sizes - 1
+        self._last_cell[-1] -= 1
+        d = np.repeat(steps, sizes)[:-1]
+        f0, f1, g0, g1 = vals[:-1], vals[1:], d * ders[:-1], d * ders[1:]
+        # p(t) = c0 + c1 t + c2 t^2 + c3 t^3 on each cell
+        self._coef = np.stack([f0, g0, 3.0 * (f1 - f0) - 2.0 * g0 - g1,
+                               2.0 * (f0 - f1) + g0 + g1])
+        self.total = None
+        if self.even:
+            # exact cell integrals d (f0 + f1) / 2 + d^2 (f0' - f1') / 12, and
+            # the primitive's coefficients on each cell
+            cells = d * (0.5 * (f0 + f1) + (g0 - g1) / 12.0)
+            self._before = np.concatenate([[0.0], np.cumsum(cells[:-1])])
+            self._anti = d * self._coef / np.array([1.0, 2.0, 3.0, 4.0])[:, None]
+            self.total = 2.0 * float(self._primitive_part(ys[-1:])[0])
+
+    def _locate(self, ay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and local coordinate t of each point 0 <= ay <= ys[-1]."""
+        seg = np.searchsorted(self._starts, ay, side="right") - 1
+        pos = (ay - self._starts[seg]) * self._inv_steps[seg]
+        k = np.minimum(np.floor(pos), self._last_cell[seg])
+        return self._offsets[seg] + k.astype(np.intp), pos - k
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
         inside = ay <= self.ys[-1]
-        re = np.zeros_like(ay)
-        re[inside] = self._re(ay[inside])
+        cell, t = self._locate(ay[inside])
+        c0, c1, c2, c3 = (c[cell] for c in self._coef)
+        out = np.zeros(ay.shape, dtype=self._coef.dtype)
+        out[inside] = c0 + t * (c1 + t * (c2 + t * c3))
         if self.even:
-            return re
-        im = np.zeros_like(ay)
-        im[inside] = self._im(ay[inside])
-        out = re + 1j * im
+            return out
         return np.where(y >= 0, out, np.conj(out))
+
+    def _primitive_part(self, ay: np.ndarray) -> np.ndarray:
+        """int_0^{ay} Phi(u) du for 0 <= ay <= ys[-1]."""
+        cell, t = self._locate(ay)
+        q1, q2, q3, q4 = (q[cell] for q in self._anti)
+        return self._before[cell] + t * (q1 + t * (q2 + t * (q3 + t * q4)))
 
     def primitive(self, y):
         """int_{-inf}^{y} Phi(u) du (even profiles only)."""
@@ -658,7 +699,7 @@ class _WindowProfile:
             raise ValueError("primitive is only defined for the even window")
         y = np.asarray(y, dtype=float)
         ay = np.clip(np.abs(y), 0.0, self.ys[-1])
-        part = self._anti(ay)
+        part = self._primitive_part(ay)
         return 0.5 * self.total + np.sign(y) * part
 
 

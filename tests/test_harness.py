@@ -513,6 +513,14 @@ class TestCli:
         return subprocess.run([sys.executable, "-m", "ssf_lab.cli", *args],
                               capture_output=True, text=True)
 
+    def test_imports_without_scipy(self):
+        # the package and its CLI need numpy alone; scipy is a test dependency
+        code = ("import sys, ssf_lab, ssf_lab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_missing_config(self, tmp_path):
         proc = self._run("coeffs", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 1

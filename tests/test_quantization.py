@@ -339,9 +339,11 @@ class TestMemoryAdmission:
 
 
 class TestGridOperatorChecks:
-    @pytest.fixture(params=[1 << 20, 64], ids=["one-block", "row-blocks"])
+    # one tile covers the 32 x 32 matrix, or tiles of side 7, which 32 is not
+    # a multiple of
+    @pytest.fixture(params=[256, 7], ids=["one-block", "row-blocks"])
     def block(self, request, monkeypatch):
-        monkeypatch.setattr(qz, "_CHECK_BLOCK", request.param)
+        monkeypatch.setattr(qz, "_CHECK_TILE", request.param)
 
     def hermitian(self, rng, g):
         a = rng.standard_normal((g.M, g.M))
@@ -378,6 +380,27 @@ class TestGridOperatorChecks:
         g = small_grid(h=0.5, M=32)
         a = self.hermitian(rng, g)
         assert GridOperator(grid=g, N=1, matrix=a).matrix is a
+
+    def test_stock_tiles(self, rng):
+        # dim 300 is one full tile of 256 and a partial one of 44
+        dim = 300
+        assert dim % qz._CHECK_TILE != 0
+        g = small_grid(h=0.5, M=dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = a + a.conj().T
+        assert np.any(a.imag[np.triu_indices(dim, 1)] != 0)
+        # an exactly hermitian complex matrix passes and is kept as it is
+        assert GridOperator(grid=g, N=1, matrix=a).matrix is a
+        # a defect only in the lower off-diagonal tile still raises
+        bad = a.copy()
+        bad[280, 10] += 1e-9 * np.max(np.abs(a))
+        with pytest.raises(ValueError, match="hermiticity defect"):
+            GridOperator(grid=g, N=1, matrix=bad)
+        # below the threshold it is averaged away
+        near = a.copy()
+        near[280, 10] += 1e-13j * np.max(np.abs(a))
+        op = GridOperator(grid=g, N=1, matrix=near)
+        assert np.array_equal(op.matrix, 0.5 * (near + near.conj().T))
 
     def test_matrix_or_assembler_required(self):
         g = small_grid(h=0.5, M=32)
@@ -539,12 +562,37 @@ class TestWindowProfile:
         idx = np.unique(np.concatenate([
             np.arange(0, self.YS.size, 7), seams - 1, seams, [self.YS.size - 1]]))
         ref = _direct_profile(kind, self.YS[idx])
-        # the splines interpolate, so at the knots they return the tabulated values
+        # the interpolant passes through the knots, so there it returns the
+        # tabulated values
         got = prof(self.YS[idx])
         if kind == "bump_at_zero":
-            assert prof._im is None
+            assert np.isrealobj(got)
             ref = ref.real
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind, atol", [("bump_at_zero", 1e-13), ("bump_positive", 1e-11)])
+    def test_between_knots(self, kind, atol):
+        # cell midpoints, where interpolation errs most: every 5th cell of each
+        # segment, the cells across the seams and the last cell.  The cubic
+        # Hermite table and the earlier not-a-knot spline both pass.
+        prof = qz._WindowProfile(kind)
+        mids = 0.5 * (self.YS[1:] + self.YS[:-1])
+        seams = np.cumsum([8000, 4800, 3840])
+        idx = np.unique(np.concatenate([
+            np.arange(0, mids.size, 5), seams - 2, seams - 1, seams, [mids.size - 1]]))
+        ys = mids[idx]
+        ref = _direct_profile(kind, ys)
+        got = prof(ys)
+        if kind == "bump_at_zero":
+            ref = ref.real
+            # int_{-inf}^y Phi = 1/2 + (1/pi) int_0^1 theta(u) sin(u y) / u du,
+            # here by its own Gauss rule on (0, 1)
+            un, uw = gauss_rule(qz._GL_ORDER)
+            u = 0.5 + 0.5 * un
+            wt = 0.5 * uw * qz._theta_eval(kind, u)
+            prim = 0.5 + (np.sin(np.outer(ys, u)) / u) @ wt / math.pi
+            np.testing.assert_allclose(prof.primitive(ys), prim, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
     def test_build_memory_is_bounded(self):
         # numpy reports its buffers to tracemalloc; the full 26081 x 768 phase
