@@ -34,6 +34,8 @@ the ssf module holds the weak, Weyl-type and derivative sweeps.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import inspect
 import math
 import os
@@ -194,19 +196,20 @@ _CHECK_TILE = 256  # side of the square tiles of the hermiticity check
 
 
 def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """``matrix`` made exactly hermitian; ValueError when its shape does not
-    match ``dim`` or its hermiticity defect exceeds 1e-11 of its largest entry.
+    """``matrix`` as float64 or complex128, made exactly hermitian; ValueError
+    when its shape does not match ``dim``, an entry is NaN or infinite, or
+    its hermiticity defect exceeds 1e-11 of its largest entry.
 
     Defect and scale are taken over square tiles: each tile A[I, J] with
     I <= J against A[J, I]^H, so no temporary of the matrix's size is formed
-    and both operands stay in cache.  A matrix whose defect is exactly 0 is
-    returned as it is, since (A + A^H) / 2 equals A then.
+    and both operands stay in cache; the pairs cover every entry, and a
+    pair with a non-finite scale is refused.  A matrix whose defect is
+    exactly 0 is returned as it is, since (A + A^H) / 2 equals A then.
     """
     matrix = np.asarray(matrix)
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not match grid")
-    if matrix.dtype.kind not in "fc":
-        matrix = matrix.astype(float)
+    matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)
     scales, defects = [], []
     for lo in range(0, dim, _CHECK_TILE):
         rows = slice(lo, lo + _CHECK_TILE)
@@ -214,6 +217,8 @@ def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
             cols = slice(lo2, lo2 + _CHECK_TILE)
             upper, lower = matrix[rows, cols], matrix[cols, rows]
             scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
+            if not np.all(np.isfinite(scales[-2:])):
+                raise ValueError("matrix has a non-finite entry")
             defects.append(np.max(np.abs(upper - lower.conj().T)))
     scale = float(np.max(scales)) or 1.0
     defect = float(np.max(defects))
@@ -224,27 +229,104 @@ def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
 
+@functools.cache
+def _lapack_evd() -> dict | None:
+    """numpy's own ILP64 ``dsyevd`` and ``zheevd``, by dtype, or None when
+    the LAPACK numpy links exports neither naming (MKL, Accelerate, an LP64
+    system LAPACK).  The OpenBLAS bundled in numpy's wheels prefixes its
+    symbols ``scipy_``; that is a symbol name, not the scipy package."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    char, ptr, i64 = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)
+    for prefix in ("scipy_", ""):
+        try:
+            dsyevd, zheevd = (getattr(lib, f"{prefix}{name}_64_") for name in ("dsyevd", "zheevd"))
+        except AttributeError:
+            continue
+        # jobz, uplo, n, a, lda, w, work, lwork, [rwork, lrwork,] iwork, liwork, info
+        dsyevd.argtypes = [char, char, i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64]
+        zheevd.argtypes = [char, char, i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, i64, i64]
+        dsyevd.restype = zheevd.restype = None
+        return {np.dtype(float): dsyevd, np.dtype(complex): zheevd}
+    return None
+
+
+def _evd(a: np.ndarray, vectors: bool):
+    """Eigenvalues of the hermitian matrix ``a``, and with ``vectors`` its
+    eigenvectors as C-contiguous columns, bit for bit those of
+    ``np.linalg.eigvalsh``/``eigh``; the solve overwrites ``a``.
+
+    ``a`` goes to ?syevd/?heevd in place, with numpy's arguments: uplo 'L'
+    and the optimal workspace of a size query (a smaller one changes the
+    blocking of the tridiagonal reduction, and so the bits).  LAPACK reads
+    the C-ordered buffer as its transpose, which is A itself once a complex
+    matrix is conjugated.  The eigenvectors come back in that transposed
+    order and are copied out after the workspace is freed.  Where numpy's
+    LAPACK does not export the routines, numpy solves a copy.
+    """
+    routines = _lapack_evd()
+    if routines is None:
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    n = a.shape[0]
+    if a.shape != (n, n) or a.dtype not in routines or not a.flags.c_contiguous:
+        raise ValueError(f"cannot solve a {a.shape} {a.dtype} matrix in place")
+    routine = routines[a.dtype]
+    is_complex = a.dtype.kind == "c"
+    if is_complex:
+        np.conjugate(a, out=a)
+    jobz = b"V" if vectors else b"N"
+    w = np.empty(n)
+
+    def call(work, rwork, iwork, sizes):
+        dim, info = ctypes.c_int64(n), ctypes.c_int64(0)
+        lwork, lrwork, liwork = (ctypes.c_int64(size) for size in sizes)
+        args = [jobz, b"L", dim, a.ctypes.data, dim, w.ctypes.data, work.ctypes.data, lwork]
+        if is_complex:
+            args += [rwork.ctypes.data, lrwork]
+        routine(*args, iwork.ctypes.data, liwork, info)
+        return info.value
+
+    work, rwork, iwork = np.zeros(1, a.dtype), np.zeros(1), np.zeros(1, np.int64)
+    call(work, rwork, iwork, (-1, -1, -1))
+    sizes = int(work[0].real), int(rwork[0]), int(iwork[0])
+    work, rwork, iwork = np.empty(sizes[0], a.dtype), np.empty(sizes[1]), np.empty(sizes[2], np.int64)
+    info = call(work, rwork, iwork, sizes)
+    del work, rwork, iwork
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info < 0:
+        raise ValueError(f"argument {-info} of the eigensolver is illegal")
+    return (w, a.T.copy()) if vectors else w
+
+
 class GridOperator:
     """Dense hermitian operator on the grid with a lazy eigendecomposition.
 
     ``eigenvalues`` uses a values-only solve; ``eigenpairs`` upgrades to a
     full decomposition (and replaces the cached values so both views stay
     mutually consistent); ``eigenvectors(cols)`` gives the columns ``cols``
-    of it.  A ``matrix`` must match the grid and be hermitian to 1e-11
-    relative; it is kept exactly hermitian.
+    of it.  A ``matrix`` must match the grid, be finite and be hermitian to
+    1e-11 relative; it is kept exactly hermitian, as float64 or complex128.
+
+    A dense solve runs LAPACK in place (``_evd``), so it holds one matrix,
+    not the matrix and a copy.  An operator made with an ``assemble``
+    callable in place of the matrix gives its matrix to the solve and drops
+    it; a later read of ``.matrix`` assembles it again.  An operator made
+    from a caller's array keeps it unchanged and solves a copy.
 
     An operator that ``build_schrodinger`` finds has no entries between its
-    N channels is split: ``eigenpairs`` solves each channel's M x M block
-    (rows and columns c::N) alone, merges the values by a stable sort and
-    makes each eigenvector zero on the other channels' rows.
+    N channels is split: ``eigenpairs`` copies each channel's M x M block
+    (rows and columns c::N) out, drops the matrix, solves each block alone,
+    merges the values by a stable sort and makes each eigenvector zero on
+    the other channels' rows.
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
-    plane waves tensored with channel eigenvectors.  They are made with an
-    ``assemble`` callable in place of the matrix, which builds the dense
-    matrix on the first read of ``.matrix``; the result is checked like a
-    passed matrix and kept.  An operator whose spectrum alone is read never
-    holds a dense matrix, and ``eigenvectors(cols)`` forms only those
-    columns.
+    plane waves tensored with channel eigenvectors.  Their matrix is built
+    on the first read of ``.matrix``, checked like a passed matrix and kept.
+    An operator whose spectrum alone is read never holds a dense matrix,
+    and ``eigenvectors(cols)`` forms only those columns.
     """
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
@@ -269,15 +351,28 @@ class GridOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = _checked_hermitian(self._assemble(), self.dim)
-            self._assemble = None
         return self._matrix
+
+    def _release(self) -> None:
+        """Drop the held matrix if it can be assembled again."""
+        if self._assemble is not None:
+            self._matrix = None
+
+    def _solve_input(self) -> np.ndarray:
+        """The matrix for an in-place solve: the held one, released, or a
+        copy of a caller's array."""
+        mat = self.matrix
+        if self._assemble is None:
+            return mat.copy()
+        self._release()
+        return np.ascontiguousarray(mat)
 
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
             if self._analytic is not None:
                 self._values = self._analytic_values()
             else:
-                self._values = np.linalg.eigvalsh(self.matrix)
+                self._values = _evd(self._solve_input(), vectors=False)
         return self._values
 
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +382,7 @@ class GridOperator:
             elif self._split:
                 self._values, self._vectors = self._split_pairs()
             else:
-                self._values, self._vectors = np.linalg.eigh(self.matrix)
+                self._values, self._vectors = _evd(self._solve_input(), vectors=True)
         return self._values, self._vectors
 
     def eigenvectors(self, cols) -> np.ndarray:
@@ -298,16 +393,21 @@ class GridOperator:
         return self.eigenpairs()[1][:, cols]
 
     def _split_pairs(self):
-        """One ``eigh`` per channel block.  Channel c's eigenvector j goes to
-        column rank[c M + j] of the merged order, on the rows c::N."""
+        """One solve per channel block.  Channel c's eigenvector j goes to
+        column rank[c M + j] of the merged order, on the rows c::N.  The
+        matrix is dropped before the blocks are solved, and the merged
+        eigenvector array is made after."""
         n, m = self.N, self.grid.M
         mat = self.matrix
-        vals, blocks = zip(*(np.linalg.eigh(mat[c::n, c::n]) for c in range(n)))
+        blocks = [mat[c::n, c::n].copy() for c in range(n)]
+        del mat
+        self._release()
+        vals, blocks = zip(*(_evd(block, vectors=True) for block in blocks))
         vals = np.concatenate(vals)
         order = np.argsort(vals, kind="stable")
         rank = np.empty(self.dim, dtype=np.intp)
         rank[order] = np.arange(self.dim)
-        vectors = np.zeros((self.dim, self.dim), dtype=mat.dtype)
+        vectors = np.zeros((self.dim, self.dim), dtype=blocks[0].dtype)
         for c, block in enumerate(blocks):
             vectors[c::n, rank[c * m:(c + 1) * m]] = block
         return vals[order], vectors
@@ -375,11 +475,14 @@ def physical_memory() -> int:
 
 
 def solve_bytes(dim: int, dtype, blocks: int = 1) -> int:
-    """Peak bytes of a dense dim x dim matrix of ``dtype`` and its ``eigh``:
-    the matrix, the eigenvector array, and LAPACK's copy of the matrix with
-    its ?syevd/?heevd workspace (about two more).  Split into ``blocks``
+    """Bytes of a dense dim x dim matrix of ``dtype`` and its ``eigh``: the
+    matrix, the eigenvector array, and a copy of the matrix with the
+    ?syevd/?heevd workspace (about two more).  Split into ``blocks``
     diagonal blocks, LAPACK sees one block at a time and the blocks'
-    eigenvectors are held until they are scattered."""
+    eigenvectors are held until they are scattered.
+
+    The solve runs in place (``_evd``), so no copy is made and this is an
+    upper bound: a values-only solve peaks at about the matrix alone."""
     item = np.dtype(dtype).itemsize
     size = dim // blocks
     held = dim * size if blocks > 1 else 0
@@ -418,17 +521,18 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     label = f"schrodinger({v.name})"
     dim = grid.M * v.N
     dtype = complex if np.any(samples.imag) else float
-    if np.any(samples != samples[0]):
-        split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
-        _admit(solve_bytes(dim, dtype, v.N if split else 1), label, "the matrix and its solve")
-        op = GridOperator(grid=grid, N=v.N, matrix=_assemble_schrodinger(grid, samples),
-                          label=label)
-        op._split = split
-        return op
 
     def assemble():
         _admit(np.dtype(dtype).itemsize * dim * dim, label, "the matrix")
         return _assemble_schrodinger(grid, samples)
+
+    if np.any(samples != samples[0]):
+        split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
+        _admit(solve_bytes(dim, dtype, v.N if split else 1), label, "the matrix and its solve")
+        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assemble)
+        op._split = split
+        op.matrix  # assembled here, where the build is timed; the first solve takes it
+        return op
 
     b0 = samples[0]
     off = b0 - np.diag(np.diag(b0))
@@ -436,7 +540,8 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         channel_vals = np.diag(b0).real.copy()
         channel_vecs = np.eye(v.N, dtype=complex)
     else:
-        channel_vals, channel_vecs = np.linalg.eigh(b0)
+        channel_vals, channel_vecs = _evd(b0.astype(complex if b0.dtype.kind == "c" else float),
+                                          vectors=True)
     return GridOperator(grid=grid, N=v.N, label=label,
                         assemble=assemble,
                         analytic=(channel_vals, channel_vecs))

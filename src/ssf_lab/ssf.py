@@ -84,8 +84,10 @@ class SpectralPair:
 
 def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     """Solve P1 for its values and read P0's analytic constant-potential
-    spectrum; no dense matrix outlives the call.  MarginError when
-    |V - V_inf| exceeds 1e-10 within 1 of the box edge.
+    spectrum; no dense matrix outlives the call.  The values solve runs in
+    place on P1's matrix, so the call's peak is that one matrix and a
+    workspace of a few vectors.  MarginError when |V - V_inf| exceeds 1e-10
+    within 1 of the box edge.
 
     If the hermitian parts of the V samples equal the limit bitwise at every
     node, ``lam0`` *is* ``lam1`` (shared object) so every difference-based

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import bump_test_function
 from ssf_lab.quadrature import gauss_rule
@@ -164,16 +165,16 @@ class TestBuildSchrodinger:
             assert np.array_equal(vecs[:, col], expect)
 
 
-def counted(monkeypatch, name):
-    """Record the shape of every matrix passed to ``np.linalg.<name>``."""
+def counted(monkeypatch):
+    """Record (shape, vectors) of every matrix handed to the dense solver."""
     calls = []
-    solve = getattr(np.linalg, name)
+    solve = qz._evd
 
-    def wrapper(m):
-        calls.append(m.shape)
-        return solve(m)
+    def wrapper(a, vectors):
+        calls.append((a.shape, vectors))
+        return solve(a, vectors)
 
-    monkeypatch.setattr(np.linalg, name, wrapper)
+    monkeypatch.setattr(qz, "_evd", wrapper)
     return calls
 
 
@@ -196,9 +197,9 @@ class TestSplitSolve:
         assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_pairs_per_channel(self, op, monkeypatch):
-        calls = counted(monkeypatch, "eigh")
+        calls = counted(monkeypatch)
         vals, vecs = op.eigenpairs()
-        assert calls == [(op.grid.M, op.grid.M)] * op.N
+        assert calls == [((op.grid.M, op.grid.M), True)] * op.N
         assert np.all(np.diff(vals) >= 0)
         assert reconstruction_residual(op) < 1e-10
         # every eigenvector lives on one channel's rows
@@ -224,11 +225,10 @@ class TestSplitSolve:
     ], ids=lambda v: f"{v.name}-N{v.N}")
     def test_coupled_and_scalar_not_split(self, v, monkeypatch):
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
-        pairs = counted(monkeypatch, "eigh")
-        values = counted(monkeypatch, "eigvalsh")
+        calls = counted(monkeypatch)
         op.eigenvalues()
         op.eigenpairs()
-        assert values == pairs == [(op.dim, op.dim)]
+        assert calls == [((op.dim, op.dim), False), ((op.dim, op.dim), True)]
 
 
 class TestEigenvectorColumns:
@@ -381,6 +381,24 @@ class TestGridOperatorChecks:
         a = self.hermitian(rng, g)
         assert GridOperator(grid=g, N=1, matrix=a).matrix is a
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)],
+                             ids=["nan", "inf", "-inf", "complex-nan"])
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["one-entry", "mirrored"])
+    def test_non_finite_rejected(self, rng, block, bad, mirrored):
+        g = small_grid(h=0.5, M=32)
+        a = self.hermitian(rng, g).astype(type(bad))
+        a[30, 5] = bad
+        if mirrored:
+            a[5, 30] = np.conj(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            GridOperator(grid=g, N=1, matrix=a)
+
+    def test_largest_finite_accepted(self, rng, block):
+        g = small_grid(h=0.5, M=32)
+        a = self.hermitian(rng, g)
+        a[7, 7] = np.finfo(float).max
+        assert GridOperator(grid=g, N=1, matrix=a).matrix is a
+
     def test_stock_tiles(self, rng):
         # dim 300 is one full tile of 256 and a partial one of 44
         dim = 300
@@ -406,6 +424,83 @@ class TestGridOperatorChecks:
         g = small_grid(h=0.5, M=32)
         with pytest.raises(ValueError):
             GridOperator(grid=g, N=1)
+
+
+def random_matrix(rng, n, kind):
+    a = random_hermitian(rng, n)
+    return a if kind == "complex" else np.ascontiguousarray(a.real)
+
+
+class TestDenseSolve:
+    """``_evd`` solves in numpy's LAPACK on the caller's buffer and gives the
+    bits of ``np.linalg``; where that LAPACK is not reachable it is
+    ``np.linalg``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+    def test_bits_of_numpy(self, monkeypatch, rng, n, kind, fallback):
+        if fallback:
+            monkeypatch.setattr(qz, "_lapack_evd", lambda: None)
+        a = random_matrix(rng, n, kind)
+        assert np.array_equal(qz._evd(a.copy(), vectors=False), np.linalg.eigvalsh(a))
+        vals, vecs = qz._evd(a.copy(), vectors=True)
+        expect_vals, expect_vecs = np.linalg.eigh(a)
+        assert np.array_equal(vals, expect_vals) and vals.dtype == expect_vals.dtype
+        assert np.array_equal(vecs, expect_vecs) and vecs.dtype == expect_vecs.dtype
+        assert vecs.flags.c_contiguous
+
+    def test_refuses_what_it_cannot_overwrite(self, rng):
+        if qz._lapack_evd() is None:
+            pytest.skip("numpy's LAPACK does not export ?syevd_64_")
+        a = random_matrix(rng, 8, "real")
+        for bad in (np.asfortranarray(a), a.astype(np.float32), a[:, :4]):
+            with pytest.raises(ValueError, match="in place"):
+                qz._evd(bad, vectors=False)
+
+
+class TestMatrixOwnership:
+    """A solve consumes the matrix of an operator that can assemble it again
+    and never writes to a caller's array."""
+
+    @pytest.mark.parametrize("solve", ["eigenvalues", "eigenpairs"])
+    @pytest.mark.parametrize("v", [model_potential("reference"), DIAGONAL_2],
+                             ids=lambda v: v.name)
+    def test_built_operator_drops_and_reassembles(self, v, solve):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        op = build_schrodinger(v, g)
+        assert op._matrix is not None
+        getattr(op, solve)()
+        assert op._matrix is None
+        expect = qz._assemble_schrodinger(g, qz.potential_samples(v, g))
+        assert np.array_equal(op.matrix, expect)
+        assert op.matrix is op.matrix
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_passed_array_unchanged(self, rng, kind):
+        g = small_grid(h=0.5, M=64)
+        a = random_matrix(rng, g.M, kind)
+        before = a.copy()
+        op = GridOperator(grid=g, N=1, matrix=a)
+        values = op.eigenvalues()
+        assert np.array_equal(a, before) and op.matrix is a
+        vals, vecs = op.eigenpairs()
+        assert np.array_equal(a, before) and op.matrix is a
+        assert np.array_equal(values, np.linalg.eigvalsh(before))
+        assert np.array_equal(vecs, np.linalg.eigh(before)[1])
+
+    def test_split_releases_before_solving(self, monkeypatch):
+        op = build_schrodinger(DIAGONAL_2, small_grid(h=1 / 16, tau_max=2.0))
+        held = []
+        solve = qz._evd
+
+        def spy(a, vectors):
+            held.append(op._matrix is not None)
+            return solve(a, vectors)
+
+        monkeypatch.setattr(qz, "_evd", spy)
+        op.eigenpairs()
+        assert held == [False, False]
 
 
 class TestWeylQuantize:
@@ -679,20 +774,10 @@ class TestSmoothedTrace:
         expect = fourier_window(w, g.h, np.subtract.outer(taus, lam)) @ (f(lam) * diag)
 
         op = build_schrodinger(v, g)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted_eigh(m):
-            calls.append(m.shape)
-            return eigh(m)
-
-        def refused(m):
-            raise AssertionError("values-only solve of an operator that needs eigenpairs")
-
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        calls = counted(monkeypatch)
         got = smoothed_trace(a, op, f, w, taus)
-        assert calls == [(op.dim, op.dim)]
+        # one eigenpairs solve, and no values-only one before it
+        assert calls == [((op.dim, op.dim), True)]
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("kind,params", [

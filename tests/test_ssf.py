@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -181,6 +183,28 @@ class TestBuildPair:
         pair = make_pair(model_potential("reference"))
         assert len(refs) == 2 and refs[0]() is None and refs[1]() is None
         assert pair.lam1.shape == pair.lam0.shape == (2 * pair.grid.M,)
+
+    def test_peak_memory_is_one_matrix(self):
+        # a fresh process, so the peak RSS before the call is its import; the
+        # values solve overwrites the matrix in place, where a copying solve
+        # holds two matrices at its peak
+        code = (
+            "import resource\n"
+            "from ssf_lab.quantization import grid_for\n"
+            "from ssf_lab.ssf import build_pair\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "grid = grid_for(1 / 36, 12.0, 3.24, 8192)\n"
+            "v = model_potential('reference')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "build_pair(v, grid)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(2 * grid.M, 1024 * (after - before))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, grown = map(int, proc.stdout.split())
+        assert dim == 1984
+        assert grown < 1.5 * 8 * dim * dim
 
     def test_margin_rejection(self):
         wide = model_potential("diagonal_bumps", depths=[1.0], centers=[0.0], widths=[6.0])
