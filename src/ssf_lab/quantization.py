@@ -230,27 +230,75 @@ def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
 
 
 @functools.cache
-def _lapack_evd() -> dict | None:
-    """numpy's own ILP64 ``dsyevd`` and ``zheevd``, by dtype, or None when
-    the LAPACK numpy links exports neither naming (MKL, Accelerate, an LP64
-    system LAPACK).  The OpenBLAS bundled in numpy's wheels prefixes its
-    symbols ``scipy_``; that is a symbol name, not the scipy package."""
+def _lapack_eigh() -> dict | None:
+    """numpy's own ILP64 hermitian eigensolvers by (dtype, driver): the
+    divide-and-conquer ``dsyevd``/``zheevd`` ("evd") and the windowed
+    ``dsyevr``/``zheevr`` ("evr"); None when the LAPACK numpy links exports
+    them under neither naming (MKL, Accelerate, an LP64 system LAPACK).  The
+    OpenBLAS bundled in numpy's wheels prefixes its symbols ``scipy_``; that
+    is a symbol name, not the scipy package."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
     char, ptr, i64 = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)
+    f64 = ctypes.POINTER(ctypes.c_double)
+    names = ("dsyevd", "zheevd", "dsyevr", "zheevr")
     for prefix in ("scipy_", ""):
         try:
-            dsyevd, zheevd = (getattr(lib, f"{prefix}{name}_64_") for name in ("dsyevd", "zheevd"))
+            dsyevd, zheevd, dsyevr, zheevr = (getattr(lib, f"{prefix}{name}_64_") for name in names)
         except AttributeError:
             continue
         # jobz, uplo, n, a, lda, w, work, lwork, [rwork, lrwork,] iwork, liwork, info
         dsyevd.argtypes = [char, char, i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64]
         zheevd.argtypes = [char, char, i64, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, i64, i64]
-        dsyevd.restype = zheevd.restype = None
-        return {np.dtype(float): dsyevd, np.dtype(complex): zheevd}
+        # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
+        # isuppz, work, lwork, [rwork, lrwork,] iwork, liwork, info
+        evr = [char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64, i64, ptr, ptr, i64,
+               ptr, ptr, i64]
+        dsyevr.argtypes = evr + [ptr, i64, i64]
+        zheevr.argtypes = evr + [ptr, i64, ptr, i64, i64]
+        for routine in (dsyevd, zheevd, dsyevr, zheevr):
+            routine.restype = None
+        real, cplx = np.dtype(float), np.dtype(complex)
+        return {(real, "evd"): dsyevd, (cplx, "evd"): zheevd,
+                (real, "evr"): dsyevr, (cplx, "evr"): zheevr}
     return None
+
+
+def _routine(routines: dict, a: np.ndarray, driver: str):
+    """The in-place ``driver`` for the square C-contiguous matrix ``a``;
+    ValueError for any other array."""
+    n = a.shape[0]
+    if a.shape != (n, n) or (a.dtype, driver) not in routines or not a.flags.c_contiguous:
+        raise ValueError(f"cannot solve a {a.shape} {a.dtype} matrix in place")
+    return routines[a.dtype, driver]
+
+
+def _lapack_call(routine, head: list, dtype) -> None:
+    """Call ``routine`` with its arguments ``head`` and then its workspaces
+    (work, lwork, [rwork, lrwork,] iwork, liwork) and info, the workspaces
+    at the optimal sizes of a query first.  They are freed on return."""
+    is_complex = dtype.kind == "c"
+
+    def call(work, rwork, iwork, sizes):
+        info = ctypes.c_int64(0)
+        lwork, lrwork, liwork = (ctypes.c_int64(size) for size in sizes)
+        args = [*head, work.ctypes.data, lwork]
+        if is_complex:
+            args += [rwork.ctypes.data, lrwork]
+        routine(*args, iwork.ctypes.data, liwork, info)
+        return info.value
+
+    work, rwork, iwork = np.zeros(1, dtype), np.zeros(1), np.zeros(1, np.int64)
+    call(work, rwork, iwork, (-1, -1, -1))
+    sizes = int(work[0].real), int(rwork[0]), int(iwork[0])
+    work, rwork, iwork = np.empty(sizes[0], dtype), np.empty(sizes[1]), np.empty(sizes[2], np.int64)
+    info = call(work, rwork, iwork, sizes)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info < 0:
+        raise ValueError(f"argument {-info} of the eigensolver is illegal")
 
 
 def _evd(a: np.ndarray, vectors: bool):
@@ -266,39 +314,59 @@ def _evd(a: np.ndarray, vectors: bool):
     order and are copied out after the workspace is freed.  Where numpy's
     LAPACK does not export the routines, numpy solves a copy.
     """
-    routines = _lapack_evd()
+    routines = _lapack_eigh()
     if routines is None:
         return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
-    n = a.shape[0]
-    if a.shape != (n, n) or a.dtype not in routines or not a.flags.c_contiguous:
-        raise ValueError(f"cannot solve a {a.shape} {a.dtype} matrix in place")
-    routine = routines[a.dtype]
-    is_complex = a.dtype.kind == "c"
-    if is_complex:
+    routine = _routine(routines, a, "evd")
+    if a.dtype.kind == "c":
         np.conjugate(a, out=a)
-    jobz = b"V" if vectors else b"N"
-    w = np.empty(n)
-
-    def call(work, rwork, iwork, sizes):
-        dim, info = ctypes.c_int64(n), ctypes.c_int64(0)
-        lwork, lrwork, liwork = (ctypes.c_int64(size) for size in sizes)
-        args = [jobz, b"L", dim, a.ctypes.data, dim, w.ctypes.data, work.ctypes.data, lwork]
-        if is_complex:
-            args += [rwork.ctypes.data, lrwork]
-        routine(*args, iwork.ctypes.data, liwork, info)
-        return info.value
-
-    work, rwork, iwork = np.zeros(1, a.dtype), np.zeros(1), np.zeros(1, np.int64)
-    call(work, rwork, iwork, (-1, -1, -1))
-    sizes = int(work[0].real), int(rwork[0]), int(iwork[0])
-    work, rwork, iwork = np.empty(sizes[0], a.dtype), np.empty(sizes[1]), np.empty(sizes[2], np.int64)
-    info = call(work, rwork, iwork, sizes)
-    del work, rwork, iwork
-    if info > 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if info < 0:
-        raise ValueError(f"argument {-info} of the eigensolver is illegal")
+    n = ctypes.c_int64(a.shape[0])
+    w = np.empty(a.shape[0])
+    _lapack_call(routine, [b"V" if vectors else b"N", b"L", n, a.ctypes.data, n, w.ctypes.data],
+                 a.dtype)
     return (w, a.T.copy()) if vectors else w
+
+
+def _in_window(values: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of the ascending ``values`` that lies in (lo, hi]."""
+    return slice(*np.searchsorted(values, (lo, hi), side="right"))
+
+
+_ABSTOL = 2.0 * np.finfo(float).tiny  # where LAPACK's bisection is most accurate
+
+
+def _evr(a: np.ndarray, lo: float, hi: float):
+    """The eigenvalues of the hermitian matrix ``a`` in (lo, hi] and their
+    eigenvectors, as the C-contiguous columns of a (n, k) array; the solve
+    overwrites ``a``.
+
+    ``a`` goes to ?syevr/?heevr in place with range 'V': LAPACK finds the k
+    values by bisection on the tridiagonal form and back-transforms only
+    their vectors.  It reads the C-ordered buffer as its transpose, the
+    conjugate of a complex A, so its vectors are conjugated on the way out.
+    They are the first k rows of a C-ordered n x n array Z, the bound LAPACK
+    asks for when k is not known in advance; only the rows written become
+    resident.  Where numpy's LAPACK does not export the routines, numpy
+    solves a copy and the window is selected from it.
+    """
+    routines = _lapack_eigh()
+    if routines is None:
+        w, v = np.linalg.eigh(a)
+        keep = _in_window(w, lo, hi)
+        return w[keep], np.ascontiguousarray(v[:, keep])
+    routine = _routine(routines, a, "evr")
+    n = ctypes.c_int64(a.shape[0])
+    found = ctypes.c_int64(0)
+    w = np.empty(a.shape[0])
+    z = np.empty(a.shape, a.dtype)
+    isuppz = np.empty(2 * a.shape[0], np.int64)
+    _lapack_call(routine, [b"V", b"V", b"L", n, a.ctypes.data, n, ctypes.c_double(lo),
+                           ctypes.c_double(hi), ctypes.c_int64(1), n, ctypes.c_double(_ABSTOL),
+                           found, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data], a.dtype)
+    rows = z[:found.value]
+    if a.dtype.kind == "c":
+        np.conjugate(rows, out=rows)
+    return w[:found.value].copy(), rows.T.copy()
 
 
 class GridOperator:
@@ -306,15 +374,16 @@ class GridOperator:
 
     ``eigenvalues`` uses a values-only solve; ``eigenpairs`` upgrades to a
     full decomposition (and replaces the cached values so both views stay
-    mutually consistent); ``eigenvectors(cols)`` gives the columns ``cols``
-    of it.  A ``matrix`` must match the grid, be finite and be hermitian to
-    1e-11 relative; it is kept exactly hermitian, as float64 or complex128.
+    mutually consistent); ``eigenpairs(window=(lo, hi))`` solves only the
+    pairs with values in (lo, hi] and caches nothing.  A ``matrix`` must
+    match the grid, be finite and be hermitian to 1e-11 relative; it is kept
+    exactly hermitian, as float64 or complex128.
 
-    A dense solve runs LAPACK in place (``_evd``), so it holds one matrix,
-    not the matrix and a copy.  An operator made with an ``assemble``
-    callable in place of the matrix gives its matrix to the solve and drops
-    it; a later read of ``.matrix`` assembles it again.  An operator made
-    from a caller's array keeps it unchanged and solves a copy.
+    A dense solve runs LAPACK in place (``_evd``, windowed ``_evr``), so it
+    holds one matrix, not the matrix and a copy.  An operator made with an
+    ``assemble`` callable in place of the matrix gives its matrix to the
+    solve and drops it; a later read of ``.matrix`` assembles it again.  An
+    operator made from a caller's array keeps it unchanged and solves a copy.
 
     An operator that ``build_schrodinger`` finds has no entries between its
     N channels is split: ``eigenpairs`` copies each channel's M x M block
@@ -326,7 +395,7 @@ class GridOperator:
     plane waves tensored with channel eigenvectors.  Their matrix is built
     on the first read of ``.matrix``, checked like a passed matrix and kept.
     An operator whose spectrum alone is read never holds a dense matrix,
-    and ``eigenvectors(cols)`` forms only those columns.
+    and a windowed ``eigenpairs`` forms only the window's plane waves.
     """
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
@@ -375,41 +444,60 @@ class GridOperator:
                 self._values = _evd(self._solve_input(), vectors=False)
         return self._values
 
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def eigenpairs(self, *, window: tuple[float, float] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending eigenvalues and their eigenvectors as columns.
+
+        With ``window=(lo, hi)``, only the k values in (lo, hi] and a (dim, k)
+        array of their vectors.  A finite window on an operator that holds no
+        decomposition is formed as plane waves for an analytic spectrum, or
+        else solved by ``_evr`` (per channel block when split), for this
+        call alone; any other window is selected from the full, cached
+        decomposition.
+        """
+        if window is not None and self._vectors is None and all(map(math.isfinite, window)):
+            lo, hi = window
+            if self._analytic is not None:
+                return self._analytic_pairs(lo, hi)
+            if self._split:
+                return self._split_pairs(lambda block: _evr(block, lo, hi))
+            return _evr(self._solve_input(), lo, hi)
         if self._vectors is None:
             if self._analytic is not None:
-                self._values, self._vectors = self._analytic_pairs()
+                self._values, self._vectors = self._analytic_pairs(-math.inf, math.inf)
             elif self._split:
-                self._values, self._vectors = self._split_pairs()
+                self._values, self._vectors = self._split_pairs(
+                    lambda block: _evd(block, vectors=True))
             else:
                 self._values, self._vectors = _evd(self._solve_input(), vectors=True)
-        return self._values, self._vectors
+        if window is None:
+            return self._values, self._vectors
+        keep = _in_window(self._values, *window)
+        return self._values[keep], self._vectors[:, keep]
 
-    def eigenvectors(self, cols) -> np.ndarray:
-        """Columns ``cols`` of the eigenvectors of ``eigenpairs``, bit for bit;
-        an analytic operator forms just these columns."""
-        if self._analytic is not None:
-            return self._plane_waves(self._analytic_order()[1][cols])
-        return self.eigenpairs()[1][:, cols]
-
-    def _split_pairs(self):
-        """One solve per channel block.  Channel c's eigenvector j goes to
-        column rank[c M + j] of the merged order, on the rows c::N.  The
+    def _split_pairs(self, solve):
+        """``solve`` on each channel block.  Channel c's eigenvector j goes to
+        column rank[offset_c + j] of the merged order, on the rows c::N.  The
         matrix is dropped before the blocks are solved, and the merged
         eigenvector array is made after."""
-        n, m = self.N, self.grid.M
+        n = self.N
         mat = self.matrix
         blocks = [mat[c::n, c::n].copy() for c in range(n)]
         del mat
         self._release()
-        vals, blocks = zip(*(_evd(block, vectors=True) for block in blocks))
+        solved = []
+        while blocks:  # a block is freed once it is solved
+            solved.append(solve(blocks.pop(0)))
+        vals, blocks = zip(*solved)
+        del solved
+        offsets = np.cumsum([0] + [v.size for v in vals])
         vals = np.concatenate(vals)
         order = np.argsort(vals, kind="stable")
-        rank = np.empty(self.dim, dtype=np.intp)
-        rank[order] = np.arange(self.dim)
-        vectors = np.zeros((self.dim, self.dim), dtype=blocks[0].dtype)
+        rank = np.empty(vals.size, dtype=np.intp)
+        rank[order] = np.arange(vals.size)
+        vectors = np.zeros((self.dim, vals.size), dtype=blocks[0].dtype)
         for c, block in enumerate(blocks):
-            vectors[c::n, rank[c * m:(c + 1) * m]] = block
+            vectors[c::n, rank[offsets[c]:offsets[c + 1]]] = block
         return vals[order], vectors
 
     # -- analytic spectrum for constant potentials ------------------------
@@ -424,9 +512,11 @@ class GridOperator:
         vals, order = self._analytic_order()
         return vals[order]
 
-    def _analytic_pairs(self):
+    def _analytic_pairs(self, lo: float, hi: float):
         vals, order = self._analytic_order()
-        return vals[order], self._plane_waves(order)
+        vals = vals[order]
+        keep = _in_window(vals, lo, hi)
+        return vals[keep], self._plane_waves(order[keep])
 
     def _plane_waves(self, flat: np.ndarray) -> np.ndarray:
         """Column j is the plane wave m tensored with channel vector k, for
@@ -481,8 +571,13 @@ def solve_bytes(dim: int, dtype, blocks: int = 1) -> int:
     diagonal blocks, LAPACK sees one block at a time and the blocks'
     eigenvectors are held until they are scattered.
 
-    The solve runs in place (``_evd``), so no copy is made and this is an
-    upper bound: a values-only solve peaks at about the matrix alone."""
+    No solve reaches this bound, so the admission of build_schrodinger
+    refuses early.  Every dense solve runs in place and makes no copy: a full
+    ``eigenpairs`` solve (``_evd``) peaks at about three matrices (the
+    matrix, which LAPACK overwrites with the vectors, and a workspace of
+    two), a values-only solve at about the matrix alone, and the windowed
+    solve of a cutoff trace (``_evr``) at the matrix and its k eigenvector
+    columns."""
     item = np.dtype(dtype).itemsize
     size = dim // blocks
     held = dim * size if blocks > 1 else 0
@@ -617,7 +712,7 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     raise TypeError(f"cannot quantize object of type {type(a)!r}")
 
 
-_WEYL_BLOCK = 1 << 18  # entries per row block of a ProductCutoff's Weyl matrix
+_WEYL_BLOCK = 1 << 16  # entries per row block of a ProductCutoff's Weyl matrix
 
 
 def _product_matrix(chi: ProductCutoff, grid: Grid1D) -> np.ndarray:
@@ -872,21 +967,22 @@ def window_primitive(w: WindowTheta, h: float, s):
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_diagonal(a_op: GridOperator, h_op: GridOperator, cols: np.ndarray) -> np.ndarray:
-    """<u_j, A u_j> for the eigenvectors u_j of H with j in ``cols``; A may be
-    per-channel scalar.  BLAS picks its kernels by the column count, so a
-    value agrees with the one a product over all eigenvectors gives to
-    rounding, and on the stock trace configs bit for bit."""
-    vecs = h_op.eigenvectors(cols)
-    if a_op.N == h_op.N:
-        t = a_op.matrix @ vecs
-        return np.einsum("ij,ij->j", vecs.conj(), t)
-    if a_op.N == 1 and h_op.N > 1:
-        m_pts = h_op.grid.M
-        uv = vecs.reshape(m_pts, h_op.N, vecs.shape[1])
-        t = np.tensordot(a_op.matrix, uv, axes=([1], [0]))
-        return np.einsum("mnk,mnk->k", uv.conj(), t)
-    raise GridMismatchError("channel counts are incompatible")
+def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray) -> np.ndarray:
+    """<u_j, A u_j> for the columns u_j of ``vecs``, eigenvectors of an
+    operator with A's channel count or of one with N channels when A is
+    per-channel scalar (then A acts on the M x (N k) array of their rows).
+    A real A applies to complex columns as to the float64 view of their
+    real and imaginary parts, so no complex copy of A is made, and the sum
+    is conj(sum u_j conj(A u_j)), so no conjugate copy of the columns."""
+    if a_op.N != 1 and vecs.shape[0] != a_op.dim:
+        raise GridMismatchError("channel counts are incompatible")
+    mat, rows = a_op.matrix, vecs.reshape(a_op.dim, -1)
+    if mat.dtype.kind == "f" and rows.dtype.kind == "c":
+        t = (mat @ np.ascontiguousarray(rows).view(float)).view(complex)
+    else:
+        t = mat @ rows
+    t = np.conjugate(t, out=t).reshape(vecs.shape)
+    return np.einsum("ij,ij->j", vecs, t).conj()
 
 
 def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTheta,
@@ -895,29 +991,28 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
 
     ``a_op=None`` means the identity.  Returns a complex scalar (or array over
     tau); for the even window and hermitian A the imaginary part is at
-    rounding level.  <u_j, A u_j> is formed only where f(lambda_j) is not 0;
-    the other weights are exact zeros.
+    rounding level.  With a cutoff only the eigenpairs with lambda in the
+    support of f (``f.support``; the whole line for an f without one) are
+    solved, and <u_j, A u_j> is formed only where f(lambda_j) is not 0.
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
-    # with a cutoff the eigenvectors are needed anyway: one solve gives both,
-    # unless the spectrum is analytic and its vectors are formed by column
-    values_only = a_op is None or h_op._analytic is not None
-    lam = h_op.eigenvalues() if values_only else h_op.eigenpairs()[0]
+    if a_op is None:
+        lam = h_op.eigenvalues()
+    else:
+        lam, vecs = h_op.eigenpairs(window=getattr(f, "support", (-math.inf, math.inf)))
     fv = np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
     if a_op is None:
         weights = fv.astype(complex)
     else:
         cols = np.flatnonzero(fv)
-        diag = _cutoff_diagonal(a_op, h_op, cols)
-        weights = np.zeros(lam.size, dtype=np.result_type(fv, diag))
-        weights[cols] = fv[cols] * diag
+        if cols.size < lam.size:
+            lam, fv, vecs = lam[cols], fv[cols], vecs[:, cols]
+        weights = fv * _cutoff_diagonal(a_op, vecs)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights
     return vals[0] if np.ndim(tau) == 0 else vals
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -1081,8 +1176,8 @@ def theorem1_check(
     values = []
     for h in h_list:
         grid = grid_for(h, R, tau_max, m_cap)
+        a_op = weyl_quantize(chi, grid)  # built before H, so its row blocks never sit on H
         h_op = build_schrodinger(v, grid)
-        a_op = weyl_quantize(chi, grid)
         eps = eps_rule(h) if callable(eps_rule) else float(eps_rule)
         w = WindowTheta(kind=window_kind, eps=eps)
         values.append(abs(complex(smoothed_trace(a_op, h_op, f, w, tau0))))
@@ -1166,8 +1261,8 @@ def theorem3_check(
     values = []
     for h in h_list:
         grid = grid_for(h, R, tau_max, m_cap)
+        a_op = weyl_quantize(chi, grid)  # built before H, so its row blocks never sit on H
         h_op = build_schrodinger(v, grid)
-        a_op = weyl_quantize(chi, grid)
         tr = smoothed_trace(a_op, h_op, f, window, tau)
         values.append(2.0 * math.pi * h * float(np.real(tr)))
     return sweep_verdict(list(h_list), values, order_threshold, rel_threshold,

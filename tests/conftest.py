@@ -16,6 +16,17 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# Source of ``peak_rss()``, the high-water RSS in bytes of the process's own
+# address space (Linux's VmHWM), for code a test runs in a fresh
+# interpreter.  The ru_maxrss of a process spawned from the test process
+# starts at the test process's peak, which would hide what the code adds.
+PEAK_RSS_SOURCE = (
+    "def peak_rss():\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return 1024 * int(fh.read().split('VmHWM:')[1].split()[0])\n"
+)
+
+
 def random_hermitian(rng, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)

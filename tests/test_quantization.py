@@ -1,11 +1,14 @@
+import ctypes
 import math
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import PEAK_RSS_SOURCE, random_hermitian
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import bump_test_function
 from ssf_lab.quadrature import gauss_rule
@@ -166,15 +169,21 @@ class TestBuildSchrodinger:
 
 
 def counted(monkeypatch):
-    """Record (shape, vectors) of every matrix handed to the dense solver."""
+    """Record (shape, vectors) of every matrix handed to the dense solver,
+    and (shape, (lo, hi)) of every one handed to the windowed solver."""
     calls = []
-    solve = qz._evd
+    solve, windowed = qz._evd, qz._evr
 
     def wrapper(a, vectors):
         calls.append((a.shape, vectors))
         return solve(a, vectors)
 
+    def windowed_wrapper(a, lo, hi):
+        calls.append((a.shape, (lo, hi)))
+        return windowed(a, lo, hi)
+
     monkeypatch.setattr(qz, "_evd", wrapper)
+    monkeypatch.setattr(qz, "_evr", windowed_wrapper)
     return calls
 
 
@@ -205,7 +214,8 @@ class TestSplitSolve:
         # every eigenvector lives on one channel's rows
         support = np.any(vecs.reshape(op.grid.M, op.N, op.dim) != 0, axis=0)
         assert np.array_equal(support.sum(axis=0), np.ones(op.dim))
-        assert op.eigenvectors([3, 0]).shape == (op.dim, 2)
+        # a window is selected from the held decomposition, without a solve
+        assert op.eigenpairs(window=(-math.inf, vals[1]))[1].shape == (op.dim, 2)
         assert len(calls) == op.N
 
     def test_trace_matches_dense_solve(self, op):
@@ -243,13 +253,18 @@ class TestEigenvectorColumns:
         g = small_grid(h=0.25)
         op = build_schrodinger(v, g)
         dim = op.dim
-        picks = [np.arange(dim), np.array([0]), np.array([dim - 1, 2, 5]),
-                 np.sort(rng.choice(dim, size=dim // 3, replace=False))]
-        alone = [op.eigenvectors(cols) for cols in picks]
+        vals = op.eigenvalues()
+        cuts = np.sort(rng.choice(vals, size=2, replace=False))
+        windows = [(vals[0] - 1.0, vals[-1]), (vals[0] - 1.0, vals[0]), (vals[2], vals[5]),
+                   (vals[-2], vals[-1]), tuple(cuts), (vals[-1], vals[-1] + 1.0)]
+        alone = [op.eigenpairs(window=window) for window in windows]
         assert op._vectors is None
         vecs = op.eigenpairs()[1]
-        for cols, got in zip(picks, alone):
+        for (lo, hi), (got_vals, got) in zip(windows, alone):
+            cols = np.flatnonzero((vals > lo) & (vals <= hi))
+            assert np.array_equal(got_vals, vals[cols])
             assert np.array_equal(got, vecs[:, cols])
+        assert alone[0][1].shape == (dim, dim) and alone[-1][1].shape == (dim, 0)
 
     def test_trace_forms_only_the_read_columns(self, monkeypatch):
         g = small_grid(h=1 / 32, tau_max=2.0)
@@ -268,14 +283,21 @@ class TestEigenvectorColumns:
         weights[cols] = fv[cols] * np.einsum("ij,ij->j", sub.conj(), a.matrix @ sub)
         expect = fourier_window(w, g.h, taus[:, None] - lam[None, :]) @ weights
 
-        def refused(self):
-            raise AssertionError("the full plane-wave eigenvector matrix was built")
+        formed = []
+        plane_waves = GridOperator._plane_waves
 
-        monkeypatch.setattr(GridOperator, "_analytic_pairs", refused)
+        def spy(self, flat):
+            formed.append(flat.size)
+            return plane_waves(self, flat)
+
+        monkeypatch.setattr(GridOperator, "_plane_waves", spy)
         op = build_schrodinger(v, g)
         got = smoothed_trace(a, op, f, w, taus)
         assert op._vectors is None and op._matrix is None
-        assert np.array_equal(got, expect)
+        # the plane waves of supp f only, which hold every f != 0 column
+        assert formed == [np.count_nonzero((lam > 0.5) & (lam <= 1.5))]
+        assert cols.size <= formed[0] < lam.size
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 class TestMemoryAdmission:
@@ -317,7 +339,8 @@ class TestMemoryAdmission:
         monkeypatch.setattr(qz, "physical_memory", lambda: 8 * g.M * g.M - 1)
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
         assert op.eigenvalues().size == g.M
-        assert op.eigenvectors(np.array([0, 1])).shape == (g.M, 2)
+        vals = op.eigenvalues()
+        assert op.eigenpairs(window=(0.0, vals[1]))[1].shape == (g.M, 2)
         with pytest.raises(MemoryBudgetError) as err:
             op.matrix
         assert err.value.required == 8 * g.M * g.M
@@ -441,7 +464,7 @@ class TestDenseSolve:
     @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
     def test_bits_of_numpy(self, monkeypatch, rng, n, kind, fallback):
         if fallback:
-            monkeypatch.setattr(qz, "_lapack_evd", lambda: None)
+            monkeypatch.setattr(qz, "_lapack_eigh", lambda: None)
         a = random_matrix(rng, n, kind)
         assert np.array_equal(qz._evd(a.copy(), vectors=False), np.linalg.eigvalsh(a))
         vals, vecs = qz._evd(a.copy(), vectors=True)
@@ -450,13 +473,134 @@ class TestDenseSolve:
         assert np.array_equal(vecs, expect_vecs) and vecs.dtype == expect_vecs.dtype
         assert vecs.flags.c_contiguous
 
+    def test_resolver_needs_every_driver(self, monkeypatch):
+        # a LAPACK without the windowed drivers is not used for any solve
+        if qz._lapack_eigh() is None:
+            pytest.skip("numpy's LAPACK does not export ?syevd_64_")
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+        class NoWindowedDrivers:
+            def __getattr__(self, name):
+                if "evr" in name:
+                    raise AttributeError(name)
+                return getattr(lib, name)
+
+        monkeypatch.setattr(qz.ctypes, "CDLL", lambda path: NoWindowedDrivers())
+        assert qz._lapack_eigh.__wrapped__() is None
+
     def test_refuses_what_it_cannot_overwrite(self, rng):
-        if qz._lapack_evd() is None:
+        if qz._lapack_eigh() is None:
             pytest.skip("numpy's LAPACK does not export ?syevd_64_")
         a = random_matrix(rng, 8, "real")
         for bad in (np.asfortranarray(a), a.astype(np.float32), a[:, :4]):
             with pytest.raises(ValueError, match="in place"):
                 qz._evd(bad, vectors=False)
+            with pytest.raises(ValueError, match="in place"):
+                qz._evr(bad, -1.0, 1.0)
+
+
+def projector(vecs: np.ndarray) -> np.ndarray:
+    return vecs @ vecs.conj().T
+
+
+class TestWindowedSolve:
+    """``eigenpairs(window=(lo, hi))`` gives the values in (lo, hi] and their
+    eigenvector columns on every kind of operator, and caches nothing."""
+
+    @staticmethod
+    def gap_window(vals, i, j):
+        """The window from the middle of the gap below vals[i] to the middle
+        of the gap above vals[j]."""
+        return 0.5 * (vals[i - 1] + vals[i]), 0.5 * (vals[j] + vals[j + 1])
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+    def test_dense(self, monkeypatch, rng, kind, fallback):
+        if fallback:
+            monkeypatch.setattr(qz, "_lapack_eigh", lambda: None)
+        g = small_grid(h=0.5, M=96)
+        a = random_matrix(rng, g.M, kind)
+        expect_vals, expect_vecs = np.linalg.eigh(a)
+        lo, hi = self.gap_window(expect_vals, 20, 51)
+        op = GridOperator(grid=g, N=1, matrix=a)
+        vals, vecs = op.eigenpairs(window=(lo, hi))
+        assert op._values is None and op._vectors is None
+        assert vecs.shape == (g.M, 32) and vecs.dtype == a.dtype and vecs.flags.c_contiguous
+        scale = np.max(np.abs(expect_vals))
+        assert np.max(np.abs(vals - expect_vals[20:52])) <= 1e-12 * scale
+        assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * scale
+        assert np.max(np.abs(projector(vecs) - projector(expect_vecs[:, 20:52]))) <= 1e-10
+        if fallback:
+            assert np.array_equal(vals, expect_vals[20:52])
+            assert np.array_equal(vecs, expect_vecs[:, 20:52])
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+    def test_value_at_the_edges(self, monkeypatch, fallback):
+        # a diagonal matrix has its entries as exact eigenvalues: one at hi is
+        # in the window, one at lo is not
+        if fallback:
+            monkeypatch.setattr(qz, "_lapack_eigh", lambda: None)
+        g = Grid1D(R=6.0, M=8, h=0.5)
+        a = np.diag(np.arange(8.0))
+        op = GridOperator(grid=g, N=1, matrix=a)
+        for (lo, hi), expect in [((2.0, 5.0), [3.0, 4.0, 5.0]), ((2.5, 3.0), [3.0]),
+                                 ((-1.0, 0.0), [0.0]), ((7.0, 9.0), [])]:
+            vals, vecs = op.eigenpairs(window=(lo, hi))
+            assert np.array_equal(vals, expect)
+            assert np.array_equal(np.abs(vecs), np.eye(8)[:, np.asarray(expect, dtype=int)])
+
+    @pytest.mark.parametrize("kind", ["dense", "split", "analytic"])
+    def test_empty_and_whole_windows(self, rng, kind):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        a = random_matrix(rng, g.M, "complex")
+        v = DIAGONAL_2 if kind == "split" else model_potential("constant", v_inf=[0.0, 0.3], N=2)
+
+        def make():
+            if kind == "dense":
+                return GridOperator(grid=g, N=1, matrix=a)
+            return build_schrodinger(v, g)
+
+        dim = make().dim
+        vals, vecs = make().eigenpairs(window=(1e6, 2e6))
+        assert vals.shape == (0,) and vecs.shape == (dim, 0)
+        whole_vals, whole_vecs = make().eigenpairs(window=(-math.inf, math.inf))
+        full = make()
+        expect_vals, _ = full.eigenpairs()
+        assert whole_vecs.shape == (dim, dim)
+        assert np.max(np.abs(whole_vals - expect_vals)) <= 1e-12 * np.max(np.abs(expect_vals))
+        resid = full.matrix @ whole_vecs - whole_vecs * whole_vals
+        assert np.max(np.abs(resid)) <= 1e-11 * np.max(np.abs(expect_vals))
+
+    @pytest.mark.parametrize("v", [DIAGONAL_2, model_potential("conical_crossing")],
+                             ids=lambda v: v.name)
+    def test_split(self, monkeypatch, v):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        dense = GridOperator(grid=g, N=v.N, matrix=build_schrodinger(v, g).matrix)
+        expect_vals, expect_vecs = dense.eigenpairs()
+        lo, hi = self.gap_window(expect_vals, 10, 61)  # conical_crossing's pairs split here
+        op = build_schrodinger(v, g)
+        calls = counted(monkeypatch)
+        vals, vecs = op.eigenpairs(window=(lo, hi))
+        assert calls == [((g.M, g.M), (lo, hi))] * v.N
+        assert op._matrix is None and op._vectors is None
+        scale = np.max(np.abs(expect_vals))
+        assert np.max(np.abs(vals - expect_vals[10:62])) <= 1e-12 * scale
+        assert np.max(np.abs(dense.matrix @ vecs - vecs * vals)) <= 1e-11 * scale
+        assert np.max(np.abs(projector(vecs) - projector(expect_vecs[:, 10:62]))) <= 1e-10
+        # every column lives on one channel's rows
+        support = np.any(vecs.reshape(g.M, v.N, -1) != 0, axis=0)
+        assert np.array_equal(support.sum(axis=0), np.ones(vals.size))
+
+    def test_analytic_forms_the_window_plane_waves(self, monkeypatch):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        op = build_schrodinger(model_potential("constant", v_inf=[0.0, 0.3], N=2), g)
+        calls = counted(monkeypatch)
+        vals, vecs = op.eigenpairs(window=(0.5, 1.5))
+        raw, order = op._analytic_order()
+        keep = (raw[order] > 0.5) & (raw[order] <= 1.5)
+        assert calls == [] and op._matrix is None and op._vectors is None
+        assert np.array_equal(vals, raw[order][keep])
+        assert np.array_equal(vecs, op._plane_waves(order[keep]))
 
 
 class TestMatrixOwnership:
@@ -776,9 +920,9 @@ class TestSmoothedTrace:
         op = build_schrodinger(v, g)
         calls = counted(monkeypatch)
         got = smoothed_trace(a, op, f, w, taus)
-        # one eigenpairs solve, and no values-only one before it
-        assert calls == [((op.dim, op.dim), True)]
-        assert np.array_equal(got, expect)
+        # one solve on the support of f, and no values-only one before it
+        assert calls == [((op.dim, op.dim), f.support)]
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("kind,params", [
         ("diagonal_bumps", {"depths": [-1.0], "centers": [0.0], "widths": [1.0]}),
@@ -803,10 +947,38 @@ class TestSmoothedTrace:
             full = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
         cols = np.flatnonzero(bump_test_function((0.5, 1.5))(lam))
         assert 0 < cols.size < lam.size
-        assert np.array_equal(qz._cutoff_diagonal(a, op, np.arange(lam.size)), full)
-        for sub in (cols, cols[:1], cols[:2], cols[1::3]):
-            got = qz._cutoff_diagonal(a, op, sub)
+        for sub in (np.arange(lam.size), cols, cols[:1], cols[:2], cols[1::3]):
+            got = qz._cutoff_diagonal(a, vecs[:, sub])
             assert np.max(np.abs(got - full[sub])) <= 1e-14 * np.max(np.abs(full))
+
+    def test_peak_memory_with_cutoff(self):
+        # a fresh process; the windowed solve holds the k eigenvector columns
+        # of supp f, where a full eigh holds the vector matrix and a workspace
+        # of two more
+        code = PEAK_RSS_SOURCE + (
+            "import numpy as np\n"
+            "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
+            "from ssf_lab.coefficients import bump_test_function\n"
+            "from ssf_lab.quantization import (WindowTheta, build_schrodinger, fourier_window,\n"
+            "                                  grid_for, smoothed_trace, weyl_quantize)\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "grid = grid_for(1 / 64, 12.0, 1.69, 8192)\n"
+            "v = model_potential('diagonal_bumps', depths=[0.5], centers=[7.0], widths=[0.4])\n"
+            "chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))\n"
+            "w = WindowTheta('bump_at_zero', eps=0.3)\n"
+            "fourier_window(w, grid.h, 0.0)\n"
+            "before = peak_rss()\n"
+            "a = weyl_quantize(chi, grid)\n"
+            "h = build_schrodinger(v, grid)\n"
+            "smoothed_trace(a, h, bump_test_function((0.8, 1.2)), w, np.linspace(0.9, 1.1, 9))\n"
+            "print(h.dim, a.dim, peak_rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, a_dim, grown = map(int, proc.stdout.split())
+        assert dim == a_dim == 1272
+        # the matrix and the cutoff: 2 x 12.9 MB
+        assert grown < 1.5 * 8 * (dim * dim + a_dim * a_dim)
 
     def test_scalar_f_is_constant_function(self):
         # a scalar f weighs every eigenvalue alike, with and without a cutoff

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import PEAK_RSS_SOURCE
 from ssf_lab.coefficients import a0, bump_test_function, c0, plateau_test_function
 from ssf_lab.quantization import (
     ConfigError,
@@ -188,17 +189,15 @@ class TestBuildPair:
         # a fresh process, so the peak RSS before the call is its import; the
         # values solve overwrites the matrix in place, where a copying solve
         # holds two matrices at its peak
-        code = (
-            "import resource\n"
+        code = PEAK_RSS_SOURCE + (
             "from ssf_lab.quantization import grid_for\n"
             "from ssf_lab.ssf import build_pair\n"
             "from ssf_lab.symbols import model_potential\n"
             "grid = grid_for(1 / 36, 12.0, 3.24, 8192)\n"
             "v = model_potential('reference')\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_rss()\n"
             "build_pair(v, grid)\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(2 * grid.M, 1024 * (after - before))\n"
+            "print(2 * grid.M, peak_rss() - before)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
