@@ -193,6 +193,9 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 
 
 _CHECK_TILE = 256  # side of the square tiles of the hermiticity check
+# entries per chunk of rows of a split matrix's column gather, and per block
+# of columns of the plane waves, so no temporary of the array's size is made
+_ROW_BLOCK = 1 << 16
 
 
 def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -266,13 +269,42 @@ def _lapack_eigh() -> dict | None:
     return None
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library lacks it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except AttributeError:
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _return_free_heap() -> None:
+    """Give the pages of freed heap blocks back to the system before a dense
+    allocation.  glibc raises its mmap threshold to the largest block freed
+    (up to 32 MiB), so arrays of a few MB, such as a small grid's matrix or
+    a solve's temporaries, live on the heap, and once freed their pages stay
+    resident below the next, larger matrix.  A no-op without glibc."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _routine(routines: dict, a: np.ndarray, driver: str):
-    """The in-place ``driver`` for the square C-contiguous matrix ``a``;
-    ValueError for any other array."""
+    """The in-place ``driver`` for the square matrix ``a`` and its leading
+    dimension: ``a`` is C-contiguous or a view into a larger C-ordered
+    array, with a column stride of one item and a row stride of at least n
+    items.  ValueError for any other array."""
     n = a.shape[0]
-    if a.shape != (n, n) or (a.dtype, driver) not in routines or not a.flags.c_contiguous:
+    if a.shape != (n, n) or (a.dtype, driver) not in routines:
         raise ValueError(f"cannot solve a {a.shape} {a.dtype} matrix in place")
-    return routines[a.dtype, driver]
+    rows, cols = a.strides
+    lda, rest = divmod(rows, a.itemsize)
+    if n > 1 and (cols != a.itemsize or rest or lda < n):
+        raise ValueError(f"cannot solve a matrix with strides {a.strides} in place")
+    return routines[a.dtype, driver], ctypes.c_int64(max(lda, 1))
 
 
 def _lapack_call(routine, head: list, dtype) -> None:
@@ -304,7 +336,8 @@ def _lapack_call(routine, head: list, dtype) -> None:
 def _evd(a: np.ndarray, vectors: bool):
     """Eigenvalues of the hermitian matrix ``a``, and with ``vectors`` its
     eigenvectors as C-contiguous columns, bit for bit those of
-    ``np.linalg.eigvalsh``/``eigh``; the solve overwrites ``a``.
+    ``np.linalg.eigvalsh``/``eigh``; the solve overwrites ``a``, which may
+    be a view with a leading dimension (``_routine``).
 
     ``a`` goes to ?syevd/?heevd in place, with numpy's arguments: uplo 'L'
     and the optimal workspace of a size query (a smaller one changes the
@@ -317,13 +350,13 @@ def _evd(a: np.ndarray, vectors: bool):
     routines = _lapack_eigh()
     if routines is None:
         return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
-    routine = _routine(routines, a, "evd")
+    routine, lda = _routine(routines, a, "evd")
     if a.dtype.kind == "c":
         np.conjugate(a, out=a)
     n = ctypes.c_int64(a.shape[0])
     w = np.empty(a.shape[0])
-    _lapack_call(routine, [b"V" if vectors else b"N", b"L", n, a.ctypes.data, n, w.ctypes.data],
-                 a.dtype)
+    _lapack_call(routine, [b"V" if vectors else b"N", b"L", n, a.ctypes.data, lda,
+                           w.ctypes.data], a.dtype)
     return (w, a.T.copy()) if vectors else w
 
 
@@ -338,7 +371,8 @@ _ABSTOL = 2.0 * np.finfo(float).tiny  # where LAPACK's bisection is most accurat
 def _evr(a: np.ndarray, lo: float, hi: float):
     """The eigenvalues of the hermitian matrix ``a`` in (lo, hi] and their
     eigenvectors, as the C-contiguous columns of a (n, k) array; the solve
-    overwrites ``a``.
+    overwrites ``a``, which may be a view with a leading dimension
+    (``_routine``).
 
     ``a`` goes to ?syevr/?heevr in place with range 'V': LAPACK finds the k
     values by bisection on the tridiagonal form and back-transforms only
@@ -354,13 +388,13 @@ def _evr(a: np.ndarray, lo: float, hi: float):
         w, v = np.linalg.eigh(a)
         keep = _in_window(w, lo, hi)
         return w[keep], np.ascontiguousarray(v[:, keep])
-    routine = _routine(routines, a, "evr")
+    routine, lda = _routine(routines, a, "evr")
     n = ctypes.c_int64(a.shape[0])
     found = ctypes.c_int64(0)
     w = np.empty(a.shape[0])
     z = np.empty(a.shape, a.dtype)
     isuppz = np.empty(2 * a.shape[0], np.int64)
-    _lapack_call(routine, [b"V", b"V", b"L", n, a.ctypes.data, n, ctypes.c_double(lo),
+    _lapack_call(routine, [b"V", b"V", b"L", n, a.ctypes.data, lda, ctypes.c_double(lo),
                            ctypes.c_double(hi), ctypes.c_int64(1), n, ctypes.c_double(_ABSTOL),
                            found, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data], a.dtype)
     rows = z[:found.value]
@@ -386,10 +420,10 @@ class GridOperator:
     operator made from a caller's array keeps it unchanged and solves a copy.
 
     An operator that ``build_schrodinger`` finds has no entries between its
-    N channels is split: ``eigenpairs`` copies each channel's M x M block
-    (rows and columns c::N) out, drops the matrix, solves each block alone,
-    merges the values by a stable sort and makes each eigenvector zero on
-    the other channels' rows.
+    N channels is split: ``eigenpairs`` solves each channel's M x M block
+    (rows and columns c::N) alone, where it lies in the matrix, drops the
+    matrix, merges the values by a stable sort and makes each eigenvector
+    zero on the other channels' rows.
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
     plane waves tensored with channel eigenvectors.  Their matrix is built
@@ -476,18 +510,24 @@ class GridOperator:
         return self._values[keep], self._vectors[:, keep]
 
     def _split_pairs(self, solve):
-        """``solve`` on each channel block.  Channel c's eigenvector j goes to
-        column rank[offset_c + j] of the merged order, on the rows c::N.  The
-        matrix is dropped before the blocks are solved, and the merged
-        eigenvector array is made after."""
-        n = self.N
+        """``solve`` on each channel block, where it lies in the held matrix.
+        Channel c's eigenvector j goes to column rank[offset_c + j] of the
+        merged order, on the rows c::N.
+
+        Each row's columns are first gathered into channel-major order, a
+        few rows at a time, so that channel c's block (rows and columns c::N)
+        becomes the view ``mat[c::N, c M:(c + 1) M]``, with leading dimension
+        N dim.  The matrix is dropped after the last block is solved, and the
+        merged eigenvector array is made after that."""
+        n, m = self.N, self.grid.M
         mat = self.matrix
-        blocks = [mat[c::n, c::n].copy() for c in range(n)]
-        del mat
         self._release()
-        solved = []
-        while blocks:  # a block is freed once it is solved
-            solved.append(solve(blocks.pop(0)))
+        step = max(1, _ROW_BLOCK // self.dim)
+        for lo in range(0, self.dim, step):
+            rows = mat[lo:lo + step]
+            rows[...] = rows.reshape(-1, m, n).transpose(0, 2, 1).reshape(rows.shape)
+        solved = [solve(mat[c::n, c * m:(c + 1) * m]) for c in range(n)]
+        del mat, rows
         vals, blocks = zip(*solved)
         del solved
         offsets = np.cumsum([0] + [v.size for v in vals])
@@ -520,14 +560,20 @@ class GridOperator:
 
     def _plane_waves(self, flat: np.ndarray) -> np.ndarray:
         """Column j is the plane wave m tensored with channel vector k, for
-        flat[j] = m N + k."""
+        flat[j] = m N + k.  The output is filled a block of columns at a
+        time, so the phases are never formed for all columns at once."""
         _, channel_vecs = self._analytic
         _admit(16 * flat.size * (self.grid.M + self.dim), self.label, "the plane-wave vectors")
         m_idx, k_idx = np.divmod(flat, self.N)
         grid = self.grid
-        phases = np.exp(1j * np.outer(grid.nodes, grid.momenta[m_idx] / grid.h))
-        phases /= math.sqrt(grid.M)
-        vectors = phases[:, None, :] * channel_vecs[None, :, k_idx]
+        vectors = np.empty((grid.M, self.N, flat.size), dtype=complex)
+        step = max(1, _ROW_BLOCK // grid.M)
+        for lo in range(0, flat.size, step):
+            cols = slice(lo, lo + step)
+            phases = np.exp(1j * np.outer(grid.nodes, grid.momenta[m_idx[cols]] / grid.h))
+            phases /= math.sqrt(grid.M)
+            np.multiply(phases[:, None, :], channel_vecs[None, :, k_idx[cols]],
+                        out=vectors[:, :, cols])
         return vectors.reshape(self.dim, flat.size)
 
 
@@ -577,7 +623,11 @@ def solve_bytes(dim: int, dtype, blocks: int = 1) -> int:
     matrix, which LAPACK overwrites with the vectors, and a workspace of
     two), a values-only solve at about the matrix alone, and the windowed
     solve of a cutoff trace (``_evr``) at the matrix and its k eigenvector
-    columns."""
+    columns.  A split operator solves each block where it lies in the
+    matrix, so it holds the matrix, one block's workspace and the
+    eigenvectors of the blocks solved so far, and copies no block out.  The
+    freed heap of earlier steps is given back before each assembly
+    (``_return_free_heap``), so it does not add to these peaks."""
     item = np.dtype(dtype).itemsize
     size = dim // blocks
     held = dim * size if blocks > 1 else 0
@@ -619,6 +669,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
 
     def assemble():
         _admit(np.dtype(dtype).itemsize * dim * dim, label, "the matrix")
+        _return_free_heap()
         return _assemble_schrodinger(grid, samples)
 
     if np.any(samples != samples[0]):

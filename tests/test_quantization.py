@@ -228,6 +228,27 @@ class TestSplitSolve:
         got = smoothed_trace(a, op, f, w, taus)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
+    def test_peak_memory_is_the_matrix(self):
+        # a fresh process; thm3's finest step solves its channel blocks where
+        # they lie in the matrix, where copying them out first holds the
+        # matrix and half of it again
+        code = PEAK_RSS_SOURCE + (
+            "from ssf_lab.quantization import build_schrodinger, grid_for\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "grid = grid_for(1 / 96, 6.0, 2.0, 8192)\n"
+            "before = peak_rss()\n"
+            "op = build_schrodinger(model_potential('conical_crossing'), grid)\n"
+            "vals, vecs = op.eigenpairs(window=(0.5, 1.5))\n"
+            "print(op.dim, vals.size, op._split, peak_rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, k, split, grown = proc.stdout.split()
+        dim, k, grown = int(dim), int(k), int(grown)
+        assert dim == 2076 and split == "True"
+        # the real matrix, the window's eigenvectors and 4 MB
+        assert grown < 8 * dim * (dim + k) + 4e6
+
     @pytest.mark.parametrize("v", [
         model_potential("reference"),
         model_potential("avoided_crossing", gap=0.2),
@@ -488,11 +509,35 @@ class TestDenseSolve:
         monkeypatch.setattr(qz.ctypes, "CDLL", lambda path: NoWindowedDrivers())
         assert qz._lapack_eigh.__wrapped__() is None
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_strided_view_solves_as_its_copy(self, rng, kind):
+        # a block with a leading dimension, as a split operator hands it over:
+        # the bits of the same solve on a contiguous copy, and nothing read or
+        # written outside the block
+        if qz._lapack_eigh() is None:
+            pytest.skip("numpy's LAPACK does not export ?syevd_64_")
+        n = 257
+        a = random_matrix(rng, n, kind)
+        lo, hi = np.quantile(np.linalg.eigvalsh(a), [0.3, 0.6])
+        solves = [lambda m: (qz._evd(m, vectors=False),), lambda m: qz._evd(m, vectors=True),
+                  lambda m: qz._evr(m, lo, hi)]
+        for solve in solves:
+            big = np.full((2 * n, 3 * n), np.nan, dtype=a.dtype)
+            view = big[1::2, n:2 * n]
+            view[...] = a
+            for got, expect in zip(solve(view), solve(a.copy())):
+                assert np.array_equal(got, expect) and got.flags.c_contiguous
+            assert np.all(np.isnan(big[::2])) and np.all(np.isnan(big[:, :n]))
+            assert np.all(np.isnan(big[:, 2 * n:]))
+
     def test_refuses_what_it_cannot_overwrite(self, rng):
         if qz._lapack_eigh() is None:
             pytest.skip("numpy's LAPACK does not export ?syevd_64_")
         a = random_matrix(rng, 8, "real")
-        for bad in (np.asfortranarray(a), a.astype(np.float32), a[:, :4]):
+        wide = random_matrix(rng, 16, "real")
+        short_rows = np.lib.stride_tricks.as_strided(wide, (8, 8), (4 * a.itemsize, a.itemsize))
+        for bad in (np.asfortranarray(a), a.astype(np.float32), a[:, :4], wide[:8, :16:2],
+                    short_rows):
             with pytest.raises(ValueError, match="in place"):
                 qz._evd(bad, vectors=False)
             with pytest.raises(ValueError, match="in place"):

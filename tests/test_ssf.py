@@ -18,6 +18,7 @@ from ssf_lab.quantization import (
     build_schrodinger,
     required_points,
 )
+from ssf_lab import quantization as qz
 from ssf_lab import ssf as ssf_mod
 from ssf_lab.ssf import (
     MarginError,
@@ -204,6 +205,30 @@ class TestBuildPair:
         dim, grown = map(int, proc.stdout.split())
         assert dim == 1984
         assert grown < 1.5 * 8 * dim * dim
+
+    def test_peak_memory_over_a_ladder(self):
+        # three rounds of an h-ladder in a fresh process, as the three ssf
+        # configs of a sweep make them: freed heap is given back before each
+        # matrix is assembled, so the peak stays near the largest matrix;
+        # kept resident, the freed pages of the smaller steps add about 20 MB
+        if qz._malloc_trim() is None:
+            pytest.skip("the C library has no malloc_trim")
+        code = PEAK_RSS_SOURCE + (
+            "from ssf_lab.quantization import grid_for\n"
+            "from ssf_lab.ssf import build_pair\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "v = model_potential('reference')\n"
+            "before = peak_rss()\n"
+            "for h in (1 / 14, 1 / 28, 1 / 56) * 3:\n"
+            "    grid = grid_for(h, 12.0, 3.24, 8192)\n"
+            "    build_pair(v, grid)\n"
+            "print(2 * grid.M, peak_rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, grown = map(int, proc.stdout.split())
+        assert dim == 3084
+        assert grown < 1.1 * 8 * dim * dim + 4e6
 
     def test_margin_rejection(self):
         wide = model_potential("diagonal_bumps", depths=[1.0], centers=[0.0], widths=[6.0])
