@@ -416,8 +416,11 @@ class GridOperator:
     A dense solve runs LAPACK in place (``_evd``, windowed ``_evr``), so it
     holds one matrix, not the matrix and a copy.  An operator made with an
     ``assemble`` callable in place of the matrix gives its matrix to the
-    solve and drops it; a later read of ``.matrix`` assembles it again.  An
-    operator made from a caller's array keeps it unchanged and solves a copy.
+    solve and drops it; a later read of ``.matrix`` assembles it again.  A
+    cutoff from ``weyl_quantize`` is assembled this way on its first read,
+    and since a cutoff is never solved, it keeps its matrix from then on.
+    An operator made from a caller's array keeps it unchanged and solves a
+    copy.
 
     An operator that ``build_schrodinger`` finds has no entries between its
     N channels is split: ``eigenpairs`` solves each channel's M x M block
@@ -561,16 +564,25 @@ class GridOperator:
     def _plane_waves(self, flat: np.ndarray) -> np.ndarray:
         """Column j is the plane wave m tensored with channel vector k, for
         flat[j] = m N + k.  The output is filled a block of columns at a
-        time, so the phases are never formed for all columns at once."""
+        time, and each block's phases exp(i x p / h) are formed in place in
+        one complex (M, step) buffer.  Admitted: the (dim, k) result, that
+        buffer of at most ``_ROW_BLOCK`` entries, and as much again for
+        numpy's iteration buffers and the index arrays."""
         _, channel_vecs = self._analytic
-        _admit(16 * flat.size * (self.grid.M + self.dim), self.label, "the plane-wave vectors")
+        _admit(16 * (flat.size * self.dim + 2 * _ROW_BLOCK), self.label,
+               "the plane-wave vectors")
         m_idx, k_idx = np.divmod(flat, self.N)
         grid = self.grid
+        nodes = grid.nodes
         vectors = np.empty((grid.M, self.N, flat.size), dtype=complex)
         step = max(1, _ROW_BLOCK // grid.M)
+        buffer = np.empty((grid.M, min(step, flat.size)), dtype=complex)
         for lo in range(0, flat.size, step):
             cols = slice(lo, lo + step)
-            phases = np.exp(1j * np.outer(grid.nodes, grid.momenta[m_idx[cols]] / grid.h))
+            phases = buffer[:, :min(step, flat.size - lo)]
+            phases.real = 0.0
+            np.outer(nodes, grid.momenta[m_idx[cols]] / grid.h, out=phases.imag)
+            np.exp(phases, out=phases)
             phases /= math.sqrt(grid.M)
             np.multiply(phases[:, None, :], channel_vecs[None, :, k_idx[cols]],
                         out=vectors[:, :, cols])
@@ -727,6 +739,12 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     fast path), or a general callable a(x, xi) (table path, M capped for
     memory).  A ``ProductCutoff``'s x-support must keep 2.0 clear of the
     periodic seam at +-R; its xi-support must sit inside the momentum window.
+
+    A ``ProductCutoff`` is checked here and assembled on the first read of
+    ``.matrix``, so in ``smoothed_trace`` it is built after H's eigenpairs
+    are solved and never sits beside H's matrix.  Its bytes (8 M^2, or
+    16 M^2 for a complex result) are admitted against the host's memory
+    before each pass of the assembly.
     """
     m_pts = grid.M
 
@@ -736,8 +754,13 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
 
     if isinstance(a, ProductCutoff):
         _check_margins(a, grid)
-        return GridOperator(grid=grid, N=1, matrix=_product_matrix(a, grid),
-                            label="weyl(product)")
+        label = "weyl(product)"
+
+        def assemble():
+            _admit(8 * m_pts * m_pts, label, "the cutoff matrix")
+            return _product_matrix(a, grid, label)
+
+        return GridOperator(grid=grid, N=1, label=label, assemble=assemble)
 
     if callable(a):
         n_args = len(inspect.signature(a).parameters)
@@ -766,7 +789,7 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
 _WEYL_BLOCK = 1 << 16  # entries per row block of a ProductCutoff's Weyl matrix
 
 
-def _product_matrix(chi: ProductCutoff, grid: Grid1D) -> np.ndarray:
+def _product_matrix(chi: ProductCutoff, grid: Grid1D, label: str) -> np.ndarray:
     """The hermitized Weyl matrix (B + B^H) / 2 of g(x) k(xi), with
     B[i, j] = g(mid_ij) kappa[delta_ij % M], real when its imaginary part is
     at most 1e-14 of its largest entry.
@@ -775,7 +798,7 @@ def _product_matrix(chi: ProductCutoff, grid: Grid1D) -> np.ndarray:
     index is symmetric in (i, j) and delta_ji = -delta_ij mod M (the
     antipodal tie included), so row i of B^T is g(mid_ij) kappa[-delta_ij % M]:
     every entry is the product the full B would hold.  A complex result
-    (rare: k not even) takes a second pass.
+    (rare: k not even) takes a second pass, admitted as ``label`` first.
     """
     m_pts = grid.M
     kappa = np.fft.ifft(chi.k(grid.momenta_fft_order))
@@ -799,6 +822,8 @@ def _product_matrix(chi: ProductCutoff, grid: Grid1D) -> np.ndarray:
         scale = max(scale, float(np.max(np.abs(block.real))))
     if imag <= 1e-14 * max(1.0, scale):
         return mat
+    del mat
+    _admit(16 * m_pts * m_pts, label, "the complex cutoff matrix")
     mat = np.empty((m_pts, m_pts), dtype=complex)
     for lo in range(0, m_pts, step):
         mat[lo:lo + step] = rows_of(lo)
@@ -1018,22 +1043,46 @@ def window_primitive(w: WindowTheta, h: float, s):
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray) -> np.ndarray:
-    """<u_j, A u_j> for the columns u_j of ``vecs``, eigenvectors of an
-    operator with A's channel count or of one with N channels when A is
-    per-channel scalar (then A acts on the M x (N k) array of their rows).
-    A real A applies to complex columns as to the float64 view of their
-    real and imaginary parts, so no complex copy of A is made, and the sum
-    is conj(sum u_j conj(A u_j)), so no conjugate copy of the columns."""
+_PRODUCT_BLOCK = 1 << 22  # bytes of A U per column block of a cutoff diagonal
+# BLAS computes a product's columns in small groups and may round the
+# columns after the last whole group differently; blocks of a multiple of
+# 32 columns keep the groups of the whole product, and so its bits
+_BLOCK_COLUMNS = 32
+
+
+def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """<u_j, A u_j> for the columns u_j = vecs[:, j], j in ``cols``,
+    eigenvectors of an operator with A's channel count or of one with N
+    channels when A is per-channel scalar (then A acts on the M x (N b)
+    array of a block's rows).
+
+    The product A U is formed for a block of about ``_PRODUCT_BLOCK`` bytes
+    of columns at a time and summed down its columns, so neither the whole
+    (dim, k) product nor a copy of the selected columns is made.  A real A
+    applies to complex columns as to the float64 view of their real and
+    imaginary parts, so no complex copy of A is made, and the sum is
+    conj(sum u_j conj(A u_j)), so no conjugate copy of the columns."""
     if a_op.N != 1 and vecs.shape[0] != a_op.dim:
         raise GridMismatchError("channel counts are incompatible")
-    mat, rows = a_op.matrix, vecs.reshape(a_op.dim, -1)
+    mat = a_op.matrix
+    width = _PRODUCT_BLOCK // (vecs.shape[0] * vecs.itemsize)
+    step = max(_BLOCK_COLUMNS, width - width % _BLOCK_COLUMNS)
+    out = np.empty(len(cols), dtype=np.result_type(mat, vecs))
+    for lo in range(0, len(cols), step):
+        out[lo:lo + step] = _block_diagonal(mat, np.take(vecs, cols[lo:lo + step], axis=1))
+    return out
+
+
+def _block_diagonal(mat: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """<u_j, A u_j> for the columns of one C-ordered block; its product with
+    A is freed on return, before the next block is taken."""
+    rows = block.reshape(mat.shape[0], -1)
     if mat.dtype.kind == "f" and rows.dtype.kind == "c":
-        t = (mat @ np.ascontiguousarray(rows).view(float)).view(complex)
+        t = (mat @ rows.view(float)).view(complex)
     else:
         t = mat @ rows
-    t = np.conjugate(t, out=t).reshape(vecs.shape)
-    return np.einsum("ij,ij->j", vecs, t).conj()
+    t = np.conjugate(t, out=t).reshape(block.shape)
+    return np.einsum("ij,ij->j", block, t).conj()
 
 
 def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTheta,
@@ -1044,7 +1093,10 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     tau); for the even window and hermitian A the imaginary part is at
     rounding level.  With a cutoff only the eigenpairs with lambda in the
     support of f (``f.support``; the whole line for an f without one) are
-    solved, and <u_j, A u_j> is formed only where f(lambda_j) is not 0.
+    solved, and <u_j, A u_j> is formed only where f(lambda_j) is not 0, in
+    column blocks (``_cutoff_diagonal``).  A's matrix is first read after
+    that solve has dropped H's, so a cutoff from ``weyl_quantize`` is
+    assembled when H's matrix is gone.
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
@@ -1057,9 +1109,8 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
         weights = fv.astype(complex)
     else:
         cols = np.flatnonzero(fv)
-        if cols.size < lam.size:
-            lam, fv, vecs = lam[cols], fv[cols], vecs[:, cols]
-        weights = fv * _cutoff_diagonal(a_op, vecs)
+        lam, fv = lam[cols], fv[cols]
+        weights = fv * _cutoff_diagonal(a_op, vecs, cols)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights
@@ -1227,7 +1278,7 @@ def theorem1_check(
     values = []
     for h in h_list:
         grid = grid_for(h, R, tau_max, m_cap)
-        a_op = weyl_quantize(chi, grid)  # built before H, so its row blocks never sit on H
+        a_op = weyl_quantize(chi, grid)
         h_op = build_schrodinger(v, grid)
         eps = eps_rule(h) if callable(eps_rule) else float(eps_rule)
         w = WindowTheta(kind=window_kind, eps=eps)
@@ -1312,7 +1363,7 @@ def theorem3_check(
     values = []
     for h in h_list:
         grid = grid_for(h, R, tau_max, m_cap)
-        a_op = weyl_quantize(chi, grid)  # built before H, so its row blocks never sit on H
+        a_op = weyl_quantize(chi, grid)
         h_op = build_schrodinger(v, grid)
         tr = smoothed_trace(a_op, h_op, f, window, tau)
         values.append(2.0 * math.pi * h * float(np.real(tr)))

@@ -355,8 +355,9 @@ class TestMemoryAdmission:
 
     def test_analytic_operator_checked_where_it_allocates(self, monkeypatch):
         # a values-only read and a few columns fit; the matrix (8 M^2 bytes)
-        # and all plane-wave vectors (32 M^2 bytes) do not
-        g = small_grid(h=1 / 16, tau_max=2.0)
+        # and all plane-wave vectors (16 M^2 bytes, a block of phases and as
+        # much again for numpy's buffers) do not
+        g = small_grid(h=1 / 64, tau_max=2.0)
         monkeypatch.setattr(qz, "physical_memory", lambda: 8 * g.M * g.M - 1)
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
         assert op.eigenvalues().size == g.M
@@ -367,8 +368,56 @@ class TestMemoryAdmission:
         assert err.value.required == 8 * g.M * g.M
         with pytest.raises(MemoryBudgetError) as err:
             op.eigenpairs()
-        assert err.value.required == 32 * g.M * g.M
+        assert err.value.required == 16 * g.M * g.M + 32 * qz._ROW_BLOCK
         assert op._matrix is None and op._vectors is None
+
+    def test_cutoff_admitted_before_assembly(self, monkeypatch):
+        # weyl_quantize checks the margins alone; the first read of .matrix
+        # admits the real matrix before anything is assembled
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        ran = []
+        monkeypatch.setattr(qz, "_product_matrix", lambda *args: ran.append(args))
+        monkeypatch.setattr(qz, "physical_memory", lambda: 8 * g.M * g.M - 1)
+        a = weyl_quantize(CHI, g)
+        with pytest.raises(MemoryBudgetError) as err:
+            a.matrix
+        assert err.value.required == 8 * g.M * g.M
+        assert ran == [] and a._matrix is None
+
+    def test_complex_cutoff_admitted_before_its_second_pass(self, monkeypatch):
+        # k not even: the real first pass fits, the complex matrix does not
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        chi = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0.3, 1.0))
+        monkeypatch.setattr(qz, "physical_memory", lambda: 16 * g.M * g.M - 1)
+        with pytest.raises(MemoryBudgetError) as err:
+            weyl_quantize(chi, g).matrix
+        assert err.value.required == 16 * g.M * g.M
+        monkeypatch.setattr(qz, "physical_memory", lambda: 16 * g.M * g.M)
+        assert weyl_quantize(chi, g).matrix.dtype == complex
+
+    def test_plane_wave_admission_bounds_the_read(self, monkeypatch):
+        # thm1's h = 1/128: 370 columns of the window of its f, whose bytes
+        # are admitted once before they are formed
+        g = qz.grid_for(1 / 128, 6.0, 2.56, 8192)
+        op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
+        op.eigenvalues()
+        admitted = []
+        admit = qz._admit
+
+        def spy(required, label, what):
+            admitted.append(required)
+            admit(required, label, what)
+
+        monkeypatch.setattr(qz, "_admit", spy)
+        tracemalloc.start()
+        try:
+            vals, vecs = op.eigenpairs(window=(0.3, 1.7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vecs.shape == (g.M, 370)
+        assert admitted == [16 * 370 * g.M + 32 * qz._ROW_BLOCK]
+        assert vecs.nbytes < peak <= admitted[0]
 
     def test_estimates(self):
         m = 1000
@@ -974,11 +1023,14 @@ class TestSmoothedTrace:
         ("reference", {}),
         ("constant", {"v_inf": [0.0, 0.3]}),
     ], ids=["N1", "N2", "analytic_complex"])
-    def test_cutoff_diagonal_only_where_f_nonzero(self, kind, params):
+    def test_cutoff_diagonal_only_where_f_nonzero(self, monkeypatch, kind, params):
         # <u_j, A u_j> on the columns where f(lambda_j) != 0 against that
         # column of the full dense product; N2 uses the per-channel scalar
         # cutoff.  BLAS picks its kernels by the column count, so a column of
         # a narrower product agrees to rounding, not always bit for bit.
+        # The products are formed in blocks of 32 columns here, the least
+        # block, so the larger subsets span several.
+        monkeypatch.setattr(qz, "_PRODUCT_BLOCK", 0)
         g = small_grid(h=1 / 16, tau_max=2.0)
         op = build_schrodinger(model_potential(kind, **params), g)
         a = weyl_quantize(CHI, g)
@@ -992,14 +1044,75 @@ class TestSmoothedTrace:
             full = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
         cols = np.flatnonzero(bump_test_function((0.5, 1.5))(lam))
         assert 0 < cols.size < lam.size
-        for sub in (np.arange(lam.size), cols, cols[:1], cols[:2], cols[1::3]):
-            got = qz._cutoff_diagonal(a, vecs[:, sub])
+        spread = np.arange(3, lam.size, 2)
+        assert spread.size > 2 * qz._BLOCK_COLUMNS
+        for sub in (np.arange(lam.size), cols, cols[:1], cols[:2], cols[1::3], spread):
+            got = qz._cutoff_diagonal(a, vecs, sub)
             assert np.max(np.abs(got - full[sub])) <= 1e-14 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("v", [
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("conical_crossing"),
+    ], ids=["dense", "split"])
+    def test_cutoff_assembled_after_the_solve(self, monkeypatch, v):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        expect = smoothed_trace(GridOperator(grid=g, N=1, matrix=weyl_quantize(CHI, g).matrix),
+                                build_schrodinger(v, g), f, w, 1.0)
+        a = weyl_quantize(CHI, g)
+        h_op = build_schrodinger(v, g)
+        assert a._matrix is None and h_op._matrix is not None
+        assert h_op._split == (v.N > 1)
+        h_held = []
+        product = qz._product_matrix
+
+        def spy(*args):
+            h_held.append(h_op._matrix is not None)
+            return product(*args)
+
+        monkeypatch.setattr(qz, "_product_matrix", spy)
+        assert smoothed_trace(a, h_op, f, w, 1.0) == expect
+        assert h_held == [False]
+        # a cutoff is never solved, so it keeps its matrix for the next trace
+        assert smoothed_trace(a, build_schrodinger(v, g), f, w, 1.0) == expect
+        assert h_held == [False] and a._matrix is not None
+
+    # (grid, potential, supp f, window, bound): steps of the thm2, thm1 and
+    # thm3 set-ups at h = 1/64, 1/128 and 1/96.  Peaks in units of H's
+    # dim x dim float64 matrix read 3.09, 2.41 and 1.60 with the cutoff
+    # assembled before H and one product over all columns, and 2.09, 1.88
+    # and 1.35 with it assembled after H's solve and applied in column blocks.
+    @pytest.mark.parametrize("grid,v,support,w,bound", [
+        (qz.grid_for(1 / 64, 12.0, 1.69, 8192),
+         model_potential("diagonal_bumps", depths=[0.5], centers=[7.0], widths=[0.4]),
+         (0.8, 1.2), WindowTheta("bump_at_zero", eps=0.3), 2.6),
+        (qz.grid_for(1 / 128, 6.0, 2.56, 8192), model_potential("constant", v_inf=0.0, N=1),
+         (0.3, 1.7), WindowTheta("bump_positive", eps=1.0), 2.1),
+        (qz.grid_for(1 / 96, 6.0, 2.0, 8192), model_potential("conical_crossing"),
+         (0.5, 1.5), WindowTheta("bump_at_zero", eps=0.25), 1.47),
+    ], ids=["thm2-dense", "thm1-analytic", "thm3-split"])
+    def test_step_peak_is_one_matrix(self, grid, v, support, w, bound):
+        # numpy reports its buffers to tracemalloc: the whole step, from the
+        # cutoff's construction to the trace, holds H's matrix with its
+        # windowed solve, or the cutoff with H's eigenvector columns, never
+        # H's matrix and the cutoff at once
+        chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))
+        fourier_window(w, grid.h, 0.0)
+        tracemalloc.start()
+        try:
+            a = weyl_quantize(chi, grid)
+            h_op = build_schrodinger(v, grid)
+            smoothed_trace(a, h_op, bump_test_function(support), w, np.linspace(0.9, 1.1, 9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * h_op.dim ** 2
 
     def test_peak_memory_with_cutoff(self):
         # a fresh process; the windowed solve holds the k eigenvector columns
         # of supp f, where a full eigh holds the vector matrix and a workspace
-        # of two more
+        # of two more, and the cutoff is assembled after H's matrix is gone
         code = PEAK_RSS_SOURCE + (
             "import numpy as np\n"
             "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
@@ -1022,8 +1135,9 @@ class TestSmoothedTrace:
         assert proc.returncode == 0, proc.stderr
         dim, a_dim, grown = map(int, proc.stdout.split())
         assert dim == a_dim == 1272
-        # the matrix and the cutoff: 2 x 12.9 MB
-        assert grown < 1.5 * 8 * (dim * dim + a_dim * a_dim)
+        # the matrix or the cutoff, each 12.9 MB, never both: the growth read
+        # 1.54 matrices here and 1.79 with the cutoff assembled before H
+        assert grown < 1.7 * 8 * dim * dim
 
     def test_scalar_f_is_constant_function(self):
         # a scalar f weighs every eigenvalue alike, with and without a cutoff
