@@ -15,15 +15,22 @@ periodic midpoint (on the half-step grid).  For symbols depending on x only
 the momentum sum is a discrete delta and is evaluated in closed form, so
 multiplication operators come out exactly diagonal.
 
+A ``GridOperator`` answers two requests: its spectrum, from a values-only
+solve in place, or its eigenpairs in an energy window (lo, hi], which is
+all a smoothed trace reads of them.  Each dense allocation, a matrix or the
+eigenvectors of a solve, admits its own bytes against the host's physical
+memory where it is made, so a step that cannot fit stops with
+``MemoryBudgetError`` before it allocates.
+
 Smoothed spectral traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over
-the eigenpairs, where K is the scaled inverse Fourier transform of a window
-theta(t/eps): K(s) = (eps/h) Phi(eps s / h) with an h-independent profile
-Phi cached per window shape.  Phi and Phi' are tabulated once per process
-and shape on 26 081 knots (four uniform segments up to y = 1200) by a
-768-node Gauss rule; on each segment the phase exp(i u y) is split into a
-coarse and a fine factor, so the tables are a few small matrix products and
-never a knots x nodes phase matrix.  Between knots Phi is interpolated by
-piecewise cubic Hermite polynomials.
+the eigenpairs with lambda_j in supp f, where K is the scaled inverse
+Fourier transform of a window theta(t/eps): K(s) = (eps/h) Phi(eps s / h)
+with an h-independent profile Phi cached per window shape.  Phi and Phi'
+are tabulated once per process and shape on 26 081 knots (four uniform
+segments up to y = 1200) by a 768-node Gauss rule; on each segment the
+phase exp(i u y) is split into a coarse and a fine factor, so the tables
+are a few small matrix products and never a knots x nodes phase matrix.
+Between knots Phi is interpolated by piecewise cubic Hermite polynomials.
 
 Every h-sweep of the package ends in one ``SweepReport`` from
 ``sweep_verdict``: a value per h, the relative errors against a reference,
@@ -58,7 +65,6 @@ __all__ = [
     "required_points",
     "grid_for",
     "potential_samples",
-    "solve_bytes",
     "build_schrodinger",
     "weyl_quantize",
     "WindowTheta",
@@ -86,7 +92,7 @@ class CoverageError(ValueError):
 
 
 class MemoryBudgetError(MemoryError):
-    """An operator whose solve would need more bytes than the host's memory."""
+    """An allocation that would need more bytes than the host's memory."""
 
     def __init__(self, msg: str, required: int, available: int):
         super().__init__(msg)
@@ -333,31 +339,28 @@ def _lapack_call(routine, head: list, dtype) -> None:
         raise ValueError(f"argument {-info} of the eigensolver is illegal")
 
 
-def _evd(a: np.ndarray, vectors: bool):
-    """Eigenvalues of the hermitian matrix ``a``, and with ``vectors`` its
-    eigenvectors as C-contiguous columns, bit for bit those of
-    ``np.linalg.eigvalsh``/``eigh``; the solve overwrites ``a``, which may
-    be a view with a leading dimension (``_routine``).
+def _evd(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the hermitian matrix ``a``, bit for bit those of
+    ``np.linalg.eigvalsh``; the solve overwrites ``a``, which may be a view
+    with a leading dimension (``_routine``).
 
     ``a`` goes to ?syevd/?heevd in place, with numpy's arguments: uplo 'L'
     and the optimal workspace of a size query (a smaller one changes the
     blocking of the tridiagonal reduction, and so the bits).  LAPACK reads
     the C-ordered buffer as its transpose, which is A itself once a complex
-    matrix is conjugated.  The eigenvectors come back in that transposed
-    order and are copied out after the workspace is freed.  Where numpy's
-    LAPACK does not export the routines, numpy solves a copy.
+    matrix is conjugated.  Where numpy's LAPACK does not export the
+    routines, numpy solves a copy.
     """
     routines = _lapack_eigh()
     if routines is None:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return np.linalg.eigvalsh(a)
     routine, lda = _routine(routines, a, "evd")
     if a.dtype.kind == "c":
         np.conjugate(a, out=a)
     n = ctypes.c_int64(a.shape[0])
     w = np.empty(a.shape[0])
-    _lapack_call(routine, [b"V" if vectors else b"N", b"L", n, a.ctypes.data, lda,
-                           w.ctypes.data], a.dtype)
-    return (w, a.T.copy()) if vectors else w
+    _lapack_call(routine, [b"N", b"L", n, a.ctypes.data, lda, w.ctypes.data], a.dtype)
+    return w
 
 
 def _in_window(values: np.ndarray, lo: float, hi: float) -> slice:
@@ -370,9 +373,9 @@ _ABSTOL = 2.0 * np.finfo(float).tiny  # where LAPACK's bisection is most accurat
 
 def _evr(a: np.ndarray, lo: float, hi: float):
     """The eigenvalues of the hermitian matrix ``a`` in (lo, hi] and their
-    eigenvectors, as the C-contiguous columns of a (n, k) array; the solve
-    overwrites ``a``, which may be a view with a leading dimension
-    (``_routine``).
+    eigenvectors, as the C-contiguous columns of a (n, k) array; either
+    bound may be infinite.  The solve overwrites ``a``, which may be a view
+    with a leading dimension (``_routine``).
 
     ``a`` goes to ?syevr/?heevr in place with range 'V': LAPACK finds the k
     values by bisection on the tridiagonal form and back-transforms only
@@ -404,23 +407,27 @@ def _evr(a: np.ndarray, lo: float, hi: float):
 
 
 class GridOperator:
-    """Dense hermitian operator on the grid with a lazy eigendecomposition.
+    """Dense hermitian operator on the grid, asked for one of two things: its
+    spectrum (``eigenvalues``, solved once and cached) or the eigenpairs in
+    a window (``eigenpairs``, solved for each call, nothing cached).  A
+    ``matrix`` must match the grid, be finite and be hermitian to 1e-11
+    relative; it is kept exactly hermitian, as float64 or complex128.
 
-    ``eigenvalues`` uses a values-only solve; ``eigenpairs`` upgrades to a
-    full decomposition (and replaces the cached values so both views stay
-    mutually consistent); ``eigenpairs(window=(lo, hi))`` solves only the
-    pairs with values in (lo, hi] and caches nothing.  A ``matrix`` must
-    match the grid, be finite and be hermitian to 1e-11 relative; it is kept
-    exactly hermitian, as float64 or complex128.
-
-    A dense solve runs LAPACK in place (``_evd``, windowed ``_evr``), so it
-    holds one matrix, not the matrix and a copy.  An operator made with an
+    A dense solve runs LAPACK in place: ?syevd/?heevd for values
+    (``_evd``), ?syevr/?heevr for the pairs of a window (``_evr``), so it
+    holds the matrix and no copy of it.  An operator made with an
     ``assemble`` callable in place of the matrix gives its matrix to the
     solve and drops it; a later read of ``.matrix`` assembles it again.  A
     cutoff from ``weyl_quantize`` is assembled this way on its first read,
     and since a cutoff is never solved, it keeps its matrix from then on.
     An operator made from a caller's array keeps it unchanged and solves a
     copy.
+
+    Each allocation admits its own bytes against the host's memory where it
+    is made (``MemoryBudgetError`` when they do not fit): an assembly its
+    matrix, and a pairs solve, before it starts, the matrix and up to dim
+    eigenvectors twice over (as LAPACK writes them and as columns), three
+    matrices, and a fourth for the copy of a caller's array.
 
     An operator that ``build_schrodinger`` finds has no entries between its
     N channels is split: ``eigenpairs`` solves each channel's M x M block
@@ -432,8 +439,12 @@ class GridOperator:
     plane waves tensored with channel eigenvectors.  Their matrix is built
     on the first read of ``.matrix``, checked like a passed matrix and kept.
     An operator whose spectrum alone is read never holds a dense matrix,
-    and a windowed ``eigenpairs`` forms only the window's plane waves.
+    and ``eigenpairs`` forms only the window's plane waves.
     """
+
+    # no eigenvectors are cached; the attribute stays, fixed at None, for
+    # perfbench's solve counter, which reads it to tell a solve from a hit
+    _vectors = None
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
                  label: str = "", *, assemble=None, analytic: tuple | None = None):
@@ -447,7 +458,6 @@ class GridOperator:
         self._assemble = assemble
         self._matrix = None if matrix is None else _checked_hermitian(matrix, self.dim)
         self._values: np.ndarray | None = None
-        self._vectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -478,42 +488,26 @@ class GridOperator:
             if self._analytic is not None:
                 self._values = self._analytic_values()
             else:
-                self._values = _evd(self._solve_input(), vectors=False)
+                self._values = _evd(self._solve_input())
         return self._values
 
-    def eigenpairs(self, *, window: tuple[float, float] | None = None
+    def eigenpairs(self, *, window: tuple[float, float] = (-math.inf, math.inf)
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending eigenvalues and their eigenvectors as columns.
+        """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
+        array of their eigenvectors as columns, the whole spectrum by
+        default: plane waves for an analytic spectrum, else ``_evr`` (per
+        channel block when split), after the admission of three matrices."""
+        lo, hi = window
+        if self._analytic is not None:
+            return self._analytic_pairs(lo, hi)
+        matrices = 3 if self._assemble is not None else 4  # with a caller's array, its copy
+        _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
+        if self._split:
+            return self._split_pairs(lo, hi)
+        return _evr(self._solve_input(), lo, hi)
 
-        With ``window=(lo, hi)``, only the k values in (lo, hi] and a (dim, k)
-        array of their vectors.  A finite window on an operator that holds no
-        decomposition is formed as plane waves for an analytic spectrum, or
-        else solved by ``_evr`` (per channel block when split), for this
-        call alone; any other window is selected from the full, cached
-        decomposition.
-        """
-        if window is not None and self._vectors is None and all(map(math.isfinite, window)):
-            lo, hi = window
-            if self._analytic is not None:
-                return self._analytic_pairs(lo, hi)
-            if self._split:
-                return self._split_pairs(lambda block: _evr(block, lo, hi))
-            return _evr(self._solve_input(), lo, hi)
-        if self._vectors is None:
-            if self._analytic is not None:
-                self._values, self._vectors = self._analytic_pairs(-math.inf, math.inf)
-            elif self._split:
-                self._values, self._vectors = self._split_pairs(
-                    lambda block: _evd(block, vectors=True))
-            else:
-                self._values, self._vectors = _evd(self._solve_input(), vectors=True)
-        if window is None:
-            return self._values, self._vectors
-        keep = _in_window(self._values, *window)
-        return self._values[keep], self._vectors[:, keep]
-
-    def _split_pairs(self, solve):
-        """``solve`` on each channel block, where it lies in the held matrix.
+    def _split_pairs(self, lo: float, hi: float):
+        """``_evr`` on each channel block, where it lies in the held matrix.
         Channel c's eigenvector j goes to column rank[offset_c + j] of the
         merged order, on the rows c::N.
 
@@ -526,10 +520,10 @@ class GridOperator:
         mat = self.matrix
         self._release()
         step = max(1, _ROW_BLOCK // self.dim)
-        for lo in range(0, self.dim, step):
-            rows = mat[lo:lo + step]
+        for first in range(0, self.dim, step):
+            rows = mat[first:first + step]
             rows[...] = rows.reshape(-1, m, n).transpose(0, 2, 1).reshape(rows.shape)
-        solved = [solve(mat[c::n, c * m:(c + 1) * m]) for c in range(n)]
+        solved = [_evr(mat[c::n, c * m:(c + 1) * m], lo, hi) for c in range(n)]
         del mat, rows
         vals, blocks = zip(*solved)
         del solved
@@ -622,30 +616,6 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def solve_bytes(dim: int, dtype, blocks: int = 1) -> int:
-    """Bytes of a dense dim x dim matrix of ``dtype`` and its ``eigh``: the
-    matrix, the eigenvector array, and a copy of the matrix with the
-    ?syevd/?heevd workspace (about two more).  Split into ``blocks``
-    diagonal blocks, LAPACK sees one block at a time and the blocks'
-    eigenvectors are held until they are scattered.
-
-    No solve reaches this bound, so the admission of build_schrodinger
-    refuses early.  Every dense solve runs in place and makes no copy: a full
-    ``eigenpairs`` solve (``_evd``) peaks at about three matrices (the
-    matrix, which LAPACK overwrites with the vectors, and a workspace of
-    two), a values-only solve at about the matrix alone, and the windowed
-    solve of a cutoff trace (``_evr``) at the matrix and its k eigenvector
-    columns.  A split operator solves each block where it lies in the
-    matrix, so it holds the matrix, one block's workspace and the
-    eigenvectors of the blocks solved so far, and copies no block out.  The
-    freed heap of earlier steps is given back before each assembly
-    (``_return_free_heap``), so it does not add to these peaks."""
-    item = np.dtype(dtype).itemsize
-    size = dim // blocks
-    held = dim * size if blocks > 1 else 0
-    return item * (2 * dim * dim + held + 3 * size * size)
-
-
 def _admit(required: int, label: str, what: str) -> None:
     available = physical_memory()
     if required > available:
@@ -666,11 +636,10 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     gives a split operator, whose eigenpairs are solved one channel at a
     time.
 
-    Before anything is assembled, the peak bytes of the matrix and its
-    solve (``solve_bytes``) are checked against the host's physical memory:
-    MemoryBudgetError, with both figures, when they do not fit.  An analytic
-    spectrum makes the same check for its matrix when ``.matrix`` is first
-    read, and for its complex plane-wave vectors when they are formed.
+    The matrix's bytes are checked against the host's physical memory
+    before each assembly: MemoryBudgetError, with both figures, when they do
+    not fit.  A solve admits what it adds itself (``GridOperator``), and an
+    analytic spectrum its plane-wave vectors when they are formed.
     """
     if v.n != 1:
         raise NotImplementedError("the quantization engine is one-dimensional")
@@ -685,10 +654,8 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         return _assemble_schrodinger(grid, samples)
 
     if np.any(samples != samples[0]):
-        split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
-        _admit(solve_bytes(dim, dtype, v.N if split else 1), label, "the matrix and its solve")
         op = GridOperator(grid=grid, N=v.N, label=label, assemble=assemble)
-        op._split = split
+        op._split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
         op.matrix  # assembled here, where the build is timed; the first solve takes it
         return op
 
@@ -698,8 +665,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         channel_vals = np.diag(b0).real.copy()
         channel_vecs = np.eye(v.N, dtype=complex)
     else:
-        channel_vals, channel_vecs = _evd(b0.astype(complex if b0.dtype.kind == "c" else float),
-                                          vectors=True)
+        channel_vals, channel_vecs = np.linalg.eigh(b0)
     return GridOperator(grid=grid, N=v.N, label=label,
                         assemble=assemble,
                         analytic=(channel_vals, channel_vecs))

@@ -107,19 +107,19 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     return SpectralPair(grid, lam1, build_schrodinger(free, grid).eigenvalues())
 
 
-def _check_window(pair: SpectralPair, f: TestFunction) -> None:
+def _check_window(pair: SpectralPair, top: float, what: str = "support") -> None:
+    """WindowRangeError when ``top``, the top of an f's support or of a tau
+    grid, lies above the energies the pair's grid resolves."""
     tau_max = pair.grid.tau_max
     if tau_max is None:
         tau_max = pair.grid.reliable_tau_max()
-    if f.support[1] > tau_max + 1e-12:
-        raise WindowRangeError(
-            f"support up to {f.support[1]} exceeds the reliable window {tau_max}"
-        )
+    if top > tau_max + 1e-12:
+        raise WindowRangeError(f"{what} up to {top} exceeds the reliable window {tau_max}")
 
 
 def weak_pairing(pair: SpectralPair, f: TestFunction) -> float:
     """-[sum_j f(lambda_j^1) - sum_j f(lambda_j^0)] over the full spectra."""
-    _check_window(pair, f)
+    _check_window(pair, f.support[1])
     s1 = float(np.sum(f(pair.lam1)))
     s0 = float(np.sum(f(pair.lam0)))
     return -(s1 - s0)
@@ -136,13 +136,15 @@ def ssf_counting(pair: SpectralPair, tau) -> int | np.ndarray:
 
 def ssf_mollified(pair: SpectralPair, w: WindowTheta, eps: float | None, tau):
     """Mollified counting difference: each eigenvalue contributes a smoothed
-    step (the primitive of the window kernel) instead of a unit jump."""
+    step (the primitive of the window kernel) instead of a unit jump.
+    WindowRangeError for a tau above the pair's reliable window."""
     if not w.is_even:
         raise ValueError("mollified counting uses the even window")
     if eps is not None:
         w = w.with_eps(eps)
     lam1, lam0 = pair.lam1, pair.lam0
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    _check_window(pair, float(np.max(taus)), "tau")
     h = pair.h
     up = window_primitive(w, h, taus[:, None] - lam1[None, :]).sum(axis=1)
     dn = window_primitive(w, h, taus[:, None] - lam0[None, :]).sum(axis=1)
@@ -209,7 +211,9 @@ def weyl_check(
 
 def mollified_density_pairing(pair: SpectralPair, f: TestFunction, w: WindowTheta,
                               tau) -> float:
-    """sum_j f(l_j^1) K(tau - l_j^1) - sum_j f(l_j^0) K(tau - l_j^0)."""
+    """sum_j f(l_j^1) K(tau - l_j^1) - sum_j f(l_j^0) K(tau - l_j^0).
+    WindowRangeError when supp f reaches above the pair's reliable window."""
+    _check_window(pair, f.support[1])
     lam1, lam0 = pair.lam1, pair.lam0
     h = pair.h
     up = float(np.sum(f(lam1) * np.real(fourier_window(w, h, tau - lam1))))

@@ -484,10 +484,10 @@ class TestSsfReferenceSweep:
         evd = qz._evd
         escape = mh.escape_check_dilation
 
-        def count_solve(a, vectors):
+        def count_solve(a):
             if len(a) in dims:
                 solves.append(len(a))
-            return evd(a, vectors)
+            return evd(a)
 
         def count_escape(*args, **kwargs):
             escapes.append(args)

@@ -28,6 +28,7 @@ from ssf_lab.ssf import (
     mollified_density_pairing,
     ssf_counting,
     ssf_mollified,
+    derivative_check,
     weak_check,
     weak_pairing,
     weyl_check,
@@ -402,6 +403,28 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             weyl_check(pairs, taus, ref, WindowTheta("bump_at_zero", eps=0.25),
                        SimpleNamespace(valid=True))
+
+    def test_weyl_taus_past_the_window_rejected(self):
+        # the grid resolves energies up to tau_max = 2.0; counting at a tau
+        # above it would pair eigenvalues it does not resolve
+        v = gauss_well()
+        pairs = {1 / 16: make_pair(v, tau_max=2.0)}
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        taus = np.linspace(1.8, 2.2, 5)
+        with pytest.raises(WindowRangeError, match="tau up to 2.2"):
+            weyl_check(pairs, taus, np.asarray(a0(v, taus)), w, SimpleNamespace(valid=True))
+        inside = np.linspace(1.6, 2.0, 5)
+        assert np.all(np.isfinite(ssf_mollified(pairs[1 / 16], w, None, inside)))
+
+    def test_derivative_support_past_the_window_rejected(self):
+        v = gauss_well()
+        pairs = {1 / 16: make_pair(v, tau_max=2.0)}
+        w = WindowTheta("bump_at_zero", eps=0.5)
+        f = plateau_test_function((1.2, 2.8), (1.6, 2.4))
+        with pytest.raises(WindowRangeError, match="support up to 2.8"):
+            derivative_check(pairs, 1.8, f, w, 1.0, SimpleNamespace(valid=True))
+        inside = plateau_test_function((1.2, 2.0), (1.6, 1.9))
+        assert math.isfinite(mollified_density_pairing(pairs[1 / 16], inside, w, 1.8))
 
     def test_weak_check_matches_pairings(self):
         v = gauss_well()
