@@ -183,6 +183,26 @@ def _taus(tau) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr).ravel(), arr.ndim == 0
 
 
+def _bisect(value, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Midpoints of the brackets [a, b] of the sign changes of ``value``,
+    bisected in lock-step: ``value(live, m)`` gives the values at the
+    midpoints m of the brackets ``live``, one call per step, and each
+    bracket stops at width 1e-12 or after 60 steps.  ``fa`` holds the values
+    at ``a``; the three arrays are updated in place."""
+    live = np.arange(a.size)
+    for _ in range(60):
+        if live.size == 0:
+            break
+        m = 0.5 * (a[live] + b[live])
+        fm = value(live, m)
+        left = fa[live] * fm <= 0.0
+        b[live[left]] = m[left]
+        a[live[~left]] = m[~left]
+        fa[live[~left]] = fm[~left]
+        live = live[~(b[live] - a[live] < 1e-12)]
+    return 0.5 * (a + b)
+
+
 def _turning_points(v: MatrixPotential, taus: np.ndarray, lo: float, hi: float,
                     scan: int = TURNING_SCAN) -> list[list[list[float]]]:
     """Sorted roots of tau - e_k(x) on [lo, hi] for every tau and channel k.
@@ -198,21 +218,10 @@ def _turning_points(v: MatrixPotential, taus: np.ndarray, lo: float, hi: float,
     for t, i, k in zip(*np.nonzero(sign == 0.0)):
         roots[t][k].append(float(xs[i]))
     bt, bi, bk = np.nonzero(sign[:, :-1, :] * sign[:, 1:, :] < 0.0)
-    a, b = xs[bi], xs[bi + 1]
-    fa = vals[bt, bi, bk]
     tau_b = taus[bt]
-    live = np.arange(bt.size)
-    for _ in range(60):
-        if live.size == 0:
-            break
-        m = 0.5 * (a[live] + b[live])
-        fm = tau_b[live] - _branch_at(v, m, bk[live])
-        left = fa[live] * fm <= 0.0
-        b[live[left]] = m[left]
-        a[live[~left]] = m[~left]
-        fa[live[~left]] = fm[~left]
-        live = live[~(b[live] - a[live] < 1e-12)]
-    for t, k, r in zip(bt, bk, 0.5 * (a + b)):
+    found = _bisect(lambda live, m: tau_b[live] - _branch_at(v, m, bk[live]),
+                    xs[bi], xs[bi + 1], vals[bt, bi, bk])
+    for t, k, r in zip(bt, bk, found):
         roots[t][k].append(float(r))
     return [[sorted(rk) for rk in rt] for rt in roots]
 
@@ -493,19 +502,8 @@ def _band_volume(chi: ProductCutoff, tau: float, grid: _BranchGrid,
     fa = head[j, i, k]
     roots = xis[i].copy()
     br = np.flatnonzero(fa != 0.0)
-    a, b, fa = xis[i[br]], xis[i[br] + 1], fa[br]
-    live = np.arange(br.size)
-    for _ in range(60):
-        if live.size == 0:
-            break
-        m = 0.5 * (a[live] + b[live])
-        fm = _branch_on(grid, j[br[live]], k[br[live]], m) - tau
-        left = fa[live] * fm <= 0.0
-        b[live[left]] = m[left]
-        a[live[~left]] = m[~left]
-        fa[live[~left]] = fm[~left]
-        live = live[~(b[live] - a[live] < 1e-12)]
-    roots[br] = 0.5 * (a + b)
+    roots[br] = _bisect(lambda live, m: _branch_on(grid, j[br[live]], k[br[live]], m) - tau,
+                        xis[i[br]], xis[i[br] + 1], fa[br])
     # the cells of group g are its edges qa, roots..., qb taken in pairs
     counts = np.bincount(j * n_ch + k, minlength=n_x * n_ch)
     ends = np.cumsum(counts)

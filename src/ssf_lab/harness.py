@@ -89,6 +89,8 @@ class ExperimentConfig:
                 )
         if experiment != "sweep":
             h_list = doc.get("h_list")
+            if h_list is None and experiment in _VARIANTS:
+                raise ConfigError(f"{experiment} needs an h_list")
             if h_list is not None:
                 hs = [float(h) for h in h_list]
                 if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
@@ -131,13 +133,17 @@ def _potential_for_h(doc: dict, h: float) -> MatrixPotential:
     return base
 
 
-def _grid_from(doc: dict, default_R: float) -> tuple:
-    """(R, tau_max, m_cap, M) of the config's grid block; ``qz.grid_for``
-    turns them into the grid of each h."""
+def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
+    """The grid of each h of the config's h_list, by ``qz.grid_for`` from the
+    grid block's R, tau_max and m_cap; tau_max is required."""
     g = doc.get("grid") or {}
-    tau_max = g.get("tau_max")
-    return (float(g.get("R", default_R)), None if tau_max is None else float(tau_max),
-            int(g.get("m_cap", 8192)), int(g["M"]) if g.get("M") else None)
+    extra = ", ".join(f"grid.{key}" for key in sorted(set(g) - {"R", "tau_max", "m_cap"}))
+    if extra:
+        raise ConfigError(f"grid takes R, tau_max and m_cap only, not {extra}")
+    if g.get("tau_max") is None:
+        raise ConfigError("grid needs tau_max, the top of the energies its grids resolve")
+    R, m_cap = float(g.get("R", default_R)), int(g.get("m_cap", 8192))
+    return [qz.grid_for(float(h), R, float(g["tau_max"]), m_cap) for h in doc["h_list"]]
 
 
 def _window_from(doc: dict, variant: str) -> tuple[qz.WindowTheta, str | None]:
@@ -298,10 +304,7 @@ def _run_trace(cfg: ExperimentConfig):
     chi = _cutoff_from(doc)
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 1.0))
-    hs = [float(h) for h in doc["h_list"]]
-    R, tau_max, m_cap, M = _grid_from(doc, default_R=6.0)
-    if M is not None:
-        raise ConfigError("grid.M applies to ssf configs only; trace grids follow the coverage rule")
+    grids = _grids_from(doc, default_R=6.0)
     v = _potential_from(doc)
     certificates = []
     if variant in ("thm1", "thm3"):
@@ -311,8 +314,7 @@ def _run_trace(cfg: ExperimentConfig):
             return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
     if variant == "thm1":
         rep = qz.theorem1_check(
-            v, chi, f, tau0, hs, cert, window_kind=window.kind,
-            eps_rule=math.sqrt if eps_rule else window.eps, R=R, tau_max=tau_max, m_cap=m_cap,
+            v, chi, f, tau0, grids, cert, window, eps_rule=math.sqrt if eps_rule else None,
             **_thresholds_from(doc, slope="slope_threshold"),
         )
     elif variant == "thm2":
@@ -320,16 +322,14 @@ def _run_trace(cfg: ExperimentConfig):
         if not pert:
             raise ConfigError("thm2 needs a 'perturbation' potential spec")
         v1 = combine_potentials(v, model_potential(pert["kind"], **pert.get("params", {})))
-        taus = _tau_grid_from(doc)
         rep = qz.theorem2_check(
-            v, v1, chi, f, taus, hs, window, R=R, tau_max=tau_max,
-            m_cap=m_cap, d_sep=float(doc.get("d_sep", 2.0)),
-            **_thresholds_from(doc, slope="slope_threshold"),
+            v, v1, chi, f, _tau_grid_from(doc), grids, window,
+            d_sep=float(doc.get("d_sep", 2.0)), **_thresholds_from(doc, slope="slope_threshold"),
         )
     else:
         rep = qz.theorem3_check(
-            v, chi, f, tau0, hs, window, cert, R=R, tau_max=tau_max,
-            m_cap=m_cap, **_thresholds_from(doc, rel="rel_threshold", order="order_threshold"),
+            v, chi, f, tau0, grids, window, cert,
+            **_thresholds_from(doc, rel="rel_threshold", order="order_threshold"),
         )
     return _sweep_tables(rep), certificates, {variant: rep.verdict}
 
@@ -338,21 +338,17 @@ def _run_ssf(cfg: ExperimentConfig, shared: dict):
     doc = cfg.raw
     variant = cfg.variant
     window, _ = _window_from(doc, variant)
-    hs = [float(h) for h in doc["h_list"]]
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 2.0))
-    R, tau_max, m_cap, M = _grid_from(doc, default_R=8.0)
-    if M is None and tau_max is None:
-        raise ConfigError("grid needs tau_max when M follows the coverage rule")
+    grids = _grids_from(doc, default_R=8.0)
     # spectra and certificates are shared by every ssf config of one run
     model = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
     pairs = {}
-    for h in hs:
-        grid = qz.grid_for(h, R, tau_max, m_cap, M)
+    for grid in grids:
         key = ("pair", model, grid)
         if key not in shared:
-            shared[key] = ssf_mod.build_pair(_potential_for_h(doc, h), grid)
-        pairs[h] = shared[key]
+            shared[key] = ssf_mod.build_pair(_potential_for_h(doc, grid.h), grid)
+        pairs[grid.h] = shared[key]
     # references come from the h-independent base potential
     v = _potential_from(doc)
     key = ("escape", json.dumps(doc.get("potential"), sort_keys=True), tau0)

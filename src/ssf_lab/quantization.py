@@ -36,7 +36,8 @@ Every h-sweep of the package ends in one ``SweepReport`` from
 ``sweep_verdict``: a value per h, the relative errors against a reference,
 the log-log order ``fit_order`` fits to the errors (at least 3 h with
 max/min >= 4) and PASS/FAIL in a decay or a comparison form.  The three
-trace-formula checks below are such sweeps, on grids from ``grid_for``;
+trace-formula checks below are such sweeps, one value per grid given (none
+when supp f reaches above a grid's reliable window: ``WindowRangeError``);
 the ssf module holds the weak, Weyl-type and derivative sweeps.
 """
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "MemoryBudgetError",
     "SupportMarginError",
     "GridMismatchError",
+    "WindowRangeError",
     "Grid1D",
     "GridOperator",
     "required_points",
@@ -106,6 +108,10 @@ class SupportMarginError(ValueError):
 
 class GridMismatchError(ValueError):
     """Operators live on different grids."""
+
+
+class WindowRangeError(ValueError):
+    """Test function support exceeds the reliable energy window."""
 
 
 def required_points(R: float, h: float, tau_max: float) -> int:
@@ -168,17 +174,24 @@ class Grid1D:
         return (0.5 * self.p_max) ** 2
 
 
-def grid_for(h: float, R: float, tau_max: float | None, m_cap: int,
-             M: int | None = None) -> Grid1D:
-    """The grid of one sweep step: ``M`` points if given, else the fewest that
-    cover ``tau_max``; CoverageError, with the required M, beyond ``m_cap``."""
-    m = M if M else required_points(R, h, tau_max)
+def grid_for(h: float, R: float, tau_max: float, m_cap: int) -> Grid1D:
+    """The grid of one sweep step: the fewest points that cover ``tau_max``;
+    CoverageError, with the required M, beyond ``m_cap``."""
+    m = required_points(R, h, tau_max)
     if m > m_cap:
         raise CoverageError(
             f"h={h} needs M={m} > cap {m_cap}: raise h, shrink R, or raise m_cap",
             required_m=m,
         )
-    return Grid1D(R=R, M=m, h=h, tau_max=None if tau_max is None else float(tau_max))
+    return Grid1D(R=R, M=m, h=h, tau_max=float(tau_max))
+
+
+def _check_window(grid: Grid1D, top: float, what: str = "support") -> None:
+    """WindowRangeError when ``top``, the top of an f's support or of a tau
+    grid, lies above the energies ``grid`` resolves."""
+    tau_max = grid.reliable_tau_max() if grid.tau_max is None else grid.tau_max
+    if top > tau_max + 1e-12:
+        raise WindowRangeError(f"{what} up to {top} exceeds the reliable window {tau_max}")
 
 
 def _kinetic_column(grid: Grid1D) -> np.ndarray:
@@ -379,7 +392,8 @@ def _evr(a: np.ndarray, lo: float, hi: float):
 
     ``a`` goes to ?syevr/?heevr in place with range 'V': LAPACK finds the k
     values by bisection on the tridiagonal form and back-transforms only
-    their vectors.  It reads the C-ordered buffer as its transpose, the
+    their vectors; for the whole line it takes range 'A', about three times
+    as fast by MRRR.  It reads the C-ordered buffer as its transpose, the
     conjugate of a complex A, so its vectors are conjugated on the way out.
     They are the first k rows of a C-ordered n x n array Z, the bound LAPACK
     asks for when k is not known in advance; only the rows written become
@@ -397,7 +411,8 @@ def _evr(a: np.ndarray, lo: float, hi: float):
     w = np.empty(a.shape[0])
     z = np.empty(a.shape, a.dtype)
     isuppz = np.empty(2 * a.shape[0], np.int64)
-    _lapack_call(routine, [b"V", b"V", b"L", n, a.ctypes.data, lda, ctypes.c_double(lo),
+    span = b"A" if (lo, hi) == (-math.inf, math.inf) else b"V"
+    _lapack_call(routine, [b"V", span, b"L", n, a.ctypes.data, lda, ctypes.c_double(lo),
                            ctypes.c_double(hi), ctypes.c_int64(1), n, ctypes.c_double(_ABSTOL),
                            found, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data], a.dtype)
     rows = z[:found.value]
@@ -1220,13 +1235,10 @@ def theorem1_check(
     chi: ProductCutoff,
     f,
     tau0: float,
-    h_list,
+    grids,
     certificate,
-    window_kind: str = "bump_positive",
+    window: WindowTheta,
     eps_rule=None,
-    R: float = 6.0,
-    tau_max: float | None = None,
-    m_cap: int = 8192,
     slope_threshold: float = 3.0,
 ) -> SweepReport:
     """Decay of the off-zero-window smoothed trace along an h-sweep.
@@ -1235,21 +1247,18 @@ def theorem1_check(
     certified shell; the decay verdict is PASS when the fitted slope reaches
     the threshold or every value is below 1e-10.  Running it with the even
     window instead exhibits the leading 1/(2 pi h) growth (negative slope),
-    which callers use as the non-applicability control.
+    which callers use as the non-applicability control.  ``eps_rule`` None
+    keeps ``window.eps``; a callable gives the eps of each h.
     """
     _require_valid(certificate)
-    if eps_rule is None:
-        eps_rule = math.sqrt
-    tau_max = tau_max if tau_max is not None else 1.6 * abs(tau0) + 0.5
+    for grid in grids:
+        _check_window(grid, f.support[1])
     values = []
-    for h in h_list:
-        grid = grid_for(h, R, tau_max, m_cap)
-        a_op = weyl_quantize(chi, grid)
-        h_op = build_schrodinger(v, grid)
-        eps = eps_rule(h) if callable(eps_rule) else float(eps_rule)
-        w = WindowTheta(kind=window_kind, eps=eps)
-        values.append(abs(complex(smoothed_trace(a_op, h_op, f, w, tau0))))
-    return sweep_verdict(list(h_list), values, slope_threshold)
+    for grid in grids:
+        w = window if eps_rule is None else window.with_eps(eps_rule(grid.h))
+        tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, w, tau0)
+        values.append(abs(complex(tr)))
+    return sweep_verdict([grid.h for grid in grids], values, slope_threshold)
 
 
 def theorem2_check(
@@ -1258,18 +1267,17 @@ def theorem2_check(
     chi: ProductCutoff,
     f,
     taus,
-    h_list,
+    grids,
     window: WindowTheta,
-    R: float = 10.0,
-    tau_max: float | None = None,
-    m_cap: int = 8192,
     d_sep: float = 2.0,
     slope_threshold: float = 3.0,
 ) -> SweepReport:
     """Locality: traces of two operators agreeing near supp chi must differ
     only to high order in h (decay verdict).  Rejects perturbations closer
-    than ``d_sep``."""
-    probe = np.linspace(-R, R, 4001)
+    than ``d_sep``, as seen on the box of ``grids[0]``."""
+    for grid in grids:
+        _check_window(grid, f.support[1])
+    probe = np.linspace(-grids[0].R, grids[0].R, 4001)
     diff = np.array([
         np.max(np.abs(np.asarray(v1.eval(float(x))) - np.asarray(v0.eval(float(x)))))
         for x in probe
@@ -1285,18 +1293,15 @@ def theorem2_check(
             raise SupportMarginError(
                 f"perturbation support within {d_sep} of the cutoff support (gap {gap:.2f})"
             )
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    tau_max = tau_max if tau_max is not None else 1.6 * float(np.max(np.abs(taus))) + 0.5
     values = []
-    for h in h_list:
-        grid = grid_for(h, R, tau_max, m_cap)
+    for grid in grids:
         a_op = weyl_quantize(chi, grid)
         op0 = build_schrodinger(v0, grid)
         op1 = build_schrodinger(v1, grid)
         t1 = smoothed_trace(a_op, op1, f, window, taus)
         t0 = smoothed_trace(a_op, op0, f, window, taus)
         values.append(float(np.max(np.abs(t1 - t0))))
-    return sweep_verdict(list(h_list), values, slope_threshold)
+    return sweep_verdict([grid.h for grid in grids], values, slope_threshold)
 
 
 def theorem3_check(
@@ -1304,12 +1309,9 @@ def theorem3_check(
     chi: ProductCutoff,
     f,
     tau: float,
-    h_list,
+    grids,
     window: WindowTheta,
     certificate,
-    R: float = 6.0,
-    tau_max: float | None = None,
-    m_cap: int = 8192,
     rel_threshold: float = 0.05,
     order_threshold: float = 1.0,
 ) -> SweepReport:
@@ -1320,18 +1322,15 @@ def theorem3_check(
     _require_valid(certificate)
     if not window.is_even:
         raise ValueError("the leading-term check uses the even window")
+    for grid in grids:
+        _check_window(grid, f.support[1])
     dens = gamma0_localized(v, chi, tau)
     if not dens.converged:
         raise CertificateError("localized density did not converge at this tau")
-    f_at = float(f(tau)) if callable(f) else float(f)
-    reference = f_at * dens.value
-    tau_max = tau_max if tau_max is not None else 1.6 * abs(tau) + 0.5
+    reference = float(f(tau)) * dens.value
     values = []
-    for h in h_list:
-        grid = grid_for(h, R, tau_max, m_cap)
-        a_op = weyl_quantize(chi, grid)
-        h_op = build_schrodinger(v, grid)
-        tr = smoothed_trace(a_op, h_op, f, window, tau)
-        values.append(2.0 * math.pi * h * float(np.real(tr)))
-    return sweep_verdict(list(h_list), values, order_threshold, rel_threshold,
+    for grid in grids:
+        tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, window, tau)
+        values.append(2.0 * math.pi * grid.h * float(np.real(tr)))
+    return sweep_verdict([grid.h for grid in grids], values, order_threshold, rel_threshold,
                          reference=reference)

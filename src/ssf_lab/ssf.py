@@ -36,7 +36,9 @@ from .quantization import (
     CertificateError,
     Grid1D,
     SweepReport,
+    WindowRangeError,
     WindowTheta,
+    _check_window,
     build_schrodinger,
     fourier_window,
     potential_samples,
@@ -62,10 +64,6 @@ __all__ = [
 
 class MarginError(ValueError):
     """Potential has not decayed to its limit inside the box margin."""
-
-
-class WindowRangeError(ValueError):
-    """Test function support exceeds the reliable energy window."""
 
 
 @dataclass(frozen=True)
@@ -107,19 +105,9 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     return SpectralPair(grid, lam1, build_schrodinger(free, grid).eigenvalues())
 
 
-def _check_window(pair: SpectralPair, top: float, what: str = "support") -> None:
-    """WindowRangeError when ``top``, the top of an f's support or of a tau
-    grid, lies above the energies the pair's grid resolves."""
-    tau_max = pair.grid.tau_max
-    if tau_max is None:
-        tau_max = pair.grid.reliable_tau_max()
-    if top > tau_max + 1e-12:
-        raise WindowRangeError(f"{what} up to {top} exceeds the reliable window {tau_max}")
-
-
 def weak_pairing(pair: SpectralPair, f: TestFunction) -> float:
     """-[sum_j f(lambda_j^1) - sum_j f(lambda_j^0)] over the full spectra."""
-    _check_window(pair, f.support[1])
+    _check_window(pair.grid, f.support[1])
     s1 = float(np.sum(f(pair.lam1)))
     s0 = float(np.sum(f(pair.lam0)))
     return -(s1 - s0)
@@ -144,7 +132,7 @@ def ssf_mollified(pair: SpectralPair, w: WindowTheta, eps: float | None, tau):
         w = w.with_eps(eps)
     lam1, lam0 = pair.lam1, pair.lam0
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    _check_window(pair, float(np.max(taus)), "tau")
+    _check_window(pair.grid, float(np.max(taus)), "tau")
     h = pair.h
     up = window_primitive(w, h, taus[:, None] - lam1[None, :]).sum(axis=1)
     dn = window_primitive(w, h, taus[:, None] - lam0[None, :]).sum(axis=1)
@@ -213,7 +201,7 @@ def mollified_density_pairing(pair: SpectralPair, f: TestFunction, w: WindowThet
                               tau) -> float:
     """sum_j f(l_j^1) K(tau - l_j^1) - sum_j f(l_j^0) K(tau - l_j^0).
     WindowRangeError when supp f reaches above the pair's reliable window."""
-    _check_window(pair, f.support[1])
+    _check_window(pair.grid, f.support[1])
     lam1, lam0 = pair.lam1, pair.lam0
     h = pair.h
     up = float(np.sum(f(lam1) * np.real(fourier_window(w, h, tau - lam1))))

@@ -14,11 +14,15 @@ import ssf_lab as sl
 from conftest import random_hermitian
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.microhyperbolicity import C1_LADDER
-from ssf_lab.quantization import Grid1D, WindowTheta, required_points, weyl_quantize
+from ssf_lab.quantization import Grid1D, WindowTheta, grid_for, required_points, weyl_quantize
 from ssf_lab.ssf import build_pair, mollified_density_pairing
 from ssf_lab.symbols import MatrixSymbol, schrodinger_symbol, shifted_symbol
 
 CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 2.0))
+
+
+def _grids(hs, R, tau_max):
+    return [grid_for(h, R, tau_max, 8192) for h in hs]
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -182,9 +186,9 @@ class TestCriterion5TraceFormulas:
     def test_negligibility_off_zero_window(self, free_potential, free_certificate):
         f = sl.bump_test_function((0.3, 1.7))
         rep = sl.theorem1_check(free_potential, CHI, f, 1.0,
-                                [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256],
-                                free_certificate, eps_rule=1.0, R=6.0,
-                                tau_max=2.56, slope_threshold=3.0)
+                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256], 6.0, 2.56),
+                                free_certificate, WindowTheta("bump_positive", eps=1.0),
+                                slope_threshold=3.0)
         ok = rep.verdict == "PASS"
         _report("5a trace negligibility", ok,
                 f"decay slope {rep.slope:.2f} (>=3) over h=1/16..1/256")
@@ -193,9 +197,8 @@ class TestCriterion5TraceFormulas:
         # the zero-window control grows like 1/(2 pi h): not applicable
         f = sl.bump_test_function((0.3, 1.7))
         rep = sl.theorem1_check(free_potential, CHI, f, 1.0,
-                                [1 / 16, 1 / 32, 1 / 64, 1 / 128],
-                                free_certificate, window_kind="bump_at_zero",
-                                eps_rule=0.25, R=6.0, tau_max=2.56)
+                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.56),
+                                free_certificate, WindowTheta("bump_at_zero", eps=0.25))
         assert rep.verdict == "FAIL"
         assert rep.slope == pytest.approx(-1.0, abs=0.35)
 
@@ -206,8 +209,8 @@ class TestCriterion5TraceFormulas:
         w = WindowTheta("bump_at_zero", eps=0.3)
         rep = sl.theorem2_check(free_potential, far, CHI, f,
                                 np.linspace(0.9, 1.1, 9),
-                                [1 / 16, 1 / 32, 1 / 64, 1 / 128], w,
-                                R=12.0, tau_max=1.69, slope_threshold=3.0)
+                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 12.0, 1.69), w,
+                                slope_threshold=3.0)
         ok = rep.verdict == "PASS"
         detail = ("below floor" if rep.below_floor
                   else f"decay slope {rep.slope:.2f} (>=3)")
@@ -217,9 +220,8 @@ class TestCriterion5TraceFormulas:
         f = sl.bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         rep = sl.theorem3_check(free_potential, CHI, f, 1.0,
-                                [1 / 16, 1 / 32, 1 / 64, 1 / 128], w,
-                                free_certificate, R=6.0, tau_max=2.0,
-                                rel_threshold=0.02)
+                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w,
+                                free_certificate, rel_threshold=0.02)
         ok = rep.verdict == "PASS"
         _report("5c trace leading term (scalar)", ok,
                 f"rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=2%)")
@@ -231,8 +233,8 @@ class TestCriterion5TraceFormulas:
         f = sl.bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         rep = sl.theorem3_check(vc, CHI, f, 1.0,
-                                [1 / 16, 1 / 32, 1 / 64, 1 / 128], w, cert,
-                                R=6.0, tau_max=2.0, rel_threshold=0.05)
+                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w, cert,
+                                rel_threshold=0.05)
         ok = rep.verdict == "PASS"
         _report("5d trace leading term (crossing)", ok,
                 f"rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=5%)")
@@ -323,8 +325,7 @@ def test_criterion_8_degenerate_exactness():
                 and sl.a0(sl.model_potential("constant", v_inf=0.0, N=2), 1.3) == 0.0)
 
     v0 = sl.model_potential("constant", v_inf=0.0, N=1)
-    rep = sl.theorem2_check(v0, v0, CHI, f, [1.2, 1.3], [1 / 8, 1 / 16],
-                            w, R=6.0, tau_max=2.0)
+    rep = sl.theorem2_check(v0, v0, CHI, f, [1.2, 1.3], _grids([1 / 8, 1 / 16], 6.0, 2.0), w)
     ok_trace = bool(np.all(rep.values == 0.0))
 
     ok = ok_ssf and ok_coeff and ok_trace

@@ -389,15 +389,41 @@ class TestWindowAndCheckBlocks:
         path.write_text(json.dumps(doc))
         assert cli.main([doc["experiment"], "--config", str(path)]) == 1
 
-    def test_trace_pinned_m_is_rejected(self, tmp_path, no_assembly):
-        # trace grids follow the coverage rule; a pinned M used to be dropped
-        doc = _config("trace_thm1_free", out=str(tmp_path / "o"))
+    @pytest.mark.parametrize("name", ["trace_thm1_free", "ssf_weak_reference"])
+    def test_pinned_m_is_rejected(self, tmp_path, no_assembly, name):
+        # every grid follows the coverage rule; the block takes no M
+        doc = _config(name, out=str(tmp_path / "o"))
         doc["grid"] = dict(doc["grid"], M=2048)
         with pytest.raises(ConfigError, match="grid.M"):
             run(doc)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["trace", "--config", str(path)]) == 1
+        assert cli.main([doc["experiment"], "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("name", ["trace_thm3_crossing", "ssf_weak_reference"])
+    def test_missing_tau_max_is_rejected(self, tmp_path, no_assembly, name):
+        # no default rule stands in for the energies a grid must resolve
+        doc = _config(name, out=str(tmp_path / "o"))
+        del doc["grid"]["tau_max"]
+        with pytest.raises(ConfigError, match="tau_max"):
+            run(doc)
+
+    @pytest.mark.parametrize("name", ["trace_thm2_locality", "ssf_weyl_reference"])
+    def test_missing_h_list_is_rejected(self, tmp_path, no_assembly, capsys, name):
+        doc = _config(name, out=str(tmp_path / "o"))
+        del doc["h_list"]
+        with pytest.raises(ConfigError, match="h_list"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([doc["experiment"], "--config", str(path)]) == 1
+        assert f"config error: {doc['experiment']} needs an h_list" in capsys.readouterr().err
+
+    def test_ladder_beyond_m_cap_fails_before_the_certificate(self, tmp_path, no_assembly):
+        doc = _config("trace_thm3_crossing", out=str(tmp_path / "o"))
+        doc["grid"] = dict(doc["grid"], m_cap=512)
+        with pytest.raises(qz.CoverageError):
+            run(doc)
 
     def test_trace_fixed_direction(self, tmp_path):
         # no single direction certifies the free shell at both xi = +1 and -1

@@ -20,9 +20,11 @@ from ssf_lab.quantization import (
     GridMismatchError,
     MemoryBudgetError,
     SupportMarginError,
+    WindowRangeError,
     WindowTheta,
     build_schrodinger,
     fourier_window,
+    grid_for,
     required_points,
     smoothed_trace,
     sweep_verdict,
@@ -1231,16 +1233,20 @@ class TestSmoothedTrace:
         assert np.allclose(batch, singles, atol=0)
 
 
+def grids(hs, R, tau_max, m_cap=8192):
+    return [grid_for(h, R, tau_max, m_cap) for h in hs]
+
+
 class TestTheoremCheckPlumbing:
     def test_certificate_gate(self):
         v = model_potential("constant", v_inf=0.0, N=1)
         f = bump_test_function((0.8, 1.2))
         with pytest.raises(CertificateError):
-            theorem1_check(v, CHI, f, 1.0, [1 / 8, 1 / 16, 1 / 32], None)
+            theorem1_check(v, CHI, f, 1.0, grids([1 / 8, 1 / 16, 1 / 32], 6.0, 2.1), None,
+                           WindowTheta("bump_positive", eps=0.3))
 
     def test_theorem1_zero_eps_rejected(self):
-        # a fixed eps of 0 reaches WindowTheta, which rejects it; only
-        # eps_rule=None means eps = sqrt(h)
+        # an eps rule that gives 0 reaches WindowTheta, which rejects it
         from ssf_lab.microhyperbolicity import check_on_energy_shell
 
         v = model_potential("constant", v_inf=0.0, N=1)
@@ -1248,8 +1254,8 @@ class TestTheoremCheckPlumbing:
                                      grid_points=21)
         f = bump_test_function((0.8, 1.2))
         with pytest.raises(ValueError, match="eps must be positive"):
-            theorem1_check(v, CHI, f, 1.0, [1 / 8, 1 / 16, 1 / 32], cert, R=6.0,
-                           tau_max=1.69, eps_rule=0.0)
+            theorem1_check(v, CHI, f, 1.0, grids([1 / 8, 1 / 16, 1 / 32], 6.0, 1.69), cert,
+                           WindowTheta("bump_positive", eps=0.3), eps_rule=lambda h: 0.0)
 
     def test_theorem2_identity_exact_zero(self):
         from ssf_lab.microhyperbolicity import check_on_energy_shell
@@ -1257,8 +1263,8 @@ class TestTheoremCheckPlumbing:
         v = model_potential("constant", v_inf=0.0, N=1)
         f = bump_test_function((0.8, 1.2))
         w = WindowTheta("bump_at_zero", eps=0.3)
-        rep = theorem2_check(v, v, CHI, f, [0.9, 1.0, 1.1], [1 / 8, 1 / 16],
-                             w, R=6.0, tau_max=1.69)
+        rep = theorem2_check(v, v, CHI, f, [0.9, 1.0, 1.1], grids([1 / 8, 1 / 16], 6.0, 1.69),
+                             w)
         assert np.array_equal(rep.values, np.zeros(2))
         assert rep.verdict == "PASS" and rep.below_floor
 
@@ -1268,8 +1274,7 @@ class TestTheoremCheckPlumbing:
         f = bump_test_function((0.8, 1.2))
         w = WindowTheta("bump_at_zero", eps=0.3)
         with pytest.raises(SupportMarginError):
-            theorem2_check(v0, v1, CHI, f, [1.0], [1 / 8, 1 / 16], w, R=8.0,
-                           tau_max=1.69)
+            theorem2_check(v0, v1, CHI, f, [1.0], grids([1 / 8, 1 / 16], 8.0, 1.69), w)
 
     def test_resource_cap_rejection(self):
         from ssf_lab.microhyperbolicity import check_on_energy_shell
@@ -1279,8 +1284,8 @@ class TestTheoremCheckPlumbing:
                                      grid_points=21)
         f = bump_test_function((0.8, 1.2))
         with pytest.raises(CoverageError) as err:
-            theorem1_check(v, CHI, f, 1.0, [1 / 4096], cert, R=6.0, tau_max=1.69,
-                           m_cap=4096)
+            theorem1_check(v, CHI, f, 1.0, grids([1 / 4096], 6.0, 1.69, m_cap=4096), cert,
+                           WindowTheta("bump_positive", eps=0.3))
         assert err.value.required_m > 4096
 
     def test_theorem3_two_point_sweep_rejected(self):
@@ -1289,8 +1294,35 @@ class TestTheoremCheckPlumbing:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         with pytest.raises(ConfigError):
-            theorem3_check(v, CHI, f, 1.0, [1 / 4, 1 / 8], w, SimpleNamespace(valid=True),
-                           R=6.0, tau_max=2.0)
+            theorem3_check(v, CHI, f, 1.0, grids([1 / 4, 1 / 8], 6.0, 2.0), w,
+                           SimpleNamespace(valid=True))
+
+    @pytest.mark.parametrize("variant", ["thm1", "thm2", "thm3"])
+    def test_support_above_the_window_rejected(self, variant, monkeypatch):
+        # supp f reaches 1.8, above the grids' tau_max 1.69: no operator (nor
+        # thm3's localized density) is built for eigenpairs the grids do not
+        # resolve
+        from ssf_lab import coefficients
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the window check")
+
+        for module, name in ((qz, "build_schrodinger"), (qz, "weyl_quantize"),
+                             (coefficients, "gamma0_localized")):
+            monkeypatch.setattr(module, name, refuse)
+        v = model_potential("constant", v_inf=0.0, N=1)
+        f = bump_test_function((0.8, 1.8))
+        gs = grids([1 / 8, 1 / 16, 1 / 32], 6.0, 1.69)
+        cert = SimpleNamespace(valid=True)
+        even = WindowTheta("bump_at_zero", eps=0.25)
+        checks = {
+            "thm1": lambda: theorem1_check(v, CHI, f, 1.0, gs, cert,
+                                           WindowTheta("bump_positive", eps=0.3)),
+            "thm2": lambda: theorem2_check(v, v, CHI, f, [1.0], gs, even),
+            "thm3": lambda: theorem3_check(v, CHI, f, 1.0, gs, even, cert),
+        }
+        with pytest.raises(WindowRangeError, match="support up to 1.8 exceeds .* 1.69"):
+            checks[variant]()
 
 
 HS = [1 / 8, 1 / 16, 1 / 32]
