@@ -17,9 +17,10 @@ multiplication operators come out exactly diagonal.
 
 A ``GridOperator`` answers two requests: its spectrum, from a values-only
 solve in place, or its eigenpairs in an energy window (lo, hi], which is
-all a smoothed trace reads of them.  Each dense allocation, a matrix or the
-eigenvectors of a solve, admits its own bytes against the host's physical
-memory where it is made, so a step that cannot fit stops with
+all a smoothed trace reads of them.  A Schrodinger operator holds only the
+triangle of its matrix that LAPACK reads.  Each dense allocation, a matrix or
+the eigenvectors of a solve, admits its own bytes against the host's
+physical memory where it is made, so a step that cannot fit stops with
 ``MemoryBudgetError`` before it allocates.
 
 Smoothed spectral traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over
@@ -46,6 +47,7 @@ import ctypes
 import functools
 import inspect
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -205,12 +207,6 @@ def _kinetic_column(grid: Grid1D) -> np.ndarray:
     return 0.5 * (r + np.roll(r[::-1], 1))
 
 
-def _circulant(c: np.ndarray) -> np.ndarray:
-    """Read-only view C[i, j] = c[(i - j) % M] of the circulant with first column c."""
-    m = c.size
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([c[1:], c]), m)[:, ::-1]
-
-
 _CHECK_TILE = 256  # side of the square tiles of the hermiticity check
 # entries per chunk of rows of a split matrix's column gather, and per block
 # of columns of the plane waves, so no temporary of the array's size is made
@@ -354,22 +350,26 @@ def _lapack_call(routine, head: list, dtype) -> None:
 
 def _evd(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of the hermitian matrix ``a``, bit for bit those of
-    ``np.linalg.eigvalsh``; the solve overwrites ``a``, which may be a view
-    with a leading dimension (``_routine``).
+    ``np.linalg.eigvalsh``; only the upper triangle of ``a`` is read, and
+    the solve overwrites it.  ``a`` may be a view with a leading dimension
+    (``_routine``).
 
     ``a`` goes to ?syevd/?heevd in place, with numpy's arguments: uplo 'L'
     and the optimal workspace of a size query (a smaller one changes the
     blocking of the tridiagonal reduction, and so the bits).  LAPACK reads
-    the C-ordered buffer as its transpose, which is A itself once a complex
-    matrix is conjugated.  Where numpy's LAPACK does not export the
-    routines, numpy solves a copy.
+    the C-ordered buffer as its transpose, so its lower triangle is the
+    upper one of ``a``, which is A itself once a complex matrix's upper
+    triangle is conjugated, row by row.  Where numpy's LAPACK does not
+    export the routines, numpy solves a copy of A^H, whose lower triangle
+    it reads.
     """
     routines = _lapack_eigh()
     if routines is None:
-        return np.linalg.eigvalsh(a)
+        return np.linalg.eigvalsh(a.conj().T)
     routine, lda = _routine(routines, a, "evd")
     if a.dtype.kind == "c":
-        np.conjugate(a, out=a)
+        for i in range(a.shape[0]):
+            np.conjugate(a[i, i:], out=a[i, i:])
     n = ctypes.c_int64(a.shape[0])
     w = np.empty(a.shape[0])
     _lapack_call(routine, [b"N", b"L", n, a.ctypes.data, lda, w.ctypes.data], a.dtype)
@@ -387,8 +387,9 @@ _ABSTOL = 2.0 * np.finfo(float).tiny  # where LAPACK's bisection is most accurat
 def _evr(a: np.ndarray, lo: float, hi: float):
     """The eigenvalues of the hermitian matrix ``a`` in (lo, hi] and their
     eigenvectors, as the C-contiguous columns of a (n, k) array; either
-    bound may be infinite.  The solve overwrites ``a``, which may be a view
-    with a leading dimension (``_routine``).
+    bound may be infinite.  Only the upper triangle of ``a`` is read, and
+    the solve overwrites it; ``a`` may be a view with a leading dimension
+    (``_routine``).
 
     ``a`` goes to ?syevr/?heevr in place with range 'V': LAPACK finds the k
     values by bisection on the tridiagonal form and back-transforms only
@@ -398,11 +399,11 @@ def _evr(a: np.ndarray, lo: float, hi: float):
     They are the first k rows of a C-ordered n x n array Z, the bound LAPACK
     asks for when k is not known in advance; only the rows written become
     resident.  Where numpy's LAPACK does not export the routines, numpy
-    solves a copy and the window is selected from it.
+    solves a copy of A^H and the window is selected from it.
     """
     routines = _lapack_eigh()
     if routines is None:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(a.conj().T)
         keep = _in_window(w, lo, hi)
         return w[keep], np.ascontiguousarray(v[:, keep])
     routine, lda = _routine(routines, a, "evr")
@@ -438,6 +439,13 @@ class GridOperator:
     An operator made from a caller's array keeps it unchanged and solves a
     copy.
 
+    ``.matrix`` returns what the operator holds.  With ``upper_only`` that
+    is the C-order upper triangle of a (dim, dim) array, the part the
+    solves read, and its strictly lower entries read 0; the assembly is
+    trusted to be hermitian and is not checked (``build_schrodinger``
+    checks its inputs).  Such an operator cannot act as a matrix, so
+    ``smoothed_trace`` refuses it as a cutoff.
+
     Each allocation admits its own bytes against the host's memory where it
     is made (``MemoryBudgetError`` when they do not fit): an assembly its
     matrix, and a pairs solve, before it starts, the matrix and up to dim
@@ -452,7 +460,7 @@ class GridOperator:
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
     plane waves tensored with channel eigenvectors.  Their matrix is built
-    on the first read of ``.matrix``, checked like a passed matrix and kept.
+    on the first read of ``.matrix`` and kept.
     An operator whose spectrum alone is read never holds a dense matrix,
     and ``eigenpairs`` forms only the window's plane waves.
     """
@@ -462,12 +470,14 @@ class GridOperator:
     _vectors = None
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
-                 label: str = "", *, assemble=None, analytic: tuple | None = None):
+                 label: str = "", *, assemble=None, analytic: tuple | None = None,
+                 upper_only: bool = False):
         if (matrix is None) == (assemble is None):
             raise ValueError("give exactly one of matrix and assemble")
         self.grid = grid
         self.N = N
         self.label = label
+        self.upper_only = upper_only
         self._analytic = analytic
         self._split = False
         self._assemble = assemble
@@ -481,7 +491,8 @@ class GridOperator:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _checked_hermitian(self._assemble(), self.dim)
+            mat = self._assemble()
+            self._matrix = mat if self.upper_only else _checked_hermitian(mat, self.dim)
         return self._matrix
 
     def _release(self) -> None:
@@ -529,8 +540,11 @@ class GridOperator:
         Each row's columns are first gathered into channel-major order, a
         few rows at a time, so that channel c's block (rows and columns c::N)
         becomes the view ``mat[c::N, c M:(c + 1) M]``, with leading dimension
-        N dim.  The matrix is dropped after the last block is solved, and the
-        merged eigenvector array is made after that."""
+        N dim.  Entry (i, j) of that block is entry (i N + c, j N + c) of the
+        matrix, so the block's upper triangle comes from the matrix's and
+        the gather is right on a matrix that holds only that triangle.  The
+        matrix is dropped after the last block is solved, and the merged
+        eigenvector array is made after that."""
         n, m = self.N, self.grid.M
         mat = self.matrix
         self._release()
@@ -607,21 +621,40 @@ def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
     return np.stack(blocks)
 
 
+def _zeros_in_small_pages(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed C-ordered array in a private anonymous mapping of 4 KiB
+    pages, each resident only once it is written.  numpy's allocator asks
+    for huge pages (``madvise``) for arrays of 4 MiB or more, and one 2 MiB
+    page of a triangle's diagonal would hold 2 MiB of the other triangle.
+    The mapping is unmapped when the array is freed."""
+    dtype = np.dtype(dtype)
+    buf = mmap.mmap(-1, dtype.itemsize * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape)
+
+
 def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
-    """Kinetic circulant tensor identity plus block-diagonal potential, written
-    into one array of the final dtype (real unless a sample is complex)."""
+    """The C-order upper triangle of the kinetic circulant tensor identity
+    plus the block-diagonal potential, written into a (dim, dim) array of
+    the final dtype (real unless a sample is complex) whose other entries
+    are 0 and never written (``_zeros_in_small_pages``).
+
+    Row i N + a holds the kinetic entries c[(i - j) % M] = c[j - i] at the
+    columns j N + a, j >= i (c is symmetric), and the potential samples
+    (i, a, b), b >= a, at the columns i N + b."""
     if not np.any(samples.imag):
         samples = samples.real
     n_ch = samples.shape[1]
     dim = grid.M * n_ch
-    mat = np.zeros((dim, dim), dtype=np.result_type(samples.dtype, np.float64))
-    kin = _circulant(_kinetic_column(grid))
-    for c in range(n_ch):
-        mat[c::n_ch, c::n_ch] = kin
+    mat = _zeros_in_small_pages((dim, dim), np.result_type(samples.dtype, np.float64))
+    kin = _kinetic_column(grid)
+    for row in range(dim):
+        mat[row, row::n_ch] = kin[:grid.M - row // n_ch]
     # entry (j N + a, j N + b) of the flat matrix, for j = 0 .. M-1
     flat = mat.reshape(-1)
     for a in range(n_ch):
-        for b in range(n_ch):
+        for b in range(a, n_ch):
             flat[a * dim + b::n_ch * (dim + 1)] += samples[:, a, b]
     return mat
 
@@ -645,12 +678,17 @@ def _admit(required: int, label: str, what: str) -> None:
 def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     """Kinetic circulant tensor identity plus block potential.
 
-    The dense matrix is assembled at once, except for constant potentials:
-    they get an analytic spectrum and a dense matrix that is built only when
-    ``.matrix`` is read.  A potential whose off-diagonal samples are all 0
-    gives a split operator, whose eigenpairs are solved one channel at a
-    time.
+    The operator holds its matrix as the C-order upper triangle alone
+    (``upper_only``: the triangle LAPACK reads), in 4 KiB pages of which
+    only the triangle's become resident.  It is assembled at once, except
+    for constant potentials: they get an analytic spectrum and a matrix
+    that is built only when ``.matrix`` is read.  A potential whose
+    off-diagonal samples are all 0 gives a split operator, whose
+    eigenpairs are solved one channel at a time.
 
+    The potential samples (V + V^H)/2 and the symmetrized kinetic column
+    make the matrix exactly hermitian, so what is checked is that they are
+    finite: ValueError before anything is assembled when they are not.
     The matrix's bytes are checked against the host's physical memory
     before each assembly: MemoryBudgetError, with both figures, when they do
     not fit.  A solve admits what it adds itself (``GridOperator``), and an
@@ -660,6 +698,8 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         raise NotImplementedError("the quantization engine is one-dimensional")
     samples = potential_samples(v, grid)
     label = f"schrodinger({v.name})"
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(_kinetic_column(grid)))):
+        raise ValueError(f"{label} has a non-finite potential sample or kinetic entry")
     dim = grid.M * v.N
     dtype = complex if np.any(samples.imag) else float
 
@@ -669,7 +709,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         return _assemble_schrodinger(grid, samples)
 
     if np.any(samples != samples[0]):
-        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assemble)
+        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assemble, upper_only=True)
         op._split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
         op.matrix  # assembled here, where the build is timed; the first solve takes it
         return op
@@ -681,8 +721,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         channel_vecs = np.eye(v.N, dtype=complex)
     else:
         channel_vals, channel_vecs = np.linalg.eigh(b0)
-    return GridOperator(grid=grid, N=v.N, label=label,
-                        assemble=assemble,
+    return GridOperator(grid=grid, N=v.N, label=label, assemble=assemble, upper_only=True,
                         analytic=(channel_vals, channel_vecs))
 
 
@@ -1077,10 +1116,14 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     solved, and <u_j, A u_j> is formed only where f(lambda_j) is not 0, in
     column blocks (``_cutoff_diagonal``).  A's matrix is first read after
     that solve has dropped H's, so a cutoff from ``weyl_quantize`` is
-    assembled when H's matrix is gone.
+    assembled when H's matrix is gone.  A cutoff that holds only its upper
+    triangle (``GridOperator.upper_only``), such as a Schrodinger operator,
+    is a ValueError.
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
+    if a_op is not None and a_op.upper_only:
+        raise ValueError(f"the cutoff {a_op.label} holds only its upper triangle")
     if a_op is None:
         lam = h_op.eigenvalues()
     else:

@@ -32,6 +32,14 @@ def random_hermitian(rng, n: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def full_matrix(op) -> np.ndarray:
+    """The whole matrix of a grid operator: the upper triangle of what it
+    holds, mirrored into the lower one.  A Schrodinger operator holds only
+    that triangle; an exactly hermitian matrix comes back unchanged."""
+    mat = op.matrix
+    return np.triu(mat) + np.triu(mat, 1).conj().T
+
+
 def _kron_reference(v, grid) -> np.ndarray:
     """The Schrodinger matrix as the kron product of the symmetrized kinetic
     circulant with the identity, plus the symmetrized potential blocks."""

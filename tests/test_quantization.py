@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import PEAK_RSS_SOURCE, random_hermitian
+from conftest import PEAK_RSS_SOURCE, full_matrix, random_hermitian
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import bump_test_function
 from ssf_lab.quadrature import gauss_rule
@@ -47,12 +47,23 @@ def reconstruction_residual(op: GridOperator) -> float:
     """max |V diag(lambda) V^H - A| / max |A| of the operator's eigenpairs."""
     vals, vecs = op.eigenpairs()
     approx = (vecs * vals) @ vecs.conj().T
-    scale = float(np.max(np.abs(op.matrix))) or 1.0
-    return float(np.max(np.abs(approx - op.matrix))) / scale
+    mat = full_matrix(op)
+    scale = float(np.max(np.abs(mat))) or 1.0
+    return float(np.max(np.abs(approx - mat))) / scale
 
 
 CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 1.2))
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
+
+# four assembled models, real and complex, and one constant potential
+ASSEMBLY_MODELS = [
+    model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]),
+    model_potential("reference"),
+    model_potential("avoided_crossing", gap=0.2),
+    MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * SIGMA2 + np.diag([0.0, 0.3]),
+                    grad=None, v_infinity=np.diag([0.0, 0.3]), name="complex"),
+    model_potential("constant", v_inf=[0.3, 0.9], N=2),
+]
 
 
 class TestGrid:
@@ -98,8 +109,9 @@ class TestBuildSchrodinger:
     def test_hermitian_and_reconstruction(self):
         g = small_grid(h=0.5, M=64)
         op = build_schrodinger(model_potential("reference"), g)
-        scale = np.max(np.abs(op.matrix))
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-11 * scale
+        mat = full_matrix(op)
+        scale = np.max(np.abs(mat))
+        assert np.max(np.abs(mat - mat.conj().T)) <= 1e-11 * scale
         assert reconstruction_residual(op) < 1e-10
 
     def test_against_finite_difference_oracle(self):
@@ -126,20 +138,68 @@ class TestBuildSchrodinger:
         op = build_schrodinger(model_potential("constant", v_inf=[0.3, 0.9], N=2), g)
         assert reconstruction_residual(op) < 1e-10
 
-    @pytest.mark.parametrize("v", [
-        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]),
-        model_potential("reference"),
-        model_potential("avoided_crossing", gap=0.2),
-        MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * SIGMA2 + np.diag([0.0, 0.3]),
-                        grad=None, v_infinity=np.diag([0.0, 0.3]), name="complex"),
-        model_potential("constant", v_inf=[0.3, 0.9], N=2),
-    ], ids=lambda v: v.name)
+    @pytest.mark.parametrize("v", ASSEMBLY_MODELS, ids=lambda v: v.name)
     def test_assembly_matches_kron_reference(self, v, kron_reference):
         g = small_grid(h=0.25, M=48)
         op = build_schrodinger(v, g)
         ref = kron_reference(v, g)
         assert op.matrix.dtype == ref.dtype
-        assert np.array_equal(op.matrix, ref)
+        assert np.array_equal(full_matrix(op), ref)
+
+    @pytest.mark.parametrize("v", ASSEMBLY_MODELS, ids=lambda v: v.name)
+    def test_stored_triangle_matches_kron_reference(self, v, kron_reference):
+        # the operator holds the upper triangle and zeros below it
+        g = small_grid(h=0.25, M=48)
+        op = build_schrodinger(v, g)
+        assert op.upper_only
+        assert np.array_equal(np.triu(op.matrix), np.triu(kron_reference(v, g)))
+        assert not np.any(np.tril(op.matrix, -1))
+
+    @pytest.mark.parametrize("v", ASSEMBLY_MODELS[:4], ids=lambda v: v.name)
+    def test_values_are_the_bits_of_the_mirrored_reference(self, v, kron_reference):
+        g = small_grid(h=0.25, M=48)
+        op = build_schrodinger(v, g)
+        expect = np.linalg.eigvalsh(kron_reference(v, g))
+        assert np.array_equal(np.linalg.eigvalsh(full_matrix(op)), expect)
+        assert np.array_equal(op.eigenvalues(), expect)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)],
+                             ids=["nan", "inf", "-inf", "complex-nan"])
+    def test_non_finite_potential_rejected(self, monkeypatch, bad):
+        # the samples are checked where the assembled matrix used to be: at
+        # one node, before anything is assembled
+        g = small_grid(h=0.25, M=48)
+        spot = g.nodes[17]
+
+        def field(x):
+            return np.array([[bad if x == spot else -1.0, 0.2], [0.2, 0.3]])
+
+        v = MatrixPotential(n=1, N=2, eval=field, grad=None,
+                            v_infinity=np.diag([-1.0, 0.3]), name="one-bad-node")
+        assembled = []
+        monkeypatch.setattr(qz, "_assemble_schrodinger", lambda *args: assembled.append(args))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_schrodinger(v, g)
+        assert assembled == []
+
+    def test_values_solve_holds_the_triangle(self):
+        # a fresh process solving the reference model's spectrum at h = 1/56:
+        # it grew by 1.03 matrices of 8 dim^2 bytes with both triangles in
+        # huge pages, and by 0.67 with the upper one alone in 4 KiB pages
+        code = PEAK_RSS_SOURCE + (
+            "from ssf_lab.quantization import build_schrodinger, grid_for\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "grid = grid_for(1 / 56, 12.0, 3.24, 8192)\n"
+            "before = peak_rss()\n"
+            "op = build_schrodinger(model_potential('reference'), grid)\n"
+            "op.eigenvalues()\n"
+            "print(op.dim, peak_rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, grown = map(int, proc.stdout.split())
+        assert dim == 3084
+        assert grown < 0.85 * 8 * dim * dim
 
     def test_constant_potential_assembles_on_demand(self, kron_reference):
         g = small_grid(h=0.25, M=48)
@@ -149,7 +209,7 @@ class TestBuildSchrodinger:
         assert op._matrix is None
         mat = op.matrix
         assert op.matrix is mat
-        assert np.array_equal(mat, kron_reference(v, g))
+        assert np.array_equal(full_matrix(op), kron_reference(v, g))
 
     def test_analytic_pairs_columnwise(self):
         # the plane wave m tensored with the channel vector k, column by column
@@ -205,7 +265,7 @@ class TestSplitSolve:
         return build_schrodinger(request.param, small_grid(h=1 / 16, tau_max=2.0))
 
     def test_values_match_dense(self, op):
-        dense = np.linalg.eigvalsh(op.matrix)
+        dense = np.linalg.eigvalsh(full_matrix(op))
         vals = op.eigenpairs()[0]
         assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -228,7 +288,7 @@ class TestSplitSolve:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = [0.9, 1.0, 1.1]
-        dense = GridOperator(grid=op.grid, N=op.N, matrix=op.matrix)
+        dense = GridOperator(grid=op.grid, N=op.N, matrix=full_matrix(op))
         expect = smoothed_trace(a, dense, f, w, taus)
         got = smoothed_trace(a, op, f, w, taus)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -408,8 +468,9 @@ class TestMemoryAdmission:
     # (potential, request, admitted matrices), in a fresh process that has
     # made the same request on a small grid first, so that the library code
     # and BLAS buffers a first solve faults in (2-3 MB) are resident before
-    # the peak is read.  The growth read 1.02-1.03 matrices for the
-    # spectrum, 3.02 for the dense pairs and 1.77-1.80 for the split ones
+    # the peak is read.  With the upper triangle held alone, the growth
+    # read 0.64-0.75 matrices for the spectrum, 2.64-2.76 for the dense
+    # pairs and 1.77-1.81 for the split ones, whose gather writes whole rows
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128], ids=["dim1844", "dim3688"])
     @pytest.mark.parametrize("name,request_,admitted", [
         ("reference", "eigenvalues", 1),
@@ -725,21 +786,21 @@ class TestWindowedSolve:
         dim = make().dim
         vals, vecs = make().eigenpairs(window=(1e6, 2e6))
         assert vals.shape == (0,) and vecs.shape == (dim, 0)
-        full = make()
-        expect_vals = np.linalg.eigvalsh(full.matrix)
+        full = full_matrix(make())
+        expect_vals = np.linalg.eigvalsh(full)
         # the default window is the whole line
         for whole_vals, whole_vecs in (make().eigenpairs(window=WHOLE), make().eigenpairs()):
             assert whole_vecs.shape == (dim, dim)
             scale = np.max(np.abs(expect_vals))
             assert np.max(np.abs(whole_vals - expect_vals)) <= 1e-12 * scale
-            resid = full.matrix @ whole_vecs - whole_vecs * whole_vals
+            resid = full @ whole_vecs - whole_vecs * whole_vals
             assert np.max(np.abs(resid)) <= 1e-11 * scale
 
     @pytest.mark.parametrize("v", [DIAGONAL_2, model_potential("conical_crossing")],
                              ids=lambda v: v.name)
     def test_split(self, monkeypatch, v):
         g = small_grid(h=1 / 16, tau_max=2.0)
-        dense = GridOperator(grid=g, N=v.N, matrix=build_schrodinger(v, g).matrix)
+        dense = GridOperator(grid=g, N=v.N, matrix=full_matrix(build_schrodinger(v, g)))
         expect_vals, expect_vecs = np.linalg.eigh(dense.matrix)
         lo, hi = self.gap_window(expect_vals, 10, 61)  # conical_crossing's pairs split here
         op = build_schrodinger(v, g)
@@ -1071,6 +1132,24 @@ class TestSmoothedTrace:
         with pytest.raises(GridMismatchError):
             smoothed_trace(a, op, f, WindowTheta(), 1.0)
 
+    def test_triangle_refused_as_cutoff(self, monkeypatch):
+        # a Schrodinger operator holds half its matrix, which cannot act on
+        # the eigenvectors; it is refused before H is solved, and the same
+        # matrix made whole is a cutoff like any other
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        a = build_schrodinger(model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0],
+                                              widths=[1.0]), g)
+        h_op = build_schrodinger(model_potential("diagonal_bumps", depths=[0.5],
+                                                 centers=[0.3], widths=[0.8]), g)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        calls = counted(monkeypatch)
+        with pytest.raises(ValueError, match="upper triangle"):
+            smoothed_trace(a, h_op, f, w, 1.0)
+        assert calls == []
+        whole = GridOperator(grid=g, N=1, matrix=full_matrix(a))
+        assert np.isfinite(complex(smoothed_trace(whole, h_op, f, w, 1.0)))
+
     def test_one_solve_with_cutoff(self, monkeypatch):
         g = small_grid(h=0.25)
         v = model_potential("reference")
@@ -1078,7 +1157,7 @@ class TestSmoothedTrace:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = [0.9, 1.0]
-        lam, vecs = np.linalg.eigh(build_schrodinger(v, g).matrix)
+        lam, vecs = np.linalg.eigh(full_matrix(build_schrodinger(v, g)))
         uv = vecs.reshape(g.M, 2, -1)
         diag = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
         expect = fourier_window(w, g.h, np.subtract.outer(taus, lam)) @ (f(lam) * diag)
@@ -1168,7 +1247,10 @@ class TestSmoothedTrace:
         # numpy reports its buffers to tracemalloc: the whole step, from the
         # cutoff's construction to the trace, holds H's matrix with its
         # windowed solve, or the cutoff with H's eigenvector columns, never
-        # H's matrix and the cutoff at once
+        # H's matrix and the cutoff at once.  H's matrix itself lives in a
+        # mapping tracemalloc does not see (the peaks read 1.58, 1.88 and
+        # 0.65 with it there), so that it is gone before the cutoff is
+        # assembled is asserted by test_cutoff_assembled_after_the_solve
         chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))
         fourier_window(w, grid.h, 0.0)
         tracemalloc.start()
