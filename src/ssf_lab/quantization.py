@@ -13,18 +13,22 @@ Weyl quantization of a cutoff a(x, xi) produces the dense matrix
 with d_ij the minimal-image periodic difference and mid_ij the matching
 periodic midpoint (on the half-step grid).  For symbols depending on x only
 the momentum sum is a discrete delta and is evaluated in closed form, so
-multiplication operators come out exactly diagonal.
+multiplication operators come out exactly diagonal.  A ``ProductCutoff``'s
+matrix is made a block of rows at a time, and assembled only when
+``.matrix`` is read.
 
 A ``GridOperator`` answers two requests: its spectrum, from a values-only
 solve in place, or its eigenpairs in an energy window (lo, hi], which is
 all a smoothed trace reads of them.  A Schrodinger operator holds only the
-triangle of its matrix that LAPACK reads.  Each dense allocation, a matrix or
-the eigenvectors of a solve, admits its own bytes against the host's
-physical memory where it is made, so a step that cannot fit stops with
-``MemoryBudgetError`` before it allocates.
+triangle of its matrix that LAPACK reads; one with no coupling between its
+channels holds only the triangles of its channel blocks.  Each dense
+allocation, a matrix or the eigenvectors of a solve, admits its own bytes
+against the host's physical memory where it is made, so a step that cannot
+fit stops with ``MemoryBudgetError`` before it allocates.
 
 Smoothed spectral traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over
-the eigenpairs with lambda_j in supp f, where K is the scaled inverse
+the eigenpairs with lambda_j in supp f, with <u_j, A u_j> formed from A's
+rows a block at a time, so no cutoff is assembled; K is the scaled inverse
 Fourier transform of a window theta(t/eps): K(s) = (eps/h) Phi(eps s / h)
 with an h-independent profile Phi cached per window shape.  Phi and Phi'
 are tabulated once per process and shape on 26 081 knots (four uniform
@@ -208,8 +212,8 @@ def _kinetic_column(grid: Grid1D) -> np.ndarray:
 
 
 _CHECK_TILE = 256  # side of the square tiles of the hermiticity check
-# entries per chunk of rows of a split matrix's column gather, and per block
-# of columns of the plane waves, so no temporary of the array's size is made
+# entries per block of columns of the plane waves, so no temporary of the
+# array's size is made
 _ROW_BLOCK = 1 << 16
 
 
@@ -444,19 +448,26 @@ class GridOperator:
     solves read, and its strictly lower entries read 0; the assembly is
     trusted to be hermitian and is not checked (``build_schrodinger``
     checks its inputs).  Such an operator cannot act as a matrix, so
-    ``smoothed_trace`` refuses it as a cutoff.
+    ``smoothed_trace`` refuses it as a cutoff.  ``_row_blocks`` reads the
+    matrix a block of rows at a time: slices of the held matrix, or, while
+    none is held, the blocks of the operator's ``rows`` source (a
+    ``ProductCutoff``'s), so that nothing is assembled.
+
+    An operator that ``build_schrodinger`` finds has no entries between its
+    N channels is ``split``: it holds only its channel blocks, channel c's
+    being the M x M block on the rows and columns c::N, as an (N, M, M)
+    stack of their upper triangles, and that stack is its ``.matrix``.  It
+    solves each block alone: ``eigenvalues`` merges the blocks' values by a
+    stable sort, and ``eigenpairs`` makes each eigenvector zero on the other
+    channels' rows.
 
     Each allocation admits its own bytes against the host's memory where it
     is made (``MemoryBudgetError`` when they do not fit): an assembly its
     matrix, and a pairs solve, before it starts, the matrix and up to dim
     eigenvectors twice over (as LAPACK writes them and as columns), three
-    matrices, and a fourth for the copy of a caller's array.
-
-    An operator that ``build_schrodinger`` finds has no entries between its
-    N channels is split: ``eigenpairs`` solves each channel's M x M block
-    (rows and columns c::N) alone, where it lies in the matrix, drops the
-    matrix, merges the values by a stable sort and makes each eigenvector
-    zero on the other channels' rows.
+    matrices, and a fourth for the copy of a caller's array.  A split pairs
+    solve admits its blocks, the per-channel vectors and the merged (dim, k)
+    array, for k up to dim: N + 2 stacks of N M^2 items.
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
     plane waves tensored with channel eigenvectors.  Their matrix is built
@@ -471,7 +482,7 @@ class GridOperator:
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
                  label: str = "", *, assemble=None, analytic: tuple | None = None,
-                 upper_only: bool = False):
+                 upper_only: bool = False, split: bool = False, rows=None):
         if (matrix is None) == (assemble is None):
             raise ValueError("give exactly one of matrix and assemble")
         self.grid = grid
@@ -479,7 +490,8 @@ class GridOperator:
         self.label = label
         self.upper_only = upper_only
         self._analytic = analytic
-        self._split = False
+        self._split = split
+        self._rows = rows
         self._assemble = assemble
         self._matrix = None if matrix is None else _checked_hermitian(matrix, self.dim)
         self._values: np.ndarray | None = None
@@ -509,10 +521,22 @@ class GridOperator:
         self._release()
         return np.ascontiguousarray(mat)
 
+    def _row_blocks(self):
+        """(lo, rows lo:lo + b of the matrix) for blocks of b rows, about
+        ``_WEYL_BLOCK`` entries each, in order."""
+        if self._matrix is None and self._rows is not None:
+            return self._rows.blocks()
+        mat = self.matrix
+        step = max(1, _WEYL_BLOCK // mat.shape[1])
+        return ((lo, mat[lo:lo + step]) for lo in range(0, mat.shape[0], step))
+
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
             if self._analytic is not None:
                 self._values = self._analytic_values()
+            elif self._split:
+                values = [_evd(block) for block in self._solve_input()]
+                self._values = np.sort(np.concatenate(values), kind="stable")
             else:
                 self._values = _evd(self._solve_input())
         return self._values
@@ -522,38 +546,27 @@ class GridOperator:
         """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
         array of their eigenvectors as columns, the whole spectrum by
         default: plane waves for an analytic spectrum, else ``_evr`` (per
-        channel block when split), after the admission of three matrices."""
+        channel block when split), after the admission of what it holds."""
         lo, hi = window
         if self._analytic is not None:
             return self._analytic_pairs(lo, hi)
+        if self._split:  # the blocks, the per-channel vectors and the merged array
+            _admit((self.N + 2) * self.matrix.nbytes, self.label,
+                   "the channel blocks and their eigenvectors")
+            return self._split_pairs(lo, hi)
         matrices = 3 if self._assemble is not None else 4  # with a caller's array, its copy
         _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
-        if self._split:
-            return self._split_pairs(lo, hi)
         return _evr(self._solve_input(), lo, hi)
 
     def _split_pairs(self, lo: float, hi: float):
-        """``_evr`` on each channel block, where it lies in the held matrix.
-        Channel c's eigenvector j goes to column rank[offset_c + j] of the
-        merged order, on the rows c::N.
-
-        Each row's columns are first gathered into channel-major order, a
-        few rows at a time, so that channel c's block (rows and columns c::N)
-        becomes the view ``mat[c::N, c M:(c + 1) M]``, with leading dimension
-        N dim.  Entry (i, j) of that block is entry (i N + c, j N + c) of the
-        matrix, so the block's upper triangle comes from the matrix's and
-        the gather is right on a matrix that holds only that triangle.  The
-        matrix is dropped after the last block is solved, and the merged
-        eigenvector array is made after that."""
-        n, m = self.N, self.grid.M
-        mat = self.matrix
-        self._release()
-        step = max(1, _ROW_BLOCK // self.dim)
-        for first in range(0, self.dim, step):
-            rows = mat[first:first + step]
-            rows[...] = rows.reshape(-1, m, n).transpose(0, 2, 1).reshape(rows.shape)
-        solved = [_evr(mat[c::n, c * m:(c + 1) * m], lo, hi) for c in range(n)]
-        del mat, rows
+        """``_evr`` on each channel block of the held stack, in place.  The
+        stack is dropped after the last block is solved, and the merged
+        eigenvector array is made after that: channel c's eigenvector j goes
+        to column rank[offset_c + j] of the merged order, on the rows c::N."""
+        n = self.N
+        stack = self._solve_input()
+        solved = [_evr(block, lo, hi) for block in stack]
+        del stack
         vals, blocks = zip(*solved)
         del solved
         offsets = np.cumsum([0] + [v.size for v in vals])
@@ -634,11 +647,14 @@ def _zeros_in_small_pages(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
-def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
+def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray, split: bool = False) -> np.ndarray:
     """The C-order upper triangle of the kinetic circulant tensor identity
     plus the block-diagonal potential, written into a (dim, dim) array of
     the final dtype (real unless a sample is complex) whose other entries
-    are 0 and never written (``_zeros_in_small_pages``).
+    are 0 and never written (``_zeros_in_small_pages``).  With ``split``
+    (no entries between the channels) the N channel blocks alone, as an
+    (N, M, M) stack: block c is the one-channel matrix of the samples
+    (:, c, c), the rows and columns c::N of the whole one.
 
     Row i N + a holds the kinetic entries c[(i - j) % M] = c[j - i] at the
     columns j N + a, j >= i (c is symmetric), and the potential samples
@@ -646,17 +662,20 @@ def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     if not np.any(samples.imag):
         samples = samples.real
     n_ch = samples.shape[1]
-    dim = grid.M * n_ch
-    mat = _zeros_in_small_pages((dim, dim), np.result_type(samples.dtype, np.float64))
+    parts = [samples[:, c:c + 1, c:c + 1] for c in range(n_ch)] if split else [samples]
+    dim = grid.M * parts[0].shape[1]
+    out = _zeros_in_small_pages((len(parts), dim, dim), np.result_type(samples.dtype, np.float64))
     kin = _kinetic_column(grid)
-    for row in range(dim):
-        mat[row, row::n_ch] = kin[:grid.M - row // n_ch]
-    # entry (j N + a, j N + b) of the flat matrix, for j = 0 .. M-1
-    flat = mat.reshape(-1)
-    for a in range(n_ch):
-        for b in range(a, n_ch):
-            flat[a * dim + b::n_ch * (dim + 1)] += samples[:, a, b]
-    return mat
+    for mat, part in zip(out, parts):
+        n = part.shape[1]
+        for row in range(dim):
+            mat[row, row::n] = kin[:grid.M - row // n]
+        # entry (j N + a, j N + b) of the flat matrix, for j = 0 .. M-1
+        flat = mat.reshape(-1)
+        for a in range(n):
+            for b in range(a, n):
+                flat[a * dim + b::n * (dim + 1)] += part[:, a, b]
+    return out if split else out[0]
 
 
 def physical_memory() -> int:
@@ -683,16 +702,18 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     only the triangle's become resident.  It is assembled at once, except
     for constant potentials: they get an analytic spectrum and a matrix
     that is built only when ``.matrix`` is read.  A potential whose
-    off-diagonal samples are all 0 gives a split operator, whose
-    eigenpairs are solved one channel at a time.
+    off-diagonal samples are all 0 gives a split operator: it holds the
+    upper triangles of its N channel blocks alone, an (N, M, M) stack, and
+    solves them one at a time.
 
     The potential samples (V + V^H)/2 and the symmetrized kinetic column
     make the matrix exactly hermitian, so what is checked is that they are
     finite: ValueError before anything is assembled when they are not.
-    The matrix's bytes are checked against the host's physical memory
-    before each assembly: MemoryBudgetError, with both figures, when they do
-    not fit.  A solve admits what it adds itself (``GridOperator``), and an
-    analytic spectrum its plane-wave vectors when they are formed.
+    What is assembled, dim^2 items or N M^2 for a split operator, is checked
+    against the host's physical memory before each assembly:
+    MemoryBudgetError, with both figures, when it does not fit.  A solve
+    admits what it adds itself (``GridOperator``), and an analytic spectrum
+    its plane-wave vectors when they are formed.
     """
     if v.n != 1:
         raise NotImplementedError("the quantization engine is one-dimensional")
@@ -700,17 +721,21 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     label = f"schrodinger({v.name})"
     if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(_kinetic_column(grid)))):
         raise ValueError(f"{label} has a non-finite potential sample or kinetic entry")
-    dim = grid.M * v.N
-    dtype = complex if np.any(samples.imag) else float
+    itemsize = np.dtype(complex if np.any(samples.imag) else float).itemsize
 
-    def assemble():
-        _admit(np.dtype(dtype).itemsize * dim * dim, label, "the matrix")
-        _return_free_heap()
-        return _assemble_schrodinger(grid, samples)
+    def assembler(split: bool):
+        items = v.N * grid.M**2 if split else (v.N * grid.M) ** 2
+
+        def assemble():
+            _admit(itemsize * items, label, "the channel blocks" if split else "the matrix")
+            _return_free_heap()
+            return _assemble_schrodinger(grid, samples, split=split)
+        return assemble
 
     if np.any(samples != samples[0]):
-        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assemble, upper_only=True)
-        op._split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
+        split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
+        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(split),
+                          upper_only=True, split=split)
         op.matrix  # assembled here, where the build is timed; the first solve takes it
         return op
 
@@ -721,8 +746,8 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         channel_vecs = np.eye(v.N, dtype=complex)
     else:
         channel_vals, channel_vecs = np.linalg.eigh(b0)
-    return GridOperator(grid=grid, N=v.N, label=label, assemble=assemble, upper_only=True,
-                        analytic=(channel_vals, channel_vecs))
+    return GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(False),
+                        upper_only=True, analytic=(channel_vals, channel_vecs))
 
 
 def _index_tables(grid: Grid1D):
@@ -742,14 +767,6 @@ def _index_block(m_pts: int, rows: np.ndarray, cols: np.ndarray):
     return delta, mid_idx, ambiguous
 
 
-def _midpoint_values(values_half: np.ndarray, mid_idx, ambiguous, m_pts: int):
-    out = values_half[mid_idx]
-    if np.any(ambiguous):
-        other = values_half[(mid_idx + m_pts) % (2 * m_pts)]
-        out = np.where(ambiguous, 0.5 * (out + other), out)
-    return out
-
-
 def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     """Weyl quantization of a scalar phase-space symbol on the grid.
 
@@ -760,11 +777,11 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     memory).  A ``ProductCutoff``'s x-support must keep 2.0 clear of the
     periodic seam at +-R; its xi-support must sit inside the momentum window.
 
-    A ``ProductCutoff`` is checked here and assembled on the first read of
-    ``.matrix``, so in ``smoothed_trace`` it is built after H's eigenpairs
-    are solved and never sits beside H's matrix.  Its bytes (8 M^2, or
-    16 M^2 for a complex result) are admitted against the host's memory
-    before each pass of the assembly.
+    A ``ProductCutoff`` is checked here and gets its rows (``_ProductRows``),
+    which ``smoothed_trace`` reads a block at a time, so a trace never
+    assembles its matrix.  The matrix is assembled from the same rows on the
+    first read of ``.matrix``, after its bytes (8 M^2, or 16 M^2 for a
+    complex one) are admitted against the host's memory.
     """
     m_pts = grid.M
 
@@ -775,12 +792,13 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     if isinstance(a, ProductCutoff):
         _check_margins(a, grid)
         label = "weyl(product)"
+        rows = _ProductRows(a, grid)
 
         def assemble():
-            _admit(8 * m_pts * m_pts, label, "the cutoff matrix")
-            return _product_matrix(a, grid, label)
+            _admit(rows.dtype.itemsize * m_pts * m_pts, label, "the cutoff matrix")
+            return _product_matrix(rows)
 
-        return GridOperator(grid=grid, N=1, label=label, assemble=assemble)
+        return GridOperator(grid=grid, N=1, label=label, assemble=assemble, rows=rows)
 
     if callable(a):
         n_args = len(inspect.signature(a).parameters)
@@ -806,47 +824,77 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
     raise TypeError(f"cannot quantize object of type {type(a)!r}")
 
 
-_WEYL_BLOCK = 1 << 16  # entries per row block of a ProductCutoff's Weyl matrix
+_WEYL_BLOCK = 1 << 16  # entries per block of rows of a matrix, made or read
 
 
-def _product_matrix(chi: ProductCutoff, grid: Grid1D, label: str) -> np.ndarray:
-    """The hermitized Weyl matrix (B + B^H) / 2 of g(x) k(xi), with
-    B[i, j] = g(mid_ij) kappa[delta_ij % M], real when its imaginary part is
-    at most 1e-14 of its largest entry.
+class _ProductRows:
+    """The rows of the hermitized Weyl matrix (B + B^H) / 2 of g(x) k(xi),
+    with B[i, j] = g(mid_ij) kappa[delta_ij % M], a block of about
+    ``_WEYL_BLOCK`` entries at a time, so no M x M array is made.  The
+    midpoint index is symmetric in (i, j) and delta_ji = -delta_ij mod M
+    (the antipodal tie included), so row i of B^T is g(mid_ij)
+    kappa[-delta_ij % M]: every entry is the product the full B would hold.
 
-    Built in blocks of rows, so no M x M temporary is made.  The midpoint
-    index is symmetric in (i, j) and delta_ji = -delta_ij mod M (the
-    antipodal tie included), so row i of B^T is g(mid_ij) kappa[-delta_ij % M]:
-    every entry is the product the full B would hold.  A complex result
-    (rare: k not even) takes a second pass, admitted as ``label`` first.
-    """
-    m_pts = grid.M
-    kappa = np.fft.ifft(chi.k(grid.momenta_fft_order))
-    kappa_rev = kappa[(-np.arange(m_pts)) % m_pts]
-    g_half = chi.g(grid.half_nodes)
-    idx = np.arange(m_pts)
-    step = max(1, _WEYL_BLOCK // m_pts)
+    The midpoint values are those of g at the half-grid points, or, at
+    the antipodal lag M/2 (``_index_block``), their averages with the values
+    R away; ``g_and_ties`` holds both, in that order.
 
-    def rows_of(lo):
-        delta, mid_idx, ambiguous = _index_block(m_pts, idx[lo:lo + step], idx)
-        g_mid = _midpoint_values(g_half, mid_idx, ambiguous, m_pts)
-        lag = delta % m_pts
-        return 0.5 * (g_mid * kappa[lag] + (g_mid * kappa_rev[lag]).conj())
+    The matrix is real (``dtype``) when its imaginary part is at most 1e-14
+    of its largest real entry (or of 1), which is decided here, before any
+    row is made.  The entries of lag l are g(mid) kappa_l with kappa_l =
+    (kappa[l] + conj kappa[-l]) / 2, for every midpoint value of the parity
+    of l (the averages at l = M/2), so each part's largest entry is the
+    largest over l of that part of kappa_l times the largest of those |g|.
+    A real matrix's rows are made from the real parts of kappa alone."""
 
-    mat = np.empty((m_pts, m_pts))
-    imag, scale = 0.0, 0.0
-    for lo in range(0, m_pts, step):
-        block = rows_of(lo)
-        mat[lo:lo + step] = block.real
-        imag = max(imag, float(np.max(np.abs(block.imag), initial=0.0)))
-        scale = max(scale, float(np.max(np.abs(block.real))))
-    if imag <= 1e-14 * max(1.0, scale):
-        return mat
-    del mat
-    _admit(16 * m_pts * m_pts, label, "the complex cutoff matrix")
-    mat = np.empty((m_pts, m_pts), dtype=complex)
-    for lo in range(0, m_pts, step):
-        mat[lo:lo + step] = rows_of(lo)
+    def __init__(self, chi: ProductCutoff, grid: Grid1D):
+        m = grid.M
+        kappa = np.fft.ifft(chi.k(grid.momenta_fft_order))
+        kappa_rev = kappa[(-np.arange(m)) % m]
+        g = chi.g(grid.half_nodes)
+        self.g_and_ties = np.concatenate([g, 0.5 * (g + np.roll(g, -m))])
+        # the largest |g(mid)| of each parity, of the values and of the ties
+        most = np.abs(self.g_and_ties).reshape(2, m, 2).max(axis=1)
+        reach = np.resize(most[0], m)
+        reach[m // 2] = most[1, (m // 2) % 2]
+        per_lag = 0.5 * (kappa + kappa_rev.conj())
+        imag = float(np.max(reach * np.abs(per_lag.imag)))
+        scale = float(np.max(reach * np.abs(per_lag.real)))
+        if imag <= 1e-14 * max(1.0, scale):
+            kappa, kappa_rev = kappa.real.copy(), kappa_rev.real.copy()
+        self.m, self.kappa, self.kappa_rev = m, kappa, kappa_rev
+        self.dtype = kappa.dtype
+
+    def blocks(self):
+        """(lo, rows lo:lo + b) for blocks of b rows, in order.
+
+        The lag delta_ij and the kappa factors depend on (i - j) mod M
+        alone, and the midpoint index of (lo + i, lo + j) is that of (i, j)
+        plus 2 lo, so row lo + i is row i of the first block rolled by lo
+        columns, with g rolled by 2 lo half-steps.  The first block's indices
+        and kappa factors are formed once; each block is then one gather of
+        its midpoint values, the products and the roll.  g(mid) conj(kappa)
+        is conj(g(mid) kappa) for a real g, so the rows are the bits of the
+        direct products."""
+        m = self.m
+        idx = np.arange(m)
+        step = max(1, _WEYL_BLOCK // m)
+        delta, mid, ambiguous = _index_block(m, idx[:step], idx)
+        lag = delta % m
+        forward, backward = self.kappa[lag], self.kappa_rev[lag].conj()
+        pick = np.where(ambiguous, mid + 2 * m, mid)
+        del delta, mid, ambiguous, lag
+        for lo in range(0, m, step):
+            n = min(step, m - lo)
+            g_mid = np.roll(self.g_and_ties.reshape(2, -1), -2 * lo, axis=1).reshape(-1)[pick[:n]]
+            yield lo, np.roll(0.5 * (g_mid * forward[:n] + g_mid * backward[:n]), lo, axis=1)
+
+
+def _product_matrix(rows: _ProductRows) -> np.ndarray:
+    """The M x M matrix of ``rows``, filled a block at a time."""
+    mat = np.empty((rows.m, rows.m), rows.dtype)
+    for lo, block in rows.blocks():
+        mat[lo:lo + len(block)] = block
     return mat
 
 
@@ -1063,46 +1111,38 @@ def window_primitive(w: WindowTheta, h: float, s):
 # ---------------------------------------------------------------------------
 
 
-_PRODUCT_BLOCK = 1 << 22  # bytes of A U per column block of a cutoff diagonal
-# BLAS computes a product's columns in small groups and may round the
-# columns after the last whole group differently; blocks of a multiple of
-# 32 columns keep the groups of the whole product, and so its bits
-_BLOCK_COLUMNS = 32
-
-
 def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """<u_j, A u_j> for the columns u_j = vecs[:, j], j in ``cols``,
-    eigenvectors of an operator with A's channel count or of one with N
-    channels when A is per-channel scalar (then A acts on the M x (N b)
-    array of a block's rows).
+    """<u_j, A u_j> for the columns u_j = vecs[:, j], j in the ascending
+    ``cols``, eigenvectors of an operator with A's channel count or of one
+    with N channels when A is per-channel scalar (then A acts on each
+    channel's M rows of a column).
 
-    The product A U is formed for a block of about ``_PRODUCT_BLOCK`` bytes
-    of columns at a time and summed down its columns, so neither the whole
-    (dim, k) product nor a copy of the selected columns is made.  A real A
-    applies to complex columns as to the float64 view of their real and
-    imaginary parts, so no complex copy of A is made, and the sum is
-    conj(sum u_j conj(A u_j)), so no conjugate copy of the columns."""
+    A is read a block of rows R at a time (``GridOperator._row_blocks``),
+    which adds sum_{i in R} conj(u_ij) (A_R u_j)_i, so no cutoff is
+    assembled; the product A_R U is formed on a view of the columns cols[0]
+    to cols[-1], so no copy of them is made.  A real A applies to complex
+    columns as to the float64 view of their real and imaginary parts, a
+    complex A to real columns as its real and imaginary parts, and the sum
+    is conj(sum u_ij conj((A u_j)_i)), so no complex or conjugate copy of
+    the columns is made."""
     if a_op.N != 1 and vecs.shape[0] != a_op.dim:
         raise GridMismatchError("channel counts are incompatible")
-    mat = a_op.matrix
-    width = _PRODUCT_BLOCK // (vecs.shape[0] * vecs.itemsize)
-    step = max(_BLOCK_COLUMNS, width - width % _BLOCK_COLUMNS)
-    out = np.empty(len(cols), dtype=np.result_type(mat, vecs))
-    for lo in range(0, len(cols), step):
-        out[lo:lo + step] = _block_diagonal(mat, np.take(vecs, cols[lo:lo + step], axis=1))
-    return out
-
-
-def _block_diagonal(mat: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """<u_j, A u_j> for the columns of one C-ordered block; its product with
-    A is freed on return, before the next block is taken."""
-    rows = block.reshape(mat.shape[0], -1)
-    if mat.dtype.kind == "f" and rows.dtype.kind == "c":
-        t = (mat @ rows.view(float)).view(complex)
-    else:
-        t = mat @ rows
-    t = np.conjugate(t, out=t).reshape(block.shape)
-    return np.einsum("ij,ij->j", block, t).conj()
+    if cols.size == 0:
+        return np.zeros(0, dtype=complex)
+    span = vecs[:, cols[0]:cols[-1] + 1].reshape(a_op.dim, -1, cols[-1] + 1 - cols[0])
+    total = 0.0
+    for lo, rows in a_op._row_blocks():
+        for c in range(span.shape[1]):
+            u = span[:, c]
+            if rows.dtype.kind == u.dtype.kind:
+                t = rows @ u
+            elif rows.dtype.kind == "f":
+                t = (rows @ u.view(float)).view(complex)
+            else:  # a complex A on real columns: no complex copy of them
+                t = rows.real @ u + 1j * (rows.imag @ u)
+            np.conjugate(t, out=t)
+            total = total + np.einsum("ij,ij->j", u[lo:lo + len(rows)], t)
+    return np.conjugate(total)[cols - cols[0]]
 
 
 def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTheta,
@@ -1113,12 +1153,12 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     tau); for the even window and hermitian A the imaginary part is at
     rounding level.  With a cutoff only the eigenpairs with lambda in the
     support of f (``f.support``; the whole line for an f without one) are
-    solved, and <u_j, A u_j> is formed only where f(lambda_j) is not 0, in
-    column blocks (``_cutoff_diagonal``).  A's matrix is first read after
-    that solve has dropped H's, so a cutoff from ``weyl_quantize`` is
-    assembled when H's matrix is gone.  A cutoff that holds only its upper
-    triangle (``GridOperator.upper_only``), such as a Schrodinger operator,
-    is a ValueError.
+    solved, and <u_j, A u_j> is formed only from the first to the last j
+    where f(lambda_j) is not 0, from A's rows a block at a time
+    (``_cutoff_diagonal``): a cutoff from ``weyl_quantize`` is never
+    assembled, and a held matrix is read in slices.  A cutoff that holds
+    only its upper triangle (``GridOperator.upper_only``), such as a
+    Schrodinger operator, is a ValueError.
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")

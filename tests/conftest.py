@@ -35,9 +35,16 @@ def random_hermitian(rng, n: int) -> np.ndarray:
 def full_matrix(op) -> np.ndarray:
     """The whole matrix of a grid operator: the upper triangle of what it
     holds, mirrored into the lower one.  A Schrodinger operator holds only
-    that triangle; an exactly hermitian matrix comes back unchanged."""
-    mat = op.matrix
-    return np.triu(mat) + np.triu(mat, 1).conj().T
+    that triangle; an exactly hermitian matrix comes back unchanged.  A
+    split operator holds an (N, M, M) stack of its channel blocks'
+    triangles, and block c is placed on the rows and columns c::N."""
+    held = op.matrix
+    if held.ndim == 2:
+        return np.triu(held) + np.triu(held, 1).conj().T
+    mat = np.zeros((op.dim, op.dim), dtype=held.dtype)
+    for c, block in enumerate(held):
+        mat[c::op.N, c::op.N] = np.triu(block) + np.triu(block, 1).conj().T
+    return mat
 
 
 def _kron_reference(v, grid) -> np.ndarray:

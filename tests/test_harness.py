@@ -443,7 +443,7 @@ class TestMemoryAdmission:
         # the operators of every stock sweep at its finest h fit half of an
         # 8 GB host; assembly stops at the admitted estimate, so none of them
         # is allocated
-        def stop(grid, samples):
+        def stop(grid, samples, split=False):
             raise self.Assembled
 
         monkeypatch.setattr(qz, "physical_memory", lambda: 4 * 2**30)
@@ -471,7 +471,7 @@ class TestMemoryAdmission:
         assert built == 13
 
     def test_cli_prints_the_figures(self, tmp_path, monkeypatch, capsys):
-        def refused(grid, samples):
+        def refused(grid, samples, split=False):
             raise AssertionError("assembled past a refused admission")
 
         monkeypatch.setattr(qz, "physical_memory", lambda: 1 << 20)

@@ -52,6 +52,16 @@ def reconstruction_residual(op: GridOperator) -> float:
     return float(np.max(np.abs(approx - mat))) / scale
 
 
+def midpoint_values(values_half: np.ndarray, mid_idx, ambiguous, m_pts: int):
+    """g(mid_ij) from the half-grid values, averaged with the value R away
+    at the antipodal tie: the reference for a Weyl matrix's midpoints."""
+    out = values_half[mid_idx]
+    if np.any(ambiguous):
+        other = values_half[(mid_idx + m_pts) % (2 * m_pts)]
+        out = np.where(ambiguous, 0.5 * (out + other), out)
+    return out
+
+
 CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 1.2))
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -294,9 +304,9 @@ class TestSplitSolve:
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_peak_memory_is_the_matrix(self):
-        # a fresh process; thm3's finest step solves its channel blocks where
-        # they lie in the matrix, where copying them out first holds the
-        # matrix and half of it again
+        # a fresh process; thm3's finest step holds its channel blocks alone
+        # and solves each in place, where copying them out of the whole
+        # matrix held the matrix and half of it again
         code = PEAK_RSS_SOURCE + (
             "from ssf_lab.quantization import build_schrodinger, grid_for\n"
             "from ssf_lab.symbols import model_potential\n"
@@ -391,7 +401,7 @@ class TestMemoryAdmission:
 
     @pytest.fixture
     def no_assembly(self, monkeypatch):
-        def refused(grid, samples):
+        def refused(grid, samples, split=False):
             raise AssertionError("assembled past a refused admission")
 
         monkeypatch.setattr(qz, "_assemble_schrodinger", refused)
@@ -402,9 +412,10 @@ class TestMemoryAdmission:
         model_potential("conical_crossing"),
     ], ids=lambda v: v.name)
     def test_refused_with_figures(self, monkeypatch, no_assembly, v):
-        # the assembly admits the matrix's own bytes
+        # the assembly admits the matrix's own bytes: (N M)^2 items, or the
+        # N M^2 of the channel blocks of conical_crossing, which is split
         g = small_grid(h=1 / 16, tau_max=2.0)
-        need = 8 * (g.M * v.N) ** 2
+        need = 8 * g.M ** 2 * {"reference": 4, "diagonal_bumps": 1, "conical_crossing": 2}[v.name]
         monkeypatch.setattr(qz, "physical_memory", lambda: need - 1)
         with pytest.raises(MemoryBudgetError) as err:
             build_schrodinger(v, g)
@@ -426,7 +437,7 @@ class TestMemoryAdmission:
         class Reached(Exception):
             pass
 
-        def stub(grid, samples):
+        def stub(grid, samples, split=False):
             raise Reached(grid.M * samples.shape[1])
 
         monkeypatch.setattr(qz, "_assemble_schrodinger", stub)
@@ -441,9 +452,12 @@ class TestMemoryAdmission:
     def test_pairs_admit_three_matrices(self, monkeypatch, v):
         # a host between one and three matrices: the spectrum is solved, the
         # pairs are refused before anything is allocated, and the matrix
-        # stays for the next request
+        # stays for the next request.  A split operator holds a stack of its
+        # N = 2 channel blocks and admits four: the blocks, the per-channel
+        # vectors and the merged array of twice their size
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
         size = op.matrix.nbytes
+        admitted = 4 if op._split else 3
         monkeypatch.setattr(qz, "physical_memory", lambda: 2 * size)
         tracemalloc.start()
         try:
@@ -452,7 +466,7 @@ class TestMemoryAdmission:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert err.value.required == 3 * size and peak < 0.1 * size
+        assert err.value.required == admitted * size and peak < 0.1 * size
         assert op._matrix is not None
         assert op.eigenvalues().size == op.dim
 
@@ -465,17 +479,21 @@ class TestMemoryAdmission:
             op.eigenpairs()
         assert err.value.required == 4 * a.nbytes
 
-    # (potential, request, admitted matrices), in a fresh process that has
-    # made the same request on a small grid first, so that the library code
-    # and BLAS buffers a first solve faults in (2-3 MB) are resident before
-    # the peak is read.  With the upper triangle held alone, the growth
-    # read 0.64-0.75 matrices for the spectrum, 2.64-2.76 for the dense
-    # pairs and 1.77-1.81 for the split ones, whose gather writes whole rows
+    # (potential, request, admitted arrays of what the operator holds), in a
+    # fresh process that has made the same request on a small grid first, so
+    # that the library code and BLAS buffers a first solve faults in (2-3 MB)
+    # are resident before the peak is read.  With the upper triangle held
+    # alone, the growth read 0.64-0.77 matrices for the spectrum and
+    # 2.64-2.76 for the dense pairs.  The split pairs read 1.77-1.81
+    # matrices with the channel gather, and 3.54-3.60 stacks of the channel
+    # blocks (1.77-1.80 matrices) with the blocks alone: the merged (dim,
+    # dim) array and the per-channel vectors set that peak, and the bound
+    # is the four stacks admitted
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128], ids=["dim1844", "dim3688"])
     @pytest.mark.parametrize("name,request_,admitted", [
         ("reference", "eigenvalues", 1),
         ("reference", "eigenpairs", 3),
-        ("conical_crossing", "eigenpairs", 3),
+        ("conical_crossing", "eigenpairs", 4),
     ], ids=["values", "dense-pairs", "split-pairs"])
     def test_growth_within_the_admitted_bytes(self, h, name, request_, admitted):
         code = PEAK_RSS_SOURCE + (
@@ -494,7 +512,7 @@ class TestMemoryAdmission:
         assert proc.returncode == 0, proc.stderr
         dim, size, grown = map(int, proc.stdout.split())
         assert dim == {1 / 64: 1844, 1 / 128: 3688}[h]
-        assert size == 8 * dim * dim
+        assert size == 8 * dim * dim // {"reference": 1, "conical_crossing": 2}[name]
         assert grown <= admitted * size + 4e6
 
     def test_analytic_operator_checked_where_it_allocates(self, monkeypatch):
@@ -841,7 +859,7 @@ class TestMatrixOwnership:
         assert op._matrix is not None
         getattr(op, solve)()
         assert op._matrix is None
-        expect = qz._assemble_schrodinger(g, qz.potential_samples(v, g))
+        expect = qz._assemble_schrodinger(g, qz.potential_samples(v, g), split=op._split)
         assert np.array_equal(op.matrix, expect)
         assert op.matrix is op.matrix
 
@@ -901,10 +919,8 @@ class TestWeylQuantize:
     def test_hermitization_drift_small(self):
         g = small_grid(h=0.25)
         kappa = np.fft.ifft(CHI.k(g.momenta_fft_order))
-        from ssf_lab.quantization import _index_tables, _midpoint_values
-
-        delta, mid_idx, ambiguous = _index_tables(g)
-        g_mid = _midpoint_values(CHI.g(g.half_nodes), mid_idx, ambiguous, g.M)
+        delta, mid_idx, ambiguous = qz._index_tables(g)
+        g_mid = midpoint_values(CHI.g(g.half_nodes), mid_idx, ambiguous, g.M)
         raw = g_mid * kappa[delta % g.M]
         drift = np.max(np.abs(raw - raw.conj().T))
         assert drift <= 1e-12 * max(1.0, np.max(np.abs(raw)))
@@ -923,8 +939,7 @@ class TestWeylQuantize:
         kappa = np.fft.ifft(chi.k(g.momenta_fft_order))
         delta, mid_idx, ambiguous = qz._index_tables(g)
         assert np.any(ambiguous)
-        raw = qz._midpoint_values(chi.g(g.half_nodes), mid_idx, ambiguous, g.M) \
-            * kappa[delta % g.M]
+        raw = midpoint_values(chi.g(g.half_nodes), mid_idx, ambiguous, g.M) * kappa[delta % g.M]
         full = 0.5 * (raw + raw.conj().T)
         if np.max(np.abs(full.imag)) <= 1e-14 * max(1.0, np.max(np.abs(full.real))):
             full = full.real.copy()
@@ -1177,12 +1192,12 @@ class TestSmoothedTrace:
     def test_cutoff_diagonal_only_where_f_nonzero(self, monkeypatch, kind, params):
         # <u_j, A u_j> on the columns where f(lambda_j) != 0 against that
         # column of the full dense product; N2 uses the per-channel scalar
-        # cutoff.  BLAS picks its kernels by the column count, so a column of
-        # a narrower product agrees to rounding, not always bit for bit.
-        # The products are formed in blocks of 32 columns here, the least
-        # block, so the larger subsets span several.
-        monkeypatch.setattr(qz, "_PRODUCT_BLOCK", 0)
+        # cutoff.  BLAS picks its kernels by the shape of a product, so a
+        # column of a product of a few rows agrees to rounding, not always
+        # bit for bit.  A is read in blocks of 3 rows here, so each subset's
+        # sums run over many blocks.
         g = small_grid(h=1 / 16, tau_max=2.0)
+        monkeypatch.setattr(qz, "_WEYL_BLOCK", 3 * g.M)
         op = build_schrodinger(model_potential(kind, **params), g)
         a = weyl_quantize(CHI, g)
         lam, vecs = op.eigenpairs()
@@ -1193,19 +1208,23 @@ class TestSmoothedTrace:
         else:
             uv = vecs.reshape(g.M, op.N, -1)
             full = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
+        a = weyl_quantize(CHI, g)
         cols = np.flatnonzero(bump_test_function((0.5, 1.5))(lam))
         assert 0 < cols.size < lam.size
         spread = np.arange(3, lam.size, 2)
-        assert spread.size > 2 * qz._BLOCK_COLUMNS
         for sub in (np.arange(lam.size), cols, cols[:1], cols[:2], cols[1::3], spread):
             got = qz._cutoff_diagonal(a, vecs, sub)
             assert np.max(np.abs(got - full[sub])) <= 1e-14 * np.max(np.abs(full))
+        assert a._matrix is None
 
     @pytest.mark.parametrize("v", [
         model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
         model_potential("conical_crossing"),
     ], ids=["dense", "split"])
-    def test_cutoff_assembled_after_the_solve(self, monkeypatch, v):
+    def test_trace_never_assembles_the_cutoff(self, monkeypatch, v):
+        # a product cutoff's rows are made a block at a time and never put
+        # together: the trace is the bits of the one with the cutoff's
+        # matrix held, which is read in slices of the same rows
         g = small_grid(h=1 / 16, tau_max=2.0)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
@@ -1213,55 +1232,66 @@ class TestSmoothedTrace:
                                 build_schrodinger(v, g), f, w, 1.0)
         a = weyl_quantize(CHI, g)
         h_op = build_schrodinger(v, g)
-        assert a._matrix is None and h_op._matrix is not None
         assert h_op._split == (v.N > 1)
-        h_held = []
+        assembled = []
         product = qz._product_matrix
 
-        def spy(*args):
-            h_held.append(h_op._matrix is not None)
-            return product(*args)
+        def spy(rows):
+            assembled.append(rows)
+            return product(rows)
 
         monkeypatch.setattr(qz, "_product_matrix", spy)
         assert smoothed_trace(a, h_op, f, w, 1.0) == expect
-        assert h_held == [False]
-        # a cutoff is never solved, so it keeps its matrix for the next trace
         assert smoothed_trace(a, build_schrodinger(v, g), f, w, 1.0) == expect
-        assert h_held == [False] and a._matrix is not None
+        assert assembled == [] and a._matrix is None
+        a.matrix
+        assert assembled == [a._rows]
 
-    # (grid, potential, supp f, window, bound): steps of the thm2, thm1 and
-    # thm3 set-ups at h = 1/64, 1/128 and 1/96.  Peaks in units of H's
-    # dim x dim float64 matrix read 3.09, 2.41 and 1.60 with the cutoff
-    # assembled before H and one product over all columns, and 2.09, 1.88
-    # and 1.35 with it assembled after H's solve and applied in column blocks.
-    @pytest.mark.parametrize("grid,v,support,w,bound", [
-        (qz.grid_for(1 / 64, 12.0, 1.69, 8192),
-         model_potential("diagonal_bumps", depths=[0.5], centers=[7.0], widths=[0.4]),
-         (0.8, 1.2), WindowTheta("bump_at_zero", eps=0.3), 2.6),
-        (qz.grid_for(1 / 128, 6.0, 2.56, 8192), model_potential("constant", v_inf=0.0, N=1),
-         (0.3, 1.7), WindowTheta("bump_positive", eps=1.0), 2.1),
-        (qz.grid_for(1 / 96, 6.0, 2.0, 8192), model_potential("conical_crossing"),
-         (0.5, 1.5), WindowTheta("bump_at_zero", eps=0.25), 1.47),
+    # (H, supp f, window, bound): one step of the thm2, thm1 and thm3
+    # set-ups at h = 1/64, 1/128 and 1/96, from the cutoff's construction to
+    # the trace, in a fresh process that has made the same step at h = 1/16
+    # first, so that the library code and buffers a first step faults in are
+    # resident before the peak is read.  The growth in units of H's
+    # dim x dim float64 matrix read 1.18-1.31, 1.93-1.94 and 0.98-1.03 with
+    # the cutoff assembled after H's solve and applied in column blocks,
+    # beside the split operator's gathered matrix, and 0.53-0.60, 0.46-0.47
+    # and 0.43-0.45 with A's rows read a block at a time and the split
+    # operator's channel blocks alone; each bound is midway
+    @pytest.mark.parametrize("box,h,v,support,w,bound", [
+        ("12.0, 1.69", 1 / 64,
+         "model_potential('diagonal_bumps', depths=[0.5], centers=[7.0], widths=[0.4])",
+         (0.8, 1.2), "WindowTheta('bump_at_zero', eps=0.3)", 0.89),
+        ("6.0, 2.56", 1 / 128, "model_potential('constant', v_inf=0.0, N=1)",
+         (0.3, 1.7), "WindowTheta('bump_positive', eps=1.0)", 1.2),
+        ("6.0, 2.0", 1 / 96, "model_potential('conical_crossing')",
+         (0.5, 1.5), "WindowTheta('bump_at_zero', eps=0.25)", 0.71),
     ], ids=["thm2-dense", "thm1-analytic", "thm3-split"])
-    def test_step_peak_is_one_matrix(self, grid, v, support, w, bound):
-        # numpy reports its buffers to tracemalloc: the whole step, from the
-        # cutoff's construction to the trace, holds H's matrix with its
-        # windowed solve, or the cutoff with H's eigenvector columns, never
-        # H's matrix and the cutoff at once.  H's matrix itself lives in a
-        # mapping tracemalloc does not see (the peaks read 1.58, 1.88 and
-        # 0.65 with it there), so that it is gone before the cutoff is
-        # assembled is asserted by test_cutoff_assembled_after_the_solve
-        chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))
-        fourier_window(w, grid.h, 0.0)
-        tracemalloc.start()
-        try:
-            a = weyl_quantize(chi, grid)
-            h_op = build_schrodinger(v, grid)
-            smoothed_trace(a, h_op, bump_test_function(support), w, np.linspace(0.9, 1.1, 9))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * 8 * h_op.dim ** 2
+    def test_step_growth_in_a_fresh_process(self, box, h, v, support, w, bound):
+        # tracemalloc cannot see H's matrix, which lives in a mapping of its own
+        code = PEAK_RSS_SOURCE + (
+            "import numpy as np\n"
+            "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
+            "from ssf_lab.coefficients import bump_test_function\n"
+            "from ssf_lab.quantization import (WindowTheta, build_schrodinger, grid_for,\n"
+            "                                  smoothed_trace, weyl_quantize)\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))\n"
+            f"f, w = bump_test_function({support!r}), {w}\n"
+            "def step(grid):\n"
+            f"    h = build_schrodinger({v}, grid)\n"
+            "    smoothed_trace(weyl_quantize(chi, grid), h, f, w, np.linspace(0.9, 1.1, 9))\n"
+            "    return h.dim\n"
+            f"step(grid_for(1 / 16, {box}, 8192))\n"
+            f"grid = grid_for({h!r}, {box}, 8192)\n"
+            "before = peak_rss()\n"
+            "dim = step(grid)\n"
+            "print(dim, peak_rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, grown = map(int, proc.stdout.split())
+        assert dim == {1 / 64: 1272, 1 / 128: 1566, 1 / 96: 2076}[h]
+        assert grown < bound * 8 * dim * dim
 
     def test_peak_memory_with_cutoff(self):
         # a fresh process; the windowed solve holds the k eigenvector columns
@@ -1313,6 +1343,66 @@ class TestSmoothedTrace:
         batch = smoothed_trace(None, op, f, w, taus)
         singles = [smoothed_trace(None, op, f, w, float(t)) for t in taus]
         assert np.allclose(batch, singles, atol=0)
+
+
+class TestRowBlockDiagonal:
+    """<u_j, A u_j> formed from A's rows a block at a time equals the
+    diagonal of U^H A U with the dense matrix, to 1e-13 of its largest
+    entry, for a product cutoff's rows and for held matrices read in
+    slices."""
+
+    @staticmethod
+    def dense_diagonal(mat, vecs, n):
+        uv = vecs.reshape(mat.shape[0], n, -1)
+        return np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(mat, uv, axes=([1], [0])))
+
+    @staticmethod
+    def subsets(k):
+        return np.arange(k), np.arange(5, k, 3), np.arange(k // 3, k // 2), np.array([7])
+
+    @pytest.mark.parametrize("held", [False, True], ids=["rows", "held"])
+    @pytest.mark.parametrize("k", [Bump1D(0, 1.2), Bump1D(0.3, 1.0)], ids=["even", "shifted"])
+    @pytest.mark.parametrize("v", [
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("reference"),
+    ], ids=lambda v: f"N{v.N}")
+    def test_product_cutoff(self, monkeypatch, v, k, held):
+        # blocks of 7 rows, which M = 148 is not a multiple of; an even k
+        # gives a real matrix, a shifted one a complex matrix, and the rows
+        # are made in that dtype from the first block on
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
+        chi = ProductCutoff(g=Bump1D(0, 2.0), k=k)
+        dense = weyl_quantize(chi, g).matrix
+        assert dense.dtype == (float if k.center == 0 else complex)
+        lam, vecs = build_schrodinger(v, g).eigenpairs()
+        expect = self.dense_diagonal(dense, vecs, v.N)
+        a = weyl_quantize(chi, g)
+        first = next(a._row_blocks())[1]
+        assert first.shape == (7, g.M) and first.dtype == dense.dtype
+        if held:
+            a.matrix
+        for cols in self.subsets(lam.size):
+            got = qz._cutoff_diagonal(a, vecs, cols)
+            assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
+        assert (a._matrix is not None) == held
+
+    @pytest.mark.parametrize("symbol", [0.7, lambda x: np.cos(x) * np.exp(-x * x)],
+                             ids=["number", "multiplication"])
+    @pytest.mark.parametrize("v", [
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("constant", v_inf=[0.0, 0.3], N=2),
+    ], ids=["N1", "N2-complex"])
+    def test_held_matrix_read_in_slices(self, monkeypatch, v, symbol):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
+        a = weyl_quantize(symbol, g)
+        assert all(rows.base is a.matrix for _, rows in a._row_blocks())
+        lam, vecs = build_schrodinger(v, g).eigenpairs()
+        expect = self.dense_diagonal(a.matrix, vecs, v.N)
+        for cols in self.subsets(lam.size):
+            got = qz._cutoff_diagonal(a, vecs, cols)
+            assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
 
 
 def grids(hs, R, tau_max, m_cap=8192):
