@@ -160,13 +160,14 @@ def sphere_volume(n: int) -> float:
 
 
 def _branch_values(v: MatrixPotential, xs: np.ndarray) -> np.ndarray:
-    """Sorted channel eigenvalues on a 1d coordinate grid, shape (len(xs), N)."""
-    if v.n == 1:
-        mats = np.stack([np.asarray(v.eval(float(x))) for x in xs])
-    else:
+    """Sorted channel eigenvalues on a 1d coordinate grid, shape (len(xs), N),
+    from one ``v.on`` call (for n >= 2 along the first axis)."""
+    xs = np.asarray(xs, dtype=float)
+    if v.n != 1:
         e1 = np.zeros(v.n)
         e1[0] = 1.0
-        mats = np.stack([np.asarray(v.eval(float(x) * e1)) for x in xs])
+        xs = xs[:, None] * e1
+    mats = v.on(xs)
     mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
     return np.linalg.eigvalsh(mats)
 
@@ -456,7 +457,7 @@ def _symbol_stack(v_at: np.ndarray, xis: np.ndarray) -> np.ndarray:
 def _branch_grid(v: MatrixPotential, chi: ProductCutoff, x_order: int,
                  scan: int) -> _BranchGrid:
     """The tau-independent branch scan shared by every band volume of one
-    potential; V is evaluated once per x-node."""
+    potential; V is evaluated at the x-nodes by one ``v.on`` call."""
     if v.n != 1:
         raise NotImplementedError("band volume is implemented for n = 1")
     (xa, xb) = chi.x_support
@@ -464,7 +465,7 @@ def _branch_grid(v: MatrixPotential, chi: ProductCutoff, x_order: int,
     xn, xw = gauss_rule(x_order)
     xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
     xis = np.linspace(qa, qb, scan)
-    v_at = np.stack([np.asarray(v.eval(float(x))) for x in xm])
+    v_at = v.on(xm)
     mats = _symbol_stack(np.repeat(v_at, len(xis), axis=0), np.tile(xis, len(xm)))
     values = np.linalg.eigvalsh(mats).reshape(len(xm), len(xis), v.N)
     return _BranchGrid(x=xm, w=xw, xis=xis, v=v_at, values=values)

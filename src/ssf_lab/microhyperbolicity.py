@@ -31,6 +31,7 @@ from .symbols import (
     MatrixSymbol,
     fast_eigvalsh,
     hermitian_eigen,
+    require_hermitian,
     shifted_symbol,
     symbol_gradient,
 )
@@ -208,11 +209,20 @@ class _Jet(NamedTuple):
 
 
 def _jet(h: MatrixSymbol, rho, kernel_tol: float | None) -> _Jet:
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    a = h.at(rho)
-    if kernel_tol is None:
-        kernel_tol = default_kernel_tol(a)
-    return _Jet(rho, a, kernel_tol, symbol_gradient(h, rho), hermitian_eigen(a))
+    return _jets(h, np.atleast_1d(np.asarray(rho, dtype=float))[None, :], kernel_tol)[0]
+
+
+def _jets(h: MatrixSymbol, rhos: np.ndarray, kernel_tol: float | None) -> list:
+    """The jet of every row of ``rhos`` (K, 2n): H, its gradient and the eigh
+    of H each come from one call over all K points, and each point's
+    hermiticity is checked (``require_hermitian``, first failure in order)."""
+    x, xi = (rhos[:, 0], rhos[:, 1]) if h.n == 1 else (rhos[:, :h.n], rhos[:, h.n:])
+    a = require_hermitian(h.on(x, xi))
+    values, vectors = np.linalg.eigh(a)
+    grad = h.gradient_on(x, xi)
+    return [_Jet(rho, a[k], default_kernel_tol(a[k]) if kernel_tol is None else kernel_tol,
+                 grad[k], EigenBranchSet(values=values[k], vectors=vectors[k]))
+            for k, rho in enumerate(rhos)]
 
 
 def _kernel_compression(eig: EigenBranchSet, g: np.ndarray, kernel_tol: float):
@@ -292,7 +302,9 @@ def _min_eigs(tvecs: np.ndarray, proj: np.ndarray) -> np.ndarray:
 
 def _unit(phis: np.ndarray) -> np.ndarray:
     """Rows (cos phi, sin phi), from libm's cos and sin one angle at a time."""
-    return np.array([[math.cos(p), math.sin(p)] for p in phis.tolist()]).reshape(-1, 2)
+    angles = phis.tolist()
+    return np.column_stack([np.fromiter(map(math.cos, angles), float, len(angles)),
+                            np.fromiter(map(math.sin, angles), float, len(angles))])
 
 
 def find_direction(
@@ -409,20 +421,16 @@ def shell_sample(
     """Uniform box grid filtered to min_k |tau0 - l_k(x, xi)| <= shell_tol.
 
     l_k are the eigenvalues of the hermitian part of p(x, xi), for any
-    symbol; for a Schrodinger symbol they are xi^2 + e_k(x).
+    symbol; for a Schrodinger symbol they are xi^2 + e_k(x).  The points are
+    x-major, and p is evaluated by one ``p.on`` call over the whole grid.
     """
     (x_lo, x_hi), (xi_lo, xi_hi) = box
-    xs = np.linspace(x_lo, x_hi, grid_points)
-    xis = np.linspace(xi_lo, xi_hi, grid_points)
-    pts = []
-    for x in xs:
-        mats = np.stack([np.asarray(p.eval(x, xi)) for xi in xis])
-        vals = np.linalg.eigvalsh(0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1)))))
-        dist = np.min(np.abs(tau0 - vals), axis=1)
-        for xi, d in zip(xis, dist):
-            if d <= shell_tol:
-                pts.append((x, xi))
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
+    xs = np.repeat(np.linspace(x_lo, x_hi, grid_points), grid_points)
+    xis = np.tile(np.linspace(xi_lo, xi_hi, grid_points), grid_points)
+    mats = p.on(xs, xis)
+    vals = np.linalg.eigvalsh(0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1)))))
+    near = np.min(np.abs(tau0 - vals), axis=1) <= shell_tol
+    return np.column_stack([xs[near], xis[near]])
 
 
 def default_shell_tol(tau0: float) -> float:
@@ -443,7 +451,9 @@ def check_on_energy_shell(
     """Check tau0 - p on the sampled energy shell, aggregating worst constants.
 
     The kernel tolerance defaults to the shell tolerance so that branches
-    within the sampling thickness of the shell count as near-kernel.
+    within the sampling thickness of the shell count as near-kernel.  H, its
+    gradient and its eigh at all shell points are each one stacked call
+    (``_jets``), shared by the direction search and the pointwise check.
     """
     if mode not in ("fixed_T", "per_point_T"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -467,8 +477,7 @@ def check_on_energy_shell(
     failures = []
     tvs = []
     t_fixed = _as_direction_vec(T) if T is not None else None
-    # H(rho), its gradient and eigenvectors once per point, for both searches
-    jets = [_jet(h, rho, kernel_tol) for rho in pts]
+    jets = _jets(h, pts, kernel_tol)
     if mode == "fixed_T":
         directions = [t_fixed] * len(jets)
     else:
@@ -551,8 +560,7 @@ def escape_check_general(
                                  failures=["empty shell"])
     n = p.n
     brackets = []
-    for x, xi in pts:
-        gp = symbol_gradient(p, np.array([x, xi]))
+    for (x, xi), gp in zip(pts, p.gradient_on(pts[:, 0], pts[:, 1])):
         gg = g.gradient(x, xi)
         brackets.append(sum(gg[i] * gp[n + i] for i in range(n)) - sum(
             gg[n + i] * gp[i] for i in range(n)
@@ -578,16 +586,16 @@ def escape_check_dilation(
     channel k and every sampled x in the classically allowed region
     tau0 - e_k(x) >= -1e-9 (the certificate's ``shell_tol``), and reports the
     crude sufficient threshold sup||x.gradV/2|| + sup||V|| for comparison
-    (tau0 above it guarantees success).
+    (tau0 above it guarantees success).  V and its gradient at the samples
+    are one ``v.on`` and one ``v.gradient_on`` call.
     """
     allowed_tol = 1e-9
     if v.n != 1:
         raise NotImplementedError("dilation check is implemented for n = 1")
     xs = np.linspace(x_range[0], x_range[1], grid_points)
-    shape = (len(xs), v.N, v.N)
-    # v(x) rejects a non-hermitian sample, in sample order
-    mats = np.array([v(x) for x in xs]).reshape(shape)
-    gvs = np.array([v.gradient(x)[0] for x in xs]).reshape(shape)
+    # the first non-hermitian sample, in sample order, raises
+    mats = require_hermitian(v.on(xs))
+    gvs = v.gradient_on(xs)[:, 0]
     sup_v = float(np.max(np.linalg.norm(mats, 2, axis=(1, 2)), initial=0.0))
     xgv = xs[:, None, None] * gvs
     sup_xdv = 0.5 * float(np.max(np.linalg.norm(xgv, 2, axis=(1, 2)), initial=0.0))
@@ -805,7 +813,8 @@ def _resolvent_trace_at(p: MatrixSymbol, g: complex, chi: ProductCutoff, z: comp
 
     The real and imaginary xi-integrals of every x-node are the intervals of
     one adaptive_gauss_batch call: interval 2i is the real part at x-node i,
-    2i+1 the imaginary part.
+    2i+1 the imaginary part.  Each call of the integrand evaluates p at its
+    distinct points by one ``p.on`` call.
     """
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
@@ -816,7 +825,7 @@ def _resolvent_trace_at(p: MatrixSymbol, g: complex, chi: ProductCutoff, z: comp
         # the two parts of one x-node share most of their points: solve each once
         pts, back = np.unique(owner // 2 + 1j * xi, return_inverse=True)
         x, xi = xm[pts.real.astype(np.intp)], pts.imag
-        dz = z - fast_eigvalsh(np.stack([np.asarray(p.eval(a, b)) for a, b in zip(x, xi)]))
+        dz = z - fast_eigvalsh(p.on(x, xi))
         val = g * np.sum(1.0 / (dz * dz) if sandwich else 1.0 / dz, axis=-1) * chi(x, xi)
         val = val[back]
         return np.where(owner % 2 == 0, val.real, val.imag)

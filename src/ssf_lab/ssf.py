@@ -85,16 +85,14 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     spectrum; no dense matrix outlives the call.  The values solve runs in
     place on P1's matrix, so the call's peak is that one matrix and a
     workspace of a few vectors.  MarginError when |V - V_inf| exceeds 1e-10
-    within 1 of the box edge.
+    on 9 points within 1 of each box edge (one ``v.on`` call).
 
     If the hermitian parts of the V samples equal the limit bitwise at every
     node, ``lam0`` *is* ``lam1`` (shared object) so every difference-based
     estimator vanishes exactly.
     """
     seam = np.linspace(grid.R - 1.0, grid.R, 9)
-    worst = 0.0
-    for x in np.concatenate([-seam, seam]):
-        worst = max(worst, float(np.max(np.abs(np.asarray(v.eval(float(x))) - v.v_infinity))))
+    worst = float(np.max(np.abs(v.on(np.concatenate([-seam, seam])) - v.v_infinity)))
     if worst > 1e-10:
         raise MarginError(f"|V - V_inf| = {worst:.2e} at the box edge exceeds 1e-10; enlarge R")
     lam1 = build_schrodinger(v, grid).eigenvalues()

@@ -10,6 +10,14 @@ Conventions used throughout the package:
   array of shape (2n, N, N); for n=1 that is simply (d/dx, d/dxi).
 
 For n = 1 scalar coordinates are accepted everywhere.
+
+Every potential and symbol also answers for K points at once: ``v.on(xs)``
+is (K, N, N) and ``v.gradient_on(xs)`` (K, n, N, N), with xs of shape (K,)
+for n = 1 and (K, n) otherwise; a symbol's ``on(x, xi)`` and
+``gradient_on(x, xi)`` take the x and xi parts as two such arrays.  A model
+built here has an array form (``eval_on``, ``grad_on``) whose rows equal its
+scalar calls bit for bit; a potential or symbol built from a scalar-only
+callable is evaluated point by point inside these entry points.
 """
 from __future__ import annotations
 
@@ -56,17 +64,26 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
+def _hermitian_parts(g: np.ndarray) -> np.ndarray:
+    """(G + G^H)/2 of every matrix of a stack (..., N, N)."""
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
 def require_hermitian(a: np.ndarray, atol: float = 1e-12, rtol: float = 1e-12) -> np.ndarray:
-    """Validate hermiticity and return the symmetrized matrix."""
+    """Validate hermiticity and return the symmetrized matrix.
+
+    A stack (..., N, N) is checked matrix by matrix, each against its own
+    tolerance, and the first one that fails, in stack order, raises."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    tol = atol + rtol * scale
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NonHermitianError(defect, tol)
-    return 0.5 * (a + a.conj().T)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    adj = np.conj(np.swapaxes(a, -1, -2))
+    defects = np.max(np.abs(a - adj), axis=(-2, -1), initial=0.0).ravel()
+    tols = atol + rtol * np.max(np.abs(a), axis=(-2, -1), initial=0.0).ravel()
+    bad = np.flatnonzero(defects > tols)
+    if bad.size:
+        raise NonHermitianError(float(defects[bad[0]]), float(tols[bad[0]]))
+    return _hermitian_parts(a)
 
 
 @dataclass(frozen=True)
@@ -84,25 +101,24 @@ def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a hermitian matrix or a stack (..., N, N), with
     closed forms for N <= 2 (hot inner loops).
 
-    The 2x2 form runs on each matrix's own Python scalars, so a matrix has
-    the same eigenvalues alone as in a stack; ``np.hypot`` and ``np.abs`` on
-    arrays differ from ``math.hypot`` and ``abs`` in the last bit on some
-    inputs.
+    The 2x2 form m -+ hypot((a00 - a11)/2, |a01|), m = (a00 + a11)/2, runs on
+    whole arrays except for the modulus of a complex a01 and the hypot,
+    which go through ``abs`` and ``math.hypot`` one element at a time:
+    ``np.abs`` and ``np.hypot`` differ from them in the last bit on some
+    inputs.  So a matrix has the same eigenvalues alone as in a stack.
     """
     a = np.asarray(a)
     n = a.shape[-1]
     if n == 1:
         return a[..., 0, :].real.copy()
     if n == 2:
-        return np.array([_eigvals_2x2(e[0].real, e[3].real, e[1])
-                         for e in a.reshape(-1, 4).tolist()]).reshape(a.shape[:-1])
+        flat = a.reshape(-1, 4)
+        a00, a11, a01 = flat[:, 0].real, flat[:, 3].real, flat[:, 1]
+        mod = map(abs, a01.tolist()) if np.iscomplexobj(a01) else np.abs(a01).tolist()
+        r = np.fromiter(map(math.hypot, (0.5 * (a00 - a11)).tolist(), mod), float, len(flat))
+        m = 0.5 * (a00 + a11)
+        return np.stack([m - r, m + r], axis=-1).reshape(a.shape[:-1])
     return np.linalg.eigvalsh(a)
-
-
-def _eigvals_2x2(a00: float, a11: float, a01) -> tuple:
-    m = 0.5 * (a00 + a11)
-    r = math.hypot(0.5 * (a00 - a11), abs(a01))
-    return (m - r, m + r)
 
 
 def hermitian_eigen(a: np.ndarray, atol: float = 1e-12, rtol: float = 1e-12) -> EigenBranchSet:
@@ -123,6 +139,17 @@ def _as_point(x, n: int) -> np.ndarray:
     return pt
 
 
+def _stack(values, shape: tuple) -> np.ndarray:
+    values = [np.asarray(val) for val in values]
+    return np.stack(values) if values else np.zeros((0, *shape))
+
+
+def _points(xs: np.ndarray, n: int) -> list:
+    """The points of an array of them, one at a time, as the scalar calls
+    take them: Python floats for n = 1, length-n rows otherwise."""
+    return xs.tolist() if n == 1 else list(xs)
+
+
 @dataclass(frozen=True)
 class MatrixPotential:
     """Smooth hermitian N x N field V(x) with limit v_infinity at infinity.
@@ -130,6 +157,10 @@ class MatrixPotential:
     ``eval`` maps x (scalar for n=1, length-n array otherwise) to an (N, N)
     hermitian array.  ``grad`` maps x to an (n, N, N) stack of partial
     derivatives; when absent, gradients fall back to central differences.
+    ``eval_on`` and ``grad_on``, when given, are the same maps on an array
+    of K points (shape (K,) for n=1, (K, n) otherwise), returning (K, N, N)
+    and (K, n, N, N); ``on`` and ``gradient_on`` use them, or else call
+    ``eval`` and ``gradient`` once per point.
     ``mu`` records the decay exponent of V - v_infinity (models built here
     have Gaussian envelopes, so any finite exponent is valid).
     """
@@ -142,6 +173,8 @@ class MatrixPotential:
     mu: float = 6.0
     radial: bool = False
     name: str = ""
+    eval_on: Callable | None = None
+    grad_on: Callable | None = None
 
     def __post_init__(self):
         v_inf = np.asarray(self.v_infinity, dtype=complex)
@@ -160,13 +193,27 @@ class MatrixPotential:
     def __call__(self, x) -> np.ndarray:
         return require_hermitian(self.eval(x), atol=1e-12, rtol=1e-12)
 
+    def on(self, xs) -> np.ndarray:
+        """V at every point of ``xs`` as one (K, N, N) array (not symmetrized)."""
+        xs = np.asarray(xs, dtype=float)
+        if self.eval_on is not None:
+            return np.asarray(self.eval_on(xs))
+        return _stack(map(self.eval, _points(xs, self.n)), (self.N, self.N))
+
     def gradient(self, x, fd_step: float | None = None) -> np.ndarray:
         if self.grad is not None:
             g = np.asarray(self.grad(x))
             if self.n == 1 and g.shape == (self.N, self.N):
                 g = g[None, :, :]
-            return np.stack([0.5 * (gi + gi.conj().T) for gi in g])
+            return _hermitian_parts(g)
         return _finite_difference_gradient(self.eval, x, self.n, fd_step)
+
+    def gradient_on(self, xs) -> np.ndarray:
+        """``gradient`` at every point of ``xs`` as one (K, n, N, N) array."""
+        xs = np.asarray(xs, dtype=float)
+        if self.grad_on is not None:
+            return _hermitian_parts(np.asarray(self.grad_on(xs)))
+        return _stack(map(self.gradient, _points(xs, self.n)), (self.n, self.N, self.N))
 
     def thresholds(self) -> np.ndarray:
         """Channel limits at infinity, computed through the same values-only
@@ -176,24 +223,30 @@ class MatrixPotential:
     def decay_constant(self, samples: np.ndarray) -> float:
         """Fitted C with ||V(x) - v_inf|| <= C <x>^(-mu) over the samples."""
         mu = min(self.mu, 16.0)
-        best = 0.0
-        for x in np.atleast_1d(samples):
-            diff = self(x) - self.v_infinity
-            nrm = float(np.linalg.norm(diff, 2))
-            r2 = float(np.sum(np.atleast_1d(x) ** 2))
-            best = max(best, nrm * (1.0 + r2) ** (mu / 2.0))
-        return best
+        xs = np.asarray(samples, dtype=float)
+        xs = xs.reshape(-1) if self.n == 1 else xs.reshape(-1, self.n)
+        nrms = np.linalg.norm(require_hermitian(self.on(xs)) - self.v_infinity, 2, axis=(1, 2))
+        r2s = xs**2 if self.n == 1 else np.sum(xs**2, axis=1)
+        return max([0.0] + [nrm * (1.0 + r2) ** (mu / 2.0)
+                            for nrm, r2 in zip(nrms.tolist(), r2s.tolist())])
 
 
 @dataclass(frozen=True)
 class MatrixSymbol:
-    """Phase-space symbol H(x, xi) valued in hermitian N x N matrices."""
+    """Phase-space symbol H(x, xi) valued in hermitian N x N matrices.
+
+    ``eval_on`` and ``grad_on``, when given, map arrays x and xi of K points
+    each (shape (K,) for n=1, (K, n) otherwise) to (K, N, N) and the raw
+    (K, 2n, N, N) gradients; ``on`` and ``gradient_on`` use them, or else
+    evaluate one point at a time."""
 
     n: int
     N: int
     eval: Callable
     grad: Callable | None = None
     name: str = ""
+    eval_on: Callable | None = None
+    grad_on: Callable | None = None
 
     def __call__(self, x, xi) -> np.ndarray:
         return require_hermitian(self.eval(x, xi), atol=1e-12, rtol=1e-12)
@@ -202,8 +255,25 @@ class MatrixSymbol:
         x, xi = _split_phase_point(rho, self.n)
         return self(x, xi)
 
+    def on(self, x, xi) -> np.ndarray:
+        """H at the K points (x[k], xi[k]) as one (K, N, N) array (not symmetrized)."""
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        if self.eval_on is not None:
+            return np.asarray(self.eval_on(x, xi))
+        return _stack(map(self.eval, _points(x, self.n), _points(xi, self.n)),
+                      (self.N, self.N))
+
     def gradient(self, rho, fd_step: float | None = None) -> np.ndarray:
         return symbol_gradient(self, rho, fd_step=fd_step)
+
+    def gradient_on(self, x, xi) -> np.ndarray:
+        """``symbol_gradient`` at the K points (x[k], xi[k]), (K, 2n, N, N)."""
+        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+        if self.grad_on is not None:
+            return _hermitian_parts(np.asarray(self.grad_on(x, xi)))
+        rhos = np.column_stack([x, xi])
+        return _stack([symbol_gradient(self, rho) for rho in rhos],
+                      (2 * self.n, self.N, self.N))
 
 
 def _split_phase_point(rho, n: int):
@@ -243,8 +313,7 @@ def symbol_gradient(h: MatrixSymbol, rho, fd_step: float | None = None) -> np.nd
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if h.grad is not None:
         x, xi = _split_phase_point(rho, h.n)
-        g = np.asarray(h.grad(x, xi))
-        return np.stack([0.5 * (gi + gi.conj().T) for gi in g])
+        return _hermitian_parts(np.asarray(h.grad(x, xi)))
 
     return _finite_difference_gradient(lambda pt: h.eval(*_split_phase_point(pt, h.n)),
                                        rho, 2 * h.n, fd_step)
@@ -272,56 +341,94 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def _at_one_point(form, n: int):
+    """The scalar call of an array form: its one row at the given point
+    (one coordinate argument for a potential, x and xi for a symbol)."""
+    shape = (1,) if n == 1 else (1, n)
+    return lambda *point: form(*(np.asarray(c, dtype=float).reshape(shape) for c in point))[0]
+
+
 def schrodinger_symbol(v: MatrixPotential) -> MatrixSymbol:
-    """The symbol xi^2 I_N + V(x) with exact kinetic part and exact gradient."""
+    """The symbol xi^2 I_N + V(x) with exact kinetic part and exact gradient;
+    for n = 1 it is written as its array form, which evaluates V through
+    ``v.on``."""
     eye = np.eye(v.N)
+    name = f"xi^2+{v.name or 'V'}"
 
     if v.n == 1:
-        def _eval(x, xi):
-            return schrodinger_matrices(v.eval(x), xi)
+        def _eval_on(x, xi):
+            return schrodinger_matrices(v.on(x), xi)
 
-        def _grad(x, xi):
-            gv = v.gradient(x)
-            return np.concatenate([gv, (2.0 * xi * eye)[None, :, :]])
-    else:
-        def _eval(x, xi):
-            return float(np.dot(xi, xi)) * eye + v.eval(x)
+        def _grad_on(x, xi):
+            return np.concatenate([v.gradient_on(x), (2.0 * xi)[:, None, None, None] * eye], axis=1)
 
-        def _grad(x, xi):
-            gv = v.gradient(x)
-            kinetic = np.stack([2.0 * xii * eye for xii in np.atleast_1d(xi)])
-            return np.concatenate([gv, kinetic])
+        return MatrixSymbol(n=1, N=v.N, eval=_at_one_point(_eval_on, 1),
+                            grad=_at_one_point(_grad_on, 1), name=name,
+                            eval_on=_eval_on, grad_on=_grad_on)
 
-    return MatrixSymbol(n=v.n, N=v.N, eval=_eval, grad=_grad, name=f"xi^2+{v.name or 'V'}")
+    def _eval(x, xi):
+        return float(np.dot(xi, xi)) * eye + v.eval(x)
+
+    def _grad(x, xi):
+        gv = v.gradient(x)
+        kinetic = np.stack([2.0 * xii * eye for xii in np.atleast_1d(xi)])
+        return np.concatenate([gv, kinetic])
+
+    return MatrixSymbol(n=v.n, N=v.N, eval=_eval, grad=_grad, name=name)
 
 
 def shifted_symbol(p: MatrixSymbol, tau0: float) -> MatrixSymbol:
-    """The symbol tau0*I - p, the object whose kernel marks the energy shell."""
+    """The symbol tau0*I - p, the object whose kernel marks the energy shell,
+    written as its array form over ``p.on`` (and ``p.gradient_on`` when p has
+    a gradient)."""
     eye = np.eye(p.N)
 
-    def _eval(x, xi):
-        return tau0 * eye - np.asarray(p.eval(x, xi))
+    def _eval_on(x, xi):
+        return tau0 * eye - p.on(x, xi)
 
-    if p.grad is not None:
-        def _grad(x, xi):
-            return -np.asarray(p.grad(x, xi))
-    else:
-        _grad = None
+    def _grad_on(x, xi):
+        return -p.gradient_on(x, xi)
 
-    return MatrixSymbol(n=p.n, N=p.N, eval=_eval, grad=_grad, name=f"{tau0}-({p.name})")
+    if p.grad is None:
+        _grad_on = None
+    return MatrixSymbol(n=p.n, N=p.N, eval=_at_one_point(_eval_on, p.n),
+                        grad=None if _grad_on is None else _at_one_point(_grad_on, p.n),
+                        name=f"{tau0}-({p.name})", eval_on=_eval_on, grad_on=_grad_on)
 
 
-def _gauss_envelope(x):
-    return math.exp(-x * x)
+def _gauss(xs: np.ndarray) -> np.ndarray:
+    """exp(-x^2) at every x, through ``math.exp`` one element at a time:
+    numpy's vector exp differs from it in the last bit on some inputs."""
+    return np.fromiter(map(math.exp, (-xs * xs).tolist()), float, len(xs))
+
+
+def _diagonals(d: np.ndarray) -> np.ndarray:
+    """The (K, N, N) diagonal matrices of the rows of d (K, N)."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    idx = np.arange(d.shape[-1])
+    out[:, idx, idx] = d
+    return out
+
+
+def _array_model(n_ch: int, on, grad_on, v_infinity, name: str) -> MatrixPotential:
+    """A one-dimensional model given by its array forms; a scalar call is
+    the one row of the array form at that point."""
+    return MatrixPotential(n=1, N=n_ch, eval=_at_one_point(on, 1), grad=_at_one_point(grad_on, 1),
+                           v_infinity=v_infinity, name=name, eval_on=on, grad_on=grad_on)
 
 
 def model_potential(kind: str, **params) -> MatrixPotential:
     """Library of one-dimensional model potentials with analytic gradients.
 
     Kinds: ``constant``, ``diagonal_bumps``, ``avoided_crossing``,
-    ``conical_crossing``, ``reference``.  All models decay to their limit with
-    Gaussian envelopes, so the decay hypothesis holds for every exponent.
+    ``conical_crossing``, ``reference``, ``island`` (amp x^2 exp(-x^2), amp 3
+    by default) and ``rotating_crossing`` (exp(-x^2)(x sigma3 + c x^2
+    sigma1), c 1 by default).  All models decay to their limit with Gaussian
+    envelopes, so the decay hypothesis holds for every exponent.  Each is
+    written once, as its array form (``eval_on``, ``grad_on``); its scalar
+    calls are rows of it.
     """
+    zero2 = np.zeros((2, 2))
     if kind == "constant":
         diag = np.atleast_1d(np.asarray(params.get("v_inf", 0.0), dtype=float))
         if params.get("N") is not None and int(params["N"]) != diag.size:
@@ -333,13 +440,10 @@ def model_potential(kind: str, **params) -> MatrixPotential:
             raise ValueError("need at least one channel")
         n_ch = diag.size
         v_inf = np.diag(np.sort(diag))
-        zero = np.zeros((1, n_ch, n_ch))
-
-        return MatrixPotential(
-            n=1, N=n_ch,
-            eval=lambda x, _m=v_inf: _m.copy(),
-            grad=lambda x, _z=zero: _z.copy(),
-            v_infinity=v_inf, name=f"constant{tuple(np.diag(v_inf))}",
+        return _array_model(
+            n_ch, lambda xs: np.repeat(v_inf[None], len(xs), axis=0),
+            lambda xs: np.zeros((len(xs), 1, n_ch, n_ch)),
+            v_inf, f"constant{tuple(np.diag(v_inf))}",
         )
 
     if kind == "diagonal_bumps":
@@ -351,87 +455,107 @@ def model_potential(kind: str, **params) -> MatrixPotential:
             raise ValueError("per-channel parameter lengths disagree")
         if np.any(np.diff(diag_inf) < 0):
             raise ValueError("v_inf diagonal must be non-decreasing")
-        n_ch = len(depths)
 
-        def _eval(x):
-            u = (x - centers) / widths
-            return np.diag(diag_inf + depths * np.exp(-u * u))
+        # numpy's exp, as this model always used: it is elementwise the same
+        # for any array shape, so rows equal scalar calls
+        def _on(xs):
+            u = (xs[:, None] - centers) / widths
+            return _diagonals(diag_inf + depths * np.exp(-u * u))
 
-        def _grad(x):
-            u = (x - centers) / widths
-            return np.diag(depths * np.exp(-u * u) * (-2.0 * u / widths))[None, :, :]
+        def _grad_on(xs):
+            u = (xs[:, None] - centers) / widths
+            return _diagonals(depths * np.exp(-u * u) * (-2.0 * u / widths))[:, None]
 
-        return MatrixPotential(n=1, N=n_ch, eval=_eval, grad=_grad,
-                               v_infinity=np.diag(diag_inf), name="diagonal_bumps")
+        return _array_model(len(depths), _on, _grad_on, np.diag(diag_inf), "diagonal_bumps")
 
     if kind == "conical_crossing":
         amp = float(params.get("amp", 1.0))
-
-        def _eval(x):
-            return amp * x * _gauss_envelope(x) * SIGMA3
-
-        def _grad(x):
-            return (amp * _gauss_envelope(x) * (1.0 - 2.0 * x * x) * SIGMA3)[None, :, :]
-
-        return MatrixPotential(n=1, N=2, eval=_eval, grad=_grad,
-                               v_infinity=np.zeros((2, 2)), name="conical_crossing")
+        return _array_model(
+            2, lambda xs: (amp * xs * _gauss(xs))[:, None, None] * SIGMA3,
+            lambda xs: (amp * _gauss(xs) * (1.0 - 2.0 * xs * xs))[:, None, None, None] * SIGMA3,
+            zero2, "conical_crossing",
+        )
 
     if kind == "avoided_crossing":
         amp = float(params.get("amp", 1.0))
         gap = float(params["gap"])
-
-        def _eval(x):
-            return amp * x * _gauss_envelope(x) * SIGMA3 + gap * SIGMA1
-
-        def _grad(x):
-            return (amp * _gauss_envelope(x) * (1.0 - 2.0 * x * x) * SIGMA3)[None, :, :]
-
-        # the gap term does not decay, so fold it into nothing: the model is
-        # meant for local crossing studies; its limit is the constant gap term,
-        # which is not diagonal.  Rotate channels so the limit is diagonal.
-        # V = a(x) sigma3 + g sigma1; conjugating by the Hadamard-type unitary
-        # R = (sigma1 + sigma3)/sqrt(2) swaps sigma1 <-> sigma3, giving
-        # V' = a(x) sigma1 + g sigma3 with diagonal limit diag(g, -g) -> sort.
+        # V = a(x) sigma3 + g sigma1 has the non-diagonal limit g sigma1.
+        # Conjugating by the Hadamard-type unitary R = (sigma1 + sigma3)/sqrt(2)
+        # swaps sigma1 <-> sigma3, giving V' = a(x) sigma1 + g sigma3 with
+        # diagonal limit diag(g, -g) -> sort.
         r = (SIGMA1 + SIGMA3) / math.sqrt(2.0)
-
-        def _eval_rot(x, _e=_eval):
-            return r @ _e(x) @ r
-
-        def _grad_rot(x, _g=_grad):
-            return np.stack([r @ gi @ r for gi in _g(x)])
-
-        return MatrixPotential(n=1, N=2, eval=_eval_rot, grad=_grad_rot,
-                               v_infinity=np.diag([-gap, gap]), name=f"avoided_crossing(g={gap})")
+        return _array_model(
+            2, lambda xs: r @ ((amp * xs * _gauss(xs))[:, None, None] * SIGMA3 + gap * SIGMA1) @ r,
+            lambda xs: r @ ((amp * _gauss(xs) * (1.0 - 2.0 * xs * xs))[:, None, None, None]
+                            * SIGMA3) @ r,
+            np.diag([-gap, gap]), f"avoided_crossing(g={gap})",
+        )
 
     if kind == "reference":
-        def _eval(x):
-            ex = math.exp(-x * x)
-            ex1 = math.exp(-(x - 1.0) ** 2)
-            return np.array([[-ex, 0.5 * ex], [0.5 * ex, 0.5 * ex1]])
+        def _envelopes(xs):
+            # -(x - 1)^2 by Python's float power, as the scalar form always did
+            shifted = np.fromiter((math.exp(-(y ** 2)) for y in (xs - 1.0).tolist()),
+                                  float, len(xs))
+            return _gauss(xs), shifted
 
-        def _grad(x):
-            ex = math.exp(-x * x)
-            ex1 = math.exp(-(x - 1.0) ** 2)
-            return np.array([[[2.0 * x * ex, -x * ex], [-x * ex, -(x - 1.0) * ex1]]])
+        def _on(xs):
+            ex, ex1 = _envelopes(xs)
+            out = np.empty((len(xs), 2, 2))
+            out[:, 0, 0] = -ex
+            out[:, 0, 1] = out[:, 1, 0] = 0.5 * ex
+            out[:, 1, 1] = 0.5 * ex1
+            return out
 
-        return MatrixPotential(n=1, N=2, eval=_eval, grad=_grad,
-                               v_infinity=np.zeros((2, 2)), name="reference")
+        def _grad_on(xs):
+            ex, ex1 = _envelopes(xs)
+            out = np.empty((len(xs), 1, 2, 2))
+            out[:, 0, 0, 0] = 2.0 * xs * ex
+            out[:, 0, 0, 1] = out[:, 0, 1, 0] = -xs * ex
+            out[:, 0, 1, 1] = -(xs - 1.0) * ex1
+            return out
+
+        return _array_model(2, _on, _grad_on, zero2, "reference")
+
+    if kind == "island":
+        amp = float(params.get("amp", 3.0))
+        return _array_model(
+            1, lambda xs: (amp * xs * xs * _gauss(xs))[:, None, None],
+            lambda xs: (2.0 * amp * xs * (1.0 - xs * xs) * _gauss(xs))[:, None, None, None],
+            np.zeros((1, 1)), "island",
+        )
+
+    if kind == "rotating_crossing":
+        c = float(params.get("c", 1.0))
+
+        def _on(xs):
+            field = xs[:, None, None] * SIGMA3 + (c * xs * xs)[:, None, None] * SIGMA1
+            return _gauss(xs)[:, None, None] * field
+
+        def _grad_on(xs):
+            field = ((1.0 - 2.0 * xs * xs)[:, None, None] * SIGMA3
+                     + (2.0 * c * xs * (1.0 - xs * xs))[:, None, None] * SIGMA1)
+            return (_gauss(xs)[:, None, None] * field)[:, None]
+
+        return _array_model(2, _on, _grad_on, zero2, "rotating_crossing")
 
     raise ValueError(f"unknown model potential kind: {kind!r}")
 
 
 def combine_potentials(v0: MatrixPotential, v1: MatrixPotential, scale: float = 1.0) -> MatrixPotential:
-    """V0 + scale * V1 (used for families like V0 + h*V1 swept over h)."""
+    """V0 + scale * V1 (used for families like V0 + h*V1 swept over h); its
+    array form is that of the two terms, each evaluated by its ``on``."""
     if (v0.n, v0.N) != (v1.n, v1.N):
         raise ValueError("potentials live on different spaces")
 
-    def _eval(x):
-        return np.asarray(v0.eval(x)) + scale * np.asarray(v1.eval(x))
+    def _eval_on(xs):
+        return v0.on(xs) + scale * v1.on(xs)
 
-    def _grad(x):
-        return v0.gradient(x) + scale * v1.gradient(x)
+    def _grad_on(xs):
+        return v0.gradient_on(xs) + scale * v1.gradient_on(xs)
 
     v_inf = v0.v_infinity + scale * v1.v_infinity
-    return MatrixPotential(n=v0.n, N=v0.N, eval=_eval, grad=_grad,
+    return MatrixPotential(n=v0.n, N=v0.N, eval=_at_one_point(_eval_on, v0.n),
+                           grad=_at_one_point(_grad_on, v0.n),
                            v_infinity=v_inf, mu=min(v0.mu, v1.mu),
-                           name=f"{v0.name}+{scale}*{v1.name}")
+                           name=f"{v0.name}+{scale}*{v1.name}",
+                           eval_on=_eval_on, grad_on=_grad_on)
