@@ -9,8 +9,9 @@ thr_k at infinity, this module evaluates
       (omega_n/n) sum_k int [(tau - e_k(x))_+^(n/2) - tau_+^(n/2)] dx,
 * ``c0``      -- the weak-pairing coefficient
       (omega_n/2) sum_k int int [f(thr_k + t) - f(e_k(x) + t)] t^((n-2)/2) dt dx,
-* ``gamma0_localized`` -- the phase-space localized density, realized as the
-  tau-derivative of the cutoff band volume of the symbol xi^2 + V(x).
+* ``gamma0_localized`` -- the phase-space localized density (n = 1)
+      sum_k int g(x) [k(s_k) + k(-s_k)] / (2 s_k) dx,  s_k = (tau - e_k(x))_+^(1/2),
+  for a product cutoff g(x) k(xi): the tau-derivative of its band volume.
 
 Sign bookkeeping: the weak pairing -tr(f(P1) - f(P0)) expands with c0, while
 the counting difference N1 - N0 expands with a0 and its derivative gamma0;
@@ -19,7 +20,7 @@ constant-shift case and enforced by the test suite).
 
 Integrands are always formed as pointwise differences so a potential equal to
 its own limit yields exact zeros.  The inverse-square-root endpoint
-singularities of the n=1 density are removed by bracketing the turning points
+singularities of the n=1 densities are removed by bracketing the turning points
 of tau - e_k(x) and substituting x = turning_point +/- u^2 locally.
 
 ``gamma0`` and ``a0`` take one tau or an array of them.  One call scans all
@@ -28,20 +29,20 @@ channel from that scan, and bisects all brackets in lock-step (one branch
 evaluation per step, each bracket stopping at width 1e-12 or after 60 steps).
 Every integral of the call then goes through one breadth-first batch of
 ``adaptive_gauss_batch``, as do the inner energy integrals of ``c0`` and the
-cell integrals of the band volume.  The values are bitwise those of one tau,
-one channel and one integral at a time.
+cells of ``gamma0_localized``.  The values are bitwise those of one tau, one
+channel and one integral at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
 from .quadrature import adaptive_gauss_batch, gauss_rule
-from .symbols import MatrixPotential, fast_eigvalsh, schrodinger_matrices
+from .symbols import MatrixPotential
 
 __all__ = [
     "ThresholdError",
@@ -54,7 +55,6 @@ __all__ = [
     "a0",
     "c0",
     "gamma0_localized",
-    "LocalizedDensity",
     "CoefficientProfile",
     "coefficient_profile",
 ]
@@ -252,9 +252,10 @@ _PLAIN, _FROM_LEFT, _FROM_RIGHT = 0, 1, 2
 
 
 def _singular_differences(v: MatrixPotential, taus: np.ndarray, c_inf: np.ndarray,
-                          roots, lo: float, hi: float, atol: float) -> np.ndarray:
-    """int_lo^hi [(tau - e_k(x))_+^(-1/2) - c_inf[t, k]] dx for every tau and
-    channel, shape (T, N).
+                          roots, lo: float, hi: float, atol: float,
+                          weight=None) -> np.ndarray:
+    """int_lo^hi [w(x, b) b^(-1/2) - c_inf[t, k]] dx with b = (tau - e_k(x))_+
+    for every tau and channel, shape (T, N); w is 1 if ``weight`` is None.
 
     The turning points cut [lo, hi] into cells.  On cells where the positive
     part vanishes the contribution is the exact constant -c_inf * (cell
@@ -307,6 +308,8 @@ def _singular_differences(v: MatrixPotential, taus: np.ndarray, c_inf: np.ndarra
             base = np.clip(tau_o[owner] - _branch_at(v, xs, k_o[owner]), 0.0, None)
             with np.errstate(divide="ignore"):
                 vals = np.where(base > 0.0, base ** -0.5, 0.0)
+            if weight is not None:
+                vals = weight(xs, base) * vals
             return np.where(kd == _PLAIN, vals - c_o[owner], 2.0 * u * (vals - c_o[owner]))
 
         values = adaptive_gauss_batch(integrand, lower, upper, atol)
@@ -430,136 +433,34 @@ def c0(v: MatrixPotential, f: TestFunction, atol: float = 1e-9) -> float:
     return 0.5 * sphere_volume(n) * value
 
 
-@dataclass(frozen=True)
-class LocalizedDensity:
-    value: float
-    converged: bool
-    estimates: np.ndarray
-    steps: np.ndarray
-
-
-class _BranchGrid(NamedTuple):
-    """Sorted branches of xi^2 + V(x) on the Gauss x-nodes times an xi scan."""
-
-    x: np.ndarray        # (x_order,) Gauss nodes on chi's x-support
-    w: np.ndarray        # (x_order,) Gauss weights on [-1, 1]
-    xis: np.ndarray      # (scan,) uniform scan of chi's xi-support
-    v: np.ndarray        # (x_order, N, N) V at the x-nodes
-    values: np.ndarray   # (x_order, scan, N) branch values
-
-
-def _symbol_stack(v_at: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Hermitian parts of xi^2 I + V for paired rows of ``v_at`` and ``xis``."""
-    mats = schrodinger_matrices(v_at, xis)
-    return 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-
-
-def _branch_grid(v: MatrixPotential, chi: ProductCutoff, x_order: int,
-                 scan: int) -> _BranchGrid:
-    """The tau-independent branch scan shared by every band volume of one
-    potential; V is evaluated at the x-nodes by one ``v.on`` call."""
-    if v.n != 1:
-        raise NotImplementedError("band volume is implemented for n = 1")
-    (xa, xb) = chi.x_support
-    (qa, qb) = chi.xi_support
-    xn, xw = gauss_rule(x_order)
-    xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
-    xis = np.linspace(qa, qb, scan)
-    v_at = v.on(xm)
-    mats = _symbol_stack(np.repeat(v_at, len(xis), axis=0), np.tile(xis, len(xm)))
-    values = np.linalg.eigvalsh(mats).reshape(len(xm), len(xis), v.N)
-    return _BranchGrid(x=xm, w=xw, xis=xis, v=v_at, values=values)
-
-
-def _branch_on(grid: _BranchGrid, node: np.ndarray, k: np.ndarray,
-               q: np.ndarray) -> np.ndarray:
-    """Branch k[i] of xi^2 + V(x) at (x-node node[i], xi = q[i]), all points
-    as one ``fast_eigvalsh`` stack."""
-    values = fast_eigvalsh(_symbol_stack(grid.v[node], q))
-    return values[np.arange(len(k)), k]
-
-
-def _band_volume(chi: ProductCutoff, tau: float, grid: _BranchGrid,
-                 atol: float) -> float:
-    """Omega(tau) = int chi(x, xi) #{k : branch_k(x, xi) <= tau} dx dxi.
-
-    ``grid`` is ``_branch_grid(v, chi, ...)``; its scan brackets the branch
-    crossings of tau in xi.  All brackets of all x-nodes and branches are
-    bisected in lock-step, one vectorized branch evaluation per step, each
-    stopping at width 1e-12 or after 60 steps; a crossing on a scan node is
-    that node.  The xi-cells below tau then give one batch of chi.k
-    integrals, which each x-node sums in (branch, xi) order.
-    """
-    (xa, xb) = chi.x_support
-    (qa, qb) = chi.xi_support
-    xis = grid.xis
-    n_x, _, n_ch = grid.values.shape
-    head = grid.values[:, :-1, :] - tau
-    tail = grid.values[:, 1:, :] - tau
-    # crossings grouped by (x-node, branch), in xi order within each group
-    j, i, k = np.nonzero((head == 0.0) | (head * tail < 0.0))
-    order = np.lexsort((i, k, j))
-    j, i, k = j[order], i[order], k[order]
-    fa = head[j, i, k]
-    roots = xis[i].copy()
-    br = np.flatnonzero(fa != 0.0)
-    roots[br] = _bisect(lambda live, m: _branch_on(grid, j[br[live]], k[br[live]], m) - tau,
-                        xis[i[br]], xis[i[br] + 1], fa[br])
-    # the cells of group g are its edges qa, roots..., qb taken in pairs
-    counts = np.bincount(j * n_ch + k, minlength=n_x * n_ch)
-    ends = np.cumsum(counts)
-    lower = np.insert(roots, ends - counts, qa)
-    upper = np.insert(roots, ends, qb)
-    group = np.repeat(np.arange(n_x * n_ch), counts + 1)
-    wide = np.flatnonzero(~(upper - lower < 1e-13))
-    below = _branch_on(grid, group[wide] // n_ch, group[wide] % n_ch,
-                       0.5 * (lower[wide] + upper[wide])) - tau <= 0.0
-    cells = wide[below]
-    values = adaptive_gauss_batch(lambda owner, q: chi.k(q), lower[cells], upper[cells], atol)
-    cell = [0.0] * n_x
-    for jc, value in zip((group[cells] // n_ch).tolist(), values):
-        cell[jc] += float(value)
-    total = 0.0
-    for x, wx, c in zip(grid.x, grid.w, cell):
-        total += wx * chi.g(float(x)) * c
-    return 0.5 * (xb - xa) * total
-
-
 def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float,
-                     x_order: int = 96, scan: int = 1024,
-                     atol: float = 1e-11) -> LocalizedDensity:
-    """tau-derivative of the cutoff band volume of xi^2 + V(x) by step-halved
-    central differences with Richardson acceleration.
+                     atol: float = 1e-11) -> float:
+    """Phase-space localized density at energy tau for n = 1,
 
-    The step starts at 0.02 and halves at most 10 times; the density has
-    converged when two successive extrapolants agree to 1e-5 relative.
-    Flags non-convergence (typically tau at a branch critical value) instead
-    of raising.
+        sum_k int g(x) [k(s_k) + k(-s_k)] / (2 s_k) dx,  s_k = sqrt(tau - e_k(x)),
+
+    over {e_k(x) < tau} within supp g, for the product cutoff chi = g(x) k(xi).
+    It is the tau-derivative of the cutoff band volume of xi^2 + V(x), taken
+    in closed form: the localized Weyl density of states (Dimassi-Sjostrand,
+    Spectral Asymptotics in the Semi-Classical Limit, 1999).  The turning
+    points of the branches in supp g and their endpoint substitution are
+    those of ``gamma0``, and all cells are one batch.
+
+    Raises QuadratureError where the integral does not converge, as at a
+    branch critical value inside supp g, where it diverges.
     """
-    grid = _branch_grid(v, chi, x_order, scan)
+    if v.n != 1:
+        raise NotImplementedError("the localized density is implemented for n = 1")
+    taus = np.array([float(tau)])
+    lo, hi = chi.x_support
 
-    def central(step: float) -> float:
-        up = _band_volume(chi, tau + step, grid, atol)
-        dn = _band_volume(chi, tau - step, grid, atol)
-        return (up - dn) / (2.0 * step)
+    def weight(xs, base):
+        s = np.sqrt(base)
+        return 0.5 * chi.g(xs) * (chi.k(s) + chi.k(-s))
 
-    steps = [0.02]
-    d_vals = [central(0.02)]
-    extrapolated = []
-    converged = False
-    for i in range(1, 11):
-        step = 0.02 / 2**i
-        steps.append(step)
-        d_vals.append(central(step))
-        rich = (4.0 * d_vals[-1] - d_vals[-2]) / 3.0
-        if extrapolated and abs(rich - extrapolated[-1]) <= 1e-5 * max(abs(rich), 1e-14):
-            extrapolated.append(rich)
-            converged = True
-            break
-        extrapolated.append(rich)
-    return LocalizedDensity(value=float(extrapolated[-1]), converged=converged,
-                            estimates=np.asarray(extrapolated),
-                            steps=np.asarray(steps))
+    parts = _singular_differences(v, taus, np.zeros((1, v.N)), _turning_points(v, taus, lo, hi),
+                                  lo, hi, atol, weight)
+    return float(_channel_sum(parts)[0])
 
 
 @dataclass(frozen=True)

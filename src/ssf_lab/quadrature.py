@@ -26,7 +26,13 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within its depth budget."""
+    """Adaptive quadrature failed to converge within its depth or panel budget."""
+
+
+# live panels one tree level may hold; a divergent integrand (a branch tangent
+# to tau) doubles them level after level, where the stock coefficient calls
+# reach at most 1164
+MAX_LIVE_PANELS = 65536
 
 
 @lru_cache(maxsize=64)
@@ -75,7 +81,8 @@ def adaptive_gauss_batch(f, a, b, atol: float = 1e-10, rtol: float = 1e-10,
     floor), the panel budget atol halving with each bisection; the floor is
     one percent of ``atol``, so deep slivers near regularized endpoints are
     accepted instead of chasing impossible budgets.  A panel still above 1000
-    times its tolerance at ``max_depth`` raises QuadratureError.  A reversed
+    times its tolerance at ``max_depth``, or a tree level that would hold more
+    than ``MAX_LIVE_PANELS`` panels, raises QuadratureError.  A reversed
     interval gives the negated integral, an empty one exactly 0.0.
     """
     a = np.asarray(a, dtype=float).ravel()
@@ -139,6 +146,11 @@ def _breadth_first(f, owner, a, b, atol, floor, rtol, max_depth) -> np.ndarray:
         else:
             split = ~(err <= tol)
         levels.append((hi, split))
+        children = 2 * np.count_nonzero(split)
+        if children > MAX_LIVE_PANELS:
+            raise QuadratureError(
+                f"{children} live panels at depth {depth + 1}, above the cap of {MAX_LIVE_PANELS}"
+            )
         # children of the split panels, interleaved left, right
         a, b, m = a[split], b[split], mid[split]
         a, b = np.stack([a, m], axis=1).ravel(), np.stack([m, b], axis=1).ravel()

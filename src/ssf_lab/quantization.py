@@ -59,7 +59,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
-from .quadrature import gauss_rule
+from .quadrature import QuadratureError, gauss_rule
 from .symbols import MatrixPotential
 
 __all__ = [
@@ -1395,7 +1395,11 @@ def theorem3_check(
     order_threshold: float = 1.0,
 ) -> SweepReport:
     """Leading term of the localized trace: 2 pi h tr(...) against
-    f(tau) * gamma0_localized(tau), with the fitted order of the residual."""
+    f(tau) * gamma0_localized(tau), with the fitted order of the residual.
+
+    Raises CertificateError, before any operator is built, where the
+    localized density does not converge (a branch critical value in supp chi).
+    """
     from .coefficients import gamma0_localized
 
     _require_valid(certificate)
@@ -1403,10 +1407,11 @@ def theorem3_check(
         raise ValueError("the leading-term check uses the even window")
     for grid in grids:
         _check_window(grid, f.support[1])
-    dens = gamma0_localized(v, chi, tau)
-    if not dens.converged:
-        raise CertificateError("localized density did not converge at this tau")
-    reference = float(f(tau)) * dens.value
+    try:
+        dens = gamma0_localized(v, chi, tau)
+    except QuadratureError as err:
+        raise CertificateError("localized density did not converge at this tau") from err
+    reference = float(f(tau)) * dens
     values = []
     for grid in grids:
         tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, window, tau)

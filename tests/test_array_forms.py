@@ -11,7 +11,12 @@ import pytest
 from ssf_lab import cli
 from ssf_lab import quantization as qz
 from ssf_lab.bumps import Bump1D, ProductCutoff
-from ssf_lab.coefficients import _branch_grid, _branch_values, bump_test_function
+from ssf_lab.coefficients import (
+    _branch_values,
+    _turning_points,
+    bump_test_function,
+    gamma0_localized,
+)
 from ssf_lab.microhyperbolicity import (
     boundary_value_extrapolate,
     check_on_energy_shell,
@@ -249,11 +254,30 @@ class TestFixedEvaluationCounts:
         _branch_values(v, np.linspace(-8.0, 8.0, nodes))
         assert calls == {"on": 1, "grad_on": 0}
 
-    @pytest.mark.parametrize("x_order", [16, 96])
-    def test_branch_grid(self, x_order):
-        v, calls = counting(model_potential("conical_crossing"))
-        _branch_grid(v, CHI, x_order, 64)
-        assert calls == {"on": 1, "grad_on": 0}
+    @pytest.mark.parametrize("scan", [16, 96])
+    def test_branch_grid(self, scan):
+        # the branch scan over supp g of the localized density's turning
+        # points: one call for the scan, then one per lock-step bisection step
+        # until the brackets of width 4 / (scan - 1) fall below 1e-12, however
+        # many taus and roots share them
+        steps = math.ceil(math.log2(4.0 / (scan - 1) / 1e-12))
+        found = {}
+        for name, taus in [("above", [1.0]), ("one", [0.2]), ("many", np.linspace(-0.4, 0.4, 41))]:
+            v, calls = counting(model_potential("conical_crossing"))
+            roots = _turning_points(v, np.asarray(taus, dtype=float), *CHI.x_support, scan=scan)
+            found[name] = sum(len(rk) for rt in roots for rk in rt)
+            assert calls == {"on": 1 + (steps if found[name] else 0), "grad_on": 0}
+        # both branches cross 0.2 twice; the 41 taus have more roots than
+        # there are bisection steps
+        assert found["above"] == 0 and found["one"] == 4 and found["many"] > 60
+
+    def test_localized_density(self):
+        v, calls = counting(model_potential("rotating_crossing", c=3.0))
+        out = gamma0_localized(v, CHI, 1.0)
+        assert out == gamma0_localized(model_potential("rotating_crossing", c=3.0), CHI, 1.0)
+        # the turning-point scan, 31 lock-step bisection steps, the cells'
+        # midpoints, then one call per level of the 46-level quadrature
+        assert calls == {"on": 1 + 31 + 1 + 46, "grad_on": 0}
 
     def test_build_pair_and_decay_constant(self):
         v, calls = counting(model_potential("reference"))

@@ -435,6 +435,19 @@ class TestWindowAndCheckBlocks:
         assert result.report["certificates"][0]["T"] == [0.0, 1.0]
 
 
+class TestStockTraceConfigs:
+    def test_thm3_rotating_crossing_passes(self, tmp_path):
+        # the first thm3 run whose channel eigenvectors turn with x; its
+        # reference has turning points inside supp chi
+        result = run(_config("trace_thm3_rotating", out=str(tmp_path / "rot")))
+        assert result.report["certificates"][0]["valid"] is True
+        assert result.report["verdicts"] == {"thm3": "PASS"}
+        assert result.exit_code == 0
+        h, value, reference, rel_error, slope = result.report["tables"]["main"]["rows"][-1]
+        assert reference == pytest.approx(4.219614114, rel=2e-6)
+        assert rel_error < 0.05 and slope > 1.0
+
+
 class TestMemoryAdmission:
     class Assembled(Exception):
         pass
@@ -468,7 +481,7 @@ class TestMemoryAdmission:
                     qz.build_schrodinger(p, grid).matrix
                 except self.Assembled:
                     built += 1
-        assert built == 13
+        assert built == 15
 
     def test_cli_prints_the_figures(self, tmp_path, monkeypatch, capsys):
         def refused(grid, samples, split=False):

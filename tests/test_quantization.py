@@ -1469,6 +1469,21 @@ class TestTheoremCheckPlumbing:
             theorem3_check(v, CHI, f, 1.0, grids([1 / 4, 1 / 8], 6.0, 2.0), w,
                            SimpleNamespace(valid=True))
 
+    def test_theorem3_barrier_top_rejected(self, monkeypatch):
+        # the island's barrier top 3/e is a critical value of xi^2 + V inside
+        # supp chi: the localized density diverges there, and the check stops
+        # before it builds an operator
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an operator")
+
+        for name in ("build_schrodinger", "weyl_quantize"):
+            monkeypatch.setattr(qz, name, refuse)
+        f = bump_test_function((0.8, 1.4))
+        with pytest.raises(CertificateError, match="did not converge"):
+            theorem3_check(model_potential("island"), CHI, f, 1.1036383235143269,
+                           grids([1 / 8, 1 / 16, 1 / 32], 6.0, 2.0),
+                           WindowTheta("bump_at_zero", eps=0.25), SimpleNamespace(valid=True))
+
     @pytest.mark.parametrize("variant", ["thm1", "thm2", "thm3"])
     def test_support_above_the_window_rejected(self, variant, monkeypatch):
         # supp f reaches 1.8, above the grids' tau_max 1.69: no operator (nor
