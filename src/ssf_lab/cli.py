@@ -11,9 +11,7 @@ import argparse
 import json
 import sys
 
-from .harness import ConfigError, ExperimentConfig, run
-
-SUBCOMMANDS = ("check-mh", "check-escape", "coeffs", "trace", "ssf", "sweep")
+from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale checks of semiclassical spectral-shift asymptotics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run a '{name}' experiment config")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")

@@ -20,7 +20,6 @@ that report in the quantization module and are re-exported here.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ def reference_potential() -> MatrixPotential:
 # config ingestion
 # ---------------------------------------------------------------------------
 
-_EXPERIMENTS = ("check-mh", "check-escape", "coeffs", "trace", "ssf", "sweep")
+EXPERIMENTS = ("check-mh", "check-escape", "coeffs", "trace", "ssf", "sweep")
 _VARIANTS = {
     "trace": ("thm1", "thm2", "thm3"),
     "ssf": ("weak", "weyl", "derivative"),
@@ -79,8 +78,8 @@ class ExperimentConfig:
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         experiment = doc.get("experiment")
-        if experiment not in _EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}")
+        if experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
         variant = doc.get("variant")
         if experiment in _VARIANTS:
             if variant not in _VARIANTS[experiment]:
@@ -146,23 +145,17 @@ def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
     return [qz.grid_for(float(h), R, float(g["tau_max"]), m_cap) for h in doc["h_list"]]
 
 
-def _window_from(doc: dict, variant: str) -> tuple[qz.WindowTheta, str | None]:
-    """The config's window and its eps rule.
-
-    thm1 defaults to the one-sided window at eps 0.3 and, when the key is
-    absent, to the rule ``sqrt_h`` (eps = sqrt(h) at each h); null keeps eps
-    fixed.  Every other variant defaults to the even window at eps 0.25 and
-    takes no rule.
-    """
+def _window_from(doc: dict, variant: str) -> qz.WindowTheta:
+    """The config's window, one for every h: thm1 defaults to the one-sided
+    window at eps 0.3, every other variant to the even window at eps 0.25.
+    The block takes kind and eps only."""
     w = doc.get("window") or {}
+    extra = ", ".join(f"window.{key}" for key in sorted(set(w) - {"kind", "eps"}))
+    if extra:
+        raise ConfigError(f"window takes kind and eps only, not {extra}")
     thm1 = variant == "thm1"
-    rule = w.get("eps_rule", "sqrt_h" if thm1 else None)
-    if rule not in (("sqrt_h", None) if thm1 else (None,)):
-        allowed = 'null or "sqrt_h"' if thm1 else "null"
-        raise ConfigError(f"{variant} takes window.eps_rule {allowed}, got {rule!r}")
-    window = qz.WindowTheta(kind=w.get("kind", "bump_positive" if thm1 else "bump_at_zero"),
-                            eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
-    return window, rule
+    return qz.WindowTheta(kind=w.get("kind", "bump_positive" if thm1 else "bump_at_zero"),
+                          eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
 
 
 def _test_function_from(doc: dict) -> coeffs.TestFunction:
@@ -300,7 +293,7 @@ def _run_coeffs(cfg: ExperimentConfig):
 def _run_trace(cfg: ExperimentConfig):
     doc = cfg.raw
     variant = cfg.variant
-    window, eps_rule = _window_from(doc, variant)
+    window = _window_from(doc, variant)
     chi = _cutoff_from(doc)
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 1.0))
@@ -314,8 +307,7 @@ def _run_trace(cfg: ExperimentConfig):
             return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
     if variant == "thm1":
         rep = qz.theorem1_check(
-            v, chi, f, tau0, grids, cert, window, eps_rule=math.sqrt if eps_rule else None,
-            **_thresholds_from(doc, slope="slope_threshold"),
+            v, chi, f, tau0, grids, cert, window, **_thresholds_from(doc, slope="slope_threshold"),
         )
     elif variant == "thm2":
         pert = doc.get("perturbation")
@@ -337,7 +329,7 @@ def _run_trace(cfg: ExperimentConfig):
 def _run_ssf(cfg: ExperimentConfig, shared: dict):
     doc = cfg.raw
     variant = cfg.variant
-    window, _ = _window_from(doc, variant)
+    window = _window_from(doc, variant)
     f = _test_function_from(doc)
     tau0 = float(doc.get("tau0", 2.0))
     grids = _grids_from(doc, default_R=8.0)

@@ -53,7 +53,7 @@ import inspect
 import math
 import mmap
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -453,21 +453,21 @@ class GridOperator:
     none is held, the blocks of the operator's ``rows`` source (a
     ``ProductCutoff``'s), so that nothing is assembled.
 
-    An operator that ``build_schrodinger`` finds has no entries between its
-    N channels is ``split``: it holds only its channel blocks, channel c's
-    being the M x M block on the rows and columns c::N, as an (N, M, M)
-    stack of their upper triangles, and that stack is its ``.matrix``.  It
-    solves each block alone: ``eigenvalues`` merges the blocks' values by a
-    stable sort, and ``eigenpairs`` makes each eigenvector zero on the other
-    channels' rows.
+    What an operator holds is a (K, m, m) stack of independent blocks, block
+    c on the rows and columns c::K, each solved alone: a (dim, dim) matrix
+    is K = 1, and an operator that ``build_schrodinger`` finds has no
+    entries between its N channels holds the (N, M, M) stack of the upper
+    triangles of its channel blocks, which is its ``.matrix``.
+    ``eigenvalues`` merges the blocks' values by a stable sort, and
+    ``eigenpairs`` puts each block's eigenvectors on its rows, zero on the
+    other blocks' rows.
 
     Each allocation admits its own bytes against the host's memory where it
     is made (``MemoryBudgetError`` when they do not fit): an assembly its
-    matrix, and a pairs solve, before it starts, the matrix and up to dim
-    eigenvectors twice over (as LAPACK writes them and as columns), three
-    matrices, and a fourth for the copy of a caller's array.  A split pairs
-    solve admits its blocks, the per-channel vectors and the merged (dim, k)
-    array, for k up to dim: N + 2 stacks of N M^2 items.
+    matrix, and a pairs solve, before it starts, K + 2 of what the operator
+    holds: the blocks, their eigenvectors as LAPACK writes them and the
+    merged (dim, k) array, for k up to dim; three matrices, a fourth for
+    the copy of a caller's array, and N + 2 stacks for a split operator.
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
     plane waves tensored with channel eigenvectors.  Their matrix is built
@@ -482,7 +482,7 @@ class GridOperator:
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
                  label: str = "", *, assemble=None, analytic: tuple | None = None,
-                 upper_only: bool = False, split: bool = False, rows=None):
+                 upper_only: bool = False, rows=None):
         if (matrix is None) == (assemble is None):
             raise ValueError("give exactly one of matrix and assemble")
         self.grid = grid
@@ -490,7 +490,6 @@ class GridOperator:
         self.label = label
         self.upper_only = upper_only
         self._analytic = analytic
-        self._split = split
         self._rows = rows
         self._assemble = assemble
         self._matrix = None if matrix is None else _checked_hermitian(matrix, self.dim)
@@ -512,14 +511,14 @@ class GridOperator:
         if self._assemble is not None:
             self._matrix = None
 
-    def _solve_input(self) -> np.ndarray:
-        """The matrix for an in-place solve: the held one, released, or a
-        copy of a caller's array."""
+    def _blocks(self) -> np.ndarray:
+        """What is solved on, in place, as a (K, m, m) stack: the held matrix,
+        released, or a copy of a caller's array."""
         mat = self.matrix
         if self._assemble is None:
-            return mat.copy()
+            mat = mat.copy()
         self._release()
-        return np.ascontiguousarray(mat)
+        return np.ascontiguousarray(mat).reshape(-1, *mat.shape[-2:])
 
     def _row_blocks(self):
         """(lo, rows lo:lo + b of the matrix) for blocks of b rows, about
@@ -534,37 +533,30 @@ class GridOperator:
         if self._values is None:
             if self._analytic is not None:
                 self._values = self._analytic_values()
-            elif self._split:
-                values = [_evd(block) for block in self._solve_input()]
-                self._values = np.sort(np.concatenate(values), kind="stable")
             else:
-                self._values = _evd(self._solve_input())
+                values = [_evd(block) for block in self._blocks()]
+                self._values = np.sort(np.concatenate(values), kind="stable")
         return self._values
 
     def eigenpairs(self, *, window: tuple[float, float] = (-math.inf, math.inf)
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
         array of their eigenvectors as columns, the whole spectrum by
-        default: plane waves for an analytic spectrum, else ``_evr`` (per
-        channel block when split), after the admission of what it holds."""
+        default: plane waves for an analytic spectrum, else ``_evr`` on each
+        block in place, after the admission of K + 2 of what the operator
+        holds (and one more for a caller's array, whose copy is solved).
+
+        The stack is dropped after the last block is solved, and the merged
+        array is made after that: block c's eigenvector j goes to column
+        rank[offset_c + j] of the merged order, on the rows c::K.  Nothing
+        else refers to the stack, so ``del`` frees it before that array."""
         lo, hi = window
         if self._analytic is not None:
             return self._analytic_pairs(lo, hi)
-        if self._split:  # the blocks, the per-channel vectors and the merged array
-            _admit((self.N + 2) * self.matrix.nbytes, self.label,
-                   "the channel blocks and their eigenvectors")
-            return self._split_pairs(lo, hi)
-        matrices = 3 if self._assemble is not None else 4  # with a caller's array, its copy
-        _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
-        return _evr(self._solve_input(), lo, hi)
-
-    def _split_pairs(self, lo: float, hi: float):
-        """``_evr`` on each channel block of the held stack, in place.  The
-        stack is dropped after the last block is solved, and the merged
-        eigenvector array is made after that: channel c's eigenvector j goes
-        to column rank[offset_c + j] of the merged order, on the rows c::N."""
-        n = self.N
-        stack = self._solve_input()
+        stacks = self.dim // self.matrix.shape[-1] + 2 + (self._assemble is None)
+        _admit(stacks * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
+        stack = self._blocks()
+        n = len(stack)
         solved = [_evr(block, lo, hi) for block in stack]
         del stack
         vals, blocks = zip(*solved)
@@ -700,9 +692,9 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     only the triangle's become resident.  It is assembled at once, except
     for constant potentials: they get an analytic spectrum and a matrix
     that is built only when ``.matrix`` is read.  A potential whose
-    off-diagonal samples are all 0 gives a split operator: it holds the
-    upper triangles of its N channel blocks alone, an (N, M, M) stack, and
-    solves them one at a time.
+    off-diagonal samples are all 0 is split: it holds the upper triangles of
+    its N channel blocks alone, an (N, M, M) stack, and solves them one at a
+    time.
 
     The potential samples (V + V^H)/2 and the symmetrized kinetic column
     make the matrix exactly hermitian, so what is checked is that they are
@@ -733,7 +725,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     if np.any(samples != samples[0]):
         split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
         op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(split),
-                          upper_only=True, split=split)
+                          upper_only=True)
         op.matrix  # assembled here, where the build is timed; the first solve takes it
         return op
 
@@ -765,7 +757,10 @@ def _index_block(m_pts: int, rows: np.ndarray, cols: np.ndarray):
     return delta, mid_idx, ambiguous
 
 
-def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
+_GENERAL_M_CAP = 2048  # the largest M of a general symbol's (2M, M) table
+
+
+def weyl_quantize(a, grid: Grid1D) -> GridOperator:
     """Weyl quantization of a scalar phase-space symbol on the grid.
 
     Accepted symbols: a number (multiple of the identity), a function of x
@@ -804,9 +799,9 @@ def weyl_quantize(a, grid: Grid1D, general_m_cap: int = 2048) -> GridOperator:
             return GridOperator(grid=grid, N=1,
                                 matrix=np.diag(np.asarray(a(grid.nodes), dtype=float)),
                                 label="weyl(multiplication)")
-        if m_pts > general_m_cap:
+        if m_pts > _GENERAL_M_CAP:
             raise MemoryError(
-                f"general symbol table needs M <= {general_m_cap}; use a ProductCutoff"
+                f"general symbol table needs M <= {_GENERAL_M_CAP}; use a ProductCutoff"
             )
         amp = np.asarray(a(grid.half_nodes[:, None], grid.momenta_fft_order[None, :]),
                          dtype=complex)
@@ -1072,9 +1067,6 @@ class WindowTheta:
     def theta(self, t):
         return _theta_eval(self.kind, np.asarray(t, dtype=float) / self.eps)
 
-    def with_eps(self, eps: float) -> "WindowTheta":
-        return replace(self, eps=float(eps))
-
     @property
     def is_even(self) -> bool:
         return self.kind == "bump_at_zero"
@@ -1319,7 +1311,6 @@ def theorem1_check(
     grids,
     certificate,
     window: WindowTheta,
-    eps_rule=None,
     slope_threshold: float = 3.0,
 ) -> SweepReport:
     """Decay of the off-zero-window smoothed trace along an h-sweep.
@@ -1328,16 +1319,15 @@ def theorem1_check(
     certified shell; the decay verdict is PASS when the fitted slope reaches
     the threshold or every value is below 1e-10.  Running it with the even
     window instead exhibits the leading 1/(2 pi h) growth (negative slope),
-    which callers use as the non-applicability control.  ``eps_rule`` None
-    keeps ``window.eps``; a callable gives the eps of each h.
+    which callers use as the non-applicability control.  Every h takes the
+    one ``window``.
     """
     _require_valid(certificate)
     for grid in grids:
         _check_window(grid, f.support[1])
     values = []
     for grid in grids:
-        w = window if eps_rule is None else window.with_eps(eps_rule(grid.h))
-        tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, w, tau0)
+        tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, window, tau0)
         values.append(abs(complex(tr)))
     return sweep_verdict([grid.h for grid in grids], values, slope_threshold)
 

@@ -89,16 +89,17 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
 
     If the hermitian parts of the V samples equal the limit bitwise at every
     node, ``lam0`` *is* ``lam1`` (shared object) so every difference-based
-    estimator vanishes exactly.
+    estimator vanishes exactly.  Only constant samples, which give P1 an
+    analytic spectrum, can; the grid is evaluated again for them alone.
     """
     seam = np.linspace(grid.R - 1.0, grid.R, 9)
     worst = float(np.max(np.abs(v.on(np.concatenate([-seam, seam])) - v.v_infinity)))
     if worst > 1e-10:
         raise MarginError(f"|V - V_inf| = {worst:.2e} at the box edge exceeds 1e-10; enlarge R")
-    lam1 = build_schrodinger(v, grid).eigenvalues()
-    samples = potential_samples(v, grid)
+    p1 = build_schrodinger(v, grid)
+    lam1 = p1.eigenvalues()
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
-    if np.array_equal(samples, np.broadcast_to(free.eval(0.0), samples.shape)):
+    if p1._analytic is not None and np.all(potential_samples(v, grid) == free.eval(0.0)):
         return SpectralPair(grid, lam1, lam1)
     return SpectralPair(grid, lam1, build_schrodinger(free, grid).eigenvalues())
 
@@ -120,14 +121,12 @@ def ssf_counting(pair: SpectralPair, tau) -> int | np.ndarray:
     return int(out[0]) if np.ndim(tau) == 0 else out
 
 
-def ssf_mollified(pair: SpectralPair, w: WindowTheta, eps: float | None, tau):
+def ssf_mollified(pair: SpectralPair, w: WindowTheta, tau):
     """Mollified counting difference: each eigenvalue contributes a smoothed
     step (the primitive of the window kernel) instead of a unit jump.
     WindowRangeError for a tau above the pair's reliable window."""
     if not w.is_even:
         raise ValueError("mollified counting uses the even window")
-    if eps is not None:
-        w = w.with_eps(eps)
     lam1, lam0 = pair.lam1, pair.lam0
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_window(pair.grid, float(np.max(taus)), "tau")
@@ -186,7 +185,7 @@ def weyl_check(
     sup_err = []
     sup_rel = []
     for h in hs:
-        vals = 2.0 * math.pi * h * np.asarray(ssf_mollified(pairs[h], w, None, taus))
+        vals = 2.0 * math.pi * h * np.asarray(ssf_mollified(pairs[h], w, taus))
         err = np.abs(vals - ref)
         sup_err.append(float(np.max(err)))
         sup_rel.append(float(np.max(err / np.abs(ref))))

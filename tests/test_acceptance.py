@@ -317,7 +317,7 @@ def test_criterion_8_degenerate_exactness():
 
     ok_ssf = (sl.weak_pairing(pair, f) == 0.0
               and sl.ssf_counting(pair, 1.3) == 0
-              and sl.ssf_mollified(pair, w, None, 1.3) == 0.0
+              and sl.ssf_mollified(pair, w, 1.3) == 0.0
               and mollified_density_pairing(pair, fp, w, 1.4) == 0.0)
 
     ok_coeff = (sl.gamma0(v, 1.3) == 0.0

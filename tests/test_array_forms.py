@@ -136,8 +136,8 @@ class TestNewModels:
         grid = qz.grid_for(1 / 8, 6.0, 4.0, 8192)
         v = model_potential("rotating_crossing")
         assert v.eval(0.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
-        assert not qz.build_schrodinger(v, grid)._split
-        assert qz.build_schrodinger(model_potential("conical_crossing"), grid)._split
+        assert qz.build_schrodinger(v, grid).matrix.ndim == 2
+        assert qz.build_schrodinger(model_potential("conical_crossing"), grid).matrix.ndim == 3
 
 
 class TestScalarOnlyFallback:
@@ -282,9 +282,9 @@ class TestFixedEvaluationCounts:
     def test_build_pair_and_decay_constant(self):
         v, calls = counting(model_potential("reference"))
         build_pair(v, qz.grid_for(1 / 4, 8.0, 4.0, 8192))
-        assert calls == {"on": 3, "grad_on": 0}  # the seam, the operator, the samples
+        assert calls == {"on": 2, "grad_on": 0}  # the seam and the operator's samples
         v.decay_constant(np.linspace(-6.0, 6.0, 41))
-        assert calls == {"on": 4, "grad_on": 0}
+        assert calls == {"on": 3, "grad_on": 0}
 
     def test_boundary_value_route_makes_no_scalar_call(self):
         v, calls = counting(model_potential("conical_crossing"))

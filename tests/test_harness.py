@@ -284,7 +284,7 @@ class TestRun:
             "grid": {"R": 6.0, "tau_max": 2.56},
             "h_list": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
             "tau0": 1.0,
-            "window": {"kind": "bump_at_zero", "eps": 0.25, "eps_rule": None},
+            "window": {"kind": "bump_at_zero", "eps": 0.25},
             "test_function": {"kind": "bump", "support": [0.3, 1.7]},
             "cutoff": {"x": {"center": 0.0, "halfwidth": 2.0},
                        "xi": {"center": 0.0, "halfwidth": 2.0}},
@@ -377,13 +377,27 @@ class TestWindowAndCheckBlocks:
         monkeypatch.setattr(ssf_mod, "build_pair", refuse)
         monkeypatch.setattr(qz, "build_schrodinger", refuse)
 
+    # the window block takes kind and eps alone, one window for every h: an
+    # eps_rule, null or "sqrt_h" (eps = sqrt(h)) on thm1 too, is an unknown key
     @pytest.mark.parametrize("name,rule", [("trace_thm3_crossing", "sqrt_h"),
                                            ("ssf_weyl_reference", "sqrt_h"),
-                                           ("trace_thm1_free", "bogus")])
+                                           ("trace_thm1_free", "bogus"),
+                                           ("trace_thm1_free", "sqrt_h"),
+                                           ("trace_thm1_free", None)])
     def test_eps_rule_not_applied_is_rejected(self, tmp_path, no_assembly, name, rule):
         doc = _config(name, out=str(tmp_path / "o"))
         doc["window"] = dict(doc["window"], eps_rule=rule)
-        with pytest.raises(ConfigError, match="eps_rule"):
+        self._rejected(tmp_path, doc, "window.eps_rule")
+
+    @pytest.mark.parametrize("name", ["trace_thm2_locality", "ssf_derivative_reference"])
+    def test_unknown_window_key_is_rejected(self, tmp_path, no_assembly, name):
+        doc = _config(name, out=str(tmp_path / "o"))
+        doc["window"] = dict(doc["window"], shape="gauss", width=0.1)
+        self._rejected(tmp_path, doc, "window.shape, window.width")
+
+    @staticmethod
+    def _rejected(tmp_path, doc, named):
+        with pytest.raises(ConfigError, match=named):
             run(doc)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))

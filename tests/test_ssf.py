@@ -56,15 +56,15 @@ class SSFEstimate:
 
 
 def ssf_estimate(pair: SpectralPair, taus, method: str = "mollified_counting",
-                 w: WindowTheta | None = None, eps: float | None = None) -> SSFEstimate:
+                 w: WindowTheta | None = None) -> SSFEstimate:
     taus = np.asarray(taus, dtype=float)
     if method == "counting":
         vals = ssf_counting(pair, taus).astype(float)
         used_eps = None
     elif method == "mollified_counting":
         w = w or WindowTheta()
-        vals = np.asarray(ssf_mollified(pair, w, eps, taus), dtype=float)
-        used_eps = eps if eps is not None else w.eps
+        vals = np.asarray(ssf_mollified(pair, w, taus), dtype=float)
+        used_eps = w.eps
     else:
         raise ValueError(f"unknown method {method!r}")
     return SSFEstimate(tau_grid=taus, values=vals, method=method, h=pair.h,
@@ -158,7 +158,7 @@ class TestBuildPair:
         f = bump_test_function((0.8, 1.2))
         w = WindowTheta("bump_at_zero", eps=0.25)
         weak_pairing(pair, f)
-        ssf_mollified(pair, w, None, [0.9, 1.0, 1.1])
+        ssf_mollified(pair, w, [0.9, 1.0, 1.1])
         mollified_density_pairing(pair, f, w, 1.0)
         assert pair.lam0 is not pair.lam1
         _, p0 = built
@@ -337,21 +337,21 @@ class TestMollified:
     def test_degenerate_zero(self):
         pair = make_pair(model_potential("constant", v_inf=0.0, N=2))
         w = WindowTheta("bump_at_zero", eps=0.25)
-        assert ssf_mollified(pair, w, None, 1.0) == 0.0
+        assert ssf_mollified(pair, w, 1.0) == 0.0
 
     def test_vanishes_below_spectrum(self):
         pair = make_pair(gauss_well())
         w = WindowTheta("bump_at_zero", eps=0.25)
         lam_min = min(pair.lam1.min(), pair.lam0.min())
         far = lam_min - 2000.0 * pair.h / w.eps
-        assert ssf_mollified(pair, w, None, far) == 0.0
+        assert ssf_mollified(pair, w, far) == 0.0
 
     def test_close_to_counting(self):
         pair = make_pair(gauss_well(), h=1 / 16)
         w = WindowTheta("bump_at_zero", eps=0.25)
         lam = np.sort(np.concatenate([pair.lam1, pair.lam0]))
         for tau in (0.5, 1.0):
-            smooth = ssf_mollified(pair, w, None, tau)
+            smooth = ssf_mollified(pair, w, tau)
             stair = ssf_counting(pair, tau)
             width = 30.0 * pair.h / w.eps
             nearby = int(np.sum(np.abs(lam - tau) <= width))
@@ -360,7 +360,7 @@ class TestMollified:
     def test_requires_even_window(self):
         pair = make_pair(gauss_well())
         with pytest.raises(ValueError):
-            ssf_mollified(pair, WindowTheta("bump_positive", eps=0.3), None, 1.0)
+            ssf_mollified(pair, WindowTheta("bump_positive", eps=0.3), 1.0)
 
     def test_estimate_csv(self, tmp_path):
         pair = make_pair(gauss_well())
@@ -417,7 +417,7 @@ class TestSweeps:
         with pytest.raises(WindowRangeError, match="tau up to 2.2"):
             weyl_check(pairs, taus, np.asarray(a0(v, taus)), w, SimpleNamespace(valid=True))
         inside = np.linspace(1.6, 2.0, 5)
-        assert np.all(np.isfinite(ssf_mollified(pairs[1 / 16], w, None, inside)))
+        assert np.all(np.isfinite(ssf_mollified(pairs[1 / 16], w, inside)))
 
     def test_derivative_support_past_the_window_rejected(self):
         v = gauss_well()
