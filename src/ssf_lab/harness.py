@@ -12,10 +12,13 @@ it deterministically (given the config) and writes
 Verdicts are recomputable from the CSV alone; byte-identity of reports is
 defined modulo the timings block (see ``report_identity_bytes``).
 
-The trace and ssf experiments are h-sweeps: each writes the rows of one
-``SweepReport`` (columns h, value, reference, rel_error, fitted_slope) and
-its verdict.  ``ConfigError``, ``SlopeFit`` and ``fit_order`` live beside
-that report in the quantization module and are re-exported here.
+The trace and ssf experiments are h-sweeps, run by ``_run_sweep``: each
+writes the rows of one ``SweepReport`` (columns h, value, reference,
+rel_error, fitted_slope) and its verdict.  A sweep is refused before it
+builds an operator, and its verdict is issued only where a certificate
+carries the hypothesis; the checks it calls are the numerics alone.
+``ConfigError``, ``SlopeFit`` and ``fit_order`` live beside that report in
+the quantization module and are re-exported here.
 """
 from __future__ import annotations
 
@@ -81,11 +84,10 @@ class ExperimentConfig:
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
         variant = doc.get("variant")
-        if experiment in _VARIANTS:
-            if variant not in _VARIANTS[experiment]:
-                raise ConfigError(
-                    f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
-                )
+        if experiment in _VARIANTS and variant not in _VARIANTS[experiment]:
+            raise ConfigError(
+                f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
+            )
         if experiment != "sweep":
             h_list = doc.get("h_list")
             if h_list is None and experiment in _VARIANTS:
@@ -96,20 +98,38 @@ class ExperimentConfig:
                     raise ConfigError("h_list must be strictly decreasing")
                 if any(h <= 0 for h in hs):
                     raise ConfigError("h values must be positive")
+            if experiment in _VARIANTS:
+                qz._check_ladder(hs)
+                # the decay variants' verdicts read the fitted order alone
+                _block(doc, "thresholds", ("order",) if variant in ("thm1", "thm2")
+                       else ("order", "rel"))
         else:
             if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
                 raise ConfigError("sweep needs a non-empty 'experiments' list")
-        return ExperimentConfig(
-            raw=doc,
-            experiment=experiment,
-            variant=variant,
-            out=str(doc.get("out", "out")),
-        )
+            for sub in doc["experiments"]:
+                ExperimentConfig.from_dict(_child_doc(sub))
+        return ExperimentConfig(raw=doc, experiment=experiment, variant=variant,
+                                out=str(doc.get("out", "out")))
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
             return ExperimentConfig.from_dict(json.load(fh))
+
+
+def _child_doc(sub) -> dict:
+    """A child of a sweep as a config of its own, in the sweep's schema."""
+    return {"schema_version": SCHEMA_VERSION, **sub} if isinstance(sub, dict) else sub
+
+
+def _block(doc: dict, name: str, keys: tuple) -> dict:
+    """The config's ``name`` block; ConfigError naming every key outside ``keys``."""
+    block = doc.get(name) or {}
+    extra = ", ".join(f"{name}.{key}" for key in sorted(set(block) - set(keys)))
+    if extra:
+        listed = keys[0] if len(keys) == 1 else ", ".join(keys[:-1]) + " and " + keys[-1]
+        raise ConfigError(f"{name} takes {listed} only, not {extra}")
+    return block
 
 
 def _potential_from(doc: dict) -> MatrixPotential:
@@ -135,10 +155,7 @@ def _potential_for_h(doc: dict, h: float) -> MatrixPotential:
 def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
     """The grid of each h of the config's h_list, by ``qz.grid_for`` from the
     grid block's R, tau_max and m_cap; tau_max is required."""
-    g = doc.get("grid") or {}
-    extra = ", ".join(f"grid.{key}" for key in sorted(set(g) - {"R", "tau_max", "m_cap"}))
-    if extra:
-        raise ConfigError(f"grid takes R, tau_max and m_cap only, not {extra}")
+    g = _block(doc, "grid", ("R", "tau_max", "m_cap"))
     if g.get("tau_max") is None:
         raise ConfigError("grid needs tau_max, the top of the energies its grids resolve")
     R, m_cap = float(g.get("R", default_R)), int(g.get("m_cap", 8192))
@@ -149,10 +166,7 @@ def _window_from(doc: dict, variant: str) -> qz.WindowTheta:
     """The config's window, one for every h: thm1 defaults to the one-sided
     window at eps 0.3, every other variant to the even window at eps 0.25.
     The block takes kind and eps only."""
-    w = doc.get("window") or {}
-    extra = ", ".join(f"window.{key}" for key in sorted(set(w) - {"kind", "eps"}))
-    if extra:
-        raise ConfigError(f"window takes kind and eps only, not {extra}")
+    w = _block(doc, "window", ("kind", "eps"))
     thm1 = variant == "thm1"
     return qz.WindowTheta(kind=w.get("kind", "bump_positive" if thm1 else "bump_at_zero"),
                           eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
@@ -184,11 +198,11 @@ def _cutoff_from(doc: dict) -> ProductCutoff:
     )
 
 
-def _thresholds_from(doc: dict, **names) -> dict:
-    """Keyword arguments of a check from the config's thresholds, config key
-    to argument name; an absent key keeps the check's default."""
-    t = doc.get("thresholds") or {}
-    return {arg: float(t[key]) for key, arg in names.items() if key in t}
+def _thresholds_from(doc: dict) -> dict:
+    """Keyword arguments of a check from the config's thresholds, checked at
+    ingest: ``order`` and ``rel`` give ``order_threshold`` and
+    ``rel_threshold``; an absent key keeps the check's default."""
+    return {f"{key}_threshold": float(val) for key, val in (doc.get("thresholds") or {}).items()}
 
 
 def _box_from(chk: dict, default) -> tuple:
@@ -200,11 +214,10 @@ def _shell_certificate(doc: dict, v: MatrixPotential, tau0: float, default_box,
                        grid_points: int) -> mh.MicrohyperbolicityCertificate:
     """``check_on_energy_shell`` of the Schrodinger symbol of v, set by the
     config's check block; the runner gives its default box and grid."""
-    chk = doc.get("check") or {}
+    chk = _block(doc, "check", ("box", "grid_points", "shell_tol", "T"))
     return mh.check_on_energy_shell(
         schrodinger_symbol(v), tau0, _box_from(chk, default_box),
         shell_tol=chk.get("shell_tol"),
-        mode=chk.get("mode", "per_point_T"),
         T=None if chk.get("T") is None else np.asarray(chk["T"], dtype=float),
         grid_points=int(chk.get("grid_points", grid_points)),
     )
@@ -259,21 +272,24 @@ def _run_check_escape(cfg: ExperimentConfig):
     doc = cfg.raw
     v = _potential_from(doc)
     tau0 = float(doc.get("tau0", 2.0))
-    chk = doc.get("check") or {}
-    variant = doc.get("escape_kind", "dilation")
-    if variant == "dilation":
+    kind = doc.get("escape_kind", "dilation")
+    if kind == "dilation":
+        chk = _block(doc, "check", ("x_range", "grid_points"))
         cert = mh.escape_check_dilation(
             v, tau0,
             x_range=tuple(chk.get("x_range", (-8.0, 8.0))),
             grid_points=int(chk.get("grid_points", 2001)),
         )
-    else:
+    elif kind == "general":
+        chk = _block(doc, "check", ("box", "grid_points", "shell_tol"))
         cert = mh.escape_check_general(
             schrodinger_symbol(v), dilation_generator(v.n), tau0,
             _box_from(chk, [[-4.0, 4.0], [-3.0, 3.0]]),
             shell_tol=chk.get("shell_tol"),
             grid_points=int(chk.get("grid_points", 61)),
         )
+    else:
+        raise ConfigError(f"escape_kind must be 'dilation' or 'general', got {kind!r}")
     rows = [{"x": float(p[0]), "k_or_xi": float(p[1])} for p in np.atleast_2d(cert.samples)] \
         if np.size(cert.samples) else []
     return ({"main": (["x", "k_or_xi"], rows)}, [cert.to_json_dict()],
@@ -290,75 +306,72 @@ def _run_coeffs(cfg: ExperimentConfig):
     return {"main": (["tau", "gamma0", "a0"], rows)}, [], {"coeffs": "COMPLETE"}
 
 
-def _run_trace(cfg: ExperimentConfig):
+def _run_sweep(cfg: ExperimentConfig, shared: dict):
+    """One trace or ssf h-sweep.  Its ladder and thresholds are checked at
+    ingest; every other refusal comes before the first operator, pair or
+    shell check, in this order: a block of the config; the top energy (of
+    supp f, or of weyl's tau grid) above the grids' tau_max, by
+    WindowRangeError; the hypothesis.  thm1 and thm3 take the shell
+    certificate, the ssf variants the escape certificate (weak records it
+    ungated), thm2 none; one that is neither valid nor on an empty shell
+    gives NOT_CERTIFIED.  The ssf configs of one run share their pairs and
+    escape checks through ``shared``.
+    """
     doc = cfg.raw
     variant = cfg.variant
+    trace = cfg.experiment == "trace"
+    tau0 = float(doc.get("tau0", 1.0 if trace else 2.0))
+    grids = _grids_from(doc, default_R=6.0 if trace else 8.0)
     window = _window_from(doc, variant)
-    chi = _cutoff_from(doc)
-    f = _test_function_from(doc)
-    tau0 = float(doc.get("tau0", 1.0))
-    grids = _grids_from(doc, default_R=6.0)
+    f = None if variant == "weyl" else _test_function_from(doc)
     v = _potential_from(doc)
-    certificates = []
-    if variant in ("thm1", "thm3"):
-        cert = _shell_certificate(doc, v, tau0, [list(chi.x_support), list(chi.xi_support)], 41)
-        certificates.append(cert.to_json_dict())
-        if not cert.valid and not cert.empty_shell:
-            return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
+    taus = _tau_grid_from(doc) if variant in ("thm2", "weyl") else None
+    if f is None:
+        qz._check_window(grids[0], float(taus[-1]), "tau")
+    else:
+        qz._check_window(grids[0], f.support[1])
+    if trace:
+        chi = _cutoff_from(doc)
+        cert = None if variant == "thm2" else _shell_certificate(
+            doc, v, tau0, [list(chi.x_support), list(chi.xi_support)], 41)
+    else:
+        key = ("escape", json.dumps(doc.get("potential"), sort_keys=True), tau0)
+        if key not in shared:
+            shared[key] = mh.escape_check_dilation(v, tau0)
+        cert = shared[key]
+    certificates = [] if cert is None else [cert.to_json_dict()]
+    # an empty shell certifies the hypothesis vacuously
+    if variant not in ("thm2", "weak") and not (cert.valid or getattr(cert, "empty_shell", False)):
+        return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
+
+    limits = _thresholds_from(doc)
     if variant == "thm1":
-        rep = qz.theorem1_check(
-            v, chi, f, tau0, grids, cert, window, **_thresholds_from(doc, slope="slope_threshold"),
-        )
+        rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
     elif variant == "thm2":
         pert = doc.get("perturbation")
         if not pert:
             raise ConfigError("thm2 needs a 'perturbation' potential spec")
         v1 = combine_potentials(v, model_potential(pert["kind"], **pert.get("params", {})))
-        rep = qz.theorem2_check(
-            v, v1, chi, f, _tau_grid_from(doc), grids, window,
-            d_sep=float(doc.get("d_sep", 2.0)), **_thresholds_from(doc, slope="slope_threshold"),
-        )
+        rep = qz.theorem2_check(v, v1, chi, f, taus, grids, window,
+                                d_sep=float(doc.get("d_sep", 2.0)), **limits)
+    elif variant == "thm3":
+        rep = qz.theorem3_check(v, chi, f, tau0, grids, window, **limits)
     else:
-        rep = qz.theorem3_check(
-            v, chi, f, tau0, grids, window, cert,
-            **_thresholds_from(doc, rel="rel_threshold", order="order_threshold"),
-        )
-    return _sweep_tables(rep), certificates, {variant: rep.verdict}
-
-
-def _run_ssf(cfg: ExperimentConfig, shared: dict):
-    doc = cfg.raw
-    variant = cfg.variant
-    window = _window_from(doc, variant)
-    f = _test_function_from(doc)
-    tau0 = float(doc.get("tau0", 2.0))
-    grids = _grids_from(doc, default_R=8.0)
-    # spectra and certificates are shared by every ssf config of one run
-    model = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
-    pairs = {}
-    for grid in grids:
-        key = ("pair", model, grid)
-        if key not in shared:
-            shared[key] = ssf_mod.build_pair(_potential_for_h(doc, grid.h), grid)
-        pairs[grid.h] = shared[key]
-    # references come from the h-independent base potential
-    v = _potential_from(doc)
-    key = ("escape", json.dumps(doc.get("potential"), sort_keys=True), tau0)
-    if key not in shared:
-        shared[key] = mh.escape_check_dilation(v, tau0)
-    cert = shared[key]
-    certificates = [cert.to_json_dict()]
-    limits = _thresholds_from(doc, order="order_threshold", rel="rel_threshold")
-    if variant == "weak":
-        rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)
-    elif not cert.valid:
-        return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
-    elif variant == "weyl":
-        taus = _tau_grid_from(doc)
-        rep = ssf_mod.weyl_check(pairs, taus, coeffs.a0(v, taus), window, cert, **limits)
-    else:
-        rep = ssf_mod.derivative_check(pairs, tau0, f, window, coeffs.gamma0(v, tau0), cert,
-                                       **limits)
+        # references come from the h-independent base potential
+        model = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
+        pairs = {}
+        for grid in grids:
+            key = ("pair", model, grid)
+            if key not in shared:
+                shared[key] = ssf_mod.build_pair(_potential_for_h(doc, grid.h), grid)
+            pairs[grid.h] = shared[key]
+        if variant == "weak":
+            rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)
+        elif variant == "weyl":
+            rep = ssf_mod.weyl_check(pairs, taus, coeffs.a0(v, taus), window, **limits)
+        else:
+            rep = ssf_mod.derivative_check(pairs, tau0, f, window, coeffs.gamma0(v, tau0),
+                                           **limits)
     return _sweep_tables(rep), certificates, {variant: rep.verdict}
 
 
@@ -366,7 +379,6 @@ _RUNNERS = {
     "check-mh": _run_check_mh,
     "check-escape": _run_check_escape,
     "coeffs": _run_coeffs,
-    "trace": _run_trace,
 }
 
 
@@ -413,9 +425,7 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
         verdicts = {}
         child_reports = []
         for i, sub in enumerate(cfg.raw["experiments"]):
-            sub_doc = dict(sub)
-            sub_doc.setdefault("schema_version", SCHEMA_VERSION)
-            sub_cfg = ExperimentConfig.from_dict(sub_doc)
+            sub_cfg = ExperimentConfig.from_dict(_child_doc(sub))
             result = _run(sub_cfg, os.path.join(out, f"{i:02d}_{sub_cfg.experiment}"), shared)
             child_reports.append(result.report_path)
             for key, val in result.report["verdicts"].items():
@@ -423,8 +433,8 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
         return _write_report(out, cfg, [], {"children": child_reports}, verdicts,
                              time.perf_counter() - t0)
 
-    if cfg.experiment == "ssf":
-        tables, certificates, verdicts = _run_ssf(cfg, shared)
+    if cfg.experiment in _VARIANTS:
+        tables, certificates, verdicts = _run_sweep(cfg, shared)
     else:
         tables, certificates, verdicts = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - t0

@@ -443,22 +443,19 @@ def check_on_energy_shell(
     tau0: float,
     box,
     shell_tol: float | None = None,
-    mode: str = "per_point_T",
     T=None,
     grid_points: int = 61,
     kernel_tol: float | None = None,
 ) -> MicrohyperbolicityCertificate:
     """Check tau0 - p on the sampled energy shell, aggregating worst constants.
 
-    The kernel tolerance defaults to the shell tolerance so that branches
-    within the sampling thickness of the shell count as near-kernel.  H, its
+    A direction ``T`` is checked at every shell point; without one each
+    point searches its own, recorded in ``per_point_T``.  The kernel
+    tolerance defaults to the shell tolerance so that branches within the
+    sampling thickness of the shell count as near-kernel.  H, its
     gradient and its eigh at all shell points are each one stacked call
     (``_jets``), shared by the direction search and the pointwise check.
     """
-    if mode not in ("fixed_T", "per_point_T"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "fixed_T" and T is None:
-        raise ValueError("fixed_T mode needs a direction")
     if shell_tol is None:
         shell_tol = default_shell_tol(tau0)
     if kernel_tol is None:
@@ -478,7 +475,7 @@ def check_on_energy_shell(
     tvs = []
     t_fixed = _as_direction_vec(T) if T is not None else None
     jets = _jets(h, pts, kernel_tol)
-    if mode == "fixed_T":
+    if t_fixed is not None:
         directions = [t_fixed] * len(jets)
     else:
         directions = [None if d is None else d.vec for d in _find_directions(h, jets)]
@@ -504,7 +501,7 @@ def check_on_energy_shell(
     return MicrohyperbolicityCertificate(
         valid=True, points=pts, T=t_fixed, C0=worst_c0, C1=worst_c1,
         kernel_tol=kernel_tol, margin=worst_margin, tau0=tau0,
-        per_point_T=np.asarray(tvs) if mode == "per_point_T" else None,
+        per_point_T=np.asarray(tvs) if t_fixed is None else None,
     )
 
 

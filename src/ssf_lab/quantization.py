@@ -1181,7 +1181,7 @@ class ConfigError(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """The check requires a valid certificate for its hypothesis."""
+    """A quantity the check's hypothesis should make finite does not converge."""
 
 
 @dataclass(frozen=True)
@@ -1198,6 +1198,13 @@ class SlopeFit:
     threshold: float | None = None
 
 
+def _check_ladder(hs) -> None:
+    """ConfigError unless the h-ladder admits a slope fit."""
+    if len(hs) < 3 or float(np.max(hs) / np.min(hs)) < 4.0:
+        raise ConfigError("a slope fit needs at least 3 h with max/min >= 4, not "
+                          f"{[float(h) for h in hs]}")
+
+
 def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> SlopeFit:
     """Fit log(error) vs log(h); needs >= 3 non-negative pairs and spread >= 4.
 
@@ -1212,12 +1219,9 @@ def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> Sl
         return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
                         residual=None, below_floor=True, verdict="BELOW_FLOOR",
                         threshold=threshold)
-    if len(pairs) < 3:
-        raise ConfigError("slope fit needs at least 3 points")
+    _check_ladder(hs)
     if np.any(errs < 0):
         raise ConfigError("slope fit needs non-negative errors")
-    if float(np.max(hs) / np.min(hs)) < 4.0:
-        raise ConfigError("h-spread max/min must be at least 4 for a slope fit")
     if np.any(errs == 0):
         return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
                         residual=None, below_floor=False, verdict="NO_FIT",
@@ -1235,6 +1239,7 @@ def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> Sl
 
 
 _DECAY_FLOOR = 1e-10  # decay values below this count as exact zeros
+_COMPARISON_FLOOR = 1e-12  # comparison errors below this count as exact
 
 
 @dataclass(frozen=True)
@@ -1259,8 +1264,7 @@ class SweepReport:
 
 
 def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | None = None,
-                  *, reference: float = 0.0, errors=None, rel_errors=None,
-                  floor: float = 0.0) -> SweepReport:
+                  *, reference: float = 0.0, errors=None, rel_errors=None) -> SweepReport:
     """The verdict of one h-sweep, in one of two forms.
 
     Decay (``rel_threshold`` None): the values are the errors, fitted above
@@ -1270,7 +1274,7 @@ def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | Non
     Comparison: the errors are |values - reference| and the relative errors
     those over |reference|, unless both are given.  PASS when the last
     relative error is within ``rel_threshold`` and the fit is not FAIL, so a
-    fit that is BELOW_FLOOR (every error below ``floor``) or NO_FIT (an exact
+    fit that is BELOW_FLOOR (every error below 1e-12) or NO_FIT (an exact
     zero among the errors) leaves the relative threshold to decide.
     """
     hs = np.asarray(hs, dtype=float)
@@ -1283,7 +1287,7 @@ def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | Non
         if errors is None:
             errors = np.abs(values - reference)
             rel_errors = errors / max(abs(reference), 1e-300)
-        fit = fit_order(zip(hs, errors), order_threshold, floor)
+        fit = fit_order(zip(hs, errors), order_threshold, _COMPARISON_FLOOR)
         ok = rel_errors[-1] <= rel_threshold and fit.verdict != "FAIL"
     return SweepReport(hs=hs, values=values, reference=float(reference),
                        rel_errors=np.asarray(rel_errors, dtype=float), slope=fit.slope,
@@ -1295,23 +1299,15 @@ def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | Non
 # ---------------------------------------------------------------------------
 
 
-def _require_valid(certificate) -> None:
-    # an empty shell certifies the hypothesis vacuously
-    if certificate is not None and getattr(certificate, "empty_shell", False):
-        return
-    if certificate is None or not getattr(certificate, "valid", False):
-        raise CertificateError("a valid certificate for the hypothesis is required")
-
-
 def theorem1_check(
     v: MatrixPotential,
     chi: ProductCutoff,
     f,
     tau0: float,
     grids,
-    certificate,
     window: WindowTheta,
-    slope_threshold: float = 3.0,
+    *,
+    order_threshold: float = 3.0,
 ) -> SweepReport:
     """Decay of the off-zero-window smoothed trace along an h-sweep.
 
@@ -1322,14 +1318,13 @@ def theorem1_check(
     which callers use as the non-applicability control.  Every h takes the
     one ``window``.
     """
-    _require_valid(certificate)
     for grid in grids:
         _check_window(grid, f.support[1])
     values = []
     for grid in grids:
         tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, window, tau0)
         values.append(abs(complex(tr)))
-    return sweep_verdict([grid.h for grid in grids], values, slope_threshold)
+    return sweep_verdict([grid.h for grid in grids], values, order_threshold)
 
 
 def theorem2_check(
@@ -1340,8 +1335,9 @@ def theorem2_check(
     taus,
     grids,
     window: WindowTheta,
+    *,
     d_sep: float = 2.0,
-    slope_threshold: float = 3.0,
+    order_threshold: float = 3.0,
 ) -> SweepReport:
     """Locality: traces of two operators agreeing near supp chi must differ
     only to high order in h (decay verdict).  Rejects perturbations closer
@@ -1370,7 +1366,7 @@ def theorem2_check(
         t1 = smoothed_trace(a_op, op1, f, window, taus)
         t0 = smoothed_trace(a_op, op0, f, window, taus)
         values.append(float(np.max(np.abs(t1 - t0))))
-    return sweep_verdict([grid.h for grid in grids], values, slope_threshold)
+    return sweep_verdict([grid.h for grid in grids], values, order_threshold)
 
 
 def theorem3_check(
@@ -1380,7 +1376,7 @@ def theorem3_check(
     tau: float,
     grids,
     window: WindowTheta,
-    certificate,
+    *,
     rel_threshold: float = 0.05,
     order_threshold: float = 1.0,
 ) -> SweepReport:
@@ -1392,7 +1388,6 @@ def theorem3_check(
     """
     from .coefficients import gamma0_localized
 
-    _require_valid(certificate)
     if not window.is_even:
         raise ValueError("the leading-term check uses the even window")
     for grid in grids:

@@ -20,9 +20,9 @@ the leading coefficients of the coefficients module:
 The three h-sweeps below (``weak_check``, ``weyl_check``,
 ``derivative_check``) take a dict from h to ``SpectralPair`` and end in the
 quantization module's ``SweepReport``: comparison verdicts on the last
-relative error and the fitted order of the residuals.  The Weyl-type and
-derivative sweeps gate themselves on the certificates produced by the
-microhyperbolicity module.
+relative error and the fitted order of the residuals.  They are the
+numerics alone: the harness decides, from the escape certificate, whether
+the Weyl-type and derivative verdicts are issued at all.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ import numpy as np
 
 from .coefficients import TestFunction
 from .quantization import (
-    CertificateError,
     Grid1D,
     SweepReport,
     WindowRangeError,
@@ -145,19 +144,19 @@ def weak_check(
     pairs: dict[float, SpectralPair],
     f: TestFunction,
     c0_reference: float,
+    *,
     order_threshold: float = 1.5,
     rel_threshold: float = 0.03,
 ) -> SweepReport:
     """2 pi h * weak pairing against the closed-form c0(f), with the fitted
-    order of the residual; residuals all below 1e-12 count as exact.
+    order of the residual.
 
     ``pairs`` maps h to a SpectralPair.  The weak asymptotics need no
     certificate.
     """
     hs = _descending(pairs)
     values = [2.0 * math.pi * h * weak_pairing(pairs[h], f) for h in hs]
-    return sweep_verdict(hs, values, order_threshold, rel_threshold,
-                         reference=c0_reference, floor=1e-12)
+    return sweep_verdict(hs, values, order_threshold, rel_threshold, reference=c0_reference)
 
 
 def weyl_check(
@@ -165,7 +164,7 @@ def weyl_check(
     taus,
     a0_reference,
     w: WindowTheta,
-    certificate,
+    *,
     order_threshold: float = 0.7,
     rel_threshold: float = 0.05,
 ) -> SweepReport:
@@ -174,11 +173,9 @@ def weyl_check(
 
     ``pairs`` maps h to a SpectralPair.  The report's values are the sup
     errors, its reference is max |a0| and its relative errors are the sup of
-    the pointwise ones.  Requires a valid shell or escape certificate for
-    the window.
+    the pointwise ones.  The expansion holds under a shell or escape
+    hypothesis for the window.
     """
-    if certificate is None or not getattr(certificate, "valid", False):
-        raise CertificateError("weyl check requires a valid certificate for the window")
     taus = np.asarray(taus, dtype=float)
     ref = np.asarray(a0_reference, dtype=float)
     hs = _descending(pairs)
@@ -212,18 +209,16 @@ def derivative_check(
     f: TestFunction,
     w: WindowTheta,
     gamma0_reference: float,
-    certificate,
+    *,
     order_threshold: float = 1.5,
     rel_threshold: float = 0.05,
 ) -> SweepReport:
     """Fixed-eps mollified density difference at tau0 against the closed-form
     density coefficient; the residual should carry the even-power signature.
 
-    Gated by an escape certificate (the hypothesis of the pointwise
-    expansion); ``f`` should be 1 near tau0.
+    The pointwise expansion holds under the escape hypothesis; ``f`` should
+    be 1 near tau0.
     """
-    if certificate is None or not getattr(certificate, "valid", False):
-        raise CertificateError("derivative check requires a valid escape certificate")
     if not w.is_even:
         raise ValueError("derivative check uses the even window")
     hs = _descending(pairs)

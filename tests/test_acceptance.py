@@ -133,8 +133,8 @@ def test_criterion_2_weyl_asymptotics(vref, vref_family, escape_certificate):
     taus = np.linspace(1.8, 2.2, 41)
     ref = np.array([sl.a0(vref, float(t)) for t in taus])
     w = WindowTheta("bump_at_zero", eps=0.25)
-    rep = sl.weyl_check(vref_family, taus, ref, w, escape_certificate,
-                        order_threshold=0.7, rel_threshold=0.05)
+    assert escape_certificate.valid, "escape hypothesis must hold at tau0 = 2"
+    rep = sl.weyl_check(vref_family, taus, ref, w, order_threshold=0.7, rel_threshold=0.05)
     ok = rep.verdict == "PASS"
     _report("2 weyl asymptotics", ok,
             f"sup rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=5%), "
@@ -163,8 +163,8 @@ def test_criterion_4_pointwise_derivative(vref, vref_family, escape_certificate)
     f = sl.plateau_test_function((1.2, 2.8), (1.6, 2.4))
     w = WindowTheta("bump_at_zero", eps=0.5)
     ref = sl.gamma0(vref, 2.0)
-    rep = sl.derivative_check(vref_family, 2.0, f, w, ref, escape_certificate,
-                              order_threshold=1.5, rel_threshold=0.05)
+    rep = sl.derivative_check(vref_family, 2.0, f, w, ref, order_threshold=1.5,
+                              rel_threshold=0.05)
     ok = rep.verdict == "PASS"
     _report("4 pointwise derivative", ok,
             f"rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=5%), "
@@ -184,21 +184,21 @@ def free_certificate(free_potential):
 
 class TestCriterion5TraceFormulas:
     def test_negligibility_off_zero_window(self, free_potential, free_certificate):
+        assert free_certificate.valid
         f = sl.bump_test_function((0.3, 1.7))
         rep = sl.theorem1_check(free_potential, CHI, f, 1.0,
                                 _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256], 6.0, 2.56),
-                                free_certificate, WindowTheta("bump_positive", eps=1.0),
-                                slope_threshold=3.0)
+                                WindowTheta("bump_positive", eps=1.0), order_threshold=3.0)
         ok = rep.verdict == "PASS"
         _report("5a trace negligibility", ok,
                 f"decay slope {rep.slope:.2f} (>=3) over h=1/16..1/256")
 
-    def test_negligibility_control_case(self, free_potential, free_certificate):
+    def test_negligibility_control_case(self, free_potential):
         # the zero-window control grows like 1/(2 pi h): not applicable
         f = sl.bump_test_function((0.3, 1.7))
         rep = sl.theorem1_check(free_potential, CHI, f, 1.0,
                                 _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.56),
-                                free_certificate, WindowTheta("bump_at_zero", eps=0.25))
+                                WindowTheta("bump_at_zero", eps=0.25))
         assert rep.verdict == "FAIL"
         assert rep.slope == pytest.approx(-1.0, abs=0.35)
 
@@ -210,18 +210,19 @@ class TestCriterion5TraceFormulas:
         rep = sl.theorem2_check(free_potential, far, CHI, f,
                                 np.linspace(0.9, 1.1, 9),
                                 _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 12.0, 1.69), w,
-                                slope_threshold=3.0)
+                                order_threshold=3.0)
         ok = rep.verdict == "PASS"
         detail = ("below floor" if rep.below_floor
                   else f"decay slope {rep.slope:.2f} (>=3)")
         _report("5b trace locality", ok, detail)
 
     def test_leading_term_scalar(self, free_potential, free_certificate):
+        assert free_certificate.valid
         f = sl.bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         rep = sl.theorem3_check(free_potential, CHI, f, 1.0,
                                 _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w,
-                                free_certificate, rel_threshold=0.02)
+                                rel_threshold=0.02)
         ok = rep.verdict == "PASS"
         _report("5c trace leading term (scalar)", ok,
                 f"rel err at h=1/128: {rep.rel_errors[-1]:.3%} (<=2%)")
@@ -230,10 +231,11 @@ class TestCriterion5TraceFormulas:
         vc = sl.model_potential("conical_crossing")
         cert = sl.check_on_energy_shell(schrodinger_symbol(vc), 1.0,
                                         ((-2.5, 2.5), (-2.0, 2.0)), grid_points=41)
+        assert cert.valid
         f = sl.bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         rep = sl.theorem3_check(vc, CHI, f, 1.0,
-                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w, cert,
+                                _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w,
                                 rel_threshold=0.05)
         ok = rep.verdict == "PASS"
         _report("5d trace leading term (crossing)", ok,

@@ -129,7 +129,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(dict(self.BASE, h_list=[0.125, 0.25]))
 
     def test_variant_required(self):
-        doc = dict(self.BASE, experiment="ssf")
+        doc = dict(self.BASE, experiment="ssf", h_list=[0.25, 0.125, 0.0625])
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
         doc["variant"] = "weyl"
@@ -366,17 +366,19 @@ def _config(name: str, **changes) -> dict:
         return dict(json.load(fh), **changes)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached past config parsing")
+
+
+@pytest.fixture
+def no_assembly(monkeypatch):
+    """Fail any run that gets as far as a shell check or an operator."""
+    monkeypatch.setattr(mh, "check_on_energy_shell", _refuse)
+    monkeypatch.setattr(ssf_mod, "build_pair", _refuse)
+    monkeypatch.setattr(qz, "build_schrodinger", _refuse)
+
+
 class TestWindowAndCheckBlocks:
-    @pytest.fixture
-    def no_assembly(self, monkeypatch):
-        """Fail any run that gets as far as a shell check or an operator."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("reached past config parsing")
-
-        monkeypatch.setattr(mh, "check_on_energy_shell", refuse)
-        monkeypatch.setattr(ssf_mod, "build_pair", refuse)
-        monkeypatch.setattr(qz, "build_schrodinger", refuse)
-
     # the window block takes kind and eps alone, one window for every h: an
     # eps_rule, null or "sqrt_h" (eps = sqrt(h)) on thm1 too, is an unknown key
     @pytest.mark.parametrize("name,rule", [("trace_thm3_crossing", "sqrt_h"),
@@ -441,12 +443,133 @@ class TestWindowAndCheckBlocks:
 
     def test_trace_fixed_direction(self, tmp_path):
         # no single direction certifies the free shell at both xi = +1 and -1
+        # a direction given alone is the one checked, not only recorded
         doc = _config("trace_thm1_free", out=str(tmp_path / "o"),
                       check={"box": [[-2.5, 2.5], [-2.0, 2.0]], "grid_points": 21,
-                             "mode": "fixed_T", "T": [0.0, 1.0]})
+                             "T": [0.0, 1.0]})
         result = run(doc)
         assert result.report["verdicts"] == {"thm1": "NOT_CERTIFIED"}
         assert result.report["certificates"][0]["T"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("name", ["check_mh_crossing", "trace_thm3_crossing"])
+    def test_unknown_check_key_is_rejected(self, tmp_path, no_assembly, name):
+        # the direction search has no mode: a leftover "mode" is not ignored
+        doc = _config(name, out=str(tmp_path / "o"))
+        doc["check"] = dict(doc["check"], mode="per_point_T")
+        self._rejected(tmp_path, doc, "check.mode")
+
+    @pytest.mark.parametrize("kind,key", [("dilation", "box"), ("general", "x_range")])
+    def test_escape_check_key_is_rejected(self, tmp_path, monkeypatch, kind, key):
+        for name in ("escape_check_dilation", "escape_check_general"):
+            monkeypatch.setattr(mh, name, _refuse)
+        doc = _config("check_escape_reference", out=str(tmp_path / "o"), escape_kind=kind)
+        doc["check"] = dict(doc["check"], **{key: [-1.0, 1.0]})
+        self._rejected(tmp_path, doc, f"check.{key}")
+
+    def test_unknown_escape_kind_is_rejected(self, tmp_path, monkeypatch):
+        # a typo no longer runs the general check
+        for name in ("escape_check_dilation", "escape_check_general"):
+            monkeypatch.setattr(mh, name, _refuse)
+        doc = _config("check_escape_reference", out=str(tmp_path / "o"), escape_kind="dilatation")
+        self._rejected(tmp_path, doc, "escape_kind must be 'dilation' or 'general', got 'dilatation'")
+
+
+STOCK_CONFIGS = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
+
+
+class TestRefusedBeforeSolve:
+    """Every refusal of a trace or ssf sweep comes before its first operator,
+    pair or shell check: at ingest, at the energy check or at the
+    certificate."""
+
+    @pytest.mark.parametrize("name", STOCK_CONFIGS)
+    def test_stock_configs_are_ingested(self, name):
+        doc = _config(name)
+        ExperimentConfig.from_dict(doc)
+        for child in doc.get("experiments", []):
+            ExperimentConfig.from_dict(dict(child, schema_version=1))
+
+    @pytest.mark.parametrize("name", ["trace_thm1_free", "trace_thm3_crossing",
+                                      "ssf_weak_reference", "ssf_derivative_reference"])
+    @pytest.mark.parametrize("h_list", [[1 / 16, 1 / 64], [1 / 16, 1 / 24, 1 / 32]],
+                             ids=["two_h", "spread_below_4"])
+    def test_short_ladder(self, tmp_path, no_assembly, name, h_list):
+        doc = _config(name, out=str(tmp_path / "o"), h_list=h_list)
+        with pytest.raises(ConfigError, match="at least 3 h with max/min >= 4"):
+            ExperimentConfig.from_dict(doc)
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, "at least 3 h")
+
+    @pytest.mark.parametrize("name,key", [("trace_thm1_free", "rel"),
+                                          ("trace_thm2_locality", "rel"),
+                                          ("trace_thm3_crossing", "slope"),
+                                          ("ssf_weyl_reference", "slope")])
+    def test_unknown_threshold_key(self, tmp_path, no_assembly, name, key):
+        doc = _config(name, out=str(tmp_path / "o"))
+        doc["thresholds"] = dict(doc["thresholds"], **{key: 0.5})
+        with pytest.raises(ConfigError, match=f"not thresholds.{key}"):
+            ExperimentConfig.from_dict(doc)
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, f"thresholds.{key}")
+
+    @pytest.mark.parametrize("name,change,named", [
+        ("ssf_weak_reference", {"test_function": {"kind": "bump", "support": [3.0, 3.4]}},
+         "support up to 3.4 exceeds the reliable window 3.24"),
+        ("ssf_derivative_reference",
+         {"test_function": {"kind": "plateau", "support": [1.2, 3.3], "plateau": [1.6, 2.4]}},
+         "support up to 3.3 exceeds the reliable window 3.24"),
+        # weyl reads no f: its top energy is the top of its tau grid
+        ("ssf_weyl_reference", {"tau_grid": {"lo": 3.0, "hi": 3.3, "count": 5}},
+         "tau up to 3.3 exceeds the reliable window 3.24"),
+        ("trace_thm3_crossing", {"test_function": {"kind": "bump", "support": [1.5, 2.5]}},
+         "support up to 2.5 exceeds the reliable window 2.0"),
+    ])
+    def test_energy_above_tau_max(self, tmp_path, no_assembly, monkeypatch, name, change, named):
+        monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
+        doc = _config(name, out=str(tmp_path / "o"), **change)
+        with pytest.raises(qz.WindowRangeError, match=named):
+            run(doc)
+
+    def test_weyl_reads_no_f(self, tmp_path, monkeypatch):
+        # supp f above tau_max does not refuse the weyl sweep
+        monkeypatch.setattr(ssf_mod, "build_pair", _refuse)
+        doc = _config("ssf_weyl_reference", out=str(tmp_path / "o"),
+                      potential={"kind": "island", "params": {"amp": 3.0}}, tau0=0.6,
+                      test_function={"kind": "bump", "support": [3.0, 3.4]})
+        assert run(doc).report["verdicts"] == {"weyl": "NOT_CERTIFIED"}
+
+    @pytest.mark.parametrize("name", ["ssf_weyl_reference", "ssf_derivative_reference"])
+    def test_uncertified_ssf(self, tmp_path, no_assembly, name):
+        # inside the island's well the dilation escape check fails: the
+        # verdict is withheld before any pair is built
+        doc = _config(name, out=str(tmp_path / "o"),
+                      potential={"kind": "island", "params": {"amp": 3.0}}, tau0=0.6)
+        result = run(doc)
+        variant = doc["variant"]
+        assert result.report["verdicts"] == {variant: "NOT_CERTIFIED"}
+        assert result.report["certificates"][0]["valid"] is False
+        assert result.report["tables"]["main"]["rows"] == []
+        assert result.exit_code == 0
+
+    def test_uncertified_weak_is_not_gated(self, tmp_path, monkeypatch):
+        # weak records the failing escape certificate and still solves
+        monkeypatch.setattr(ssf_mod, "build_pair", _refuse)
+        doc = _config("ssf_weak_reference", out=str(tmp_path / "o"),
+                      potential={"kind": "island", "params": {"amp": 3.0}}, tau0=0.6)
+        with pytest.raises(AssertionError, match="reached past config parsing"):
+            run(doc)
+
+    @pytest.mark.parametrize("change,named", [
+        ({"h_list": [0.0625, 0.03125]}, "at least 3 h"),
+        ({"thresholds": {"order": 1.5, "slope": 1.0}}, "thresholds.slope"),
+        ({"variant": "strong"}, "ssf needs variant"),
+    ])
+    def test_sweep_with_a_bad_child(self, tmp_path, no_assembly, change, named):
+        # the last child is checked at ingest, before the first one runs
+        doc = _config("ssf_reference", out=str(tmp_path / "o"))
+        doc["experiments"][-1] = dict(doc["experiments"][-1], **change)
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig.from_dict(doc)
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, named)
+        assert not (tmp_path / "o").exists()
 
 
 class TestStockTraceConfigs:

@@ -246,12 +246,12 @@ class TestEnergyShell:
     def test_fixed_direction_mode(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
         # the shell has both xi-signs, so no single direction certifies it...
-        cert = check_on_energy_shell(p, 1.0, ((-2, 2), (-2, 2)), mode="fixed_T",
-                                     T=[0.0, -1.0], grid_points=41)
+        cert = check_on_energy_shell(p, 1.0, ((-2, 2), (-2, 2)), T=[0.0, -1.0],
+                                     grid_points=41)
         assert not cert.valid
         # ... but the xi > 0 half is covered by T = (0, -1)
-        cert_half = check_on_energy_shell(p, 1.0, ((-2, 2), (0.2, 2)), mode="fixed_T",
-                                          T=[0.0, -1.0], grid_points=41)
+        cert_half = check_on_energy_shell(p, 1.0, ((-2, 2), (0.2, 2)), T=[0.0, -1.0],
+                                          grid_points=41)
         assert cert_half.valid
 
     def test_empty_shell(self):
@@ -670,7 +670,7 @@ def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
     return dict(valid=False, C0=c0, C1=C1_LADDER[-1], margin=best_slack)
 
 
-def _check_on_energy_shell_loop(p, tau0, box, mode, T, grid_points):
+def _check_on_energy_shell_loop(p, tau0, box, T, grid_points):
     """(valid, C0, C1, margin, failures, per_point_T) of the shell check as
     one find_direction and one check_pointwise per shell point."""
     tol = default_shell_tol(tau0)
@@ -679,7 +679,7 @@ def _check_on_energy_shell_loop(p, tau0, box, mode, T, grid_points):
     worst_c0, worst_c1, worst_margin = math.inf, 0.0, math.inf
     failures, tvs = [], []
     for rho in pts:
-        if mode == "fixed_T":
+        if T is not None:
             tv = Direction.normalized(T).vec
         else:
             d = _find_direction_loop(h, rho, kernel_tol=tol)
@@ -700,7 +700,7 @@ def _check_on_energy_shell_loop(p, tau0, box, mode, T, grid_points):
     if failures:
         return (False, 0.0, worst_c1, -math.inf, [f.tolist() for f in failures], None)
     return (True, worst_c0, worst_c1, worst_margin, [],
-            np.asarray(tvs).tolist() if mode == "per_point_T" else None)
+            np.asarray(tvs).tolist() if T is None else None)
 
 
 def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
@@ -851,11 +851,11 @@ class TestBatchedMatchesLoops:
     ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex"])
     def test_check_on_energy_shell(self, v, tau0, mode, T):
         # the lock-step directions and shared point data against one search
-        # and one pointwise check per shell point, equal by repr
+        # and one pointwise check per shell point, equal by repr; ``mode``
+        # names the case, as T alone picks the fixed direction
         box = ((-3.0, 3.0), (-2.5, 2.5))
-        cert = check_on_energy_shell(schrodinger_symbol(v), tau0, box, mode=mode, T=T,
-                                     grid_points=21)
-        ref = _check_on_energy_shell_loop(schrodinger_symbol(v), tau0, box, mode, T, 21)
+        cert = check_on_energy_shell(schrodinger_symbol(v), tau0, box, T=T, grid_points=21)
+        ref = _check_on_energy_shell_loop(schrodinger_symbol(v), tau0, box, T, 21)
         got = (cert.valid, cert.C0, cert.C1, cert.margin,
                [np.asarray(f).tolist() for f in cert.failures],
                None if cert.per_point_T is None else cert.per_point_T.tolist())

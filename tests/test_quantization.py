@@ -3,7 +3,6 @@ import math
 import subprocess
 import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from ssf_lab.quantization import (
 )
 from ssf_lab import quantization as qz
 from ssf_lab.quantization import GridOperator
-from ssf_lab.symbols import MatrixPotential, model_potential, schrodinger_symbol
+from ssf_lab.symbols import MatrixPotential, model_potential
 
 
 def small_grid(h=0.25, R=6.0, tau_max=1.5, M=None):
@@ -1411,13 +1410,6 @@ def grids(hs, R, tau_max, m_cap=8192):
 
 
 class TestTheoremCheckPlumbing:
-    def test_certificate_gate(self):
-        v = model_potential("constant", v_inf=0.0, N=1)
-        f = bump_test_function((0.8, 1.2))
-        with pytest.raises(CertificateError):
-            theorem1_check(v, CHI, f, 1.0, grids([1 / 8, 1 / 16, 1 / 32], 6.0, 2.1), None,
-                           WindowTheta("bump_positive", eps=0.3))
-
     def test_theorem2_identity_exact_zero(self):
         from ssf_lab.microhyperbolicity import check_on_energy_shell
 
@@ -1438,14 +1430,10 @@ class TestTheoremCheckPlumbing:
             theorem2_check(v0, v1, CHI, f, [1.0], grids([1 / 8, 1 / 16], 8.0, 1.69), w)
 
     def test_resource_cap_rejection(self):
-        from ssf_lab.microhyperbolicity import check_on_energy_shell
-
         v = model_potential("constant", v_inf=0.0, N=1)
-        cert = check_on_energy_shell(schrodinger_symbol(v), 1.0, ((-2, 2), (-2, 2)),
-                                     grid_points=21)
         f = bump_test_function((0.8, 1.2))
         with pytest.raises(CoverageError) as err:
-            theorem1_check(v, CHI, f, 1.0, grids([1 / 4096], 6.0, 1.69, m_cap=4096), cert,
+            theorem1_check(v, CHI, f, 1.0, grids([1 / 4096], 6.0, 1.69, m_cap=4096),
                            WindowTheta("bump_positive", eps=0.3))
         assert err.value.required_m > 4096
 
@@ -1455,8 +1443,7 @@ class TestTheoremCheckPlumbing:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         with pytest.raises(ConfigError):
-            theorem3_check(v, CHI, f, 1.0, grids([1 / 4, 1 / 8], 6.0, 2.0), w,
-                           SimpleNamespace(valid=True))
+            theorem3_check(v, CHI, f, 1.0, grids([1 / 4, 1 / 8], 6.0, 2.0), w)
 
     def test_theorem3_barrier_top_rejected(self, monkeypatch):
         # the island's barrier top 3/e is a critical value of xi^2 + V inside
@@ -1471,7 +1458,7 @@ class TestTheoremCheckPlumbing:
         with pytest.raises(CertificateError, match="did not converge"):
             theorem3_check(model_potential("island"), CHI, f, 1.1036383235143269,
                            grids([1 / 8, 1 / 16, 1 / 32], 6.0, 2.0),
-                           WindowTheta("bump_at_zero", eps=0.25), SimpleNamespace(valid=True))
+                           WindowTheta("bump_at_zero", eps=0.25))
 
     @pytest.mark.parametrize("variant", ["thm1", "thm2", "thm3"])
     def test_support_above_the_window_rejected(self, variant, monkeypatch):
@@ -1489,13 +1476,12 @@ class TestTheoremCheckPlumbing:
         v = model_potential("constant", v_inf=0.0, N=1)
         f = bump_test_function((0.8, 1.8))
         gs = grids([1 / 8, 1 / 16, 1 / 32], 6.0, 1.69)
-        cert = SimpleNamespace(valid=True)
         even = WindowTheta("bump_at_zero", eps=0.25)
         checks = {
-            "thm1": lambda: theorem1_check(v, CHI, f, 1.0, gs, cert,
+            "thm1": lambda: theorem1_check(v, CHI, f, 1.0, gs,
                                            WindowTheta("bump_positive", eps=0.3)),
             "thm2": lambda: theorem2_check(v, v, CHI, f, [1.0], gs, even),
-            "thm3": lambda: theorem3_check(v, CHI, f, 1.0, gs, even, cert),
+            "thm3": lambda: theorem3_check(v, CHI, f, 1.0, gs, even),
         }
         with pytest.raises(WindowRangeError, match="support up to 1.8 exceeds .* 1.69"):
             checks[variant]()
@@ -1510,7 +1496,7 @@ class TestSweepVerdict:
     @pytest.mark.parametrize("values,kw,verdict,below,slope", [
         # every error below the floor: BELOW_FLOOR passes, no slope
         ([1e-11, 5e-12, 0.0], DECAY, "PASS", True, None),
-        ([1.0 + 5e-13, 1.0 - 2e-13, 1.0], dict(COMPARE, floor=1e-12), "PASS", True, None),
+        ([1.0 + 5e-13, 1.0 - 2e-13, 1.0], COMPARE, "PASS", True, None),
         # one exact zero among positive errors: no fit; a decay fails, a
         # comparison is decided by the relative threshold alone
         ([1e-3, 0.0, 1e-6], DECAY, "FAIL", False, None),

@@ -3,7 +3,6 @@ import subprocess
 import sys
 import weakref
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,8 +403,7 @@ class TestSweeps:
         taus = np.linspace(1.2, 1.4, 5)
         ref = np.asarray(a0(v, taus))
         with pytest.raises(ConfigError):
-            weyl_check(pairs, taus, ref, WindowTheta("bump_at_zero", eps=0.25),
-                       SimpleNamespace(valid=True))
+            weyl_check(pairs, taus, ref, WindowTheta("bump_at_zero", eps=0.25))
 
     def test_weyl_taus_past_the_window_rejected(self):
         # the grid resolves energies up to tau_max = 2.0; counting at a tau
@@ -415,7 +413,7 @@ class TestSweeps:
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = np.linspace(1.8, 2.2, 5)
         with pytest.raises(WindowRangeError, match="tau up to 2.2"):
-            weyl_check(pairs, taus, np.asarray(a0(v, taus)), w, SimpleNamespace(valid=True))
+            weyl_check(pairs, taus, np.asarray(a0(v, taus)), w)
         inside = np.linspace(1.6, 2.0, 5)
         assert np.all(np.isfinite(ssf_mollified(pairs[1 / 16], w, inside)))
 
@@ -425,7 +423,7 @@ class TestSweeps:
         w = WindowTheta("bump_at_zero", eps=0.5)
         f = plateau_test_function((1.2, 2.8), (1.6, 2.4))
         with pytest.raises(WindowRangeError, match="support up to 2.8"):
-            derivative_check(pairs, 1.8, f, w, 1.0, SimpleNamespace(valid=True))
+            derivative_check(pairs, 1.8, f, w, 1.0)
         inside = plateau_test_function((1.2, 2.0), (1.6, 1.9))
         assert math.isfinite(mollified_density_pairing(pairs[1 / 16], inside, w, 1.8))
 
