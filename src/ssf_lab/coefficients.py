@@ -26,7 +26,7 @@ of tau - e_k(x) and substituting x = turning_point +/- u^2 locally.
 ``gamma0`` and ``a0`` take one tau or an array of them.  One call scans all
 branches once on a fixed grid, brackets the turning points of every tau and
 channel from that scan, and bisects all brackets in lock-step (one branch
-evaluation per step, each bracket stopping at width 1e-12 or after 60 steps).
+evaluation per step, each root to rounding level).
 Every integral of the call then goes through one breadth-first batch of
 ``adaptive_gauss_batch``, as do the inner energy integrals of ``c0`` and the
 cells of ``gamma0_localized``.  The values are bitwise those of one tau, one
@@ -187,20 +187,23 @@ def _taus(tau) -> tuple[np.ndarray, bool]:
 def _bisect(value, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """Midpoints of the brackets [a, b] of the sign changes of ``value``,
     bisected in lock-step: ``value(live, m)`` gives the values at the
-    midpoints m of the brackets ``live``, one call per step, and each
-    bracket stops at width 1e-12 or after 60 steps.  ``fa`` holds the values
-    at ``a``; the three arrays are updated in place."""
+    midpoints m of the brackets ``live``, one call per step.  A bracket stops
+    once its midpoint rounds to one of its ends, so its root is found to
+    rounding level, or after 60 steps (a bracket about 0 narrows to 2^-60
+    of its width).  ``fa`` holds the values at ``a``; the three arrays are
+    updated in place."""
     live = np.arange(a.size)
     for _ in range(60):
+        m = 0.5 * (a[live] + b[live])
+        inside = (m != a[live]) & (m != b[live])
+        live, m = live[inside], m[inside]
         if live.size == 0:
             break
-        m = 0.5 * (a[live] + b[live])
         fm = value(live, m)
         left = fa[live] * fm <= 0.0
         b[live[left]] = m[left]
         a[live[~left]] = m[~left]
         fa[live[~left]] = fm[~left]
-        live = live[~(b[live] - a[live] < 1e-12)]
     return 0.5 * (a + b)
 
 
@@ -209,8 +212,8 @@ def _turning_points(v: MatrixPotential, taus: np.ndarray, lo: float, hi: float,
     """Sorted roots of tau - e_k(x) on [lo, hi] for every tau and channel k.
 
     One scan of all branches on ``scan`` nodes brackets the roots; all brackets
-    are then bisected in lock-step, one branch evaluation per step, each one
-    stopping at width 1e-12 or after 60 steps.
+    are then bisected in lock-step (``_bisect``), one branch evaluation per
+    step, until each root is found to rounding level.
     """
     xs = np.linspace(lo, hi, scan)
     vals = taus[:, None, None] - _branch_values(v, xs)[None, :, :]  # (T, scan, N)

@@ -59,7 +59,20 @@ def reference_potential() -> MatrixPotential:
 # config ingestion
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS = ("check-mh", "check-escape", "coeffs", "trace", "ssf", "sweep")
+# the top-level keys each experiment reads, besides these; any other is a
+# ConfigError that names it
+_COMMON_KEYS = ("schema_version", "experiment", "out")
+_KEYS = {
+    "check-mh": ("potential", "tau0", "check"),
+    "check-escape": ("potential", "tau0", "escape_kind", "check"),
+    "coeffs": ("potential", "tau_grid"),
+    "trace": ("variant", "potential", "h_list", "grid", "window", "test_function", "tau0",
+              "tau_grid", "cutoff", "check", "perturbation", "d_sep", "thresholds"),
+    "ssf": ("variant", "potential", "h_term", "h_list", "grid", "window", "test_function",
+            "tau0", "tau_grid", "check", "thresholds"),
+    "sweep": ("experiments",),
+}
+EXPERIMENTS = tuple(_KEYS)
 _VARIANTS = {
     "trace": ("thm1", "thm2", "thm3"),
     "ssf": ("weak", "weyl", "derivative"),
@@ -83,27 +96,28 @@ class ExperimentConfig:
         experiment = doc.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+        _refuse_extra(f"a {experiment} config", doc, _COMMON_KEYS + _KEYS[experiment])
         variant = doc.get("variant")
-        if experiment in _VARIANTS and variant not in _VARIANTS[experiment]:
-            raise ConfigError(
-                f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
-            )
-        if experiment != "sweep":
+        if experiment in _VARIANTS:
+            if variant not in _VARIANTS[experiment]:
+                raise ConfigError(
+                    f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
+                )
+            if variant == "thm2" and "check" in doc:
+                raise ConfigError("thm2 takes no check block: no certificate gates it")
             h_list = doc.get("h_list")
-            if h_list is None and experiment in _VARIANTS:
+            if h_list is None:
                 raise ConfigError(f"{experiment} needs an h_list")
-            if h_list is not None:
-                hs = [float(h) for h in h_list]
-                if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
-                    raise ConfigError("h_list must be strictly decreasing")
-                if any(h <= 0 for h in hs):
-                    raise ConfigError("h values must be positive")
-            if experiment in _VARIANTS:
-                qz._check_ladder(hs)
-                # the decay variants' verdicts read the fitted order alone
-                _block(doc, "thresholds", ("order",) if variant in ("thm1", "thm2")
-                       else ("order", "rel"))
-        else:
+            hs = [float(h) for h in h_list]
+            if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
+                raise ConfigError("h_list must be strictly decreasing")
+            if any(h <= 0 for h in hs):
+                raise ConfigError("h values must be positive")
+            qz._check_ladder(hs)
+            # the decay variants' verdicts read the fitted order alone
+            _block(doc, "thresholds", ("order",) if variant in ("thm1", "thm2")
+                   else ("order", "rel"))
+        elif experiment == "sweep":
             if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
                 raise ConfigError("sweep needs a non-empty 'experiments' list")
             for sub in doc["experiments"]:
@@ -122,13 +136,18 @@ def _child_doc(sub) -> dict:
     return {"schema_version": SCHEMA_VERSION, **sub} if isinstance(sub, dict) else sub
 
 
+def _refuse_extra(what: str, block: dict, keys: tuple, prefix: str = "") -> None:
+    """ConfigError naming every key of ``block`` outside ``keys``."""
+    extra = ", ".join(prefix + key for key in sorted(set(block) - set(keys)))
+    if extra:
+        listed = keys[0] if len(keys) == 1 else ", ".join(keys[:-1]) + " and " + keys[-1]
+        raise ConfigError(f"{what} takes {listed} only, not {extra}")
+
+
 def _block(doc: dict, name: str, keys: tuple) -> dict:
     """The config's ``name`` block; ConfigError naming every key outside ``keys``."""
     block = doc.get(name) or {}
-    extra = ", ".join(f"{name}.{key}" for key in sorted(set(block) - set(keys)))
-    if extra:
-        listed = keys[0] if len(keys) == 1 else ", ".join(keys[:-1]) + " and " + keys[-1]
-        raise ConfigError(f"{name} takes {listed} only, not {extra}")
+    _refuse_extra(name, block, keys, name + ".")
     return block
 
 
@@ -223,6 +242,14 @@ def _shell_certificate(doc: dict, v: MatrixPotential, tau0: float, default_box,
     )
 
 
+def _dilation_certificate(v: MatrixPotential, tau0: float,
+                          chk: dict) -> mh.EscapeCertificate:
+    """``escape_check_dilation`` of v, set by a check block (``x_range``,
+    ``grid_points``) checked by the caller."""
+    return mh.escape_check_dilation(v, tau0, x_range=tuple(chk.get("x_range", (-8.0, 8.0))),
+                                    grid_points=int(chk.get("grid_points", 2001)))
+
+
 def _tau_grid_from(doc: dict) -> np.ndarray:
     tg = doc.get("tau_grid") or {}
     lo = float(tg.get("lo", 1.8))
@@ -274,12 +301,7 @@ def _run_check_escape(cfg: ExperimentConfig):
     tau0 = float(doc.get("tau0", 2.0))
     kind = doc.get("escape_kind", "dilation")
     if kind == "dilation":
-        chk = _block(doc, "check", ("x_range", "grid_points"))
-        cert = mh.escape_check_dilation(
-            v, tau0,
-            x_range=tuple(chk.get("x_range", (-8.0, 8.0))),
-            grid_points=int(chk.get("grid_points", 2001)),
-        )
+        cert = _dilation_certificate(v, tau0, _block(doc, "check", ("x_range", "grid_points")))
     elif kind == "general":
         chk = _block(doc, "check", ("box", "grid_points", "shell_tol"))
         cert = mh.escape_check_general(
@@ -335,9 +357,10 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         cert = None if variant == "thm2" else _shell_certificate(
             doc, v, tau0, [list(chi.x_support), list(chi.xi_support)], 41)
     else:
-        key = ("escape", json.dumps(doc.get("potential"), sort_keys=True), tau0)
+        chk = _block(doc, "check", ("x_range", "grid_points"))
+        key = ("escape", json.dumps([doc.get("potential"), chk], sort_keys=True), tau0)
         if key not in shared:
-            shared[key] = mh.escape_check_dilation(v, tau0)
+            shared[key] = _dilation_certificate(v, tau0, chk)
         cert = shared[key]
     certificates = [] if cert is None else [cert.to_json_dict()]
     # an empty shell certifies the hypothesis vacuously

@@ -31,11 +31,10 @@ the eigenpairs with lambda_j in supp f, with <u_j, A u_j> formed from A's
 rows a block at a time, so no cutoff is assembled; K is the scaled inverse
 Fourier transform of a window theta(t/eps): K(s) = (eps/h) Phi(eps s / h)
 with an h-independent profile Phi cached per window shape.  Phi and Phi'
-are tabulated once per process and shape on 26 081 knots (four uniform
-segments up to y = 1200) by a 768-node Gauss rule; on each segment the
-phase exp(i u y) is split into a coarse and a fine factor, so the tables
-are a few small matrix products and never a knots x nodes phase matrix.
-Between knots Phi is interpolated by piecewise cubic Hermite polynomials.
+on 26 081 knots (four uniform segments up to y = 1200) ship with the
+package, one table per shape, built by ``scripts/window_profiles.py``; a
+process loads a shape's table on first use.  Between knots Phi is
+interpolated by piecewise cubic Hermite polynomials.
 
 Every h-sweep of the package ends in one ``SweepReport`` from
 ``sweep_verdict``: a value per h, the relative errors against a reference,
@@ -59,7 +58,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
-from .quadrature import QuadratureError, gauss_rule
+from .quadrature import QuadratureError
 from .symbols import MatrixPotential
 
 __all__ = [
@@ -910,7 +909,6 @@ def _check_margins(chi: ProductCutoff, grid: Grid1D) -> None:
 
 _PROFILE_CACHE: dict[str, "_WindowProfile"] = {}
 _PROFILE_YMAX = 1200.0  # the one-sided window tail is Gevrey-slow
-_GL_ORDER = 768
 # uniform knot segments (start, stop, step) of the profile tables
 _PROFILE_SEGMENTS = (
     (0.0, 16.0, 0.002),
@@ -918,6 +916,10 @@ _PROFILE_SEGMENTS = (
     (64.0, 256.0, 0.05),
     (256.0, _PROFILE_YMAX + 0.1, 0.1),
 )
+# the tables of Phi and Phi' on the knots, one .npy per window kind, shipped
+# with the package and written by the generator
+_PROFILE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "profiles")
+_PROFILE_GENERATOR = "scripts/window_profiles.py --write"
 
 
 def _theta_eval(kind: str, t):
@@ -931,21 +933,27 @@ def _theta_eval(kind: str, t):
     raise ValueError(f"unknown window kind {kind!r}")
 
 
-def _segment_phase_sum(seg: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w[r, k] exp(i u_k y) for every weight row r and every knot y of
-    one uniform segment, as an array (rows, knots).
+def _profile_path(kind: str) -> str:
+    return os.path.join(_PROFILE_DIR, f"{kind}.npy")
 
-    With a block size B ~ sqrt(n), each knot is y[bB + j] = y[bB] + (y[j] - y[0]),
-    so exp(i u y) factors into a coarse and a fine phase and the whole segment
-    is one (rows * n/B x 768) @ (768 x B) product: (n/B + B) * 768 exponentials
-    instead of n * 768, and no n x 768 phase matrix.
-    """
-    n = seg.size
-    block = math.isqrt(n - 1) + 1
-    coarse = np.exp(1j * np.outer(seg[::block], u))
-    coarse = (w[:, None, :] * coarse).reshape(-1, u.size)
-    fine = np.exp(1j * np.outer(seg[:block] - seg[0], u))
-    return (coarse @ fine.T).reshape(w.shape[0], -1)[:, :n]
+
+def _load_profile_table(kind: str, knots: int) -> np.ndarray:
+    """The shipped (2, knots) table of Phi and Phi' of one window kind:
+    float64 for the even window, complex128 for the one-sided one.  A
+    missing, unreadable or mis-shaped table is a ValueError naming the
+    generator; nothing here builds one."""
+    path = _profile_path(kind)
+    shape = (2, knots)
+    dtype = np.dtype(np.float64 if kind == "bump_at_zero" else np.complex128)
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"cannot read the {kind} window profile {path} ({exc}); "
+                         f"rebuild it with python {_PROFILE_GENERATOR}") from exc
+    if table.shape != shape or table.dtype != dtype:
+        raise ValueError(f"the {kind} window profile {path} holds {table.shape} {table.dtype}, "
+                         f"not {shape} {dtype}; rebuild it with python {_PROFILE_GENERATOR}")
+    return table
 
 
 class _WindowProfile:
@@ -962,25 +970,11 @@ class _WindowProfile:
 
     def __init__(self, kind: str):
         self.kind = kind
-        if kind == "bump_at_zero":
-            supp = (-1.0, 1.0)
-        else:
-            supp = (0.5, 1.0)
         segments = [np.arange(*seg) for seg in _PROFILE_SEGMENTS]
         ys = np.concatenate(segments)
-        un, uw = gauss_rule(_GL_ORDER)
-        mid, half = 0.5 * (supp[0] + supp[1]), 0.5 * (supp[1] - supp[0])
-        u = mid + half * un
-        w = half * uw * _theta_eval(kind, u)
-        table = np.concatenate(
-            [_segment_phase_sum(seg, u, np.stack([w, 1j * u * w])) for seg in segments],
-            axis=1)
-        table /= 2.0 * math.pi
         self.even = kind == "bump_at_zero"
         self.ys = ys
-        if self.even:
-            table = table.real
-        vals, ders = table
+        vals, ders = _load_profile_table(kind, ys.size)
         # segment i covers [start_i, start_{i+1}) in cells of width step_i; the
         # last cell of a segment ends on the first knot of the next, and the
         # last knot ys[-1] starts no cell

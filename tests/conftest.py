@@ -16,14 +16,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
-# Source of ``peak_rss()``, the high-water RSS in bytes of the process's own
-# address space (Linux's VmHWM), for code a test runs in a fresh
-# interpreter.  The ru_maxrss of a process spawned from the test process
-# starts at the test process's peak, which would hide what the code adds.
+# Source of ``peak_rss()`` and ``rss()``, the high-water and the current RSS
+# in bytes of the process's own address space (Linux's VmHWM and VmRSS), for
+# code a test runs in a fresh interpreter.  The ru_maxrss of a process
+# spawned from the test process starts at the test process's peak, which
+# would hide what the code adds.
 PEAK_RSS_SOURCE = (
-    "def peak_rss():\n"
+    "def _status(field):\n"
     "    with open('/proc/self/status') as fh:\n"
-    "        return 1024 * int(fh.read().split('VmHWM:')[1].split()[0])\n"
+    "        return 1024 * int(fh.read().split(field + ':')[1].split()[0])\n"
+    "def peak_rss():\n"
+    "    return _status('VmHWM')\n"
+    "def rss():\n"
+    "    return _status('VmRSS')\n"
 )
 
 

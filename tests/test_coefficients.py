@@ -6,6 +6,7 @@ import pytest
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import (
     ThresholdError,
+    _branch_at,
     _branch_values,
     _turning_points,
     a0,
@@ -207,21 +208,18 @@ class TestC0:
 
 # scipy quad of the density's x-integral on each cell (epsabs = epsrel =
 # 1e-13), split at every turning point and near-crossing of the branches.
-# The first five have a turning point inside supp g: there the bisected
-# turning points, within 5e-13 of the true ones, leave an error of about
-# sqrt(5e-13) relative
-TURNING_INSIDE, TURNING_OUTSIDE = 2e-6, 1e-9
+# The first five have a turning point inside supp g, found to rounding level
 LOCALIZED_REFERENCES = [
-    ("island", {}, 1.0, 3.675976437, TURNING_INSIDE),
-    ("island", {}, 0.6, 2.184851001, TURNING_INSIDE),
-    ("diagonal_bumps", {"depths": [2.0]}, 1.0, 1.678328896, TURNING_INSIDE),
-    ("rotating_crossing", {"c": 3.0}, 1.0, 4.219614114, TURNING_INSIDE),
-    ("rotating_crossing", {"c": 3.0}, 0.5, 3.436785533, TURNING_INSIDE),
-    ("island", {}, 2.0, 1.296315902, TURNING_OUTSIDE),
-    ("diagonal_bumps", {"depths": [0.5]}, 1.0, 2.424239412, TURNING_OUTSIDE),
-    ("rotating_crossing", {"c": 3.0}, 1.5, 2.906352908, TURNING_OUTSIDE),
-    ("rotating_crossing", {"c": 1.0}, 1.0, 3.831398073, TURNING_OUTSIDE),
-    ("conical_crossing", {}, 1.0, 3.674376415, TURNING_OUTSIDE),
+    ("island", {}, 1.0, 3.675976437),
+    ("island", {}, 0.6, 2.184851001),
+    ("diagonal_bumps", {"depths": [2.0]}, 1.0, 1.678328896),
+    ("rotating_crossing", {"c": 3.0}, 1.0, 4.219614114),
+    ("rotating_crossing", {"c": 3.0}, 0.5, 3.436785533),
+    ("island", {}, 2.0, 1.296315902),
+    ("diagonal_bumps", {"depths": [0.5]}, 1.0, 2.424239412),
+    ("rotating_crossing", {"c": 3.0}, 1.5, 2.906352908),
+    ("rotating_crossing", {"c": 1.0}, 1.0, 3.831398073),
+    ("conical_crossing", {}, 1.0, 3.674376415),
 ]
 
 
@@ -241,12 +239,29 @@ class TestLocalizedDensity:
         out = gamma0_localized(v, chi0, 1.0)
         assert out == 0.0
 
-    @pytest.mark.parametrize("kind,params,tau,reference,rel", LOCALIZED_REFERENCES,
+    @pytest.mark.parametrize("kind,params,tau,reference", LOCALIZED_REFERENCES,
                              ids=["-".join([k, *(f"{n}{x}" for n, x in p.items()), f"tau{t}"])
-                                  for k, p, t, _, _ in LOCALIZED_REFERENCES])
-    def test_against_independent_quadrature(self, kind, params, tau, reference, rel):
+                                  for k, p, t, _ in LOCALIZED_REFERENCES])
+    def test_against_independent_quadrature(self, kind, params, tau, reference):
         out = gamma0_localized(model_potential(kind, **params), self.CHI, tau)
-        assert out == pytest.approx(reference, rel=rel)
+        assert out == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("kind,params,taus", [
+        ("rotating_crossing", {"c": 3.0}, [0.5, 1.0]),
+        ("island", {}, [0.6, 1.0]),
+        ("conical_crossing", {}, np.linspace(-0.4, 0.4, 41)),
+    ])
+    def test_turning_points_to_rounding_level(self, kind, params, taus):
+        # tau - e_k changes sign between each root and a neighbouring float
+        v = model_potential(kind, **params)
+        taus = np.asarray(taus, dtype=float)
+        roots = _turning_points(v, taus, *self.CHI.x_support)
+        for tau, rt in zip(taus, roots):
+            for k, rk in enumerate(rt):
+                for r in rk:
+                    xs = np.array([np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)])
+                    f = tau - _branch_at(v, xs, np.full(3, k))
+                    assert f[1] == 0.0 or f[0] * f[1] <= 0.0 or f[1] * f[2] <= 0.0
 
     def test_barrier_top_raises(self):
         with pytest.raises(QuadratureError, match="live panels"):

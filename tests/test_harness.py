@@ -108,7 +108,6 @@ class TestConfigValidation:
         "experiment": "coeffs",
         "potential": {"kind": "constant", "params": {"v_inf": 0.0, "N": 1}},
         "tau_grid": {"lo": 0.5, "hi": 1.5, "count": 3},
-        "h_list": [0.25, 0.125],
     }
 
     def test_round_trip(self):
@@ -125,8 +124,9 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(dict(self.BASE, experiment="frobnicate"))
 
     def test_increasing_h_list_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(dict(self.BASE, h_list=[0.125, 0.25]))
+        doc = dict(self.BASE, experiment="ssf", variant="weyl", h_list=[0.0625, 0.125, 0.25])
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            ExperimentConfig.from_dict(doc)
 
     def test_variant_required(self):
         doc = dict(self.BASE, experiment="ssf", h_list=[0.25, 0.125, 0.0625])
@@ -138,6 +138,18 @@ class TestConfigValidation:
     def test_sweep_needs_children(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"schema_version": 1, "experiment": "sweep"})
+
+    @pytest.mark.parametrize("doc,named", [
+        (dict(BASE, h_list=[0.25, 0.125, 0.0625]), "not h_list"),
+        ({"schema_version": 1, "experiment": "sweep", "experiments": [BASE], "tau0": 1.0},
+         "not tau0"),
+        ({"schema_version": 1, "experiment": "sweep", "experiments": [dict(BASE, variant="x")]},
+         "not variant"),
+    ])
+    def test_unread_key_rejected(self, doc, named):
+        # each experiment reads its declared keys and refuses any other
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig.from_dict(doc)
 
 
 class TestRun:
@@ -196,7 +208,6 @@ class TestRun:
             "potential": {"kind": "diagonal_bumps",
                           "params": {"depths": [-1.0], "centers": [0.0], "widths": [1.0]}},
             "tau_grid": {"lo": 0.6, "hi": 1.4, "count": 5},
-            "seed": 7,
         }
         r1 = run(dict(cfg), str(tmp_path / "a"))
         r2 = run(dict(cfg), str(tmp_path / "b"))
@@ -465,6 +476,45 @@ class TestWindowAndCheckBlocks:
         doc = _config("check_escape_reference", out=str(tmp_path / "o"), escape_kind=kind)
         doc["check"] = dict(doc["check"], **{key: [-1.0, 1.0]})
         self._rejected(tmp_path, doc, f"check.{key}")
+
+    def test_misspelled_top_level_key_is_rejected(self, tmp_path, monkeypatch):
+        # "tau_0" does not silently leave tau0 at its default 2, where the
+        # island's escape check is valid and the sweep would build pairs
+        monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
+        monkeypatch.setattr(ssf_mod, "build_pair", _refuse)
+        doc = _config("ssf_weyl_reference", out=str(tmp_path / "o"),
+                      potential={"kind": "island", "params": {"amp": 3.0}}, tau_0=0.6)
+        self._rejected(tmp_path, doc, "not tau_0")
+
+    @pytest.mark.parametrize("name,check,named", [
+        ("ssf_weak_reference", {"box": [[0, 1], [0, 1]], "mode": "x"}, "check.box, check.mode"),
+        ("trace_thm2_locality", {}, "thm2 takes no check block"),
+    ])
+    def test_unread_check_block_is_rejected(self, tmp_path, no_assembly, monkeypatch, name,
+                                            check, named):
+        monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
+        doc = _config(name, out=str(tmp_path / "o"), check=check)
+        self._rejected(tmp_path, doc, named)
+
+    def test_ssf_escape_certificate_reads_the_check_block(self, tmp_path, monkeypatch):
+        # the ssf children of a sweep share an escape check only where their
+        # check blocks agree
+        calls = []
+
+        def spy(v, tau0, x_range, grid_points):
+            calls.append((x_range, grid_points))
+            return escape_check_dilation(v, tau0, x_range, grid_points)
+
+        monkeypatch.setattr(mh, "escape_check_dilation", spy)
+        monkeypatch.setattr(ssf_mod, "build_pair", _refuse)
+        island = {"kind": "island", "params": {"amp": 3.0}}
+        doc = _config("ssf_reference", out=str(tmp_path / "o"))
+        doc["experiments"] = [dict(child, potential=island, tau0=0.6)
+                              for child in doc["experiments"] if child["variant"] != "weak"]
+        doc["experiments"][-1]["check"] = {"x_range": [-6.0, 6.0], "grid_points": 601}
+        result = run(doc)
+        assert calls == [((-8.0, 8.0), 2001), ((-6.0, 6.0), 601)]
+        assert set(result.report["verdicts"].values()) == {"NOT_CERTIFIED"}
 
     def test_unknown_escape_kind_is_rejected(self, tmp_path, monkeypatch):
         # a typo no longer runs the general check

@@ -1,5 +1,7 @@
 import ctypes
+import importlib.util
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 
 from conftest import PEAK_RSS_SOURCE, full_matrix, random_hermitian
 from ssf_lab.bumps import Bump1D, ProductCutoff
+from ssf_lab import quadrature
 from ssf_lab.coefficients import bump_test_function
 from ssf_lab.quadrature import gauss_rule
 from ssf_lab.quantization import (
@@ -1015,10 +1018,23 @@ class TestWindows:
             window_primitive(WindowTheta("bump_positive", eps=0.25), 0.1, 0.0)
 
 
+def _load_generator():
+    """scripts/window_profiles.py, which builds the shipped profile tables."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "window_profiles.py")
+    spec = importlib.util.spec_from_file_location("window_profiles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+window_profiles = _load_generator()
+
+
 def _direct_profile(kind: str, ys: np.ndarray) -> np.ndarray:
     """Phi on ys from the full phase matrix exp(i outer(ys, u)) @ w / 2pi."""
     supp = (-1.0, 1.0) if kind == "bump_at_zero" else (0.5, 1.0)
-    un, uw = gauss_rule(qz._GL_ORDER)
+    un, uw = gauss_rule(window_profiles.GL_ORDER)
     mid, half = 0.5 * (supp[0] + supp[1]), 0.5 * (supp[1] - supp[0])
     u = mid + half * un
     w = half * uw * qz._theta_eval(kind, u)
@@ -1068,7 +1084,7 @@ class TestWindowProfile:
             ref = ref.real
             # int_{-inf}^y Phi = 1/2 + (1/pi) int_0^1 theta(u) sin(u y) / u du,
             # here by its own Gauss rule on (0, 1)
-            un, uw = gauss_rule(qz._GL_ORDER)
+            un, uw = gauss_rule(window_profiles.GL_ORDER)
             u = 0.5 + 0.5 * un
             wt = 0.5 * uw * qz._theta_eval(kind, u)
             prim = 0.5 + (np.sin(np.outer(ys, u)) / u) @ wt / math.pi
@@ -1076,15 +1092,57 @@ class TestWindowProfile:
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
     def test_build_memory_is_bounded(self):
-        # numpy reports its buffers to tracemalloc; the full 26081 x 768 phase
-        # matrix alone would be 320 MB
+        # the generator's build of a shipped table; numpy reports its buffers
+        # to tracemalloc, and the full 26081 x 768 phase matrix alone would
+        # be 320 MB
         tracemalloc.start()
         try:
-            qz._WindowProfile("bump_at_zero")
+            window_profiles.build_table("bump_at_zero")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_loads_without_a_gauss_rule(self, monkeypatch):
+        # a process reads the shipped tables and builds no Gauss rule
+        w0, wp = WindowTheta("bump_at_zero", eps=0.3), WindowTheta("bump_positive", eps=0.3)
+        s = np.linspace(-40.0, 40.0, 801)
+        expect = (fourier_window(w0, 0.05, s), window_primitive(w0, 0.05, s),
+                  fourier_window(wp, 0.05, s))
+
+        def refuse(*args):
+            raise AssertionError("a Gauss rule was built")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(quadrature, "gauss_rule", refuse)
+        monkeypatch.setattr(qz, "_PROFILE_CACHE", {})
+        got = (fourier_window(w0, 0.05, s), window_primitive(w0, 0.05, s),
+               fourier_window(wp, 0.05, s))
+        assert sorted(qz._PROFILE_CACHE) == ["bump_at_zero", "bump_positive"]
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            window_primitive(wp, 0.05, 0.0)
+
+    @pytest.mark.parametrize("kind, table", [
+        ("bump_at_zero", None),
+        ("bump_at_zero", np.zeros((2, 26080))),
+        ("bump_at_zero", np.zeros((2, 26081), dtype=np.float32)),
+        ("bump_positive", np.zeros((2, 26081))),
+        ("bump_positive", "truncated"),
+    ], ids=["missing", "short", "float32", "real-one-sided", "truncated-file"])
+    def test_bad_table_is_refused(self, monkeypatch, tmp_path, kind, table):
+        if isinstance(table, np.ndarray):
+            np.save(tmp_path / f"{kind}.npy", table)
+        elif table == "truncated":
+            with open(qz._profile_path(kind), "rb") as fh:
+                data = fh.read()
+            (tmp_path / f"{kind}.npy").write_bytes(data[: len(data) // 2])
+        monkeypatch.setattr(qz, "_PROFILE_DIR", str(tmp_path))
+        monkeypatch.setattr(qz, "_PROFILE_CACHE", {})
+        with pytest.raises(ValueError, match="scripts/window_profiles.py --write"):
+            fourier_window(WindowTheta(kind), 0.1, 0.0)
+        assert qz._PROFILE_CACHE == {}
 
 
 class TestSmoothedTrace:
@@ -1248,50 +1306,70 @@ class TestSmoothedTrace:
         assert assembled == [a._rows]
 
     # (H, supp f, window, bound): one step of the thm2, thm1 and thm3
-    # set-ups at h = 1/64, 1/128 and 1/96, from the cutoff's construction to
-    # the trace, in a fresh process that has made the same step at h = 1/16
-    # first, so that the library code and buffers a first step faults in are
-    # resident before the peak is read.  The growth in units of H's
-    # dim x dim float64 matrix read 1.18-1.31, 1.93-1.94 and 0.98-1.03 with
-    # the cutoff assembled after H's solve and applied in column blocks,
-    # beside the split operator's gathered matrix, and 0.53-0.60, 0.46-0.47
-    # and 0.43-0.45 with A's rows read a block at a time and the split
-    # operator's channel blocks alone; each bound is midway
+    # set-ups at h = 1/64, 1/128 and 1/96, from H's construction to the
+    # trace.  A fresh process makes the same step at h = 1/16 first, so that
+    # the library code a first step faults in is resident, gives its freed
+    # heap back to the system and forks; the child makes the step, and its
+    # growth is its own peak above its resident set at the fork, which heap
+    # left free by the set-up cannot absorb.  The growth in units of H's
+    # dim x dim float64 matrix read 1.48-1.64, 1.04-1.06 and 0.78-0.84 with
+    # A's rows read a block at a time and the split operator's channel blocks
+    # alone, and 2.62-2.77, 1.90-2.04 and 1.10-1.19 with A's dense matrix
+    # assembled beside H; each bound is midway, and the step with A's dense
+    # matrix is run too, as the control that must exceed it
     @pytest.mark.parametrize("box,h,v,support,w,bound", [
         ("12.0, 1.69", 1 / 64,
          "model_potential('diagonal_bumps', depths=[0.5], centers=[7.0], widths=[0.4])",
-         (0.8, 1.2), "WindowTheta('bump_at_zero', eps=0.3)", 0.89),
+         (0.8, 1.2), "WindowTheta('bump_at_zero', eps=0.3)", 2.1),
         ("6.0, 2.56", 1 / 128, "model_potential('constant', v_inf=0.0, N=1)",
-         (0.3, 1.7), "WindowTheta('bump_positive', eps=1.0)", 1.2),
+         (0.3, 1.7), "WindowTheta('bump_positive', eps=1.0)", 1.5),
         ("6.0, 2.0", 1 / 96, "model_potential('conical_crossing')",
-         (0.5, 1.5), "WindowTheta('bump_at_zero', eps=0.25)", 0.71),
+         (0.5, 1.5), "WindowTheta('bump_at_zero', eps=0.25)", 0.97),
     ], ids=["thm2-dense", "thm1-analytic", "thm3-split"])
     def test_step_growth_in_a_fresh_process(self, box, h, v, support, w, bound):
         # tracemalloc cannot see H's matrix, which lives in a mapping of its own
-        code = PEAK_RSS_SOURCE + (
-            "import numpy as np\n"
-            "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
-            "from ssf_lab.coefficients import bump_test_function\n"
-            "from ssf_lab.quantization import (WindowTheta, build_schrodinger, grid_for,\n"
-            "                                  smoothed_trace, weyl_quantize)\n"
-            "from ssf_lab.symbols import model_potential\n"
-            "chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))\n"
-            f"f, w = bump_test_function({support!r}), {w}\n"
-            "def step(grid):\n"
-            f"    h = build_schrodinger({v}, grid)\n"
-            "    smoothed_trace(weyl_quantize(chi, grid), h, f, w, np.linspace(0.9, 1.1, 9))\n"
-            "    return h.dim\n"
-            f"step(grid_for(1 / 16, {box}, 8192))\n"
-            f"grid = grid_for({h!r}, {box}, 8192)\n"
-            "before = peak_rss()\n"
-            "dim = step(grid)\n"
-            "print(dim, peak_rss() - before)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        dim, grown = map(int, proc.stdout.split())
-        assert dim == {1 / 64: 1272, 1 / 128: 1566, 1 / 96: 2076}[h]
-        assert grown < bound * 8 * dim * dim
+        grown = {}
+        for dense in (False, True):
+            code = PEAK_RSS_SOURCE + (
+                "import os, sys, traceback\n"
+                "import numpy as np\n"
+                "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
+                "from ssf_lab.coefficients import bump_test_function\n"
+                "from ssf_lab.quantization import (WindowTheta, _return_free_heap,\n"
+                "                                  build_schrodinger, grid_for,\n"
+                "                                  smoothed_trace, weyl_quantize)\n"
+                "from ssf_lab.symbols import model_potential\n"
+                "chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))\n"
+                f"f, w = bump_test_function({support!r}), {w}\n"
+                "def step(grid):\n"
+                f"    h = build_schrodinger({v}, grid)\n"
+                "    a = weyl_quantize(chi, grid)\n"
+                f"    if {dense}:\n"
+                "        a.matrix\n"
+                "    smoothed_trace(a, h, f, w, np.linspace(0.9, 1.1, 9))\n"
+                "    return h.dim\n"
+                f"step(grid_for(1 / 16, {box}, 8192))\n"
+                f"grid = grid_for({h!r}, {box}, 8192)\n"
+                "_return_free_heap()\n"
+                "pid = os.fork()\n"
+                "if pid == 0:\n"
+                "    code = 1\n"
+                "    try:\n"
+                "        at_fork = rss()\n"
+                "        dim = step(grid)\n"
+                "        print(dim, peak_rss() - at_fork, flush=True)\n"
+                "        code = 0\n"
+                "    except BaseException:\n"
+                "        traceback.print_exc()\n"
+                "    finally:\n"
+                "        os._exit(code)\n"
+                "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            dim, grown[dense] = map(int, proc.stdout.split())
+            assert dim == {1 / 64: 1272, 1 / 128: 1566, 1 / 96: 2076}[h]
+        assert grown[False] < bound * 8 * dim * dim < grown[True]
 
     def test_peak_memory_with_cutoff(self):
         # a fresh process; the windowed solve holds the k eigenvector columns
