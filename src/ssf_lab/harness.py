@@ -59,24 +59,28 @@ def reference_potential() -> MatrixPotential:
 # config ingestion
 # ---------------------------------------------------------------------------
 
-# the top-level keys each experiment reads, besides these; any other is a
-# ConfigError that names it
+# the top-level keys each experiment reads, besides these, and for a trace
+# or ssf h-sweep those of its variant; any other is a ConfigError that names it
 _COMMON_KEYS = ("schema_version", "experiment", "out")
+_SWEEP_KEYS = ("variant", "potential", "h_list", "grid", "thresholds")
 _KEYS = {
     "check-mh": ("potential", "tau0", "check"),
     "check-escape": ("potential", "tau0", "escape_kind", "check"),
     "coeffs": ("potential", "tau_grid"),
-    "trace": ("variant", "potential", "h_list", "grid", "window", "test_function", "tau0",
-              "tau_grid", "cutoff", "check", "perturbation", "d_sep", "thresholds"),
-    "ssf": ("variant", "potential", "h_term", "h_list", "grid", "window", "test_function",
-            "tau0", "tau_grid", "check", "thresholds"),
     "sweep": ("experiments",),
+    "thm1": _SWEEP_KEYS + ("window", "test_function", "tau0", "cutoff", "check"),
+    "thm2": _SWEEP_KEYS + ("window", "test_function", "tau_grid", "cutoff", "perturbation",
+                           "d_sep"),
+    "thm3": _SWEEP_KEYS + ("window", "test_function", "tau0", "cutoff", "check"),
+    "weak": _SWEEP_KEYS + ("h_term", "test_function", "tau0", "check"),
+    "weyl": _SWEEP_KEYS + ("h_term", "window", "tau0", "tau_grid", "check"),
+    "derivative": _SWEEP_KEYS + ("h_term", "window", "test_function", "tau0", "check"),
 }
-EXPERIMENTS = tuple(_KEYS)
 _VARIANTS = {
     "trace": ("thm1", "thm2", "thm3"),
     "ssf": ("weak", "weyl", "derivative"),
 }
+EXPERIMENTS = ("check-mh", "check-escape", "coeffs", *_VARIANTS, "sweep")
 
 
 @dataclass(frozen=True)
@@ -96,15 +100,17 @@ class ExperimentConfig:
         experiment = doc.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-        _refuse_extra(f"a {experiment} config", doc, _COMMON_KEYS + _KEYS[experiment])
         variant = doc.get("variant")
+        if experiment in _VARIANTS and variant not in _VARIANTS[experiment]:
+            raise ConfigError(
+                f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
+            )
+        if variant == "thm2" and "check" in doc:
+            raise ConfigError("thm2 takes no check block: no certificate gates it")
+        kind = variant if experiment in _VARIANTS else experiment
+        name = experiment if kind == experiment else f"{experiment} {kind}"
+        _refuse_extra(f"a {name} config", doc, _COMMON_KEYS + _KEYS[kind])
         if experiment in _VARIANTS:
-            if variant not in _VARIANTS[experiment]:
-                raise ConfigError(
-                    f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
-                )
-            if variant == "thm2" and "check" in doc:
-                raise ConfigError("thm2 takes no check block: no certificate gates it")
             h_list = doc.get("h_list")
             if h_list is None:
                 raise ConfigError(f"{experiment} needs an h_list")
@@ -120,7 +126,10 @@ class ExperimentConfig:
         elif experiment == "sweep":
             if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
                 raise ConfigError("sweep needs a non-empty 'experiments' list")
-            for sub in doc["experiments"]:
+            for i, sub in enumerate(doc["experiments"]):
+                if isinstance(sub, dict) and "out" in sub:
+                    raise ConfigError(f"experiments[{i}].out is not read: a sweep writes "
+                                      f"its child {i} to <out>/{i:02d}_<experiment>")
                 ExperimentConfig.from_dict(_child_doc(sub))
         return ExperimentConfig(raw=doc, experiment=experiment, variant=variant,
                                 out=str(doc.get("out", "out")))

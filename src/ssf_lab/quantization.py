@@ -443,8 +443,10 @@ class GridOperator:
     copy.
 
     ``.matrix`` returns what the operator holds.  With ``upper_only`` that
-    is the C-order upper triangle of a (dim, dim) array, the part the
-    solves read, and its strictly lower entries read 0; the assembly is
+    is the C-order upper triangle of a (dim, dim) view, the part the solves
+    read, and its strictly lower entries read 0; its rows may have a
+    page-aligned leading dimension (``_zeros_in_small_pages``), and the
+    solves take the view as it is, with no copy.  The assembly is
     trusted to be hermitian and is not checked (``build_schrodinger``
     checks its inputs).  Such an operator cannot act as a matrix, so
     ``smoothed_trace`` refuses it as a cutoff.  ``_row_blocks`` reads the
@@ -512,12 +514,14 @@ class GridOperator:
 
     def _blocks(self) -> np.ndarray:
         """What is solved on, in place, as a (K, m, m) stack: the held matrix,
-        released, or a copy of a caller's array."""
+        released, or a copy of a caller's array.  A held view with a leading
+        dimension is handed over as it is; a contiguous copy of it would make
+        every page resident."""
         mat = self.matrix
         if self._assemble is None:
             mat = mat.copy()
         self._release()
-        return np.ascontiguousarray(mat).reshape(-1, *mat.shape[-2:])
+        return mat if mat.ndim == 3 else mat[None]
 
     def _row_blocks(self):
         """(lo, rows lo:lo + b of the matrix) for blocks of b rows, about
@@ -624,30 +628,48 @@ def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
 
 
 def _zeros_in_small_pages(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed C-ordered array in a private anonymous mapping of 4 KiB
-    pages, each resident only once it is written.  numpy's allocator asks
-    for huge pages (``madvise``) for arrays of 4 MiB or more, and one 2 MiB
-    page of a triangle's diagonal would hold 2 MiB of the other triangle.
-    The mapping is unmapped when the array is freed."""
+    """A zeroed (..., n, n) stack of C-ordered upper triangles in a private
+    anonymous mapping of small pages, each resident only once it is written.
+    numpy's allocator asks for huge pages (``madvise``) for arrays of 4 MiB
+    or more, and one 2 MiB page of a triangle's diagonal would hold 2 MiB of
+    the other triangle.  The mapping is unmapped when the array is freed.
+
+    With k = PAGESIZE / itemsize items to a page and n > k, each matrix is
+    laid out with the leading dimension lda = n rounded up to a multiple of
+    k, and the mapping starts (-n itemsize) mod PAGESIZE bytes before the
+    first row, so that every row ends on a page boundary: row i's upper part,
+    columns i..n-1, fills ceil((n - i) / k) pages, and no page holds the
+    tail of one row and the head of the next.  For n <= k rows share pages
+    and lda = n: aligned, each row would take a page of its own, n pages
+    where the packed triangle fills about n^2 / 2k.  A stack of matrices
+    takes the layout per matrix.  What is returned is the (..., n, n) view,
+    whose row stride is lda items (``_routine`` takes it)."""
     dtype = np.dtype(dtype)
-    buf = mmap.mmap(-1, dtype.itemsize * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    n = shape[-1]
+    per_page = mmap.PAGESIZE // dtype.itemsize
+    lda = n if n <= per_page else -(-n // per_page) * per_page
+    lead = 0 if n <= per_page else -n * dtype.itemsize % mmap.PAGESIZE
+    held = (*shape[:-1], lda)
+    buf = mmap.mmap(-1, lead + dtype.itemsize * math.prod(held), flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype).reshape(shape)
+    return np.frombuffer(buf, dtype, offset=lead).reshape(held)[..., :n]
 
 
 def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray, split: bool = False) -> np.ndarray:
     """The C-order upper triangle of the kinetic circulant tensor identity
-    plus the block-diagonal potential, written into a (dim, dim) array of
+    plus the block-diagonal potential, written into a (dim, dim) view of
     the final dtype (real unless a sample is complex) whose other entries
-    are 0 and never written (``_zeros_in_small_pages``).  With ``split``
-    (no entries between the channels) the N channel blocks alone, as an
-    (N, M, M) stack: block c is the one-channel matrix of the samples
-    (:, c, c), the rows and columns c::N of the whole one.
+    are 0 and never written, with the page-aligned rows of
+    ``_zeros_in_small_pages``.  With ``split`` (no entries between the
+    channels) the N channel blocks alone, as an (N, M, M) stack of such
+    views: block c is the one-channel matrix of the samples (:, c, c), the
+    rows and columns c::N of the whole one.
 
     Row i N + a holds the kinetic entries c[(i - j) % M] = c[j - i] at the
     columns j N + a, j >= i (c is symmetric), and the potential samples
-    (i, a, b), b >= a, at the columns i N + b."""
+    (i, a, b), b >= a, at the columns i N + b.  Every write indexes the
+    view: a reshape of it would be a copy."""
     if not np.any(samples.imag):
         samples = samples.real
     n_ch = samples.shape[1]
@@ -659,11 +681,10 @@ def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray, split: bool = False
         n = part.shape[1]
         for row in range(dim):
             mat[row, row::n] = kin[:grid.M - row // n]
-        # entry (j N + a, j N + b) of the flat matrix, for j = 0 .. M-1
-        flat = mat.reshape(-1)
+        nodes = np.arange(0, dim, n)
         for a in range(n):
             for b in range(a, n):
-                flat[a * dim + b::n * (dim + 1)] += part[:, a, b]
+                mat[nodes + a, nodes + b] += part[:, a, b]
     return out if split else out[0]
 
 
@@ -960,12 +981,15 @@ class _WindowProfile:
     """h-independent profile Phi(y) = (1/2pi) int theta(u) exp(i u y) du.
 
     Phi and Phi' are tabulated on the knots ``ys`` and interpolated by cubic
-    Hermite polynomials, one per cell between neighbouring knots.  Each cell
-    keeps its Horner coefficients in the local coordinate t in [0, 1]; a
-    point finds its cell by arithmetic on the uniform segment that holds it.
-    The even profile is real and also keeps the primitive: the exact
-    integral of every cell before it plus the integral over the partial cell.
-    Phi is 0 beyond ``ys[-1]`` and the primitive is constant there.
+    Hermite polynomials, one per cell between neighbouring knots.  A point
+    finds its cell by arithmetic on the uniform segment that holds it, and
+    the cell's Horner coefficients in the local coordinate t in [0, 1] are
+    formed from the table's values at its two knots when the point is
+    evaluated: what a profile holds is the (2, knots) table, ``ys`` and,
+    for the even kind, the prefix ``_before`` and ``total``.  The even
+    profile is real and also has the primitive: the exact integral of every
+    cell before it plus the integral over the partial cell.  Phi is 0 beyond
+    ``ys[-1]`` and the primitive is constant there.
     """
 
     def __init__(self, kind: str):
@@ -974,54 +998,59 @@ class _WindowProfile:
         ys = np.concatenate(segments)
         self.even = kind == "bump_at_zero"
         self.ys = ys
-        vals, ders = _load_profile_table(kind, ys.size)
+        self._table = _load_profile_table(kind, ys.size)
         # segment i covers [start_i, start_{i+1}) in cells of width step_i; the
         # last cell of a segment ends on the first knot of the next, and the
         # last knot ys[-1] starts no cell
         self._starts = np.array([seg[0] for seg in _PROFILE_SEGMENTS])
-        steps = np.array([seg[2] for seg in _PROFILE_SEGMENTS])
-        self._inv_steps = 1.0 / steps
+        self._steps = np.array([seg[2] for seg in _PROFILE_SEGMENTS])
+        self._inv_steps = 1.0 / self._steps
         sizes = np.array([seg.size for seg in segments])
         self._offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         self._last_cell = sizes - 1
         self._last_cell[-1] -= 1
-        d = np.repeat(steps, sizes)[:-1]
-        f0, f1, g0, g1 = vals[:-1], vals[1:], d * ders[:-1], d * ders[1:]
-        # p(t) = c0 + c1 t + c2 t^2 + c3 t^3 on each cell
-        self._coef = np.stack([f0, g0, 3.0 * (f1 - f0) - 2.0 * g0 - g1,
-                               2.0 * (f0 - f1) + g0 + g1])
         self.total = None
         if self.even:
-            # exact cell integrals d (f0 + f1) / 2 + d^2 (f0' - f1') / 12, and
-            # the primitive's coefficients on each cell
+            # exact cell integrals d (f0 + f1) / 2 + d^2 (f0' - f1') / 12
+            vals, ders = self._table
+            d = np.repeat(self._steps, sizes)[:-1]
+            f0, f1, g0, g1 = vals[:-1], vals[1:], d * ders[:-1], d * ders[1:]
             cells = d * (0.5 * (f0 + f1) + (g0 - g1) / 12.0)
             self._before = np.concatenate([[0.0], np.cumsum(cells[:-1])])
-            self._anti = d * self._coef / np.array([1.0, 2.0, 3.0, 4.0])[:, None]
             self.total = 2.0 * float(self._primitive_part(ys[-1:])[0])
 
-    def _locate(self, ay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index and local coordinate t of each point 0 <= ay <= ys[-1]."""
+    def _locate(self, ay: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell index, local coordinate t and cell width d of each point
+        0 <= ay <= ys[-1]."""
         seg = np.searchsorted(self._starts, ay, side="right") - 1
         pos = (ay - self._starts[seg]) * self._inv_steps[seg]
         k = np.minimum(np.floor(pos), self._last_cell[seg])
-        return self._offsets[seg] + k.astype(np.intp), pos - k
+        return self._offsets[seg] + k.astype(np.intp), pos - k, self._steps[seg]
+
+    def _coefficients(self, cell: np.ndarray, d: np.ndarray) -> tuple:
+        """c0..c3 of p(t) = c0 + c1 t + c2 t^2 + c3 t^3 on each given cell."""
+        vals, ders = self._table
+        f0, f1, g0, g1 = vals[cell], vals[cell + 1], d * ders[cell], d * ders[cell + 1]
+        return f0, g0, 3.0 * (f1 - f0) - 2.0 * g0 - g1, 2.0 * (f0 - f1) + g0 + g1
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
         inside = ay <= self.ys[-1]
-        cell, t = self._locate(ay[inside])
-        c0, c1, c2, c3 = (c[cell] for c in self._coef)
-        out = np.zeros(ay.shape, dtype=self._coef.dtype)
+        cell, t, d = self._locate(ay[inside])
+        c0, c1, c2, c3 = self._coefficients(cell, d)
+        out = np.zeros(ay.shape, dtype=self._table.dtype)
         out[inside] = c0 + t * (c1 + t * (c2 + t * c3))
         if self.even:
             return out
         return np.where(y >= 0, out, np.conj(out))
 
     def _primitive_part(self, ay: np.ndarray) -> np.ndarray:
-        """int_0^{ay} Phi(u) du for 0 <= ay <= ys[-1]."""
-        cell, t = self._locate(ay)
-        q1, q2, q3, q4 = (q[cell] for q in self._anti)
+        """int_0^{ay} Phi(u) du for 0 <= ay <= ys[-1]: on the cell, the
+        primitive's coefficients d c_k / (k + 1)."""
+        cell, t, d = self._locate(ay)
+        q1, q2, q3, q4 = (d * c / k for c, k in zip(self._coefficients(cell, d),
+                                                      (1.0, 2.0, 3.0, 4.0)))
         return self._before[cell] + t * (q1 + t * (q2 + t * (q3 + t * q4)))
 
     def primitive(self, y):

@@ -151,6 +151,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=named):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("name,key", [
+        ("trace_thm1_free", "perturbation"), ("trace_thm1_free", "d_sep"),
+        ("trace_thm1_free", "tau_grid"), ("trace_thm3_crossing", "perturbation"),
+        ("trace_thm3_crossing", "d_sep"), ("trace_thm3_crossing", "tau_grid"),
+        ("trace_thm2_locality", "tau0"), ("ssf_weak_reference", "window"),
+        ("ssf_weak_reference", "tau_grid"), ("ssf_derivative_reference", "tau_grid"),
+    ])
+    def test_key_its_variant_does_not_read_rejected(self, tmp_path, no_assembly, name, key):
+        # each sweep variant refuses the keys of the other variants that it
+        # does not read, with exit 1 from the CLI
+        value = {"perturbation": {"kind": "constant", "params": {"v_inf": 0.0}},
+                 "d_sep": 2.0, "tau0": 1.0, "window": {"kind": "bump_at_zero"},
+                 "tau_grid": {"lo": 1.8, "hi": 2.2, "count": 5}}[key]
+        doc = _config(name, out=str(tmp_path / "o"), **{key: value})
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, f"only, not {key}$")
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_child_out_rejected(self, tmp_path, no_assembly):
+        # a sweep writes child i to <out>/NN_<experiment>, so a child's out
+        # would be ignored
+        doc = _config("sweep_quick", out=str(tmp_path / "o"))
+        doc["experiments"][1] = dict(doc["experiments"][1], out=str(tmp_path / "elsewhere"))
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, r"experiments\[1\]\.out")
+        assert not (tmp_path / "o").exists() and not (tmp_path / "elsewhere").exists()
+
 
 class TestRun:
     def test_coeffs_zero_potential(self, tmp_path):
@@ -320,7 +345,6 @@ class TestRun:
             "tau0": 1.8,
             "tau_grid": {"lo": 1.7, "hi": 1.9, "count": 9},
             "window": {"kind": "bump_at_zero", "eps": 0.25},
-            "test_function": {"kind": "bump", "support": [1.7, 1.9]},
             "thresholds": {"rel": 0.05, "order": 0.7},
             "out": str(tmp_path / "weyl"),
         }
@@ -578,13 +602,14 @@ class TestRefusedBeforeSolve:
         with pytest.raises(qz.WindowRangeError, match=named):
             run(doc)
 
-    def test_weyl_reads_no_f(self, tmp_path, monkeypatch):
-        # supp f above tau_max does not refuse the weyl sweep
-        monkeypatch.setattr(ssf_mod, "build_pair", _refuse)
+    def test_weyl_reads_no_f(self, tmp_path, no_assembly):
+        # weyl takes no test function, so an f, here with supp f above
+        # tau_max, is refused at ingest and not checked against the grids
         doc = _config("ssf_weyl_reference", out=str(tmp_path / "o"),
                       potential={"kind": "island", "params": {"amp": 3.0}}, tau0=0.6,
                       test_function={"kind": "bump", "support": [3.0, 3.4]})
-        assert run(doc).report["verdicts"] == {"weyl": "NOT_CERTIFIED"}
+        with pytest.raises(ConfigError, match="only, not test_function$"):
+            run(doc)
 
     @pytest.mark.parametrize("name", ["ssf_weyl_reference", "ssf_derivative_reference"])
     def test_uncertified_ssf(self, tmp_path, no_assembly, name):

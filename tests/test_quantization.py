@@ -1,6 +1,7 @@
 import ctypes
 import importlib.util
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -212,6 +213,30 @@ class TestBuildSchrodinger:
         dim, grown = map(int, proc.stdout.split())
         assert dim == 3084
         assert grown < 0.85 * 8 * dim * dim
+
+    def test_assembly_holds_the_pages_of_its_rows(self):
+        # a fresh process assembling the reference model at h = 1/56: it
+        # grows by the pages that the triangle's rows fill when each ends on
+        # a page boundary, sum ceil((n - i) s / PAGESIZE), plus 1 MiB; with
+        # lda = n it grew by 5.5 MB more, the partly filled page at each end
+        code = PEAK_RSS_SOURCE + (
+            "import mmap\n"
+            "from ssf_lab.quantization import build_schrodinger, grid_for\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "v = model_potential('reference')\n"
+            "build_schrodinger(v, grid_for(1 / 8, 12.0, 3.24, 8192))\n"
+            "grid = grid_for(1 / 56, 12.0, 3.24, 8192)\n"
+            "before = rss()\n"
+            "op = build_schrodinger(v, grid)\n"
+            "n, s = op.dim, op.matrix.itemsize\n"
+            "pages = sum(-(-(n - i) * s // mmap.PAGESIZE) for i in range(n))\n"
+            "print(n, rss() - before, pages * mmap.PAGESIZE)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dim, grown, rows = map(int, proc.stdout.split())
+        assert dim == 3084
+        assert grown <= rows + 2**20
 
     def test_constant_potential_assembles_on_demand(self, kron_reference):
         g = small_grid(h=0.25, M=48)
@@ -729,6 +754,51 @@ class TestDenseSolve:
             assert np.all(np.isnan(big[::2])) and np.all(np.isnan(big[:, :n]))
             assert np.all(np.isnan(big[:, 2 * n:]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["dense", "split"])
+    def test_rows_end_on_page_boundaries(self, dtype, blocks):
+        # k items to a page: above k every row of the upper triangle ends on
+        # a page boundary, read from the array's address and strides; at or
+        # below k the rows share pages and lda = n
+        size = np.dtype(dtype).itemsize
+        k = mmap.PAGESIZE // size
+        for n in (3, k - 1, k, k + 1, 2 * k + 5, 3 * k):
+            a = qz._zeros_in_small_pages((blocks, n, n), dtype)
+            assert a.shape == (blocks, n, n) and a.dtype == dtype and not np.any(a)
+            step, rows, cols = a.strides
+            assert cols == size and step == n * rows
+            lda = rows // size
+            if n <= k:
+                assert lda == n
+                continue
+            assert lda % k == 0 and n <= lda < n + k
+            ends = (a.ctypes.data + np.arange(blocks)[:, None] * step
+                    + np.arange(n)[None, :] * rows + n * size)
+            assert np.all(ends % mmap.PAGESIZE == 0), n
+
+    @pytest.mark.parametrize("v, m", [(model_potential("reference"), 300),
+                                      (ASSEMBLY_MODELS[3], 150), (DIAGONAL_2, 520)],
+                             ids=["dense", "complex", "split"])
+    @pytest.mark.parametrize("solve", ["eigenvalues", "eigenpairs"])
+    def test_solve_takes_the_held_view(self, monkeypatch, v, m, solve):
+        # the solve gets the assembled rows with their leading dimension, not
+        # a contiguous copy that would make every page resident
+        op = build_schrodinger(v, small_grid(h=0.25, M=m))
+        held = op.matrix
+        assert held.strides[-2] > held.shape[-1] * held.itemsize
+        seen = []
+
+        def spy(original):
+            def solve_in_place(a, *window):
+                seen.append(np.shares_memory(a, held) and a.strides == held.strides[-2:])
+                return original(a, *window)
+            return solve_in_place
+
+        monkeypatch.setattr(qz, "_evd", spy(qz._evd))
+        monkeypatch.setattr(qz, "_evr", spy(qz._evr))
+        getattr(op, solve)()
+        assert seen == [True] * (held.shape[0] if held.ndim == 3 else 1)
+
     def test_refuses_what_it_cannot_overwrite(self, rng):
         if qz._lapack_eigh() is None:
             pytest.skip("numpy's LAPACK does not export ?syevd_64_")
@@ -1090,6 +1160,20 @@ class TestWindowProfile:
             prim = 0.5 + (np.sin(np.outer(ys, u)) / u) @ wt / math.pi
             np.testing.assert_allclose(prof.primitive(ys), prim, rtol=0, atol=1e-11)
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("kind", ["bump_at_zero", "bump_positive"])
+    def test_holds_its_table_alone(self, kind):
+        # the cells' Hermite coefficients are formed per call: besides the
+        # table, ys and the even kind's prefix, a profile holds only arrays
+        # of one entry per knot segment
+        prof = qz._WindowProfile(kind)
+        held = {name: a for name, a in vars(prof).items() if isinstance(a, np.ndarray)}
+        knots = {name for name, a in held.items() if a.size > len(qz._PROFILE_SEGMENTS)}
+        assert knots == ({"_table", "ys", "_before"} if kind == "bump_at_zero"
+                         else {"_table", "ys"})
+        assert prof._table.shape == (2, self.YS.size)
+        small = sum(a.nbytes for name, a in held.items() if name not in knots)
+        assert small <= 8 * 8 * len(qz._PROFILE_SEGMENTS)
 
     def test_build_memory_is_bounded(self):
         # the generator's build of a shipped table; numpy reports its buffers
