@@ -479,12 +479,6 @@ class CoefficientProfile:
     def omega_n(self) -> float:
         return sphere_volume(self.n)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("tau,gamma0,a0\n")
-            for t, g, aa in zip(self.tau_grid, self.gamma0, self.a0):
-                fh.write(f"{t!r},{g!r},{aa!r}\n")
-
 
 def coefficient_profile(v: MatrixPotential, taus, atol: float = 1e-10) -> CoefficientProfile:
     taus = np.asarray(taus, dtype=float)

@@ -160,24 +160,20 @@ def _block(doc: dict, name: str, keys: tuple) -> dict:
     return block
 
 
-def _potential_from(doc: dict) -> MatrixPotential:
-    spec = doc.get("potential")
+def _model(name: str, spec) -> MatrixPotential:
+    """The model potential of the config's ``name`` block, which takes kind
+    and params only."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("config needs potential: {kind, params}")
+        raise ConfigError(f"config needs {name}: {{kind, params}}")
+    _refuse_extra(name, spec, ("kind", "params"), name + ".")
     try:
-        base = model_potential(spec["kind"], **spec.get("params", {}))
+        return model_potential(spec["kind"], **spec.get("params", {}))
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad potential spec: {exc}") from exc
-    return base
+        raise ConfigError(f"bad {name} spec: {exc}") from exc
 
 
-def _potential_for_h(doc: dict, h: float) -> MatrixPotential:
-    base = _potential_from(doc)
-    term = doc.get("h_term")
-    if term:
-        extra = model_potential(term["kind"], **term.get("params", {}))
-        return combine_potentials(base, extra, scale=h)
-    return base
+def _potential_from(doc: dict) -> MatrixPotential:
+    return _model("potential", doc.get("potential"))
 
 
 def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
@@ -201,7 +197,7 @@ def _window_from(doc: dict, variant: str) -> qz.WindowTheta:
 
 
 def _test_function_from(doc: dict) -> coeffs.TestFunction:
-    tf = doc.get("test_function") or {}
+    tf = _block(doc, "test_function", ("kind", "support", "plateau"))
     kind = tf.get("kind", "bump")
     support = tuple(float(v) for v in tf.get("support", (1.8, 2.2)))
     if kind == "bump":
@@ -217,13 +213,14 @@ def _test_function_from(doc: dict) -> coeffs.TestFunction:
 
 
 def _cutoff_from(doc: dict) -> ProductCutoff:
-    c = doc.get("cutoff") or {}
-    gx = c.get("x") or {}
-    kx = c.get("xi") or {}
-    return ProductCutoff(
-        g=Bump1D(center=float(gx.get("center", 0.0)), halfwidth=float(gx.get("halfwidth", 2.0))),
-        k=Bump1D(center=float(kx.get("center", 0.0)), halfwidth=float(kx.get("halfwidth", 2.0))),
-    )
+    c = _block(doc, "cutoff", ("x", "xi"))
+
+    def bump(axis: str) -> Bump1D:
+        b = c.get(axis) or {}
+        _refuse_extra(f"cutoff.{axis}", b, ("center", "halfwidth"), f"cutoff.{axis}.")
+        return Bump1D(center=float(b.get("center", 0.0)), halfwidth=float(b.get("halfwidth", 2.0)))
+
+    return ProductCutoff(g=bump("x"), k=bump("xi"))
 
 
 def _thresholds_from(doc: dict) -> dict:
@@ -260,7 +257,7 @@ def _dilation_certificate(v: MatrixPotential, tau0: float,
 
 
 def _tau_grid_from(doc: dict) -> np.ndarray:
-    tg = doc.get("tau_grid") or {}
+    tg = _block(doc, "tau_grid", ("lo", "hi", "count"))
     lo = float(tg.get("lo", 1.8))
     hi = float(tg.get("hi", 2.2))
     count = int(tg.get("count", 21))
@@ -356,13 +353,16 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
     window = _window_from(doc, variant)
     f = None if variant == "weyl" else _test_function_from(doc)
     v = _potential_from(doc)
+    v1 = combine_potentials(v, _model("perturbation", doc.get("perturbation"))) \
+        if variant == "thm2" else None
+    term = _model("h_term", doc["h_term"]) if doc.get("h_term") else None
     taus = _tau_grid_from(doc) if variant in ("thm2", "weyl") else None
+    chi = _cutoff_from(doc) if trace else None
     if f is None:
         qz._check_window(grids[0], float(taus[-1]), "tau")
     else:
         qz._check_window(grids[0], f.support[1])
     if trace:
-        chi = _cutoff_from(doc)
         cert = None if variant == "thm2" else _shell_certificate(
             doc, v, tau0, [list(chi.x_support), list(chi.xi_support)], 41)
     else:
@@ -380,10 +380,6 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
     if variant == "thm1":
         rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
     elif variant == "thm2":
-        pert = doc.get("perturbation")
-        if not pert:
-            raise ConfigError("thm2 needs a 'perturbation' potential spec")
-        v1 = combine_potentials(v, model_potential(pert["kind"], **pert.get("params", {})))
         rep = qz.theorem2_check(v, v1, chi, f, taus, grids, window,
                                 d_sep=float(doc.get("d_sep", 2.0)), **limits)
     elif variant == "thm3":
@@ -395,7 +391,8 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         for grid in grids:
             key = ("pair", model, grid)
             if key not in shared:
-                shared[key] = ssf_mod.build_pair(_potential_for_h(doc, grid.h), grid)
+                vh = v if term is None else combine_potentials(v, term, scale=grid.h)
+                shared[key] = ssf_mod.build_pair(vh, grid)
             pairs[grid.h] = shared[key]
         if variant == "weak":
             rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)

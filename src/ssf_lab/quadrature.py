@@ -20,7 +20,6 @@ __all__ = [
     "fixed_gauss",
     "adaptive_gauss",
     "adaptive_gauss_batch",
-    "tensor_gauss_2d",
     "QuadratureError",
 ]
 
@@ -163,18 +162,3 @@ def _breadth_first(f, owner, a, b, atol, floor, rtol, max_depth) -> np.ndarray:
         below = values
     return below if below is not None else np.zeros(0)
 
-
-def tensor_gauss_2d(f, x_range, y_range, nx: int = 80, ny: int = 80) -> float:
-    """Tensor-product Gauss rule for smooth f(x, y) on a box.
-
-    f is called with broadcastable arrays (nx, 1) and (1, ny).
-    """
-    xn, xw = gauss_rule(nx)
-    yn, yw = gauss_rule(ny)
-    xa, xb = x_range
-    ya, yb = y_range
-    xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
-    ym = 0.5 * (ya + yb) + 0.5 * (yb - ya) * yn
-    vals = np.asarray(f(xm[:, None], ym[None, :]))
-    jac = 0.25 * (xb - xa) * (yb - ya)
-    return float(jac * np.einsum("i,j,ij->", xw, yw, vals))

@@ -1287,29 +1287,34 @@ class SweepReport:
 
 
 def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | None = None,
-                  *, reference: float = 0.0, errors=None, rel_errors=None) -> SweepReport:
+                  *, reference: float = 0.0, rel_errors=None) -> SweepReport:
     """The verdict of one h-sweep, in one of two forms.
 
     Decay (``rel_threshold`` None): the values are the errors, fitted above
     a floor of 1e-10; PASS when the fitted order reaches ``order_threshold``
-    or every value is below the floor.
+    or every value is below the floor.  It takes no ``rel_errors``.
 
     Comparison: the errors are |values - reference| and the relative errors
-    those over |reference|, unless both are given.  PASS when the last
-    relative error is within ``rel_threshold`` and the fit is not FAIL, so a
-    fit that is BELOW_FLOOR (every error below 1e-12) or NO_FIT (an exact
-    zero among the errors) leaves the relative threshold to decide.
+    those over |reference|; when ``rel_errors`` is given, the values are the
+    errors.  PASS when the last relative error is within ``rel_threshold``
+    and the fit is not FAIL, so a fit that is BELOW_FLOOR (every error below
+    1e-12) or NO_FIT (an exact zero among the errors) leaves the relative
+    threshold to decide.
     """
     hs = np.asarray(hs, dtype=float)
     values = np.asarray(values, dtype=float)
     if rel_threshold is None:
+        if rel_errors is not None:
+            raise ValueError("a decay sweep's relative errors are its values")
         fit = fit_order(zip(hs, values), order_threshold, _DECAY_FLOOR)
         ok = fit.verdict in ("PASS", "BELOW_FLOOR")
         rel_errors = values
     else:
-        if errors is None:
+        if rel_errors is None:
             errors = np.abs(values - reference)
             rel_errors = errors / max(abs(reference), 1e-300)
+        else:
+            errors = values
         fit = fit_order(zip(hs, errors), order_threshold, _COMPARISON_FLOOR)
         ok = rel_errors[-1] <= rel_threshold and fit.verdict != "FAIL"
     return SweepReport(hs=hs, values=values, reference=float(reference),

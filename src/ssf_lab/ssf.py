@@ -187,8 +187,7 @@ def weyl_check(
         sup_err.append(float(np.max(err)))
         sup_rel.append(float(np.max(err / np.abs(ref))))
     return sweep_verdict(hs, sup_err, order_threshold, rel_threshold,
-                         reference=float(np.max(np.abs(ref))), errors=sup_err,
-                         rel_errors=sup_rel)
+                         reference=float(np.max(np.abs(ref))), rel_errors=sup_rel)
 
 
 def mollified_density_pairing(pair: SpectralPair, f: TestFunction, w: WindowTheta,

@@ -432,6 +432,22 @@ class TestWindowAndCheckBlocks:
         doc["window"] = dict(doc["window"], shape="gauss", width=0.1)
         self._rejected(tmp_path, doc, "window.shape, window.width")
 
+    # every block refuses the keys it does not read, rather than run on the
+    # default of the key it was meant to be
+    @pytest.mark.parametrize("name,block,key,value", [
+        ("trace_thm2_locality", "tau_grid", "cnt", 5),
+        ("trace_thm3_crossing", "cutoff.x", "centre", 0.5),
+        ("trace_thm1_free", "test_function", "plateu", [0.5, 1.5]),
+        ("check_mh_crossing", "potential", "parms", {"v_inf": 1.0}),
+    ])
+    def test_unread_block_key_is_rejected(self, tmp_path, no_assembly, name, block, key, value):
+        doc = _config(name, out=str(tmp_path / "o"))
+        target = doc
+        for part in block.split("."):
+            target = target[part]
+        target[key] = value
+        self._rejected(tmp_path, doc, f"not {block}.{key}$")
+
     @staticmethod
     def _rejected(tmp_path, doc, named):
         with pytest.raises(ConfigError, match=named):
@@ -659,6 +675,49 @@ class TestStockTraceConfigs:
         assert reference == pytest.approx(4.219614114, rel=2e-6)
         assert rel_error < 0.05 and slope > 1.0
 
+    def test_thm3_free_control_passes(self, tmp_path):
+        # the scalar control of the leading term: the free symbol's shell
+        # certificate holds, and the trace reaches its reference within 2 %
+        result = run(_config("trace_thm3_free", out=str(tmp_path / "free")))
+        assert result.report["certificates"][0]["valid"] is True
+        assert result.report["verdicts"] == {"thm3": "PASS"}
+        assert result.exit_code == 0
+        assert [row[1] for row in result.report["tables"]["main"]["rows"]] == [
+            0.8110613206902906, 1.4180724685933581, 1.8176319549183702, 1.722140548375989]
+
+
+class TestStockCertificateZoo:
+    # (shell, escape) verdicts of each model at tau0 = 0, 0.5, 1 and 2
+    VERDICTS = {
+        "constant": [("FAIL", "FAIL"), ("PASS", "PASS"), ("PASS", "PASS"), ("PASS", "PASS")],
+        "diagonal_bumps": [("PASS", "FAIL"), ("PASS", "PASS"), ("PASS", "PASS"),
+                           ("PASS", "PASS")],
+        "conical_crossing": [("FAIL", "FAIL"), ("PASS", "FAIL"), ("PASS", "PASS"),
+                             ("PASS", "PASS")],
+        "avoided_crossing": [("PASS", "FAIL"), ("PASS", "FAIL"), ("PASS", "PASS"),
+                             ("PASS", "PASS")],
+        "reference": [("FAIL", "FAIL"), ("PASS", "FAIL"), ("PASS", "PASS"), ("PASS", "PASS")],
+    }
+
+    def test_verdicts(self, tmp_path):
+        # the zoo refutes hypotheses by design, so the sweep exits 2
+        doc = _config("certify_zoo", out=str(tmp_path / "o"))
+        cells = [(experiment, kind, tau0, key, verdict)
+                 for kind, row in self.VERDICTS.items()
+                 for tau0, cell in zip((0.0, 0.5, 1.0, 2.0), row)
+                 for experiment, key, verdict in zip(("check-mh", "check-escape"),
+                                                     ("microhyperbolic", "escape"), cell)]
+        assert [(c["experiment"], c["potential"]["kind"], c["tau0"])
+                for c in doc["experiments"]] == [cell[:3] for cell in cells]
+        expected = {f"{i:02d}:{experiment}:{key}": verdict
+                    for i, (experiment, _, _, key, verdict) in enumerate(cells)}
+        result = run(doc)
+        assert result.report["verdicts"] == expected
+        assert result.exit_code == 2
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 2
+
 
 class TestMemoryAdmission:
     class Assembled(Exception):
@@ -693,7 +752,7 @@ class TestMemoryAdmission:
                     qz.build_schrodinger(p, grid).matrix
                 except self.Assembled:
                     built += 1
-        assert built == 15
+        assert built == 17
 
     def test_cli_prints_the_figures(self, tmp_path, monkeypatch, capsys):
         def refused(grid, samples, split=False):

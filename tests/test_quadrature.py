@@ -9,7 +9,6 @@ from ssf_lab.quadrature import (
     adaptive_gauss,
     adaptive_gauss_batch,
     fixed_gauss,
-    tensor_gauss_2d,
 )
 
 
@@ -43,11 +42,6 @@ def test_regularized_endpoint_singularity():
     # int_0^1 x^(-1/2) dx = 2 via the substitution x = u^2 done by the caller
     val = adaptive_gauss(lambda u: 2.0 * np.ones_like(u), 0.0, 1.0, atol=1e-13)
     assert abs(val - 2.0) < 1e-13
-
-
-def test_tensor_rule():
-    val = tensor_gauss_2d(lambda x, y: np.exp(-(x**2) - y**2), (-8, 8), (-8, 8), 120, 120)
-    assert abs(val - math.pi) < 1e-10
 
 
 # ---------------------------------------------------------------------------

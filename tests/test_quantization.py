@@ -1687,6 +1687,15 @@ class TestSweepVerdict:
         assert [tuple(r) for r in rows] == [qz.SweepReport.COLUMNS] * 3
         assert all(r["reference"] == 0.0 and r["rel_error"] == r["value"] for r in rows)
 
+    def test_given_relative_errors(self):
+        # given relative errors stand, and the values are the errors fitted
+        rep = sweep_verdict(HS, [h**2 for h in HS], rel_errors=[9.0, 0.5, 0.01], **COMPARE)
+        assert list(rep.rel_errors) == [9.0, 0.5, 0.01]
+        assert rep.slope == pytest.approx(2.0, abs=1e-12)
+        assert rep.verdict == "PASS"
+        with pytest.raises(ValueError, match="relative errors are its values"):
+            sweep_verdict(HS, [h**4 for h in HS], rel_errors=[1.0, 1.0, 1.0], **DECAY)
+
     def test_two_point_sweep(self):
         with pytest.raises(ConfigError):
             sweep_verdict(HS[:2], [1.1, 1.01], **COMPARE)
