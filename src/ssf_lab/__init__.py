@@ -66,7 +66,6 @@ from .symbols import (
     hermitian_eigen,
     model_potential,
     schrodinger_symbol,
-    symbol_gradient,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,8 @@ from typing import Callable
 
 import numpy as np
 
+from .symbols import _row
+
 __all__ = [
     "smootherstep",
     "transition",
@@ -109,38 +111,37 @@ class ProductCutoff:
 
 @dataclass(frozen=True)
 class ScalarPhaseFunction:
-    """Scalar G(x, xi) with an explicit phase-space gradient.
+    """Scalar G(x, xi) with an explicit phase-space gradient, given by its
+    array form.
 
-    ``grad(x, xi)`` returns the 2n-vector (dG/dx..., dG/dxi...); for n=1 a
-    plain pair (G_x, G_xi).
+    ``eval_on(x, xi)`` maps K points (x and xi of shape (K,) for n=1, (K, n)
+    otherwise) to the K values, and ``grad_on(x, xi)`` to the (K, 2n)
+    gradients (dG/dx..., dG/dxi...).  A scalar call is the one row at that
+    point.
     """
 
     n: int
-    eval: Callable
-    grad: Callable
+    eval_on: Callable
+    grad_on: Callable
     name: str = ""
 
     def __call__(self, x, xi):
-        return self.eval(x, xi)
+        return self.eval_on(_row(x, self.n), _row(xi, self.n))[0]
 
     def gradient(self, x, xi) -> np.ndarray:
-        return np.asarray(self.grad(x, xi), dtype=float)
+        return self.gradient_on(_row(x, self.n), _row(xi, self.n))[0]
+
+    def gradient_on(self, x, xi) -> np.ndarray:
+        """The (K, 2n) gradients at the K points (x[k], xi[k])."""
+        return np.asarray(self.grad_on(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)),
+                          dtype=float)
 
 
 def dilation_generator(n: int = 1) -> ScalarPhaseFunction:
     """G(x, xi) = x . xi, the generator of phase-space dilations."""
     if n == 1:
-        return ScalarPhaseFunction(
-            n=1,
-            eval=lambda x, xi: x * xi,
-            grad=lambda x, xi: np.array([xi, x], dtype=float),
-            name="x.xi",
-        )
-
-    def _eval(x, xi):
-        return float(np.dot(x, xi))
-
-    def _grad(x, xi):
-        return np.concatenate([np.asarray(xi, float), np.asarray(x, float)])
-
-    return ScalarPhaseFunction(n=n, eval=_eval, grad=_grad, name="x.xi")
+        return ScalarPhaseFunction(n=1, eval_on=lambda x, xi: x * xi,
+                                   grad_on=lambda x, xi: np.column_stack([xi, x]), name="x.xi")
+    return ScalarPhaseFunction(n=n, eval_on=lambda x, xi: np.sum(x * xi, axis=1),
+                               grad_on=lambda x, xi: np.concatenate([xi, x], axis=1),
+                               name="x.xi")

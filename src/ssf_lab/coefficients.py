@@ -61,6 +61,12 @@ __all__ = [
 
 DEFAULT_BOX_RADIUS = 8.0  # model potentials are flat to < 1e-12 outside
 TURNING_SCAN = 2048
+# absolute tolerances of the adaptive quadratures: gamma0 and a0, c0's inner
+# and outer integrals, and the localized density
+ATOL = 1e-10
+C0_ATOL = 1e-9
+LOCALIZED_ATOL = 1e-11
+QUADRATURE_ORDER = 200  # Gauss nodes of a test function's quadrature
 
 
 class ThresholdError(ValueError):
@@ -69,13 +75,18 @@ class ThresholdError(ValueError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth real test function with compact support [alpha, beta]."""
+    """Smooth real test function with compact support [alpha, beta], alpha < beta."""
 
     support: tuple[float, float]
     eval: Callable
     kind: str = "bump"
     _nodes: np.ndarray = field(default=None, repr=False, compare=False)
     _weights: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b = self.support
+        if not b > a:
+            raise ValueError(f"empty support [{a}, {b}]: a test function needs alpha < beta")
 
     def __call__(self, t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -88,10 +99,10 @@ class TestFunction:
             return float(out[0])
         return out
 
-    def quadrature(self, order: int = 200):
+    def quadrature(self):
         """Cached Gauss nodes and weights on the support."""
         if self._nodes is None:
-            xn, xw = gauss_rule(order)
+            xn, xw = gauss_rule(QUADRATURE_ORDER)
             a, b = self.support
             nodes = 0.5 * (a + b) + 0.5 * (b - a) * xn
             weights = 0.5 * (b - a) * xw
@@ -113,8 +124,6 @@ class TestFunction:
 
 def bump_test_function(support: tuple[float, float]) -> TestFunction:
     a, b = support
-    if not b > a:
-        raise ValueError("empty support")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return TestFunction(support=(a, b),
                         eval=lambda t: bump_profile((np.asarray(t) - mid) / half),
@@ -129,8 +138,6 @@ def plateau_test_function(support: tuple[float, float],
         w = 0.25 * (b - a)
         plateau = (a + w, b - w)
     p_lo, p_hi = plateau
-    if not (a < p_lo < p_hi < b):
-        raise ValueError("plateau must sit strictly inside the support")
 
     def _eval(t):
         t = np.asarray(t, dtype=float)
@@ -138,7 +145,10 @@ def plateau_test_function(support: tuple[float, float],
         right = transition((t - p_hi) / (b - p_hi))
         return left * right
 
-    return TestFunction(support=(a, b), eval=_eval, kind="plateau")
+    f = TestFunction(support=(a, b), eval=_eval, kind="plateau")
+    if not (a < p_lo < p_hi < b):
+        raise ValueError("plateau must sit strictly inside the support")
+    return f
 
 
 def raised_cosine_test_function(support: tuple[float, float]) -> TestFunction:
@@ -348,7 +358,7 @@ def _channel_sum(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def gamma0(v: MatrixPotential, tau, atol: float = 1e-10):
+def gamma0(v: MatrixPotential, tau):
     """Leading density coefficient at energy tau (a float, or an array of tau).
 
     Rejects tau within 1e-6 of a channel limit: there the integrand
@@ -368,15 +378,15 @@ def gamma0(v: MatrixPotential, tau, atol: float = 1e-10):
                        for thr in thresholds] for t in taus]).reshape(taus.size, v.N)
     roots = _turning_points(v, taus, lo, hi)
     if exponent < 0.0:
-        parts = _singular_differences(v, taus, c_inf, roots, lo, hi, atol)
+        parts = _singular_differences(v, taus, c_inf, roots, lo, hi, ATOL)
     else:
         parts = _power_differences(v, taus, c_inf, exponent, _radial_weight(n), roots,
-                                   lo, hi, atol)
+                                   lo, hi, ATOL)
     out = 0.5 * sphere_volume(n) * _channel_sum(parts)
     return float(out[0]) if scalar else out
 
 
-def a0(v: MatrixPotential, tau, atol: float = 1e-10):
+def a0(v: MatrixPotential, tau):
     """Leading coefficient of the counting difference (a float, or an array
     of tau); needs a zero limit and rejects tau within 1e-6 of 0."""
     n = v.n
@@ -393,12 +403,12 @@ def a0(v: MatrixPotential, tau, atol: float = 1e-10):
     tau_pow = np.array([float(t) ** exponent if t > 0.0 else 0.0 for t in taus])
     roots = _turning_points(v, taus, lo, hi)
     parts = _power_differences(v, taus, np.repeat(tau_pow[:, None], v.N, axis=1),
-                               exponent, _radial_weight(n), roots, lo, hi, atol)
+                               exponent, _radial_weight(n), roots, lo, hi, ATOL)
     out = sphere_volume(n) / n * _channel_sum(parts)
     return float(out[0]) if scalar else out
 
 
-def c0(v: MatrixPotential, f: TestFunction, atol: float = 1e-9) -> float:
+def c0(v: MatrixPotential, f: TestFunction) -> float:
     """Weak-pairing coefficient: pairs with -tr(f(P1) - f(P0)).
 
     The inner energy integral runs over t in (0, inf) restricted to where
@@ -426,18 +436,17 @@ def c0(v: MatrixPotential, f: TestFunction, atol: float = 1e-9) -> float:
             t = us * us
             return 2.0 * us ** (n - 1) * (f(t_o[j] + t) - f(e_o[j] + t))
 
-        inner = adaptive_gauss_batch(g, np.zeros(node.size), u_hi[node, channel], atol)
+        inner = adaptive_gauss_batch(g, np.zeros(node.size), u_hi[node, channel], C0_ATOL)
         vals = np.zeros(xs.size)
         for k in range(v.N):  # each node sums its channels in order
             vals[node[channel == k]] += inner[channel == k]
         return vals if weight is None else weight(xs) * vals
 
-    value = float(adaptive_gauss_batch(outer, [lo], [hi], atol)[0])
+    value = float(adaptive_gauss_batch(outer, [lo], [hi], C0_ATOL)[0])
     return 0.5 * sphere_volume(n) * value
 
 
-def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float,
-                     atol: float = 1e-11) -> float:
+def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float) -> float:
     """Phase-space localized density at energy tau for n = 1,
 
         sum_k int g(x) [k(s_k) + k(-s_k)] / (2 s_k) dx,  s_k = sqrt(tau - e_k(x)),
@@ -462,7 +471,7 @@ def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float,
         return 0.5 * chi.g(xs) * (chi.k(s) + chi.k(-s))
 
     parts = _singular_differences(v, taus, np.zeros((1, v.N)), _turning_points(v, taus, lo, hi),
-                                  lo, hi, atol, weight)
+                                  lo, hi, LOCALIZED_ATOL, weight)
     return float(_channel_sum(parts)[0])
 
 
@@ -480,7 +489,6 @@ class CoefficientProfile:
         return sphere_volume(self.n)
 
 
-def coefficient_profile(v: MatrixPotential, taus, atol: float = 1e-10) -> CoefficientProfile:
+def coefficient_profile(v: MatrixPotential, taus) -> CoefficientProfile:
     taus = np.asarray(taus, dtype=float)
-    return CoefficientProfile(tau_grid=taus, gamma0=gamma0(v, taus, atol=atol),
-                              a0=a0(v, taus, atol=atol), n=v.n)
+    return CoefficientProfile(tau_grid=taus, gamma0=gamma0(v, taus), a0=a0(v, taus), n=v.n)

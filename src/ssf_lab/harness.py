@@ -123,6 +123,10 @@ class ExperimentConfig:
             # the decay variants' verdicts read the fitted order alone
             _block(doc, "thresholds", ("order",) if variant in ("thm1", "thm2")
                    else ("order", "rel"))
+            if "window" in _KEYS[kind]:
+                _window_from(doc, variant)
+            if "test_function" in _KEYS[kind]:
+                _test_function_from(doc)
         elif experiment == "sweep":
             if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
                 raise ConfigError("sweep needs a non-empty 'experiments' list")
@@ -186,29 +190,47 @@ def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
     return [qz.grid_for(float(h), R, float(g["tau_max"]), m_cap) for h in doc["h_list"]]
 
 
+# the variants whose checks read the even window alone
+_EVEN_WINDOW = ("thm3", "weyl", "derivative")
+
+
 def _window_from(doc: dict, variant: str) -> qz.WindowTheta:
     """The config's window, one for every h: thm1 defaults to the one-sided
     window at eps 0.3, every other variant to the even window at eps 0.25.
-    The block takes kind and eps only."""
+    The block takes kind and eps only, and thm3, weyl and derivative take
+    the even kind alone."""
     w = _block(doc, "window", ("kind", "eps"))
     thm1 = variant == "thm1"
-    return qz.WindowTheta(kind=w.get("kind", "bump_positive" if thm1 else "bump_at_zero"),
-                          eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
+    kind = w.get("kind", "bump_positive" if thm1 else "bump_at_zero")
+    if variant in _EVEN_WINDOW and kind != "bump_at_zero":
+        raise ConfigError(f"{variant} needs window.kind 'bump_at_zero', got {kind!r}")
+    try:
+        return qz.WindowTheta(kind=kind, eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
+    except ValueError as exc:
+        raise ConfigError(f"bad window: {exc}") from exc
 
 
 def _test_function_from(doc: dict) -> coeffs.TestFunction:
+    """The config's test function; the block takes kind, support and, for
+    the plateau kind alone, plateau."""
     tf = _block(doc, "test_function", ("kind", "support", "plateau"))
     kind = tf.get("kind", "bump")
+    if "plateau" in tf and kind != "plateau":
+        raise ConfigError(f"test_function.plateau is read by the plateau kind alone, "
+                          f"not by {kind!r}")
     support = tuple(float(v) for v in tf.get("support", (1.8, 2.2)))
-    if kind == "bump":
-        return coeffs.bump_test_function(support)
-    if kind == "plateau":
-        plateau = tf.get("plateau")
-        return coeffs.plateau_test_function(
-            support, None if plateau is None else tuple(float(v) for v in plateau)
-        )
-    if kind == "raised_cosine":
-        return coeffs.raised_cosine_test_function(support)
+    try:
+        if kind == "bump":
+            return coeffs.bump_test_function(support)
+        if kind == "plateau":
+            plateau = tf.get("plateau")
+            return coeffs.plateau_test_function(
+                support, None if plateau is None else tuple(float(v) for v in plateau)
+            )
+        if kind == "raised_cosine":
+            return coeffs.raised_cosine_test_function(support)
+    except ValueError as exc:
+        raise ConfigError(f"bad test_function: {exc}") from exc
     raise ConfigError(f"unknown test function kind {kind!r}")
 
 
@@ -426,8 +448,13 @@ def _verdict_exit_code(verdicts: dict) -> int:
 
 def report_identity_bytes(report: dict) -> bytes:
     """Canonical bytes of a report with the (non-deterministic) timings
-    stripped; two runs of one config must agree on these."""
+    stripped; two runs of one config must agree on these, whatever their
+    output directories.  So a sweep's children count by their paths
+    relative to the sweep's directory, which holds them."""
     doc = {k: v for k, v in report.items() if k != "timings"}
+    if report["config_echo"]["experiment"] == "sweep":
+        doc["tables"] = {"children": [os.path.relpath(p, os.path.dirname(os.path.dirname(p)))
+                                      for p in report["tables"]["children"]]}
     return json.dumps(doc, sort_keys=True).encode()
 
 

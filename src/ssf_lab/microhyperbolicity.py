@@ -31,9 +31,9 @@ from .symbols import (
     MatrixSymbol,
     fast_eigvalsh,
     hermitian_eigen,
+    phase_halves,
     require_hermitian,
     shifted_symbol,
-    symbol_gradient,
 )
 
 __all__ = [
@@ -176,9 +176,7 @@ class CrossingResult:
 
 def directional_derivative(h: MatrixSymbol, rho, t) -> np.ndarray:
     """<T, grad H(rho)> as a hermitian matrix."""
-    tv = _as_direction_vec(t)
-    grad = symbol_gradient(h, rho)
-    return np.tensordot(tv, grad, axes=(0, 0))
+    return np.tensordot(_as_direction_vec(t), h.gradient(rho), axes=(0, 0))
 
 
 def check_definition(h: MatrixSymbol, rho, t, c0: float, c1: float) -> float:
@@ -204,19 +202,20 @@ class _Jet(NamedTuple):
     rho: np.ndarray
     a: np.ndarray            # H(rho)
     kernel_tol: float
-    grad: np.ndarray         # symbol_gradient(H, rho)
+    grad: np.ndarray         # H.gradient(rho)
     eig: EigenBranchSet      # hermitian_eigen(H(rho))
 
 
-def _jet(h: MatrixSymbol, rho, kernel_tol: float | None) -> _Jet:
-    return _jets(h, np.atleast_1d(np.asarray(rho, dtype=float))[None, :], kernel_tol)[0]
+def _jet(h: MatrixSymbol, rho) -> _Jet:
+    """The jet at one point, with the default kernel tolerance."""
+    return _jets(h, np.atleast_1d(np.asarray(rho, dtype=float))[None, :], None)[0]
 
 
 def _jets(h: MatrixSymbol, rhos: np.ndarray, kernel_tol: float | None) -> list:
     """The jet of every row of ``rhos`` (K, 2n): H, its gradient and the eigh
     of H each come from one call over all K points, and each point's
     hermiticity is checked (``require_hermitian``, first failure in order)."""
-    x, xi = (rhos[:, 0], rhos[:, 1]) if h.n == 1 else (rhos[:, :h.n], rhos[:, h.n:])
+    x, xi = phase_halves(rhos, h.n)
     a = require_hermitian(h.on(x, xi))
     values, vectors = np.linalg.eigh(a)
     grad = h.gradient_on(x, xi)
@@ -233,20 +232,16 @@ def _kernel_compression(eig: EigenBranchSet, g: np.ndarray, kernel_tol: float):
     return vk.conj().T @ g @ vk, eig, mask
 
 
-def check_pointwise(
-    h: MatrixSymbol,
-    rho0,
-    t,
-    kernel_tol: float | None = None,
-) -> MicrohyperbolicityCertificate:
+def check_pointwise(h: MatrixSymbol, rho0, t) -> MicrohyperbolicityCertificate:
     """Kernel-form check at a single point, with constants by doubling search.
 
     The compression S of <T, grad H(rho0)> onto the near-kernel must be
     positive definite; the certificate stores C0 = min-eig(S)/2 and the
     smallest ladder C1 that makes the compensated inequality hold at rho0.
-    An invertible H(rho0) passes trivially with C0 = sigma_min/2.
+    An invertible H(rho0) passes trivially with C0 = sigma_min/2.  The
+    kernel tolerance is ``default_kernel_tol``.
     """
-    return _check_jet(h, _jet(h, rho0, kernel_tol), t)
+    return _check_jet(h, _jet(h, rho0), t)
 
 
 def _check_jet(h: MatrixSymbol, jet: _Jet, t) -> MicrohyperbolicityCertificate:
@@ -307,20 +302,16 @@ def _unit(phis: np.ndarray) -> np.ndarray:
                             np.fromiter(map(math.sin, angles), float, len(angles))])
 
 
-def find_direction(
-    h: MatrixSymbol,
-    rho0,
-    kernel_tol: float | None = None,
-) -> Direction | None:
+def find_direction(h: MatrixSymbol, rho0) -> Direction | None:
     """Maximize the kernel-projected directional derivative over unit T.
 
     Coarse sphere sampling followed by refinement: for 2n = 2, where the
     sphere is a circle, 256 equally spaced angles and 40 golden-section
     steps; in higher dimension 1024 seeded random directions and 40 rounds
     of coordinate refinement.  Returns None when no direction gives a
-    positive value.
+    positive value.  The kernel tolerance is ``default_kernel_tol``.
     """
-    return _find_directions(h, [_jet(h, rho0, kernel_tol)])[0]
+    return _find_directions(h, [_jet(h, rho0)])[0]
 
 
 def _find_directions(h: MatrixSymbol, jets: list) -> list:
@@ -445,21 +436,19 @@ def check_on_energy_shell(
     shell_tol: float | None = None,
     T=None,
     grid_points: int = 61,
-    kernel_tol: float | None = None,
 ) -> MicrohyperbolicityCertificate:
     """Check tau0 - p on the sampled energy shell, aggregating worst constants.
 
     A direction ``T`` is checked at every shell point; without one each
     point searches its own, recorded in ``per_point_T``.  The kernel
-    tolerance defaults to the shell tolerance so that branches within the
+    tolerance is the shell tolerance, so that branches within the
     sampling thickness of the shell count as near-kernel.  H, its
     gradient and its eigh at all shell points are each one stacked call
     (``_jets``), shared by the direction search and the pointwise check.
     """
     if shell_tol is None:
         shell_tol = default_shell_tol(tau0)
-    if kernel_tol is None:
-        kernel_tol = shell_tol
+    kernel_tol = shell_tol
     h = shifted_symbol(p, tau0)
     pts = shell_sample(p, tau0, box, shell_tol, grid_points)
     if pts.size == 0:
@@ -547,7 +536,9 @@ def escape_check_general(
     grid_points: int = 61,
 ) -> EscapeCertificate:
     """Certify the bracket {p, G} = dG/dx . dp/dxi - dG/dxi . dp/dx positive
-    definite on the sampled energy shell."""
+    definite on the sampled energy shell.  The gradients of p and G at all
+    shell points are one ``gradient_on`` call each, and the brackets one
+    stacked eigvalsh."""
     if shell_tol is None:
         shell_tol = default_shell_tol(tau0)
     pts = shell_sample(p, tau0, box, shell_tol, grid_points)
@@ -556,15 +547,12 @@ def escape_check_general(
                                  C=0.0, samples=pts, shell_tol=shell_tol,
                                  failures=["empty shell"])
     n = p.n
-    brackets = []
-    for (x, xi), gp in zip(pts, p.gradient_on(pts[:, 0], pts[:, 1])):
-        gg = g.gradient(x, xi)
-        brackets.append(sum(gg[i] * gp[n + i] for i in range(n)) - sum(
-            gg[n + i] * gp[i] for i in range(n)
-        ))
-    ws = np.linalg.eigvalsh(np.stack(brackets))[:, 0]
+    gp = p.gradient_on(pts[:, 0], pts[:, 1])
+    gg = g.gradient_on(pts[:, 0], pts[:, 1])[:, :, None, None]
+    brackets = np.sum(gg[:, :n] * gp[:, n:], axis=1) - np.sum(gg[:, n:] * gp[:, :n], axis=1)
+    ws = np.linalg.eigvalsh(brackets)[:, 0]
     worst = float(ws.min())
-    failures = [np.array([x, xi]) for (x, xi), w in zip(pts, ws) if w <= 0.0]
+    failures = [pts[i].copy() for i in np.flatnonzero(ws <= 0.0)]
     valid = not failures
     return EscapeCertificate(valid=valid, tau0=tau0, G_kind=g.name or "general",
                              C=worst if valid else 0.0, samples=pts,
@@ -620,8 +608,9 @@ def linearized_block_symbol(
     frozen on the invertible complement, expressed in the original frame.
 
     The conjugating matrix is taken unitary (the eigenvector matrix of the
-    hermitian H(rho0)), which keeps every block hermitian.  The symbol
-    carries no analytic gradient; gradients fall back to finite differences.
+    hermitian H(rho0)), which keeps every block hermitian.  The symbol is an
+    array form without an analytic gradient: its gradients are central
+    differences.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     a = h.at(rho0)
@@ -635,30 +624,23 @@ def linearized_block_symbol(
             f"eigenvalue magnitude {mags[ambiguous].min():.3e} within a factor 10 "
             f"of kernel_tol={kernel_tol:.3e}; choose a different kernel_tol"
         )
-    mask = mags <= kernel_tol
     u = eig.vectors
-    grad = symbol_gradient(h, rho0)
-    # kernel-block gradient components in the eigenframe
-    uk = u[:, mask]
-    gk = np.stack([uk.conj().T @ gi @ uk for gi in grad])  # (2n, r, r)
+    kernel, rest = np.flatnonzero(mags <= kernel_tol), np.flatnonzero(mags > kernel_tol)
+    # kernel-block gradient components in the eigenframe, (2n, r, r)
+    uk = u[:, kernel]
+    gk = np.stack([uk.conj().T @ gi @ uk for gi in h.gradient(rho0)])
     # frozen complement
-    u_c = u[:, ~mask]
-    m22 = u_c.conj().T @ a @ u_c if u_c.shape[1] else None
+    m22 = u[:, rest].conj().T @ a @ u[:, rest]
 
-    def _eval(x, xi):
-        delta = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                                np.atleast_1d(np.asarray(xi, float))]) - rho0
-        out = np.zeros((h.N, h.N), dtype=complex)
-        if uk.shape[1]:
-            blk = np.tensordot(delta, gk, axes=(0, 0))
-            out[np.ix_(mask.nonzero()[0], mask.nonzero()[0])] = blk
-        if m22 is not None:
-            idx = (~mask).nonzero()[0]
-            out[np.ix_(idx, idx)] = m22
+    def _eval_on(x, xi):
+        delta = np.column_stack([x, xi]) - rho0
+        out = np.zeros((len(delta), h.N, h.N), dtype=complex)
+        out[:, kernel[:, None], kernel] = np.tensordot(delta, gk, axes=(1, 0))
+        out[:, rest[:, None], rest] = m22
         full = u @ out @ u.conj().T
-        return 0.5 * (full + full.conj().T)
+        return 0.5 * (full + np.conj(np.swapaxes(full, 1, 2)))
 
-    return MatrixSymbol(n=h.n, N=h.N, eval=_eval, name=f"linearized({h.name})")
+    return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on, name=f"linearized({h.name})")
 
 
 @dataclass(frozen=True)
@@ -673,51 +655,39 @@ class ExtensionReport:
     far_slacks: np.ndarray
 
 
-def extend_to_global(
-    h: MatrixSymbol,
-    rho0,
-    t,
-    delta: float,
-    kernel_tol: float | None = None,
-    grid_points: int = 9,
-) -> tuple[MatrixSymbol, ExtensionReport]:
+def extend_to_global(h: MatrixSymbol, rho0, t,
+                     delta: float) -> tuple[MatrixSymbol, ExtensionReport]:
     """Cutoff interpolation between H near rho0 and its affine/block model.
 
     H_delta(rho) = chi((rho-rho0)/delta) (H - H0)(rho) + H0(rho) with a fixed
-    smoothstep radial cutoff; evaluation returns H(rho) verbatim inside
-    |rho-rho0| <= delta (the cutoff is exactly 1 there).  The verification
-    report scans check_definition on a dense grid over |rho-rho0| <= 4 delta
-    plus far-field samples; delta is halved (and, if the frozen block needs
-    it, C1 enlarged along the doubling ladder) until the worst slack is
-    positive, at most 20 times; after that the report has ``ok=False``.
+    smoothstep radial cutoff, an array form without an analytic gradient;
+    evaluation returns H(rho) verbatim inside |rho-rho0| <= delta.  The
+    verification report scans check_definition on a 9-point grid per axis
+    over |rho-rho0| <= 4 delta plus far-field samples; delta is halved (and,
+    if the frozen block needs it, C1 enlarged along the doubling ladder)
+    until the worst slack is positive, at most 20 times; after that the
+    report has ``ok=False``.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     tv = _as_direction_vec(t)
-    base = check_pointwise(h, rho0, tv, kernel_tol=kernel_tol)
+    base = check_pointwise(h, rho0, tv)
     if not base.valid:
         raise ValueError("symbol is not microhyperbolic at rho0 in direction T")
     h0 = linearized_block_symbol(h, rho0, kernel_tol=base.kernel_tol)
 
     def make_symbol(dlt: float) -> MatrixSymbol:
-        def _eval(x, xi):
-            rho = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                                  np.atleast_1d(np.asarray(xi, float))])
-            r = float(np.linalg.norm(rho - rho0)) / dlt
-            if r <= 1.0:
-                return np.asarray(h.eval(x, xi))
-            if r >= 2.0:
-                return np.asarray(h0.eval(x, xi))
-            c = float(radial_cutoff(r))
-            return c * (np.asarray(h.eval(x, xi)) - np.asarray(h0.eval(x, xi))) \
-                + np.asarray(h0.eval(x, xi))
+        def _eval_on(x, xi):
+            r = np.linalg.norm(np.column_stack([x, xi]) - rho0, axis=1)[:, None, None] / dlt
+            near, lin = h.on(x, xi), h0.on(x, xi)
+            return np.where(r <= 1.0, near, radial_cutoff(r) * (near - lin) + lin)
 
-        return MatrixSymbol(n=h.n, N=h.N, eval=_eval, grad=None,
+        return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on,
                             name=f"extended({h.name},delta={dlt:g})")
 
     dim = 2 * h.n
 
     def verification_points(dlt: float):
-        axes = [np.linspace(-4.0 * dlt, 4.0 * dlt, grid_points)] * dim
+        axes = [np.linspace(-4.0 * dlt, 4.0 * dlt, 9)] * dim
         mesh = np.meshgrid(*axes, indexing="ij")
         near = np.stack([m.ravel() for m in mesh], axis=1) + rho0
         far = []
@@ -783,16 +753,14 @@ def flatten_symbol(h: MatrixSymbol, a: float) -> MatrixSymbol:
     if not a > 0:
         raise ValueError("linear-window radius must be positive")
 
-    def _eval(x, xi):
-        mat = np.asarray(h.eval(x, xi))
-        eig = hermitian_eigen(mat)
-        if float(np.max(np.abs(eig.values), initial=0.0)) < a:
-            return mat
-        vals = _flatten_scalar(eig.values, a)
-        return (eig.vectors * vals) @ eig.vectors.conj().T
+    def _eval_on(x, xi):
+        mats = h.on(x, xi)
+        vals, vecs = np.linalg.eigh(require_hermitian(mats))
+        flat = (vecs * _flatten_scalar(vals, a)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
+        inside = np.max(np.abs(vals), axis=1, initial=0.0) < a
+        return np.where(inside[:, None, None], mats, flat)
 
-    return MatrixSymbol(n=h.n, N=h.N, eval=_eval, grad=None,
-                        name=f"flattened({h.name},a={a:g})")
+    return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on, name=f"flattened({h.name},a={a:g})")
 
 
 @dataclass(frozen=True)

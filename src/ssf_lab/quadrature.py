@@ -52,17 +52,16 @@ def adaptive_gauss(
     a: float,
     b: float,
     atol: float = 1e-10,
-    rtol: float = 1e-10,
     max_depth: int = 48,
     breakpoints=(),
 ) -> float:
     """Adaptive Gauss-Legendre of f(x) on [a, b]; optional interior breakpoints.
 
-    One interval of ``adaptive_gauss_batch``; callers with more than one
-    integral should batch them instead.
+    One interval of ``adaptive_gauss_batch`` at its default rtol; callers
+    with more than one integral should batch them instead.
     """
-    return float(adaptive_gauss_batch(lambda owner, x: f(x), [a], [b], atol, rtol,
-                                      max_depth, [breakpoints])[0])
+    return float(adaptive_gauss_batch(lambda owner, x: f(x), [a], [b], atol,
+                                      max_depth=max_depth, breakpoints=[breakpoints])[0])
 
 
 def adaptive_gauss_batch(f, a, b, atol: float = 1e-10, rtol: float = 1e-10,

@@ -98,7 +98,7 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     p1 = build_schrodinger(v, grid)
     lam1 = p1.eigenvalues()
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
-    if p1._analytic is not None and np.all(potential_samples(v, grid) == free.eval(0.0)):
+    if p1._analytic is not None and np.all(potential_samples(v, grid) == free.on(np.zeros(1))[0]):
         return SpectralPair(grid, lam1, lam1)
     return SpectralPair(grid, lam1, build_schrodinger(free, grid).eigenvalues())
 

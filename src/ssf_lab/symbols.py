@@ -11,19 +11,19 @@ Conventions used throughout the package:
 
 For n = 1 scalar coordinates are accepted everywhere.
 
-Every potential and symbol also answers for K points at once: ``v.on(xs)``
-is (K, N, N) and ``v.gradient_on(xs)`` (K, n, N, N), with xs of shape (K,)
-for n = 1 and (K, n) otherwise; a symbol's ``on(x, xi)`` and
-``gradient_on(x, xi)`` take the x and xi parts as two such arrays.  A model
-built here has an array form (``eval_on``, ``grad_on``) whose rows equal its
-scalar calls bit for bit; a potential or symbol built from a scalar-only
-callable is evaluated point by point inside these entry points.
+A potential or symbol is built from its array form alone: ``eval_on`` maps
+K points at once, shape (K,) for n = 1 and (K, n) otherwise, to (K, N, N),
+and the optional ``grad_on`` gives the (K, n, N, N) gradients (a symbol's
+take the x and xi parts as two such arrays and give (K, 2n, N, N)).
+``v.on(xs)`` and ``v.gradient_on(xs)`` call them; without ``grad_on`` the
+gradients are central differences over the whole array.  A scalar call,
+``v(x)``, ``v.gradient(x)``, ``h(x, xi)``, ``h.at(rho)`` or
+``h.gradient(rho)``, is the one row of the array form at that point.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,8 +37,6 @@ __all__ = [
     "require_hermitian",
     "hermitian_eigen",
     "branches",
-    "symbol_gradient",
-    "schrodinger_matrices",
     "schrodinger_symbol",
     "shifted_symbol",
     "model_potential",
@@ -69,17 +67,21 @@ def _hermitian_parts(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
-def require_hermitian(a: np.ndarray, atol: float = 1e-12, rtol: float = 1e-12) -> np.ndarray:
+HERMITIAN_ATOL = HERMITIAN_RTOL = 1e-12
+
+
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
     A stack (..., N, N) is checked matrix by matrix, each against its own
-    tolerance, and the first one that fails, in stack order, raises."""
+    tolerance HERMITIAN_ATOL + HERMITIAN_RTOL max|a_ij|, and the first one
+    that fails, in stack order, raises."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     adj = np.conj(np.swapaxes(a, -1, -2))
     defects = np.max(np.abs(a - adj), axis=(-2, -1), initial=0.0).ravel()
-    tols = atol + rtol * np.max(np.abs(a), axis=(-2, -1), initial=0.0).ravel()
+    tols = HERMITIAN_ATOL + HERMITIAN_RTOL * np.max(np.abs(a), axis=(-2, -1), initial=0.0).ravel()
     bad = np.flatnonzero(defects > tols)
     if bad.size:
         raise NonHermitianError(float(defects[bad[0]]), float(tols[bad[0]]))
@@ -121,60 +123,63 @@ def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def hermitian_eigen(a: np.ndarray, atol: float = 1e-12, rtol: float = 1e-12) -> EigenBranchSet:
+def hermitian_eigen(a: np.ndarray) -> EigenBranchSet:
     """Eigendecomposition with sorted real values and orthonormal vectors.
 
-    Rejects inputs whose asymmetry exceeds tolerance; ties in the spectrum are
-    resolved by the (deterministic) underlying LAPACK ordering.
+    Rejects inputs whose asymmetry exceeds ``require_hermitian``'s
+    tolerance; ties in the spectrum are resolved by the (deterministic)
+    underlying LAPACK ordering.
     """
-    sym = require_hermitian(a, atol=atol, rtol=rtol)
+    sym = require_hermitian(a)
     values, vectors = np.linalg.eigh(sym)
     return EigenBranchSet(values=values, vectors=vectors)
 
 
-def _as_point(x, n: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (n,):
-        raise ValueError(f"point of dimension {pt.shape} does not match n={n}")
-    return pt
+def _row(c, n: int) -> np.ndarray:
+    """One point, or one half of a phase-space point, as the single-row
+    array an array form takes: shape (1,) for n = 1, (1, n) otherwise."""
+    return np.asarray(c, dtype=float).reshape((1,) if n == 1 else (1, n))
 
 
-def _stack(values, shape: tuple) -> np.ndarray:
-    values = [np.asarray(val) for val in values]
-    return np.stack(values) if values else np.zeros((0, *shape))
+def _central_differences(evaluate, pts: np.ndarray) -> np.ndarray:
+    """Hermitized central differences of ``evaluate`` at every row of ``pts``
+    (K, d) in each of its d coordinates, with the step 1e-5 (1 + |row|):
+    one ``evaluate`` call over the 2dK shifted rows, (K, d, N, N)."""
+    k, d = pts.shape
+    step = 1e-5 * (1.0 + np.linalg.norm(pts, axis=1))
+    shifts = np.eye(d)[:, None, :] * step[:, None]
+    vals = np.asarray(evaluate(np.concatenate([(pts + shifts).reshape(-1, d),
+                                               (pts - shifts).reshape(-1, d)])))
+    up, down = vals.reshape(2, d, k, *vals.shape[1:])
+    return _hermitian_parts(np.swapaxes((up - down) / (2.0 * step[:, None, None]), 0, 1))
 
 
-def _points(xs: np.ndarray, n: int) -> list:
-    """The points of an array of them, one at a time, as the scalar calls
-    take them: Python floats for n = 1, length-n rows otherwise."""
-    return xs.tolist() if n == 1 else list(xs)
+def phase_halves(rhos: np.ndarray, n: int) -> tuple:
+    """The x and xi parts of the phase-space points ``rhos`` (K, 2n), each of
+    shape (K,) for n = 1 and (K, n) otherwise, as a symbol's array form
+    takes them."""
+    return (rhos[:, 0], rhos[:, 1]) if n == 1 else (rhos[:, :n], rhos[:, n:])
 
 
 @dataclass(frozen=True)
 class MatrixPotential:
     """Smooth hermitian N x N field V(x) with limit v_infinity at infinity.
 
-    ``eval`` maps x (scalar for n=1, length-n array otherwise) to an (N, N)
-    hermitian array.  ``grad`` maps x to an (n, N, N) stack of partial
-    derivatives; when absent, gradients fall back to central differences.
-    ``eval_on`` and ``grad_on``, when given, are the same maps on an array
-    of K points (shape (K,) for n=1, (K, n) otherwise), returning (K, N, N)
-    and (K, n, N, N); ``on`` and ``gradient_on`` use them, or else call
-    ``eval`` and ``gradient`` once per point.
+    ``eval_on`` maps K points (shape (K,) for n=1, (K, n) otherwise) to the
+    (K, N, N) hermitian values; ``grad_on``, when given, to the (K, n, N, N)
+    partial derivatives, and otherwise gradients are central differences.
     ``mu`` records the decay exponent of V - v_infinity (models built here
     have Gaussian envelopes, so any finite exponent is valid).
     """
 
     n: int
     N: int
-    eval: Callable
-    grad: Callable | None
+    eval_on: Callable
     v_infinity: np.ndarray
+    grad_on: Callable | None = None
     mu: float = 6.0
     radial: bool = False
     name: str = ""
-    eval_on: Callable | None = None
-    grad_on: Callable | None = None
 
     def __post_init__(self):
         v_inf = np.asarray(self.v_infinity, dtype=complex)
@@ -191,29 +196,22 @@ class MatrixPotential:
         object.__setattr__(self, "v_infinity", np.diag(diag).astype(float))
 
     def __call__(self, x) -> np.ndarray:
-        return require_hermitian(self.eval(x), atol=1e-12, rtol=1e-12)
+        return require_hermitian(self.on(_row(x, self.n))[0])
 
     def on(self, xs) -> np.ndarray:
         """V at every point of ``xs`` as one (K, N, N) array (not symmetrized)."""
-        xs = np.asarray(xs, dtype=float)
-        if self.eval_on is not None:
-            return np.asarray(self.eval_on(xs))
-        return _stack(map(self.eval, _points(xs, self.n)), (self.N, self.N))
+        return np.asarray(self.eval_on(np.asarray(xs, dtype=float)))
 
-    def gradient(self, x, fd_step: float | None = None) -> np.ndarray:
-        if self.grad is not None:
-            g = np.asarray(self.grad(x))
-            if self.n == 1 and g.shape == (self.N, self.N):
-                g = g[None, :, :]
-            return _hermitian_parts(g)
-        return _finite_difference_gradient(self.eval, x, self.n, fd_step)
+    def gradient(self, x) -> np.ndarray:
+        return self.gradient_on(_row(x, self.n))[0]
 
     def gradient_on(self, xs) -> np.ndarray:
-        """``gradient`` at every point of ``xs`` as one (K, n, N, N) array."""
+        """The hermitized gradient at every point of ``xs``, (K, n, N, N)."""
         xs = np.asarray(xs, dtype=float)
         if self.grad_on is not None:
             return _hermitian_parts(np.asarray(self.grad_on(xs)))
-        return _stack(map(self.gradient, _points(xs, self.n)), (self.n, self.N, self.N))
+        return _central_differences(lambda pts: self.on(pts[:, 0] if self.n == 1 else pts),
+                                    xs.reshape(len(xs), self.n))
 
     def thresholds(self) -> np.ndarray:
         """Channel limits at infinity, computed through the same values-only
@@ -235,88 +233,45 @@ class MatrixPotential:
 class MatrixSymbol:
     """Phase-space symbol H(x, xi) valued in hermitian N x N matrices.
 
-    ``eval_on`` and ``grad_on``, when given, map arrays x and xi of K points
-    each (shape (K,) for n=1, (K, n) otherwise) to (K, N, N) and the raw
-    (K, 2n, N, N) gradients; ``on`` and ``gradient_on`` use them, or else
-    evaluate one point at a time."""
+    ``eval_on`` maps arrays x and xi of K points each (shape (K,) for n=1,
+    (K, n) otherwise) to (K, N, N); ``grad_on``, when given, to the
+    (K, 2n, N, N) gradients (d/dx..., d/dxi...), and otherwise gradients
+    are central differences in the 2n phase-space coordinates."""
 
     n: int
     N: int
-    eval: Callable
-    grad: Callable | None = None
-    name: str = ""
-    eval_on: Callable | None = None
+    eval_on: Callable
     grad_on: Callable | None = None
+    name: str = ""
 
     def __call__(self, x, xi) -> np.ndarray:
-        return require_hermitian(self.eval(x, xi), atol=1e-12, rtol=1e-12)
+        return require_hermitian(self.on(_row(x, self.n), _row(xi, self.n))[0])
 
-    def at(self, rho: np.ndarray) -> np.ndarray:
-        x, xi = _split_phase_point(rho, self.n)
-        return self(x, xi)
+    def _halves(self, rho) -> tuple:
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        if rho.shape != (2 * self.n,):
+            raise ValueError(f"phase point of shape {rho.shape} does not match 2n={2 * self.n}")
+        return phase_halves(rho[None, :], self.n)
+
+    def at(self, rho) -> np.ndarray:
+        """H at the phase-space point rho = (x, xi), symmetrized."""
+        return self(*self._halves(rho))
 
     def on(self, x, xi) -> np.ndarray:
         """H at the K points (x[k], xi[k]) as one (K, N, N) array (not symmetrized)."""
-        x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-        if self.eval_on is not None:
-            return np.asarray(self.eval_on(x, xi))
-        return _stack(map(self.eval, _points(x, self.n), _points(xi, self.n)),
-                      (self.N, self.N))
+        return np.asarray(self.eval_on(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)))
 
-    def gradient(self, rho, fd_step: float | None = None) -> np.ndarray:
-        return symbol_gradient(self, rho, fd_step=fd_step)
+    def gradient(self, rho) -> np.ndarray:
+        """The hermitized (2n, N, N) gradient at the phase-space point rho."""
+        return self.gradient_on(*self._halves(rho))[0]
 
     def gradient_on(self, x, xi) -> np.ndarray:
-        """``symbol_gradient`` at the K points (x[k], xi[k]), (K, 2n, N, N)."""
+        """The hermitized gradient at the K points (x[k], xi[k]), (K, 2n, N, N)."""
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
         if self.grad_on is not None:
             return _hermitian_parts(np.asarray(self.grad_on(x, xi)))
-        rhos = np.column_stack([x, xi])
-        return _stack([symbol_gradient(self, rho) for rho in rhos],
-                      (2 * self.n, self.N, self.N))
-
-
-def _split_phase_point(rho, n: int):
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if rho.shape != (2 * n,):
-        raise ValueError(f"phase point of shape {rho.shape} does not match 2n={2*n}")
-    if n == 1:
-        return float(rho[0]), float(rho[1])
-    return rho[:n], rho[n:]
-
-
-def _finite_difference_gradient(evaluate, x, n, fd_step):
-    """Hermitized central differences of ``evaluate`` in each of the n
-    coordinates, with a step scaled by 1 + |x|."""
-    x_arr = _as_point(x, n)
-    step = fd_step if fd_step is not None else 1e-5 * (1.0 + float(np.linalg.norm(x_arr)))
-    comps = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        xp, xm = x_arr + e, x_arr - e
-        if np.all(xp == x_arr) or np.all(xm == x_arr):
-            raise FloatingPointError("finite-difference step underflow at this point")
-        up = xp[0] if n == 1 else xp
-        um = xm[0] if n == 1 else xm
-        d = (np.asarray(evaluate(up)) - np.asarray(evaluate(um))) / (2.0 * step)
-        comps.append(0.5 * (d + d.conj().T))
-    return np.stack(comps)
-
-
-def symbol_gradient(h: MatrixSymbol, rho, fd_step: float | None = None) -> np.ndarray:
-    """(2n, N, N) gradient of a symbol, analytic when available.
-
-    Finite-difference fallback uses a step scaled with |rho| so the relative
-    truncation error stays uniform; each component is hermitized.
-    """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if h.grad is not None:
-        x, xi = _split_phase_point(rho, h.n)
-        return _hermitian_parts(np.asarray(h.grad(x, xi)))
-
-    return _finite_difference_gradient(lambda pt: h.eval(*_split_phase_point(pt, h.n)),
-                                       rho, 2 * h.n, fd_step)
+        return _central_differences(lambda rhos: self.on(*phase_halves(rhos, self.n)),
+                                    np.column_stack([x, xi]))
 
 
 def branches(v: MatrixPotential, x) -> EigenBranchSet:
@@ -324,76 +279,29 @@ def branches(v: MatrixPotential, x) -> EigenBranchSet:
     return hermitian_eigen(v(x))
 
 
-def schrodinger_matrices(v_at: np.ndarray, xi) -> np.ndarray:
-    """The n = 1 Schrodinger symbol xi^2 I_N + V for V values ``v_at``
-    (..., N, N) paired with scalar momenta ``xi`` (...); the symbol of
-    ``schrodinger_symbol`` is this at one point."""
-    xi2 = xi * xi
-    if getattr(xi2, "ndim", 0):
-        xi2 = xi2[..., None, None]
-    return xi2 * _identity(np.shape(v_at)[-1]) + v_at
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-def _at_one_point(form, n: int):
-    """The scalar call of an array form: its one row at the given point
-    (one coordinate argument for a potential, x and xi for a symbol)."""
-    shape = (1,) if n == 1 else (1, n)
-    return lambda *point: form(*(np.asarray(c, dtype=float).reshape(shape) for c in point))[0]
-
-
 def schrodinger_symbol(v: MatrixPotential) -> MatrixSymbol:
-    """The symbol xi^2 I_N + V(x) with exact kinetic part and exact gradient;
-    for n = 1 it is written as its array form, which evaluates V through
-    ``v.on``."""
+    """The symbol |xi|^2 I_N + V(x) with exact kinetic part and exact
+    gradient, written as its array form over ``v.on`` and ``v.gradient_on``."""
     eye = np.eye(v.N)
-    name = f"xi^2+{v.name or 'V'}"
 
-    if v.n == 1:
-        def _eval_on(x, xi):
-            return schrodinger_matrices(v.on(x), xi)
+    def _eval_on(x, xi):
+        xi2 = xi * xi if v.n == 1 else np.sum(xi * xi, axis=1)
+        return xi2[:, None, None] * eye + v.on(x)
 
-        def _grad_on(x, xi):
-            return np.concatenate([v.gradient_on(x), (2.0 * xi)[:, None, None, None] * eye], axis=1)
+    def _grad_on(x, xi):
+        kinetic = (2.0 * xi).reshape(len(xi), v.n)[:, :, None, None] * eye
+        return np.concatenate([v.gradient_on(x), kinetic], axis=1)
 
-        return MatrixSymbol(n=1, N=v.N, eval=_at_one_point(_eval_on, 1),
-                            grad=_at_one_point(_grad_on, 1), name=name,
-                            eval_on=_eval_on, grad_on=_grad_on)
-
-    def _eval(x, xi):
-        return float(np.dot(xi, xi)) * eye + v.eval(x)
-
-    def _grad(x, xi):
-        gv = v.gradient(x)
-        kinetic = np.stack([2.0 * xii * eye for xii in np.atleast_1d(xi)])
-        return np.concatenate([gv, kinetic])
-
-    return MatrixSymbol(n=v.n, N=v.N, eval=_eval, grad=_grad, name=name)
+    return MatrixSymbol(n=v.n, N=v.N, eval_on=_eval_on, grad_on=_grad_on,
+                        name=f"xi^2+{v.name or 'V'}")
 
 
 def shifted_symbol(p: MatrixSymbol, tau0: float) -> MatrixSymbol:
     """The symbol tau0*I - p, the object whose kernel marks the energy shell,
-    written as its array form over ``p.on`` (and ``p.gradient_on`` when p has
-    a gradient)."""
+    written as its array form over ``p.on`` and ``p.gradient_on``."""
     eye = np.eye(p.N)
-
-    def _eval_on(x, xi):
-        return tau0 * eye - p.on(x, xi)
-
-    def _grad_on(x, xi):
-        return -p.gradient_on(x, xi)
-
-    if p.grad is None:
-        _grad_on = None
-    return MatrixSymbol(n=p.n, N=p.N, eval=_at_one_point(_eval_on, p.n),
-                        grad=None if _grad_on is None else _at_one_point(_grad_on, p.n),
-                        name=f"{tau0}-({p.name})", eval_on=_eval_on, grad_on=_grad_on)
+    return MatrixSymbol(n=p.n, N=p.N, eval_on=lambda x, xi: tau0 * eye - p.on(x, xi),
+                        grad_on=lambda x, xi: -p.gradient_on(x, xi), name=f"{tau0}-({p.name})")
 
 
 def _gauss(xs: np.ndarray) -> np.ndarray:
@@ -411,10 +319,9 @@ def _diagonals(d: np.ndarray) -> np.ndarray:
 
 
 def _array_model(n_ch: int, on, grad_on, v_infinity, name: str) -> MatrixPotential:
-    """A one-dimensional model given by its array forms; a scalar call is
-    the one row of the array form at that point."""
-    return MatrixPotential(n=1, N=n_ch, eval=_at_one_point(on, 1), grad=_at_one_point(grad_on, 1),
-                           v_infinity=v_infinity, name=name, eval_on=on, grad_on=grad_on)
+    """A one-dimensional model given by its array forms."""
+    return MatrixPotential(n=1, N=n_ch, eval_on=on, grad_on=grad_on, v_infinity=v_infinity,
+                           name=name)
 
 
 def model_potential(kind: str, **params) -> MatrixPotential:
@@ -553,9 +460,6 @@ def combine_potentials(v0: MatrixPotential, v1: MatrixPotential, scale: float = 
     def _grad_on(xs):
         return v0.gradient_on(xs) + scale * v1.gradient_on(xs)
 
-    v_inf = v0.v_infinity + scale * v1.v_infinity
-    return MatrixPotential(n=v0.n, N=v0.N, eval=_at_one_point(_eval_on, v0.n),
-                           grad=_at_one_point(_grad_on, v0.n),
-                           v_infinity=v_inf, mu=min(v0.mu, v1.mu),
-                           name=f"{v0.name}+{scale}*{v1.name}",
-                           eval_on=_eval_on, grad_on=_grad_on)
+    return MatrixPotential(n=v0.n, N=v0.N, eval_on=_eval_on, grad_on=_grad_on,
+                           v_infinity=v0.v_infinity + scale * v1.v_infinity,
+                           mu=min(v0.mu, v1.mu), name=f"{v0.name}+{scale}*{v1.name}")

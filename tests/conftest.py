@@ -55,11 +55,8 @@ def full_matrix(op) -> np.ndarray:
 def _kron_reference(v, grid) -> np.ndarray:
     """The Schrodinger matrix as the kron product of the symmetrized kinetic
     circulant with the identity, plus the symmetrized potential blocks."""
-    blocks = []
-    for x in grid.nodes:
-        b = np.asarray(v.eval(float(x)))
-        blocks.append(0.5 * (b + b.conj().T))
-    blocks = np.stack(blocks)
+    b = v.on(grid.nodes)
+    blocks = 0.5 * (b + np.conj(np.swapaxes(b, 1, 2)))
     row = np.fft.ifft(grid.momenta_fft_order**2).real
     k = row[(np.arange(grid.M)[:, None] - np.arange(grid.M)[None, :]) % grid.M]
     real = bool(np.max(np.abs(blocks.imag)) == 0.0)

@@ -69,13 +69,10 @@ def test_criterion_1_microhyperbolicity_suite():
             a[0, :] = 0.0
         g = random_hermitian(rng, n)
 
-        def ev(x, xi, _a=a, _g=g):
-            return _a + x * _g
-
-        def gr(x, xi, _g=g, _n=n):
-            return np.stack([_g, np.zeros((_n, _n), dtype=complex)])
-
-        return MatrixSymbol(n=1, N=n, eval=ev, grad=gr), a, g
+        grad = np.stack([g, np.zeros((n, n), dtype=complex)])
+        return MatrixSymbol(n=1, N=n, eval_on=lambda x, xi: a + x[:, None, None] * g,
+                            grad_on=lambda x, xi: np.broadcast_to(grad, (len(x), *grad.shape))
+                            ), a, g
 
     forward_checked = 0
     converse_checked = 0
@@ -108,13 +105,9 @@ def test_criterion_1_microhyperbolicity_suite():
     assert cert1.valid and cert1.C0 == pytest.approx(1.0)
 
     # global extension: verification grids all-positive for the three cases
-    def affine_ev(x, xi):
-        return np.array([[-2.0 * (xi - 1.0)]])
-
-    def affine_gr(x, xi):
-        return np.array([[[0.0]], [[-2.0]]])
-
-    affine = MatrixSymbol(n=1, N=1, eval=affine_ev, grad=affine_gr)
+    affine_grad = np.array([[[0.0]], [[-2.0]]])
+    affine = MatrixSymbol(n=1, N=1, eval_on=lambda x, xi: (-2.0 * (xi - 1.0))[:, None, None],
+                          grad_on=lambda x, xi: np.broadcast_to(affine_grad, (len(x), 2, 1, 1)))
     free = shifted_symbol(schrodinger_symbol(sl.model_potential("constant", v_inf=0.0, N=1)), 1.0)
     worst = []
     for sym, rho0 in ((affine, [0.0, 1.0]), (free, [0.0, 1.0]), (off_level, [0.0, 1.0])):

@@ -1,6 +1,6 @@
-"""Array forms of potentials and symbols: rows equal scalar calls bit for bit,
-a scalar-only callable is stacked point by point, and the callers evaluate a
-potential a fixed number of times whatever their grid size."""
+"""Array forms of potentials and symbols: a row of a batch equals the same
+point alone bit for bit, a scalar call is that row, and the callers evaluate
+a potential a fixed number of times whatever their grid size."""
 import json
 import math
 import os
@@ -35,7 +35,6 @@ from ssf_lab.symbols import (
     model_potential,
     schrodinger_symbol,
     shifted_symbol,
-    symbol_gradient,
 )
 
 KINDS = {
@@ -68,14 +67,12 @@ class TestRowsEqualScalarCalls:
     @pytest.mark.parametrize("name", list(KINDS))
     def test_potential_values_and_gradients(self, name):
         v = KINDS[name]
-        assert v.eval_on is not None and v.grad_on is not None
+        assert v.grad_on is not None
         vals, grads = v.on(XS), v.gradient_on(XS)
         assert vals.shape == (len(XS), v.N, v.N)
         assert grads.shape == (len(XS), 1, v.N, v.N)
         for x, row, grow in zip(XS.tolist(), vals, grads):
-            assert np.array_equal(row, np.asarray(v.eval(x)))
-            assert same_bits(row, np.asarray(v.eval(x)))
-            assert np.array_equal(grow, v.gradient(x))
+            assert same_bits(row, v.on([x])[0])
             assert same_bits(grow, v.gradient(x))
 
     @pytest.mark.parametrize("name", ["reference", "avoided_crossing", "rotating_crossing"])
@@ -85,8 +82,8 @@ class TestRowsEqualScalarCalls:
         for h in (p, shifted_symbol(p, 0.7)):
             vals, grads = h.on(XS, xis), h.gradient_on(XS, xis)
             for x, xi, row, grow in zip(XS.tolist(), xis.tolist(), vals, grads):
-                assert same_bits(row, np.asarray(h.eval(x, xi)))
-                assert same_bits(grow, symbol_gradient(h, np.array([x, xi])))
+                assert same_bits(row, h.on([x], [xi])[0])
+                assert same_bits(grow, h.gradient(np.array([x, xi])))
 
     def test_scalar_calls_are_the_closed_forms(self):
         # the formulas the models have always had, one point at a time
@@ -112,7 +109,7 @@ class TestRowsEqualScalarCalls:
         ]
         for v, value, grad in forms:
             for x in XS.tolist():
-                assert same_bits(v.eval(x), value(x))
+                assert same_bits(v.on([x])[0], value(x))
                 g = grad(x)
                 assert same_bits(v.gradient(x), 0.5 * (g + np.swapaxes(g, 1, 2)))
 
@@ -128,42 +125,16 @@ class TestNewModels:
 
     def test_island_profile(self):
         v = model_potential("island", amp=2.0)
-        assert v.eval(1.0)[0, 0] == pytest.approx(2.0 / math.e, rel=1e-15)
-        assert v.eval(0.0)[0, 0] == 0.0
+        assert v(1.0)[0, 0] == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert v(0.0)[0, 0] == 0.0
         assert np.array_equal(v.v_infinity, np.zeros((1, 1)))
 
     def test_rotating_crossing_is_not_split(self):
         grid = qz.grid_for(1 / 8, 6.0, 4.0, 8192)
         v = model_potential("rotating_crossing")
-        assert v.eval(0.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
+        assert v(0.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
         assert qz.build_schrodinger(v, grid).matrix.ndim == 2
         assert qz.build_schrodinger(model_potential("conical_crossing"), grid).matrix.ndim == 3
-
-
-class TestScalarOnlyFallback:
-    def test_potential_stacked_point_by_point(self):
-        seen = []
-
-        def ev(x):
-            seen.append(x)
-            return x * SIGMA3
-
-        v = MatrixPotential(n=1, N=2, eval=ev, grad=None, v_infinity=np.zeros((2, 2)))
-        xs = np.linspace(-1.0, 1.0, 5)
-        out = v.on(xs)
-        assert seen == xs.tolist() and all(type(x) is float for x in seen)
-        assert same_bits(out, np.stack([x * SIGMA3 for x in xs.tolist()]))
-        # no analytic gradient: central differences at each point
-        assert same_bits(v.gradient_on(xs), np.stack([v.gradient(x) for x in xs.tolist()]))
-        assert v.on(xs[:0]).shape == (0, 2, 2)
-
-    def test_symbol_stacked_point_by_point(self):
-        h = MatrixSymbol(n=1, N=1, eval=lambda x, xi: np.array([[x * xi]]),
-                         grad=lambda x, xi: np.array([[[xi]], [[x]]]))
-        x, xi = np.array([0.5, -1.0]), np.array([2.0, 3.0])
-        assert same_bits(h.on(x, xi), np.array([[[1.0]], [[-3.0]]]))
-        assert same_bits(h.gradient_on(x, xi),
-                         np.stack([symbol_gradient(h, np.array(p)) for p in zip(x, xi)]))
 
 
 class TestFastEigvalsh:
@@ -188,7 +159,7 @@ class TestFastEigvalsh:
 
 
 def counting(base: MatrixPotential):
-    """``base`` with counters on its array calls; a scalar call raises."""
+    """``base`` with counters on its array calls, which its scalar calls make too."""
     calls = {"on": 0, "grad_on": 0}
 
     def on(xs):
@@ -199,11 +170,7 @@ def counting(base: MatrixPotential):
         calls["grad_on"] += 1
         return base.gradient_on(xs)
 
-    def scalar(x):
-        raise AssertionError("evaluated at one point")
-
-    v = MatrixPotential(n=1, N=base.N, eval=scalar, grad=scalar, v_infinity=base.v_infinity,
-                        eval_on=on, grad_on=grad_on)
+    v = MatrixPotential(n=1, N=base.N, eval_on=on, grad_on=grad_on, v_infinity=base.v_infinity)
     return v, calls
 
 
@@ -213,8 +180,7 @@ CHI = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))
 
 
 class TestFixedEvaluationCounts:
-    """Each caller makes the same number of array calls at two grid sizes,
-    and no scalar call."""
+    """Each caller makes the same number of array calls at two grid sizes."""
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_potential_samples(self, size):
@@ -303,9 +269,8 @@ class TestChecksThatStay:
             out[:, 0, 1] = np.where(xs > 0.5, xs, 0.0)
             return out
 
-        v = MatrixPotential(n=1, N=2, eval=lambda x: on(np.array([x]))[0], grad=None,
-                            v_infinity=np.zeros((2, 2)), eval_on=on,
-                            grad_on=lambda xs: np.zeros((len(xs), 1, 2, 2)))
+        v = MatrixPotential(n=1, N=2, eval_on=on, grad_on=lambda xs: np.zeros((len(xs), 1, 2, 2)),
+                            v_infinity=np.zeros((2, 2)))
         xs = np.linspace(-8.0, 8.0, 101)
         with pytest.raises(NonHermitianError) as err:
             escape_check_dilation(v, 1.0, grid_points=101)
@@ -315,12 +280,17 @@ class TestChecksThatStay:
     def test_shell_jets_check_hermiticity(self):
         # the hermitian part has a shell at xi = +-1; the matrix itself is
         # 1e-3 away from hermitian
-        h = MatrixSymbol(n=1, N=2, eval=lambda x, xi: np.array([[xi * xi - 1.0, 1e-3], [0.0, 5.0]]))
+        def on(x, xi):
+            out = np.zeros((len(x), 2, 2))
+            out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = xi * xi - 1.0, 1e-3, 5.0
+            return out
+
+        h = MatrixSymbol(n=1, N=2, eval_on=on)
         with pytest.raises(NonHermitianError):
             check_on_energy_shell(h, 0.0, ((-1, 1), (-2, 2)), grid_points=21)
 
     def test_build_schrodinger_rejects_non_finite_samples(self):
-        v = MatrixPotential(n=1, N=1, eval=None, grad=None, v_infinity=np.zeros((1, 1)),
+        v = MatrixPotential(n=1, N=1, v_infinity=np.zeros((1, 1)),
                             eval_on=lambda xs: np.where(xs > 0.0, np.nan, 0.0)[:, None, None])
         with pytest.raises(ValueError, match="non-finite"):
             qz.build_schrodinger(v, qz.grid_for(1 / 8, 6.0, 4.0, 8192))

@@ -95,9 +95,8 @@ class TestGamma0:
 
     def test_radial_three_dimensional(self):
         v3 = MatrixPotential(
-            n=3, N=1,
-            eval=lambda x: np.array([[-math.exp(-float(np.dot(x, x)))]]),
-            grad=None, v_infinity=np.zeros((1, 1)), radial=True)
+            n=3, N=1, eval_on=lambda x: -np.exp(-np.sum(x * x, axis=1))[:, None, None],
+            v_infinity=np.zeros((1, 1)), radial=True)
         assert gamma0(v3, 1.0) == pytest.approx(G0_RADIAL3, rel=1e-9)
 
     def test_threshold_rejection(self):
@@ -275,11 +274,11 @@ class TestLocalizedDensity:
         base = model_potential("rotating_crossing", c=3.0)
         seen = []
 
-        def counting_eval(x):
-            seen.append(float(x))
-            return base.eval(x)
+        def counting_on(xs):
+            seen.extend(xs.tolist())
+            return base.on(xs)
 
-        v = MatrixPotential(n=1, N=2, eval=counting_eval, grad=base.grad,
+        v = MatrixPotential(n=1, N=2, eval_on=counting_on, grad_on=base.grad_on,
                             v_infinity=base.v_infinity)
         scan = set(np.linspace(*self.CHI.x_support, TURNING_SCAN).tolist())
         out = gamma0_localized(v, self.CHI, 1.0)
@@ -424,11 +423,11 @@ class TestBatchedCoefficients:
         base = model_potential("reference")
         seen = []
 
-        def counting_eval(x):
-            seen.append(float(x))
-            return base.eval(x)
+        def counting_on(xs):
+            seen.extend(xs.tolist())
+            return base.on(xs)
 
-        v = MatrixPotential(n=1, N=2, eval=counting_eval, grad=base.grad,
+        v = MatrixPotential(n=1, N=2, eval_on=counting_on, grad_on=base.grad_on,
                             v_infinity=base.v_infinity)
         scan = set(np.linspace(-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS, TURNING_SCAN).tolist())
         taus = np.linspace(1.8, 2.2, 41)

@@ -241,6 +241,16 @@ class TestRun:
         csv2 = (tmp_path / "b" / "data.csv").read_bytes()
         assert csv1 == csv2
 
+    def test_sweep_identity_bytes_do_not_depend_on_out(self, tmp_path):
+        one = run(_config("sweep_quick"), str(tmp_path / "a"))
+        two = run(_config("sweep_quick"), str(tmp_path / "deeper" / "b"))
+        assert one.report["tables"] != two.report["tables"]
+        assert report_identity_bytes(one.report) == report_identity_bytes(two.report)
+        # the report's children stay paths that open
+        for path in two.report["tables"]["children"]:
+            with open(path) as fh:
+                assert json.load(fh)["verdicts"]
+
     def test_sweep(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -626,6 +636,30 @@ class TestRefusedBeforeSolve:
                       test_function={"kind": "bump", "support": [3.0, 3.4]})
         with pytest.raises(ConfigError, match="only, not test_function$"):
             run(doc)
+
+    @pytest.mark.parametrize("name", ["trace_thm3_crossing", "ssf_weyl_reference",
+                                      "ssf_derivative_reference"])
+    def test_one_sided_window(self, tmp_path, no_assembly, monkeypatch, name):
+        # these variants read the even window alone: the one-sided one is
+        # refused before any certificate, pair or shell check
+        monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
+        doc = _config(name, out=str(tmp_path / "o"))
+        doc["window"] = dict(doc["window"], kind="bump_positive")
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, "window.kind")
+
+    @pytest.mark.parametrize("tf,named", [
+        ({"kind": "bump", "support": [1.8, 2.2], "plateau": [1.9, 2.1]},
+         "test_function.plateau"),
+        ({"kind": "raised_cosine", "support": [2.2, 1.8]}, "empty support"),
+        ({"kind": "bump", "support": [2.0, 2.0]}, "empty support"),
+        ({"kind": "plateau", "support": [2.2, 1.8], "plateau": [2.1, 1.9]}, "empty support"),
+    ], ids=["plateau_on_bump", "reversed", "empty", "reversed_plateau"])
+    def test_test_function_it_cannot_use(self, tmp_path, no_assembly, monkeypatch, tf, named):
+        # a plateau that only the plateau kind reads, or an empty support
+        # (the zero function, whose weak sweep would pass vacuously)
+        monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
+        doc = _config("ssf_weak_reference", out=str(tmp_path / "o"), test_function=tf)
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, named)
 
     @pytest.mark.parametrize("name", ["ssf_weyl_reference", "ssf_derivative_reference"])
     def test_uncertified_ssf(self, tmp_path, no_assembly, name):

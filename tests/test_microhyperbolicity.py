@@ -42,8 +42,10 @@ from ssf_lab.symbols import (
     model_potential,
     schrodinger_symbol,
     shifted_symbol,
-    symbol_gradient,
 )
+
+
+SIGMA_UP = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def free_symbol(N=1, tau0=1.0):
@@ -58,14 +60,28 @@ def crossing_symbol(tau0):
 def affine_jet_symbol(a, g):
     """H(rho) = A + rho_1 * G: a two-parameter jet with <e1, grad H> = G."""
     n_ch = a.shape[0]
+    grad = np.stack([g, np.zeros_like(g)])
+    return MatrixSymbol(n=1, N=n_ch, eval_on=lambda x, xi: a + x[:, None, None] * g,
+                        grad_on=lambda x, xi: np.broadcast_to(grad, (len(x), *grad.shape)))
 
-    def ev(x, xi):
-        return a + x * g
 
-    def gr(x, xi):
-        return np.stack([g, np.zeros_like(g)])
+def constant_grad(grad):
+    """The array form of a constant gradient: ``grad`` at every point."""
+    grad = np.asarray(grad)
+    return lambda x, *xi: np.broadcast_to(grad, (len(x), *grad.shape))
 
-    return MatrixSymbol(n=1, N=n_ch, eval=ev, grad=gr)
+
+def gauss_potential(mat, center=0.0, amp=1.0):
+    """V(x) = amp exp(-(x - center)^2) mat, with its exact gradient."""
+    mat = np.asarray(mat)
+
+    def profile(xs):
+        return amp * np.exp(-((xs - center) ** 2))
+
+    return MatrixPotential(
+        n=1, N=mat.shape[0], v_infinity=np.zeros(mat.shape),
+        eval_on=lambda xs: profile(xs)[:, None, None] * mat,
+        grad_on=lambda xs: (-2.0 * (xs - center) * profile(xs))[:, None, None, None] * mat)
 
 
 class TestDirection:
@@ -180,8 +196,8 @@ class TestCheckPointwise:
         for s in (0.5, 3.0, 10.0):
             hs = MatrixSymbol(
                 n=1, N=2,
-                eval=lambda x, xi, _s=s: _s * np.asarray(h.eval(x, xi)),
-                grad=lambda x, xi, _s=s: _s * np.asarray(h.grad(x, xi)),
+                eval_on=lambda x, xi, _s=s: _s * h.on(x, xi),
+                grad_on=lambda x, xi, _s=s: _s * h.gradient_on(x, xi),
             )
             slack = check_definition(hs, [0.0, 1.0], [0.0, -1.0],
                                      s * cert.C0, cert.C1 / s)
@@ -204,10 +220,7 @@ class TestFindDirection:
 
     def test_against_brute_force(self):
         # scalar well: maximizer must match a dense direction scan
-        v = MatrixPotential(n=1, N=1,
-                            eval=lambda x: np.array([[math.exp(-x * x)]]),
-                            grad=lambda x: np.array([[[-2 * x * math.exp(-x * x)]]]),
-                            v_infinity=np.zeros((1, 1)))
+        v = gauss_potential(np.ones((1, 1)))
         tau0 = 1.0 + math.exp(-1.0)
         h = shifted_symbol(schrodinger_symbol(v), tau0)
         rho0 = np.array([1.0, 1.0])
@@ -274,10 +287,11 @@ class TestCrossingCondition:
     def test_simple_eigenvalue_nonzero_gradient(self):
         # kernel is one-dimensional; success exactly when the branch gradient
         # does not vanish there
-        v = MatrixPotential(n=1, N=2,
-                            eval=lambda x: np.diag([x, 2.0 + x * x]),
-                            grad=lambda x: np.diag([1.0, 2.0 * x])[None, :, :],
-                            v_infinity=np.diag([0.0, 2.0]))
+        v = MatrixPotential(
+            n=1, N=2, v_infinity=np.diag([0.0, 2.0]),
+            eval_on=lambda xs: np.stack([xs, 2.0 + xs * xs], axis=1)[:, :, None] * np.eye(2),
+            grad_on=lambda xs: (np.stack([np.ones_like(xs), 2.0 * xs], axis=1)[:, :, None]
+                                * np.eye(2))[:, None])
         res = crossing_condition(v, 0.0, 0.0)
         assert res.ok
         assert res.kernel_dim == 1
@@ -288,9 +302,8 @@ class TestCrossingCondition:
         assert not res2.ok
 
     def test_conical_kernel_indefinite(self):
-        v = MatrixPotential(n=1, N=2, eval=lambda x: x * SIGMA3,
-                            grad=lambda x: SIGMA3[None, :, :],
-                            v_infinity=np.zeros((2, 2)))
+        v = MatrixPotential(n=1, N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
+                            grad_on=constant_grad(SIGMA3[None]), v_infinity=np.zeros((2, 2)))
         res = crossing_condition(v, 0.0, 0.0)
         assert not res.ok
         assert res.kernel_dim == 2
@@ -330,11 +343,7 @@ class TestEscapeChecks:
         opt = minimize_scalar(lambda x: -w_fn(x), bounds=(0.0, 2.0), method="bounded")
         x_star, w_max = opt.x, -opt.fun
         beta = (1.0 + 1e-3) * 2.0 * tau0 / w_max
-        v = MatrixPotential(
-            n=1, N=1,
-            eval=lambda x: np.array([[beta * float(phi(x))]]),
-            grad=lambda x: np.array([[[-2.0 * (x - 1.0) * beta * float(phi(x))]]]),
-            v_infinity=np.zeros((1, 1)))
+        v = gauss_potential(np.ones((1, 1)), center=1.0, amp=beta)
         cert = escape_check_dilation(v, tau0, grid_points=4001)
         assert not cert.valid
         worst_x = cert.failures[0][0]
@@ -355,8 +364,8 @@ class TestEscapeChecks:
 
     def test_general_sign_flip_fails(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        neg = ScalarPhaseFunction(n=1, eval=lambda x, xi: -x * xi,
-                                  grad=lambda x, xi: np.array([-xi, -x]))
+        neg = ScalarPhaseFunction(n=1, eval_on=lambda x, xi: -x * xi,
+                                  grad_on=lambda x, xi: np.column_stack([-xi, -x]))
         cert = escape_check_general(p, neg, 1.0, ((-2, 2), (-2, 2)), grid_points=41)
         assert not cert.valid
         assert len(cert.failures) > 0
@@ -373,8 +382,8 @@ class TestEscapeChecks:
 
     def test_general_failures_serialize_as_points(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        neg = ScalarPhaseFunction(n=1, eval=lambda x, xi: -x * xi,
-                                  grad=lambda x, xi: np.array([-xi, -x]))
+        neg = ScalarPhaseFunction(n=1, eval_on=lambda x, xi: -x * xi,
+                                  grad_on=lambda x, xi: np.column_stack([-xi, -x]))
         cert = escape_check_general(p, neg, 1.0, ((-2, 2), (-2, 2)), grid_points=41)
         d = cert.to_json_dict()
         assert d["failures"] == [[float(x), float(xi)] for x, xi in cert.failures[:32]]
@@ -415,12 +424,13 @@ class TestLinearizedAndExtension:
 
     def test_block_case(self):
         def ev(x, xi):
-            return np.array([[x + 2.0 * (xi - 1.0), 0.0], [0.0, 5.0]])
+            out = np.zeros((len(x), 2, 2))
+            out[:, 0, 0] = x + 2.0 * (xi - 1.0)
+            out[:, 1, 1] = 5.0
+            return out
 
-        def gr(x, xi):
-            return np.array([[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
-
-        h = MatrixSymbol(n=1, N=2, eval=ev, grad=gr)
+        h = MatrixSymbol(n=1, N=2, eval_on=ev, grad_on=constant_grad(
+            [[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]))
         h0 = linearized_block_symbol(h, [0.0, 1.0])
         out = h0(0.3, 1.2)
         assert out[0, 0].real == pytest.approx(0.3 + 0.4, abs=1e-12)
@@ -433,13 +443,8 @@ class TestLinearizedAndExtension:
             linearized_block_symbol(h, [0.0, 0.0], kernel_tol=1e-8)
 
     def test_extension_of_affine_symbol_is_identity(self):
-        def ev(x, xi):
-            return np.array([[-2.0 * (xi - 1.0)]])
-
-        def gr(x, xi):
-            return np.array([[[0.0]], [[-2.0]]])
-
-        h = MatrixSymbol(n=1, N=1, eval=ev, grad=gr)
+        h = MatrixSymbol(n=1, N=1, eval_on=lambda x, xi: (-2.0 * (xi - 1.0))[:, None, None],
+                         grad_on=constant_grad([[[0.0]], [[-2.0]]]))
         hd, rep = extend_to_global(h, [0.0, 1.0], [0.0, -1.0], 0.5)
         assert rep.ok
         for rho in ([0.0, 1.1], [3.0, -2.0], [0.0, 40.0]):
@@ -474,8 +479,7 @@ class TestLinearizedAndExtension:
         for d in ([0.1, 0.2], [-0.2, 0.1], [0.0, 0.3]):
             rho = rho0 + np.array(d) * (rep.delta / 0.5)
             if np.linalg.norm(rho - rho0) <= rep.delta:
-                assert np.array_equal(np.asarray(hd.eval(rho[0], rho[1])),
-                                      np.asarray(h.eval(rho[0], rho[1])))
+                assert np.array_equal(hd.on(rho[:1], rho[1:]), h.on(rho[:1], rho[1:]))
 
     def test_extension_requires_valid_point(self):
         with pytest.raises(ValueError):
@@ -487,12 +491,12 @@ class TestFlatten:
         h = crossing_symbol(1.0)
         hf = flatten_symbol(h, 50.0)
         for _ in range(10):
-            x, xi = rng.uniform(-2, 2, size=2)
-            assert np.array_equal(np.asarray(hf.eval(x, xi)), np.asarray(h.eval(x, xi)))
+            x, xi = rng.uniform(-2, 2, size=(2, 1))
+            assert np.array_equal(hf.on(x, xi), h.on(x, xi))
 
     def test_constant_saturation(self):
         a = 1.0
-        h = MatrixSymbol(n=1, N=1, eval=lambda x, xi: np.array([[3.0 * a]]), grad=None)
+        h = MatrixSymbol(n=1, N=1, eval_on=lambda x, xi: np.full((len(x), 1, 1), 3.0 * a))
         hf = flatten_symbol(h, a)
         val = hf(0.0, 0.0)[0, 0].real
         assert a <= val <= 2.0 * a
@@ -512,8 +516,8 @@ class TestFlatten:
         assert worst > 0
 
     def test_bound(self):
-        h = MatrixSymbol(n=1, N=2, eval=lambda x, xi: np.diag([x * 100.0, -x * 100.0]),
-                         grad=None)
+        h = MatrixSymbol(n=1, N=2,
+                         eval_on=lambda x, xi: (100.0 * x)[:, None, None] * np.diag([1.0, -1.0]))
         hf = flatten_symbol(h, 2.0)
         assert np.linalg.norm(hf(5.0, 0.0), 2) <= 2 * 2.0 + 1e-12
         with pytest.raises(ValueError):
@@ -591,7 +595,7 @@ def _find_direction_loop(h, rho0, kernel_tol=None, coarse=256, refine_steps=40):
     dim = 2 * h.n
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(h.at(rho0))
-    grad = symbol_gradient(h, rho0)
+    grad = h.gradient(rho0)
     eig = hermitian_eigen(h.at(rho0))
     mask = np.abs(eig.values) <= kernel_tol
     if not np.any(mask):
@@ -755,7 +759,7 @@ def _escape_check_general_loop(p, g, tau0, box, grid_points):
     pts = shell_sample(p, tau0, box, default_shell_tol(tau0), grid_points)
     ws = []
     for x, xi in pts:
-        gp = symbol_gradient(p, np.array([x, xi]))
+        gp = p.gradient(np.array([x, xi]))
         gg = g.gradient(x, xi)
         ws.append(float(np.linalg.eigvalsh(gg[0] * gp[1] - gg[1] * gp[0]).min()))
     return pts, ws
@@ -763,13 +767,10 @@ def _escape_check_general_loop(p, g, tau0, box, grid_points):
 def jet_symbol(a, grads, n):
     """H(rho) = A + <rho, grads> on R^(2n): a symbol with a prescribed gradient."""
     def ev(x, xi):
-        rho = np.concatenate([np.atleast_1d(x), np.atleast_1d(xi)])
-        return a + np.tensordot(rho, grads, axes=(0, 0))
+        rho = np.column_stack([x, xi])
+        return a + sum(rho[:, i, None, None] * g for i, g in enumerate(grads))
 
-    def gr(x, xi):
-        return grads
-
-    return MatrixSymbol(n=n, N=a.shape[0], eval=ev, grad=gr)
+    return MatrixSymbol(n=n, N=a.shape[0], eval_on=ev, grad_on=constant_grad(grads))
 
 
 def random_jet(rng, n_ch, n):
@@ -845,9 +846,7 @@ class TestBatchedMatchesLoops:
         model_potential("conical_crossing"),
         model_potential("avoided_crossing", gap=0.2),
         model_potential("reference"),
-        MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * np.array([[1.5, 1j], [-1j, -0.5]]),
-                        grad=lambda x: -2.0 * x * math.exp(-x * x) * np.array([[[1.5, 1j], [-1j, -0.5]]]),
-                        v_infinity=np.zeros((2, 2))),
+        gauss_potential([[1.5, 1j], [-1j, -0.5]]),
     ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex"])
     def test_check_on_energy_shell(self, v, tau0, mode, T):
         # the lock-step directions and shared point data against one search
@@ -868,9 +867,7 @@ class TestBatchedMatchesLoops:
         model_potential("conical_crossing"),
         model_potential("avoided_crossing", gap=0.2),
         model_potential("reference"),
-        MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * np.array([[1.5, 1j], [-1j, -0.5]]),
-                        grad=lambda x: -2.0 * x * math.exp(-x * x) * np.array([[[1.5, 1j], [-1j, -0.5]]]),
-                        v_infinity=np.zeros((2, 2))),
+        gauss_potential([[1.5, 1j], [-1j, -0.5]]),
     ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex"])
     def test_escape_check_dilation(self, v, tau0):
         cert = escape_check_dilation(v, tau0, grid_points=301)
@@ -882,12 +879,7 @@ class TestBatchedMatchesLoops:
 
     def test_escape_check_dilation_failures(self):
         # the engineered touching profile of TestEscapeChecks, sampled densely
-        phi = lambda x: math.exp(-((x - 1.0) ** 2))
-        beta = 1.2
-        v = MatrixPotential(
-            n=1, N=1, eval=lambda x: np.array([[beta * phi(x)]]),
-            grad=lambda x: np.array([[[-2.0 * (x - 1.0) * beta * phi(x)]]]),
-            v_infinity=np.zeros((1, 1)))
+        v = gauss_potential(np.ones((1, 1)), center=1.0, amp=1.2)
         cert = escape_check_dilation(v, 1.0, grid_points=4001)
         ref = _escape_check_dilation_loop(v, 1.0, grid_points=4001)
         assert len(cert.failures) > 32
@@ -896,8 +888,8 @@ class TestBatchedMatchesLoops:
 
     def test_escape_check_dilation_rejects_non_hermitian_sample(self):
         v = MatrixPotential(
-            n=1, N=2, eval=lambda x: np.array([[0.0, 1.0 if x > 1.0 else 0.0], [0.0, 0.0]]),
-            grad=lambda x: np.zeros((1, 2, 2)), v_infinity=np.zeros((2, 2)))
+            n=1, N=2, eval_on=lambda xs: np.where(xs > 1.0, 1.0, 0.0)[:, None, None] * SIGMA_UP,
+            grad_on=constant_grad(np.zeros((1, 2, 2))), v_infinity=np.zeros((2, 2)))
         with pytest.raises(NonHermitianError):
             escape_check_dilation(v, 1.0, grid_points=101)
 
@@ -907,8 +899,9 @@ class TestBatchedMatchesLoops:
         model_potential("conical_crossing"),
         model_potential("avoided_crossing", gap=0.2),
         model_potential("reference"),
-        MatrixPotential(n=2, N=2, eval=lambda x: 0.3 * SIGMA1 + x[0] * SIGMA3 - x[1] * SIGMA1,
-                        grad=lambda x: np.stack([SIGMA3, -SIGMA1]),
+        MatrixPotential(n=2, N=2, eval_on=lambda x: (0.3 * SIGMA1 + x[:, 0, None, None] * SIGMA3
+                                                     - x[:, 1, None, None] * SIGMA1),
+                        grad_on=constant_grad(np.stack([SIGMA3, -SIGMA1])),
                         v_infinity=np.zeros((2, 2))),
     ], ids=["conical", "avoided", "reference", "linear_n2"])
     def test_crossing_condition(self, v, x0, level):
@@ -929,8 +922,8 @@ class TestBatchedMatchesLoops:
     @pytest.mark.parametrize("tau0", [0.5, 2.0])
     @pytest.mark.parametrize("g", [
         dilation_generator(1),
-        ScalarPhaseFunction(n=1, eval=lambda x, xi: (x - 0.5) * xi,
-                            grad=lambda x, xi: np.array([xi, x - 0.5])),
+        ScalarPhaseFunction(n=1, eval_on=lambda x, xi: (x - 0.5) * xi,
+                            grad_on=lambda x, xi: np.column_stack([xi, x - 0.5])),
     ], ids=["dilation", "shifted"])
     def test_escape_check_general(self, g, tau0):
         p = schrodinger_symbol(model_potential("reference"))
@@ -961,6 +954,19 @@ class TestGoldenCertificates:
                                      self.BOX, grid_points=11)
         assert cert.valid
         assert (repr(cert.C0), repr(cert.C1), repr(cert.margin)) == (c0, c1, margin)
+
+    @pytest.mark.parametrize("kind,tau0,c,n_points,n_failures", [
+        ("reference", 2.0, 1.9903456765793814, 176, 0),
+        ("island", 0.6, 0.0, 114, 14),
+    ])
+    def test_general_escape(self, kind, tau0, c, n_points, n_failures):
+        # the bracket {xi^2 + V, x.xi} on the harness's default box and grid
+        cert = escape_check_general(schrodinger_symbol(model_potential(kind)),
+                                    dilation_generator(1), tau0, ((-4.0, 4.0), (-3.0, 3.0)))
+        doc = cert.to_json_dict()
+        assert cert.valid == (n_failures == 0)
+        assert (doc["n_points"], len(cert.failures)) == (n_points, n_failures)
+        assert doc["C"] == pytest.approx(c, rel=0, abs=1e-14)
 
     def test_escape(self):
         cert = escape_check_dilation(model_potential("reference"), 2.0, grid_points=201)

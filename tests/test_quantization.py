@@ -73,8 +73,9 @@ ASSEMBLY_MODELS = [
     model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]),
     model_potential("reference"),
     model_potential("avoided_crossing", gap=0.2),
-    MatrixPotential(n=1, N=2, eval=lambda x: math.exp(-x * x) * SIGMA2 + np.diag([0.0, 0.3]),
-                    grad=None, v_infinity=np.diag([0.0, 0.3]), name="complex"),
+    MatrixPotential(n=1, N=2, v_infinity=np.diag([0.0, 0.3]), name="complex",
+                    eval_on=lambda xs: np.exp(-xs * xs)[:, None, None] * SIGMA2
+                    + np.diag([0.0, 0.3])),
     model_potential("constant", v_inf=[0.3, 0.9], N=2),
 ]
 
@@ -184,10 +185,12 @@ class TestBuildSchrodinger:
         g = small_grid(h=0.25, M=48)
         spot = g.nodes[17]
 
-        def field(x):
-            return np.array([[bad if x == spot else -1.0, 0.2], [0.2, 0.3]])
+        def field(xs):
+            out = np.repeat(np.array([[[-1.0, 0.2], [0.2, 0.3]]], dtype=type(bad)), len(xs), axis=0)
+            out[xs == spot, 0, 0] = bad
+            return out
 
-        v = MatrixPotential(n=1, N=2, eval=field, grad=None,
+        v = MatrixPotential(n=1, N=2, eval_on=field,
                             v_infinity=np.diag([-1.0, 0.3]), name="one-bad-node")
         assembled = []
         monkeypatch.setattr(qz, "_assemble_schrodinger", lambda *args: assembled.append(args))
@@ -252,7 +255,7 @@ class TestBuildSchrodinger:
         # the plane wave m tensored with the channel vector k, column by column
         g = small_grid(h=0.5, M=32)
         coupled = np.array([[0.3, 0.2], [0.2, 0.9]])
-        v = MatrixPotential(n=1, N=2, eval=lambda x: coupled, grad=None,
+        v = MatrixPotential(n=1, N=2, eval_on=lambda xs: np.repeat(coupled[None], len(xs), axis=0),
                             v_infinity=np.diag([0.3, 0.9]), name="coupled")
         op = build_schrodinger(v, g)
         vals, vecs = op.eigenpairs()
@@ -370,8 +373,9 @@ class TestEigenvectorColumns:
 
     @pytest.mark.parametrize("v", [
         model_potential("constant", v_inf=0.0, N=1),
-        MatrixPotential(n=1, N=2, eval=lambda x: TestEigenvectorColumns.COUPLED, grad=None,
-                        v_infinity=np.diag([0.3, 0.9]), name="coupled"),
+        MatrixPotential(n=1, N=2, v_infinity=np.diag([0.3, 0.9]), name="coupled",
+                        eval_on=lambda xs: np.repeat(TestEigenvectorColumns.COUPLED[None],
+                                                     len(xs), axis=0)),
     ], ids=lambda v: v.name)
     def test_columns_of_the_analytic_pairs(self, v, rng):
         g = small_grid(h=0.25)

@@ -18,7 +18,6 @@ from ssf_lab.symbols import (
     model_potential,
     schrodinger_symbol,
     shifted_symbol,
-    symbol_gradient,
 )
 
 # closed-form 2x2 eigenvalues of the reference potential at x = 0
@@ -83,14 +82,14 @@ class TestHermitianEigen:
 class TestBranches:
     def test_diagonal_potential(self):
         v = MatrixPotential(
-            n=1, N=2,
-            eval=lambda x: np.diag([math.exp(-x * x), 2.0]),
-            grad=None, v_infinity=np.diag([0.0, 2.0]),
+            n=1, N=2, v_infinity=np.diag([0.0, 2.0]),
+            eval_on=lambda xs: np.stack([np.exp(-xs * xs), np.full_like(xs, 2.0)],
+                                        axis=1)[:, :, None] * np.eye(2),
         )
         assert np.allclose(branches(v, 0.0).values, [1.0, 2.0], atol=0)
 
     def test_linear_crossing(self):
-        v = MatrixPotential(n=1, N=2, eval=lambda x: x * SIGMA3, grad=None,
+        v = MatrixPotential(n=1, N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
                             v_infinity=np.zeros((2, 2)))
         assert np.allclose(branches(v, -0.5).values, [-0.5, 0.5], atol=1e-15)
         assert np.allclose(branches(v, 0.0).values, [0.0, 0.0], atol=0)
@@ -120,13 +119,14 @@ class TestSymbolGradient:
 
     def test_sin_symbol_analytic_vs_fd(self):
         def ev(x, xi):
-            return math.sin(x) * SIGMA1 + xi * xi * np.eye(2)
+            return np.sin(x)[:, None, None] * SIGMA1 + (xi * xi)[:, None, None] * np.eye(2)
 
         def gr(x, xi):
-            return np.stack([math.cos(x) * SIGMA1, 2.0 * xi * np.eye(2)])
+            return np.stack([np.cos(x)[:, None, None] * SIGMA1,
+                             (2.0 * xi)[:, None, None] * np.eye(2)], axis=1)
 
-        h_exact = MatrixSymbol(n=1, N=2, eval=ev, grad=gr)
-        h_fd = MatrixSymbol(n=1, N=2, eval=ev, grad=None)
+        h_exact = MatrixSymbol(n=1, N=2, eval_on=ev, grad_on=gr)
+        h_fd = MatrixSymbol(n=1, N=2, eval_on=ev)
         rho = np.array([0.0, 1.0])
         ga = h_exact.gradient(rho)
         gf = h_fd.gradient(rho)
@@ -137,7 +137,7 @@ class TestSymbolGradient:
     def test_fd_agreement_on_random_sample(self, rng):
         v = model_potential("reference")
         p = schrodinger_symbol(v)
-        p_fd = MatrixSymbol(n=1, N=2, eval=p.eval, grad=None)
+        p_fd = MatrixSymbol(n=1, N=2, eval_on=p.eval_on)
         for _ in range(100):
             rho = rng.uniform(-2, 2, size=2)
             ga = p.gradient(rho)
@@ -146,16 +146,11 @@ class TestSymbolGradient:
             assert np.max(np.abs(ga - gf)) / scale < 1e-6
 
     def test_potential_fd_gradient_matches_analytic(self):
-        # a potential without grad falls back to central differences in x
+        # a potential without grad_on falls back to central differences in x
         ref = model_potential("reference")
-        fd = MatrixPotential(n=1, N=2, eval=ref.eval, grad=None, v_infinity=ref.v_infinity)
+        fd = MatrixPotential(n=1, N=2, eval_on=ref.eval_on, v_infinity=ref.v_infinity)
         for x in np.linspace(-3.0, 3.0, 25):
             np.testing.assert_allclose(fd.gradient(x), ref.gradient(x), rtol=0, atol=1e-8)
-
-    def test_step_underflow_rejected(self):
-        h = MatrixSymbol(n=1, N=1, eval=lambda x, xi: np.array([[x + xi]]), grad=None)
-        with pytest.raises(FloatingPointError):
-            symbol_gradient(h, np.array([1.0, 1.0]), fd_step=1e-30)
 
     def test_hermitian_output_everywhere(self, rng):
         p = schrodinger_symbol(model_potential("conical_crossing"))
@@ -205,10 +200,10 @@ class TestModelPotentials:
 
     def test_v_infinity_validation(self):
         with pytest.raises(ValueError):
-            MatrixPotential(n=1, N=2, eval=lambda x: np.zeros((2, 2)), grad=None,
+            MatrixPotential(n=1, N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
                             v_infinity=np.diag([2.0, 1.0]))  # decreasing
         with pytest.raises(ValueError):
-            MatrixPotential(n=1, N=2, eval=lambda x: np.zeros((2, 2)), grad=None,
+            MatrixPotential(n=1, N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
                             v_infinity=np.array([[0.0, 1.0], [1.0, 0.0]]))  # off-diagonal
 
 
@@ -217,9 +212,8 @@ class TestSymbolConstruction:
         v = model_potential("reference")
         p = schrodinger_symbol(v)
         for _ in range(10):
-            x, xi = rng.uniform(-2, 2, size=2)
-            assert np.array_equal(np.asarray(p.eval(x, xi)),
-                                  xi * xi * np.eye(2) + np.asarray(v.eval(x)))
+            x, xi = rng.uniform(-2, 2, size=(2, 1))
+            assert np.array_equal(p.on(x, xi)[0], xi[0] * xi[0] * np.eye(2) + v.on(x)[0])
 
     def test_shifted_symbol(self):
         v = model_potential("constant", v_inf=0.0, N=1)
