@@ -42,7 +42,7 @@ import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
 from .quadrature import adaptive_gauss_batch, gauss_rule
-from .symbols import MatrixPotential
+from .symbols import MatrixPotential, _hermitian_parts
 
 __all__ = [
     "ThresholdError",
@@ -177,9 +177,7 @@ def _branch_values(v: MatrixPotential, xs: np.ndarray) -> np.ndarray:
         e1 = np.zeros(v.n)
         e1[0] = 1.0
         xs = xs[:, None] * e1
-    mats = v.on(xs)
-    mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-    return np.linalg.eigvalsh(mats)
+    return np.linalg.eigvalsh(_hermitian_parts(v.on(xs)))
 
 
 def _branch_at(v: MatrixPotential, xs: np.ndarray, k: np.ndarray) -> np.ndarray:

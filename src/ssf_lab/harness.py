@@ -14,9 +14,9 @@ defined modulo the timings block (see ``report_identity_bytes``).
 
 The trace and ssf experiments are h-sweeps, run by ``_run_sweep``: each
 writes the rows of one ``SweepReport`` (columns h, value, reference,
-rel_error, fitted_slope) and its verdict.  A sweep is refused before it
-builds an operator, and its verdict is issued only where a certificate
-carries the hypothesis; the checks it calls are the numerics alone.
+rel_error, fitted_slope) and its verdict.  Every config is refused at
+ingest where its run cannot finish, and a sweep's verdict is issued only
+where a certificate carries the hypothesis; its checks are the numerics alone.
 ``ConfigError``, ``SlopeFit`` and ``fit_order`` live beside that report in
 the quantization module and are re-exported here.
 """
@@ -85,10 +85,13 @@ EXPERIMENTS = ("check-mh", "check-escape", "coeffs", *_VARIANTS, "sweep")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A config as read, and every input its runner reads (``_inputs_from``)."""
+
     raw: dict
     experiment: str
     variant: str | None
     out: str
+    inputs: dict
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -110,43 +113,14 @@ class ExperimentConfig:
         kind = variant if experiment in _VARIANTS else experiment
         name = experiment if kind == experiment else f"{experiment} {kind}"
         _refuse_extra(f"a {name} config", doc, _COMMON_KEYS + _KEYS[kind])
-        if experiment in _VARIANTS:
-            h_list = doc.get("h_list")
-            if h_list is None:
-                raise ConfigError(f"{experiment} needs an h_list")
-            hs = [float(h) for h in h_list]
-            if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
-                raise ConfigError("h_list must be strictly decreasing")
-            if any(h <= 0 for h in hs):
-                raise ConfigError("h values must be positive")
-            qz._check_ladder(hs)
-            # the decay variants' verdicts read the fitted order alone
-            _block(doc, "thresholds", ("order",) if variant in ("thm1", "thm2")
-                   else ("order", "rel"))
-            if "window" in _KEYS[kind]:
-                _window_from(doc, variant)
-            if "test_function" in _KEYS[kind]:
-                _test_function_from(doc)
-        elif experiment == "sweep":
-            if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
-                raise ConfigError("sweep needs a non-empty 'experiments' list")
-            for i, sub in enumerate(doc["experiments"]):
-                if isinstance(sub, dict) and "out" in sub:
-                    raise ConfigError(f"experiments[{i}].out is not read: a sweep writes "
-                                      f"its child {i} to <out>/{i:02d}_<experiment>")
-                ExperimentConfig.from_dict(_child_doc(sub))
         return ExperimentConfig(raw=doc, experiment=experiment, variant=variant,
-                                out=str(doc.get("out", "out")))
+                                out=str(doc.get("out", "out")),
+                                inputs=_inputs_from(doc, experiment, kind))
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
             return ExperimentConfig.from_dict(json.load(fh))
-
-
-def _child_doc(sub) -> dict:
-    """A child of a sweep as a config of its own, in the sweep's schema."""
-    return {"schema_version": SCHEMA_VERSION, **sub} if isinstance(sub, dict) else sub
 
 
 def _refuse_extra(what: str, block: dict, keys: tuple, prefix: str = "") -> None:
@@ -174,10 +148,6 @@ def _model(name: str, spec) -> MatrixPotential:
         return model_potential(spec["kind"], **spec.get("params", {}))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad {name} spec: {exc}") from exc
-
-
-def _potential_from(doc: dict) -> MatrixPotential:
-    return _model("potential", doc.get("potential"))
 
 
 def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
@@ -245,39 +215,6 @@ def _cutoff_from(doc: dict) -> ProductCutoff:
     return ProductCutoff(g=bump("x"), k=bump("xi"))
 
 
-def _thresholds_from(doc: dict) -> dict:
-    """Keyword arguments of a check from the config's thresholds, checked at
-    ingest: ``order`` and ``rel`` give ``order_threshold`` and
-    ``rel_threshold``; an absent key keeps the check's default."""
-    return {f"{key}_threshold": float(val) for key, val in (doc.get("thresholds") or {}).items()}
-
-
-def _box_from(chk: dict, default) -> tuple:
-    box = chk.get("box", default)
-    return (tuple(map(float, box[0])), tuple(map(float, box[1])))
-
-
-def _shell_certificate(doc: dict, v: MatrixPotential, tau0: float, default_box,
-                       grid_points: int) -> mh.MicrohyperbolicityCertificate:
-    """``check_on_energy_shell`` of the Schrodinger symbol of v, set by the
-    config's check block; the runner gives its default box and grid."""
-    chk = _block(doc, "check", ("box", "grid_points", "shell_tol", "T"))
-    return mh.check_on_energy_shell(
-        schrodinger_symbol(v), tau0, _box_from(chk, default_box),
-        shell_tol=chk.get("shell_tol"),
-        T=None if chk.get("T") is None else np.asarray(chk["T"], dtype=float),
-        grid_points=int(chk.get("grid_points", grid_points)),
-    )
-
-
-def _dilation_certificate(v: MatrixPotential, tau0: float,
-                          chk: dict) -> mh.EscapeCertificate:
-    """``escape_check_dilation`` of v, set by a check block (``x_range``,
-    ``grid_points``) checked by the caller."""
-    return mh.escape_check_dilation(v, tau0, x_range=tuple(chk.get("x_range", (-8.0, 8.0))),
-                                    grid_points=int(chk.get("grid_points", 2001)))
-
-
 def _tau_grid_from(doc: dict) -> np.ndarray:
     tg = _block(doc, "tau_grid", ("lo", "hi", "count"))
     lo = float(tg.get("lo", 1.8))
@@ -286,6 +223,118 @@ def _tau_grid_from(doc: dict) -> np.ndarray:
     if not (hi > lo and count >= 2):
         raise ConfigError("tau_grid needs hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
+
+
+# the check-block keys of each certificate kind, with their defaults; a trace
+# sweep's shell check defaults to the box of its cutoff's supports and 41 points
+_CHECKS = {
+    "shell": {"box": [[-4.0, 4.0], [-3.0, 3.0]], "grid_points": 61, "shell_tol": None,
+              "T": None},
+    "dilation": {"x_range": (-8.0, 8.0), "grid_points": 2001},
+    "general": {"box": [[-4.0, 4.0], [-3.0, 3.0]], "grid_points": 61, "shell_tol": None},
+}
+
+
+def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
+    """The (kind, arguments) request of the experiment's certificate, its
+    check block's keys over the defaults of the kind and the experiment."""
+    if experiment in ("check-mh", "trace"):
+        kind = "shell"
+    else:
+        kind = doc.get("escape_kind", "dilation")
+        if kind not in ("dilation", "general"):
+            raise ConfigError(f"escape_kind must be 'dilation' or 'general', got {kind!r}")
+    chk = dict(_CHECKS[kind])
+    if experiment == "trace":
+        chi = inputs["chi"]
+        chk.update(box=[list(chi.x_support), list(chi.xi_support)], grid_points=41)
+    chk.update(_block(doc, "check", tuple(_CHECKS[kind])))
+    args = {"tau0": inputs["tau0"], "grid_points": int(chk["grid_points"])}
+    if kind == "dilation":
+        return kind, dict(args, v=inputs["v"], x_range=tuple(chk["x_range"]))
+    box = chk["box"]
+    args.update(p=schrodinger_symbol(inputs["v"]), shell_tol=chk["shell_tol"],
+                box=(tuple(map(float, box[0])), tuple(map(float, box[1]))))
+    if kind == "general":
+        return kind, dict(args, g=dilation_generator(inputs["v"].n))
+    return kind, dict(args, T=None if chk["T"] is None else np.asarray(chk["T"], dtype=float))
+
+
+def _certificate(request: tuple):
+    """The certificate a (kind, arguments) request asks for, by a function read
+    from the microhyperbolicity module at the call: tests and spans rebind it."""
+    kind, args = request
+    if kind == "shell":
+        return mh.check_on_energy_shell(**args)
+    if kind == "dilation":
+        return mh.escape_check_dilation(**args)
+    return mh.escape_check_general(**args)
+
+
+def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
+    """Every input a config's runner reads, one for each top-level key of its
+    experiment or variant ``kind``; a sweep's are its children's configs.
+    Besides each block's refusals: the ladder (``qz._check_ladder``) and the
+    top energy, of supp f or weyl's tau grid, above tau_max (WindowRangeError)."""
+    if experiment == "sweep":
+        if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
+            raise ConfigError("sweep needs a non-empty 'experiments' list")
+        children = []
+        for i, sub in enumerate(doc["experiments"]):
+            if isinstance(sub, dict) and "out" in sub:
+                raise ConfigError(f"experiments[{i}].out is not read: a sweep writes "
+                                  f"its child {i} to <out>/{i:02d}_<experiment>")
+            # a child is a config of its own, in the sweep's schema
+            children.append(ExperimentConfig.from_dict(
+                {"schema_version": SCHEMA_VERSION, **sub} if isinstance(sub, dict) else sub))
+        return {"children": children}
+    keys = _KEYS[kind]
+    inputs = {"v": _model("potential", doc.get("potential"))}
+    if "h_list" in keys:
+        if doc.get("h_list") is None:
+            raise ConfigError(f"{experiment} needs an h_list")
+        hs = [float(h) for h in doc["h_list"]]
+        if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
+            raise ConfigError("h_list must be strictly decreasing")
+        if any(h <= 0 for h in hs):
+            raise ConfigError("h values must be positive")
+        qz._check_ladder(hs)
+        # the decay variants' verdicts read the fitted order alone
+        thresholds = _block(doc, "thresholds", ("order",) if kind in ("thm1", "thm2")
+                            else ("order", "rel"))
+        inputs["limits"] = {f"{key}_threshold": float(val) for key, val in thresholds.items()}
+        inputs["grids"] = _grids_from(doc, default_R=6.0 if experiment == "trace" else 8.0)
+    if "tau0" in keys:
+        inputs["tau0"] = float(doc.get("tau0", 1.0 if experiment in ("check-mh", "trace")
+                                       else 2.0))
+    if "window" in keys:
+        inputs["window"] = _window_from(doc, kind)
+    if "test_function" in keys:
+        inputs["f"] = _test_function_from(doc)
+    if "perturbation" in keys:
+        inputs["v1"] = combine_potentials(inputs["v"],
+                                          _model("perturbation", doc.get("perturbation")))
+        inputs["d_sep"] = float(doc.get("d_sep", 2.0))
+    if "h_term" in keys:
+        inputs["term"] = _model("h_term", doc["h_term"]) if doc.get("h_term") else None
+        # the ssf configs of one run share their pairs where potential and h_term agree
+        inputs["model"] = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
+    if "tau_grid" in keys:
+        inputs["taus"] = _tau_grid_from(doc)
+    if "cutoff" in keys:
+        inputs["chi"] = _cutoff_from(doc)
+    if "grids" in inputs and "f" in inputs:
+        qz._check_window(inputs["grids"][0], inputs["f"].support[1])
+    elif "grids" in inputs:
+        qz._check_window(inputs["grids"][0], float(inputs["taus"][-1]), "tau")
+    if "check" in keys:
+        inputs["certificate"] = _certificate_request(doc, experiment, inputs)
+    if experiment == "ssf":
+        # the ssf configs of one run share an escape check where their
+        # potentials, check blocks and tau0 agree
+        inputs["share"] = ("escape", json.dumps([doc.get("potential"), doc.get("check") or {}],
+                                                sort_keys=True), inputs["tau0"])
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -313,105 +362,62 @@ def _sweep_tables(rep: qz.SweepReport | None) -> dict:
     return {"main": (list(qz.SweepReport.COLUMNS), [] if rep is None else list(rep.rows()))}
 
 
-def _run_check_mh(cfg: ExperimentConfig):
-    doc = cfg.raw
-    cert = _shell_certificate(doc, _potential_from(doc), float(doc.get("tau0", 1.0)),
-                              [[-4.0, 4.0], [-3.0, 3.0]], 61)
-    rows = [{"x": float(p[0]), "xi": float(p[1])} for p in np.atleast_2d(cert.points)] \
-        if np.size(cert.points) else []
-    verdict = "PASS" if cert.valid else ("EMPTY_SHELL" if cert.empty_shell else "FAIL")
-    return {"main": (["x", "xi"], rows)}, [cert.to_json_dict()], {"microhyperbolic": verdict}
-
-
-def _run_check_escape(cfg: ExperimentConfig):
-    doc = cfg.raw
-    v = _potential_from(doc)
-    tau0 = float(doc.get("tau0", 2.0))
-    kind = doc.get("escape_kind", "dilation")
-    if kind == "dilation":
-        cert = _dilation_certificate(v, tau0, _block(doc, "check", ("x_range", "grid_points")))
-    elif kind == "general":
-        chk = _block(doc, "check", ("box", "grid_points", "shell_tol"))
-        cert = mh.escape_check_general(
-            schrodinger_symbol(v), dilation_generator(v.n), tau0,
-            _box_from(chk, [[-4.0, 4.0], [-3.0, 3.0]]),
-            shell_tol=chk.get("shell_tol"),
-            grid_points=int(chk.get("grid_points", 61)),
-        )
+def _run_certificate(cfg: ExperimentConfig):
+    """check-mh or check-escape: one certificate, its sample points as rows."""
+    cert = _certificate(cfg.inputs["certificate"])
+    if cfg.experiment == "check-mh":
+        columns, points = ["x", "xi"], cert.points
+        verdicts = {"microhyperbolic": "PASS" if cert.valid
+                    else ("EMPTY_SHELL" if cert.empty_shell else "FAIL")}
     else:
-        raise ConfigError(f"escape_kind must be 'dilation' or 'general', got {kind!r}")
-    rows = [{"x": float(p[0]), "k_or_xi": float(p[1])} for p in np.atleast_2d(cert.samples)] \
-        if np.size(cert.samples) else []
-    return ({"main": (["x", "k_or_xi"], rows)}, [cert.to_json_dict()],
-            {"escape": "PASS" if cert.valid else "FAIL"})
+        columns, points = ["x", "k_or_xi"], cert.samples
+        verdicts = {"escape": "PASS" if cert.valid else "FAIL"}
+    rows = [{columns[0]: float(p[0]), columns[1]: float(p[1])} for p in np.atleast_2d(points)] \
+        if np.size(points) else []
+    return {"main": (columns, rows)}, [cert.to_json_dict()], verdicts
 
 
 def _run_coeffs(cfg: ExperimentConfig):
-    doc = cfg.raw
-    v = _potential_from(doc)
-    taus = _tau_grid_from(doc)
-    profile = coeffs.coefficient_profile(v, taus)
+    profile = coeffs.coefficient_profile(cfg.inputs["v"], cfg.inputs["taus"])
     rows = [{"tau": float(t), "gamma0": float(g), "a0": float(a)}
             for t, g, a in zip(profile.tau_grid, profile.gamma0, profile.a0)]
     return {"main": (["tau", "gamma0", "a0"], rows)}, [], {"coeffs": "COMPLETE"}
 
 
 def _run_sweep(cfg: ExperimentConfig, shared: dict):
-    """One trace or ssf h-sweep.  Its ladder and thresholds are checked at
-    ingest; every other refusal comes before the first operator, pair or
-    shell check, in this order: a block of the config; the top energy (of
-    supp f, or of weyl's tau grid) above the grids' tau_max, by
-    WindowRangeError; the hypothesis.  thm1 and thm3 take the shell
-    certificate, the ssf variants the escape certificate (weak records it
-    ungated), thm2 none; one that is neither valid nor on an empty shell
-    gives NOT_CERTIFIED.  The ssf configs of one run share their pairs and
-    escape checks through ``shared``.
-    """
-    doc = cfg.raw
-    variant = cfg.variant
-    trace = cfg.experiment == "trace"
-    tau0 = float(doc.get("tau0", 1.0 if trace else 2.0))
-    grids = _grids_from(doc, default_R=6.0 if trace else 8.0)
-    window = _window_from(doc, variant)
-    f = None if variant == "weyl" else _test_function_from(doc)
-    v = _potential_from(doc)
-    v1 = combine_potentials(v, _model("perturbation", doc.get("perturbation"))) \
-        if variant == "thm2" else None
-    term = _model("h_term", doc["h_term"]) if doc.get("h_term") else None
-    taus = _tau_grid_from(doc) if variant in ("thm2", "weyl") else None
-    chi = _cutoff_from(doc) if trace else None
-    if f is None:
-        qz._check_window(grids[0], float(taus[-1]), "tau")
+    """One trace or ssf h-sweep, gated by its hypothesis: thm1 and thm3 take
+    the shell certificate, the ssf variants the escape one (weak records it
+    ungated), thm2 none; one neither valid nor on an empty shell gives
+    NOT_CERTIFIED.  The ssf configs of one run share their pairs and escape
+    checks through ``shared``."""
+    inputs, variant = cfg.inputs, cfg.variant
+    v, grids, limits = inputs["v"], inputs["grids"], inputs["limits"]
+    chi, f, window, tau0, taus = map(inputs.get, ("chi", "f", "window", "tau0", "taus"))
+    if variant == "thm2":
+        cert = None
+    elif cfg.experiment == "trace":
+        cert = _certificate(inputs["certificate"])
     else:
-        qz._check_window(grids[0], f.support[1])
-    if trace:
-        cert = None if variant == "thm2" else _shell_certificate(
-            doc, v, tau0, [list(chi.x_support), list(chi.xi_support)], 41)
-    else:
-        chk = _block(doc, "check", ("x_range", "grid_points"))
-        key = ("escape", json.dumps([doc.get("potential"), chk], sort_keys=True), tau0)
-        if key not in shared:
-            shared[key] = _dilation_certificate(v, tau0, chk)
-        cert = shared[key]
+        if inputs["share"] not in shared:
+            shared[inputs["share"]] = _certificate(inputs["certificate"])
+        cert = shared[inputs["share"]]
     certificates = [] if cert is None else [cert.to_json_dict()]
     # an empty shell certifies the hypothesis vacuously
     if variant not in ("thm2", "weak") and not (cert.valid or getattr(cert, "empty_shell", False)):
         return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
 
-    limits = _thresholds_from(doc)
     if variant == "thm1":
         rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
     elif variant == "thm2":
-        rep = qz.theorem2_check(v, v1, chi, f, taus, grids, window,
-                                d_sep=float(doc.get("d_sep", 2.0)), **limits)
+        rep = qz.theorem2_check(v, inputs["v1"], chi, f, taus, grids, window,
+                                d_sep=inputs["d_sep"], **limits)
     elif variant == "thm3":
         rep = qz.theorem3_check(v, chi, f, tau0, grids, window, **limits)
     else:
         # references come from the h-independent base potential
-        model = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
-        pairs = {}
+        term, pairs = inputs["term"], {}
         for grid in grids:
-            key = ("pair", model, grid)
+            key = ("pair", inputs["model"], grid)
             if key not in shared:
                 vh = v if term is None else combine_potentials(v, term, scale=grid.h)
                 shared[key] = ssf_mod.build_pair(vh, grid)
@@ -424,13 +430,6 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
             rep = ssf_mod.derivative_check(pairs, tau0, f, window, coeffs.gamma0(v, tau0),
                                            **limits)
     return _sweep_tables(rep), certificates, {variant: rep.verdict}
-
-
-_RUNNERS = {
-    "check-mh": _run_check_mh,
-    "check-escape": _run_check_escape,
-    "coeffs": _run_coeffs,
-}
 
 
 @dataclass(frozen=True)
@@ -480,8 +479,7 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
     if cfg.experiment == "sweep":
         verdicts = {}
         child_reports = []
-        for i, sub in enumerate(cfg.raw["experiments"]):
-            sub_cfg = ExperimentConfig.from_dict(_child_doc(sub))
+        for i, sub_cfg in enumerate(cfg.inputs["children"]):
             result = _run(sub_cfg, os.path.join(out, f"{i:02d}_{sub_cfg.experiment}"), shared)
             child_reports.append(result.report_path)
             for key, val in result.report["verdicts"].items():
@@ -491,8 +489,10 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
 
     if cfg.experiment in _VARIANTS:
         tables, certificates, verdicts = _run_sweep(cfg, shared)
+    elif cfg.experiment == "coeffs":
+        tables, certificates, verdicts = _run_coeffs(cfg)
     else:
-        tables, certificates, verdicts = _RUNNERS[cfg.experiment](cfg)
+        tables, certificates, verdicts = _run_certificate(cfg)
     elapsed = time.perf_counter() - t0
 
     json_tables = {}

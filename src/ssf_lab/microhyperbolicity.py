@@ -29,6 +29,7 @@ from .symbols import (
     EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
+    _hermitian_parts,
     fast_eigvalsh,
     hermitian_eigen,
     phase_halves,
@@ -418,8 +419,7 @@ def shell_sample(
     (x_lo, x_hi), (xi_lo, xi_hi) = box
     xs = np.repeat(np.linspace(x_lo, x_hi, grid_points), grid_points)
     xis = np.tile(np.linspace(xi_lo, xi_hi, grid_points), grid_points)
-    mats = p.on(xs, xis)
-    vals = np.linalg.eigvalsh(0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1)))))
+    vals = np.linalg.eigvalsh(_hermitian_parts(p.on(xs, xis)))
     near = np.min(np.abs(tau0 - vals), axis=1) <= shell_tol
     return np.column_stack([xs[near], xis[near]])
 
@@ -584,7 +584,7 @@ def escape_check_dilation(
     sup_v = float(np.max(np.linalg.norm(mats, 2, axis=(1, 2)), initial=0.0))
     xgv = xs[:, None, None] * gvs
     sup_xdv = 0.5 * float(np.max(np.linalg.norm(xgv, 2, axis=(1, 2)), initial=0.0))
-    evals = np.linalg.eigh(0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1)))))[0]
+    evals = np.linalg.eigh(mats)[0]
     # (x, k) pairs of the classically allowed region, x-major as sampled
     ix, ks = np.nonzero(~(tau0 - evals < -allowed_tol))
     dil = 2.0 * (tau0 - evals[ix, ks])[:, None, None] * np.eye(v.N) - xgv[ix]
@@ -637,8 +637,7 @@ def linearized_block_symbol(
         out = np.zeros((len(delta), h.N, h.N), dtype=complex)
         out[:, kernel[:, None], kernel] = np.tensordot(delta, gk, axes=(1, 0))
         out[:, rest[:, None], rest] = m22
-        full = u @ out @ u.conj().T
-        return 0.5 * (full + np.conj(np.swapaxes(full, 1, 2)))
+        return _hermitian_parts(u @ out @ u.conj().T)
 
     return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on, name=f"linearized({h.name})")
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
 from .quadrature import QuadratureError
-from .symbols import MatrixPotential
+from .symbols import MatrixPotential, _hermitian_parts
 
 __all__ = [
     "CoverageError",
@@ -623,8 +623,7 @@ class GridOperator:
 def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
     """Hermitian parts (V + V^H)/2 of the potential at the grid nodes, (M, N, N),
     from one ``v.on`` call over all nodes."""
-    b = v.on(grid.nodes)
-    return 0.5 * (b + np.conj(np.swapaxes(b, 1, 2)))
+    return _hermitian_parts(v.on(grid.nodes))
 
 
 def _zeros_in_small_pages(shape: tuple, dtype) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "EigenBranchSet",
     "MatrixPotential",
     "MatrixSymbol",
-    "hermiticity_defect",
     "require_hermitian",
     "hermitian_eigen",
     "branches",
@@ -55,11 +54,6 @@ class NonHermitianError(ValueError):
         self.defect = defect
         self.tol = tol
         super().__init__(f"max asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
 def _hermitian_parts(g: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from ssf_lab import cli
-from ssf_lab import harness
 from ssf_lab import microhyperbolicity as mh
 from ssf_lab import quantization as qz
 from ssf_lab import ssf as ssf_mod
@@ -129,7 +129,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(doc)
 
     def test_variant_required(self):
-        doc = dict(self.BASE, experiment="ssf", h_list=[0.25, 0.125, 0.0625])
+        doc = dict(self.BASE, experiment="ssf", h_list=[0.25, 0.125, 0.0625],
+                   grid={"tau_max": 2.0})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
         doc["variant"] = "weyl"
@@ -251,7 +252,17 @@ class TestRun:
             with open(path) as fh:
                 assert json.load(fh)["verdicts"]
 
-    def test_sweep(self, tmp_path):
+    def test_sweep(self, tmp_path, monkeypatch):
+        # a run reads the sweep and each child once: its runners take the
+        # inputs ingest parsed
+        ingested = []
+        from_dict = ExperimentConfig.from_dict
+
+        def counted(doc):
+            ingested.append(doc["experiment"])
+            return from_dict(doc)
+
+        monkeypatch.setattr(ExperimentConfig, "from_dict", staticmethod(counted))
         cfg = {
             "schema_version": 1,
             "experiment": "sweep",
@@ -269,6 +280,7 @@ class TestRun:
         result = run(cfg, str(tmp_path / "sweep"))
         assert result.exit_code == 0
         assert len(result.report["verdicts"]) == 2
+        assert ingested == ["sweep", "coeffs", "check-escape"]
 
     def test_ssf_weak_small(self, tmp_path):
         cfg = {
@@ -579,7 +591,7 @@ STOCK_CONFIGS = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
 
 class TestRefusedBeforeSolve:
     """Every refusal of a trace or ssf sweep comes before its first operator,
-    pair or shell check: at ingest, at the energy check or at the
+    pair or shell check: at ingest, the energy check included, or at the
     certificate."""
 
     @pytest.mark.parametrize("name", STOCK_CONFIGS)
@@ -682,18 +694,49 @@ class TestRefusedBeforeSolve:
         with pytest.raises(AssertionError, match="reached past config parsing"):
             run(doc)
 
-    @pytest.mark.parametrize("change,named", [
-        ({"h_list": [0.0625, 0.03125]}, "at least 3 h"),
-        ({"thresholds": {"order": 1.5, "slope": 1.0}}, "thresholds.slope"),
-        ({"variant": "strong"}, "ssf needs variant"),
-    ])
-    def test_sweep_with_a_bad_child(self, tmp_path, no_assembly, change, named):
-        # the last child is checked at ingest, before the first one runs
-        doc = _config("ssf_reference", out=str(tmp_path / "o"))
-        doc["experiments"][-1] = dict(doc["experiments"][-1], **change)
-        with pytest.raises(ConfigError, match=named):
+    @pytest.mark.parametrize("child,change,error,named", [
+        ("ssf_derivative_reference", {"h_list": [0.0625, 0.03125]}, ConfigError, "at least 3 h"),
+        ("ssf_derivative_reference", {"thresholds": {"order": 1.5, "slope": 1.0}}, ConfigError,
+         "thresholds.slope"),
+        ("ssf_derivative_reference", {"variant": "strong"}, ConfigError, "ssf needs variant"),
+        ("ssf_weak_reference", {"grid": {"R": 12.0, "tau_max": 3.24, "N": 64}}, ConfigError,
+         "not grid.N$"),
+        ("trace_thm3_crossing",
+         {"cutoff": {"x": {"centre": 0.5}, "xi": {"center": 0.0, "halfwidth": 2.0}}},
+         ConfigError, "not cutoff.x.centre$"),
+        ("ssf_weyl_reference", {"potential": {"kind": "nope", "params": {}}}, ConfigError,
+         "bad potential spec: unknown model potential kind: 'nope'"),
+        ("ssf_weyl_reference", {"tau_grid": {"lo": 2.2, "hi": 1.8, "count": 41}}, ConfigError,
+         "tau_grid needs hi > lo"),
+        ("trace_thm3_crossing", {"check": {"grid_points": 41, "mode": "per_point_T"}},
+         ConfigError, "not check.mode$"),
+        ("ssf_weak_reference", {"test_function": {"kind": "bump", "support": [3.0, 3.4]}},
+         qz.WindowRangeError, "support up to 3.4 exceeds the reliable window 3.24"),
+        ("ssf_derivative_reference", {"grid": {"R": 12.0, "tau_max": 3.24, "m_cap": 100}},
+         qz.CoverageError, "needs M=.* > cap 100"),
+    ], ids=["change0-at least 3 h", "change1-thresholds.slope", "change2-ssf needs variant",
+            "grid_key", "cutoff_key", "potential_kind", "tau_grid", "check_key",
+            "energy_above_tau_max", "m_cap"])
+    def test_sweep_with_a_bad_child(self, tmp_path, no_assembly, capsys, child, change, error,
+                                    named):
+        # a bad block of the last child is refused at ingest, with the error
+        # a run of the child alone raises, before the first child (coeffs,
+        # which no_assembly does not stop) writes its report
+        coeffs = _config("sweep_quick")["experiments"][2]
+        broken = {k: v for k, v in _config(child, **change).items()
+                  if k not in ("schema_version", "out")}
+        doc = {"schema_version": 1, "experiment": "sweep", "experiments": [coeffs, broken],
+               "out": str(tmp_path / "o")}
+        with pytest.raises(error, match=named):
             ExperimentConfig.from_dict(doc)
-        TestWindowAndCheckBlocks._rejected(tmp_path, doc, named)
+        with pytest.raises(error, match=named):
+            run(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        prefix = "config error: " if error is ConfigError else f"error: {error.__name__}: "
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and re.search(named, err)
         assert not (tmp_path / "o").exists()
 
 
@@ -773,7 +816,7 @@ class TestMemoryAdmission:
                 continue
             g = doc["grid"]
             grid = qz.grid_for(min(doc["h_list"]), g["R"], g["tau_max"], g["m_cap"])
-            v = harness._potential_from(doc)
+            v = ExperimentConfig.from_dict(doc).inputs["v"]
             potentials = [v, model_potential("constant", v_inf=np.diag(v.v_infinity).real,
                                              N=v.N)]
             if "perturbation" in doc:
