@@ -150,6 +150,12 @@ def _model(name: str, spec) -> MatrixPotential:
         raise ConfigError(f"bad {name} spec: {exc}") from exc
 
 
+def _spelled(spec: dict | None) -> dict | None:
+    """A model block as ``_model`` reads it: its kind and params, {} when
+    none are given; None for no block."""
+    return {"kind": spec["kind"], "params": spec.get("params", {})} if spec else None
+
+
 def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
     """The grid of each h of the config's h_list, by ``qz.grid_for`` from the
     grid block's R, tau_max and m_cap; tau_max is required."""
@@ -318,7 +324,8 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     if "h_term" in keys:
         inputs["term"] = _model("h_term", doc["h_term"]) if doc.get("h_term") else None
         # the ssf configs of one run share their pairs where potential and h_term agree
-        inputs["model"] = json.dumps([doc.get("potential"), doc.get("h_term")], sort_keys=True)
+        inputs["model"] = json.dumps([_spelled(doc["potential"]), _spelled(doc.get("h_term"))],
+                                     sort_keys=True)
     if "tau_grid" in keys:
         inputs["taus"] = _tau_grid_from(doc)
     if "cutoff" in keys:
@@ -331,9 +338,11 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
         inputs["certificate"] = _certificate_request(doc, experiment, inputs)
     if experiment == "ssf":
         # the ssf configs of one run share an escape check where their
-        # potentials, check blocks and tau0 agree
-        inputs["share"] = ("escape", json.dumps([doc.get("potential"), doc.get("check") or {}],
-                                                sort_keys=True), inputs["tau0"])
+        # potentials and certificate requests, defaults filled in, agree
+        kind, args = inputs["certificate"]
+        request = {key: val for key, val in args.items() if key not in ("v", "p", "g")}
+        inputs["share"] = ("escape", kind, json.dumps([_spelled(doc["potential"]), request],
+                                                      sort_keys=True))
     return inputs
 
 

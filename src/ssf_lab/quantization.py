@@ -21,7 +21,8 @@ A ``GridOperator`` answers two requests: its spectrum, from a values-only
 solve in place, or its eigenpairs in an energy window (lo, hi], which is
 all a smoothed trace reads of them.  A Schrodinger operator holds only the
 triangle of its matrix that LAPACK reads; one with no coupling between its
-channels holds only the triangles of its channel blocks.  Each dense
+channels (``SplitOperator``) is solved a channel block at a time, each
+block assembled just before its solve and dropped after it.  Each dense
 allocation, a matrix or the eigenvectors of a solve, admits its own bytes
 against the host's physical memory where it is made, so a step that cannot
 fit stops with ``MemoryBudgetError`` before it allocates.
@@ -69,6 +70,7 @@ __all__ = [
     "WindowRangeError",
     "Grid1D",
     "GridOperator",
+    "SplitOperator",
     "required_points",
     "grid_for",
     "potential_samples",
@@ -247,7 +249,7 @@ def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"relative hermiticity defect {defect/scale:.2e} too large")
     if defect == 0.0:
         return matrix
-    return 0.5 * (matrix + matrix.conj().T)
+    return _hermitian_parts(matrix)
 
 
 @functools.cache
@@ -454,21 +456,11 @@ class GridOperator:
     none is held, the blocks of the operator's ``rows`` source (a
     ``ProductCutoff``'s), so that nothing is assembled.
 
-    What an operator holds is a (K, m, m) stack of independent blocks, block
-    c on the rows and columns c::K, each solved alone: a (dim, dim) matrix
-    is K = 1, and an operator that ``build_schrodinger`` finds has no
-    entries between its N channels holds the (N, M, M) stack of the upper
-    triangles of its channel blocks, which is its ``.matrix``.
-    ``eigenvalues`` merges the blocks' values by a stable sort, and
-    ``eigenpairs`` puts each block's eigenvectors on its rows, zero on the
-    other blocks' rows.
-
     Each allocation admits its own bytes against the host's memory where it
     is made (``MemoryBudgetError`` when they do not fit): an assembly its
-    matrix, and a pairs solve, before it starts, K + 2 of what the operator
-    holds: the blocks, their eigenvectors as LAPACK writes them and the
-    merged (dim, k) array, for k up to dim; three matrices, a fourth for
-    the copy of a caller's array, and N + 2 stacks for a split operator.
+    matrix, and a pairs solve, before it starts, three matrices (the matrix,
+    its eigenvectors as LAPACK writes them and their (dim, k) copy, for k up
+    to dim), and a fourth for the copy of a caller's array.
 
     Constant-potential operators carry an ``analytic`` spectrum instead:
     plane waves tensored with channel eigenvectors.  Their matrix is built
@@ -512,16 +504,16 @@ class GridOperator:
         if self._assemble is not None:
             self._matrix = None
 
-    def _blocks(self) -> np.ndarray:
-        """What is solved on, in place, as a (K, m, m) stack: the held matrix,
-        released, or a copy of a caller's array.  A held view with a leading
-        dimension is handed over as it is; a contiguous copy of it would make
-        every page resident."""
+    def _solved(self) -> np.ndarray:
+        """What is solved on, in place: the held matrix, released, or a copy
+        of a caller's array.  A held view with a leading dimension is handed
+        over as it is; a contiguous copy of it would make every page
+        resident."""
         mat = self.matrix
         if self._assemble is None:
             mat = mat.copy()
         self._release()
-        return mat if mat.ndim == 3 else mat[None]
+        return mat
 
     def _row_blocks(self):
         """(lo, rows lo:lo + b of the matrix) for blocks of b rows, about
@@ -537,42 +529,22 @@ class GridOperator:
             if self._analytic is not None:
                 self._values = self._analytic_values()
             else:
-                values = [_evd(block) for block in self._blocks()]
-                self._values = np.sort(np.concatenate(values), kind="stable")
+                self._values = _evd(self._solved())
         return self._values
 
     def eigenpairs(self, *, window: tuple[float, float] = (-math.inf, math.inf)
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
         array of their eigenvectors as columns, the whole spectrum by
-        default: plane waves for an analytic spectrum, else ``_evr`` on each
-        block in place, after the admission of K + 2 of what the operator
-        holds (and one more for a caller's array, whose copy is solved).
-
-        The stack is dropped after the last block is solved, and the merged
-        array is made after that: block c's eigenvector j goes to column
-        rank[offset_c + j] of the merged order, on the rows c::K.  Nothing
-        else refers to the stack, so ``del`` frees it before that array."""
+        default: plane waves for an analytic spectrum, else ``_evr`` in
+        place, after the admission of three matrices (four for a caller's
+        array, whose copy is solved)."""
         lo, hi = window
         if self._analytic is not None:
             return self._analytic_pairs(lo, hi)
-        stacks = self.dim // self.matrix.shape[-1] + 2 + (self._assemble is None)
-        _admit(stacks * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
-        stack = self._blocks()
-        n = len(stack)
-        solved = [_evr(block, lo, hi) for block in stack]
-        del stack
-        vals, blocks = zip(*solved)
-        del solved
-        offsets = np.cumsum([0] + [v.size for v in vals])
-        vals = np.concatenate(vals)
-        order = np.argsort(vals, kind="stable")
-        rank = np.empty(vals.size, dtype=np.intp)
-        rank[order] = np.arange(vals.size)
-        vectors = np.zeros((self.dim, vals.size), dtype=blocks[0].dtype)
-        for c, block in enumerate(blocks):
-            vectors[c::n, rank[offsets[c]:offsets[c + 1]]] = block
-        return vals[order], vectors
+        matrices = 3 + (self._assemble is None)
+        _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
+        return _evr(self._solved(), lo, hi)
 
     # -- analytic spectrum for constant potentials ------------------------
     def _analytic_order(self):
@@ -618,6 +590,56 @@ class GridOperator:
             np.multiply(phases[:, None, :], channel_vecs[None, :, k_idx[cols]],
                         out=vectors[:, :, cols])
         return vectors.reshape(self.dim, flat.size)
+
+
+class SplitOperator(GridOperator):
+    """A Schrodinger operator with no entries between its N channels: the
+    direct sum of the one-channel operators ``channels``, channel c on the
+    rows and columns c::N.  Each channel assembles its M x M block when it
+    is solved and drops it after, so a solve holds one block at a time:
+    ``eigenvalues`` and ``eigenpairs`` ask the channels in turn, and
+    ``smoothed_trace`` asks them itself.  ``eigenvalues`` merges the
+    channels' values by a stable sort.  ``eigenpairs`` puts each channel's
+    eigenvectors on its rows, zero on the other channels' rows, in a
+    (dim, k) array made after the last channel is solved.  It first admits
+    N + 2 stacks of the N real M x M blocks (their samples are the diagonal
+    entries of hermitian parts, which are real): for k up to dim, that array
+    is N of them and the channels' vectors one, and one more covers a
+    channel's solve.
+
+    ``.matrix`` is the (N, M, M) stack of the channels' upper triangles,
+    assembled when it is read, after its bytes are admitted.  No solve
+    reads it, and a solve drops it."""
+
+    def __init__(self, grid: Grid1D, channels: tuple, label: str, assemble):
+        super().__init__(grid=grid, N=len(channels), label=label, assemble=assemble,
+                         upper_only=True)
+        self.channels = channels
+
+    def eigenvalues(self) -> np.ndarray:
+        if self._values is None:
+            self._release()
+            values = [channel.eigenvalues() for channel in self.channels]
+            self._values = np.sort(np.concatenate(values), kind="stable")
+        return self._values
+
+    def eigenpairs(self, *, window: tuple[float, float] = (-math.inf, math.inf)
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Block c's eigenvector j goes to column rank[offset_c + j] of the
+        merged order, on the rows c::N."""
+        n = self.N
+        _admit((n + 2) * 8 * n * self.grid.M ** 2, self.label, "the channels' eigenvectors")
+        self._release()
+        vals, blocks = zip(*[channel.eigenpairs(window=window) for channel in self.channels])
+        offsets = np.cumsum([0] + [v.size for v in vals])
+        vals = np.concatenate(vals)
+        order = np.argsort(vals, kind="stable")
+        rank = np.empty(vals.size, dtype=np.intp)
+        rank[order] = np.arange(vals.size)
+        vectors = np.zeros((self.dim, vals.size), dtype=blocks[0].dtype)
+        for c, block in enumerate(blocks):
+            vectors[c::n, rank[offsets[c]:offsets[c + 1]]] = block
+        return vals[order], vectors
 
 
 def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
@@ -709,20 +731,21 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
     The operator holds its matrix as the C-order upper triangle alone
     (``upper_only``: the triangle LAPACK reads), in 4 KiB pages of which
     only the triangle's become resident.  It is assembled at once, except
-    for constant potentials: they get an analytic spectrum and a matrix
-    that is built only when ``.matrix`` is read.  A potential whose
-    off-diagonal samples are all 0 is split: it holds the upper triangles of
-    its N channel blocks alone, an (N, M, M) stack, and solves them one at a
-    time.
+    for constant potentials, which get an analytic spectrum and a matrix
+    that is built only when ``.matrix`` is read, and split potentials.  A
+    potential whose off-diagonal samples are all 0 is split: a
+    ``SplitOperator`` of N one-channel operators, each of which assembles
+    its own M x M block just before it is solved.
 
     The potential samples (V + V^H)/2 and the symmetrized kinetic column
     make the matrix exactly hermitian, so what is checked is that they are
     finite: ValueError before anything is assembled when they are not.
-    What is assembled, dim^2 items or N M^2 for a split operator, is checked
-    against the host's physical memory before each assembly:
-    MemoryBudgetError, with both figures, when it does not fit.  A solve
-    admits what it adds itself (``GridOperator``), and an analytic spectrum
-    its plane-wave vectors when they are formed.
+    What is assembled at once, dim^2 items, or M^2 for a channel block, is
+    checked against the host's physical memory here, before anything is
+    assembled: MemoryBudgetError, with both figures, when it does not fit.
+    Each assembly admits its own bytes again, and a solve what it adds
+    itself (``GridOperator``), as does an analytic spectrum its plane-wave
+    vectors when they are formed.
     """
     if v.n != 1:
         raise NotImplementedError("the quantization engine is one-dimensional")
@@ -732,18 +755,24 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         raise ValueError(f"{label} has a non-finite potential sample or kinetic entry")
     itemsize = np.dtype(complex if np.any(samples.imag) else float).itemsize
 
-    def assembler(split: bool):
-        items = v.N * grid.M**2 if split else (v.N * grid.M) ** 2
+    def assembler(part: np.ndarray, name: str, split: bool = False):
+        items = part.shape[1] * grid.M**2 if split else (part.shape[1] * grid.M) ** 2
 
         def assemble():
-            _admit(itemsize * items, label, "the channel blocks" if split else "the matrix")
+            _admit(itemsize * items, name, "the channel blocks" if split else "the matrix")
             _return_free_heap()
-            return _assemble_schrodinger(grid, samples, split=split)
+            return _assemble_schrodinger(grid, part, split=split)
         return assemble
 
     if np.any(samples != samples[0]):
-        split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
-        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(split),
+        if v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)]):
+            _admit(itemsize * grid.M**2, label, "a channel block")
+            names = [f"{label}[{c}]" for c in range(v.N)]
+            channels = tuple(GridOperator(grid=grid, N=1, label=name, upper_only=True,
+                                          assemble=assembler(samples[:, c:c + 1, c:c + 1], name))
+                             for c, name in enumerate(names))
+            return SplitOperator(grid, channels, label, assembler(samples, label, split=True))
+        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
                           upper_only=True)
         op.matrix  # assembled here, where the build is timed; the first solve takes it
         return op
@@ -755,7 +784,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         channel_vecs = np.eye(v.N, dtype=complex)
     else:
         channel_vals, channel_vecs = np.linalg.eigh(b0)
-    return GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(False),
+    return GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
                         upper_only=True, analytic=(channel_vals, channel_vecs))
 
 
@@ -830,8 +859,7 @@ def weyl_quantize(a, grid: Grid1D) -> GridOperator:
         if np.any(ambiguous):
             other = table[(mid_idx + m_pts) % (2 * m_pts), delta % m_pts]
             mat = np.where(ambiguous, 0.5 * (mat + other), mat)
-        mat = 0.5 * (mat + mat.conj().T)
-        return GridOperator(grid=grid, N=1, matrix=mat, label="weyl(general)")
+        return GridOperator(grid=grid, N=1, matrix=_hermitian_parts(mat), label="weyl(general)")
 
     raise TypeError(f"cannot quantize object of type {type(a)!r}")
 
@@ -1157,6 +1185,20 @@ def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> 
     return np.conjugate(total)[cols - cols[0]]
 
 
+def _f_values(f, lam: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
+
+
+def _weighted_pairs(a_op: GridOperator, h_op: GridOperator, f, window) -> tuple:
+    """(lambda_j, f(lambda_j) <u_j, A u_j>) for the eigenpairs of ``h_op`` in
+    ``window`` where f(lambda_j) is not 0.  The eigenvectors are dropped on
+    return."""
+    lam, vecs = h_op.eigenpairs(window=window)
+    fv = _f_values(f, lam)
+    cols = np.flatnonzero(fv)
+    return lam[cols], fv[cols] * _cutoff_diagonal(a_op, vecs, cols)
+
+
 def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTheta,
                    tau):
     """tr(A f(H) K_w(tau - H)) evaluated through the eigendecomposition.
@@ -1171,6 +1213,13 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
     assembled, and a held matrix is read in slices.  A cutoff that holds
     only its upper triangle (``GridOperator.upper_only``), such as a
     Schrodinger operator, is a ValueError.
+
+    A one-channel cutoff on a ``SplitOperator`` is applied to its channels
+    one after the other: each assembles its block, is solved and gets its
+    <u_j, A u_j>, and drops its block and eigenvectors before the next one
+    is assembled.  The channels' (lambda_j, weight) lists are merged by one
+    stable sort on lambda, the order of the split operator's merged
+    eigenpairs, which are never formed.
     """
     if a_op is not None and a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
@@ -1178,15 +1227,19 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
         raise ValueError(f"the cutoff {a_op.label} holds only its upper triangle")
     if a_op is None:
         lam = h_op.eigenvalues()
+        weights = _f_values(f, lam).astype(complex)
     else:
-        lam, vecs = h_op.eigenpairs(window=getattr(f, "support", (-math.inf, math.inf)))
-    fv = np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
-    if a_op is None:
-        weights = fv.astype(complex)
-    else:
-        cols = np.flatnonzero(fv)
-        lam, fv = lam[cols], fv[cols]
-        weights = fv * _cutoff_diagonal(a_op, vecs, cols)
+        window = getattr(f, "support", (-math.inf, math.inf))
+        split = isinstance(h_op, SplitOperator) and a_op.N == 1
+        ops = h_op.channels if split else [h_op]
+        parts = [_weighted_pairs(a_op, op, f, window) for op in ops]
+        # a channel without an f != 0 pair has complex weights
+        # (``_cutoff_diagonal``), which would make real weights complex
+        parts = [part for part in parts if part[0].size] or parts
+        lam = np.concatenate([part[0] for part in parts])
+        weights = np.concatenate([part[1] for part in parts])
+        order = np.argsort(lam, kind="stable")
+        lam, weights = lam[order], weights[order]
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights

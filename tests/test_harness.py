@@ -894,6 +894,36 @@ class TestSsfReferenceSweep:
         # run alone, each child solves its own three grids
         assert len(solves) == len(dims) + 9
 
+    def test_children_share_under_spelled_defaults(self, tmp_path, monkeypatch):
+        # a derivative child that spells its potential without params and its
+        # check block's defaults out shares the weak child's pairs and
+        # escape check: the keys are built from the parsed inputs
+        hs = [1 / 4, 1 / 8, 1 / 16]
+        small = {"R": 7.0, "tau_max": 3.24, "m_cap": 8192}
+        weak = dict(_config("ssf_weak_reference"), grid=small, h_list=hs)
+        spelled = dict(_config("ssf_derivative_reference"), grid=small, h_list=hs,
+                       potential={"kind": "reference"},
+                       check={"x_range": [-8.0, 8.0], "grid_points": 2001})
+        children = [weak, spelled]
+        for doc in children:
+            del doc["out"], doc["schema_version"]
+        pairs, escapes = [], []
+        build_pair, escape = ssf_mod.build_pair, mh.escape_check_dilation
+
+        def count_pair(v, grid):
+            pairs.append(grid.h)
+            return build_pair(v, grid)
+
+        def count_escape(*args, **kwargs):
+            escapes.append(args)
+            return escape(*args, **kwargs)
+
+        monkeypatch.setattr(ssf_mod, "build_pair", count_pair)
+        monkeypatch.setattr(mh, "escape_check_dilation", count_escape)
+        run({"schema_version": 1, "experiment": "sweep", "experiments": children},
+            str(tmp_path / "sweep"))
+        assert pairs == hs and len(escapes) == 1
+
 
 class TestCli:
     def _run(self, *args):
