@@ -499,20 +499,15 @@ class GridOperator:
             self._matrix = mat if self.upper_only else _checked_hermitian(mat, self.dim)
         return self._matrix
 
-    def _release(self) -> None:
-        """Drop the held matrix if it can be assembled again."""
-        if self._assemble is not None:
-            self._matrix = None
-
     def _solved(self) -> np.ndarray:
-        """What is solved on, in place: the held matrix, released, or a copy
-        of a caller's array.  A held view with a leading dimension is handed
-        over as it is; a contiguous copy of it would make every page
-        resident."""
+        """What is solved on, in place: the held matrix, dropped since it can
+        be assembled again, or a copy of a caller's array.  A held view with
+        a leading dimension is handed over as it is; a contiguous copy of it
+        would make every page resident."""
         mat = self.matrix
         if self._assemble is None:
-            mat = mat.copy()
-        self._release()
+            return mat.copy()
+        self._matrix = None
         return mat
 
     def _row_blocks(self):
@@ -592,33 +587,48 @@ class GridOperator:
         return vectors.reshape(self.dim, flat.size)
 
 
-class SplitOperator(GridOperator):
+class SplitOperator:
     """A Schrodinger operator with no entries between its N channels: the
     direct sum of the one-channel operators ``channels``, channel c on the
-    rows and columns c::N.  Each channel assembles its M x M block when it
-    is solved and drops it after, so a solve holds one block at a time:
-    ``eigenvalues`` and ``eigenpairs`` ask the channels in turn, and
-    ``smoothed_trace`` asks them itself.  ``eigenvalues`` merges the
-    channels' values by a stable sort.  ``eigenpairs`` puts each channel's
-    eigenvectors on its rows, zero on the other channels' rows, in a
-    (dim, k) array made after the last channel is solved.  It first admits
-    N + 2 stacks of the N real M x M blocks (their samples are the diagonal
-    entries of hermitian parts, which are real): for k up to dim, that array
-    is N of them and the channels' vectors one, and one more covers a
-    channel's solve.
+    rows and columns c::N.  It holds no matrix of its own.  Each channel
+    assembles its M x M block when it is solved and drops it after, so a
+    solve holds one block at a time: ``eigenvalues`` and ``eigenpairs`` ask
+    the channels in turn, and ``smoothed_trace`` asks them itself.
+    ``eigenvalues`` merges the channels' values by a stable sort.
+    ``eigenpairs`` puts each channel's eigenvectors on its rows, zero on the
+    other channels' rows, in a (dim, k) array made after the last channel is
+    solved.  It first admits N + 2 stacks of the N real M x M blocks (their
+    samples are the diagonal entries of hermitian parts, which are real):
+    for k up to dim, that array is N of them and the channels' vectors one,
+    and one more covers a channel's solve.
 
     ``.matrix`` is the (N, M, M) stack of the channels' upper triangles,
-    assembled when it is read, after its bytes are admitted.  No solve
-    reads it, and a solve drops it."""
+    made anew on each read from the blocks the channels then hold, after
+    its bytes are admitted.  No solve reads it.  Like any Schrodinger
+    operator it holds only upper triangles (``upper_only``), so
+    ``smoothed_trace`` refuses it as a cutoff."""
 
-    def __init__(self, grid: Grid1D, channels: tuple, label: str, assemble):
-        super().__init__(grid=grid, N=len(channels), label=label, assemble=assemble,
-                         upper_only=True)
+    upper_only = True
+
+    def __init__(self, grid: Grid1D, channels: tuple, label: str):
+        self.grid = grid
         self.channels = channels
+        self.N = len(channels)
+        self.label = label
+        self._values: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.grid.M * self.N
+
+    @property
+    def matrix(self) -> np.ndarray:
+        blocks = [channel.matrix for channel in self.channels]
+        _admit(sum(block.nbytes for block in blocks), self.label, "the stack of channel blocks")
+        return np.stack(blocks)
 
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
-            self._release()
             values = [channel.eigenvalues() for channel in self.channels]
             self._values = np.sort(np.concatenate(values), kind="stable")
         return self._values
@@ -629,7 +639,6 @@ class SplitOperator(GridOperator):
         merged order, on the rows c::N."""
         n = self.N
         _admit((n + 2) * 8 * n * self.grid.M ** 2, self.label, "the channels' eigenvectors")
-        self._release()
         vals, blocks = zip(*[channel.eigenpairs(window=window) for channel in self.channels])
         offsets = np.cumsum([0] + [v.size for v in vals])
         vals = np.concatenate(vals)
@@ -677,15 +686,12 @@ def _zeros_in_small_pages(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, offset=lead).reshape(held)[..., :n]
 
 
-def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray, split: bool = False) -> np.ndarray:
+def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     """The C-order upper triangle of the kinetic circulant tensor identity
     plus the block-diagonal potential, written into a (dim, dim) view of
     the final dtype (real unless a sample is complex) whose other entries
     are 0 and never written, with the page-aligned rows of
-    ``_zeros_in_small_pages``.  With ``split`` (no entries between the
-    channels) the N channel blocks alone, as an (N, M, M) stack of such
-    views: block c is the one-channel matrix of the samples (:, c, c), the
-    rows and columns c::N of the whole one.
+    ``_zeros_in_small_pages``.
 
     Row i N + a holds the kinetic entries c[(i - j) % M] = c[j - i] at the
     columns j N + a, j >= i (c is symmetric), and the potential samples
@@ -693,20 +699,17 @@ def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray, split: bool = False
     view: a reshape of it would be a copy."""
     if not np.any(samples.imag):
         samples = samples.real
-    n_ch = samples.shape[1]
-    parts = [samples[:, c:c + 1, c:c + 1] for c in range(n_ch)] if split else [samples]
-    dim = grid.M * parts[0].shape[1]
-    out = _zeros_in_small_pages((len(parts), dim, dim), np.result_type(samples.dtype, np.float64))
+    n = samples.shape[1]
+    dim = grid.M * n
+    mat = _zeros_in_small_pages((dim, dim), np.result_type(samples.dtype, np.float64))
     kin = _kinetic_column(grid)
-    for mat, part in zip(out, parts):
-        n = part.shape[1]
-        for row in range(dim):
-            mat[row, row::n] = kin[:grid.M - row // n]
-        nodes = np.arange(0, dim, n)
-        for a in range(n):
-            for b in range(a, n):
-                mat[nodes + a, nodes + b] += part[:, a, b]
-    return out if split else out[0]
+    for row in range(dim):
+        mat[row, row::n] = kin[:grid.M - row // n]
+    nodes = np.arange(0, dim, n)
+    for a in range(n):
+        for b in range(a, n):
+            mat[nodes + a, nodes + b] += samples[:, a, b]
+    return mat
 
 
 def physical_memory() -> int:
@@ -725,7 +728,7 @@ def _admit(required: int, label: str, what: str) -> None:
         )
 
 
-def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
+def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitOperator:
     """Kinetic circulant tensor identity plus block potential.
 
     The operator holds its matrix as the C-order upper triangle alone
@@ -755,13 +758,11 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
         raise ValueError(f"{label} has a non-finite potential sample or kinetic entry")
     itemsize = np.dtype(complex if np.any(samples.imag) else float).itemsize
 
-    def assembler(part: np.ndarray, name: str, split: bool = False):
-        items = part.shape[1] * grid.M**2 if split else (part.shape[1] * grid.M) ** 2
-
+    def assembler(part: np.ndarray, name: str):
         def assemble():
-            _admit(itemsize * items, name, "the channel blocks" if split else "the matrix")
+            _admit(itemsize * (part.shape[1] * grid.M) ** 2, name, "the matrix")
             _return_free_heap()
-            return _assemble_schrodinger(grid, part, split=split)
+            return _assemble_schrodinger(grid, part)
         return assemble
 
     if np.any(samples != samples[0]):
@@ -771,7 +772,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator:
             channels = tuple(GridOperator(grid=grid, N=1, label=name, upper_only=True,
                                           assemble=assembler(samples[:, c:c + 1, c:c + 1], name))
                              for c, name in enumerate(names))
-            return SplitOperator(grid, channels, label, assembler(samples, label, split=True))
+            return SplitOperator(grid, channels, label)
         op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
                           upper_only=True)
         op.matrix  # assembled here, where the build is timed; the first solve takes it
@@ -1189,7 +1190,8 @@ def _f_values(f, lam: np.ndarray) -> np.ndarray:
     return np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
 
 
-def _weighted_pairs(a_op: GridOperator, h_op: GridOperator, f, window) -> tuple:
+def _weighted_pairs(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
+                    window) -> tuple:
     """(lambda_j, f(lambda_j) <u_j, A u_j>) for the eigenpairs of ``h_op`` in
     ``window`` where f(lambda_j) is not 0.  The eigenvectors are dropped on
     return."""
@@ -1199,8 +1201,8 @@ def _weighted_pairs(a_op: GridOperator, h_op: GridOperator, f, window) -> tuple:
     return lam[cols], fv[cols] * _cutoff_diagonal(a_op, vecs, cols)
 
 
-def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTheta,
-                   tau):
+def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator | SplitOperator, f,
+                   w: WindowTheta, tau):
     """tr(A f(H) K_w(tau - H)) evaluated through the eigendecomposition.
 
     ``a_op=None`` means the identity.  Returns a complex scalar (or array over
@@ -1230,16 +1232,16 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator, f, w: WindowTh
         weights = _f_values(f, lam).astype(complex)
     else:
         window = getattr(f, "support", (-math.inf, math.inf))
-        split = isinstance(h_op, SplitOperator) and a_op.N == 1
-        ops = h_op.channels if split else [h_op]
-        parts = [_weighted_pairs(a_op, op, f, window) for op in ops]
-        # a channel without an f != 0 pair has complex weights
-        # (``_cutoff_diagonal``), which would make real weights complex
-        parts = [part for part in parts if part[0].size] or parts
-        lam = np.concatenate([part[0] for part in parts])
-        weights = np.concatenate([part[1] for part in parts])
-        order = np.argsort(lam, kind="stable")
-        lam, weights = lam[order], weights[order]
+        if isinstance(h_op, SplitOperator) and a_op.N == 1:
+            parts = [_weighted_pairs(a_op, channel, f, window) for channel in h_op.channels]
+            # a channel without an f != 0 pair has complex weights
+            # (``_cutoff_diagonal``), which would make real weights complex
+            parts = [part for part in parts if part[0].size] or parts
+            lam = np.concatenate([part[0] for part in parts])
+            order = np.argsort(lam, kind="stable")
+            lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]
+        else:
+            lam, weights = _weighted_pairs(a_op, h_op, f, window)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights

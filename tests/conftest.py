@@ -41,14 +41,16 @@ def full_matrix(op) -> np.ndarray:
     """The whole matrix of a grid operator: the upper triangle of what it
     holds, mirrored into the lower one.  A Schrodinger operator holds only
     that triangle; an exactly hermitian matrix comes back unchanged.  A
-    split operator holds an (N, M, M) stack of its channel blocks'
-    triangles, and block c is placed on the rows and columns c::N."""
-    held = op.matrix
-    if held.ndim == 2:
+    split operator's channel c holds its block's triangle, which is placed
+    on the rows and columns c::N."""
+    parts = getattr(op, "channels", None)
+    if parts is None:
+        held = op.matrix
         return np.triu(held) + np.triu(held, 1).conj().T
-    mat = np.zeros((op.dim, op.dim), dtype=held.dtype)
-    for c, block in enumerate(held):
-        mat[c::op.N, c::op.N] = np.triu(block) + np.triu(block, 1).conj().T
+    blocks = [full_matrix(part) for part in parts]
+    mat = np.zeros((op.dim, op.dim), dtype=blocks[0].dtype)
+    for c, block in enumerate(blocks):
+        mat[c::op.N, c::op.N] = block
     return mat
 
 

@@ -133,8 +133,9 @@ class TestNewModels:
         grid = qz.grid_for(1 / 8, 6.0, 4.0, 8192)
         v = model_potential("rotating_crossing")
         assert v(0.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
-        assert qz.build_schrodinger(v, grid).matrix.ndim == 2
-        assert qz.build_schrodinger(model_potential("conical_crossing"), grid).matrix.ndim == 3
+        assert not isinstance(qz.build_schrodinger(v, grid), qz.SplitOperator)
+        assert isinstance(qz.build_schrodinger(model_potential("conical_crossing"), grid),
+                          qz.SplitOperator)
 
 
 class TestFastEigvalsh:

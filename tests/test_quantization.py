@@ -339,14 +339,14 @@ class TestSplitSolve:
         # and solves each in place, where copying them out of the whole
         # matrix held the matrix and half of it again
         code = PEAK_RSS_SOURCE + (
-            "from ssf_lab.quantization import build_schrodinger, grid_for\n"
+            "from ssf_lab.quantization import SplitOperator, build_schrodinger, grid_for\n"
             "from ssf_lab.symbols import model_potential\n"
             "grid = grid_for(1 / 96, 6.0, 2.0, 8192)\n"
             "before = peak_rss()\n"
             "op = build_schrodinger(model_potential('conical_crossing'), grid)\n"
             "vals, vecs = op.eigenpairs(window=(0.5, 1.5))\n"
             "grown = peak_rss() - before\n"
-            "print(op.dim, vals.size, op.matrix.ndim == 3, grown)\n"
+            "print(op.dim, vals.size, isinstance(op, SplitOperator), grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -434,7 +434,7 @@ class TestMemoryAdmission:
 
     @pytest.fixture
     def no_assembly(self, monkeypatch):
-        def refused(grid, samples, split=False):
+        def refused(grid, samples):
             raise AssertionError("assembled past a refused admission")
 
         monkeypatch.setattr(qz, "_assemble_schrodinger", refused)
@@ -471,7 +471,7 @@ class TestMemoryAdmission:
         class Reached(Exception):
             pass
 
-        def stub(grid, samples, split=False):
+        def stub(grid, samples):
             raise Reached(grid.M * samples.shape[1])
 
         monkeypatch.setattr(qz, "_assemble_schrodinger", stub)
@@ -487,12 +487,13 @@ class TestMemoryAdmission:
         # a host between one and three matrices: the spectrum is solved, the
         # pairs are refused before anything is allocated, and the matrix
         # stays for the next request.  A split operator's matrix is the stack
-        # of its N = 2 channel blocks, and its merged pairs admit four stacks:
-        # the merged array of twice their size, the channels' vectors and a
-        # channel's solve
+        # of its N = 2 channel blocks, which its channels hold once it is
+        # read, and its merged pairs admit four stacks: the merged array of
+        # twice their size, the channels' vectors and a channel's solve
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
         size = op.matrix.nbytes
-        admitted = 4 if op.matrix.ndim == 3 else 3
+        split = isinstance(op, qz.SplitOperator)
+        admitted = 4 if split else 3
         monkeypatch.setattr(qz, "physical_memory", lambda: 2 * size)
         tracemalloc.start()
         try:
@@ -502,7 +503,7 @@ class TestMemoryAdmission:
         finally:
             tracemalloc.stop()
         assert err.value.required == admitted * size and peak < 0.1 * size
-        assert op._matrix is not None
+        assert all(part._matrix is not None for part in (op.channels if split else [op]))
         assert op.eigenvalues().size == op.dim
 
     def test_pairs_of_a_passed_array_admit_its_copy(self, monkeypatch, rng):
@@ -540,9 +541,9 @@ class TestMemoryAdmission:
             f"grid = grid_for({h!r}, 8.0, 2.0, 8192)\n"
             "before = peak_rss()\n"
             f"op = build_schrodinger(model_potential({name!r}), grid)\n"
-            "size = op.matrix.nbytes\n"
             f"op.{request_}()\n"
-            "print(op.dim, size, peak_rss() - before)\n"
+            "grown = peak_rss() - before\n"
+            "print(op.dim, op.matrix.nbytes, grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -908,7 +909,7 @@ class TestWindowedSolve:
         calls = counted(monkeypatch)
         vals, vecs = op.eigenpairs(window=(lo, hi))
         assert calls == [((g.M, g.M), (lo, hi))] * v.N
-        assert op._matrix is None
+        assert all(channel._matrix is None for channel in op.channels)
         scale = np.max(np.abs(expect_vals))
         assert np.max(np.abs(vals - expect_vals[10:62])) <= 1e-12 * scale
         assert np.max(np.abs(dense.matrix @ vecs - vecs * vals)) <= 1e-11 * scale
@@ -937,28 +938,25 @@ class TestMatrixOwnership:
     @pytest.mark.parametrize("v", [model_potential("reference"), DIAGONAL_2],
                              ids=lambda v: v.name)
     def test_built_operator_drops_and_reassembles(self, v, solve):
-        # a split operator assembles nothing at its build: each channel
-        # assembles its block when it is solved and drops it.  Its matrix is
-        # the stack of the channels' blocks, assembled when read and dropped
-        # by the next pairs solve, and a channel reassembles the stack's
-        # block c
+        # a split operator holds no matrix and assembles nothing at its
+        # build: each channel assembles its block when it is solved, drops
+        # it, and assembles it again when it is read
         g = small_grid(h=1 / 16, tau_max=2.0)
         op = build_schrodinger(v, g)
+        samples = qz.potential_samples(v, g)
         split = isinstance(op, qz.SplitOperator)
-        parts = (op, *op.channels) if split else (op,)
-        assert (op._matrix is None) == split
+        parts = op.channels if split else (op,)
+        assert all((part._matrix is None) == split for part in parts)
         getattr(op, solve)()
         assert all(part._matrix is None for part in parts)
-        expect = qz._assemble_schrodinger(g, qz.potential_samples(v, g), split=split)
-        assert np.array_equal(op.matrix, expect)
-        assert op.matrix is op.matrix
+        for c, part in enumerate(parts):
+            own = samples[:, c:c + 1, c:c + 1] if split else samples
+            assert np.array_equal(part.matrix, qz._assemble_schrodinger(g, own))
+            assert part.matrix is part.matrix
         if split:
-            stack = op.matrix
-            op.eigenpairs()
-            assert all(part._matrix is None for part in parts)
-            for c, channel in enumerate(op.channels):
-                assert channel.N == 1 and channel.label == f"{op.label}[{c}]"
-                assert np.array_equal(channel.matrix, stack[c])
+            assert [(part.N, part.label) for part in parts] == [
+                (1, f"{op.label}[{c}]") for c in range(op.N)]
+            assert np.array_equal(op.matrix, np.stack([part.matrix for part in parts]))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_passed_array_unchanged(self, rng, kind):
@@ -976,20 +974,19 @@ class TestMatrixOwnership:
         assert np.max(np.abs(before @ vecs - vecs * vals)) <= 1e-12 * scale
 
     def test_split_releases_before_solving(self, monkeypatch):
-        # with its stack read first: each solve runs with the stack dropped
-        # and no channel holding a block, its own handed to the solve
+        # each channel's solve takes its own block, and no channel holds one
+        # while a solve runs
         op = build_schrodinger(DIAGONAL_2, small_grid(h=1 / 16, tau_max=2.0))
-        op.matrix
         held = []
         solve = qz._evr
 
         def spy(a, lo, hi):
-            held.append([part._matrix is not None for part in (op, *op.channels)])
+            held.append([channel._matrix is not None for channel in op.channels])
             return solve(a, lo, hi)
 
         monkeypatch.setattr(qz, "_evr", spy)
         op.eigenpairs()
-        assert held == [[False, False, False]] * 2
+        assert held == [[False, False]] * 2
 
 
 class TestWeylQuantize:
@@ -1401,7 +1398,7 @@ class TestSmoothedTrace:
                                 build_schrodinger(v, g), f, w, 1.0)
         a = weyl_quantize(CHI, g)
         h_op = build_schrodinger(v, g)
-        assert (h_op.matrix.ndim == 3) == (v.N > 1)
+        assert isinstance(h_op, qz.SplitOperator) == (v.N > 1)
         assembled = []
         product = qz._product_matrix
 
@@ -1437,9 +1434,9 @@ class TestSmoothedTrace:
         shapes, freed = [], []
         assemble, solve = qz._assemble_schrodinger, qz._evr
 
-        def assemble_spy(grid, samples, split=False):
+        def assemble_spy(grid, samples):
             assert all(ref() is None for ref in freed)
-            block = assemble(grid, samples, split)
+            block = assemble(grid, samples)
             shapes.append(block.shape)
             freed.append(weakref.ref(block))
             return block
@@ -1460,7 +1457,7 @@ class TestSmoothedTrace:
         assert np.array_equal(smoothed_trace(a, h_op, f, w, taus), expect)
         assert shapes == [(g.M, g.M)] * v.N and len(freed) == 2 * v.N
         assert all(ref() is None for ref in freed)
-        assert h_op._matrix is None
+        assert all(channel._matrix is None for channel in h_op.channels)
 
     # (H, supp f, window, bound): one step of the thm2, thm1 and thm3
     # set-ups at h = 1/64, 1/128 and 1/96, from H's construction to the
