@@ -62,7 +62,6 @@ from .symbols import (
     EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
-    branches,
     hermitian_eigen,
     model_potential,
     schrodinger_symbol,

@@ -35,13 +35,13 @@ channel and one integral at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
-from .quadrature import adaptive_gauss_batch, gauss_rule
+from .quadrature import adaptive_gauss_batch
 from .symbols import MatrixPotential, _hermitian_parts
 
 __all__ = [
@@ -66,7 +66,6 @@ TURNING_SCAN = 2048
 ATOL = 1e-10
 C0_ATOL = 1e-9
 LOCALIZED_ATOL = 1e-11
-QUADRATURE_ORDER = 200  # Gauss nodes of a test function's quadrature
 
 
 class ThresholdError(ValueError):
@@ -80,8 +79,6 @@ class TestFunction:
     support: tuple[float, float]
     eval: Callable
     kind: str = "bump"
-    _nodes: np.ndarray = field(default=None, repr=False, compare=False)
-    _weights: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.support
@@ -98,28 +95,6 @@ class TestFunction:
         if np.ndim(t) == 0:
             return float(out[0])
         return out
-
-    def quadrature(self):
-        """Cached Gauss nodes and weights on the support."""
-        if self._nodes is None:
-            xn, xw = gauss_rule(QUADRATURE_ORDER)
-            a, b = self.support
-            nodes = 0.5 * (a + b) + 0.5 * (b - a) * xn
-            weights = 0.5 * (b - a) * xw
-            object.__setattr__(self, "_nodes", nodes)
-            object.__setattr__(self, "_weights", weights)
-        return self._nodes, self._weights
-
-    def integral(self) -> float:
-        nodes, weights = self.quadrature()
-        return float(np.sum(weights * self(nodes)))
-
-    def shifted(self, s: float) -> "TestFunction":
-        a, b = self.support
-        inner = self.eval
-        return TestFunction(support=(a + s, b + s),
-                           eval=lambda t: inner(np.asarray(t) - s),
-                           kind=self.kind)
 
 
 def bump_test_function(support: tuple[float, float]) -> TestFunction:
@@ -480,13 +455,8 @@ class CoefficientProfile:
     tau_grid: np.ndarray
     gamma0: np.ndarray
     a0: np.ndarray
-    n: int
-
-    @property
-    def omega_n(self) -> float:
-        return sphere_volume(self.n)
 
 
 def coefficient_profile(v: MatrixPotential, taus) -> CoefficientProfile:
     taus = np.asarray(taus, dtype=float)
-    return CoefficientProfile(tau_grid=taus, gamma0=gamma0(v, taus), a0=a0(v, taus), n=v.n)
+    return CoefficientProfile(tau_grid=taus, gamma0=gamma0(v, taus), a0=a0(v, taus))

@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 C1_LADDER = [float(2**k) for k in range(21)]  # doubling search 1, 2, ..., 2^20
-_COARSE = 256  # coarse direction samples of find_direction and crossing_condition
-_REFINE_STEPS = 40  # refinement rounds of find_direction
+_COARSE = 256  # coarse direction samples of find_direction
+_REFINE_STEPS = 40  # golden-section steps of find_direction
 
 
 class KernelSplitError(ValueError):
@@ -304,13 +304,12 @@ def _unit(phis: np.ndarray) -> np.ndarray:
 
 
 def find_direction(h: MatrixSymbol, rho0) -> Direction | None:
-    """Maximize the kernel-projected directional derivative over unit T.
+    """Maximize the kernel-projected directional derivative over unit T on
+    the phase plane (n = 1; NotImplementedError otherwise).
 
-    Coarse sphere sampling followed by refinement: for 2n = 2, where the
-    sphere is a circle, 256 equally spaced angles and 40 golden-section
-    steps; in higher dimension 1024 seeded random directions and 40 rounds
-    of coordinate refinement.  Returns None when no direction gives a
-    positive value.  The kernel tolerance is ``default_kernel_tol``.
+    256 equally spaced angles on the unit circle, then 40 golden-section
+    steps around the best.  Returns None when no direction gives a positive
+    value.  The kernel tolerance is ``default_kernel_tol``.
     """
     return _find_directions(h, [_jet(h, rho0)])[0]
 
@@ -318,11 +317,13 @@ def find_direction(h: MatrixSymbol, rho0) -> Direction | None:
 def _find_directions(h: MatrixSymbol, jets: list) -> list:
     """find_direction at every point of ``jets``.
 
-    For 2n = 2 the points whose kernel projections share rank and dtype run
-    in lock-step: the coarse scan and each golden-section step are one
-    stacked eigvalsh over the points, and every value is the one a single
-    point computes.  Higher dimensions refine point by point.
+    The points whose kernel projections share rank and dtype run in
+    lock-step: the coarse scan and each golden-section step are one stacked
+    eigvalsh over the points, and every value is the one a single point
+    computes.
     """
+    if h.n != 1:
+        raise NotImplementedError("the direction search is implemented for n = 1")
     projs = []
     for jet in jets:
         mask = np.abs(jet.eig.values) <= jet.kernel_tol
@@ -332,8 +333,6 @@ def _find_directions(h: MatrixSymbol, jets: list) -> list:
             mask = np.ones(h.N, dtype=bool)
         vk = jet.eig.vectors[:, mask]
         projs.append(np.stack([vk.conj().T @ gi @ vk for gi in jet.grad]))
-    if h.n != 1:
-        return [_refine_coordinates(proj) for proj in projs]
     groups: dict = {}
     for i, proj in enumerate(projs):
         groups.setdefault((proj.shape[1], proj.dtype.str), []).append(i)
@@ -370,37 +369,6 @@ def _golden_section(projs: np.ndarray) -> list:
     best = _unit(0.5 * (lo + hi))
     fbest = _min_eigs(best[:, None, :], projs)[:, 0]
     return [None if f <= 0.0 else Direction(t) for t, f in zip(best, fbest)]
-
-
-def _refine_coordinates(proj: np.ndarray) -> Direction | None:
-    """Best unit direction in 2n > 2 dimensions for one kernel projection:
-    1024 seeded random directions, then 40 rounds of coordinate steps."""
-    dim = proj.shape[0]
-
-    def value(tvec):
-        s = np.tensordot(tvec, proj, axes=(0, 0))
-        return float(np.linalg.eigvalsh(s).min())
-
-    rng = np.random.default_rng(0)
-    cands = rng.standard_normal((1024, dim))
-    cands /= np.linalg.norm(cands, axis=1)[:, None]
-    best = cands[int(np.argmax(_min_eigs(cands, proj)))]
-    step = 0.5
-    fbest = value(best)
-    for _ in range(_REFINE_STEPS):
-        improved = False
-        for i in range(dim):
-            for sgn in (+1.0, -1.0):
-                trial = best + sgn * step * np.eye(dim)[i]
-                trial /= np.linalg.norm(trial)
-                ft = value(trial)
-                if ft > fbest:
-                    best, fbest, improved = trial, ft, True
-        if not improved:
-            step *= 0.5
-    if fbest <= 0.0:
-        return None
-    return Direction(best / np.linalg.norm(best))
 
 
 def shell_sample(
@@ -499,9 +467,10 @@ def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
     ker(V(x0) - tau0 I).
 
     Levels within ``default_shell_tol(tau0)`` of tau0 count as the kernel.
-    For n = 1 the candidates are +-1; otherwise 256 seeded random unit
-    directions.
+    The candidates are +-1 (n = 1; NotImplementedError otherwise).
     """
+    if v.n != 1:
+        raise NotImplementedError("crossing condition is implemented for n = 1")
     a = v(x0) - tau0 * np.eye(v.N)
     eig = hermitian_eigen(a)
     mask = np.abs(eig.values) <= default_shell_tol(tau0)
@@ -512,11 +481,7 @@ def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
     grad = v.gradient(x0)
     proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
 
-    if v.n == 1:
-        cands = np.array([[1.0], [-1.0]])
-    else:
-        rng = np.random.default_rng(0)
-        cands = np.stack([c / np.linalg.norm(c) for c in rng.standard_normal((_COARSE, v.n))])
+    cands = np.array([[1.0], [-1.0]])
     vals = _min_eigs(cands, proj)
     i_best = int(np.argmax(vals))
     best, fbest = cands[i_best], float(vals[i_best])

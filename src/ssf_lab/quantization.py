@@ -657,33 +657,30 @@ def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
     return _hermitian_parts(v.on(grid.nodes))
 
 
-def _zeros_in_small_pages(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed (..., n, n) stack of C-ordered upper triangles in a private
+def _zeros_in_small_pages(n: int, dtype) -> np.ndarray:
+    """A zeroed (n, n) C-ordered upper triangle in a private
     anonymous mapping of small pages, each resident only once it is written.
     numpy's allocator asks for huge pages (``madvise``) for arrays of 4 MiB
     or more, and one 2 MiB page of a triangle's diagonal would hold 2 MiB of
     the other triangle.  The mapping is unmapped when the array is freed.
 
-    With k = PAGESIZE / itemsize items to a page and n > k, each matrix is
+    With k = PAGESIZE / itemsize items to a page and n > k, the matrix is
     laid out with the leading dimension lda = n rounded up to a multiple of
     k, and the mapping starts (-n itemsize) mod PAGESIZE bytes before the
     first row, so that every row ends on a page boundary: row i's upper part,
     columns i..n-1, fills ceil((n - i) / k) pages, and no page holds the
     tail of one row and the head of the next.  For n <= k rows share pages
     and lda = n: aligned, each row would take a page of its own, n pages
-    where the packed triangle fills about n^2 / 2k.  A stack of matrices
-    takes the layout per matrix.  What is returned is the (..., n, n) view,
-    whose row stride is lda items (``_routine`` takes it)."""
+    where the packed triangle fills about n^2 / 2k.  What is returned is
+    the (n, n) view, whose row stride is lda items (``_routine`` takes it)."""
     dtype = np.dtype(dtype)
-    n = shape[-1]
     per_page = mmap.PAGESIZE // dtype.itemsize
     lda = n if n <= per_page else -(-n // per_page) * per_page
     lead = 0 if n <= per_page else -n * dtype.itemsize % mmap.PAGESIZE
-    held = (*shape[:-1], lda)
-    buf = mmap.mmap(-1, lead + dtype.itemsize * math.prod(held), flags=mmap.MAP_PRIVATE)
+    buf = mmap.mmap(-1, lead + dtype.itemsize * n * lda, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype, offset=lead).reshape(held)[..., :n]
+    return np.frombuffer(buf, dtype, offset=lead).reshape(n, lda)[:, :n]
 
 
 def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
@@ -701,7 +698,7 @@ def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
         samples = samples.real
     n = samples.shape[1]
     dim = grid.M * n
-    mat = _zeros_in_small_pages((dim, dim), np.result_type(samples.dtype, np.float64))
+    mat = _zeros_in_small_pages(dim, np.result_type(samples.dtype, np.float64))
     kin = _kinetic_column(grid)
     for row in range(dim):
         mat[row, row::n] = kin[:grid.M - row // n]
@@ -1169,7 +1166,8 @@ def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> 
     if a_op.N != 1 and vecs.shape[0] != a_op.dim:
         raise GridMismatchError("channel counts are incompatible")
     if cols.size == 0:
-        return np.zeros(0, dtype=complex)
+        # the dtype of a non-empty sum: real for a real A and real columns
+        return np.zeros(0, np.result_type((a_op._rows or a_op.matrix).dtype, vecs.dtype))
     span = vecs[:, cols[0]:cols[-1] + 1].reshape(a_op.dim, -1, cols[-1] + 1 - cols[0])
     total = 0.0
     for lo, rows in a_op._row_blocks():
@@ -1201,16 +1199,17 @@ def _weighted_pairs(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
     return lam[cols], fv[cols] * _cutoff_diagonal(a_op, vecs, cols)
 
 
-def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator | SplitOperator, f,
+def smoothed_trace(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
                    w: WindowTheta, tau):
     """tr(A f(H) K_w(tau - H)) evaluated through the eigendecomposition.
 
-    ``a_op=None`` means the identity.  Returns a complex scalar (or array over
-    tau); for the even window and hermitian A the imaginary part is at
-    rounding level.  With a cutoff only the eigenpairs with lambda in the
-    support of f (``f.support``; the whole line for an f without one) are
-    solved, and <u_j, A u_j> is formed only from the first to the last j
-    where f(lambda_j) is not 0, from A's rows a block at a time
+    Returns a scalar (or array over tau), real when the window, A and the
+    eigenvectors are; for the even window and hermitian A the imaginary
+    part is at rounding level.  The identity is ``weyl_quantize(1.0,
+    grid)``.  Only the eigenpairs with lambda in the support of f
+    (``f.support``; the whole line for an f without one) are solved, and
+    <u_j, A u_j> is formed only from the first to the last j where
+    f(lambda_j) is not 0, from A's rows a block at a time
     (``_cutoff_diagonal``): a cutoff from ``weyl_quantize`` is never
     assembled, and a held matrix is read in slices.  A cutoff that holds
     only its upper triangle (``GridOperator.upper_only``), such as a
@@ -1223,25 +1222,18 @@ def smoothed_trace(a_op: GridOperator | None, h_op: GridOperator | SplitOperator
     stable sort on lambda, the order of the split operator's merged
     eigenpairs, which are never formed.
     """
-    if a_op is not None and a_op.grid != h_op.grid:
+    if a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
-    if a_op is not None and a_op.upper_only:
+    if a_op.upper_only:
         raise ValueError(f"the cutoff {a_op.label} holds only its upper triangle")
-    if a_op is None:
-        lam = h_op.eigenvalues()
-        weights = _f_values(f, lam).astype(complex)
+    window = getattr(f, "support", (-math.inf, math.inf))
+    if isinstance(h_op, SplitOperator) and a_op.N == 1:
+        parts = [_weighted_pairs(a_op, channel, f, window) for channel in h_op.channels]
+        lam = np.concatenate([part[0] for part in parts])
+        order = np.argsort(lam, kind="stable")
+        lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]
     else:
-        window = getattr(f, "support", (-math.inf, math.inf))
-        if isinstance(h_op, SplitOperator) and a_op.N == 1:
-            parts = [_weighted_pairs(a_op, channel, f, window) for channel in h_op.channels]
-            # a channel without an f != 0 pair has complex weights
-            # (``_cutoff_diagonal``), which would make real weights complex
-            parts = [part for part in parts if part[0].size] or parts
-            lam = np.concatenate([part[0] for part in parts])
-            order = np.argsort(lam, kind="stable")
-            lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]
-        else:
-            lam, weights = _weighted_pairs(a_op, h_op, f, window)
+        lam, weights = _weighted_pairs(a_op, h_op, f, window)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights

@@ -40,7 +40,6 @@ from .quantization import (
     _check_window,
     build_schrodinger,
     fourier_window,
-    potential_samples,
     sweep_verdict,
     window_primitive,
 )
@@ -86,10 +85,10 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     workspace of a few vectors.  MarginError when |V - V_inf| exceeds 1e-10
     on 9 points within 1 of each box edge (one ``v.on`` call).
 
-    If the hermitian parts of the V samples equal the limit bitwise at every
-    node, ``lam0`` *is* ``lam1`` (shared object) so every difference-based
-    estimator vanishes exactly.  Only constant samples, which give P1 an
-    analytic spectrum, can; the grid is evaluated again for them alone.
+    If the two spectra are equal bitwise, as they are when the hermitian
+    parts of the V samples equal the limit at every node, ``lam0`` *is*
+    ``lam1`` (shared object), so every difference-based estimator vanishes
+    exactly.
     """
     seam = np.linspace(grid.R - 1.0, grid.R, 9)
     worst = float(np.max(np.abs(v.on(np.concatenate([-seam, seam])) - v.v_infinity)))
@@ -98,9 +97,8 @@ def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     p1 = build_schrodinger(v, grid)
     lam1 = p1.eigenvalues()
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)
-    if p1._analytic is not None and np.all(potential_samples(v, grid) == free.on(np.zeros(1))[0]):
-        return SpectralPair(grid, lam1, lam1)
-    return SpectralPair(grid, lam1, build_schrodinger(free, grid).eigenvalues())
+    lam0 = build_schrodinger(free, grid).eigenvalues()
+    return SpectralPair(grid, lam1, lam1 if np.array_equal(lam1, lam0) else lam0)
 
 
 def weak_pairing(pair: SpectralPair, f: TestFunction) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "MatrixSymbol",
     "require_hermitian",
     "hermitian_eigen",
-    "branches",
     "schrodinger_symbol",
     "shifted_symbol",
     "model_potential",
@@ -88,9 +87,6 @@ class EigenBranchSet:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
 
 
 def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -162,8 +158,6 @@ class MatrixPotential:
     ``eval_on`` maps K points (shape (K,) for n=1, (K, n) otherwise) to the
     (K, N, N) hermitian values; ``grad_on``, when given, to the (K, n, N, N)
     partial derivatives, and otherwise gradients are central differences.
-    ``mu`` records the decay exponent of V - v_infinity (models built here
-    have Gaussian envelopes, so any finite exponent is valid).
     """
 
     n: int
@@ -171,7 +165,6 @@ class MatrixPotential:
     eval_on: Callable
     v_infinity: np.ndarray
     grad_on: Callable | None = None
-    mu: float = 6.0
     radial: bool = False
     name: str = ""
 
@@ -185,8 +178,6 @@ class MatrixPotential:
         diag = np.diag(v_inf).real
         if np.any(np.diff(diag) < -1e-14):
             raise ValueError("diagonal of v_infinity must be non-decreasing")
-        if not self.mu > self.n:
-            raise ValueError("decay exponent mu must exceed the dimension n")
         object.__setattr__(self, "v_infinity", np.diag(diag).astype(float))
 
     def __call__(self, x) -> np.ndarray:
@@ -211,16 +202,6 @@ class MatrixPotential:
         """Channel limits at infinity, computed through the same values-only
         eigen path as the branches so that V == v_infinity cancels bitwise."""
         return np.linalg.eigvalsh(self.v_infinity)
-
-    def decay_constant(self, samples: np.ndarray) -> float:
-        """Fitted C with ||V(x) - v_inf|| <= C <x>^(-mu) over the samples."""
-        mu = min(self.mu, 16.0)
-        xs = np.asarray(samples, dtype=float)
-        xs = xs.reshape(-1) if self.n == 1 else xs.reshape(-1, self.n)
-        nrms = np.linalg.norm(require_hermitian(self.on(xs)) - self.v_infinity, 2, axis=(1, 2))
-        r2s = xs**2 if self.n == 1 else np.sum(xs**2, axis=1)
-        return max([0.0] + [nrm * (1.0 + r2) ** (mu / 2.0)
-                            for nrm, r2 in zip(nrms.tolist(), r2s.tolist())])
 
 
 @dataclass(frozen=True)
@@ -266,11 +247,6 @@ class MatrixSymbol:
             return _hermitian_parts(np.asarray(self.grad_on(x, xi)))
         return _central_differences(lambda rhos: self.on(*phase_halves(rhos, self.n)),
                                     np.column_stack([x, xi]))
-
-
-def branches(v: MatrixPotential, x) -> EigenBranchSet:
-    """Sorted channel eigenvalues e_1(x) <= ... <= e_N(x) of V(x)."""
-    return hermitian_eigen(v(x))
 
 
 def schrodinger_symbol(v: MatrixPotential) -> MatrixSymbol:
@@ -456,4 +432,4 @@ def combine_potentials(v0: MatrixPotential, v1: MatrixPotential, scale: float = 
 
     return MatrixPotential(n=v0.n, N=v0.N, eval_on=_eval_on, grad_on=_grad_on,
                            v_infinity=v0.v_infinity + scale * v1.v_infinity,
-                           mu=min(v0.mu, v1.mu), name=f"{v0.name}+{scale}*{v1.name}")
+                           name=f"{v0.name}+{scale}*{v1.name}")

@@ -23,7 +23,7 @@ from ssf_lab.microhyperbolicity import (
     escape_check_dilation,
 )
 from ssf_lab.quantization import SupportMarginError, WindowTheta, potential_samples
-from ssf_lab.ssf import build_pair
+from ssf_lab.ssf import MarginError, build_pair
 from ssf_lab.symbols import (
     SIGMA1,
     SIGMA3,
@@ -250,7 +250,9 @@ class TestFixedEvaluationCounts:
         v, calls = counting(model_potential("reference"))
         build_pair(v, qz.grid_for(1 / 4, 8.0, 4.0, 8192))
         assert calls == {"on": 2, "grad_on": 0}  # the seam and the operator's samples
-        v.decay_constant(np.linspace(-6.0, 6.0, 41))
+        # V has not decayed at the edges of a small box: the seam alone is read
+        with pytest.raises(MarginError):
+            build_pair(v, qz.grid_for(1 / 4, 2.0, 4.0, 8192))
         assert calls == {"on": 3, "grad_on": 0}
 
     def test_boundary_value_route_makes_no_scalar_call(self):

@@ -21,7 +21,7 @@ from ssf_lab.harness import (
     run,
 )
 from ssf_lab.microhyperbolicity import escape_check_dilation
-from ssf_lab.symbols import branches, combine_potentials, model_potential
+from ssf_lab.symbols import combine_potentials, hermitian_eigen, model_potential
 
 
 # the free symbol has no energy shell below 0, so the general escape check
@@ -97,7 +97,7 @@ class TestReferencePotential:
 
     def test_branch_values(self):
         v = reference_potential()
-        e = branches(v, 0.0).values
+        e = hermitian_eigen(v(0.0)).values
         assert e[0] == pytest.approx(-1.1829032360881848, abs=1e-13)
         assert e[1] == pytest.approx(0.366842956673906, abs=1e-13)
 
@@ -188,6 +188,21 @@ class TestRun:
         csv = (tmp_path / "o" / "data.csv").read_text().strip().split("\n")
         assert csv[0] == "tau,gamma0,a0"
         assert len(csv) == 4
+
+    @pytest.mark.parametrize("potential", [
+        {"kind": "conical_crossing", "params": {}},
+        {"kind": "diagonal_bumps", "params": {"depths": [-1.0, 0.6], "centers": [0.0, 0.5],
+                                              "widths": [1.0, 0.7], "v_inf": [0.0, 0.3]}},
+    ], ids=["conical_crossing", "diagonal_bumps"])
+    def test_weak_on_a_split_potential(self, tmp_path, potential):
+        # no off-diagonal samples: every P1 of the sweep is a split operator
+        cfg = _config("ssf_weak_reference", potential=potential, h_list=[1 / 8, 1 / 16, 1 / 32],
+                      out=str(tmp_path / "weak"))
+        result = run(cfg)
+        assert result.report["verdicts"]["weak"] in ("PASS", "FAIL")
+        assert result.exit_code == (0 if result.report["verdicts"]["weak"] == "PASS" else 2)
+        assert all(math.isfinite(value) for row in result.report["tables"]["main"]["rows"]
+                   for value in row)
 
     def test_check_mh_crossing(self, tmp_path):
         cfg = {

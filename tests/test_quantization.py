@@ -763,26 +763,25 @@ class TestDenseSolve:
             assert np.all(np.isnan(big[::2])) and np.all(np.isnan(big[:, :n]))
             assert np.all(np.isnan(big[:, 2 * n:]))
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("blocks", [1, 3], ids=["dense", "split"])
-    def test_rows_end_on_page_boundaries(self, dtype, blocks):
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                             ids=["dense-float64", "dense-complex128"])
+    def test_rows_end_on_page_boundaries(self, dtype):
         # k items to a page: above k every row of the upper triangle ends on
         # a page boundary, read from the array's address and strides; at or
         # below k the rows share pages and lda = n
         size = np.dtype(dtype).itemsize
         k = mmap.PAGESIZE // size
         for n in (3, k - 1, k, k + 1, 2 * k + 5, 3 * k):
-            a = qz._zeros_in_small_pages((blocks, n, n), dtype)
-            assert a.shape == (blocks, n, n) and a.dtype == dtype and not np.any(a)
-            step, rows, cols = a.strides
-            assert cols == size and step == n * rows
+            a = qz._zeros_in_small_pages(n, dtype)
+            assert a.shape == (n, n) and a.dtype == dtype and not np.any(a)
+            rows, cols = a.strides
+            assert cols == size
             lda = rows // size
             if n <= k:
                 assert lda == n
                 continue
             assert lda % k == 0 and n <= lda < n + k
-            ends = (a.ctypes.data + np.arange(blocks)[:, None] * step
-                    + np.arange(n)[None, :] * rows + n * size)
+            ends = a.ctypes.data + np.arange(n) * rows + n * size
             assert np.all(ends % mmap.PAGESIZE == 0), n
 
     @pytest.mark.parametrize("v, m", [(model_potential("reference"), 300),
@@ -1259,7 +1258,7 @@ class TestSmoothedTrace:
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=2), g)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
-        got = smoothed_trace(None, op, f, w, 1.0)
+        got = smoothed_trace(weyl_quantize(1.0, g), op, f, w, 1.0)
         p2 = g.momenta**2
         expect = 2.0 * np.sum(f(p2) * fourier_window(w, g.h, 1.0 - p2))
         assert complex(got).real == pytest.approx(expect, rel=1e-12)
@@ -1563,7 +1562,7 @@ class TestSmoothedTrace:
         g = small_grid(h=0.25)
         op = build_schrodinger(model_potential("reference"), g)
         w = WindowTheta("bump_at_zero", eps=0.25)
-        for a in (None, weyl_quantize(CHI, g)):
+        for a in (weyl_quantize(1.0, g), weyl_quantize(CHI, g)):
             for c in (0.7, 0.0):
                 got = smoothed_trace(a, op, c, w, [0.9, 1.0])
                 assert np.array_equal(got, smoothed_trace(a, op, lambda t: np.full_like(t, c),
@@ -1575,8 +1574,9 @@ class TestSmoothedTrace:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = np.array([0.9, 1.0, 1.1])
-        batch = smoothed_trace(None, op, f, w, taus)
-        singles = [smoothed_trace(None, op, f, w, float(t)) for t in taus]
+        one = weyl_quantize(1.0, g)
+        batch = smoothed_trace(one, op, f, w, taus)
+        singles = [smoothed_trace(one, op, f, w, float(t)) for t in taus]
         assert np.allclose(batch, singles, atol=0)
 
 

@@ -126,6 +126,21 @@ class TestBuildPair:
         pair = make_pair(v)
         assert pair.lam0 is pair.lam1
 
+    @pytest.mark.parametrize("v", [
+        model_potential("diagonal_bumps", depths=[-1.0, 0.6], centers=[0.0, 0.5],
+                        widths=[1.0, 0.7], v_inf=[0.0, 0.3]),
+        model_potential("conical_crossing"),
+    ], ids=lambda v: v.name)
+    def test_split_potential(self, v):
+        # no off-diagonal samples: P1 is solved one channel block at a time
+        grid = make_grid(h=1 / 8)
+        op = build_schrodinger(v, grid)
+        assert isinstance(op, qz.SplitOperator)
+        pair = build_pair(v, grid)
+        assert pair.lam0 is not pair.lam1
+        np.testing.assert_allclose(pair.lam1, np.linalg.eigvalsh(full_matrix(op)),
+                                   rtol=0, atol=1e-12)
+
     def test_difference_supported_on_potential(self):
         v = model_potential("reference")
         grid = make_grid()

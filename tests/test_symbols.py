@@ -11,7 +11,6 @@ from ssf_lab.symbols import (
     MatrixPotential,
     MatrixSymbol,
     NonHermitianError,
-    branches,
     combine_potentials,
     fast_eigvalsh,
     hermitian_eigen,
@@ -41,7 +40,8 @@ class TestHermitianEigen:
         # oracle: direct multiplication of the spectral factors
         a = random_hermitian(rng, 4)
         out = hermitian_eigen(a)
-        assert np.max(np.abs(out.reconstruct() - 0.5 * (a + a.conj().T))) < 1e-12
+        product = (out.vectors * out.values) @ out.vectors.conj().T
+        assert np.max(np.abs(product - 0.5 * (a + a.conj().T))) < 1e-12
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -86,25 +86,25 @@ class TestBranches:
             eval_on=lambda xs: np.stack([np.exp(-xs * xs), np.full_like(xs, 2.0)],
                                         axis=1)[:, :, None] * np.eye(2),
         )
-        assert np.allclose(branches(v, 0.0).values, [1.0, 2.0], atol=0)
+        assert np.allclose(hermitian_eigen(v(0.0)).values, [1.0, 2.0], atol=0)
 
     def test_linear_crossing(self):
         v = MatrixPotential(n=1, N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
                             v_infinity=np.zeros((2, 2)))
-        assert np.allclose(branches(v, -0.5).values, [-0.5, 0.5], atol=1e-15)
-        assert np.allclose(branches(v, 0.0).values, [0.0, 0.0], atol=0)
+        assert np.allclose(hermitian_eigen(v(-0.5)).values, [-0.5, 0.5], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v(0.0)).values, [0.0, 0.0], atol=0)
 
     def test_reference_closed_form(self):
         v = model_potential("reference")
-        assert np.allclose(branches(v, 0.0).values, VREF0_BRANCHES, atol=1e-13)
+        assert np.allclose(hermitian_eigen(v(0.0)).values, VREF0_BRANCHES, atol=1e-13)
 
     def test_weyl_continuity_bound(self, rng):
         v = model_potential("reference")
         for _ in range(50):
             x = float(rng.uniform(-3, 3))
             d = float(rng.uniform(-0.3, 0.3))
-            e0 = branches(v, x).values
-            e1 = branches(v, x + d).values
+            e0 = hermitian_eigen(v(x)).values
+            e1 = hermitian_eigen(v(x + d)).values
             gap = float(np.linalg.norm(v(x + d) - v(x), 2))
             assert np.max(np.abs(e1 - e0)) <= gap + 1e-10
 
@@ -170,15 +170,15 @@ class TestModelPotentials:
         v = model_potential("conical_crossing")
         for x in (-1.1, -0.2, 0.4, 2.0):
             expect = abs(x) * math.exp(-x * x)
-            assert np.allclose(branches(v, x).values, [-expect, expect], atol=1e-15)
-        assert np.allclose(branches(v, 0.0).values, [0.0, 0.0], atol=0)
+            assert np.allclose(hermitian_eigen(v(x)).values, [-expect, expect], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v(0.0)).values, [0.0, 0.0], atol=0)
 
     def test_avoided_crossing_gap(self):
         v = model_potential("avoided_crossing", gap=0.35)
-        assert np.allclose(branches(v, 0.0).values, [-0.35, 0.35], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v(0.0)).values, [-0.35, 0.35], atol=1e-15)
         # away from zero the branches avoid each other by at least the gap
         for x in (-1.0, 0.5, 1.5):
-            e = branches(v, x).values
+            e = hermitian_eigen(v(x)).values
             assert e[1] - e[0] >= 2 * 0.35 - 1e-12
 
     def test_invalid_params(self):
@@ -189,14 +189,6 @@ class TestModelPotentials:
         with pytest.raises(ValueError):
             model_potential("diagonal_bumps", depths=[1.0], centers=[0.0, 1.0],
                             widths=[1.0], v_inf=[0.0])
-
-    def test_decay_spot_check(self):
-        v = model_potential("reference")
-        c = v.decay_constant(np.linspace(-6, 6, 41))
-        assert np.isfinite(c) and c > 0
-        for x in (4.0, 5.0, 6.0):
-            bound = c * (1.0 + x * x) ** (-v.mu / 2.0)
-            assert np.linalg.norm(v(x) - v.v_infinity, 2) <= bound + 1e-15
 
     def test_v_infinity_validation(self):
         with pytest.raises(ValueError):
