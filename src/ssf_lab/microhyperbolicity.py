@@ -383,7 +383,10 @@ def shell_sample(
     l_k are the eigenvalues of the hermitian part of p(x, xi), for any
     symbol; for a Schrodinger symbol they are xi^2 + e_k(x).  The points are
     x-major, and p is evaluated by one ``p.on`` call over the whole grid.
+    The box is the phase plane (n = 1; NotImplementedError otherwise).
     """
+    if p.n != 1:
+        raise NotImplementedError("the shell sample is implemented for n = 1")
     (x_lo, x_hi), (xi_lo, xi_hi) = box
     xs = np.repeat(np.linspace(x_lo, x_hi, grid_points), grid_points)
     xis = np.tile(np.linspace(xi_lo, xi_hi, grid_points), grid_points)

@@ -3,47 +3,43 @@
 The grid covers x in [-R, R) with M points and carries the scaled momenta
 p_m = (pi h / R) m, m = -M/2 .. M/2-1, so the kinetic operator is exactly
 diagonal with symbol p^2 on the momentum window.  Energies are reliable up
-to tau_max = (pi h M / (2R))^2 / 4, i.e. the momentum window must cover
-twice the classical shell radius (the assembly-time coverage rule).
+to tau_max = (pi h M / (2R))^2 / 4: the momentum window must cover twice
+the classical shell radius (the assembly-time coverage rule).
 
 Weyl quantization of a cutoff a(x, xi) produces the dense matrix
 
     A[i, j] = dx * (dp / 2 pi h) * sum_m exp(i d_ij p_m / h) a(mid_ij, p_m),
 
 with d_ij the minimal-image periodic difference and mid_ij the matching
-periodic midpoint (on the half-step grid).  For symbols depending on x only
-the momentum sum is a discrete delta and is evaluated in closed form, so
-multiplication operators come out exactly diagonal.  A ``ProductCutoff``'s
+periodic midpoint (on the half-step grid).  For symbols of x alone the
+momentum sum is a discrete delta, evaluated in closed form, so
+multiplication operators are exactly diagonal.  A ``ProductCutoff``'s
 matrix is made a block of rows at a time, and assembled only when
 ``.matrix`` is read.
 
-A ``GridOperator`` answers two requests: its spectrum, from a values-only
-solve in place, or its eigenpairs in an energy window (lo, hi], which is
-all a smoothed trace reads of them.  A Schrodinger operator holds only the
-triangle of its matrix that LAPACK reads; one with no coupling between its
-channels (``SplitOperator``) is solved a channel block at a time, each
-block assembled just before its solve and dropped after it.  Each dense
-allocation, a matrix or the eigenvectors of a solve, admits its own bytes
-against the host's physical memory where it is made, so a step that cannot
-fit stops with ``MemoryBudgetError`` before it allocates.
+A ``GridOperator`` answers its spectrum, from a values-only solve in
+place, or its eigenpairs in an energy window (lo, hi].  A Schrodinger
+operator holds only the triangle LAPACK reads, and one with uncoupled
+channels (``SplitOperator``) is solved a channel block at a time.  Each
+dense allocation admits its bytes against the host's memory where it is
+made (``MemoryBudgetError``).
 
-Smoothed spectral traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over
-the eigenpairs with lambda_j in supp f, with <u_j, A u_j> formed from A's
-rows a block at a time, so no cutoff is assembled; K is the scaled inverse
-Fourier transform of a window theta(t/eps): K(s) = (eps/h) Phi(eps s / h)
-with an h-independent profile Phi cached per window shape.  Phi and Phi'
-on 26 081 knots (four uniform segments up to y = 1200) ship with the
-package, one table per shape, built by ``scripts/window_profiles.py``; a
-process loads a shape's table on first use.  Between knots Phi is
-interpolated by piecewise cubic Hermite polynomials.
+Smoothed traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over the
+eigenpairs with lambda_j in supp f, with no cutoff assembled: on a
+constant potential <u_j, A u_j> is an FFT of A's wrapped-diagonal sums,
+else it is formed from A's rows a block at a time.  K(s) = (eps/h)
+Phi(eps s / h) is the scaled inverse Fourier transform of a window
+theta(t/eps); Phi and Phi' on 26 081 knots (four uniform segments up to
+y = 1200) ship with the package (``scripts/window_profiles.py``), one
+table per window shape, interpolated by cubic Hermite polynomials.
 
-Every h-sweep of the package ends in one ``SweepReport`` from
-``sweep_verdict``: a value per h, the relative errors against a reference,
-the log-log order ``fit_order`` fits to the errors (at least 3 h with
-max/min >= 4) and PASS/FAIL in a decay or a comparison form.  The three
-trace-formula checks below are such sweeps, one value per grid given (none
-when supp f reaches above a grid's reliable window: ``WindowRangeError``);
-the ssf module holds the weak, Weyl-type and derivative sweeps.
+Every h-sweep ends in one ``SweepReport`` from ``sweep_verdict``: a value
+per h, the relative errors against a reference, the log-log order
+``fit_order`` fits to the errors (at least 3 h with max/min >= 4) and
+PASS/FAIL in a decay or a comparison form.  The three trace-formula checks
+below are such sweeps, one value per grid (none when supp f reaches above
+a grid's reliable window: ``WindowRangeError``); the ssf module holds the
+weak, Weyl-type and derivative sweeps.
 """
 from __future__ import annotations
 
@@ -213,21 +209,16 @@ def _kinetic_column(grid: Grid1D) -> np.ndarray:
 
 
 _CHECK_TILE = 256  # side of the square tiles of the hermiticity check
-# entries per block of columns of the plane waves, so no temporary of the
-# array's size is made
-_ROW_BLOCK = 1 << 16
+_ROW_BLOCK = 1 << 16  # entries per block of columns of the plane waves
 
 
 def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
     """``matrix`` as float64 or complex128, made exactly hermitian; ValueError
-    when its shape does not match ``dim``, an entry is NaN or infinite, or
-    its hermiticity defect exceeds 1e-11 of its largest entry.
-
-    Defect and scale are taken over square tiles: each tile A[I, J] with
-    I <= J against A[J, I]^H, so no temporary of the matrix's size is formed
-    and both operands stay in cache; the pairs cover every entry, and a
-    pair with a non-finite scale is refused.  A matrix whose defect is
-    exactly 0 is returned as it is, since (A + A^H) / 2 equals A then.
+    when its shape does not match ``dim``, an entry is not finite, or its
+    hermiticity defect exceeds 1e-11 of its largest entry.  Defect and scale
+    are taken over square tiles, A[I, J] (I <= J) against A[J, I]^H, so no
+    temporary of the matrix's size is formed; the pairs cover every entry.
+    A matrix with no defect is returned as it is.
     """
     matrix = np.asarray(matrix)
     if matrix.shape != (dim, dim):
@@ -256,10 +247,9 @@ def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
 def _lapack_eigh() -> dict | None:
     """numpy's own ILP64 hermitian eigensolvers by (dtype, driver): the
     divide-and-conquer ``dsyevd``/``zheevd`` ("evd") and the windowed
-    ``dsyevr``/``zheevr`` ("evr"); None when the LAPACK numpy links exports
-    them under neither naming (MKL, Accelerate, an LP64 system LAPACK).  The
-    OpenBLAS bundled in numpy's wheels prefixes its symbols ``scipy_``; that
-    is a symbol name, not the scipy package."""
+    ``dsyevr``/``zheevr`` ("evr"); None when numpy's LAPACK exports them
+    under neither naming (MKL, Accelerate, an LP64 system LAPACK).  The
+    OpenBLAS in numpy's wheels prefixes its symbols ``scipy_``."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
@@ -303,10 +293,9 @@ def _malloc_trim():
 
 def _return_free_heap() -> None:
     """Give the pages of freed heap blocks back to the system before a dense
-    allocation.  glibc raises its mmap threshold to the largest block freed
-    (up to 32 MiB), so arrays of a few MB, such as a small grid's matrix or
-    a solve's temporaries, live on the heap, and once freed their pages stay
-    resident below the next, larger matrix.  A no-op without glibc."""
+    allocation: glibc raises its mmap threshold to the largest block freed
+    (up to 32 MiB), so freed arrays of a few MB keep their pages resident
+    below the next, larger matrix.  A no-op without glibc."""
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
@@ -355,18 +344,15 @@ def _lapack_call(routine, head: list, dtype) -> None:
 
 def _evd(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of the hermitian matrix ``a``, bit for bit those of
-    ``np.linalg.eigvalsh``; only the upper triangle of ``a`` is read, and
-    the solve overwrites it.  ``a`` may be a view with a leading dimension
-    (``_routine``).
+    ``np.linalg.eigvalsh``; only the upper triangle of ``a``, which may be a
+    view with a leading dimension (``_routine``), is read, and overwritten.
 
     ``a`` goes to ?syevd/?heevd in place, with numpy's arguments: uplo 'L'
     and the optimal workspace of a size query (a smaller one changes the
     blocking of the tridiagonal reduction, and so the bits).  LAPACK reads
-    the C-ordered buffer as its transpose, so its lower triangle is the
-    upper one of ``a``, which is A itself once a complex matrix's upper
-    triangle is conjugated, row by row.  Where numpy's LAPACK does not
-    export the routines, numpy solves a copy of A^H, whose lower triangle
-    it reads.
+    the C-ordered buffer as its transpose, whose lower triangle is A itself
+    once a complex matrix's upper triangle is conjugated, row by row.
+    Without those routines numpy solves a copy of A^H.
     """
     routines = _lapack_eigh()
     if routines is None:
@@ -391,9 +377,9 @@ _ABSTOL = 2.0 * np.finfo(float).tiny  # where LAPACK's bisection is most accurat
 
 def _evr(a: np.ndarray, lo: float, hi: float):
     """The eigenvalues of the hermitian matrix ``a`` in (lo, hi] and their
-    eigenvectors, as the C-contiguous columns of a (n, k) array; either
-    bound may be infinite.  Only the upper triangle of ``a`` is read, and
-    the solve overwrites it; ``a`` may be a view with a leading dimension
+    eigenvectors, as the columns of a (n, k) array; either bound may be
+    infinite.  Only the upper triangle of ``a`` is read, and the solve
+    overwrites it; ``a`` may be a view with a leading dimension
     (``_routine``).
 
     ``a`` goes to ?syevr/?heevr in place with range 'V': LAPACK finds the k
@@ -401,10 +387,12 @@ def _evr(a: np.ndarray, lo: float, hi: float):
     their vectors; for the whole line it takes range 'A', about three times
     as fast by MRRR.  It reads the C-ordered buffer as its transpose, the
     conjugate of a complex A, so its vectors are conjugated on the way out.
-    They are the first k rows of a C-ordered n x n array Z, the bound LAPACK
-    asks for when k is not known in advance; only the rows written become
-    resident.  Where numpy's LAPACK does not export the routines, numpy
-    solves a copy of A^H and the window is selected from it.
+    They are the first k rows of a packed n x n Z of small pages
+    (``_zeros_in_small_pages``), the bound LAPACK asks for when k is not
+    known in advance; only the rows written become resident, and their
+    F-contiguous (n, k) transposed view is returned, with no copy.  Where numpy's LAPACK does
+    not export the routines, numpy solves a copy of A^H and the window is
+    selected from it.
     """
     routines = _lapack_eigh()
     if routines is None:
@@ -415,7 +403,7 @@ def _evr(a: np.ndarray, lo: float, hi: float):
     n = ctypes.c_int64(a.shape[0])
     found = ctypes.c_int64(0)
     w = np.empty(a.shape[0])
-    z = np.empty(a.shape, a.dtype)
+    z = _zeros_in_small_pages(a.shape[0], a.dtype, aligned=False)
     isuppz = np.empty(2 * a.shape[0], np.int64)
     span = b"A" if (lo, hi) == (-math.inf, math.inf) else b"V"
     _lapack_call(routine, [b"V", span, b"L", n, a.ctypes.data, lda, ctypes.c_double(lo),
@@ -424,49 +412,39 @@ def _evr(a: np.ndarray, lo: float, hi: float):
     rows = z[:found.value]
     if a.dtype.kind == "c":
         np.conjugate(rows, out=rows)
-    return w[:found.value].copy(), rows.T.copy()
+    return w[:found.value].copy(), rows.T
 
 
 class GridOperator:
-    """Dense hermitian operator on the grid, asked for one of two things: its
-    spectrum (``eigenvalues``, solved once and cached) or the eigenpairs in
-    a window (``eigenpairs``, solved for each call, nothing cached).  A
-    ``matrix`` must match the grid, be finite and be hermitian to 1e-11
-    relative; it is kept exactly hermitian, as float64 or complex128.
+    """Dense hermitian operator on the grid, asked for its spectrum
+    (``eigenvalues``, solved once and cached) or the eigenpairs in a window
+    (``eigenpairs``, solved per call).  A ``matrix`` must match the grid, be
+    finite and be hermitian to 1e-11 relative; it is kept exactly
+    hermitian, as float64 or complex128.
 
-    A dense solve runs LAPACK in place: ?syevd/?heevd for values
-    (``_evd``), ?syevr/?heevr for the pairs of a window (``_evr``), so it
-    holds the matrix and no copy of it.  An operator made with an
-    ``assemble`` callable in place of the matrix gives its matrix to the
-    solve and drops it; a later read of ``.matrix`` assembles it again.  A
-    cutoff from ``weyl_quantize`` is assembled this way on its first read,
-    and since a cutoff is never solved, it keeps its matrix from then on.
-    An operator made from a caller's array keeps it unchanged and solves a
-    copy.
+    Solves run LAPACK in place (``_evd``, ``_evr``).  An operator made with
+    an ``assemble`` callable gives its matrix to the solve and drops it; a
+    later ``.matrix`` assembles it again.  A cutoff (never solved) keeps its
+    matrix once read.  A caller's array is kept, and a copy of it solved.
 
-    ``.matrix`` returns what the operator holds.  With ``upper_only`` that
-    is the C-order upper triangle of a (dim, dim) view, the part the solves
-    read, and its strictly lower entries read 0; its rows may have a
-    page-aligned leading dimension (``_zeros_in_small_pages``), and the
-    solves take the view as it is, with no copy.  The assembly is
-    trusted to be hermitian and is not checked (``build_schrodinger``
-    checks its inputs).  Such an operator cannot act as a matrix, so
-    ``smoothed_trace`` refuses it as a cutoff.  ``_row_blocks`` reads the
-    matrix a block of rows at a time: slices of the held matrix, or, while
-    none is held, the blocks of the operator's ``rows`` source (a
-    ``ProductCutoff``'s), so that nothing is assembled.
+    With ``upper_only`` the operator holds the C-order upper triangle of a
+    (dim, dim) view, whose rows may have a page-aligned leading dimension
+    (``_zeros_in_small_pages``); solves take the view as it is, the
+    assembly is not checked (``build_schrodinger`` checks its inputs), and
+    ``smoothed_trace`` refuses it as a cutoff.  ``_row_blocks`` and
+    ``_lag_sums`` read the held matrix, or, while none is held, the
+    operator's ``rows`` source (a ``ProductCutoff``'s), so that nothing is
+    assembled.
 
-    Each allocation admits its own bytes against the host's memory where it
-    is made (``MemoryBudgetError`` when they do not fit): an assembly its
-    matrix, and a pairs solve, before it starts, three matrices (the matrix,
-    its eigenvectors as LAPACK writes them and their (dim, k) copy, for k up
-    to dim), and a fourth for the copy of a caller's array.
+    Each allocation admits its bytes against the host's memory where it is
+    made (``MemoryBudgetError``): an assembly its matrix; a pairs solve two
+    matrices, the matrix and LAPACK's eigenvectors (k up to dim, returned
+    as a view with no copy), and a third for the copy of a caller's array.
 
-    Constant-potential operators carry an ``analytic`` spectrum instead:
-    plane waves tensored with channel eigenvectors.  Their matrix is built
-    on the first read of ``.matrix`` and kept.
-    An operator whose spectrum alone is read never holds a dense matrix,
-    and ``eigenpairs`` forms only the window's plane waves.
+    A constant potential's operator carries an ``analytic`` spectrum, plane
+    waves tensored with channel eigenvectors, and builds its matrix only
+    when ``.matrix`` is read; ``eigenpairs`` forms the window's plane waves,
+    and ``smoothed_trace`` none.
     """
 
     # no eigenvectors are cached; the attribute stays, fixed at None, for
@@ -519,10 +497,26 @@ class GridOperator:
         step = max(1, _WEYL_BLOCK // mat.shape[1])
         return ((lo, mat[lo:lo + step]) for lo in range(0, mat.shape[0], step))
 
+    def _lag_sums(self) -> np.ndarray:
+        """The (N, N, M) sums s[a, b, l] = sum_i A[i N + a, ((i - l) mod M) N
+        + b] of each channel pair's wrapped diagonals: from the ``rows``
+        source while no matrix is held, else binned from the held rows."""
+        if self._matrix is None and self._rows is not None:
+            return self._rows.lag_sums()[None, None]
+        n, m, cols = self.N, self.grid.M, np.arange(self.dim)
+        sums = 0.0
+        for lo, rows in self._row_blocks():
+            i = np.arange(lo, lo + len(rows))[:, None]
+            key = ((i % n * n + cols % n) * m + (i // n - cols // n) % m).ravel()
+            sums = sums + (np.bincount(key, rows.real.ravel(), n * n * m)
+                           + 1j * np.bincount(key, rows.imag.ravel(), n * n * m))
+        return sums.reshape(n, n, m)
+
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
             if self._analytic is not None:
-                self._values = self._analytic_values()
+                vals, order = self._analytic_order()
+                self._values = vals[order]
             else:
                 self._values = _evd(self._solved())
         return self._values
@@ -532,12 +526,13 @@ class GridOperator:
         """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
         array of their eigenvectors as columns, the whole spectrum by
         default: plane waves for an analytic spectrum, else ``_evr`` in
-        place, after the admission of three matrices (four for a caller's
+        place, after the admission of two matrices (three for a caller's
         array, whose copy is solved)."""
         lo, hi = window
         if self._analytic is not None:
-            return self._analytic_pairs(lo, hi)
-        matrices = 3 + (self._assemble is None)
+            vals, flat = self._analytic_pairs(lo, hi)
+            return vals, self._plane_waves(flat)
+        matrices = 2 + (self._assemble is None)
         _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
         return _evr(self._solved(), lo, hi)
 
@@ -549,23 +544,18 @@ class GridOperator:
         order = np.argsort(vals, kind="stable")
         return vals, order
 
-    def _analytic_values(self) -> np.ndarray:
-        vals, order = self._analytic_order()
-        return vals[order]
-
     def _analytic_pairs(self, lo: float, hi: float):
+        """The ascending values in (lo, hi] and their flat indices m N + k."""
         vals, order = self._analytic_order()
-        vals = vals[order]
-        keep = _in_window(vals, lo, hi)
-        return vals[keep], self._plane_waves(order[keep])
+        keep = _in_window(vals[order], lo, hi)
+        return vals[order][keep], order[keep]
 
     def _plane_waves(self, flat: np.ndarray) -> np.ndarray:
         """Column j is the plane wave m tensored with channel vector k, for
-        flat[j] = m N + k.  The output is filled a block of columns at a
-        time, and each block's phases exp(i x p / h) are formed in place in
-        one complex (M, step) buffer.  Admitted: the (dim, k) result, that
-        buffer of at most ``_ROW_BLOCK`` entries, and as much again for
-        numpy's iteration buffers and the index arrays."""
+        flat[j] = m N + k, filled a block of columns at a time, each block's
+        phases exp(i x p / h) formed in one complex (M, step) buffer.
+        Admitted: the (dim, k) result, that buffer of at most ``_ROW_BLOCK``
+        entries, and as much again for numpy's buffers and index arrays."""
         _, channel_vecs = self._analytic
         _admit(16 * (flat.size * self.dim + 2 * _ROW_BLOCK), self.label,
                "the plane-wave vectors")
@@ -590,23 +580,17 @@ class GridOperator:
 class SplitOperator:
     """A Schrodinger operator with no entries between its N channels: the
     direct sum of the one-channel operators ``channels``, channel c on the
-    rows and columns c::N.  It holds no matrix of its own.  Each channel
-    assembles its M x M block when it is solved and drops it after, so a
-    solve holds one block at a time: ``eigenvalues`` and ``eigenpairs`` ask
-    the channels in turn, and ``smoothed_trace`` asks them itself.
-    ``eigenvalues`` merges the channels' values by a stable sort.
-    ``eigenpairs`` puts each channel's eigenvectors on its rows, zero on the
-    other channels' rows, in a (dim, k) array made after the last channel is
-    solved.  It first admits N + 2 stacks of the N real M x M blocks (their
-    samples are the diagonal entries of hermitian parts, which are real):
-    for k up to dim, that array is N of them and the channels' vectors one,
-    and one more covers a channel's solve.
-
-    ``.matrix`` is the (N, M, M) stack of the channels' upper triangles,
-    made anew on each read from the blocks the channels then hold, after
-    its bytes are admitted.  No solve reads it.  Like any Schrodinger
-    operator it holds only upper triangles (``upper_only``), so
-    ``smoothed_trace`` refuses it as a cutoff."""
+    rows and columns c::N, with no matrix of its own.  Each channel
+    assembles its M x M block for its solve and drops it after, so a solve
+    holds one block at a time; ``smoothed_trace`` asks the channels itself.
+    ``eigenvalues`` merges the channels' values by a stable sort, and
+    ``eigenpairs`` puts each channel's vectors on its rows of a (dim, k)
+    array made after the last solve.  It first admits N + 2 stacks of the N
+    real blocks (the samples are the diagonals of hermitian parts): N for
+    that array, one for the channels' vectors and one for a channel's
+    solve.  ``.matrix`` stacks the channels' upper triangles anew on each
+    read, after admitting them; no solve reads it, and as ``upper_only`` it
+    is refused as a cutoff."""
 
     upper_only = True
 
@@ -657,26 +641,26 @@ def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
     return _hermitian_parts(v.on(grid.nodes))
 
 
-def _zeros_in_small_pages(n: int, dtype) -> np.ndarray:
-    """A zeroed (n, n) C-ordered upper triangle in a private
-    anonymous mapping of small pages, each resident only once it is written.
-    numpy's allocator asks for huge pages (``madvise``) for arrays of 4 MiB
-    or more, and one 2 MiB page of a triangle's diagonal would hold 2 MiB of
-    the other triangle.  The mapping is unmapped when the array is freed.
+def _zeros_in_small_pages(n: int, dtype, aligned: bool = True) -> np.ndarray:
+    """A zeroed (n, n) C-ordered array in a private anonymous mapping of
+    small pages, each resident only once written and unmapped when the
+    array is freed.  numpy's allocator asks for huge pages for arrays of
+    4 MiB or more, and one 2 MiB page of a triangle's diagonal would hold
+    2 MiB of the other triangle.
 
-    With k = PAGESIZE / itemsize items to a page and n > k, the matrix is
-    laid out with the leading dimension lda = n rounded up to a multiple of
-    k, and the mapping starts (-n itemsize) mod PAGESIZE bytes before the
-    first row, so that every row ends on a page boundary: row i's upper part,
-    columns i..n-1, fills ceil((n - i) / k) pages, and no page holds the
-    tail of one row and the head of the next.  For n <= k rows share pages
-    and lda = n: aligned, each row would take a page of its own, n pages
-    where the packed triangle fills about n^2 / 2k.  What is returned is
-    the (n, n) view, whose row stride is lda items (``_routine`` takes it)."""
+    ``aligned`` (for an upper triangle), with k = PAGESIZE / itemsize items
+    to a page and n > k: lda is n rounded up to a multiple of k, and the
+    mapping starts (-n itemsize) mod PAGESIZE bytes before the first row,
+    so that every row ends on a page boundary: row i's upper part fills
+    ceil((n - i) / k) pages, and no page holds the tail of one row and the
+    head of the next.  Otherwise, or for n <= k, lda = n, and whole rows (a
+    solve's eigenvectors) fill their pages.  The (n, n) view is returned,
+    with a row stride of lda items (``_routine`` takes it)."""
     dtype = np.dtype(dtype)
     per_page = mmap.PAGESIZE // dtype.itemsize
-    lda = n if n <= per_page else -(-n // per_page) * per_page
-    lead = 0 if n <= per_page else -n * dtype.itemsize % mmap.PAGESIZE
+    aligned = aligned and n > per_page
+    lda = -(-n // per_page) * per_page if aligned else n
+    lead = -n * dtype.itemsize % mmap.PAGESIZE if aligned else 0
     buf = mmap.mmap(-1, lead + dtype.itemsize * n * lda, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
@@ -685,15 +669,12 @@ def _zeros_in_small_pages(n: int, dtype) -> np.ndarray:
 
 def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     """The C-order upper triangle of the kinetic circulant tensor identity
-    plus the block-diagonal potential, written into a (dim, dim) view of
-    the final dtype (real unless a sample is complex) whose other entries
-    are 0 and never written, with the page-aligned rows of
-    ``_zeros_in_small_pages``.
-
-    Row i N + a holds the kinetic entries c[(i - j) % M] = c[j - i] at the
-    columns j N + a, j >= i (c is symmetric), and the potential samples
-    (i, a, b), b >= a, at the columns i N + b.  Every write indexes the
-    view: a reshape of it would be a copy."""
+    plus the block-diagonal potential, in a (dim, dim) view from
+    ``_zeros_in_small_pages`` of the final dtype (real unless a sample is
+    complex) whose other entries are 0 and never written.  Row i N + a holds
+    the kinetic entries c[(i - j) % M] = c[j - i] at the columns j N + a,
+    j >= i, and the samples (i, a, b), b >= a, at the columns i N + b.
+    Every write indexes the view: a reshape of it would be a copy."""
     if not np.any(samples.imag):
         samples = samples.real
     n = samples.shape[1]
@@ -728,24 +709,20 @@ def _admit(required: int, label: str, what: str) -> None:
 def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitOperator:
     """Kinetic circulant tensor identity plus block potential.
 
-    The operator holds its matrix as the C-order upper triangle alone
-    (``upper_only``: the triangle LAPACK reads), in 4 KiB pages of which
-    only the triangle's become resident.  It is assembled at once, except
-    for constant potentials, which get an analytic spectrum and a matrix
-    that is built only when ``.matrix`` is read, and split potentials.  A
-    potential whose off-diagonal samples are all 0 is split: a
-    ``SplitOperator`` of N one-channel operators, each of which assembles
-    its own M x M block just before it is solved.
+    The operator holds the C-order upper triangle alone (``upper_only``),
+    in small pages of which only the triangle's become resident.  It is
+    assembled at once, except for a constant potential, which gets an
+    analytic spectrum and a matrix built when ``.matrix`` is read, and a
+    split one, whose off-diagonal samples are all 0: a ``SplitOperator`` of
+    N one-channel operators, each assembling its M x M block just before
+    its solve.
 
-    The potential samples (V + V^H)/2 and the symmetrized kinetic column
-    make the matrix exactly hermitian, so what is checked is that they are
-    finite: ValueError before anything is assembled when they are not.
-    What is assembled at once, dim^2 items, or M^2 for a channel block, is
-    checked against the host's physical memory here, before anything is
-    assembled: MemoryBudgetError, with both figures, when it does not fit.
-    Each assembly admits its own bytes again, and a solve what it adds
-    itself (``GridOperator``), as does an analytic spectrum its plane-wave
-    vectors when they are formed.
+    The samples (V + V^H)/2 and the symmetrized kinetic column make the
+    matrix exactly hermitian, so they are checked only to be finite
+    (ValueError).  What is assembled at once, dim^2 items or M^2 for a
+    channel block, is admitted against the host's physical memory here,
+    before anything is assembled (MemoryBudgetError, with both figures);
+    each assembly admits its bytes again, and a solve what it adds.
     """
     if v.n != 1:
         raise NotImplementedError("the quantization engine is one-dimensional")
@@ -810,17 +787,14 @@ def weyl_quantize(a, grid: Grid1D) -> GridOperator:
     """Weyl quantization of a scalar phase-space symbol on the grid.
 
     Accepted symbols: a number (multiple of the identity), a function of x
-    alone (multiplication operator; both assembled through the closed-form
-    discrete delta, hence exact), a ``ProductCutoff`` g(x) k(xi) (separable
-    fast path), or a general callable a(x, xi) (table path, M capped for
+    alone (multiplication operator; both through the closed-form discrete
+    delta, hence exact), a ``ProductCutoff`` g(x) k(xi) (separable fast
+    path), or a general callable a(x, xi) (table path, M capped for
     memory).  A ``ProductCutoff``'s x-support must keep 2.0 clear of the
-    periodic seam at +-R; its xi-support must sit inside the momentum window.
-
-    A ``ProductCutoff`` is checked here and gets its rows (``_ProductRows``),
-    which ``smoothed_trace`` reads a block at a time, so a trace never
-    assembles its matrix.  The matrix is assembled from the same rows on the
-    first read of ``.matrix``, after its bytes (8 M^2, or 16 M^2 for a
-    complex one) are admitted against the host's memory.
+    periodic seam at +-R, and its xi-support sit inside the momentum window.
+    It gets its rows (``_ProductRows``), which a trace reads, so it never
+    assembles its matrix; ``.matrix`` assembles it from the same rows after
+    admitting 8 M^2 bytes (16 M^2 if complex).
     """
     m_pts = grid.M
 
@@ -872,18 +846,15 @@ class _ProductRows:
     midpoint index is symmetric in (i, j) and delta_ji = -delta_ij mod M
     (the antipodal tie included), so row i of B^T is g(mid_ij)
     kappa[-delta_ij % M]: every entry is the product the full B would hold.
+    ``g_and_ties`` holds g at the half-grid points and, for the antipodal
+    lag M/2 (``_index_block``), its averages with the values R away.
 
-    The midpoint values are those of g at the half-grid points, or, at
-    the antipodal lag M/2 (``_index_block``), their averages with the values
-    R away; ``g_and_ties`` holds both, in that order.
-
-    The matrix is real (``dtype``) when its imaginary part is at most 1e-14
-    of its largest real entry (or of 1), which is decided here, before any
-    row is made.  The entries of lag l are g(mid) kappa_l with kappa_l =
-    (kappa[l] + conj kappa[-l]) / 2, for every midpoint value of the parity
-    of l (the averages at l = M/2), so each part's largest entry is the
-    largest over l of that part of kappa_l times the largest of those |g|.
-    A real matrix's rows are made from the real parts of kappa alone."""
+    The matrix is real (``dtype``), made from the real parts of kappa alone,
+    when its imaginary part is at most 1e-14 of its largest real entry (or
+    of 1), decided before any row is made.  The entries of lag l are g(mid)
+    kappa_l, kappa_l = (kappa[l] + conj kappa[-l]) / 2, for every midpoint
+    value of l's parity (the averages at l = M/2), so each part's largest
+    entry is the largest over l of that part of kappa_l times that |g|."""
 
     def __init__(self, chi: ProductCutoff, grid: Grid1D):
         m = grid.M
@@ -906,14 +877,13 @@ class _ProductRows:
     def blocks(self):
         """(lo, rows lo:lo + b) for blocks of b rows, in order.
 
-        The lag delta_ij and the kappa factors depend on (i - j) mod M
-        alone, and the midpoint index of (lo + i, lo + j) is that of (i, j)
-        plus 2 lo, so row lo + i is row i of the first block rolled by lo
-        columns, with g rolled by 2 lo half-steps.  The first block's indices
-        and kappa factors are formed once; each block is then one gather of
-        its midpoint values, the products and the roll.  g(mid) conj(kappa)
-        is conj(g(mid) kappa) for a real g, so the rows are the bits of the
-        direct products."""
+        The lag and the kappa factors depend on (i - j) mod M alone, and the
+        midpoint index of (lo + i, lo + j) is that of (i, j) plus 2 lo, so
+        row lo + i is row i of the first block rolled by lo columns, with g
+        rolled by 2 lo half-steps: the first block's indices and kappa
+        factors are formed once, and each block is one gather, the products
+        and the roll.  g(mid) conj(kappa) is conj(g(mid) kappa) for a real
+        g, so the rows are the bits of the direct products."""
         m = self.m
         idx = np.arange(m)
         step = max(1, _WEYL_BLOCK // m)
@@ -926,6 +896,16 @@ class _ProductRows:
             n = min(step, m - lo)
             g_mid = np.roll(self.g_and_ties.reshape(2, -1), -2 * lo, axis=1).reshape(-1)[pick[:n]]
             yield lo, np.roll(0.5 * (g_mid * forward[:n] + g_mid * backward[:n]), lo, axis=1)
+
+    def lag_sums(self) -> np.ndarray:
+        """s[l] = sum_i A[i, (i - l) mod M] in O(M): the entries of lag l are
+        g(mid) kappa_l, and their midpoints run once over the half-grid
+        points of the parity of l's minimal image (the nodes for an even
+        one), S_0 and S_1 summed; the antipodal ties sum to the same."""
+        m = self.m
+        parity_sums = self.g_and_ties[:2 * m].reshape(m, 2).sum(axis=0)
+        delta = (np.arange(m) + m // 2) % m - m // 2
+        return parity_sums[delta % 2] * (0.5 * (self.kappa + self.kappa_rev.conj()))
 
 
 def _product_matrix(rows: _ProductRows) -> np.ndarray:
@@ -1006,15 +986,13 @@ class _WindowProfile:
     """h-independent profile Phi(y) = (1/2pi) int theta(u) exp(i u y) du.
 
     Phi and Phi' are tabulated on the knots ``ys`` and interpolated by cubic
-    Hermite polynomials, one per cell between neighbouring knots.  A point
-    finds its cell by arithmetic on the uniform segment that holds it, and
-    the cell's Horner coefficients in the local coordinate t in [0, 1] are
-    formed from the table's values at its two knots when the point is
-    evaluated: what a profile holds is the (2, knots) table, ``ys`` and,
-    for the even kind, the prefix ``_before`` and ``total``.  The even
-    profile is real and also has the primitive: the exact integral of every
-    cell before it plus the integral over the partial cell.  Phi is 0 beyond
-    ``ys[-1]`` and the primitive is constant there.
+    Hermite polynomials, one per cell.  A point finds its cell by arithmetic
+    on the uniform segment that holds it, and the cell's Horner
+    coefficients in t in [0, 1] are formed from its two knots' values when
+    the point is evaluated, so a profile holds the (2, knots) table, ``ys``
+    and, for the even kind, ``_before`` and ``total``.  The even profile is
+    real and has the primitive: the exact integral of every cell before a
+    point plus that over its partial cell.  Phi is 0 beyond ``ys[-1]``.
     """
 
     def __init__(self, kind: str):
@@ -1156,19 +1134,23 @@ def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> 
     channel's M rows of a column).
 
     A is read a block of rows R at a time (``GridOperator._row_blocks``),
-    which adds sum_{i in R} conj(u_ij) (A_R u_j)_i, so no cutoff is
-    assembled; the product A_R U is formed on a view of the columns cols[0]
-    to cols[-1], so no copy of them is made.  A real A applies to complex
-    columns as to the float64 view of their real and imaginary parts, a
-    complex A to real columns as its real and imaginary parts, and the sum
-    is conj(sum u_ij conj((A u_j)_i)), so no complex or conjugate copy of
-    the columns is made."""
-    if a_op.N != 1 and vecs.shape[0] != a_op.dim:
-        raise GridMismatchError("channel counts are incompatible")
+    adding sum_{i in R} conj(u_ij) (A_R u_j)_i, on a view of the columns
+    cols[0] to cols[-1].  Column-major columns (``_evr``'s) are copied once
+    to C order, admitted, where a per-channel scalar A would read their
+    channel rows, or a real A their float view, strided.  A real A applies
+    to complex columns as to their float64 view, a complex A to real ones as
+    its real and imaginary parts, and the sum is conj(sum u_ij conj((A
+    u_j)_i)), so no complex or conjugate copy is made."""
+    a_dtype = (a_op._rows or a_op.matrix).dtype
     if cols.size == 0:
         # the dtype of a non-empty sum: real for a real A and real columns
-        return np.zeros(0, np.result_type((a_op._rows or a_op.matrix).dtype, vecs.dtype))
-    span = vecs[:, cols[0]:cols[-1] + 1].reshape(a_op.dim, -1, cols[-1] + 1 - cols[0])
+        return np.zeros(0, np.result_type(a_dtype, vecs.dtype))
+    span = vecs[:, cols[0]:cols[-1] + 1]
+    if span.strides[0] == span.itemsize and (
+            vecs.shape[0] != a_op.dim or (span.dtype.kind, a_dtype.kind) == ("c", "f")):
+        _admit(span.nbytes, a_op.label, "a C-ordered copy of the eigenvectors")
+        span = np.ascontiguousarray(span)
+    span = span.reshape(a_op.dim, -1, span.shape[1])
     total = 0.0
     for lo, rows in a_op._row_blocks():
         for c in range(span.shape[1]):
@@ -1184,6 +1166,22 @@ def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> 
     return np.conjugate(total)[cols - cols[0]]
 
 
+def _plane_wave_diagonal(a_op: GridOperator, h_op: GridOperator, flat: np.ndarray) -> np.ndarray:
+    """<u, A u> for the plane waves u = e_m (x) c_k, flat = m N + k, of an
+    analytic spectrum, none formed.  With e_m[i] = exp(i x_i p_m / h) /
+    sqrt(M), <e_m, B e_m> = (1/M) sum_l s[l] exp(-2 pi i m' l / M), m' = m -
+    M/2, for B's lag sums s (``GridOperator._lag_sums``): an FFT of s read
+    at m' mod M.  For a per-channel scalar A the unit c_k drops out; an
+    N-channel A's channel pairs are contracted with conj(c_k[a]) c_k[b]."""
+    m = h_op.grid.M
+    m_idx, k_idx = np.divmod(flat, h_op.N)
+    picked = (np.fft.fft(a_op._lag_sums(), axis=-1) / m)[:, :, (m_idx - m // 2) % m]
+    if a_op.N == 1:
+        return picked[0, 0]
+    vecs = h_op._analytic[1][:, k_idx]
+    return np.einsum("ak,abk,bk->k", vecs.conj(), picked, vecs)
+
+
 def _f_values(f, lam: np.ndarray) -> np.ndarray:
     return np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
 
@@ -1191,11 +1189,17 @@ def _f_values(f, lam: np.ndarray) -> np.ndarray:
 def _weighted_pairs(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
                     window) -> tuple:
     """(lambda_j, f(lambda_j) <u_j, A u_j>) for the eigenpairs of ``h_op`` in
-    ``window`` where f(lambda_j) is not 0.  The eigenvectors are dropped on
-    return."""
-    lam, vecs = h_op.eigenpairs(window=window)
+    ``window`` where f(lambda_j) is not 0, from an analytic spectrum's
+    values or else ``eigenpairs``, whose vectors are dropped on return."""
+    analytic = getattr(h_op, "_analytic", None) is not None
+    if analytic:
+        lam, flat = h_op._analytic_pairs(*window)
+    else:
+        lam, vecs = h_op.eigenpairs(window=window)
     fv = _f_values(f, lam)
     cols = np.flatnonzero(fv)
+    if analytic:
+        return lam[cols], fv[cols] * _plane_wave_diagonal(a_op, h_op, flat[cols])
     return lam[cols], fv[cols] * _cutoff_diagonal(a_op, vecs, cols)
 
 
@@ -1207,23 +1211,25 @@ def smoothed_trace(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
     eigenvectors are; for the even window and hermitian A the imaginary
     part is at rounding level.  The identity is ``weyl_quantize(1.0,
     grid)``.  Only the eigenpairs with lambda in the support of f
-    (``f.support``; the whole line for an f without one) are solved, and
-    <u_j, A u_j> is formed only from the first to the last j where
-    f(lambda_j) is not 0, from A's rows a block at a time
-    (``_cutoff_diagonal``): a cutoff from ``weyl_quantize`` is never
-    assembled, and a held matrix is read in slices.  A cutoff that holds
-    only its upper triangle (``GridOperator.upper_only``), such as a
-    Schrodinger operator, is a ValueError.
+    (``f.support``; the whole line for an f without one) and f(lambda) not
+    0 are weighted.  An analytic spectrum is not solved and forms no
+    eigenvector (``_plane_wave_diagonal``); any other is solved on that
+    window, and <u_j, A u_j> formed from A's rows a block at a time
+    (``_cutoff_diagonal``).  A cutoff from ``weyl_quantize`` is never
+    assembled.  A cutoff holding only its upper triangle (``upper_only``)
+    is a ValueError, one whose channel count is neither 1 nor H's a
+    GridMismatchError.
 
     A one-channel cutoff on a ``SplitOperator`` is applied to its channels
-    one after the other: each assembles its block, is solved and gets its
-    <u_j, A u_j>, and drops its block and eigenvectors before the next one
-    is assembled.  The channels' (lambda_j, weight) lists are merged by one
-    stable sort on lambda, the order of the split operator's merged
-    eigenpairs, which are never formed.
+    in turn: each assembles its block, is solved and gets its <u_j, A u_j>,
+    and drops its block and eigenvectors before the next.  The channels'
+    (lambda_j, weight) lists are merged by one stable sort on lambda, the
+    order of the split operator's merged eigenpairs, which are never formed.
     """
     if a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
+    if a_op.N not in (1, h_op.N):
+        raise GridMismatchError("channel counts are incompatible")
     if a_op.upper_only:
         raise ValueError(f"the cutoff {a_op.label} holds only its upper triangle")
     window = getattr(f, "support", (-math.inf, math.inf))
@@ -1373,24 +1379,14 @@ def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | Non
 # ---------------------------------------------------------------------------
 
 
-def theorem1_check(
-    v: MatrixPotential,
-    chi: ProductCutoff,
-    f,
-    tau0: float,
-    grids,
-    window: WindowTheta,
-    *,
-    order_threshold: float = 3.0,
-) -> SweepReport:
+def theorem1_check(v: MatrixPotential, chi: ProductCutoff, f, tau0: float, grids,
+                   window: WindowTheta, *, order_threshold: float = 3.0) -> SweepReport:
     """Decay of the off-zero-window smoothed trace along an h-sweep.
 
-    With the one-sided window the trace should vanish to high order in h on a
-    certified shell; the decay verdict is PASS when the fitted slope reaches
-    the threshold or every value is below 1e-10.  Running it with the even
-    window instead exhibits the leading 1/(2 pi h) growth (negative slope),
-    which callers use as the non-applicability control.  Every h takes the
-    one ``window``.
+    With the one-sided window the trace should vanish to high order in h on
+    a certified shell: PASS when the fitted slope reaches the threshold or
+    every value is below 1e-10.  The even window instead shows the leading
+    1/(2 pi h) growth (negative slope), the non-applicability control.
     """
     for grid in grids:
         _check_window(grid, f.support[1])
@@ -1401,22 +1397,13 @@ def theorem1_check(
     return sweep_verdict([grid.h for grid in grids], values, order_threshold)
 
 
-def theorem2_check(
-    v0: MatrixPotential,
-    v1: MatrixPotential,
-    chi: ProductCutoff,
-    f,
-    taus,
-    grids,
-    window: WindowTheta,
-    *,
-    d_sep: float = 2.0,
-    order_threshold: float = 3.0,
-) -> SweepReport:
+def theorem2_check(v0: MatrixPotential, v1: MatrixPotential, chi: ProductCutoff, f, taus,
+                   grids, window: WindowTheta, *, d_sep: float = 2.0,
+                   order_threshold: float = 3.0) -> SweepReport:
     """Locality: traces of two operators agreeing near supp chi must differ
     only to high order in h (decay verdict).  Rejects perturbations closer
-    than ``d_sep``, as seen on 4001 points of the box of ``grids[0]``, where
-    each potential is evaluated by one ``on`` call."""
+    than ``d_sep`` on 4001 points of ``grids[0]``'s box (one ``on`` call
+    per potential)."""
     for grid in grids:
         _check_window(grid, f.support[1])
     probe = np.linspace(-grids[0].R, grids[0].R, 4001)
@@ -1443,23 +1430,13 @@ def theorem2_check(
     return sweep_verdict([grid.h for grid in grids], values, order_threshold)
 
 
-def theorem3_check(
-    v: MatrixPotential,
-    chi: ProductCutoff,
-    f,
-    tau: float,
-    grids,
-    window: WindowTheta,
-    *,
-    rel_threshold: float = 0.05,
-    order_threshold: float = 1.0,
-) -> SweepReport:
+def theorem3_check(v: MatrixPotential, chi: ProductCutoff, f, tau: float, grids,
+                   window: WindowTheta, *, rel_threshold: float = 0.05,
+                   order_threshold: float = 1.0) -> SweepReport:
     """Leading term of the localized trace: 2 pi h tr(...) against
     f(tau) * gamma0_localized(tau), with the fitted order of the residual.
-
-    Raises CertificateError, before any operator is built, where the
-    localized density does not converge (a branch critical value in supp chi).
-    """
+    CertificateError, before any operator is built, where the localized
+    density does not converge (a branch critical value in supp chi)."""
     from .coefficients import gamma0_localized
 
     if not window.is_even:

@@ -240,7 +240,27 @@ class TestFindDirection:
         assert d.vec[0] > 0
 
 
+def free_symbol_n2(calls: list) -> MatrixSymbol:
+    """|xi|^2 on R^4 (n = 2), whose array form sums xi over axis 1; each
+    call's x shape is recorded."""
+    def ev(x, xi):
+        calls.append(x.shape)
+        return np.sum(xi * xi, axis=1)[:, None, None]
+
+    return MatrixSymbol(n=2, N=1, eval_on=ev)
+
+
 class TestEnergyShell:
+    @pytest.mark.parametrize("T", [None, [0.0, 0.0, 0.0, 1.0]], ids=["search", "fixed"])
+    def test_refuses_n_above_one(self, T):
+        # the sample is a box of the phase plane; an n = 2 symbol is refused
+        # before its array form is called
+        calls = []
+        with pytest.raises(NotImplementedError):
+            check_on_energy_shell(free_symbol_n2(calls), 1.0, ((-2, 2), (-2, 2)), T=T,
+                                  grid_points=11)
+        assert calls == []
+
     def test_free_shell_certificate(self):
         cert = check_on_energy_shell(schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1)),
                                      1.0, ((-2, 2), (-2, 2)), grid_points=41)
@@ -366,6 +386,13 @@ class TestEscapeChecks:
                                     grid_points=41)
         assert cert.valid
         assert cert.C == pytest.approx(2.0, abs=1e-12)
+
+    def test_general_refuses_n_above_one(self):
+        calls = []
+        with pytest.raises(NotImplementedError):
+            escape_check_general(free_symbol_n2(calls), dilation_generator(2), 1.0,
+                                 ((-2, 2), (-2, 2)), grid_points=11)
+        assert calls == []
 
     def test_general_sign_flip_fails(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))

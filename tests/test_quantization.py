@@ -371,6 +371,8 @@ class TestSplitSolve:
 
 class TestEigenvectorColumns:
     COUPLED = np.array([[0.3, 0.2], [0.2, 0.9]])
+    COUPLED_POTENTIAL = MatrixPotential(n=1, N=2, v_infinity=np.diag([0.3, 0.9]), name="coupled",
+                                        eval_on=lambda xs, c=COUPLED: np.repeat(c[None], len(xs), axis=0))
 
     @pytest.mark.parametrize("v", [
         model_potential("constant", v_inf=0.0, N=1),
@@ -422,9 +424,8 @@ class TestEigenvectorColumns:
         op = build_schrodinger(v, g)
         got = smoothed_trace(a, op, f, w, taus)
         assert op._matrix is None
-        # the plane waves of supp f only, which hold every f != 0 column
-        assert formed == [np.count_nonzero((lam > 0.5) & (lam <= 1.5))]
-        assert cols.size <= formed[0] < lam.size
+        # no plane wave is formed: <u, A u> is read from the FFT of A's lag sums
+        assert formed == []
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -483,18 +484,20 @@ class TestMemoryAdmission:
     @pytest.mark.parametrize("v", [model_potential("reference"),
                                    model_potential("conical_crossing")],
                              ids=["dense", "split"])
-    def test_pairs_admit_three_matrices(self, monkeypatch, v):
-        # a host between one and three matrices: the spectrum is solved, the
-        # pairs are refused before anything is allocated, and the matrix
-        # stays for the next request.  A split operator's matrix is the stack
-        # of its N = 2 channel blocks, which its channels hold once it is
-        # read, and its merged pairs admit four stacks: the merged array of
-        # twice their size, the channels' vectors and a channel's solve
+    def test_pairs_admitted_before_allocating(self, monkeypatch, v):
+        # a host just below two matrices: the spectrum is solved, the pairs
+        # are refused before anything is allocated, and the matrix stays for
+        # the next request.  The dense pairs admit two matrices, the matrix
+        # and LAPACK's eigenvectors, which are returned with no copy.  A
+        # split operator's matrix is the stack of its N = 2 channel blocks,
+        # which its channels hold once it is read, and its merged pairs admit
+        # four stacks: the merged array of twice their size, the channels'
+        # vectors and a channel's solve
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
         size = op.matrix.nbytes
         split = isinstance(op, qz.SplitOperator)
-        admitted = 4 if split else 3
-        monkeypatch.setattr(qz, "physical_memory", lambda: 2 * size)
+        admitted = 4 if split else 2
+        monkeypatch.setattr(qz, "physical_memory", lambda: 2 * size - 1)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError) as err:
@@ -510,26 +513,28 @@ class TestMemoryAdmission:
         g = small_grid(h=0.5, M=64)
         a = random_matrix(rng, g.M, "complex")
         op = GridOperator(grid=g, N=1, matrix=a)
-        monkeypatch.setattr(qz, "physical_memory", lambda: 4 * a.nbytes - 1)
+        monkeypatch.setattr(qz, "physical_memory", lambda: 3 * a.nbytes - 1)
         with pytest.raises(MemoryBudgetError) as err:
             op.eigenpairs()
-        assert err.value.required == 4 * a.nbytes
+        assert err.value.required == 3 * a.nbytes
 
     # (potential, request, admitted arrays of what the operator holds), in a
     # fresh process that has made the same request on a small grid first, so
     # that the library code and BLAS buffers a first solve faults in (2-3 MB)
     # are resident before the peak is read.  With the upper triangle held
     # alone, the growth read 0.64-0.77 matrices for the spectrum and
-    # 2.64-2.76 for the dense pairs.  The split pairs read 1.77-1.81
-    # matrices with the channel gather, and 3.54-3.60 stacks of the channel
-    # blocks (1.77-1.80 matrices) with the blocks alone, as with each block
-    # assembled for its own solve (3.53-3.60): the merged (dim, dim) array
-    # and the per-channel vectors set that peak, and the bound is the four
-    # stacks admitted
+    # 2.64-2.76 for the dense pairs, and 1.71-1.80 with the eigenvectors
+    # returned as a view of the rows LAPACK wrote, with no copy.  The split
+    # pairs read 1.77-1.81 matrices with the channel gather, and 3.54-3.60
+    # stacks of the channel blocks (1.77-1.80 matrices) with the blocks
+    # alone, as with each block assembled for its own solve (3.53-3.60), and
+    # 3.15-3.23 with no copy of each channel's vectors: the merged
+    # (dim, dim) array and the per-channel vectors set that peak, and the
+    # bound is the four stacks admitted
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128], ids=["dim1844", "dim3688"])
     @pytest.mark.parametrize("name,request_,admitted", [
         ("reference", "eigenvalues", 1),
-        ("reference", "eigenpairs", 3),
+        ("reference", "eigenpairs", 2),
         ("conical_crossing", "eigenpairs", 4),
     ], ids=["values", "dense-pairs", "split-pairs"])
     def test_growth_within_the_admitted_bytes(self, h, name, request_, admitted):
@@ -758,8 +763,10 @@ class TestDenseSolve:
             big = np.full((2 * n, 3 * n), np.nan, dtype=a.dtype)
             view = big[1::2, n:2 * n]
             view[...] = a
+            # the values, and the eigenvectors as the F-contiguous transposed
+            # view of the rows LAPACK wrote
             for got, expect in zip(solve(view), solve(a.copy())):
-                assert np.array_equal(got, expect) and got.flags.c_contiguous
+                assert np.array_equal(got, expect) and got.flags.f_contiguous
             assert np.all(np.isnan(big[::2])) and np.all(np.isnan(big[:, :n]))
             assert np.all(np.isnan(big[:, 2 * n:]))
 
@@ -849,7 +856,9 @@ class TestWindowedSolve:
         op = GridOperator(grid=g, N=1, matrix=a)
         vals, vecs = op.eigenpairs(window=(lo, hi))
         assert op._values is None
-        assert vecs.shape == (g.M, 32) and vecs.dtype == a.dtype and vecs.flags.c_contiguous
+        assert vecs.shape == (g.M, 32) and vecs.dtype == a.dtype
+        # LAPACK's rows, transposed with no copy; numpy's are copied out
+        assert vecs.flags.c_contiguous if fallback else vecs.flags.f_contiguous
         scale = np.max(np.abs(expect_vals))
         assert np.max(np.abs(vals - expect_vals[20:52])) <= 1e-12 * scale
         assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * scale
@@ -1471,16 +1480,20 @@ class TestSmoothedTrace:
     # assembled beside H.  With each channel block assembled for its solve
     # and dropped before the next, thm3 read 0.54-0.59, and 0.81-0.85 with
     # A's dense matrix, where both blocks held read 0.73-0.75 and 1.04-1.08
-    # on the same 2-vCPU host.  Each bound is midway, and the step with A's
-    # dense matrix is run too, as the control that must exceed it
+    # on the same 2-vCPU host.  With a solve's eigenvectors returned as a
+    # view of LAPACK's rows and thm1's <u, A u> read from the FFT of A's lag
+    # sums, with no plane wave formed, the three read 1.33-1.34, 0.27-0.28
+    # and 0.49-0.50, and 2.51-2.52, 1.47 and 0.75 with A's dense matrix.
+    # The thm1 and thm3 bounds are midway, and the step with A's dense
+    # matrix is run too, as the control that must exceed the bound
     @pytest.mark.parametrize("box,h,v,support,w,bound", [
         ("12.0, 1.69", 1 / 64,
          "model_potential('diagonal_bumps', depths=[0.5], centers=[7.0], widths=[0.4])",
          (0.8, 1.2), "WindowTheta('bump_at_zero', eps=0.3)", 2.1),
         ("6.0, 2.56", 1 / 128, "model_potential('constant', v_inf=0.0, N=1)",
-         (0.3, 1.7), "WindowTheta('bump_positive', eps=1.0)", 1.5),
+         (0.3, 1.7), "WindowTheta('bump_positive', eps=1.0)", 0.87),
         ("6.0, 2.0", 1 / 96, "model_potential('conical_crossing')",
-         (0.5, 1.5), "WindowTheta('bump_at_zero', eps=0.25)", 0.70),
+         (0.5, 1.5), "WindowTheta('bump_at_zero', eps=0.25)", 0.62),
     ], ids=["thm2-dense", "thm1-analytic", "thm3-split"])
     def test_step_growth_in_a_fresh_process(self, box, h, v, support, w, bound):
         # tracemalloc cannot see H's matrix, which lives in a mapping of its own
@@ -1639,6 +1652,113 @@ class TestRowBlockDiagonal:
             got = qz._cutoff_diagonal(a, vecs, cols)
             assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("k", [Bump1D(0, 1.2), Bump1D(0.3, 1.0)], ids=["even", "shifted"])
+    def test_column_major_columns(self, rng, kind, k):
+        # a dense solve's columns are the F-contiguous view of LAPACK's
+        # rows; complex ones meet a real cutoff through a C-ordered copy
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        h_op = GridOperator(grid=g, N=1, matrix=random_matrix(rng, g.M, kind))
+        lam, vecs = h_op.eigenpairs(window=(-5.0, 5.0))
+        assert vecs.flags.f_contiguous
+        a = weyl_quantize(ProductCutoff(g=Bump1D(0, 2.0), k=k), g)
+        expect = self.dense_diagonal(a.matrix, vecs, 1)
+        a = weyl_quantize(ProductCutoff(g=Bump1D(0, 2.0), k=k), g)
+        for cols in self.subsets(lam.size):
+            got = qz._cutoff_diagonal(a, vecs, cols)
+            assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
+
+
+class TestPlaneWaveDiagonal:
+    """On an analytic spectrum <u_j, A u_j> is read from the FFT of A's lag
+    sums: the trace is that of the plane waves and A's dense matrix, to
+    1e-13 of its largest value, and no plane wave is formed."""
+
+    @staticmethod
+    def plane_wave_trace(a, op, f, w, taus):
+        """The trace from every plane wave and the dense matrix of ``a``."""
+        vals, order = op._analytic_order()
+        lam = vals[order]
+        uv = op._plane_waves(order).reshape(op.grid.M, op.N, -1)
+        diag = np.einsum("mnk,mnk->k", uv.conj(),
+                         np.tensordot(a.matrix, uv, axes=([1], [0])))
+        return fourier_window(w, op.grid.h, taus[:, None] - lam[None, :]) @ (qz._f_values(f, lam)
+                                                                             * diag)
+
+    @pytest.mark.parametrize("cutoff,v,f,w", [
+        (CHI, "free", bump_test_function((0.5, 1.5)), WindowTheta("bump_positive", eps=0.5)),
+        (ProductCutoff(g=Bump1D(0.3, 2.0), k=Bump1D(0.3, 1.0)), "free",
+         bump_test_function((0.5, 1.5)), WindowTheta("bump_positive", eps=0.5)),
+        (1.0, "free", bump_test_function((0.5, 1.5)), WindowTheta("bump_at_zero", eps=0.25)),
+        (lambda x, xi: np.exp(-x * x) * (np.cos(xi) ** 2 + 0.3 * np.sin(xi)), "free",
+         bump_test_function((0.5, 1.5)), WindowTheta("bump_at_zero", eps=0.25)),
+        (CHI, "coupled", bump_test_function((0.5, 1.5)), WindowTheta("bump_at_zero", eps=0.25)),
+        (CHI, "free", lambda t: np.exp(-t), WindowTheta("bump_at_zero", eps=0.25)),
+        (CHI, "free", bump_test_function((-2.0, -1.0)), WindowTheta("bump_at_zero", eps=0.25)),
+    ], ids=["product", "complex-kappa", "identity", "general", "coupled", "no-support",
+            "empty-support"])
+    def test_matches_the_plane_waves(self, monkeypatch, cutoff, v, f, w):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        v = {"free": model_potential("constant", v_inf=0.0, N=1),
+             "coupled": TestEigenvectorColumns.COUPLED_POTENTIAL}[v]
+        taus = np.array([0.9, 1.0, 1.1])
+        expect = self.plane_wave_trace(weyl_quantize(cutoff, g), build_schrodinger(v, g), f, w,
+                                       taus)
+
+        def refused(*args):
+            raise AssertionError("a plane wave was formed")
+
+        monkeypatch.setattr(GridOperator, "_plane_waves", refused)
+        calls = counted(monkeypatch)
+        a, op = weyl_quantize(cutoff, g), build_schrodinger(v, g)
+        got = smoothed_trace(a, op, f, w, taus)
+        assert calls == [] and op._matrix is None
+        assert (a._matrix is None) == isinstance(cutoff, ProductCutoff)
+        if np.all(expect == 0):  # no eigenvalue in supp f
+            assert np.all(got == 0)
+        else:
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_channel_cutoff(self, rng):
+        # an N-channel A's lag sums of each channel pair, contracted with
+        # the channel vectors of the coupled constant potential
+        g = small_grid(h=0.25)
+        op = build_schrodinger(TestEigenvectorColumns.COUPLED_POTENTIAL, g)
+        a = GridOperator(grid=g, N=2, matrix=random_hermitian(rng, op.dim))
+        vals, flat = op._analytic_pairs(-math.inf, math.inf)
+        vecs = op._plane_waves(flat)
+        expect = np.einsum("ij,ij->j", vecs.conj(), a.matrix @ vecs)
+        got = qz._plane_wave_diagonal(a, op, flat)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_step_growth_in_a_fresh_process(self):
+        # thm1's perfbench step at h = 1/128 (M = 1566), after the same step
+        # at h = 1/16: it grew by 13.4 MB with the window's 370 plane waves
+        # (9.3 MB) formed, and by 0-0.06 MB with the lag sums' FFT; the
+        # bound is midway
+        code = PEAK_RSS_SOURCE + (
+            "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
+            "from ssf_lab.coefficients import bump_test_function\n"
+            "from ssf_lab.quantization import (WindowTheta, build_schrodinger, grid_for,\n"
+            "                                  smoothed_trace, weyl_quantize)\n"
+            "from ssf_lab.symbols import model_potential\n"
+            "v = model_potential('constant', v_inf=0.0, N=1)\n"
+            "chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))\n"
+            "f, w = bump_test_function((0.3, 1.7)), WindowTheta('bump_positive', eps=1.0)\n"
+            "def step(h):\n"
+            "    grid = grid_for(h, 6.0, 2.56, 8192)\n"
+            "    smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, w, 1.0)\n"
+            "    return grid.M\n"
+            "step(1 / 16)\n"
+            "before = peak_rss()\n"
+            "print(step(1 / 128), peak_rss() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        m, grown = map(int, proc.stdout.split())
+        assert m == 1566
+        assert grown < 6.7e6
+
 
 def grids(hs, R, tau_max, m_cap=8192):
     return [grid_for(h, R, tau_max, m_cap) for h in hs]
@@ -1655,6 +1775,24 @@ class TestTheoremCheckPlumbing:
                              w)
         assert np.array_equal(rep.values, np.zeros(2))
         assert rep.verdict == "PASS" and rep.below_floor
+
+    def test_theorem2_reads_the_cutoff_rows_once_per_h(self, monkeypatch):
+        # the free operator's trace reads the cutoff's lag sums in closed
+        # form and the perturbed one its rows: one pass over them per h
+        reads = []
+        blocks = qz._ProductRows.blocks
+
+        def spy(rows):
+            reads.append(rows.m)
+            return blocks(rows)
+
+        monkeypatch.setattr(qz._ProductRows, "blocks", spy)
+        v0 = model_potential("constant", v_inf=0.0, N=1)
+        v1 = model_potential("diagonal_bumps", depths=[0.5], centers=[7.0], widths=[0.4])
+        steps = grids([1 / 8, 1 / 16, 1 / 32], 12.0, 1.69)
+        theorem2_check(v0, v1, CHI, bump_test_function((0.8, 1.2)), np.linspace(0.9, 1.1, 9),
+                       steps, WindowTheta("bump_at_zero", eps=0.3))
+        assert reads == [grid.M for grid in steps]
 
     def test_theorem2_separation_rejection(self):
         v0 = model_potential("constant", v_inf=0.0, N=1)
