@@ -25,9 +25,10 @@ dense allocation admits its bytes against the host's memory where it is
 made (``MemoryBudgetError``).
 
 Smoothed traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over the
-eigenpairs with lambda_j in supp f, with no cutoff assembled: on a
-constant potential <u_j, A u_j> is an FFT of A's wrapped-diagonal sums,
-else it is formed from A's rows a block at a time.  K(s) = (eps/h)
+eigenpairs with lambda_j in supp f, for a one-channel cutoff A that acts
+on each channel alike, with no cutoff assembled: on a constant potential
+<u_j, A u_j> is an FFT of A's wrapped-diagonal sums, else it is formed
+from A's rows a block at a time.  K(s) = (eps/h)
 Phi(eps s / h) is the scaled inverse Fourier transform of a window
 theta(t/eps); Phi and Phi' on 26 081 knots (four uniform segments up to
 y = 1200) ship with the package (``scripts/window_profiles.py``), one
@@ -209,7 +210,6 @@ def _kinetic_column(grid: Grid1D) -> np.ndarray:
 
 
 _CHECK_TILE = 256  # side of the square tiles of the hermiticity check
-_ROW_BLOCK = 1 << 16  # entries per block of columns of the plane waves
 
 
 def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -431,20 +431,21 @@ class GridOperator:
     (dim, dim) view, whose rows may have a page-aligned leading dimension
     (``_zeros_in_small_pages``); solves take the view as it is, the
     assembly is not checked (``build_schrodinger`` checks its inputs), and
-    ``smoothed_trace`` refuses it as a cutoff.  ``_row_blocks`` and
-    ``_lag_sums`` read the held matrix, or, while none is held, the
-    operator's ``rows`` source (a ``ProductCutoff``'s), so that nothing is
-    assembled.
+    ``smoothed_trace`` refuses it as a cutoff.  A cutoff has one channel:
+    ``_row_blocks`` and ``_lag_sums`` read the held matrix, or, while none
+    is held, the operator's ``rows`` source (a ``ProductCutoff``'s), so
+    that nothing is assembled.
 
     Each allocation admits its bytes against the host's memory where it is
     made (``MemoryBudgetError``): an assembly its matrix; a pairs solve two
     matrices, the matrix and LAPACK's eigenvectors (k up to dim, returned
     as a view with no copy), and a third for the copy of a caller's array.
 
-    A constant potential's operator carries an ``analytic`` spectrum, plane
-    waves tensored with channel eigenvectors, and builds its matrix only
-    when ``.matrix`` is read; ``eigenpairs`` forms the window's plane waves,
-    and ``smoothed_trace`` none.
+    A constant potential's operator carries an ``analytic`` spectrum, the
+    channel values that the squared momenta shift to its eigenvalues, and
+    builds its matrix only when ``.matrix`` is read: ``eigenvalues``
+    solves nothing and ``smoothed_trace`` forms no eigenvector, while
+    ``eigenpairs`` solves the assembled matrix.
     """
 
     # no eigenvectors are cached; the attribute stays, fixed at None, for
@@ -452,7 +453,7 @@ class GridOperator:
     _vectors = None
 
     def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
-                 label: str = "", *, assemble=None, analytic: tuple | None = None,
+                 label: str = "", *, assemble=None, analytic: np.ndarray | None = None,
                  upper_only: bool = False, rows=None):
         if (matrix is None) == (assemble is None):
             raise ValueError("give exactly one of matrix and assemble")
@@ -498,19 +499,18 @@ class GridOperator:
         return ((lo, mat[lo:lo + step]) for lo in range(0, mat.shape[0], step))
 
     def _lag_sums(self) -> np.ndarray:
-        """The (N, N, M) sums s[a, b, l] = sum_i A[i N + a, ((i - l) mod M) N
-        + b] of each channel pair's wrapped diagonals: from the ``rows``
-        source while no matrix is held, else binned from the held rows."""
+        """The (M,) sums s[l] = sum_i A[i, (i - l) mod M] of a one-channel
+        matrix's wrapped diagonals: from the ``rows`` source while no matrix
+        is held, else binned from the held rows."""
         if self._matrix is None and self._rows is not None:
-            return self._rows.lag_sums()[None, None]
-        n, m, cols = self.N, self.grid.M, np.arange(self.dim)
+            return self._rows.lag_sums()
+        m = self.grid.M
         sums = 0.0
         for lo, rows in self._row_blocks():
-            i = np.arange(lo, lo + len(rows))[:, None]
-            key = ((i % n * n + cols % n) * m + (i // n - cols // n) % m).ravel()
-            sums = sums + (np.bincount(key, rows.real.ravel(), n * n * m)
-                           + 1j * np.bincount(key, rows.imag.ravel(), n * n * m))
-        return sums.reshape(n, n, m)
+            lag = ((np.arange(lo, lo + len(rows))[:, None] - np.arange(m)) % m).ravel()
+            sums = sums + (np.bincount(lag, rows.real.ravel(), m)
+                           + 1j * np.bincount(lag, rows.imag.ravel(), m))
+        return sums
 
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
@@ -525,22 +525,21 @@ class GridOperator:
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
         array of their eigenvectors as columns, the whole spectrum by
-        default: plane waves for an analytic spectrum, else ``_evr`` in
-        place, after the admission of two matrices (three for a caller's
-        array, whose copy is solved)."""
+        default: ``_evr`` in place, after the admission of two matrices
+        (three for a caller's array, whose copy is solved).  An empty window,
+        hi <= lo, gives 0 values and a (dim, 0) array with nothing solved,
+        and a held matrix stays held."""
         lo, hi = window
-        if self._analytic is not None:
-            vals, flat = self._analytic_pairs(lo, hi)
-            return vals, self._plane_waves(flat)
+        if not lo < hi:
+            return np.zeros(0), np.zeros((self.dim, 0))
         matrices = 2 + (self._assemble is None)
         _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
         return _evr(self._solved(), lo, hi)
 
     # -- analytic spectrum for constant potentials ------------------------
     def _analytic_order(self):
-        channel_vals, _ = self._analytic
         p2 = self.grid.momenta**2
-        vals = (p2[:, None] + channel_vals[None, :]).ravel()
+        vals = (p2[:, None] + self._analytic[None, :]).ravel()
         order = np.argsort(vals, kind="stable")
         return vals, order
 
@@ -550,49 +549,15 @@ class GridOperator:
         keep = _in_window(vals[order], lo, hi)
         return vals[order][keep], order[keep]
 
-    def _plane_waves(self, flat: np.ndarray) -> np.ndarray:
-        """Column j is the plane wave m tensored with channel vector k, for
-        flat[j] = m N + k, filled a block of columns at a time, each block's
-        phases exp(i x p / h) formed in one complex (M, step) buffer.
-        Admitted: the (dim, k) result, that buffer of at most ``_ROW_BLOCK``
-        entries, and as much again for numpy's buffers and index arrays."""
-        _, channel_vecs = self._analytic
-        _admit(16 * (flat.size * self.dim + 2 * _ROW_BLOCK), self.label,
-               "the plane-wave vectors")
-        m_idx, k_idx = np.divmod(flat, self.N)
-        grid = self.grid
-        nodes = grid.nodes
-        vectors = np.empty((grid.M, self.N, flat.size), dtype=complex)
-        step = max(1, _ROW_BLOCK // grid.M)
-        buffer = np.empty((grid.M, min(step, flat.size)), dtype=complex)
-        for lo in range(0, flat.size, step):
-            cols = slice(lo, lo + step)
-            phases = buffer[:, :min(step, flat.size - lo)]
-            phases.real = 0.0
-            np.outer(nodes, grid.momenta[m_idx[cols]] / grid.h, out=phases.imag)
-            np.exp(phases, out=phases)
-            phases /= math.sqrt(grid.M)
-            np.multiply(phases[:, None, :], channel_vecs[None, :, k_idx[cols]],
-                        out=vectors[:, :, cols])
-        return vectors.reshape(self.dim, flat.size)
-
 
 class SplitOperator:
     """A Schrodinger operator with no entries between its N channels: the
     direct sum of the one-channel operators ``channels``, channel c on the
     rows and columns c::N, with no matrix of its own.  Each channel
     assembles its M x M block for its solve and drops it after, so a solve
-    holds one block at a time; ``smoothed_trace`` asks the channels itself.
-    ``eigenvalues`` merges the channels' values by a stable sort, and
-    ``eigenpairs`` puts each channel's vectors on its rows of a (dim, k)
-    array made after the last solve.  It first admits N + 2 stacks of the N
-    real blocks (the samples are the diagonals of hermitian parts): N for
-    that array, one for the channels' vectors and one for a channel's
-    solve.  ``.matrix`` stacks the channels' upper triangles anew on each
-    read, after admitting them; no solve reads it, and as ``upper_only`` it
-    is refused as a cutoff."""
-
-    upper_only = True
+    holds one block at a time.  ``eigenvalues`` merges the channels' values
+    by a stable sort; ``smoothed_trace`` asks the channels for their pairs
+    itself, and a split operator has no pairs or matrix of its own."""
 
     def __init__(self, grid: Grid1D, channels: tuple, label: str):
         self.grid = grid
@@ -605,34 +570,11 @@ class SplitOperator:
     def dim(self) -> int:
         return self.grid.M * self.N
 
-    @property
-    def matrix(self) -> np.ndarray:
-        blocks = [channel.matrix for channel in self.channels]
-        _admit(sum(block.nbytes for block in blocks), self.label, "the stack of channel blocks")
-        return np.stack(blocks)
-
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
             values = [channel.eigenvalues() for channel in self.channels]
             self._values = np.sort(np.concatenate(values), kind="stable")
         return self._values
-
-    def eigenpairs(self, *, window: tuple[float, float] = (-math.inf, math.inf)
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Block c's eigenvector j goes to column rank[offset_c + j] of the
-        merged order, on the rows c::N."""
-        n = self.N
-        _admit((n + 2) * 8 * n * self.grid.M ** 2, self.label, "the channels' eigenvectors")
-        vals, blocks = zip(*[channel.eigenpairs(window=window) for channel in self.channels])
-        offsets = np.cumsum([0] + [v.size for v in vals])
-        vals = np.concatenate(vals)
-        order = np.argsort(vals, kind="stable")
-        rank = np.empty(vals.size, dtype=np.intp)
-        rank[order] = np.arange(vals.size)
-        vectors = np.zeros((self.dim, vals.size), dtype=blocks[0].dtype)
-        for c, block in enumerate(blocks):
-            vectors[c::n, rank[offsets[c]:offsets[c + 1]]] = block
-        return vals[order], vectors
 
 
 def potential_samples(v: MatrixPotential, grid: Grid1D) -> np.ndarray:
@@ -756,11 +698,10 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
     off = b0 - np.diag(np.diag(b0))
     if np.max(np.abs(off), initial=0.0) == 0.0:
         channel_vals = np.diag(b0).real.copy()
-        channel_vecs = np.eye(v.N, dtype=complex)
     else:
-        channel_vals, channel_vecs = np.linalg.eigh(b0)
+        channel_vals = np.linalg.eigvalsh(b0)
     return GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
-                        upper_only=True, analytic=(channel_vals, channel_vecs))
+                        upper_only=True, analytic=channel_vals)
 
 
 def _index_tables(grid: Grid1D):
@@ -1129,9 +1070,9 @@ def window_primitive(w: WindowTheta, h: float, s):
 
 def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """<u_j, A u_j> for the columns u_j = vecs[:, j], j in the ascending
-    ``cols``, eigenvectors of an operator with A's channel count or of one
-    with N channels when A is per-channel scalar (then A acts on each
-    channel's M rows of a column).
+    ``cols``, eigenvectors of a one-channel operator or of one with N
+    channels, on each of whose channels the one-channel A acts alike (on
+    the M rows c::N of a column).
 
     A is read a block of rows R at a time (``GridOperator._row_blocks``),
     adding sum_{i in R} conj(u_ij) (A_R u_j)_i, on a view of the columns
@@ -1169,29 +1110,23 @@ def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> 
 def _plane_wave_diagonal(a_op: GridOperator, h_op: GridOperator, flat: np.ndarray) -> np.ndarray:
     """<u, A u> for the plane waves u = e_m (x) c_k, flat = m N + k, of an
     analytic spectrum, none formed.  With e_m[i] = exp(i x_i p_m / h) /
-    sqrt(M), <e_m, B e_m> = (1/M) sum_l s[l] exp(-2 pi i m' l / M), m' = m -
-    M/2, for B's lag sums s (``GridOperator._lag_sums``): an FFT of s read
-    at m' mod M.  For a per-channel scalar A the unit c_k drops out; an
-    N-channel A's channel pairs are contracted with conj(c_k[a]) c_k[b]."""
+    sqrt(M), <e_m, A e_m> = (1/M) sum_l s[l] exp(-2 pi i m' l / M), m' = m -
+    M/2, for A's lag sums s (``GridOperator._lag_sums``): an FFT of s read
+    at m' mod M.  The one-channel A acts on each channel alike, so the unit
+    c_k drops out."""
     m = h_op.grid.M
-    m_idx, k_idx = np.divmod(flat, h_op.N)
-    picked = (np.fft.fft(a_op._lag_sums(), axis=-1) / m)[:, :, (m_idx - m // 2) % m]
-    if a_op.N == 1:
-        return picked[0, 0]
-    vecs = h_op._analytic[1][:, k_idx]
-    return np.einsum("ak,abk,bk->k", vecs.conj(), picked, vecs)
+    return (np.fft.fft(a_op._lag_sums()) / m)[(flat // h_op.N - m // 2) % m]
 
 
 def _f_values(f, lam: np.ndarray) -> np.ndarray:
     return np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
 
 
-def _weighted_pairs(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
-                    window) -> tuple:
+def _weighted_pairs(a_op: GridOperator, h_op: GridOperator, f, window) -> tuple:
     """(lambda_j, f(lambda_j) <u_j, A u_j>) for the eigenpairs of ``h_op`` in
     ``window`` where f(lambda_j) is not 0, from an analytic spectrum's
     values or else ``eigenpairs``, whose vectors are dropped on return."""
-    analytic = getattr(h_op, "_analytic", None) is not None
+    analytic = h_op._analytic is not None
     if analytic:
         lam, flat = h_op._analytic_pairs(*window)
     else:
@@ -1216,30 +1151,29 @@ def smoothed_trace(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
     eigenvector (``_plane_wave_diagonal``); any other is solved on that
     window, and <u_j, A u_j> formed from A's rows a block at a time
     (``_cutoff_diagonal``).  A cutoff from ``weyl_quantize`` is never
-    assembled.  A cutoff holding only its upper triangle (``upper_only``)
-    is a ValueError, one whose channel count is neither 1 nor H's a
-    GridMismatchError.
+    assembled.
 
-    A one-channel cutoff on a ``SplitOperator`` is applied to its channels
-    in turn: each assembles its block, is solved and gets its <u_j, A u_j>,
-    and drops its block and eigenvectors before the next.  The channels'
-    (lambda_j, weight) lists are merged by one stable sort on lambda, the
-    order of the split operator's merged eigenpairs, which are never formed.
+    A cutoff is a one-channel operator, applied to each of H's channels
+    alike: one with N != 1 channels is a GridMismatchError, and one holding
+    only its upper triangle (``upper_only``) a ValueError, both before
+    anything is assembled or solved.
+
+    On a ``SplitOperator`` the cutoff is applied to its channels in turn:
+    each assembles its block, is solved and gets its <u_j, A u_j>, and
+    drops its block and eigenvectors before the next.  The channels'
+    (lambda_j, weight) lists are merged by one stable sort on lambda.
     """
     if a_op.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
-    if a_op.N not in (1, h_op.N):
-        raise GridMismatchError("channel counts are incompatible")
+    if a_op.N != 1:
+        raise GridMismatchError(f"the cutoff {a_op.label} has {a_op.N} channels, not 1")
     if a_op.upper_only:
         raise ValueError(f"the cutoff {a_op.label} holds only its upper triangle")
     window = getattr(f, "support", (-math.inf, math.inf))
-    if isinstance(h_op, SplitOperator) and a_op.N == 1:
-        parts = [_weighted_pairs(a_op, channel, f, window) for channel in h_op.channels]
-        lam = np.concatenate([part[0] for part in parts])
-        order = np.argsort(lam, kind="stable")
-        lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]
-    else:
-        lam, weights = _weighted_pairs(a_op, h_op, f, window)
+    parts = [_weighted_pairs(a_op, op, f, window) for op in getattr(h_op, "channels", [h_op])]
+    lam = np.concatenate([part[0] for part in parts])
+    order = np.argsort(lam, kind="stable")
+    lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     kern = fourier_window(w, h_op.grid.h, taus[:, None] - lam[None, :])
     vals = kern @ weights

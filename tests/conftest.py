@@ -72,3 +72,37 @@ def _kron_reference(v, grid) -> np.ndarray:
 @pytest.fixture
 def kron_reference():
     return _kron_reference
+
+
+def plane_waves(v, grid, flat: np.ndarray) -> np.ndarray:
+    """The eigenvectors of a constant potential's operator as the columns of
+    a (dim, k) array: column j is the plane wave exp(i x p_m / h) / sqrt(M)
+    tensored with channel vector k of the potential's constant sample, for
+    flat[j] = m N + k.  The channels are ordered as ``build_schrodinger``
+    orders their values: as they stand for a diagonal sample, ascending
+    otherwise."""
+    b = v.on(grid.nodes)[0]
+    b0 = 0.5 * (b + b.conj().T)
+    if np.any(b0 - np.diag(np.diag(b0))):
+        channel_vecs = np.linalg.eigh(b0)[1]
+    else:
+        channel_vecs = np.eye(v.N)
+    m_idx, k_idx = np.divmod(flat, v.N)
+    phases = np.exp(1j * np.outer(grid.nodes, grid.momenta[m_idx] / grid.h)) / np.sqrt(grid.M)
+    return (phases[:, None, :] * channel_vecs[None, :, k_idx]).reshape(grid.M * v.N, flat.size)
+
+
+def merged_split_pairs(op, window=(-np.inf, np.inf)):
+    """The eigenpairs of a split operator in ``window``: its channels' own
+    pairs, merged by one stable sort on the values, with channel c's
+    vectors on the rows c::N of a (dim, k) array."""
+    vals, blocks = zip(*[channel.eigenpairs(window=window) for channel in op.channels])
+    offsets = np.cumsum([0] + [v.size for v in vals])
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    rank = np.empty(vals.size, dtype=np.intp)
+    rank[order] = np.arange(vals.size)
+    vectors = np.zeros((op.dim, vals.size), dtype=blocks[0].dtype)
+    for c, block in enumerate(blocks):
+        vectors[c::op.N, rank[offsets[c]:offsets[c + 1]]] = block
+    return vals[order], vectors

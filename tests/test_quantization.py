@@ -11,7 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import PEAK_RSS_SOURCE, full_matrix, random_hermitian
+from conftest import (PEAK_RSS_SOURCE, full_matrix, merged_split_pairs, plane_waves,
+                      random_hermitian)
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab import quadrature
 from ssf_lab.coefficients import bump_test_function
@@ -47,9 +48,17 @@ def small_grid(h=0.25, R=6.0, tau_max=1.5, M=None):
     return Grid1D(R=R, M=M or required_points(R, h, tau_max), h=h, tau_max=tau_max)
 
 
-def reconstruction_residual(op: GridOperator) -> float:
+def solved_pairs(op, window=(-math.inf, math.inf)):
+    """The eigenpairs of an operator in ``window``; a split operator's are
+    its channels' own pairs, merged."""
+    if isinstance(op, qz.SplitOperator):
+        return merged_split_pairs(op, window)
+    return op.eigenpairs(window=window)
+
+
+def reconstruction_residual(op) -> float:
     """max |V diag(lambda) V^H - A| / max |A| of the operator's eigenpairs."""
-    vals, vecs = op.eigenpairs()
+    vals, vecs = solved_pairs(op)
     approx = (vecs * vals) @ vecs.conj().T
     mat = full_matrix(op)
     scale = float(np.max(np.abs(mat))) or 1.0
@@ -252,23 +261,6 @@ class TestBuildSchrodinger:
         assert op.matrix is mat
         assert np.array_equal(full_matrix(op), kron_reference(v, g))
 
-    def test_analytic_pairs_columnwise(self):
-        # the plane wave m tensored with the channel vector k, column by column
-        g = small_grid(h=0.5, M=32)
-        coupled = np.array([[0.3, 0.2], [0.2, 0.9]])
-        v = MatrixPotential(n=1, N=2, eval_on=lambda xs: np.repeat(coupled[None], len(xs), axis=0),
-                            v_infinity=np.diag([0.3, 0.9]), name="coupled")
-        op = build_schrodinger(v, g)
-        vals, vecs = op.eigenpairs()
-        channel_vals, channel_vecs = op._analytic
-        order = np.argsort((g.momenta[:, None] ** 2 + channel_vals[None, :]).ravel(),
-                           kind="stable")
-        phases = np.exp(1j * np.outer(g.nodes, g.momenta / g.h)) / math.sqrt(g.M)
-        for col, flat in enumerate(order):
-            m_idx, k_idx = divmod(flat, 2)
-            expect = np.kron(phases[:, m_idx], channel_vecs[:, k_idx])
-            assert np.array_equal(vecs[:, col], expect)
-
 
 WHOLE = (-math.inf, math.inf)
 
@@ -307,12 +299,12 @@ class TestSplitSolve:
 
     def test_values_match_dense(self, op):
         dense = np.linalg.eigvalsh(full_matrix(op))
-        vals = op.eigenpairs()[0]
+        vals = merged_split_pairs(op)[0]
         assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_pairs_per_channel(self, op, monkeypatch):
         calls = counted(monkeypatch)
-        vals, vecs = op.eigenpairs()
+        vals, vecs = merged_split_pairs(op)
         assert calls == [((op.grid.M, op.grid.M), WHOLE)] * op.N
         assert np.all(np.diff(vals) >= 0)
         assert reconstruction_residual(op) < 1e-10
@@ -321,7 +313,7 @@ class TestSplitSolve:
         assert np.array_equal(support.sum(axis=0), np.ones(op.dim))
         # nothing is cached: a window is solved again, block by block
         window = (-math.inf, 0.5 * (vals[1] + vals[2]))
-        assert op.eigenpairs(window=window)[1].shape == (op.dim, 2)
+        assert merged_split_pairs(op, window)[1].shape == (op.dim, 2)
         assert calls[-op.N:] == [((op.grid.M, op.grid.M), window)] * op.N
 
     def test_trace_matches_dense_solve(self, op):
@@ -344,9 +336,10 @@ class TestSplitSolve:
             "grid = grid_for(1 / 96, 6.0, 2.0, 8192)\n"
             "before = peak_rss()\n"
             "op = build_schrodinger(model_potential('conical_crossing'), grid)\n"
-            "vals, vecs = op.eigenpairs(window=(0.5, 1.5))\n"
+            "pairs = [part.eigenpairs(window=(0.5, 1.5)) for part in op.channels]\n"
             "grown = peak_rss() - before\n"
-            "print(op.dim, vals.size, isinstance(op, SplitOperator), grown)\n"
+            "k = sum(vals.size for vals, _ in pairs)\n"
+            "print(op.dim, k, isinstance(op, SplitOperator), grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -380,21 +373,33 @@ class TestEigenvectorColumns:
                         eval_on=lambda xs: np.repeat(TestEigenvectorColumns.COUPLED[None],
                                                      len(xs), axis=0)),
     ], ids=lambda v: v.name)
-    def test_columns_of_the_analytic_pairs(self, v, rng):
+    def test_columns_of_the_analytic_pairs(self, v, monkeypatch):
+        # an analytic operator's pairs are a dense solve of its assembled
+        # matrix: in each window, with its ends between distinct levels, the
+        # values are the analytic ones and the columns span the window's
+        # plane waves.  The +-p levels are degenerate, so subspaces are
+        # compared through their projectors, not column by column
         g = small_grid(h=0.25)
         op = build_schrodinger(v, g)
         dim = op.dim
+        raw, order = op._analytic_order()
         vals = op.eigenvalues()
-        cuts = np.sort(rng.choice(vals, size=2, replace=False))
-        windows = [(vals[0] - 1.0, vals[-1]), (vals[0] - 1.0, vals[0]), (vals[2], vals[5]),
-                   (vals[-2], vals[-1]), tuple(cuts), (vals[-1], vals[-1] + 1.0)]
-        alone = [op.eigenpairs(window=window) for window in windows]
-        vecs = op.eigenpairs()[1]
-        for (lo, hi), (got_vals, got) in zip(windows, alone):
+        assert np.array_equal(vals, raw[order])
+        levels = np.unique(vals)
+        gaps = 0.5 * (levels[:-1] + levels[1:])
+        windows = [WHOLE, (levels[0] - 1.0, gaps[0]), (gaps[1], gaps[4]), (gaps[-2], gaps[-1]),
+                   (gaps[-1], levels[-1] + 1.0), (levels[-1] + 1.0, levels[-1] + 2.0)]
+        calls = counted(monkeypatch)
+        scale = np.max(np.abs(vals))
+        for lo, hi in windows:
+            got_vals, got = op.eigenpairs(window=(lo, hi))
             cols = np.flatnonzero((vals > lo) & (vals <= hi))
-            assert np.array_equal(got_vals, vals[cols])
-            assert np.array_equal(got, vecs[:, cols])
-        assert alone[0][1].shape == (dim, dim) and alone[-1][1].shape == (dim, 0)
+            assert got_vals.shape == (cols.size,) and got.shape == (dim, cols.size)
+            assert np.max(np.abs(got_vals - vals[cols]), initial=0.0) <= 1e-12 * scale
+            expect = plane_waves(v, g, order[cols])
+            assert np.max(np.abs(projector(got) - projector(expect)), initial=0.0) <= 1e-10
+            assert op._matrix is None
+        assert calls == [((dim, dim), window) for window in windows]
 
     def test_trace_forms_only_the_read_columns(self, monkeypatch):
         g = small_grid(h=1 / 32, tau_max=2.0)
@@ -403,29 +408,32 @@ class TestEigenvectorColumns:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_positive", eps=0.5)
         taus = np.array([0.9, 1.0])
-        # the value through the full eigenvector matrix
-        lam, vecs = build_schrodinger(v, g).eigenpairs()
+        # the value through the plane waves of the columns f reads
+        op = build_schrodinger(v, g)
+        raw, order = op._analytic_order()
+        lam = raw[order]
         fv = f(lam)
         cols = np.flatnonzero(fv)
         assert 0 < cols.size < lam.size
-        sub = vecs[:, cols]
+        sub = plane_waves(v, g, order[cols])
         weights = np.zeros(lam.size, dtype=complex)
         weights[cols] = fv[cols] * np.einsum("ij,ij->j", sub.conj(), a.matrix @ sub)
         expect = fourier_window(w, g.h, taus[:, None] - lam[None, :]) @ weights
 
         formed = []
-        plane_waves = GridOperator._plane_waves
+        eigenpairs = GridOperator.eigenpairs
 
-        def spy(self, flat):
-            formed.append(flat.size)
-            return plane_waves(self, flat)
+        def spy(self, **kwargs):
+            formed.append(kwargs)
+            return eigenpairs(self, **kwargs)
 
-        monkeypatch.setattr(GridOperator, "_plane_waves", spy)
-        op = build_schrodinger(v, g)
+        monkeypatch.setattr(GridOperator, "eigenpairs", spy)
+        calls = counted(monkeypatch)
+        a = weyl_quantize(CHI, g)
         got = smoothed_trace(a, op, f, w, taus)
-        assert op._matrix is None
-        # no plane wave is formed: <u, A u> is read from the FFT of A's lag sums
-        assert formed == []
+        assert op._matrix is None and a._matrix is None
+        # no eigenvector is formed: <u, A u> is read from the FFT of A's lag sums
+        assert formed == [] and calls == []
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -487,26 +495,22 @@ class TestMemoryAdmission:
     def test_pairs_admitted_before_allocating(self, monkeypatch, v):
         # a host just below two matrices: the spectrum is solved, the pairs
         # are refused before anything is allocated, and the matrix stays for
-        # the next request.  The dense pairs admit two matrices, the matrix
-        # and LAPACK's eigenvectors, which are returned with no copy.  A
-        # split operator's matrix is the stack of its N = 2 channel blocks,
-        # which its channels hold once it is read, and its merged pairs admit
-        # four stacks: the merged array of twice their size, the channels'
-        # vectors and a channel's solve
+        # the next request.  The pairs admit two matrices, the matrix and
+        # LAPACK's eigenvectors, which are returned with no copy; a split
+        # operator's pairs are its channels', each of its own M x M block
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
-        size = op.matrix.nbytes
-        split = isinstance(op, qz.SplitOperator)
-        admitted = 4 if split else 2
+        parts = getattr(op, "channels", [op])
+        size = max(part.matrix.nbytes for part in parts)
         monkeypatch.setattr(qz, "physical_memory", lambda: 2 * size - 1)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError) as err:
-                op.eigenpairs(window=(0.5, 1.5))
+                parts[0].eigenpairs(window=(0.5, 1.5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert err.value.required == admitted * size and peak < 0.1 * size
-        assert all(part._matrix is not None for part in (op.channels if split else [op]))
+        assert err.value.required == 2 * size and peak < 0.1 * size
+        assert all(part._matrix is not None for part in parts)
         assert op.eigenvalues().size == op.dim
 
     def test_pairs_of_a_passed_array_admit_its_copy(self, monkeypatch, rng):
@@ -524,18 +528,14 @@ class TestMemoryAdmission:
     # are resident before the peak is read.  With the upper triangle held
     # alone, the growth read 0.64-0.77 matrices for the spectrum and
     # 2.64-2.76 for the dense pairs, and 1.71-1.80 with the eigenvectors
-    # returned as a view of the rows LAPACK wrote, with no copy.  The split
-    # pairs read 1.77-1.81 matrices with the channel gather, and 3.54-3.60
-    # stacks of the channel blocks (1.77-1.80 matrices) with the blocks
-    # alone, as with each block assembled for its own solve (3.53-3.60), and
-    # 3.15-3.23 with no copy of each channel's vectors: the merged
-    # (dim, dim) array and the per-channel vectors set that peak, and the
-    # bound is the four stacks admitted
+    # returned as a view of the rows LAPACK wrote, with no copy.  A split
+    # operator's pairs are its channels' own, each solved on its M x M block
+    # alone, which is what the split pairs hold
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128], ids=["dim1844", "dim3688"])
     @pytest.mark.parametrize("name,request_,admitted", [
         ("reference", "eigenvalues", 1),
         ("reference", "eigenpairs", 2),
-        ("conical_crossing", "eigenpairs", 4),
+        ("conical_crossing", "channels[0].eigenpairs", 2),
     ], ids=["values", "dense-pairs", "split-pairs"])
     def test_growth_within_the_admitted_bytes(self, h, name, request_, admitted):
         code = PEAK_RSS_SOURCE + (
@@ -548,32 +548,33 @@ class TestMemoryAdmission:
             f"op = build_schrodinger(model_potential({name!r}), grid)\n"
             f"op.{request_}()\n"
             "grown = peak_rss() - before\n"
-            "print(op.dim, op.matrix.nbytes, grown)\n"
+            "print(op.dim, getattr(op, 'channels', [op])[0].matrix.nbytes, grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         dim, size, grown = map(int, proc.stdout.split())
         assert dim == {1 / 64: 1844, 1 / 128: 3688}[h]
-        assert size == 8 * dim * dim // {"reference": 1, "conical_crossing": 2}[name]
+        assert size == 8 * dim * dim // {"reference": 1, "conical_crossing": 4}[name]
         assert grown <= admitted * size + 4e6
 
     def test_analytic_operator_checked_where_it_allocates(self, monkeypatch):
-        # a values-only read and a few columns fit; the matrix (8 M^2 bytes)
-        # and all plane-wave vectors (16 M^2 bytes, a block of phases and as
-        # much again for numpy's buffers) do not
+        # a values-only read fits a host below one matrix (8 M^2 bytes); the
+        # matrix does not, and the pairs, a solve of that matrix, are refused
+        # at its assembly.  A host of two matrices holds a windowed solve
         g = small_grid(h=1 / 64, tau_max=2.0)
         monkeypatch.setattr(qz, "physical_memory", lambda: 8 * g.M * g.M - 1)
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
         assert op.eigenvalues().size == g.M
         vals = op.eigenvalues()
-        assert op.eigenpairs(window=(0.0, vals[1]))[1].shape == (g.M, 2)
-        with pytest.raises(MemoryBudgetError) as err:
-            op.matrix
-        assert err.value.required == 8 * g.M * g.M
-        with pytest.raises(MemoryBudgetError) as err:
-            op.eigenpairs()
-        assert err.value.required == 16 * g.M * g.M + 32 * qz._ROW_BLOCK
+        for request in (lambda: op.matrix, lambda: op.eigenpairs(window=(0.0, vals[1]))):
+            with pytest.raises(MemoryBudgetError) as err:
+                request()
+            assert err.value.required == 8 * g.M * g.M
         assert op._matrix is None and op._vectors is None
+        monkeypatch.setattr(qz, "physical_memory", lambda: 16 * g.M * g.M)
+        window = (0.5 * (vals[0] + vals[1]), 0.5 * (vals[2] + vals[3]))
+        assert op.eigenpairs(window=window)[1].shape == (g.M, 2)
+        assert op._matrix is None
 
     def test_cutoff_admitted_before_assembly(self, monkeypatch):
         # weyl_quantize checks the margins alone; the first read of .matrix
@@ -598,30 +599,6 @@ class TestMemoryAdmission:
         assert err.value.required == 16 * g.M * g.M
         monkeypatch.setattr(qz, "physical_memory", lambda: 16 * g.M * g.M)
         assert weyl_quantize(chi, g).matrix.dtype == complex
-
-    def test_plane_wave_admission_bounds_the_read(self, monkeypatch):
-        # thm1's h = 1/128: 370 columns of the window of its f, whose bytes
-        # are admitted once before they are formed
-        g = qz.grid_for(1 / 128, 6.0, 2.56, 8192)
-        op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
-        op.eigenvalues()
-        admitted = []
-        admit = qz._admit
-
-        def spy(required, label, what):
-            admitted.append(required)
-            admit(required, label, what)
-
-        monkeypatch.setattr(qz, "_admit", spy)
-        tracemalloc.start()
-        try:
-            vals, vecs = op.eigenpairs(window=(0.3, 1.7))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert vecs.shape == (g.M, 370)
-        assert admitted == [16 * 370 * g.M + 32 * qz._ROW_BLOCK]
-        assert vecs.nbytes < peak <= admitted[0]
 
 
 class TestGridOperatorChecks:
@@ -798,9 +775,11 @@ class TestDenseSolve:
     def test_solve_takes_the_held_view(self, monkeypatch, v, m, solve):
         # the solve gets the assembled rows with their leading dimension, not
         # a contiguous copy that would make every page resident; a split
-        # operator's channels each solve the block they hold
+        # operator's channels each solve the block they hold, for its values
+        # and for their own pairs
         op = build_schrodinger(v, small_grid(h=0.25, M=m))
-        held = [part.matrix for part in getattr(op, "channels", [op])]
+        parts = getattr(op, "channels", [op])
+        held = [part.matrix for part in parts]
         assert all(mat.strides[0] > mat.shape[1] * mat.itemsize for mat in held)
         seen = []
 
@@ -813,7 +792,8 @@ class TestDenseSolve:
 
         monkeypatch.setattr(qz, "_evd", spy(qz._evd))
         monkeypatch.setattr(qz, "_evr", spy(qz._evr))
-        getattr(op, solve)()
+        for target in (parts if solve == "eigenpairs" else [op]):
+            getattr(target, solve)()
         assert seen == [True] * len(held)
 
     def test_refuses_what_it_cannot_overwrite(self, rng):
@@ -894,12 +874,15 @@ class TestWindowedSolve:
             return build_schrodinger(v, g)
 
         dim = make().dim
-        vals, vecs = make().eigenpairs(window=(1e6, 2e6))
+        vals, vecs = solved_pairs(make(), (1e6, 2e6))
         assert vals.shape == (0,) and vecs.shape == (dim, 0)
         full = full_matrix(make())
         expect_vals = np.linalg.eigvalsh(full)
         # the default window is the whole line
-        for whole_vals, whole_vecs in (make().eigenpairs(window=WHOLE), make().eigenpairs()):
+        whole = [solved_pairs(make(), WHOLE)]
+        if kind != "split":
+            whole.append(make().eigenpairs())
+        for whole_vals, whole_vecs in whole:
             assert whole_vecs.shape == (dim, dim)
             scale = np.max(np.abs(expect_vals))
             assert np.max(np.abs(whole_vals - expect_vals)) <= 1e-12 * scale
@@ -915,7 +898,7 @@ class TestWindowedSolve:
         lo, hi = self.gap_window(expect_vals, 10, 61)  # conical_crossing's pairs split here
         op = build_schrodinger(v, g)
         calls = counted(monkeypatch)
-        vals, vecs = op.eigenpairs(window=(lo, hi))
+        vals, vecs = merged_split_pairs(op, (lo, hi))
         assert calls == [((g.M, g.M), (lo, hi))] * v.N
         assert all(channel._matrix is None for channel in op.channels)
         scale = np.max(np.abs(expect_vals))
@@ -926,16 +909,23 @@ class TestWindowedSolve:
         support = np.any(vecs.reshape(g.M, v.N, -1) != 0, axis=0)
         assert np.array_equal(support.sum(axis=0), np.ones(vals.size))
 
-    def test_analytic_forms_the_window_plane_waves(self, monkeypatch):
-        g = small_grid(h=1 / 16, tau_max=2.0)
-        op = build_schrodinger(model_potential("constant", v_inf=[0.0, 0.3], N=2), g)
-        calls = counted(monkeypatch)
-        vals, vecs = op.eigenpairs(window=(0.5, 1.5))
-        raw, order = op._analytic_order()
-        keep = (raw[order] > 0.5) & (raw[order] <= 1.5)
-        assert calls == [] and op._matrix is None
-        assert np.array_equal(vals, raw[order][keep])
-        assert np.array_equal(vecs, op._plane_waves(order[keep]))
+    @pytest.mark.parametrize("at_a_value", [True, False], ids=["point", "reversed"])
+    def test_empty_window_solves_nothing(self, monkeypatch, capfd, at_a_value):
+        # (x, x] at an eigenvalue and (2, 1] hold no value: 0 pairs, with no
+        # LAPACK call (whose ?syevr refuses vu <= vl, and prints so), and the
+        # held matrix stays held
+        g = grid_for(1 / 8, 12.0, 3.24, 8192)
+        v = model_potential("reference")
+        x = build_schrodinger(v, g).eigenvalues()[7]
+        window = (x, x) if at_a_value else (2.0, 1.0)
+        op = build_schrodinger(v, g)
+        lapack = []
+        monkeypatch.setattr(qz, "_lapack_call", lambda *args: lapack.append(args))
+        vals, vecs = op.eigenpairs(window=window)
+        assert vals.shape == (0,) and vecs.shape == (op.dim, 0)
+        assert lapack == [] and op._matrix is not None
+        out, err = capfd.readouterr()
+        assert "On entry to" not in out + err
 
 
 class TestMatrixOwnership:
@@ -955,7 +945,8 @@ class TestMatrixOwnership:
         split = isinstance(op, qz.SplitOperator)
         parts = op.channels if split else (op,)
         assert all((part._matrix is None) == split for part in parts)
-        getattr(op, solve)()
+        for target in (parts if solve == "eigenpairs" else [op]):
+            getattr(target, solve)()
         assert all(part._matrix is None for part in parts)
         for c, part in enumerate(parts):
             own = samples[:, c:c + 1, c:c + 1] if split else samples
@@ -964,7 +955,6 @@ class TestMatrixOwnership:
         if split:
             assert [(part.N, part.label) for part in parts] == [
                 (1, f"{op.label}[{c}]") for c in range(op.N)]
-            assert np.array_equal(op.matrix, np.stack([part.matrix for part in parts]))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_passed_array_unchanged(self, rng, kind):
@@ -993,7 +983,7 @@ class TestMatrixOwnership:
             return solve(a, lo, hi)
 
         monkeypatch.setattr(qz, "_evr", spy)
-        op.eigenpairs()
+        merged_split_pairs(op)
         assert held == [[False, False]] * 2
 
 
@@ -1372,11 +1362,17 @@ class TestSmoothedTrace:
         # sums run over many blocks.
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 3 * g.M)
-        op = build_schrodinger(model_potential(kind, **params), g)
+        v = model_potential(kind, **params)
+        op = build_schrodinger(v, g)
         a = weyl_quantize(CHI, g)
-        lam, vecs = op.eigenpairs()
-        if kind == "analytic_complex":
-            assert op._analytic is not None and np.iscomplexobj(vecs)
+        assert (op._analytic is not None) == (kind == "constant")
+        if kind == "constant":
+            # the analytic spectrum's plane waves: complex columns on 2 channels
+            raw, order = op._analytic_order()
+            lam, vecs = raw[order], plane_waves(v, g, order)
+            assert op.N == 2 and np.iscomplexobj(vecs)
+        else:
+            lam, vecs = op.eigenpairs()
         if op.N == 1:
             full = np.einsum("ij,ij->j", vecs.conj(), a.matrix @ vecs)
         else:
@@ -1426,15 +1422,15 @@ class TestSmoothedTrace:
     def test_split_trace_holds_one_block_at_a_time(self, monkeypatch, v):
         # a split operator's trace solves its channels in turn: each assembly
         # is one M x M block, never the (N, M, M) stack, and block c and its
-        # eigenvectors are freed before block c + 1 is assembled.  The split
-        # operator's own eigenpairs and matrix are never read, and the trace
-        # is the bits of the one formed from its merged eigenpairs
+        # eigenvectors are freed before block c + 1 is assembled.  The trace
+        # is the bits of the one formed from the channels' pairs merged into
+        # one (dim, k) array
         g = small_grid(h=1 / 16, tau_max=2.0)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = np.linspace(0.9, 1.1, 5)
         a = weyl_quantize(CHI, g)
-        lam, vecs = build_schrodinger(v, g).eigenpairs(window=f.support)
+        lam, vecs = merged_split_pairs(build_schrodinger(v, g), f.support)
         cols = np.flatnonzero(f(lam))
         weights = f(lam)[cols] * qz._cutoff_diagonal(a, vecs, cols)
         expect = fourier_window(w, g.h, taus[:, None] - lam[cols][None, :]) @ weights
@@ -1454,12 +1450,8 @@ class TestSmoothedTrace:
             freed.append(weakref.ref(vectors))
             return vals, vectors
 
-        def refused(*args, **kwargs):
-            raise AssertionError("the split operator's merged eigenpairs were formed")
-
         monkeypatch.setattr(qz, "_assemble_schrodinger", assemble_spy)
         monkeypatch.setattr(qz, "_evr", solve_spy)
-        monkeypatch.setattr(qz.SplitOperator, "eigenpairs", refused)
         h_op = build_schrodinger(v, g)
         assert isinstance(h_op, qz.SplitOperator)
         assert np.array_equal(smoothed_trace(a, h_op, f, w, taus), expect)
@@ -1642,15 +1634,27 @@ class TestRowBlockDiagonal:
         model_potential("constant", v_inf=[0.0, 0.3], N=2),
     ], ids=["N1", "N2-complex"])
     def test_held_matrix_read_in_slices(self, monkeypatch, v, symbol):
+        # the constant potential's columns are its complex plane waves, read
+        # in their C order and through the C-ordered copy of a column-major
+        # copy of them
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
         a = weyl_quantize(symbol, g)
         assert all(rows.base is a.matrix for _, rows in a._row_blocks())
-        lam, vecs = build_schrodinger(v, g).eigenpairs()
+        op = build_schrodinger(v, g)
+        if op._analytic is None:
+            lam, vecs = op.eigenpairs()
+            layouts = [vecs]
+        else:
+            raw, order = op._analytic_order()
+            lam, vecs = raw[order], plane_waves(v, g, order)
+            assert np.iscomplexobj(vecs)
+            layouts = [vecs, np.asfortranarray(vecs)]
         expect = self.dense_diagonal(a.matrix, vecs, v.N)
-        for cols in self.subsets(lam.size):
-            got = qz._cutoff_diagonal(a, vecs, cols)
-            assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
+        for u in layouts:
+            for cols in self.subsets(lam.size):
+                got = qz._cutoff_diagonal(a, u, cols)
+                assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("k", [Bump1D(0, 1.2), Bump1D(0.3, 1.0)], ids=["even", "shifted"])
@@ -1675,11 +1679,11 @@ class TestPlaneWaveDiagonal:
     1e-13 of its largest value, and no plane wave is formed."""
 
     @staticmethod
-    def plane_wave_trace(a, op, f, w, taus):
+    def plane_wave_trace(a, v, op, f, w, taus):
         """The trace from every plane wave and the dense matrix of ``a``."""
         vals, order = op._analytic_order()
         lam = vals[order]
-        uv = op._plane_waves(order).reshape(op.grid.M, op.N, -1)
+        uv = plane_waves(v, op.grid, order).reshape(op.grid.M, op.N, -1)
         diag = np.einsum("mnk,mnk->k", uv.conj(),
                          np.tensordot(a.matrix, uv, axes=([1], [0])))
         return fourier_window(w, op.grid.h, taus[:, None] - lam[None, :]) @ (qz._f_values(f, lam)
@@ -1702,13 +1706,13 @@ class TestPlaneWaveDiagonal:
         v = {"free": model_potential("constant", v_inf=0.0, N=1),
              "coupled": TestEigenvectorColumns.COUPLED_POTENTIAL}[v]
         taus = np.array([0.9, 1.0, 1.1])
-        expect = self.plane_wave_trace(weyl_quantize(cutoff, g), build_schrodinger(v, g), f, w,
+        expect = self.plane_wave_trace(weyl_quantize(cutoff, g), v, build_schrodinger(v, g), f, w,
                                        taus)
 
-        def refused(*args):
-            raise AssertionError("a plane wave was formed")
+        def refused(*args, **kwargs):
+            raise AssertionError("an eigenvector was formed")
 
-        monkeypatch.setattr(GridOperator, "_plane_waves", refused)
+        monkeypatch.setattr(GridOperator, "eigenpairs", refused)
         calls = counted(monkeypatch)
         a, op = weyl_quantize(cutoff, g), build_schrodinger(v, g)
         got = smoothed_trace(a, op, f, w, taus)
@@ -1719,17 +1723,23 @@ class TestPlaneWaveDiagonal:
         else:
             assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
-    def test_channel_cutoff(self, rng):
-        # an N-channel A's lag sums of each channel pair, contracted with
-        # the channel vectors of the coupled constant potential
-        g = small_grid(h=0.25)
-        op = build_schrodinger(TestEigenvectorColumns.COUPLED_POTENTIAL, g)
-        a = GridOperator(grid=g, N=2, matrix=random_hermitian(rng, op.dim))
-        vals, flat = op._analytic_pairs(-math.inf, math.inf)
-        vecs = op._plane_waves(flat)
-        expect = np.einsum("ij,ij->j", vecs.conj(), a.matrix @ vecs)
-        got = qz._plane_wave_diagonal(a, op, flat)
-        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    def test_channel_cutoff(self, monkeypatch, rng):
+        # a cutoff is one-channel: an N = 2 one is refused before anything is
+        # assembled or solved, on the coupled constant potential, whose
+        # spectrum is analytic, and on a split one, whose channels assemble
+        # their blocks when they are solved
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        ops = [build_schrodinger(v, g) for v in (TestEigenvectorColumns.COUPLED_POTENTIAL,
+                                                  DIAGONAL_2)]
+        a = GridOperator(grid=g, N=2, matrix=random_hermitian(rng, 2 * g.M))
+        assembled = []
+        monkeypatch.setattr(qz, "_assemble_schrodinger", lambda *args: assembled.append(args))
+        calls = counted(monkeypatch)
+        for op in ops:
+            with pytest.raises(GridMismatchError, match="2 channels"):
+                smoothed_trace(a, op, bump_test_function((0.5, 1.5)), WindowTheta(), 1.0)
+        assert assembled == [] and calls == []
+        assert isinstance(ops[1], qz.SplitOperator) and ops[0]._analytic is not None
 
     def test_step_growth_in_a_fresh_process(self):
         # thm1's perfbench step at h = 1/128 (M = 1566), after the same step
