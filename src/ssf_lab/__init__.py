@@ -23,16 +23,9 @@ from .microhyperbolicity import (
     EscapeCertificate,
     MicrohyperbolicityCertificate,
     boundary_value_extrapolate,
-    check_definition,
     check_on_energy_shell,
-    check_pointwise,
-    crossing_condition,
     escape_check_dilation,
     escape_check_general,
-    extend_to_global,
-    find_direction,
-    flatten_symbol,
-    linearized_block_symbol,
 )
 from .quantization import (
     Grid1D,
@@ -52,7 +45,6 @@ from .ssf import (
     build_pair,
     derivative_check,
     mollified_density_pairing,
-    ssf_counting,
     ssf_mollified,
     weak_check,
     weak_pairing,
@@ -62,7 +54,6 @@ from .symbols import (
     EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
-    hermitian_eigen,
     model_potential,
     schrodinger_symbol,
 )

@@ -14,21 +14,13 @@ import numpy as np
 from .symbols import _row
 
 __all__ = [
-    "smootherstep",
     "transition",
     "bump_profile",
-    "radial_cutoff",
     "Bump1D",
     "ProductCutoff",
     "ScalarPhaseFunction",
     "dilation_generator",
 ]
-
-
-def smootherstep(t):
-    """Order-7 polynomial step: 0 for t<=0, 1 for t>=1, C^3 across the joins."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
 def _phi(u):
@@ -56,12 +48,6 @@ def bump_profile(u):
     ui = u[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
     return out
-
-
-def radial_cutoff(r):
-    """Radial cutoff: 1 for r<=1, 0 for r>=2, polynomial smoothstep between."""
-    r = np.asarray(r, dtype=float)
-    return 1.0 - smootherstep(r - 1.0)
 
 
 @dataclass(frozen=True)

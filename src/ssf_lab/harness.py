@@ -23,6 +23,8 @@ the quantization module and are re-exported here.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -131,6 +133,25 @@ def _refuse_extra(what: str, block: dict, keys: tuple, prefix: str = "") -> None
         raise ConfigError(f"{what} takes {listed} only, not {extra}")
 
 
+def _number(value, key: str, integer: bool = False):
+    """The finite number at the config's ``key``, a float, or for ``integer``
+    an int that JSON spells as an integer; a ConfigError names the key for
+    anything else, a string, a bool, null, NaN or Infinity included."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'}, "
+                          f"got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _numbers(value, key: str, length: int | None = None) -> tuple:
+    """The list of numbers at the config's ``key``, of ``length`` entries where given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(f"{key} must be a list of {count}numbers, got {value!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
 def _block(doc: dict, name: str, keys: tuple) -> dict:
     """The config's ``name`` block; ConfigError naming every key outside ``keys``."""
     block = doc.get(name) or {}
@@ -156,14 +177,15 @@ def _spelled(spec: dict | None) -> dict | None:
     return {"kind": spec["kind"], "params": spec.get("params", {})} if spec else None
 
 
-def _grids_from(doc: dict, default_R: float) -> list[qz.Grid1D]:
-    """The grid of each h of the config's h_list, by ``qz.grid_for`` from the
-    grid block's R, tau_max and m_cap; tau_max is required."""
+def _grids_from(doc: dict, hs: tuple, default_R: float) -> list[qz.Grid1D]:
+    """The grid of each h of ``hs``, the config's h_list, by ``qz.grid_for``
+    from the grid block's R, tau_max and m_cap; tau_max is required."""
     g = _block(doc, "grid", ("R", "tau_max", "m_cap"))
     if g.get("tau_max") is None:
         raise ConfigError("grid needs tau_max, the top of the energies its grids resolve")
-    R, m_cap = float(g.get("R", default_R)), int(g.get("m_cap", 8192))
-    return [qz.grid_for(float(h), R, float(g["tau_max"]), m_cap) for h in doc["h_list"]]
+    R, tau_max = _number(g.get("R", default_R), "grid.R"), _number(g["tau_max"], "grid.tau_max")
+    m_cap = _number(g.get("m_cap", 8192), "grid.m_cap", integer=True)
+    return [qz.grid_for(h, R, tau_max, m_cap) for h in hs]
 
 
 # the variants whose checks read the even window alone
@@ -181,7 +203,8 @@ def _window_from(doc: dict, variant: str) -> qz.WindowTheta:
     if variant in _EVEN_WINDOW and kind != "bump_at_zero":
         raise ConfigError(f"{variant} needs window.kind 'bump_at_zero', got {kind!r}")
     try:
-        return qz.WindowTheta(kind=kind, eps=float(w.get("eps", 0.3 if thm1 else 0.25)))
+        return qz.WindowTheta(kind=kind, eps=_number(w.get("eps", 0.3 if thm1 else 0.25),
+                                                     "window.eps"))
     except ValueError as exc:
         raise ConfigError(f"bad window: {exc}") from exc
 
@@ -194,14 +217,14 @@ def _test_function_from(doc: dict) -> coeffs.TestFunction:
     if "plateau" in tf and kind != "plateau":
         raise ConfigError(f"test_function.plateau is read by the plateau kind alone, "
                           f"not by {kind!r}")
-    support = tuple(float(v) for v in tf.get("support", (1.8, 2.2)))
+    support = _numbers(tf.get("support", (1.8, 2.2)), "test_function.support")
     try:
         if kind == "bump":
             return coeffs.bump_test_function(support)
         if kind == "plateau":
             plateau = tf.get("plateau")
             return coeffs.plateau_test_function(
-                support, None if plateau is None else tuple(float(v) for v in plateau)
+                support, None if plateau is None else _numbers(plateau, "test_function.plateau")
             )
         if kind == "raised_cosine":
             return coeffs.raised_cosine_test_function(support)
@@ -216,16 +239,17 @@ def _cutoff_from(doc: dict) -> ProductCutoff:
     def bump(axis: str) -> Bump1D:
         b = c.get(axis) or {}
         _refuse_extra(f"cutoff.{axis}", b, ("center", "halfwidth"), f"cutoff.{axis}.")
-        return Bump1D(center=float(b.get("center", 0.0)), halfwidth=float(b.get("halfwidth", 2.0)))
+        return Bump1D(center=_number(b.get("center", 0.0), f"cutoff.{axis}.center"),
+                      halfwidth=_number(b.get("halfwidth", 2.0), f"cutoff.{axis}.halfwidth"))
 
     return ProductCutoff(g=bump("x"), k=bump("xi"))
 
 
 def _tau_grid_from(doc: dict) -> np.ndarray:
     tg = _block(doc, "tau_grid", ("lo", "hi", "count"))
-    lo = float(tg.get("lo", 1.8))
-    hi = float(tg.get("hi", 2.2))
-    count = int(tg.get("count", 21))
+    lo = _number(tg.get("lo", 1.8), "tau_grid.lo")
+    hi = _number(tg.get("hi", 2.2), "tau_grid.hi")
+    count = _number(tg.get("count", 21), "tau_grid.count", integer=True)
     if not (hi > lo and count >= 2):
         raise ConfigError("tau_grid needs hi > lo and count >= 2")
     return np.linspace(lo, hi, count)
@@ -243,7 +267,8 @@ _CHECKS = {
 
 def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
     """The (kind, arguments) request of the experiment's certificate, its
-    check block's keys over the defaults of the kind and the experiment."""
+    check block's keys over the defaults of the kind and the experiment.  A
+    direction T must be 2n numbers, not all zero."""
     if experiment in ("check-mh", "trace"):
         kind = "shell"
     else:
@@ -255,15 +280,24 @@ def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
         chi = inputs["chi"]
         chk.update(box=[list(chi.x_support), list(chi.xi_support)], grid_points=41)
     chk.update(_block(doc, "check", tuple(_CHECKS[kind])))
-    args = {"tau0": inputs["tau0"], "grid_points": int(chk["grid_points"])}
+    args = {"tau0": inputs["tau0"],
+            "grid_points": _number(chk["grid_points"], "check.grid_points", integer=True)}
     if kind == "dilation":
-        return kind, dict(args, v=inputs["v"], x_range=tuple(chk["x_range"]))
-    box = chk["box"]
-    args.update(p=schrodinger_symbol(inputs["v"]), shell_tol=chk["shell_tol"],
-                box=(tuple(map(float, box[0])), tuple(map(float, box[1]))))
+        return kind, dict(args, v=inputs["v"], x_range=_numbers(chk["x_range"], "check.x_range", 2))
+    box, tol = chk["box"], chk["shell_tol"]
+    if not isinstance(box, (list, tuple)) or len(box) != 2:
+        raise ConfigError(f"check.box must be two [lo, hi] pairs, got {box!r}")
+    args.update(p=schrodinger_symbol(inputs["v"]),
+                shell_tol=None if tol is None else _number(tol, "check.shell_tol"),
+                box=tuple(_numbers(side, f"check.box[{i}]", 2) for i, side in enumerate(box)))
     if kind == "general":
         return kind, dict(args, g=dilation_generator(inputs["v"].n))
-    return kind, dict(args, T=None if chk["T"] is None else np.asarray(chk["T"], dtype=float))
+    if chk["T"] is None:
+        return kind, dict(args, T=None)
+    t = np.asarray(_numbers(chk["T"], "check.T", 2 * inputs["v"].n))
+    if not np.any(t):
+        raise ConfigError(f"check.T must not be zero, got {chk['T']!r}")
+    return kind, dict(args, T=t)
 
 
 def _certificate(request: tuple):
@@ -299,7 +333,7 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     if "h_list" in keys:
         if doc.get("h_list") is None:
             raise ConfigError(f"{experiment} needs an h_list")
-        hs = [float(h) for h in doc["h_list"]]
+        hs = _numbers(doc["h_list"], "h_list")
         if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
             raise ConfigError("h_list must be strictly decreasing")
         if any(h <= 0 for h in hs):
@@ -308,11 +342,12 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
         # the decay variants' verdicts read the fitted order alone
         thresholds = _block(doc, "thresholds", ("order",) if kind in ("thm1", "thm2")
                             else ("order", "rel"))
-        inputs["limits"] = {f"{key}_threshold": float(val) for key, val in thresholds.items()}
-        inputs["grids"] = _grids_from(doc, default_R=6.0 if experiment == "trace" else 8.0)
+        inputs["limits"] = {f"{key}_threshold": _number(val, f"thresholds.{key}")
+                            for key, val in thresholds.items()}
+        inputs["grids"] = _grids_from(doc, hs, default_R=6.0 if experiment == "trace" else 8.0)
     if "tau0" in keys:
-        inputs["tau0"] = float(doc.get("tau0", 1.0 if experiment in ("check-mh", "trace")
-                                       else 2.0))
+        inputs["tau0"] = _number(doc.get("tau0", 1.0 if experiment in ("check-mh", "trace")
+                                         else 2.0), "tau0")
     if "window" in keys:
         inputs["window"] = _window_from(doc, kind)
     if "test_function" in keys:
@@ -320,7 +355,7 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     if "perturbation" in keys:
         inputs["v1"] = combine_potentials(inputs["v"],
                                           _model("perturbation", doc.get("perturbation")))
-        inputs["d_sep"] = float(doc.get("d_sep", 2.0))
+        inputs["d_sep"] = _number(doc.get("d_sep", 2.0), "d_sep")
     if "h_term" in keys:
         inputs["term"] = _model("h_term", doc["h_term"]) if doc.get("h_term") else None
         # the ssf configs of one run share their pairs where potential and h_term agree

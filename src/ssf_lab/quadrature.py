@@ -17,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "gauss_rule",
-    "fixed_gauss",
-    "adaptive_gauss",
     "adaptive_gauss_batch",
     "QuadratureError",
 ]
@@ -38,30 +36,6 @@ MAX_LIVE_PANELS = 65536
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
-
-
-def fixed_gauss(f, a: float, b: float, order: int = 40) -> float:
-    """Single-panel Gauss-Legendre; f must accept an array of nodes."""
-    nodes, weights = gauss_rule(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.sum(weights * np.asarray(f(mid + half * nodes))))
-
-
-def adaptive_gauss(
-    f,
-    a: float,
-    b: float,
-    atol: float = 1e-10,
-    max_depth: int = 48,
-    breakpoints=(),
-) -> float:
-    """Adaptive Gauss-Legendre of f(x) on [a, b]; optional interior breakpoints.
-
-    One interval of ``adaptive_gauss_batch`` at its default rtol; callers
-    with more than one integral should batch them instead.
-    """
-    return float(adaptive_gauss_batch(lambda owner, x: f(x), [a], [b], atol,
-                                      max_depth=max_depth, breakpoints=[breakpoints])[0])
 
 
 def adaptive_gauss_batch(f, a, b, atol: float = 1e-10, rtol: float = 1e-10,

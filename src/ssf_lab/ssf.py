@@ -51,7 +51,6 @@ __all__ = [
     "SpectralPair",
     "build_pair",
     "weak_pairing",
-    "ssf_counting",
     "ssf_mollified",
     "mollified_density_pairing",
     "weak_check",
@@ -107,15 +106,6 @@ def weak_pairing(pair: SpectralPair, f: TestFunction) -> float:
     s1 = float(np.sum(f(pair.lam1)))
     s0 = float(np.sum(f(pair.lam0)))
     return -(s1 - s0)
-
-
-def ssf_counting(pair: SpectralPair, tau) -> int | np.ndarray:
-    """Counting difference N1(tau) - N0(tau); ties count by multiplicity."""
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    n1 = np.searchsorted(pair.lam1, taus, side="right")
-    n0 = np.searchsorted(pair.lam0, taus, side="right")
-    out = (n1 - n0).astype(int)
-    return int(out[0]) if np.ndim(tau) == 0 else out
 
 
 def ssf_mollified(pair: SpectralPair, w: WindowTheta, tau):

@@ -34,7 +34,6 @@ __all__ = [
     "MatrixPotential",
     "MatrixSymbol",
     "require_hermitian",
-    "hermitian_eigen",
     "schrodinger_symbol",
     "shifted_symbol",
     "model_potential",
@@ -111,18 +110,6 @@ def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
         m = 0.5 * (a00 + a11)
         return np.stack([m - r, m + r], axis=-1).reshape(a.shape[:-1])
     return np.linalg.eigvalsh(a)
-
-
-def hermitian_eigen(a: np.ndarray) -> EigenBranchSet:
-    """Eigendecomposition with sorted real values and orthonormal vectors.
-
-    Rejects inputs whose asymmetry exceeds ``require_hermitian``'s
-    tolerance; ties in the spectrum are resolved by the (deterministic)
-    underlying LAPACK ordering.
-    """
-    sym = require_hermitian(a)
-    values, vectors = np.linalg.eigh(sym)
-    return EigenBranchSet(values=values, vectors=vectors)
 
 
 def _row(c, n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import mh_constructions as mhc
 import ssf_lab as sl
 from conftest import random_hermitian
 from ssf_lab.bumps import Bump1D, ProductCutoff
@@ -81,15 +82,15 @@ def test_criterion_1_microhyperbolicity_suite():
         n = int(rng.integers(2, 5))
         h, a, g = jet(n)
         # forward: any certificate must replay through the definition
-        cert = sl.check_pointwise(h, [0.0, 0.0], [1.0, 0.0])
+        cert = mhc.check_pointwise(h, [0.0, 0.0], [1.0, 0.0])
         if cert.valid:
-            slack = sl.check_definition(h, [0.0, 0.0], [1.0, 0.0], cert.C0, cert.C1)
+            slack = mhc.check_definition(h, [0.0, 0.0], [1.0, 0.0], cert.C0, cert.C1)
             assert slack >= -1e-10
             forward_checked += 1
         # converse: positive compensated slack forces kernel positivity
         c0_trial = float(rng.uniform(0.05, 1.0))
         for c1 in C1_LADDER:
-            if sl.check_definition(h, [0.0, 0.0], [1.0, 0.0], c0_trial, c1) > 0:
+            if mhc.check_definition(h, [0.0, 0.0], [1.0, 0.0], c0_trial, c1) > 0:
                 assert g[0, 0].real >= c0_trial - 1e-10
                 converse_checked += 1
                 break
@@ -97,12 +98,12 @@ def test_criterion_1_microhyperbolicity_suite():
 
     # conical crossing: refuted at the crossing level, certified away from it
     crossing = shifted_symbol(schrodinger_symbol(sl.model_potential("conical_crossing")), 0.0)
-    assert sl.find_direction(crossing, [0.0, 0.0]) is None
+    assert mhc.find_direction(crossing, [0.0, 0.0]) is None
     for phi in np.linspace(0, 2 * math.pi, 16, endpoint=False):
-        assert not sl.check_pointwise(crossing, [0.0, 0.0],
+        assert not mhc.check_pointwise(crossing, [0.0, 0.0],
                                       [math.cos(phi), math.sin(phi)]).valid
     off_level = shifted_symbol(schrodinger_symbol(sl.model_potential("conical_crossing")), 1.0)
-    cert1 = sl.check_pointwise(off_level, [0.0, 1.0], [0.0, -1.0])
+    cert1 = mhc.check_pointwise(off_level, [0.0, 1.0], [0.0, -1.0])
     assert cert1.valid and cert1.C0 == pytest.approx(1.0)
 
     # global extension: verification grids all-positive for the three cases
@@ -112,7 +113,7 @@ def test_criterion_1_microhyperbolicity_suite():
     free = shifted_symbol(schrodinger_symbol(sl.model_potential("constant", v_inf=0.0, N=1)), 1.0)
     worst = []
     for sym, rho0 in ((affine, [0.0, 1.0]), (free, [0.0, 1.0]), (off_level, [0.0, 1.0])):
-        _, rep = sl.extend_to_global(sym, rho0, [0.0, -1.0], 0.5)
+        _, rep = mhc.extend_to_global(sym, rho0, [0.0, -1.0], 0.5)
         assert rep.ok
         assert rep.grid_slacks.min() > 0 and rep.far_slacks.min() > 0
         worst.append(rep.worst_slack)
@@ -313,7 +314,7 @@ def test_criterion_8_degenerate_exactness():
     fp = sl.plateau_test_function((0.9, 1.9), (1.1, 1.7))
 
     ok_ssf = (sl.weak_pairing(pair, f) == 0.0
-              and sl.ssf_counting(pair, 1.3) == 0
+              and mhc.ssf_counting(pair, 1.3) == 0
               and sl.ssf_mollified(pair, w, 1.3) == 0.0
               and mollified_density_pairing(pair, fp, w, 1.4) == 0.0)
 

@@ -19,7 +19,7 @@ from ssf_lab.coefficients import (
     raised_cosine_test_function,
     sphere_volume,
 )
-from ssf_lab.quadrature import QuadratureError, adaptive_gauss, gauss_rule
+from ssf_lab.quadrature import QuadratureError, adaptive_gauss_batch, gauss_rule
 from ssf_lab.symbols import (
     MatrixPotential,
     model_potential,
@@ -223,7 +223,7 @@ class TestLocalizedDensity:
     def test_closed_form_free_symbol(self):
         v = model_potential("constant", v_inf=0.0, N=1)
         out = gamma0_localized(v, self.CHI, 1.0)
-        ig = adaptive_gauss(lambda x: self.CHI.g(x), -2, 2, atol=1e-13)
+        ig, = adaptive_gauss_batch(lambda owner, x: self.CHI.g(x), [-2], [2], atol=1e-13)
         oracle = ig * (self.CHI.k(1.0) + self.CHI.k(-1.0)) / (2.0 * math.sqrt(1.0))
         assert out == pytest.approx(oracle, rel=1e-5)
 

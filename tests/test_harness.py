@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from mh_constructions import hermitian_eigen
 from ssf_lab import cli
 from ssf_lab import microhyperbolicity as mh
 from ssf_lab import quantization as qz
@@ -21,7 +22,7 @@ from ssf_lab.harness import (
     run,
 )
 from ssf_lab.microhyperbolicity import escape_check_dilation
-from ssf_lab.symbols import combine_potentials, hermitian_eigen, model_potential
+from ssf_lab.symbols import combine_potentials, model_potential
 
 
 # the free symbol has no energy shell below 0, so the general escape check
@@ -752,6 +753,74 @@ class TestRefusedBeforeSolve:
         prefix = "config error: " if error is ConfigError else f"error: {error.__name__}: "
         err = capsys.readouterr().err
         assert err.startswith(prefix) and re.search(named, err)
+        assert not (tmp_path / "o").exists()
+
+    # every number a config gives is read by one reader: an integer key takes
+    # a JSON integer alone, a number key no string, bool, null, NaN or
+    # Infinity, and each refusal names its key
+    @pytest.mark.parametrize("name,key,value,named", [
+        ("ssf_weyl_reference", "tau_grid.count", 40.9, "tau_grid.count must be an integer"),
+        ("ssf_weyl_reference", "tau_grid.count", 41.0, "tau_grid.count must be an integer"),
+        ("coeffs_reference", "tau_grid.count", True, "tau_grid.count must be an integer"),
+        ("check_mh_crossing", "check.grid_points", 30.7, "check.grid_points must be an integer"),
+        ("check_escape_reference", "check.grid_points", "2001",
+         "check.grid_points must be an integer"),
+        ("ssf_weak_reference", "grid.m_cap", "8192", "grid.m_cap must be an integer"),
+        ("ssf_weak_reference", "h_list.0", "0.0625", r"h_list\[0\] must be a finite number"),
+        ("ssf_weak_reference", "h_list", 0.0625, "h_list must be a list"),
+        ("coeffs_reference", "tau_grid.lo", "one", "tau_grid.lo must be a finite number"),
+        ("ssf_weyl_reference", "tau_grid.hi", "2.2", "tau_grid.hi must be a finite number"),
+        ("trace_thm3_crossing", "tau0", None, "tau0 must be a finite number"),
+        ("trace_thm2_locality", "d_sep", "2", "d_sep must be a finite number"),
+        ("trace_thm1_free", "grid.R", True, "grid.R must be a finite number"),
+        ("ssf_weak_reference", "grid.tau_max", "3.24", "grid.tau_max must be a finite number"),
+        ("ssf_weyl_reference", "window.eps", None, "window.eps must be a finite number"),
+        ("ssf_weak_reference", "test_function.support.1", "2.2",
+         r"test_function.support\[1\] must be a finite number"),
+        ("ssf_derivative_reference", "test_function.plateau.0", None,
+         r"test_function.plateau\[0\] must be a finite number"),
+        ("trace_thm3_crossing", "cutoff.x.center", "0", "cutoff.x.center must be a finite number"),
+        ("trace_thm3_crossing", "cutoff.xi.halfwidth", False,
+         "cutoff.xi.halfwidth must be a finite number"),
+        ("ssf_weak_reference", "thresholds.rel", "0.03", "thresholds.rel must be a finite number"),
+        ("check_mh_crossing", "check.box.0.1", "2", r"check.box\[0\]\[1\] must be a finite number"),
+        ("check_mh_crossing", "check.box", [[-2.0, 2.0]], "check.box must be two"),
+        ("check_escape_reference", "check.x_range.0", None,
+         r"check.x_range\[0\] must be a finite number"),
+        ("check_mh_crossing", "check.shell_tol", "0.1", "check.shell_tol must be a finite number"),
+        ("check_mh_crossing", "tau0", math.nan, "tau0 must be a finite number"),
+        ("ssf_weak_reference", "grid.tau_max", math.inf, "grid.tau_max must be a finite number"),
+    ])
+    def test_number_refused_at_ingest(self, tmp_path, no_assembly, name, key, value, named):
+        doc = _config(name, out=str(tmp_path / "o"))
+        *path, last = key.split(".")
+        target = doc
+        for part in path:
+            target = target[int(part) if isinstance(target, list) else part]
+        target[int(last) if isinstance(target, list) else last] = value
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, named)
+
+    @pytest.mark.parametrize("T,named", [
+        ([0, 0], "check.T must not be zero"),
+        ([0.0, 1.0, 0.0], "check.T must be a list of 2 numbers"),
+        ([math.inf, 1.0], r"check.T\[0\] must be a finite number"),
+        (["1", 0.0], r"check.T\[0\] must be a finite number"),
+    ], ids=["zero", "length", "infinite", "string"])
+    def test_direction_refused_at_ingest(self, tmp_path, no_assembly, capsys, T, named):
+        # a bad direction in the second child is refused before the first
+        # (coeffs, which no_assembly does not stop) writes its report
+        coeffs = _config("sweep_quick")["experiments"][2]
+        check_mh = {k: v for k, v in _config("check_mh_crossing").items()
+                    if k not in ("schema_version", "out")}
+        check_mh["check"] = dict(check_mh["check"], T=T)
+        doc = {"schema_version": 1, "experiment": "sweep", "experiments": [coeffs, check_mh],
+               "out": str(tmp_path / "o")}
+        with pytest.raises(ConfigError, match=named):
+            run(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        assert re.search(named, capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
 

@@ -7,38 +7,40 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import random_hermitian
+from mh_constructions import (
+    KernelSplitError,
+    check_definition,
+    check_pointwise,
+    crossing_condition,
+    directional_derivative,
+    extend_to_global,
+    find_direction,
+    flatten_symbol,
+    hermitian_eigen,
+    linearized_block_symbol,
+)
 from ssf_lab.bumps import Bump1D, ProductCutoff, ScalarPhaseFunction, dilation_generator
 from ssf_lab.microhyperbolicity import (
     C1_LADDER,
     Direction,
     EscapeCertificate,
-    KernelSplitError,
     _kernel_compression,
     _min_eigs,
     boundary_value_extrapolate,
-    check_definition,
     check_on_energy_shell,
-    check_pointwise,
-    crossing_condition,
     default_kernel_tol,
     default_shell_tol,
-    directional_derivative,
     escape_check_dilation,
     escape_check_general,
-    extend_to_global,
-    find_direction,
-    flatten_symbol,
-    linearized_block_symbol,
     shell_sample,
 )
-from ssf_lab.quadrature import adaptive_gauss
+from ssf_lab.quadrature import adaptive_gauss_batch
 from ssf_lab.symbols import (
     SIGMA1,
     SIGMA3,
     MatrixPotential,
     MatrixSymbol,
     NonHermitianError,
-    hermitian_eigen,
     model_potential,
     schrodinger_symbol,
     shifted_symbol,
@@ -565,7 +567,7 @@ class TestBoundaryValues:
         bp = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=+1, form="single")
         bm = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=-1, form="single")
         assert bp.converged and bm.converged
-        ig = adaptive_gauss(lambda x: self.CHI.g(x), -2, 2, atol=1e-13)
+        ig, = adaptive_gauss_batch(lambda owner, x: self.CHI.g(x), [-2], [2], atol=1e-13)
         density = ig * (self.CHI.k(1.0) + self.CHI.k(-1.0)) / 2.0
         diff = bp.value - bm.value
         assert abs(diff.real) < 1e-8
@@ -576,7 +578,7 @@ class TestBoundaryValues:
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
         bp = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=+1, form="sandwich")
         bm = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=-1, form="sandwich")
-        ig = adaptive_gauss(lambda x: self.CHI.g(x), -2, 2, atol=1e-13)
+        ig, = adaptive_gauss_batch(lambda owner, x: self.CHI.g(x), [-2], [2], atol=1e-13)
 
         def density(s):
             return ig * (self.CHI.k(math.sqrt(s)) + self.CHI.k(-math.sqrt(s))) / (2.0 * math.sqrt(s))

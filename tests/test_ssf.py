@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import PEAK_RSS_SOURCE, full_matrix
+from mh_constructions import ssf_counting
 from ssf_lab.coefficients import a0, bump_test_function, c0, plateau_test_function
 from ssf_lab.quantization import (
     ConfigError,
@@ -25,7 +26,6 @@ from ssf_lab.ssf import (
     WindowRangeError,
     build_pair,
     mollified_density_pairing,
-    ssf_counting,
     ssf_mollified,
     derivative_check,
     weak_check,

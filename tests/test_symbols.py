@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_hermitian
+from mh_constructions import hermitian_eigen
 from ssf_lab.symbols import (
     SIGMA1,
     SIGMA3,
@@ -13,7 +14,6 @@ from ssf_lab.symbols import (
     NonHermitianError,
     combine_potentials,
     fast_eigvalsh,
-    hermitian_eigen,
     model_potential,
     schrodinger_symbol,
     shifted_symbol,
