@@ -446,8 +446,7 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
             shared[inputs["share"]] = _certificate(inputs["certificate"])
         cert = shared[inputs["share"]]
     certificates = [] if cert is None else [cert.to_json_dict()]
-    # an empty shell certifies the hypothesis vacuously
-    if variant not in ("thm2", "weak") and not (cert.valid or getattr(cert, "empty_shell", False)):
+    if variant not in ("thm2", "weak") and not cert.certifies:
         return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
 
     if variant == "thm1":

@@ -53,6 +53,15 @@ _COARSE = 256  # coarse direction samples of the direction search
 _REFINE_STEPS = 40  # golden-section steps of the direction search
 
 
+def _finite_vector(v) -> np.ndarray:
+    """``v`` as a float vector; ValueError when a component is not finite,
+    whose norm no tolerance comparison would refuse."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"direction {v.tolist()} has a non-finite component")
+    return v
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector in phase space; components (x-part, xi-part)."""
@@ -60,7 +69,7 @@ class Direction:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.vec, dtype=float))
+        v = _finite_vector(self.vec)
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"direction norm {nrm} is not 1")
@@ -68,7 +77,7 @@ class Direction:
 
     @staticmethod
     def normalized(v) -> "Direction":
-        v = np.atleast_1d(np.asarray(v, dtype=float))
+        v = _finite_vector(v)
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -106,6 +115,12 @@ class MicrohyperbolicityCertificate:
     failures: list = field(default_factory=list)
     per_point_T: np.ndarray | None = None
 
+    @property
+    def certifies(self) -> bool:
+        """Whether the certificate carries the hypothesis: it is valid, or
+        the shell is empty, which certifies it vacuously."""
+        return self.valid or self.empty_shell
+
     def to_json_dict(self) -> dict:
         return {
             "tau0": self.tau0,
@@ -132,6 +147,11 @@ class EscapeCertificate:
     shell_tol: float
     failures: list = field(default_factory=list)
     threshold_bound: float | None = None
+
+    @property
+    def certifies(self) -> bool:
+        """Whether the certificate carries the hypothesis: it is valid."""
+        return self.valid
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,8 +364,9 @@ def check_on_energy_shell(
 ) -> MicrohyperbolicityCertificate:
     """Check tau0 - p on the sampled energy shell, aggregating worst constants.
 
-    A direction ``T`` is checked at every shell point; without one each
-    point searches its own, recorded in ``per_point_T``.  The kernel
+    A direction ``T`` is checked at every shell point (a zero or
+    non-finite one is a ValueError before the shell is sampled); without
+    one each point searches its own, recorded in ``per_point_T``.  The kernel
     tolerance is the shell tolerance, so that branches within the
     sampling thickness of the shell count as near-kernel.  H, its
     gradient and its eigh at all shell points are each one stacked call
@@ -354,6 +375,7 @@ def check_on_energy_shell(
     if shell_tol is None:
         shell_tol = default_shell_tol(tau0)
     kernel_tol = shell_tol
+    t_fixed = _as_direction_vec(T) if T is not None else None
     h = shifted_symbol(p, tau0)
     pts = shell_sample(p, tau0, box, shell_tol, grid_points)
     if pts.size == 0:
@@ -367,7 +389,6 @@ def check_on_energy_shell(
     worst_margin = math.inf
     failures = []
     tvs = []
-    t_fixed = _as_direction_vec(T) if T is not None else None
     jets = _jets(h, pts, kernel_tol)
     if t_fixed is not None:
         directions = [t_fixed] * len(jets)

@@ -6,27 +6,26 @@ diagonal with symbol p^2 on the momentum window.  Energies are reliable up
 to tau_max = (pi h M / (2R))^2 / 4: the momentum window must cover twice
 the classical shell radius (the assembly-time coverage rule).
 
-Weyl quantization of a cutoff a(x, xi) produces the dense matrix
+Weyl quantization of a cutoff chi(x, xi) = g(x) k(xi) (a ``ProductCutoff``)
+is the matrix
 
-    A[i, j] = dx * (dp / 2 pi h) * sum_m exp(i d_ij p_m / h) a(mid_ij, p_m),
+    A[i, j] = dx * (dp / 2 pi h) * sum_m exp(i d_ij p_m / h) chi(mid_ij, p_m),
 
 with d_ij the minimal-image periodic difference and mid_ij the matching
-periodic midpoint (on the half-step grid).  For symbols of x alone the
-momentum sum is a discrete delta, evaluated in closed form, so
-multiplication operators are exactly diagonal.  A ``ProductCutoff``'s
-matrix is made a block of rows at a time, and assembled only when
-``.matrix`` is read.
+periodic midpoint (on the half-step grid).  ``weyl_quantize`` returns the
+cutoff as the source of A's rows, made a block at a time, and of its
+wrapped-diagonal sums; nothing makes the M x M array.
 
-A ``GridOperator`` answers its spectrum, from a values-only solve in
-place, or its eigenpairs in an energy window (lo, hi].  A Schrodinger
-operator holds only the triangle LAPACK reads, and one with uncoupled
-channels (``SplitOperator``) is solved a channel block at a time.  Each
-dense allocation admits its bytes against the host's memory where it is
-made (``MemoryBudgetError``).
+A ``GridOperator`` is a Schrodinger operator from ``build_schrodinger``,
+which holds only the triangle LAPACK reads.  It answers its spectrum, from
+a values-only solve in place, or its eigenpairs in an energy window (lo,
+hi].  One with uncoupled channels (``SplitOperator``) is solved a channel
+block at a time.  Each dense allocation admits its bytes against the
+host's memory where it is made (``MemoryBudgetError``).
 
 Smoothed traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over the
-eigenpairs with lambda_j in supp f, for a one-channel cutoff A that acts
-on each channel alike, with no cutoff assembled: on a constant potential
+eigenpairs with lambda_j in supp f, for a cutoff A that acts on each
+channel alike, with no cutoff assembled: on a constant potential
 <u_j, A u_j> is an FFT of A's wrapped-diagonal sums, else it is formed
 from A's rows a block at a time.  K(s) = (eps/h)
 Phi(eps s / h) is the scaled inverse Fourier transform of a window
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import inspect
 import math
 import mmap
 import os
@@ -207,40 +205,6 @@ def _kinetic_column(grid: Grid1D) -> np.ndarray:
     """
     r = np.fft.ifft(grid.momenta_fft_order**2).real
     return 0.5 * (r + np.roll(r[::-1], 1))
-
-
-_CHECK_TILE = 256  # side of the square tiles of the hermiticity check
-
-
-def _checked_hermitian(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """``matrix`` as float64 or complex128, made exactly hermitian; ValueError
-    when its shape does not match ``dim``, an entry is not finite, or its
-    hermiticity defect exceeds 1e-11 of its largest entry.  Defect and scale
-    are taken over square tiles, A[I, J] (I <= J) against A[J, I]^H, so no
-    temporary of the matrix's size is formed; the pairs cover every entry.
-    A matrix with no defect is returned as it is.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"matrix shape {matrix.shape} does not match grid")
-    matrix = matrix.astype(complex if matrix.dtype.kind == "c" else float, copy=False)
-    scales, defects = [], []
-    for lo in range(0, dim, _CHECK_TILE):
-        rows = slice(lo, lo + _CHECK_TILE)
-        for lo2 in range(lo, dim, _CHECK_TILE):
-            cols = slice(lo2, lo2 + _CHECK_TILE)
-            upper, lower = matrix[rows, cols], matrix[cols, rows]
-            scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
-            if not np.all(np.isfinite(scales[-2:])):
-                raise ValueError("matrix has a non-finite entry")
-            defects.append(np.max(np.abs(upper - lower.conj().T)))
-    scale = float(np.max(scales)) or 1.0
-    defect = float(np.max(defects))
-    if defect > 1e-11 * scale:
-        raise ValueError(f"relative hermiticity defect {defect/scale:.2e} too large")
-    if defect == 0.0:
-        return matrix
-    return _hermitian_parts(matrix)
 
 
 @functools.cache
@@ -416,30 +380,19 @@ def _evr(a: np.ndarray, lo: float, hi: float):
 
 
 class GridOperator:
-    """Dense hermitian operator on the grid, asked for its spectrum
-    (``eigenvalues``, solved once and cached) or the eigenpairs in a window
-    (``eigenpairs``, solved per call).  A ``matrix`` must match the grid, be
-    finite and be hermitian to 1e-11 relative; it is kept exactly
-    hermitian, as float64 or complex128.
+    """A Schrodinger operator from ``build_schrodinger``, asked for its
+    spectrum (``eigenvalues``, solved once and cached) or the eigenpairs in
+    a window (``eigenpairs``, solved per call).  Its matrix is the C-order
+    upper triangle of a (dim, dim) view, whose rows may have a page-aligned
+    leading dimension (``_zeros_in_small_pages``), as ``assemble`` writes
+    it; the other entries are 0.
 
-    Solves run LAPACK in place (``_evd``, ``_evr``).  An operator made with
-    an ``assemble`` callable gives its matrix to the solve and drops it; a
-    later ``.matrix`` assembles it again.  A cutoff (never solved) keeps its
-    matrix once read.  A caller's array is kept, and a copy of it solved.
-
-    With ``upper_only`` the operator holds the C-order upper triangle of a
-    (dim, dim) view, whose rows may have a page-aligned leading dimension
-    (``_zeros_in_small_pages``); solves take the view as it is, the
-    assembly is not checked (``build_schrodinger`` checks its inputs), and
-    ``smoothed_trace`` refuses it as a cutoff.  A cutoff has one channel:
-    ``_row_blocks`` and ``_lag_sums`` read the held matrix, or, while none
-    is held, the operator's ``rows`` source (a ``ProductCutoff``'s), so
-    that nothing is assembled.
-
-    Each allocation admits its bytes against the host's memory where it is
-    made (``MemoryBudgetError``): an assembly its matrix; a pairs solve two
-    matrices, the matrix and LAPACK's eigenvectors (k up to dim, returned
-    as a view with no copy), and a third for the copy of a caller's array.
+    Solves run LAPACK in place (``_evd``, ``_evr``) on the view as it is:
+    the operator gives its matrix to the solve and drops it, and a later
+    ``.matrix`` assembles it again.  Each allocation admits its bytes
+    against the host's memory where it is made (``MemoryBudgetError``): an
+    assembly its matrix, a pairs solve two matrices, the matrix and
+    LAPACK's eigenvectors (k up to dim, returned as a view with no copy).
 
     A constant potential's operator carries an ``analytic`` spectrum, the
     channel values that the squared momenta shift to its eigenvalues, and
@@ -452,19 +405,14 @@ class GridOperator:
     # perfbench's solve counter, which reads it to tell a solve from a hit
     _vectors = None
 
-    def __init__(self, grid: Grid1D, N: int, matrix: np.ndarray | None = None,
-                 label: str = "", *, assemble=None, analytic: np.ndarray | None = None,
-                 upper_only: bool = False, rows=None):
-        if (matrix is None) == (assemble is None):
-            raise ValueError("give exactly one of matrix and assemble")
+    def __init__(self, grid: Grid1D, N: int, label: str = "", *, assemble,
+                 analytic: np.ndarray | None = None):
         self.grid = grid
         self.N = N
         self.label = label
-        self.upper_only = upper_only
         self._analytic = analytic
-        self._rows = rows
         self._assemble = assemble
-        self._matrix = None if matrix is None else _checked_hermitian(matrix, self.dim)
+        self._matrix: np.ndarray | None = None
         self._values: np.ndarray | None = None
 
     @property
@@ -474,43 +422,16 @@ class GridOperator:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            mat = self._assemble()
-            self._matrix = mat if self.upper_only else _checked_hermitian(mat, self.dim)
+            self._matrix = self._assemble()
         return self._matrix
 
     def _solved(self) -> np.ndarray:
-        """What is solved on, in place: the held matrix, dropped since it can
-        be assembled again, or a copy of a caller's array.  A held view with
-        a leading dimension is handed over as it is; a contiguous copy of it
-        would make every page resident."""
+        """The held matrix, dropped since it can be assembled again, to be
+        solved on in place; a view with a leading dimension is handed over
+        as it is, since a contiguous copy would make every page resident."""
         mat = self.matrix
-        if self._assemble is None:
-            return mat.copy()
         self._matrix = None
         return mat
-
-    def _row_blocks(self):
-        """(lo, rows lo:lo + b of the matrix) for blocks of b rows, about
-        ``_WEYL_BLOCK`` entries each, in order."""
-        if self._matrix is None and self._rows is not None:
-            return self._rows.blocks()
-        mat = self.matrix
-        step = max(1, _WEYL_BLOCK // mat.shape[1])
-        return ((lo, mat[lo:lo + step]) for lo in range(0, mat.shape[0], step))
-
-    def _lag_sums(self) -> np.ndarray:
-        """The (M,) sums s[l] = sum_i A[i, (i - l) mod M] of a one-channel
-        matrix's wrapped diagonals: from the ``rows`` source while no matrix
-        is held, else binned from the held rows."""
-        if self._matrix is None and self._rows is not None:
-            return self._rows.lag_sums()
-        m = self.grid.M
-        sums = 0.0
-        for lo, rows in self._row_blocks():
-            lag = ((np.arange(lo, lo + len(rows))[:, None] - np.arange(m)) % m).ravel()
-            sums = sums + (np.bincount(lag, rows.real.ravel(), m)
-                           + 1j * np.bincount(lag, rows.imag.ravel(), m))
-        return sums
 
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
@@ -525,15 +446,13 @@ class GridOperator:
                    ) -> tuple[np.ndarray, np.ndarray]:
         """The k ascending eigenvalues in ``window`` = (lo, hi] and a (dim, k)
         array of their eigenvectors as columns, the whole spectrum by
-        default: ``_evr`` in place, after the admission of two matrices
-        (three for a caller's array, whose copy is solved).  An empty window,
-        hi <= lo, gives 0 values and a (dim, 0) array with nothing solved,
-        and a held matrix stays held."""
+        default: ``_evr`` in place, after the admission of two matrices.  An
+        empty window, hi <= lo, gives 0 values and a (dim, 0) array with
+        nothing solved, and a held matrix stays held."""
         lo, hi = window
         if not lo < hi:
             return np.zeros(0), np.zeros((self.dim, 0))
-        matrices = 2 + (self._assemble is None)
-        _admit(matrices * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
+        _admit(2 * self.matrix.nbytes, self.label, "the matrix and its eigenvectors")
         return _evr(self._solved(), lo, hi)
 
     # -- analytic spectrum for constant potentials ------------------------
@@ -651,13 +570,12 @@ def _admit(required: int, label: str, what: str) -> None:
 def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitOperator:
     """Kinetic circulant tensor identity plus block potential.
 
-    The operator holds the C-order upper triangle alone (``upper_only``),
-    in small pages of which only the triangle's become resident.  It is
-    assembled at once, except for a constant potential, which gets an
-    analytic spectrum and a matrix built when ``.matrix`` is read, and a
-    split one, whose off-diagonal samples are all 0: a ``SplitOperator`` of
-    N one-channel operators, each assembling its M x M block just before
-    its solve.
+    The operator holds the C-order upper triangle alone, in small pages of
+    which only the triangle's become resident.  It is assembled at once,
+    except for a constant potential, which gets an analytic spectrum and a
+    matrix built when ``.matrix`` is read, and a split one, whose
+    off-diagonal samples are all 0: a ``SplitOperator`` of N one-channel
+    operators, each assembling its M x M block just before its solve.
 
     The samples (V + V^H)/2 and the symmetrized kinetic column make the
     matrix exactly hermitian, so they are checked only to be finite
@@ -685,12 +603,11 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
         if v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)]):
             _admit(itemsize * grid.M**2, label, "a channel block")
             names = [f"{label}[{c}]" for c in range(v.N)]
-            channels = tuple(GridOperator(grid=grid, N=1, label=name, upper_only=True,
+            channels = tuple(GridOperator(grid=grid, N=1, label=name,
                                           assemble=assembler(samples[:, c:c + 1, c:c + 1], name))
                              for c, name in enumerate(names))
             return SplitOperator(grid, channels, label)
-        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
-                          upper_only=True)
+        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label))
         op.matrix  # assembled here, where the build is timed; the first solve takes it
         return op
 
@@ -701,12 +618,7 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
     else:
         channel_vals = np.linalg.eigvalsh(b0)
     return GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
-                        upper_only=True, analytic=channel_vals)
-
-
-def _index_tables(grid: Grid1D):
-    idx = np.arange(grid.M)
-    return _index_block(grid.M, idx, idx)
+                        analytic=channel_vals)
 
 
 def _index_block(m_pts: int, rows: np.ndarray, cols: np.ndarray):
@@ -721,74 +633,34 @@ def _index_block(m_pts: int, rows: np.ndarray, cols: np.ndarray):
     return delta, mid_idx, ambiguous
 
 
-_GENERAL_M_CAP = 2048  # the largest M of a general symbol's (2M, M) table
-
-
-def weyl_quantize(a, grid: Grid1D) -> GridOperator:
-    """Weyl quantization of a scalar phase-space symbol on the grid.
-
-    Accepted symbols: a number (multiple of the identity), a function of x
-    alone (multiplication operator; both through the closed-form discrete
-    delta, hence exact), a ``ProductCutoff`` g(x) k(xi) (separable fast
-    path), or a general callable a(x, xi) (table path, M capped for
-    memory).  A ``ProductCutoff``'s x-support must keep 2.0 clear of the
-    periodic seam at +-R, and its xi-support sit inside the momentum window.
-    It gets its rows (``_ProductRows``), which a trace reads, so it never
-    assembles its matrix; ``.matrix`` assembles it from the same rows after
-    admitting 8 M^2 bytes (16 M^2 if complex).
+def weyl_quantize(chi: ProductCutoff, grid: Grid1D) -> _ProductRows:
+    """Weyl quantization of the cutoff chi(x, xi) = g(x) k(xi) on the grid,
+    as the source of its matrix's rows and lag sums (``_ProductRows``),
+    which a trace reads: the M x M matrix is never made.  TypeError for
+    anything but a ``ProductCutoff``; SupportMarginError unless its
+    x-support keeps 2.0 clear of the periodic seam at +-R and its
+    xi-support sits inside the momentum window.
     """
-    m_pts = grid.M
-
-    if isinstance(a, (int, float)):
-        return GridOperator(grid=grid, N=1,
-                            matrix=float(a) * np.eye(m_pts), label=f"const({a})")
-
-    if isinstance(a, ProductCutoff):
-        _check_margins(a, grid)
-        label = "weyl(product)"
-        rows = _ProductRows(a, grid)
-
-        def assemble():
-            _admit(rows.dtype.itemsize * m_pts * m_pts, label, "the cutoff matrix")
-            return _product_matrix(rows)
-
-        return GridOperator(grid=grid, N=1, label=label, assemble=assemble, rows=rows)
-
-    if callable(a):
-        n_args = len(inspect.signature(a).parameters)
-        if n_args == 1:
-            return GridOperator(grid=grid, N=1,
-                                matrix=np.diag(np.asarray(a(grid.nodes), dtype=float)),
-                                label="weyl(multiplication)")
-        if m_pts > _GENERAL_M_CAP:
-            raise MemoryError(
-                f"general symbol table needs M <= {_GENERAL_M_CAP}; use a ProductCutoff"
-            )
-        amp = np.asarray(a(grid.half_nodes[:, None], grid.momenta_fft_order[None, :]),
-                         dtype=complex)
-        table = np.fft.ifft(amp, axis=1)
-        delta, mid_idx, ambiguous = _index_tables(grid)
-        mat = table[mid_idx, delta % m_pts]
-        if np.any(ambiguous):
-            other = table[(mid_idx + m_pts) % (2 * m_pts), delta % m_pts]
-            mat = np.where(ambiguous, 0.5 * (mat + other), mat)
-        return GridOperator(grid=grid, N=1, matrix=_hermitian_parts(mat), label="weyl(general)")
-
-    raise TypeError(f"cannot quantize object of type {type(a)!r}")
+    if not isinstance(chi, ProductCutoff):
+        raise TypeError(f"weyl_quantize takes a ProductCutoff, not {type(chi).__name__}")
+    _check_margins(chi, grid)
+    return _ProductRows(chi, grid)
 
 
-_WEYL_BLOCK = 1 << 16  # entries per block of rows of a matrix, made or read
+_WEYL_BLOCK = 1 << 16  # entries per block of a cutoff's rows
 
 
 class _ProductRows:
-    """The rows of the hermitized Weyl matrix (B + B^H) / 2 of g(x) k(xi),
-    with B[i, j] = g(mid_ij) kappa[delta_ij % M], a block of about
-    ``_WEYL_BLOCK`` entries at a time, so no M x M array is made.  The
-    midpoint index is symmetric in (i, j) and delta_ji = -delta_ij mod M
-    (the antipodal tie included), so row i of B^T is g(mid_ij)
-    kappa[-delta_ij % M]: every entry is the product the full B would hold.
-    ``g_and_ties`` holds g at the half-grid points and, for the antipodal
-    lag M/2 (``_index_block``), its averages with the values R away.
+    """The cutoff ``weyl_quantize`` makes on ``grid``: the rows of the
+    hermitized Weyl matrix (B + B^H) / 2 of g(x) k(xi), with B[i, j] =
+    g(mid_ij) kappa[delta_ij % M], a block of about ``_WEYL_BLOCK`` entries
+    at a time (``blocks``), and its lag sums (``lag_sums``), so no M x M
+    array is made.  The midpoint index is symmetric in (i, j) and delta_ji =
+    -delta_ij mod M (the antipodal tie included), so row i of B^T is
+    g(mid_ij) kappa[-delta_ij % M]: every entry is the product the full B
+    would hold.  ``g_and_ties`` holds g at the half-grid points and, for the
+    antipodal lag M/2 (``_index_block``), its averages with the values R
+    away.
 
     The matrix is real (``dtype``), made from the real parts of kappa alone,
     when its imaginary part is at most 1e-14 of its largest real entry (or
@@ -797,7 +669,10 @@ class _ProductRows:
     value of l's parity (the averages at l = M/2), so each part's largest
     entry is the largest over l of that part of kappa_l times that |g|."""
 
+    label = "weyl(product)"
+
     def __init__(self, chi: ProductCutoff, grid: Grid1D):
+        self.grid = grid
         m = grid.M
         kappa = np.fft.ifft(chi.k(grid.momenta_fft_order))
         kappa_rev = kappa[(-np.arange(m)) % m]
@@ -847,14 +722,6 @@ class _ProductRows:
         parity_sums = self.g_and_ties[:2 * m].reshape(m, 2).sum(axis=0)
         delta = (np.arange(m) + m // 2) % m - m // 2
         return parity_sums[delta % 2] * (0.5 * (self.kappa + self.kappa_rev.conj()))
-
-
-def _product_matrix(rows: _ProductRows) -> np.ndarray:
-    """The M x M matrix of ``rows``, filled a block at a time."""
-    mat = np.empty((rows.m, rows.m), rows.dtype)
-    for lo, block in rows.blocks():
-        mat[lo:lo + len(block)] = block
-    return mat
 
 
 def _check_margins(chi: ProductCutoff, grid: Grid1D) -> None:
@@ -1068,32 +935,32 @@ def window_primitive(w: WindowTheta, h: float, s):
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _cutoff_diagonal(a: _ProductRows, vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """<u_j, A u_j> for the columns u_j = vecs[:, j], j in the ascending
     ``cols``, eigenvectors of a one-channel operator or of one with N
-    channels, on each of whose channels the one-channel A acts alike (on
-    the M rows c::N of a column).
+    channels, on each of whose channels the cutoff A acts alike (on the M
+    rows c::N of a column).
 
-    A is read a block of rows R at a time (``GridOperator._row_blocks``),
-    adding sum_{i in R} conj(u_ij) (A_R u_j)_i, on a view of the columns
-    cols[0] to cols[-1].  Column-major columns (``_evr``'s) are copied once
-    to C order, admitted, where a per-channel scalar A would read their
-    channel rows, or a real A their float view, strided.  A real A applies
-    to complex columns as to their float64 view, a complex A to real ones as
-    its real and imaginary parts, and the sum is conj(sum u_ij conj((A
-    u_j)_i)), so no complex or conjugate copy is made."""
-    a_dtype = (a_op._rows or a_op.matrix).dtype
+    A is read a block of rows R at a time (``a.blocks()``), adding sum_{i
+    in R} conj(u_ij) (A_R u_j)_i, on a view of the columns cols[0] to
+    cols[-1].  Column-major columns (``_evr``'s) are copied once to C
+    order, admitted, where a per-channel A would read their channel rows,
+    or a real A their float view, strided.  A real A applies to complex
+    columns as to their float64 view, a complex A to real ones as its real
+    and imaginary parts, and the sum is conj(sum u_ij conj((A u_j)_i)), so
+    no complex or conjugate copy is made."""
     if cols.size == 0:
         # the dtype of a non-empty sum: real for a real A and real columns
-        return np.zeros(0, np.result_type(a_dtype, vecs.dtype))
+        return np.zeros(0, np.result_type(a.dtype, vecs.dtype))
+    m = a.grid.M
     span = vecs[:, cols[0]:cols[-1] + 1]
     if span.strides[0] == span.itemsize and (
-            vecs.shape[0] != a_op.dim or (span.dtype.kind, a_dtype.kind) == ("c", "f")):
-        _admit(span.nbytes, a_op.label, "a C-ordered copy of the eigenvectors")
+            vecs.shape[0] != m or (span.dtype.kind, a.dtype.kind) == ("c", "f")):
+        _admit(span.nbytes, a.label, "a C-ordered copy of the eigenvectors")
         span = np.ascontiguousarray(span)
-    span = span.reshape(a_op.dim, -1, span.shape[1])
+    span = span.reshape(m, -1, span.shape[1])
     total = 0.0
-    for lo, rows in a_op._row_blocks():
+    for lo, rows in a.blocks():
         for c in range(span.shape[1]):
             u = span[:, c]
             if rows.dtype.kind == u.dtype.kind:
@@ -1107,22 +974,17 @@ def _cutoff_diagonal(a_op: GridOperator, vecs: np.ndarray, cols: np.ndarray) -> 
     return np.conjugate(total)[cols - cols[0]]
 
 
-def _plane_wave_diagonal(a_op: GridOperator, h_op: GridOperator, flat: np.ndarray) -> np.ndarray:
+def _plane_wave_diagonal(a: _ProductRows, h_op: GridOperator, flat: np.ndarray) -> np.ndarray:
     """<u, A u> for the plane waves u = e_m (x) c_k, flat = m N + k, of an
     analytic spectrum, none formed.  With e_m[i] = exp(i x_i p_m / h) /
     sqrt(M), <e_m, A e_m> = (1/M) sum_l s[l] exp(-2 pi i m' l / M), m' = m -
-    M/2, for A's lag sums s (``GridOperator._lag_sums``): an FFT of s read
-    at m' mod M.  The one-channel A acts on each channel alike, so the unit
-    c_k drops out."""
+    M/2, for A's lag sums s (``a.lag_sums()``): an FFT of s read at m' mod
+    M.  A acts on each channel alike, so the unit c_k drops out."""
     m = h_op.grid.M
-    return (np.fft.fft(a_op._lag_sums()) / m)[(flat // h_op.N - m // 2) % m]
+    return (np.fft.fft(a.lag_sums()) / m)[(flat // h_op.N - m // 2) % m]
 
 
-def _f_values(f, lam: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(f(lam) if callable(f) else f, lam.shape).astype(float)
-
-
-def _weighted_pairs(a_op: GridOperator, h_op: GridOperator, f, window) -> tuple:
+def _weighted_pairs(a: _ProductRows, h_op: GridOperator, f, window) -> tuple:
     """(lambda_j, f(lambda_j) <u_j, A u_j>) for the eigenpairs of ``h_op`` in
     ``window`` where f(lambda_j) is not 0, from an analytic spectrum's
     values or else ``eigenpairs``, whose vectors are dropped on return."""
@@ -1131,46 +993,47 @@ def _weighted_pairs(a_op: GridOperator, h_op: GridOperator, f, window) -> tuple:
         lam, flat = h_op._analytic_pairs(*window)
     else:
         lam, vecs = h_op.eigenpairs(window=window)
-    fv = _f_values(f, lam)
+    fv = np.broadcast_to(f(lam), lam.shape).astype(float)
     cols = np.flatnonzero(fv)
     if analytic:
-        return lam[cols], fv[cols] * _plane_wave_diagonal(a_op, h_op, flat[cols])
-    return lam[cols], fv[cols] * _cutoff_diagonal(a_op, vecs, cols)
+        return lam[cols], fv[cols] * _plane_wave_diagonal(a, h_op, flat[cols])
+    return lam[cols], fv[cols] * _cutoff_diagonal(a, vecs, cols)
 
 
-def smoothed_trace(a_op: GridOperator, h_op: GridOperator | SplitOperator, f,
-                   w: WindowTheta, tau):
-    """tr(A f(H) K_w(tau - H)) evaluated through the eigendecomposition.
+def smoothed_trace(a: _ProductRows, h_op: GridOperator | SplitOperator, f, w: WindowTheta,
+                   tau):
+    """tr(A f(H) K_w(tau - H)) evaluated through the eigendecomposition, for
+    a cutoff A from ``weyl_quantize`` and a callable f.
 
     Returns a scalar (or array over tau), real when the window, A and the
     eigenvectors are; for the even window and hermitian A the imaginary
-    part is at rounding level.  The identity is ``weyl_quantize(1.0,
-    grid)``.  Only the eigenpairs with lambda in the support of f
-    (``f.support``; the whole line for an f without one) and f(lambda) not
-    0 are weighted.  An analytic spectrum is not solved and forms no
-    eigenvector (``_plane_wave_diagonal``); any other is solved on that
-    window, and <u_j, A u_j> formed from A's rows a block at a time
-    (``_cutoff_diagonal``).  A cutoff from ``weyl_quantize`` is never
-    assembled.
+    part is at rounding level.  Only the eigenpairs with lambda in the
+    support of f (``f.support``; the whole line for an f without one) and
+    f(lambda) not 0 are weighted.  An analytic spectrum is not solved and
+    forms no eigenvector (``_plane_wave_diagonal``); any other is solved on
+    that window, and <u_j, A u_j> formed from A's rows a block at a time
+    (``_cutoff_diagonal``).  A's matrix is never made.
 
-    A cutoff is a one-channel operator, applied to each of H's channels
-    alike: one with N != 1 channels is a GridMismatchError, and one holding
-    only its upper triangle (``upper_only``) a ValueError, both before
-    anything is assembled or solved.
+    A cutoff acts on each of H's channels alike.  A is read through its
+    row source (``blocks``, ``lag_sums``): anything without one, such as an
+    operator from ``build_schrodinger``, is a TypeError, as is an f that
+    is not callable, and a cutoff on another grid a GridMismatchError, all
+    before anything is solved.
 
     On a ``SplitOperator`` the cutoff is applied to its channels in turn:
     each assembles its block, is solved and gets its <u_j, A u_j>, and
     drops its block and eigenvectors before the next.  The channels'
     (lambda_j, weight) lists are merged by one stable sort on lambda.
     """
-    if a_op.grid != h_op.grid:
+    if not hasattr(a, "blocks"):
+        raise TypeError(f"{getattr(a, 'label', type(a).__name__)} is not a cutoff: "
+                        "it has no rows to read; make one with weyl_quantize")
+    if a.grid != h_op.grid:
         raise GridMismatchError("cutoff and Hamiltonian live on different grids")
-    if a_op.N != 1:
-        raise GridMismatchError(f"the cutoff {a_op.label} has {a_op.N} channels, not 1")
-    if a_op.upper_only:
-        raise ValueError(f"the cutoff {a_op.label} holds only its upper triangle")
+    if not callable(f):
+        raise TypeError(f"f must be a function of the eigenvalues, not {type(f).__name__}")
     window = getattr(f, "support", (-math.inf, math.inf))
-    parts = [_weighted_pairs(a_op, op, f, window) for op in getattr(h_op, "channels", [h_op])]
+    parts = [_weighted_pairs(a, op, f, window) for op in getattr(h_op, "channels", [h_op])]
     lam = np.concatenate([part[0] for part in parts])
     order = np.argsort(lam, kind="stable")
     lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from ssf_lab import quantization as qz
+
 settings.register_profile(
     "numeric",
     deadline=None,
@@ -106,3 +108,42 @@ def merged_split_pairs(op, window=(-np.inf, np.inf)):
     for c, block in enumerate(blocks):
         vectors[c::op.N, rank[offsets[c]:offsets[c + 1]]] = block
     return vals[order], vectors
+
+
+def cutoff_matrix(a) -> np.ndarray:
+    """The M x M matrix of a cutoff, filled from its rows a block at a time."""
+    m = a.grid.M
+    mat = np.empty((m, m), a.dtype)
+    for lo, block in a.blocks():
+        mat[lo:lo + len(block)] = block
+    return mat
+
+
+class MatrixCutoff:
+    """A cutoff made from a dense (M, M) array, with the interface of one
+    from ``weyl_quantize``: ``grid``, ``label``, ``dtype``, its rows as
+    slices of the array in blocks of the library's size (``blocks``), and
+    its wrapped-diagonal sums binned from them (``lag_sums``).  It stands
+    for cutoffs the library does not make: the identity, zero, a
+    multiplication operator, a general symbol or a linear combination."""
+
+    label = "matrix cutoff"
+
+    def __init__(self, grid, matrix):
+        self.grid = grid
+        self.matrix = np.asarray(matrix)
+        assert self.matrix.shape == (grid.M, grid.M)
+        self.dtype = self.matrix.dtype
+
+    def blocks(self):
+        m = self.grid.M
+        step = max(1, qz._WEYL_BLOCK // m)
+        return ((lo, self.matrix[lo:lo + step]) for lo in range(0, m, step))
+
+    def lag_sums(self) -> np.ndarray:
+        """s[l] = sum_i A[i, (i - l) mod M]."""
+        m = self.grid.M
+        idx = np.arange(m)
+        lag = ((idx[:, None] - idx) % m).ravel()
+        return (np.bincount(lag, self.matrix.real.ravel(), m)
+                + 1j * np.bincount(lag, self.matrix.imag.ravel(), m))

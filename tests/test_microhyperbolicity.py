@@ -96,6 +96,16 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction.normalized([0.0, 0.0])
 
+    @pytest.mark.parametrize("vec", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
+                                     [0.0, -math.inf]], ids=["nan", "one-nan", "inf", "-inf"])
+    def test_non_finite_refused(self, vec):
+        # the norm of a NaN vector is NaN, which no tolerance comparison
+        # refuses; each constructor refuses it by name
+        with pytest.raises(ValueError, match="non-finite"):
+            Direction(np.array(vec))
+        with pytest.raises(ValueError, match="non-finite"):
+            Direction.normalized(vec)
+
 
 class TestCheckDefinition:
     def test_scalar_examples(self):
@@ -299,6 +309,26 @@ class TestEnergyShell:
         cert = check_on_energy_shell(p, -5.0, ((-1, 1), (-1, 1)), grid_points=21)
         assert cert.empty_shell
         assert not cert.valid
+        # an empty shell carries the hypothesis vacuously
+        assert cert.certifies
+
+    @pytest.mark.parametrize("tau0", [1.0, -5.0], ids=["shell", "empty-shell"])
+    def test_non_finite_direction_refused(self, tau0):
+        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        with pytest.raises(ValueError, match="non-finite"):
+            check_on_energy_shell(p, tau0, ((-2, 2), (-2, 2)), T=[math.nan, 1.0],
+                                  grid_points=21)
+
+    def test_certifies(self):
+        # a valid certificate carries the hypothesis and a refutation does
+        # not; the property is not part of the certificate's JSON
+        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        box = ((-2, 2), (-2, 2))
+        valid = check_on_energy_shell(p, 1.0, box, grid_points=21)
+        refuted = check_on_energy_shell(p, 1.0, box, T=[0.0, -1.0], grid_points=21)
+        assert (valid.valid, valid.certifies) == (True, True)
+        assert (refuted.valid, refuted.certifies, refuted.empty_shell) == (False, False, False)
+        assert "certifies" not in valid.to_json_dict()
 
     def test_json_round_trip(self):
         import json
@@ -409,10 +439,25 @@ class TestEscapeChecks:
         cert = escape_check_general(p, dilation_generator(1), -1.0,
                                     ((-3, 3), (-2.5, 2.5)))
         d = cert.to_json_dict()
-        assert d["valid"] is False
+        assert d["valid"] is False and not cert.certifies
         assert d["n_points"] == 0
         assert d["failures"] == ["empty shell"]
+        assert "certifies" not in d
         assert json.loads(json.dumps(d)) == d
+
+    def test_certifies(self):
+        # a valid escape certificate, of either check, carries the hypothesis
+        # and a refuted one does not; the property is not in the JSON
+        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        box = ((-2, 2), (-2, 2))
+        neg = ScalarPhaseFunction(n=1, eval_on=lambda x, xi: -x * xi,
+                                  grad_on=lambda x, xi: np.column_stack([-xi, -x]))
+        dilation = escape_check_dilation(model_potential("constant", v_inf=0.0, N=1), 1.0)
+        general = escape_check_general(p, dilation_generator(1), 1.0, box, grid_points=41)
+        refuted = escape_check_general(p, neg, 1.0, box, grid_points=41)
+        assert [(c.valid, c.certifies) for c in (dilation, general, refuted)] == [
+            (True, True), (True, True), (False, False)]
+        assert all("certifies" not in c.to_json_dict() for c in (dilation, general, refuted))
 
     def test_general_failures_serialize_as_points(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))

@@ -11,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (PEAK_RSS_SOURCE, full_matrix, merged_split_pairs, plane_waves,
-                      random_hermitian)
+from conftest import (PEAK_RSS_SOURCE, MatrixCutoff, cutoff_matrix, full_matrix,
+                      merged_split_pairs, plane_waves, random_hermitian)
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab import quadrature
 from ssf_lab.coefficients import bump_test_function
@@ -65,6 +65,13 @@ def reconstruction_residual(op) -> float:
     return float(np.max(np.abs(approx - mat))) / scale
 
 
+def index_tables(grid: Grid1D):
+    """Minimal-image lags, midpoint indices and antipodal ties of every
+    entry of an M x M Weyl matrix."""
+    idx = np.arange(grid.M)
+    return qz._index_block(grid.M, idx, idx)
+
+
 def midpoint_values(values_half: np.ndarray, mid_idx, ambiguous, m_pts: int):
     """g(mid_ij) from the half-grid values, averaged with the value R away
     at the antipodal tie: the reference for a Weyl matrix's midpoints."""
@@ -73,6 +80,26 @@ def midpoint_values(values_half: np.ndarray, mid_idx, ambiguous, m_pts: int):
         other = values_half[(mid_idx + m_pts) % (2 * m_pts)]
         out = np.where(ambiguous, 0.5 * (out + other), out)
     return out
+
+
+def general_weyl_matrix(symbol, grid: Grid1D) -> np.ndarray:
+    """The hermitized Weyl matrix of a general symbol a(x, xi) from its full
+    table: A[i, j] = sum_m exp(i d_ij p_m / h) a(mid_ij, p_m) / M, an inverse
+    FFT over the momenta at the half-grid points, read at each entry's lag
+    and midpoint (averaged at the antipodal tie)."""
+    amp = np.asarray(symbol(grid.half_nodes[:, None], grid.momenta_fft_order[None, :]),
+                     dtype=complex)
+    table = np.fft.ifft(amp, axis=1)
+    delta, mid_idx, ambiguous = index_tables(grid)
+    mat = table[mid_idx, delta % grid.M]
+    other = table[(mid_idx + grid.M) % (2 * grid.M), delta % grid.M]
+    mat = np.where(ambiguous, 0.5 * (mat + other), mat)
+    return 0.5 * (mat + mat.conj().T)
+
+
+def dense_operator(grid: Grid1D, N: int, mat: np.ndarray) -> GridOperator:
+    """A grid operator whose every assembly is a fresh copy of ``mat``."""
+    return GridOperator(grid=grid, N=N, label="dense", assemble=mat.copy)
 
 
 CHI = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 1.2))
@@ -175,7 +202,6 @@ class TestBuildSchrodinger:
         # the operator holds the upper triangle and zeros below it
         g = small_grid(h=0.25, M=48)
         op = build_schrodinger(v, g)
-        assert op.upper_only
         assert np.array_equal(np.triu(op.matrix), np.triu(kron_reference(v, g)))
         assert not np.any(np.tril(op.matrix, -1))
 
@@ -321,8 +347,7 @@ class TestSplitSolve:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = [0.9, 1.0, 1.1]
-        dense = GridOperator(grid=op.grid, N=op.N, matrix=full_matrix(op))
-        expect = smoothed_trace(a, dense, f, w, taus)
+        expect = smoothed_trace(a, dense_operator(op.grid, op.N, full_matrix(op)), f, w, taus)
         got = smoothed_trace(a, op, f, w, taus)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -417,7 +442,7 @@ class TestEigenvectorColumns:
         assert 0 < cols.size < lam.size
         sub = plane_waves(v, g, order[cols])
         weights = np.zeros(lam.size, dtype=complex)
-        weights[cols] = fv[cols] * np.einsum("ij,ij->j", sub.conj(), a.matrix @ sub)
+        weights[cols] = fv[cols] * np.einsum("ij,ij->j", sub.conj(), cutoff_matrix(a) @ sub)
         expect = fourier_window(w, g.h, taus[:, None] - lam[None, :]) @ weights
 
         formed = []
@@ -431,7 +456,7 @@ class TestEigenvectorColumns:
         calls = counted(monkeypatch)
         a = weyl_quantize(CHI, g)
         got = smoothed_trace(a, op, f, w, taus)
-        assert op._matrix is None and a._matrix is None
+        assert op._matrix is None
         # no eigenvector is formed: <u, A u> is read from the FFT of A's lag sums
         assert formed == [] and calls == []
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -513,15 +538,6 @@ class TestMemoryAdmission:
         assert all(part._matrix is not None for part in parts)
         assert op.eigenvalues().size == op.dim
 
-    def test_pairs_of_a_passed_array_admit_its_copy(self, monkeypatch, rng):
-        g = small_grid(h=0.5, M=64)
-        a = random_matrix(rng, g.M, "complex")
-        op = GridOperator(grid=g, N=1, matrix=a)
-        monkeypatch.setattr(qz, "physical_memory", lambda: 3 * a.nbytes - 1)
-        with pytest.raises(MemoryBudgetError) as err:
-            op.eigenpairs()
-        assert err.value.required == 3 * a.nbytes
-
     # (potential, request, admitted arrays of what the operator holds), in a
     # fresh process that has made the same request on a small grid first, so
     # that the library code and BLAS buffers a first solve faults in (2-3 MB)
@@ -576,116 +592,19 @@ class TestMemoryAdmission:
         assert op.eigenpairs(window=window)[1].shape == (g.M, 2)
         assert op._matrix is None
 
-    def test_cutoff_admitted_before_assembly(self, monkeypatch):
-        # weyl_quantize checks the margins alone; the first read of .matrix
-        # admits the real matrix before anything is assembled
-        g = small_grid(h=1 / 16, tau_max=2.0)
-        ran = []
-        monkeypatch.setattr(qz, "_product_matrix", lambda *args: ran.append(args))
-        monkeypatch.setattr(qz, "physical_memory", lambda: 8 * g.M * g.M - 1)
-        a = weyl_quantize(CHI, g)
-        with pytest.raises(MemoryBudgetError) as err:
-            a.matrix
-        assert err.value.required == 8 * g.M * g.M
-        assert ran == [] and a._matrix is None
+class TestGridOperatorInterface:
+    """A ``GridOperator`` is made from an assembler: a caller's array, a
+    row source or a triangle flag is not an argument."""
 
-    def test_complex_cutoff_admitted_before_its_second_pass(self, monkeypatch):
-        # k not even: the real first pass fits, the complex matrix does not
-        g = small_grid(h=1 / 16, tau_max=2.0)
-        chi = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0.3, 1.0))
-        monkeypatch.setattr(qz, "physical_memory", lambda: 16 * g.M * g.M - 1)
-        with pytest.raises(MemoryBudgetError) as err:
-            weyl_quantize(chi, g).matrix
-        assert err.value.required == 16 * g.M * g.M
-        monkeypatch.setattr(qz, "physical_memory", lambda: 16 * g.M * g.M)
-        assert weyl_quantize(chi, g).matrix.dtype == complex
-
-
-class TestGridOperatorChecks:
-    # one tile covers the 32 x 32 matrix, or tiles of side 7, which 32 is not
-    # a multiple of
-    @pytest.fixture(params=[256, 7], ids=["one-block", "row-blocks"])
-    def block(self, request, monkeypatch):
-        monkeypatch.setattr(qz, "_CHECK_TILE", request.param)
-
-    def hermitian(self, rng, g):
-        a = rng.standard_normal((g.M, g.M))
-        return a + a.T
-
-    def test_wrong_shape_rejected(self, rng, block):
+    @pytest.mark.parametrize("keyword", ["matrix", "rows", "upper_only"])
+    def test_removed_keyword_refused(self, keyword):
         g = small_grid(h=0.5, M=32)
-        with pytest.raises(ValueError, match="shape"):
-            GridOperator(grid=g, N=1, matrix=np.eye(g.M + 2))
-        with pytest.raises(ValueError, match="shape"):
-            GridOperator(grid=g, N=2, matrix=self.hermitian(rng, g))
+        with pytest.raises(TypeError, match=keyword):
+            GridOperator(grid=g, N=1, assemble=lambda: np.eye(g.M), **{keyword: np.eye(g.M)})
 
-    @pytest.mark.parametrize("row", [0, 30])
-    def test_hermiticity_defect_rejected(self, rng, block, row):
+    def test_assembler_required(self):
         g = small_grid(h=0.5, M=32)
-        a = self.hermitian(rng, g)
-        a[row, 5] += 1e-10 * np.max(np.abs(a))
-        with pytest.raises(ValueError, match="hermiticity defect"):
-            GridOperator(grid=g, N=1, matrix=a)
-        b = self.hermitian(rng, g).astype(complex)
-        b[row, row] += 1e-9j * np.max(np.abs(b))
-        with pytest.raises(ValueError, match="hermiticity defect"):
-            GridOperator(grid=g, N=1, matrix=b)
-
-    def test_small_defect_symmetrized(self, rng, block):
-        g = small_grid(h=0.5, M=32)
-        a = self.hermitian(rng, g)
-        a[30, 5] += 1e-13 * np.max(np.abs(a))
-        op = GridOperator(grid=g, N=1, matrix=a)
-        assert np.array_equal(op.matrix, 0.5 * (a + a.T))
-        assert np.array_equal(op.matrix, op.matrix.T)
-
-    def test_exact_hermitian_kept(self, rng, block):
-        g = small_grid(h=0.5, M=32)
-        a = self.hermitian(rng, g)
-        assert GridOperator(grid=g, N=1, matrix=a).matrix is a
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)],
-                             ids=["nan", "inf", "-inf", "complex-nan"])
-    @pytest.mark.parametrize("mirrored", [False, True], ids=["one-entry", "mirrored"])
-    def test_non_finite_rejected(self, rng, block, bad, mirrored):
-        g = small_grid(h=0.5, M=32)
-        a = self.hermitian(rng, g).astype(type(bad))
-        a[30, 5] = bad
-        if mirrored:
-            a[5, 30] = np.conj(bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            GridOperator(grid=g, N=1, matrix=a)
-
-    def test_largest_finite_accepted(self, rng, block):
-        g = small_grid(h=0.5, M=32)
-        a = self.hermitian(rng, g)
-        a[7, 7] = np.finfo(float).max
-        assert GridOperator(grid=g, N=1, matrix=a).matrix is a
-
-    def test_stock_tiles(self, rng):
-        # dim 300 is one full tile of 256 and a partial one of 44
-        dim = 300
-        assert dim % qz._CHECK_TILE != 0
-        g = small_grid(h=0.5, M=dim)
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = a + a.conj().T
-        assert np.any(a.imag[np.triu_indices(dim, 1)] != 0)
-        # an exactly hermitian complex matrix passes and is kept as it is
-        assert GridOperator(grid=g, N=1, matrix=a).matrix is a
-        # a defect only in the lower off-diagonal tile still raises
-        bad = a.copy()
-        bad[280, 10] += 1e-9 * np.max(np.abs(a))
-        with pytest.raises(ValueError, match="hermiticity defect"):
-            GridOperator(grid=g, N=1, matrix=bad)
-        # below the threshold it is averaged away
-        near = a.copy()
-        near[280, 10] += 1e-13j * np.max(np.abs(a))
-        op = GridOperator(grid=g, N=1, matrix=near)
-        assert np.array_equal(op.matrix, 0.5 * (near + near.conj().T))
-
-    def test_matrix_or_assembler_required(self):
-        g = small_grid(h=0.5, M=32)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="assemble"):
             GridOperator(grid=g, N=1)
 
 
@@ -833,9 +752,7 @@ class TestWindowedSolve:
         a = random_matrix(rng, g.M, kind)
         expect_vals, expect_vecs = np.linalg.eigh(a)
         lo, hi = self.gap_window(expect_vals, 20, 51)
-        op = GridOperator(grid=g, N=1, matrix=a)
-        vals, vecs = op.eigenpairs(window=(lo, hi))
-        assert op._values is None
+        vals, vecs = qz._evr(a.copy(), lo, hi)
         assert vecs.shape == (g.M, 32) and vecs.dtype == a.dtype
         # LAPACK's rows, transposed with no copy; numpy's are copied out
         assert vecs.flags.c_contiguous if fallback else vecs.flags.f_contiguous
@@ -855,10 +772,9 @@ class TestWindowedSolve:
             monkeypatch.setattr(qz, "_lapack_eigh", lambda: None)
         g = Grid1D(R=6.0, M=8, h=0.5)
         a = np.diag(np.arange(8.0))
-        op = GridOperator(grid=g, N=1, matrix=a)
         for (lo, hi), expect in [((2.0, 5.0), [3.0, 4.0, 5.0]), ((2.5, 3.0), [3.0]),
                                  ((-1.0, 0.0), [0.0]), ((7.0, 9.0), [])]:
-            vals, vecs = op.eigenpairs(window=(lo, hi))
+            vals, vecs = qz._evr(a.copy(), lo, hi)
             assert np.array_equal(vals, expect)
             assert np.array_equal(np.abs(vecs), np.eye(8)[:, np.asarray(expect, dtype=int)])
 
@@ -870,7 +786,7 @@ class TestWindowedSolve:
 
         def make():
             if kind == "dense":
-                return GridOperator(grid=g, N=1, matrix=a)
+                return dense_operator(g, 1, a)
             return build_schrodinger(v, g)
 
         dim = make().dim
@@ -893,8 +809,8 @@ class TestWindowedSolve:
                              ids=lambda v: v.name)
     def test_split(self, monkeypatch, v):
         g = small_grid(h=1 / 16, tau_max=2.0)
-        dense = GridOperator(grid=g, N=v.N, matrix=full_matrix(build_schrodinger(v, g)))
-        expect_vals, expect_vecs = np.linalg.eigh(dense.matrix)
+        dense = full_matrix(build_schrodinger(v, g))
+        expect_vals, expect_vecs = np.linalg.eigh(dense)
         lo, hi = self.gap_window(expect_vals, 10, 61)  # conical_crossing's pairs split here
         op = build_schrodinger(v, g)
         calls = counted(monkeypatch)
@@ -903,7 +819,7 @@ class TestWindowedSolve:
         assert all(channel._matrix is None for channel in op.channels)
         scale = np.max(np.abs(expect_vals))
         assert np.max(np.abs(vals - expect_vals[10:62])) <= 1e-12 * scale
-        assert np.max(np.abs(dense.matrix @ vecs - vecs * vals)) <= 1e-11 * scale
+        assert np.max(np.abs(dense @ vecs - vecs * vals)) <= 1e-11 * scale
         assert np.max(np.abs(projector(vecs) - projector(expect_vecs[:, 10:62]))) <= 1e-10
         # every column lives on one channel's rows
         support = np.any(vecs.reshape(g.M, v.N, -1) != 0, axis=0)
@@ -929,8 +845,8 @@ class TestWindowedSolve:
 
 
 class TestMatrixOwnership:
-    """A solve consumes the matrix of an operator that can assemble it again
-    and never writes to a caller's array."""
+    """A solve consumes the matrix of an operator, which assembles it again
+    when it is read."""
 
     @pytest.mark.parametrize("solve", ["eigenvalues", "eigenpairs"])
     @pytest.mark.parametrize("v", [model_potential("reference"), DIAGONAL_2],
@@ -958,14 +874,17 @@ class TestMatrixOwnership:
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_passed_array_unchanged(self, rng, kind):
+        # an operator that assembles a copy of a caller's whole array solves
+        # on that copy, as LAPACK reads its upper triangle: the array is
+        # never written, and each solve assembles afresh
         g = small_grid(h=0.5, M=64)
         a = random_matrix(rng, g.M, kind)
         before = a.copy()
-        op = GridOperator(grid=g, N=1, matrix=a)
+        op = dense_operator(g, 1, a)
         values = op.eigenvalues()
-        assert np.array_equal(a, before) and op.matrix is a
+        assert np.array_equal(a, before) and op._matrix is None
         vals, vecs = op.eigenpairs()
-        assert np.array_equal(a, before) and op.matrix is a
+        assert np.array_equal(a, before) and op._matrix is None
         assert np.array_equal(values, np.linalg.eigvalsh(before))
         scale = np.max(np.abs(values))
         assert np.max(np.abs(vals - values)) <= 1e-12 * scale
@@ -988,33 +907,37 @@ class TestMatrixOwnership:
 
 
 class TestWeylQuantize:
-    def test_identity_exact(self):
+    @pytest.mark.parametrize("symbol", [
+        lambda g: 1.0, lambda g: lambda x: np.exp(-x * x),
+        lambda g: lambda x, xi: CHI.g(x) * CHI.k(xi), lambda g: CHI.g, lambda g: None,
+        lambda g: MatrixCutoff(g, np.eye(g.M)),
+    ], ids=["number", "function-of-x", "general-symbol", "bump", "none", "matrix-cutoff"])
+    def test_weyl_quantize_takes_a_product_cutoff(self, symbol):
+        # a number, a function of x, a general symbol, one factor of a
+        # product and a cutoff made already are refused; the library's
+        # cutoffs are products g(x) k(xi)
         g = small_grid()
-        assert np.array_equal(weyl_quantize(1.0, g).matrix, np.eye(g.M))
-
-    def test_multiplication_exact(self):
-        g = small_grid()
-        fn = lambda x: np.cos(x) * np.exp(-np.asarray(x) ** 2)
-        assert np.array_equal(weyl_quantize(fn, g).matrix, np.diag(fn(g.nodes)))
+        with pytest.raises(TypeError, match="takes a ProductCutoff"):
+            weyl_quantize(symbol(g), g)
 
     def test_trace_rule(self):
         # momentum grid must resolve the xi-factor for spectral accuracy
         g = small_grid(h=1 / 64)
         a = weyl_quantize(CHI, g)
-        tr = float(np.trace(a.matrix).real)
+        tr = float(np.trace(cutoff_matrix(a)).real)
         target = CHI.integral(order=400) / (2.0 * math.pi * g.h)
         assert abs(tr - target) <= 1e-8 * abs(target)
 
     def test_product_vs_general_path(self):
+        # the product's rows against the full table of the same symbol
         g = small_grid(h=0.25)
-        a1 = weyl_quantize(CHI, g)
-        a2 = weyl_quantize(lambda x, xi: CHI.g(x) * CHI.k(xi), g)
-        assert np.max(np.abs(a1.matrix - a2.matrix)) < 1e-14
+        general = general_weyl_matrix(lambda x, xi: CHI.g(x) * CHI.k(xi), g)
+        assert np.max(np.abs(cutoff_matrix(weyl_quantize(CHI, g)) - general)) < 1e-14
 
     def test_hermitization_drift_small(self):
         g = small_grid(h=0.25)
         kappa = np.fft.ifft(CHI.k(g.momenta_fft_order))
-        delta, mid_idx, ambiguous = qz._index_tables(g)
+        delta, mid_idx, ambiguous = index_tables(g)
         g_mid = midpoint_values(CHI.g(g.half_nodes), mid_idx, ambiguous, g.M)
         raw = g_mid * kappa[delta % g.M]
         drift = np.max(np.abs(raw - raw.conj().T))
@@ -1032,13 +955,13 @@ class TestWeylQuantize:
         g = Grid1D(R=R, M=required_points(R, h, tau_max), h=h)
         chi = ProductCutoff(g=Bump1D(0, 2.0), k=k)
         kappa = np.fft.ifft(chi.k(g.momenta_fft_order))
-        delta, mid_idx, ambiguous = qz._index_tables(g)
+        delta, mid_idx, ambiguous = index_tables(g)
         assert np.any(ambiguous)
         raw = midpoint_values(chi.g(g.half_nodes), mid_idx, ambiguous, g.M) * kappa[delta % g.M]
         full = 0.5 * (raw + raw.conj().T)
         if np.max(np.abs(full.imag)) <= 1e-14 * max(1.0, np.max(np.abs(full.real))):
             full = full.real.copy()
-        got = weyl_quantize(chi, g).matrix
+        got = cutoff_matrix(weyl_quantize(chi, g))
         assert got.dtype == full.dtype and np.array_equal(got, full)
 
     def test_support_margin_rejection(self):
@@ -1050,11 +973,78 @@ class TestWeylQuantize:
         with pytest.raises(SupportMarginError):
             weyl_quantize(fast, g)
 
-    def test_general_memory_cap(self):
-        g = Grid1D(R=6.0, M=4096, h=1 / 64)
-        with pytest.raises(MemoryError):
-            weyl_quantize(lambda x, xi: CHI.g(x) * CHI.k(xi), g)
 
+EVEN_K, SHIFTED_K = Bump1D(0, 1.2), Bump1D(0.3, 1.0)
+
+
+def product_rows(k, grid):
+    return weyl_quantize(ProductCutoff(g=Bump1D(0, 2.0), k=k), grid)
+
+
+class TestProductRows:
+    """What ``weyl_quantize`` returns: the rows and the lag sums of a
+    product cutoff's matrix on its grid, with no matrix held."""
+
+    @pytest.mark.parametrize("k,dtype", [(EVEN_K, np.float64), (SHIFTED_K, np.complex128)],
+                             ids=["even", "shifted"])
+    def test_interface(self, k, dtype):
+        # an even k(xi) makes a real matrix, a shifted one a complex one
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        a = product_rows(k, g)
+        assert a.grid is g and a.label == "weyl(product)" and a.dtype == dtype
+        assert not any(hasattr(a, name) for name in ("matrix", "N", "dim"))
+
+    @pytest.mark.parametrize("block", [1 << 18, 1000, 1], ids=["one-block", "row-blocks",
+                                                              "one-row"])
+    @pytest.mark.parametrize("k", [EVEN_K, SHIFTED_K], ids=["even", "shifted"])
+    def test_blocks_tile_the_rows(self, monkeypatch, block, k):
+        # consecutive blocks of max(1, _WEYL_BLOCK // M) rows in the cutoff's
+        # dtype cover the M rows once, with the bits of one block, and a
+        # second read gives them again
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        whole = cutoff_matrix(product_rows(k, g))
+        monkeypatch.setattr(qz, "_WEYL_BLOCK", block)
+        a = product_rows(k, g)
+        step = max(1, block // g.M)
+        first = list(a.blocks())
+        assert [lo for lo, _ in first] == list(range(0, g.M, step))
+        assert all(rows.shape == (min(step, g.M - lo), g.M) and rows.dtype == a.dtype
+                   for lo, rows in first)
+        assert np.array_equal(np.vstack([rows for _, rows in first]), whole)
+        assert all(lo == lo2 and np.array_equal(rows, rows2)
+                   for (lo, rows), (lo2, rows2) in zip(first, a.blocks(), strict=True))
+
+    @pytest.mark.parametrize("k", [EVEN_K, SHIFTED_K], ids=["even", "shifted"])
+    def test_hermitian_bits(self, k):
+        # entry (j, i) is the conjugate of entry (i, j), its two products
+        # summed in the other order: hermitian bit for bit
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        mat = cutoff_matrix(product_rows(k, g))
+        assert np.array_equal(mat, mat.conj().T)
+
+
+class TestMatrixCutoff:
+    """The tests' dense cutoff (``conftest.MatrixCutoff``), made from a
+    product cutoff's matrix, reads as that cutoff: the same bits in the
+    same blocks, and the same trace on each route of ``smoothed_trace``."""
+
+    @pytest.mark.parametrize("k", [EVEN_K, SHIFTED_K], ids=["even", "shifted"])
+    @pytest.mark.parametrize("v", [model_potential("constant", v_inf=0.0, N=1),
+                                   model_potential("reference"), DIAGONAL_2],
+                             ids=["analytic", "dense", "split"])
+    def test_reads_as_the_product_cutoff(self, k, v):
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        a = product_rows(k, g)
+        fake = MatrixCutoff(g, cutoff_matrix(a))
+        assert fake.dtype == a.dtype
+        assert all(lo == lo2 and np.array_equal(rows, rows2)
+                   for (lo, rows), (lo2, rows2) in zip(a.blocks(), fake.blocks(), strict=True))
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        taus = np.array([0.9, 1.0, 1.1])
+        expect = smoothed_trace(a, build_schrodinger(v, g), f, w, taus)
+        got = smoothed_trace(fake, build_schrodinger(v, g), f, w, taus)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 class TestWindows:
     def test_theta_invariants(self):
@@ -1257,7 +1247,7 @@ class TestSmoothedTrace:
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=2), g)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
-        got = smoothed_trace(weyl_quantize(1.0, g), op, f, w, 1.0)
+        got = smoothed_trace(MatrixCutoff(g, np.eye(g.M)), op, f, w, 1.0)
         p2 = g.momenta**2
         expect = 2.0 * np.sum(f(p2) * fourier_window(w, g.h, 1.0 - p2))
         assert complex(got).real == pytest.approx(expect, rel=1e-12)
@@ -1266,7 +1256,7 @@ class TestSmoothedTrace:
     def test_zero_cutoff(self):
         g = small_grid(h=0.25)
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
-        zero = weyl_quantize(0.0, g)
+        zero = MatrixCutoff(g, np.zeros((g.M, g.M)))
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         assert complex(smoothed_trace(zero, op, f, w, 1.0)) == 0.0
@@ -1282,10 +1272,7 @@ class TestSmoothedTrace:
         alpha, beta = 1.7, -0.4
         t_a1 = smoothed_trace(a1, op, f1, w, 1.0)
         t_a2 = smoothed_trace(a2, op, f1, w, 1.0)
-        from ssf_lab.quantization import GridOperator
-
-        combined = GridOperator(grid=g, N=1,
-                                matrix=alpha * a1.matrix + beta * a2.matrix)
+        combined = MatrixCutoff(g, alpha * cutoff_matrix(a1) + beta * cutoff_matrix(a2))
         t_mix = smoothed_trace(combined, op, f1, w, 1.0)
         assert abs(t_mix - (alpha * t_a1 + beta * t_a2)) < 1e-12 * max(1.0, abs(t_mix))
         # linearity in f
@@ -1312,9 +1299,8 @@ class TestSmoothedTrace:
             smoothed_trace(a, op, f, WindowTheta(), 1.0)
 
     def test_triangle_refused_as_cutoff(self, monkeypatch):
-        # a Schrodinger operator holds half its matrix, which cannot act on
-        # the eigenvectors; it is refused before H is solved, and the same
-        # matrix made whole is a cutoff like any other
+        # a Schrodinger operator holds half its matrix and no rows to read:
+        # it is refused as a cutoff before H is solved
         g = small_grid(h=1 / 16, tau_max=2.0)
         a = build_schrodinger(model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0],
                                               widths=[1.0]), g)
@@ -1323,11 +1309,32 @@ class TestSmoothedTrace:
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         calls = counted(monkeypatch)
-        with pytest.raises(ValueError, match="upper triangle"):
+        with pytest.raises(TypeError, match="not a cutoff"):
             smoothed_trace(a, h_op, f, w, 1.0)
         assert calls == []
-        whole = GridOperator(grid=g, N=1, matrix=full_matrix(a))
-        assert np.isfinite(complex(smoothed_trace(whole, h_op, f, w, 1.0)))
+
+    @pytest.mark.parametrize("cutoff", ["product-cutoff", "array", "number"])
+    def test_not_a_cutoff_refused(self, monkeypatch, cutoff):
+        # a symbol not yet quantized, a dense array or a number has no rows
+        # to read: refused before H is solved
+        g = small_grid(h=0.25)
+        a = {"product-cutoff": CHI, "array": np.eye(g.M), "number": 1.0}[cutoff]
+        op = build_schrodinger(model_potential("reference"), g)
+        calls = counted(monkeypatch)
+        with pytest.raises(TypeError, match="not a cutoff"):
+            smoothed_trace(a, op, bump_test_function((0.5, 1.5)), WindowTheta(), 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("f", [2.0, np.ones(3)], ids=["number", "array"])
+    def test_f_must_be_callable(self, monkeypatch, f):
+        # a number is not read as a constant function: refused before H is
+        # solved
+        g = small_grid(h=0.25)
+        op = build_schrodinger(model_potential("reference"), g)
+        calls = counted(monkeypatch)
+        with pytest.raises(TypeError, match="function of the eigenvalues"):
+            smoothed_trace(weyl_quantize(CHI, g), op, f, WindowTheta(), 1.0)
+        assert calls == []
 
     def test_one_solve_with_cutoff(self, monkeypatch):
         g = small_grid(h=0.25)
@@ -1338,7 +1345,8 @@ class TestSmoothedTrace:
         taus = [0.9, 1.0]
         lam, vecs = np.linalg.eigh(full_matrix(build_schrodinger(v, g)))
         uv = vecs.reshape(g.M, 2, -1)
-        diag = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
+        diag = np.einsum("mnk,mnk->k", uv.conj(),
+                         np.tensordot(cutoff_matrix(a), uv, axes=([1], [0])))
         expect = fourier_window(w, g.h, np.subtract.outer(taus, lam)) @ (f(lam) * diag)
 
         op = build_schrodinger(v, g)
@@ -1373,19 +1381,18 @@ class TestSmoothedTrace:
             assert op.N == 2 and np.iscomplexobj(vecs)
         else:
             lam, vecs = op.eigenpairs()
+        dense = cutoff_matrix(a)
         if op.N == 1:
-            full = np.einsum("ij,ij->j", vecs.conj(), a.matrix @ vecs)
+            full = np.einsum("ij,ij->j", vecs.conj(), dense @ vecs)
         else:
             uv = vecs.reshape(g.M, op.N, -1)
-            full = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(a.matrix, uv, axes=([1], [0])))
-        a = weyl_quantize(CHI, g)
+            full = np.einsum("mnk,mnk->k", uv.conj(), np.tensordot(dense, uv, axes=([1], [0])))
         cols = np.flatnonzero(bump_test_function((0.5, 1.5))(lam))
         assert 0 < cols.size < lam.size
         spread = np.arange(3, lam.size, 2)
         for sub in (np.arange(lam.size), cols, cols[:1], cols[:2], cols[1::3], spread):
             got = qz._cutoff_diagonal(a, vecs, sub)
             assert np.max(np.abs(got - full[sub])) <= 1e-14 * np.max(np.abs(full))
-        assert a._matrix is None
 
     @pytest.mark.parametrize("v", [
         model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
@@ -1393,29 +1400,18 @@ class TestSmoothedTrace:
     ], ids=["dense", "split"])
     def test_trace_never_assembles_the_cutoff(self, monkeypatch, v):
         # a product cutoff's rows are made a block at a time and never put
-        # together: the trace is the bits of the one with the cutoff's
-        # matrix held, which is read in slices of the same rows
+        # together: the trace is the bits of the one with the cutoff's dense
+        # matrix, read in slices of the same rows
         g = small_grid(h=1 / 16, tau_max=2.0)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
-        expect = smoothed_trace(GridOperator(grid=g, N=1, matrix=weyl_quantize(CHI, g).matrix),
-                                build_schrodinger(v, g), f, w, 1.0)
         a = weyl_quantize(CHI, g)
+        expect = smoothed_trace(MatrixCutoff(g, cutoff_matrix(a)), build_schrodinger(v, g), f, w,
+                                1.0)
         h_op = build_schrodinger(v, g)
         assert isinstance(h_op, qz.SplitOperator) == (v.N > 1)
-        assembled = []
-        product = qz._product_matrix
-
-        def spy(rows):
-            assembled.append(rows)
-            return product(rows)
-
-        monkeypatch.setattr(qz, "_product_matrix", spy)
         assert smoothed_trace(a, h_op, f, w, 1.0) == expect
         assert smoothed_trace(a, build_schrodinger(v, g), f, w, 1.0) == expect
-        assert assembled == [] and a._matrix is None
-        a.matrix
-        assert assembled == [a._rows]
 
     @pytest.mark.parametrize("v", [DIAGONAL_2, model_potential("conical_crossing")],
                              ids=lambda v: v.name)
@@ -1506,7 +1502,9 @@ class TestSmoothedTrace:
                 f"    h = build_schrodinger({v}, grid)\n"
                 "    a = weyl_quantize(chi, grid)\n"
                 f"    if {dense}:\n"
-                "        a.matrix\n"
+                "        dense = np.empty((grid.M, grid.M), a.dtype)\n"
+                "        for lo, rows in a.blocks():\n"
+                "            dense[lo:lo + len(rows)] = rows\n"
                 "    smoothed_trace(a, h, f, w, np.linspace(0.9, 1.1, 9))\n"
                 "    return h.dim\n"
                 f"step(grid_for(1 / 16, {box}, 8192))\n"
@@ -1552,7 +1550,7 @@ class TestSmoothedTrace:
             "a = weyl_quantize(chi, grid)\n"
             "h = build_schrodinger(v, grid)\n"
             "smoothed_trace(a, h, bump_test_function((0.8, 1.2)), w, np.linspace(0.9, 1.1, 9))\n"
-            "print(h.dim, a.dim, peak_rss() - before)\n"
+            "print(h.dim, a.grid.M, peak_rss() - before)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -1562,24 +1560,13 @@ class TestSmoothedTrace:
         # 1.54 matrices here and 1.79 with the cutoff assembled before H
         assert grown < 1.7 * 8 * dim * dim
 
-    def test_scalar_f_is_constant_function(self):
-        # a scalar f weighs every eigenvalue alike, with and without a cutoff
-        g = small_grid(h=0.25)
-        op = build_schrodinger(model_potential("reference"), g)
-        w = WindowTheta("bump_at_zero", eps=0.25)
-        for a in (weyl_quantize(1.0, g), weyl_quantize(CHI, g)):
-            for c in (0.7, 0.0):
-                got = smoothed_trace(a, op, c, w, [0.9, 1.0])
-                assert np.array_equal(got, smoothed_trace(a, op, lambda t: np.full_like(t, c),
-                                                          w, [0.9, 1.0]))
-
     def test_tau_vectorized(self):
         g = small_grid(h=0.25)
         op = build_schrodinger(model_potential("constant", v_inf=0.0, N=1), g)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = np.array([0.9, 1.0, 1.1])
-        one = weyl_quantize(1.0, g)
+        one = MatrixCutoff(g, np.eye(g.M))
         batch = smoothed_trace(one, op, f, w, taus)
         singles = [smoothed_trace(one, op, f, w, float(t)) for t in taus]
         assert np.allclose(batch, singles, atol=0)
@@ -1588,7 +1575,7 @@ class TestSmoothedTrace:
 class TestRowBlockDiagonal:
     """<u_j, A u_j> formed from A's rows a block at a time equals the
     diagonal of U^H A U with the dense matrix, to 1e-13 of its largest
-    entry, for a product cutoff's rows and for held matrices read in
+    entry, for a product cutoff's rows and for dense matrices read in
     slices."""
 
     @staticmethod
@@ -1613,34 +1600,31 @@ class TestRowBlockDiagonal:
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
         chi = ProductCutoff(g=Bump1D(0, 2.0), k=k)
-        dense = weyl_quantize(chi, g).matrix
+        dense = cutoff_matrix(weyl_quantize(chi, g))
         assert dense.dtype == (float if k.center == 0 else complex)
         lam, vecs = build_schrodinger(v, g).eigenpairs()
         expect = self.dense_diagonal(dense, vecs, v.N)
-        a = weyl_quantize(chi, g)
-        first = next(a._row_blocks())[1]
+        a = MatrixCutoff(g, dense) if held else weyl_quantize(chi, g)
+        first = next(a.blocks())[1]
         assert first.shape == (7, g.M) and first.dtype == dense.dtype
-        if held:
-            a.matrix
         for cols in self.subsets(lam.size):
             got = qz._cutoff_diagonal(a, vecs, cols)
             assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
-        assert (a._matrix is not None) == held
 
-    @pytest.mark.parametrize("symbol", [0.7, lambda x: np.cos(x) * np.exp(-x * x)],
+    @pytest.mark.parametrize("diagonal", [lambda x: np.full_like(x, 0.7),
+                                          lambda x: np.cos(x) * np.exp(-x * x)],
                              ids=["number", "multiplication"])
     @pytest.mark.parametrize("v", [
         model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
         model_potential("constant", v_inf=[0.0, 0.3], N=2),
     ], ids=["N1", "N2-complex"])
-    def test_held_matrix_read_in_slices(self, monkeypatch, v, symbol):
-        # the constant potential's columns are its complex plane waves, read
-        # in their C order and through the C-ordered copy of a column-major
-        # copy of them
+    def test_held_matrix_read_in_slices(self, monkeypatch, v, diagonal):
+        # a real diagonal cutoff read in slices of 7 rows; the constant
+        # potential's columns are its complex plane waves, read in their C
+        # order and through the C-ordered copy of a column-major copy of them
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
-        a = weyl_quantize(symbol, g)
-        assert all(rows.base is a.matrix for _, rows in a._row_blocks())
+        a = MatrixCutoff(g, np.diag(diagonal(g.nodes)))
         op = build_schrodinger(v, g)
         if op._analytic is None:
             lam, vecs = op.eigenpairs()
@@ -1662,12 +1646,10 @@ class TestRowBlockDiagonal:
         # a dense solve's columns are the F-contiguous view of LAPACK's
         # rows; complex ones meet a real cutoff through a C-ordered copy
         g = small_grid(h=1 / 16, tau_max=2.0)
-        h_op = GridOperator(grid=g, N=1, matrix=random_matrix(rng, g.M, kind))
-        lam, vecs = h_op.eigenpairs(window=(-5.0, 5.0))
+        lam, vecs = qz._evr(random_matrix(rng, g.M, kind), -5.0, 5.0)
         assert vecs.flags.f_contiguous
         a = weyl_quantize(ProductCutoff(g=Bump1D(0, 2.0), k=k), g)
-        expect = self.dense_diagonal(a.matrix, vecs, 1)
-        a = weyl_quantize(ProductCutoff(g=Bump1D(0, 2.0), k=k), g)
+        expect = self.dense_diagonal(cutoff_matrix(a), vecs, 1)
         for cols in self.subsets(lam.size):
             got = qz._cutoff_diagonal(a, vecs, cols)
             assert np.max(np.abs(got - expect[cols])) <= 1e-13 * np.max(np.abs(expect))
@@ -1685,16 +1667,17 @@ class TestPlaneWaveDiagonal:
         lam = vals[order]
         uv = plane_waves(v, op.grid, order).reshape(op.grid.M, op.N, -1)
         diag = np.einsum("mnk,mnk->k", uv.conj(),
-                         np.tensordot(a.matrix, uv, axes=([1], [0])))
-        return fourier_window(w, op.grid.h, taus[:, None] - lam[None, :]) @ (qz._f_values(f, lam)
-                                                                             * diag)
+                         np.tensordot(cutoff_matrix(a), uv, axes=([1], [0])))
+        return fourier_window(w, op.grid.h, taus[:, None] - lam[None, :]) @ (f(lam) * diag)
 
     @pytest.mark.parametrize("cutoff,v,f,w", [
         (CHI, "free", bump_test_function((0.5, 1.5)), WindowTheta("bump_positive", eps=0.5)),
         (ProductCutoff(g=Bump1D(0.3, 2.0), k=Bump1D(0.3, 1.0)), "free",
          bump_test_function((0.5, 1.5)), WindowTheta("bump_positive", eps=0.5)),
-        (1.0, "free", bump_test_function((0.5, 1.5)), WindowTheta("bump_at_zero", eps=0.25)),
-        (lambda x, xi: np.exp(-x * x) * (np.cos(xi) ** 2 + 0.3 * np.sin(xi)), "free",
+        (lambda g: np.eye(g.M), "free", bump_test_function((0.5, 1.5)),
+         WindowTheta("bump_at_zero", eps=0.25)),
+        (lambda g: general_weyl_matrix(
+            lambda x, xi: np.exp(-x * x) * (np.cos(xi) ** 2 + 0.3 * np.sin(xi)), g), "free",
          bump_test_function((0.5, 1.5)), WindowTheta("bump_at_zero", eps=0.25)),
         (CHI, "coupled", bump_test_function((0.5, 1.5)), WindowTheta("bump_at_zero", eps=0.25)),
         (CHI, "free", lambda t: np.exp(-t), WindowTheta("bump_at_zero", eps=0.25)),
@@ -1702,44 +1685,41 @@ class TestPlaneWaveDiagonal:
     ], ids=["product", "complex-kappa", "identity", "general", "coupled", "no-support",
             "empty-support"])
     def test_matches_the_plane_waves(self, monkeypatch, cutoff, v, f, w):
+        # a product cutoff, or a dense matrix for the identity and a general
+        # symbol, whose lag sums are binned from its rows
         g = small_grid(h=1 / 16, tau_max=2.0)
         v = {"free": model_potential("constant", v_inf=0.0, N=1),
              "coupled": TestEigenvectorColumns.COUPLED_POTENTIAL}[v]
         taus = np.array([0.9, 1.0, 1.1])
-        expect = self.plane_wave_trace(weyl_quantize(cutoff, g), v, build_schrodinger(v, g), f, w,
-                                       taus)
+
+        def make():
+            if isinstance(cutoff, ProductCutoff):
+                return weyl_quantize(cutoff, g)
+            return MatrixCutoff(g, cutoff(g))
+
+        expect = self.plane_wave_trace(make(), v, build_schrodinger(v, g), f, w, taus)
 
         def refused(*args, **kwargs):
             raise AssertionError("an eigenvector was formed")
 
         monkeypatch.setattr(GridOperator, "eigenpairs", refused)
         calls = counted(monkeypatch)
-        a, op = weyl_quantize(cutoff, g), build_schrodinger(v, g)
+        a, op = make(), build_schrodinger(v, g)
         got = smoothed_trace(a, op, f, w, taus)
         assert calls == [] and op._matrix is None
-        assert (a._matrix is None) == isinstance(cutoff, ProductCutoff)
         if np.all(expect == 0):  # no eigenvalue in supp f
             assert np.all(got == 0)
         else:
             assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
-    def test_channel_cutoff(self, monkeypatch, rng):
-        # a cutoff is one-channel: an N = 2 one is refused before anything is
-        # assembled or solved, on the coupled constant potential, whose
-        # spectrum is analytic, and on a split one, whose channels assemble
-        # their blocks when they are solved
+    @pytest.mark.parametrize("k", [Bump1D(0, 1.2), Bump1D(0.3, 1.0)], ids=["even", "shifted"])
+    def test_lag_sums_are_the_wrapped_diagonals(self, k):
+        # a product cutoff's closed-form lag sums against those binned from
+        # its dense matrix, as the tests' dense cutoffs bin theirs
         g = small_grid(h=1 / 16, tau_max=2.0)
-        ops = [build_schrodinger(v, g) for v in (TestEigenvectorColumns.COUPLED_POTENTIAL,
-                                                  DIAGONAL_2)]
-        a = GridOperator(grid=g, N=2, matrix=random_hermitian(rng, 2 * g.M))
-        assembled = []
-        monkeypatch.setattr(qz, "_assemble_schrodinger", lambda *args: assembled.append(args))
-        calls = counted(monkeypatch)
-        for op in ops:
-            with pytest.raises(GridMismatchError, match="2 channels"):
-                smoothed_trace(a, op, bump_test_function((0.5, 1.5)), WindowTheta(), 1.0)
-        assert assembled == [] and calls == []
-        assert isinstance(ops[1], qz.SplitOperator) and ops[0]._analytic is not None
+        a = weyl_quantize(ProductCutoff(g=Bump1D(0, 2.0), k=k), g)
+        expect = MatrixCutoff(g, cutoff_matrix(a)).lag_sums()
+        assert np.max(np.abs(a.lag_sums() - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_step_growth_in_a_fresh_process(self):
         # thm1's perfbench step at h = 1/128 (M = 1566), after the same step
