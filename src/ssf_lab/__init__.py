@@ -17,7 +17,7 @@ from .coefficients import (
     raised_cosine_test_function,
     sphere_volume,
 )
-from .harness import ExperimentConfig, SlopeFit, fit_order, reference_potential, run
+from .harness import ExperimentConfig, reference_potential, run
 from .microhyperbolicity import (
     Direction,
     EscapeCertificate,

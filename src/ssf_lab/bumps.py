@@ -6,6 +6,7 @@ integrals and degenerate-input identities exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +58,11 @@ class Bump1D:
     center: float = 0.0
     halfwidth: float = 1.0
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        # a zero width has no support: every value, and every trace, is 0
+        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError(f"halfwidth must be positive and finite, got {self.halfwidth!r}")
 
     def __call__(self, x):
         u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth

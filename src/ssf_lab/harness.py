@@ -17,8 +17,8 @@ writes the rows of one ``SweepReport`` (columns h, value, reference,
 rel_error, fitted_slope) and its verdict.  Every config is refused at
 ingest where its run cannot finish, and a sweep's verdict is issued only
 where a certificate carries the hypothesis; its checks are the numerics alone.
-``ConfigError``, ``SlopeFit`` and ``fit_order`` live beside that report in
-the quantization module and are re-exported here.
+``ConfigError`` lives beside that report in the quantization module and is
+re-exported here.
 """
 from __future__ import annotations
 
@@ -36,14 +36,12 @@ from . import microhyperbolicity as mh
 from . import quantization as qz
 from . import ssf as ssf_mod
 from .bumps import Bump1D, ProductCutoff, dilation_generator
-from .quantization import ConfigError, SlopeFit, fit_order
+from .quantization import ConfigError
 from .symbols import MatrixPotential, combine_potentials, model_potential, schrodinger_symbol
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "SlopeFit",
-    "fit_order",
     "reference_potential",
     "run",
     "report_identity_bytes",
@@ -144,12 +142,28 @@ def _number(value, key: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _positive(value, key: str) -> float:
+    """The positive finite number at the config's ``key``."""
+    number = _number(value, key)
+    if not number > 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return number
+
+
 def _numbers(value, key: str, length: int | None = None) -> tuple:
     """The list of numbers at the config's ``key``, of ``length`` entries where given."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         count = "" if length is None else f"{length} "
         raise ConfigError(f"{key} must be a list of {count}numbers, got {value!r}")
     return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _interval(value, key: str) -> tuple:
+    """The [lo, hi] pair at the config's ``key``, with hi > lo."""
+    lo, hi = _numbers(value, key, 2)
+    if not hi > lo:
+        raise ConfigError(f"{key} must be [lo, hi] with hi > lo, got {value!r}")
+    return lo, hi
 
 
 def _block(doc: dict, name: str, keys: tuple) -> dict:
@@ -183,7 +197,8 @@ def _grids_from(doc: dict, hs: tuple, default_R: float) -> list[qz.Grid1D]:
     g = _block(doc, "grid", ("R", "tau_max", "m_cap"))
     if g.get("tau_max") is None:
         raise ConfigError("grid needs tau_max, the top of the energies its grids resolve")
-    R, tau_max = _number(g.get("R", default_R), "grid.R"), _number(g["tau_max"], "grid.tau_max")
+    R = _positive(g.get("R", default_R), "grid.R")
+    tau_max = _positive(g["tau_max"], "grid.tau_max")
     m_cap = _number(g.get("m_cap", 8192), "grid.m_cap", integer=True)
     return [qz.grid_for(h, R, tau_max, m_cap) for h in hs]
 
@@ -217,14 +232,14 @@ def _test_function_from(doc: dict) -> coeffs.TestFunction:
     if "plateau" in tf and kind != "plateau":
         raise ConfigError(f"test_function.plateau is read by the plateau kind alone, "
                           f"not by {kind!r}")
-    support = _numbers(tf.get("support", (1.8, 2.2)), "test_function.support")
+    support = _numbers(tf.get("support", (1.8, 2.2)), "test_function.support", 2)
     try:
         if kind == "bump":
             return coeffs.bump_test_function(support)
         if kind == "plateau":
             plateau = tf.get("plateau")
             return coeffs.plateau_test_function(
-                support, None if plateau is None else _numbers(plateau, "test_function.plateau")
+                support, None if plateau is None else _numbers(plateau, "test_function.plateau", 2)
             )
         if kind == "raised_cosine":
             return coeffs.raised_cosine_test_function(support)
@@ -240,7 +255,7 @@ def _cutoff_from(doc: dict) -> ProductCutoff:
         b = c.get(axis) or {}
         _refuse_extra(f"cutoff.{axis}", b, ("center", "halfwidth"), f"cutoff.{axis}.")
         return Bump1D(center=_number(b.get("center", 0.0), f"cutoff.{axis}.center"),
-                      halfwidth=_number(b.get("halfwidth", 2.0), f"cutoff.{axis}.halfwidth"))
+                      halfwidth=_positive(b.get("halfwidth", 2.0), f"cutoff.{axis}.halfwidth"))
 
     return ProductCutoff(g=bump("x"), k=bump("xi"))
 
@@ -282,14 +297,16 @@ def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
     chk.update(_block(doc, "check", tuple(_CHECKS[kind])))
     args = {"tau0": inputs["tau0"],
             "grid_points": _number(chk["grid_points"], "check.grid_points", integer=True)}
+    if args["grid_points"] < 2:
+        raise ConfigError(f"check.grid_points must be at least 2, got {chk['grid_points']!r}")
     if kind == "dilation":
-        return kind, dict(args, v=inputs["v"], x_range=_numbers(chk["x_range"], "check.x_range", 2))
+        return kind, dict(args, v=inputs["v"], x_range=_interval(chk["x_range"], "check.x_range"))
     box, tol = chk["box"], chk["shell_tol"]
     if not isinstance(box, (list, tuple)) or len(box) != 2:
         raise ConfigError(f"check.box must be two [lo, hi] pairs, got {box!r}")
     args.update(p=schrodinger_symbol(inputs["v"]),
-                shell_tol=None if tol is None else _number(tol, "check.shell_tol"),
-                box=tuple(_numbers(side, f"check.box[{i}]", 2) for i, side in enumerate(box)))
+                shell_tol=None if tol is None else _positive(tol, "check.shell_tol"),
+                box=tuple(_interval(side, f"check.box[{i}]") for i, side in enumerate(box)))
     if kind == "general":
         return kind, dict(args, g=dilation_generator(inputs["v"].n))
     if chk["T"] is None:
@@ -385,25 +402,13 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-
-def _scalar(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+# Each runner returns its one table, (columns, rows) with the rows lists of
+# Python scalars, its certificates as JSON dicts, and its verdicts.
 
 
-def _csv_write(path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            vals = [_scalar(row[c]) for c in columns]
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                             for v in vals) + "\n")
-
-
-def _sweep_tables(rep: qz.SweepReport | None) -> dict:
-    """The one table of an h-sweep; no rows when the sweep did not run."""
-    return {"main": (list(qz.SweepReport.COLUMNS), [] if rep is None else list(rep.rows()))}
+def _sweep_table(rep: qz.SweepReport | None) -> tuple:
+    """The table of an h-sweep; no rows when the sweep did not run."""
+    return list(qz.SweepReport.COLUMNS), [] if rep is None else list(rep.rows())
 
 
 def _run_certificate(cfg: ExperimentConfig):
@@ -416,16 +421,14 @@ def _run_certificate(cfg: ExperimentConfig):
     else:
         columns, points = ["x", "k_or_xi"], cert.samples
         verdicts = {"escape": "PASS" if cert.valid else "FAIL"}
-    rows = [{columns[0]: float(p[0]), columns[1]: float(p[1])} for p in np.atleast_2d(points)] \
-        if np.size(points) else []
-    return {"main": (columns, rows)}, [cert.to_json_dict()], verdicts
+    rows = np.asarray(points, dtype=float).reshape(-1, 2).tolist()
+    return (columns, rows), [cert.to_json_dict()], verdicts
 
 
 def _run_coeffs(cfg: ExperimentConfig):
     profile = coeffs.coefficient_profile(cfg.inputs["v"], cfg.inputs["taus"])
-    rows = [{"tau": float(t), "gamma0": float(g), "a0": float(a)}
-            for t, g, a in zip(profile.tau_grid, profile.gamma0, profile.a0)]
-    return {"main": (["tau", "gamma0", "a0"], rows)}, [], {"coeffs": "COMPLETE"}
+    rows = np.column_stack([profile.tau_grid, profile.gamma0, profile.a0]).tolist()
+    return (["tau", "gamma0", "a0"], rows), [], {"coeffs": "COMPLETE"}
 
 
 def _run_sweep(cfg: ExperimentConfig, shared: dict):
@@ -447,7 +450,7 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         cert = shared[inputs["share"]]
     certificates = [] if cert is None else [cert.to_json_dict()]
     if variant not in ("thm2", "weak") and not cert.certifies:
-        return _sweep_tables(None), certificates, {variant: "NOT_CERTIFIED"}
+        return _sweep_table(None), certificates, {variant: "NOT_CERTIFIED"}
 
     if variant == "thm1":
         rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
@@ -458,13 +461,13 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         rep = qz.theorem3_check(v, chi, f, tau0, grids, window, **limits)
     else:
         # references come from the h-independent base potential
-        term, pairs = inputs["term"], {}
+        term, pairs = inputs["term"], []
         for grid in grids:
             key = ("pair", inputs["model"], grid)
             if key not in shared:
                 vh = v if term is None else combine_potentials(v, term, scale=grid.h)
                 shared[key] = ssf_mod.build_pair(vh, grid)
-            pairs[grid.h] = shared[key]
+            pairs.append(shared[key])
         if variant == "weak":
             rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)
         elif variant == "weyl":
@@ -472,7 +475,7 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         else:
             rep = ssf_mod.derivative_check(pairs, tau0, f, window, coeffs.gamma0(v, tau0),
                                            **limits)
-    return _sweep_tables(rep), certificates, {variant: rep.verdict}
+    return _sweep_table(rep), certificates, {variant: rep.verdict}
 
 
 @dataclass(frozen=True)
@@ -531,22 +534,17 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
                              time.perf_counter() - t0)
 
     if cfg.experiment in _VARIANTS:
-        tables, certificates, verdicts = _run_sweep(cfg, shared)
+        (columns, rows), certificates, verdicts = _run_sweep(cfg, shared)
     elif cfg.experiment == "coeffs":
-        tables, certificates, verdicts = _run_coeffs(cfg)
+        (columns, rows), certificates, verdicts = _run_coeffs(cfg)
     else:
-        tables, certificates, verdicts = _run_certificate(cfg)
+        (columns, rows), certificates, verdicts = _run_certificate(cfg)
     elapsed = time.perf_counter() - t0
 
-    json_tables = {}
-    for name, (columns, rows) in tables.items():
-        path = os.path.join(out, "data.csv" if name == "main" else f"{name}.csv")
-        _csv_write(path, columns, rows)
-        json_tables[name] = {
-            "columns": columns,
-            "rows": [[_scalar(row[c]) for c in columns] for row in rows],
-        }
-    return _write_report(out, cfg, certificates, json_tables, verdicts, elapsed)
+    with open(os.path.join(out, "data.csv"), "w") as fh:
+        fh.write("".join(",".join(map(str, line)) + "\n" for line in [columns, *rows]))
+    return _write_report(out, cfg, certificates, {"main": {"columns": columns, "rows": rows}},
+                         verdicts, elapsed)
 
 
 def _write_report(out: str, cfg: ExperimentConfig, certificates: list, tables: dict,

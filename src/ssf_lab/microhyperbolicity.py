@@ -325,6 +325,18 @@ def _golden_section(projs: np.ndarray) -> list:
     return [None if f <= 0.0 else Direction(t) for t, f in zip(best, fbest)]
 
 
+def _axis(side, grid_points: int, name: str) -> np.ndarray:
+    """``grid_points`` evenly spaced samples of the (lo, hi) ``side``.
+    ValueError unless hi > lo and grid_points >= 2: a degenerate sample
+    would check the hypothesis at one point, or at none."""
+    lo, hi = side
+    if not hi > lo:
+        raise ValueError(f"{name} needs hi > lo, got {[lo, hi]}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    return np.linspace(lo, hi, grid_points)
+
+
 def shell_sample(
     p: MatrixSymbol,
     tau0: float,
@@ -337,13 +349,17 @@ def shell_sample(
     l_k are the eigenvalues of the hermitian part of p(x, xi), for any
     symbol; for a Schrodinger symbol they are xi^2 + e_k(x).  The points are
     x-major, and p is evaluated by one ``p.on`` call over the whole grid.
-    The box is the phase plane (n = 1; NotImplementedError otherwise).
+    The box is the phase plane (n = 1; NotImplementedError otherwise), each
+    side with hi > lo, sampled at grid_points >= 2, and shell_tol is
+    positive (ValueError otherwise).
     """
     if p.n != 1:
         raise NotImplementedError("the shell sample is implemented for n = 1")
-    (x_lo, x_hi), (xi_lo, xi_hi) = box
-    xs = np.repeat(np.linspace(x_lo, x_hi, grid_points), grid_points)
-    xis = np.tile(np.linspace(xi_lo, xi_hi, grid_points), grid_points)
+    if not shell_tol > 0:
+        raise ValueError(f"shell_tol must be positive, got {shell_tol!r}")
+    x_side, xi_side = box
+    xs = np.repeat(_axis(x_side, grid_points, "the box's x side"), grid_points)
+    xis = np.tile(_axis(xi_side, grid_points, "the box's xi side"), grid_points)
     vals = np.linalg.eigvalsh(_hermitian_parts(p.on(xs, xis)))
     near = np.min(np.abs(tau0 - vals), axis=1) <= shell_tol
     return np.column_stack([xs[near], xis[near]])
@@ -465,12 +481,13 @@ def escape_check_dilation(
     tau0 - e_k(x) >= -1e-9 (the certificate's ``shell_tol``), and reports the
     crude sufficient threshold sup||x.gradV/2|| + sup||V|| for comparison
     (tau0 above it guarantees success).  V and its gradient at the samples
-    are one ``v.on`` and one ``v.gradient_on`` call.
+    are one ``v.on`` and one ``v.gradient_on`` call.  ValueError unless
+    x_range has hi > lo and grid_points >= 2.
     """
     allowed_tol = 1e-9
     if v.n != 1:
         raise NotImplementedError("dilation check is implemented for n = 1")
-    xs = np.linspace(x_range[0], x_range[1], grid_points)
+    xs = _axis(x_range, grid_points, "x_range")
     # the first non-hermitian sample, in sample order, raises
     mats = require_hermitian(v.on(xs))
     gvs = v.gradient_on(xs)[:, 0]

@@ -34,12 +34,12 @@ y = 1200) ship with the package (``scripts/window_profiles.py``), one
 table per window shape, interpolated by cubic Hermite polynomials.
 
 Every h-sweep ends in one ``SweepReport`` from ``sweep_verdict``: a value
-per h, the relative errors against a reference, the log-log order
-``fit_order`` fits to the errors (at least 3 h with max/min >= 4) and
-PASS/FAIL in a decay or a comparison form.  The three trace-formula checks
-below are such sweeps, one value per grid (none when supp f reaches above
-a grid's reliable window: ``WindowRangeError``); the ssf module holds the
-weak, Weyl-type and derivative sweeps.
+per h, the relative errors against a reference, the least-squares log-log
+order of the errors (at least 3 h with max/min >= 4) and PASS/FAIL in a
+decay or a comparison form.  The three trace-formula checks below are such
+sweeps, one value per grid (none when supp f reaches above a grid's
+reliable window: ``WindowRangeError``); the ssf module holds the weak,
+Weyl-type and derivative sweeps, one value per ``SpectralPair``.
 """
 from __future__ import annotations
 
@@ -77,8 +77,6 @@ __all__ = [
     "smoothed_trace",
     "ConfigError",
     "CertificateError",
-    "SlopeFit",
-    "fit_order",
     "SweepReport",
     "sweep_verdict",
     "theorem1_check",
@@ -1056,20 +1054,6 @@ class CertificateError(RuntimeError):
     """A quantity the check's hypothesis should make finite does not converge."""
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    """Least-squares order of an error sequence against h on log-log axes."""
-
-    hs: np.ndarray
-    errors: np.ndarray
-    slope: float | None
-    intercept: float | None
-    residual: float | None
-    below_floor: bool
-    verdict: str
-    threshold: float | None = None
-
-
 def _check_ladder(hs) -> None:
     """ConfigError unless the h-ladder admits a slope fit."""
     if len(hs) < 3 or float(np.max(hs) / np.min(hs)) < 4.0:
@@ -1077,37 +1061,19 @@ def _check_ladder(hs) -> None:
                           f"{[float(h) for h in hs]}")
 
 
-def fit_order(pairs, threshold: float | None = None, floor: float = 1e-12) -> SlopeFit:
-    """Fit log(error) vs log(h); needs >= 3 non-negative pairs and spread >= 4.
-
-    Errors all below ``floor`` give verdict BELOW_FLOOR.  An exact zero
-    among larger errors has no logarithm: the fit gives slope None and
-    verdict NO_FIT, a property of the result rather than of the config.
-    """
-    pairs = list(pairs)
-    hs = np.asarray([p[0] for p in pairs], dtype=float)
-    errs = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.all(np.abs(errs) < floor):
-        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
-                        residual=None, below_floor=True, verdict="BELOW_FLOOR",
-                        threshold=threshold)
+def _log_slope(hs: np.ndarray, errors: np.ndarray, floor: float) -> tuple[float | None, bool]:
+    """The least-squares slope of log(error) against log(h), and whether
+    every error is below ``floor`` (then there is no slope).  An exact zero
+    among larger errors has no logarithm and no slope either: a property of
+    the result, so it is not refused; a negative error is a ValueError."""
+    if np.all(np.abs(errors) < floor):
+        return None, True
     _check_ladder(hs)
-    if np.any(errs < 0):
-        raise ConfigError("slope fit needs non-negative errors")
-    if np.any(errs == 0):
-        return SlopeFit(hs=hs, errors=errs, slope=None, intercept=None,
-                        residual=None, below_floor=False, verdict="NO_FIT",
-                        threshold=threshold)
-    logs_h = np.log(hs)
-    logs_e = np.log(errs)
-    coef = np.polyfit(logs_h, logs_e, 1)
-    fitted = np.polyval(coef, logs_h)
-    resid = float(np.sqrt(np.mean((logs_e - fitted) ** 2)))
-    slope = float(coef[0])
-    verdict = "PASS" if threshold is None or slope >= threshold else "FAIL"
-    return SlopeFit(hs=hs, errors=errs, slope=slope, intercept=float(coef[1]),
-                    residual=resid, below_floor=False, verdict=verdict,
-                    threshold=threshold)
+    if np.any(errors < 0):
+        raise ValueError("a slope fit needs non-negative errors")
+    if np.any(errors == 0):
+        return None, False
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0]), False
 
 
 _DECAY_FLOOR = 1e-10  # decay values below this count as exact zeros
@@ -1130,33 +1096,38 @@ class SweepReport:
     verdict: str
 
     def rows(self):
-        slope = self.slope if self.slope is not None else float("nan")
-        for h, v, e in zip(self.hs, self.values, self.rel_errors):
-            yield dict(zip(self.COLUMNS, (h, v, self.reference, e, slope)))
+        """One row of Python floats per h, in ``COLUMNS`` order."""
+        slope = float("nan") if self.slope is None else self.slope
+        for h, v, e in zip(self.hs.tolist(), self.values.tolist(), self.rel_errors.tolist()):
+            yield [h, v, self.reference, e, slope]
 
 
 def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | None = None,
                   *, reference: float = 0.0, rel_errors=None) -> SweepReport:
-    """The verdict of one h-sweep, in one of two forms.
+    """The verdict of one h-sweep, in one of two forms, on the least-squares
+    slope of log(error) against log(h).  The slope needs at least 3 h with
+    max/min >= 4 (ConfigError) and non-negative errors (ValueError); there
+    is none when every error is below the floor or one is exactly zero.
 
     Decay (``rel_threshold`` None): the values are the errors, fitted above
-    a floor of 1e-10; PASS when the fitted order reaches ``order_threshold``
-    or every value is below the floor.  It takes no ``rel_errors``.
+    a floor of 1e-10; PASS when the slope reaches ``order_threshold`` or
+    every value is below the floor, so an exact zero among larger values
+    fails.  It takes no ``rel_errors``.
 
     Comparison: the errors are |values - reference| and the relative errors
     those over |reference|; when ``rel_errors`` is given, the values are the
     errors.  PASS when the last relative error is within ``rel_threshold``
-    and the fit is not FAIL, so a fit that is BELOW_FLOOR (every error below
-    1e-12) or NO_FIT (an exact zero among the errors) leaves the relative
-    threshold to decide.
+    and no slope falls short of ``order_threshold``, so with no slope (every
+    error below 1e-12, or an exact zero among them) the relative threshold
+    decides.
     """
     hs = np.asarray(hs, dtype=float)
     values = np.asarray(values, dtype=float)
     if rel_threshold is None:
         if rel_errors is not None:
             raise ValueError("a decay sweep's relative errors are its values")
-        fit = fit_order(zip(hs, values), order_threshold, _DECAY_FLOOR)
-        ok = fit.verdict in ("PASS", "BELOW_FLOOR")
+        slope, below_floor = _log_slope(hs, values, _DECAY_FLOOR)
+        ok = below_floor or (slope is not None and slope >= order_threshold)
         rel_errors = values
     else:
         if rel_errors is None:
@@ -1164,11 +1135,11 @@ def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | Non
             rel_errors = errors / max(abs(reference), 1e-300)
         else:
             errors = values
-        fit = fit_order(zip(hs, errors), order_threshold, _COMPARISON_FLOOR)
-        ok = rel_errors[-1] <= rel_threshold and fit.verdict != "FAIL"
+        slope, below_floor = _log_slope(hs, errors, _COMPARISON_FLOOR)
+        ok = rel_errors[-1] <= rel_threshold and (slope is None or slope >= order_threshold)
     return SweepReport(hs=hs, values=values, reference=float(reference),
-                       rel_errors=np.asarray(rel_errors, dtype=float), slope=fit.slope,
-                       below_floor=fit.below_floor, verdict="PASS" if ok else "FAIL")
+                       rel_errors=np.asarray(rel_errors, dtype=float), slope=slope,
+                       below_floor=below_floor, verdict="PASS" if ok else "FAIL")
 
 
 # ---------------------------------------------------------------------------

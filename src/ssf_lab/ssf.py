@@ -18,8 +18,8 @@ the leading coefficients of the coefficients module:
 * 2 pi h * mollified density diff      ->  gamma0(tau)  (derivative form).
 
 The three h-sweeps below (``weak_check``, ``weyl_check``,
-``derivative_check``) take a dict from h to ``SpectralPair`` and end in the
-quantization module's ``SweepReport``: comparison verdicts on the last
+``derivative_check``) take a list of ``SpectralPair`` in sweep order, h
+decreasing, and end in the quantization module's ``SweepReport``: comparison verdicts on the last
 relative error and the fitted order of the residuals.  They are the
 numerics alone: the harness decides, from the escape certificate, whether
 the Weyl-type and derivative verdicts are issued at all.
@@ -124,12 +124,8 @@ def ssf_mollified(pair: SpectralPair, w: WindowTheta, tau):
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def _descending(pairs: dict) -> np.ndarray:
-    return np.asarray(sorted(pairs.keys(), reverse=True), dtype=float)
-
-
 def weak_check(
-    pairs: dict[float, SpectralPair],
+    pairs: list[SpectralPair],
     f: TestFunction,
     c0_reference: float,
     *,
@@ -137,18 +133,15 @@ def weak_check(
     rel_threshold: float = 0.03,
 ) -> SweepReport:
     """2 pi h * weak pairing against the closed-form c0(f), with the fitted
-    order of the residual.
-
-    ``pairs`` maps h to a SpectralPair.  The weak asymptotics need no
-    certificate.
+    order of the residual.  The weak asymptotics need no certificate.
     """
-    hs = _descending(pairs)
-    values = [2.0 * math.pi * h * weak_pairing(pairs[h], f) for h in hs]
-    return sweep_verdict(hs, values, order_threshold, rel_threshold, reference=c0_reference)
+    values = [2.0 * math.pi * pair.h * weak_pairing(pair, f) for pair in pairs]
+    return sweep_verdict([pair.h for pair in pairs], values, order_threshold, rel_threshold,
+                         reference=c0_reference)
 
 
 def weyl_check(
-    pairs: dict[float, SpectralPair],
+    pairs: list[SpectralPair],
     taus,
     a0_reference,
     w: WindowTheta,
@@ -159,22 +152,20 @@ def weyl_check(
     """sup-tau error of 2 pi h * mollified counting against the closed-form
     leading coefficient a0 on ``taus``, with the fitted order of the remainder.
 
-    ``pairs`` maps h to a SpectralPair.  The report's values are the sup
-    errors, its reference is max |a0| and its relative errors are the sup of
-    the pointwise ones.  The expansion holds under a shell or escape
-    hypothesis for the window.
+    The report's values are the sup errors, its reference is max |a0| and
+    its relative errors are the sup of the pointwise ones.  The expansion
+    holds under a shell or escape hypothesis for the window.
     """
     taus = np.asarray(taus, dtype=float)
     ref = np.asarray(a0_reference, dtype=float)
-    hs = _descending(pairs)
     sup_err = []
     sup_rel = []
-    for h in hs:
-        vals = 2.0 * math.pi * h * np.asarray(ssf_mollified(pairs[h], w, taus))
+    for pair in pairs:
+        vals = 2.0 * math.pi * pair.h * np.asarray(ssf_mollified(pair, w, taus))
         err = np.abs(vals - ref)
         sup_err.append(float(np.max(err)))
         sup_rel.append(float(np.max(err / np.abs(ref))))
-    return sweep_verdict(hs, sup_err, order_threshold, rel_threshold,
+    return sweep_verdict([pair.h for pair in pairs], sup_err, order_threshold, rel_threshold,
                          reference=float(np.max(np.abs(ref))), rel_errors=sup_rel)
 
 
@@ -191,7 +182,7 @@ def mollified_density_pairing(pair: SpectralPair, f: TestFunction, w: WindowThet
 
 
 def derivative_check(
-    pairs: dict[float, SpectralPair],
+    pairs: list[SpectralPair],
     tau0: float,
     f: TestFunction,
     w: WindowTheta,
@@ -208,7 +199,7 @@ def derivative_check(
     """
     if not w.is_even:
         raise ValueError("derivative check uses the even window")
-    hs = _descending(pairs)
-    values = [2.0 * math.pi * h * mollified_density_pairing(pairs[h], f, w, tau0) for h in hs]
-    return sweep_verdict(hs, values, order_threshold, rel_threshold,
+    values = [2.0 * math.pi * pair.h * mollified_density_pairing(pair, f, w, tau0)
+              for pair in pairs]
+    return sweep_verdict([pair.h for pair in pairs], values, order_threshold, rel_threshold,
                          reference=float(gamma0_reference))

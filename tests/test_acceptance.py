@@ -48,12 +48,9 @@ def vref():
 
 @pytest.fixture(scope="module")
 def vref_family(vref):
-    pairs = {}
-    for h in H_LIST:
-        grid = Grid1D(R=R_BOX, M=required_points(R_BOX, h, TAU_MAX), h=h,
-                      tau_max=TAU_MAX)
-        pairs[h] = build_pair(vref, grid)
-    return pairs
+    return [build_pair(vref, Grid1D(R=R_BOX, M=required_points(R_BOX, h, TAU_MAX), h=h,
+                                    tau_max=TAU_MAX))
+            for h in H_LIST]
 
 
 @pytest.fixture(scope="module")
@@ -139,18 +136,12 @@ def test_criterion_2_weyl_asymptotics(vref, vref_family, escape_certificate):
 def test_criterion_3_weak_asymptotics(vref, vref_family):
     f = sl.bump_test_function((1.8, 2.2))
     ref = sl.c0(vref, f)
-    hs = sorted(vref_family.keys(), reverse=True)
-    errs = []
-    rel64 = None
-    for h in hs:
-        val = 2.0 * math.pi * h * sl.weak_pairing(vref_family[h], f)
-        errs.append((h, abs(val - ref)))
-        if abs(h - 1 / 64) < 1e-12:
-            rel64 = abs(val - ref) / abs(ref)
-    fit = sl.fit_order(errs, threshold=1.5)
-    ok = fit.verdict in ("PASS", "BELOW_FLOOR") and rel64 <= 0.03
+    rep = sl.weak_check(vref_family, f, ref, order_threshold=1.5, rel_threshold=0.03)
+    rel64 = rep.rel_errors[H_LIST.index(1 / 64)]
+    ok = rep.verdict == "PASS" and rel64 <= 0.03
     _report("3 weak asymptotics", ok,
-            f"rel err at h=1/64: {rel64:.3%} (<=3%), fitted order {fit.slope:.2f} (>=1.5)")
+            f"rel err at h=1/64: {rel64:.3%} (<=3%), at h=1/128: {rep.rel_errors[-1]:.3%} "
+            f"(<=3%), fitted order {rep.slope:.2f} (>=1.5)")
 
 
 def test_criterion_4_pointwise_derivative(vref, vref_family, escape_certificate):

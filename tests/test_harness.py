@@ -16,7 +16,6 @@ from ssf_lab import ssf as ssf_mod
 from ssf_lab.harness import (
     ConfigError,
     ExperimentConfig,
-    fit_order,
     reference_potential,
     report_identity_bytes,
     run,
@@ -37,45 +36,54 @@ EMPTY_SHELL_ESCAPE = {
 }
 
 
-class TestFitOrder:
+HS4 = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
+
+
+class TestSweepSlope:
+    """The slope rule of ``sweep_verdict``: the least-squares slope of
+    log(error) against log(h), on the decay form unless a test says not."""
+
     def test_pure_power(self):
-        hs = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
-        fit = fit_order([(h, 3.0 * h**2) for h in hs])
-        assert fit.slope == pytest.approx(2.0, abs=1e-12)
-        assert fit.residual < 1e-12
+        rep = qz.sweep_verdict(HS4, [3.0 * h**2 for h in HS4], 1.5)
+        assert rep.slope == pytest.approx(2.0, abs=1e-12)
+        assert rep.verdict == "PASS" and not rep.below_floor
 
     def test_mixed_power(self):
-        hs = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
-        fit = fit_order([(h, h + 10.0 * h**2) for h in hs])
-        assert 1.0 < fit.slope < 1.3
+        rep = qz.sweep_verdict(HS4, [h + 10.0 * h**2 for h in HS4], 1.5)
+        assert 1.0 < rep.slope < 1.3
 
     def test_below_floor(self):
-        fit = fit_order([(1 / 16, 0.0), (1 / 32, 1e-14), (1 / 64, 0.0)])
-        assert fit.below_floor
-        assert fit.verdict == "BELOW_FLOOR"
+        rep = qz.sweep_verdict([1 / 16, 1 / 32, 1 / 64], [0.0, 1e-14, 0.0], 1.5)
+        assert rep.below_floor and rep.slope is None
+        assert rep.verdict == "PASS"
 
     def test_rejections(self):
-        with pytest.raises(ConfigError):
-            fit_order([(1 / 16, 1.0), (1 / 32, 0.5)])
-        with pytest.raises(ConfigError):
-            fit_order([(1 / 16, 1.0), (1 / 20, 0.5), (1 / 24, 0.3)])  # spread < 4
-        with pytest.raises(ConfigError):
-            fit_order([(1 / 16, 1.0), (1 / 32, -0.5), (1 / 128, 0.3)])
+        with pytest.raises(ConfigError, match="at least 3 h"):
+            qz.sweep_verdict([1 / 16, 1 / 32], [1.0, 0.5], 1.5)
+        with pytest.raises(ConfigError, match="max/min >= 4"):
+            qz.sweep_verdict([1 / 16, 1 / 20, 1 / 24], [1.0, 0.5, 0.3], 1.5)  # spread < 4
+        # a negative error is a fault of the result, not of the config
+        with pytest.raises(ValueError, match="non-negative errors") as err:
+            qz.sweep_verdict([1 / 16, 1 / 32, 1 / 128], [1.0, -0.5, 0.3], 1.5)
+        assert not isinstance(err.value, ConfigError)
 
-    def test_zero_error_is_no_fit(self):
-        # an exact zero among positive errors has no logarithm: a verdict,
-        # not a config error
-        fit = fit_order([(1 / 16, 1e-3), (1 / 32, 0.0), (1 / 64, 2e-5)], threshold=1.5)
-        assert fit.verdict == "NO_FIT"
-        assert fit.slope is None and fit.intercept is None and fit.residual is None
-        assert not fit.below_floor and fit.threshold == 1.5
+    def test_zero_error_has_no_slope(self):
+        # an exact zero among positive errors has no logarithm: a decay sweep
+        # fails, and a comparison is left to its relative threshold
+        errors = [1e-3, 0.0, 2e-5]
+        hs = [1 / 16, 1 / 32, 1 / 64]
+        rep = qz.sweep_verdict(hs, errors, 1.5)
+        assert rep.verdict == "FAIL"
+        assert rep.slope is None and not rep.below_floor
+        values = [1.0 + e for e in errors]
+        for rel, verdict in ((0.03, "PASS"), (1e-6, "FAIL")):
+            rep = qz.sweep_verdict(hs, values, 1.5, rel, reference=1.0)
+            assert rep.slope is None and not rep.below_floor
+            assert rep.verdict == verdict
 
     def test_threshold_verdict(self):
-        hs = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
-        fit = fit_order([(h, h) for h in hs], threshold=1.5)
-        assert fit.verdict == "FAIL"
-        fit2 = fit_order([(h, h**2) for h in hs], threshold=1.5)
-        assert fit2.verdict == "PASS"
+        assert qz.sweep_verdict(HS4, HS4, 1.5).verdict == "FAIL"
+        assert qz.sweep_verdict(HS4, [h**2 for h in HS4], 1.5).verdict == "PASS"
 
 
 class TestReferencePotential:
@@ -730,9 +738,16 @@ class TestRefusedBeforeSolve:
          qz.WindowRangeError, "support up to 3.4 exceeds the reliable window 3.24"),
         ("ssf_derivative_reference", {"grid": {"R": 12.0, "tau_max": 3.24, "m_cap": 100}},
          qz.CoverageError, "needs M=.* > cap 100"),
+        ("trace_thm3_crossing", {"check": {"grid_points": -1}}, ConfigError,
+         "check.grid_points must be at least 2"),
+        ("trace_thm3_crossing", {"check": {"shell_tol": 0}}, ConfigError,
+         "check.shell_tol must be positive"),
+        ("trace_thm3_crossing",
+         {"cutoff": {"x": {"halfwidth": 0}, "xi": {"center": 0.0, "halfwidth": 2.0}}},
+         ConfigError, "cutoff.x.halfwidth must be positive"),
     ], ids=["change0-at least 3 h", "change1-thresholds.slope", "change2-ssf needs variant",
             "grid_key", "cutoff_key", "potential_kind", "tau_grid", "check_key",
-            "energy_above_tau_max", "m_cap"])
+            "energy_above_tau_max", "m_cap", "grid_points", "shell_tol", "halfwidth"])
     def test_sweep_with_a_bad_child(self, tmp_path, no_assembly, capsys, child, change, error,
                                     named):
         # a bad block of the last child is refused at ingest, with the error
@@ -790,6 +805,35 @@ class TestRefusedBeforeSolve:
         ("check_mh_crossing", "check.shell_tol", "0.1", "check.shell_tol must be a finite number"),
         ("check_mh_crossing", "tau0", math.nan, "tau0 must be a finite number"),
         ("ssf_weak_reference", "grid.tau_max", math.inf, "grid.tau_max must be a finite number"),
+        # a sample that checks the hypothesis at one point or at none, a
+        # cutoff of no width (its trace, 0, matches its reference, 0), a
+        # grid of no box or energy range, or a support or plateau that is
+        # not an interval
+        ("trace_thm3_crossing", "check.shell_tol", -1, "check.shell_tol must be positive"),
+        ("check_mh_crossing", "check.shell_tol", 0, "check.shell_tol must be positive"),
+        ("trace_thm3_crossing", "check.grid_points", 1, "check.grid_points must be at least 2"),
+        ("trace_thm3_crossing", "check.grid_points", 0, "check.grid_points must be at least 2"),
+        ("check_escape_reference", "check.grid_points", -3,
+         "check.grid_points must be at least 2"),
+        ("trace_thm3_crossing", "check.box.0", [0.0, 0.0],
+         r"check.box\[0\] must be \[lo, hi\] with hi > lo"),
+        ("check_mh_crossing", "check.box.1", [2.0, -2.0],
+         r"check.box\[1\] must be \[lo, hi\] with hi > lo"),
+        ("check_escape_reference", "check.x_range", [1.0, 1.0],
+         r"check.x_range must be \[lo, hi\] with hi > lo"),
+        ("trace_thm3_crossing", "cutoff.x.halfwidth", 0, "cutoff.x.halfwidth must be positive"),
+        ("trace_thm3_crossing", "cutoff.xi.halfwidth", -1.0,
+         "cutoff.xi.halfwidth must be positive"),
+        ("trace_thm1_free", "grid.R", 0, "grid.R must be positive"),
+        ("ssf_weak_reference", "grid.R", -12.0, "grid.R must be positive"),
+        ("ssf_weak_reference", "grid.tau_max", 0, "grid.tau_max must be positive"),
+        ("trace_thm3_crossing", "grid.tau_max", -2.0, "grid.tau_max must be positive"),
+        ("ssf_weak_reference", "test_function.support", [1.8],
+         "test_function.support must be a list of 2 numbers"),
+        ("ssf_weak_reference", "test_function.support", [1.8, 2.0, 2.2],
+         "test_function.support must be a list of 2 numbers"),
+        ("ssf_derivative_reference", "test_function.plateau", [1.6],
+         "test_function.plateau must be a list of 2 numbers"),
     ])
     def test_number_refused_at_ingest(self, tmp_path, no_assembly, name, key, value, named):
         doc = _config(name, out=str(tmp_path / "o"))

@@ -372,6 +372,47 @@ class TestCrossingCondition:
         assert res.note == "no level touches tau0"
 
 
+class TestDegenerateSampling:
+    """A sample of one point per axis, of an empty side or of a shell of no
+    thickness checks the hypothesis at one point or at none: each is a
+    ValueError for a direct caller, before anything is evaluated."""
+
+    P = schrodinger_symbol(model_potential("conical_crossing"))
+    SHELL_CHECKS = {
+        "shell_sample": shell_sample,
+        "check_on_energy_shell": check_on_energy_shell,
+        "escape_check_general": lambda p, **kw: escape_check_general(
+            p, dilation_generator(1), **kw),
+    }
+
+    @pytest.mark.parametrize("check", SHELL_CHECKS)
+    @pytest.mark.parametrize("change,named", [
+        ({"shell_tol": 0.0}, "shell_tol must be positive"),
+        ({"shell_tol": -1.0}, "shell_tol must be positive"),
+        ({"shell_tol": math.nan}, "shell_tol must be positive"),
+        ({"grid_points": 1}, "grid_points must be at least 2"),
+        ({"grid_points": 0}, "grid_points must be at least 2"),
+        ({"grid_points": -1}, "grid_points must be at least 2"),
+        ({"box": ((0.0, 0.0), (-2.0, 2.0))}, "x side needs hi > lo"),
+        ({"box": ((-2.5, 2.5), (2.0, -2.0))}, "xi side needs hi > lo"),
+    ])
+    def test_shell_sample_refused(self, check, change, named):
+        args = dict({"tau0": 1.0, "box": ((-2.5, 2.5), (-2.0, 2.0)), "shell_tol": 0.1,
+                     "grid_points": 21}, **change)
+        with pytest.raises(ValueError, match=named):
+            self.SHELL_CHECKS[check](self.P, **args)
+
+    @pytest.mark.parametrize("change,named", [
+        ({"x_range": (1.0, 1.0)}, "x_range needs hi > lo"),
+        ({"x_range": (8.0, -8.0)}, "x_range needs hi > lo"),
+        ({"grid_points": 1}, "grid_points must be at least 2"),
+        ({"grid_points": -1}, "grid_points must be at least 2"),
+    ])
+    def test_dilation_sample_refused(self, change, named):
+        with pytest.raises(ValueError, match=named):
+            escape_check_dilation(model_potential("reference"), 2.0, **change)
+
+
 class TestEscapeChecks:
     def test_free_dilation_exact(self):
         for tau0 in (0.5, 1.5, 3.0):

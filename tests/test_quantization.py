@@ -907,6 +907,13 @@ class TestMatrixOwnership:
 
 
 class TestWeylQuantize:
+    @pytest.mark.parametrize("halfwidth", [0.0, -1.0, math.nan, math.inf])
+    def test_cutoff_needs_a_width(self, halfwidth):
+        # a zero width has no support: its trace and its reference are both
+        # 0, a vacuous pass
+        with pytest.raises(ValueError, match="halfwidth must be positive and finite"):
+            Bump1D(0.0, halfwidth)
+
     @pytest.mark.parametrize("symbol", [
         lambda g: 1.0, lambda g: lambda x: np.exp(-x * x),
         lambda g: lambda x, xi: CHI.g(x) * CHI.k(xi), lambda g: CHI.g, lambda g: None,
@@ -1877,16 +1884,16 @@ class TestSweepVerdict:
         assert rep.below_floor is below
         if slope is None:
             assert rep.slope is None
-            assert all(math.isnan(r["fitted_slope"]) for r in rep.rows())
+            assert all(math.isnan(r[4]) for r in rep.rows())
         else:
             assert rep.slope == pytest.approx(slope, abs=1e-6)
-        assert [r["value"] for r in rep.rows()] == list(values)
+        assert [r[1] for r in rep.rows()] == list(values)
 
     def test_decay_rows_are_the_values(self):
         rep = sweep_verdict(HS, [h**4 for h in HS], 3.0)
         rows = list(rep.rows())
-        assert [tuple(r) for r in rows] == [qz.SweepReport.COLUMNS] * 3
-        assert all(r["reference"] == 0.0 and r["rel_error"] == r["value"] for r in rows)
+        assert [[type(x) for x in r] for r in rows] == [[float] * len(qz.SweepReport.COLUMNS)] * 3
+        assert all(r[2] == 0.0 and r[3] == r[1] for r in rows)
 
     def test_given_relative_errors(self):
         # given relative errors stand, and the values are the errors fitted

@@ -414,7 +414,7 @@ class TestSweeps:
     def test_weyl_two_point_sweep_rejected(self):
         # two h with nonzero errors admit no slope fit
         v = gauss_well()
-        pairs = {h: make_pair(v, h=h) for h in (1 / 8, 1 / 16)}
+        pairs = [make_pair(v, h=h) for h in (1 / 8, 1 / 16)]
         taus = np.linspace(1.2, 1.4, 5)
         ref = np.asarray(a0(v, taus))
         with pytest.raises(ConfigError):
@@ -424,33 +424,33 @@ class TestSweeps:
         # the grid resolves energies up to tau_max = 2.0; counting at a tau
         # above it would pair eigenvalues it does not resolve
         v = gauss_well()
-        pairs = {1 / 16: make_pair(v, tau_max=2.0)}
+        pairs = [make_pair(v, tau_max=2.0)]
         w = WindowTheta("bump_at_zero", eps=0.25)
         taus = np.linspace(1.8, 2.2, 5)
         with pytest.raises(WindowRangeError, match="tau up to 2.2"):
             weyl_check(pairs, taus, np.asarray(a0(v, taus)), w)
         inside = np.linspace(1.6, 2.0, 5)
-        assert np.all(np.isfinite(ssf_mollified(pairs[1 / 16], w, inside)))
+        assert np.all(np.isfinite(ssf_mollified(pairs[0], w, inside)))
 
     def test_derivative_support_past_the_window_rejected(self):
         v = gauss_well()
-        pairs = {1 / 16: make_pair(v, tau_max=2.0)}
+        pairs = [make_pair(v, tau_max=2.0)]
         w = WindowTheta("bump_at_zero", eps=0.5)
         f = plateau_test_function((1.2, 2.8), (1.6, 2.4))
         with pytest.raises(WindowRangeError, match="support up to 2.8"):
             derivative_check(pairs, 1.8, f, w, 1.0)
         inside = plateau_test_function((1.2, 2.0), (1.6, 1.9))
-        assert math.isfinite(mollified_density_pairing(pairs[1 / 16], inside, w, 1.8))
+        assert math.isfinite(mollified_density_pairing(pairs[0], inside, w, 1.8))
 
     def test_weak_check_matches_pairings(self):
         v = gauss_well()
         f = bump_test_function((1.0, 1.6))
-        pairs = {h: make_pair(v, h=h) for h in (1 / 8, 1 / 16, 1 / 32)}
+        hs = [1 / 8, 1 / 16, 1 / 32]
+        pairs = [make_pair(v, h=h) for h in hs]
         ref = c0(v, f)
         rep = weak_check(pairs, f, ref)
-        hs = [1 / 8, 1 / 16, 1 / 32]
         assert list(rep.hs) == hs
-        assert list(rep.values) == [2.0 * math.pi * h * weak_pairing(pairs[h], f) for h in hs]
+        assert list(rep.values) == [2.0 * math.pi * p.h * weak_pairing(p, f) for p in pairs]
         assert rep.reference == ref
         rel = [abs(val - ref) / abs(ref) for val in rep.values]
         assert list(rep.rel_errors) == rel
