@@ -15,7 +15,6 @@ from .coefficients import (
     gamma0_localized,
     plateau_test_function,
     raised_cosine_test_function,
-    sphere_volume,
 )
 from .harness import ExperimentConfig, reference_potential, run
 from .microhyperbolicity import (

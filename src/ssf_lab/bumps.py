@@ -106,34 +106,28 @@ class ScalarPhaseFunction:
     """Scalar G(x, xi) with an explicit phase-space gradient, given by its
     array form.
 
-    ``eval_on(x, xi)`` maps K points (x and xi of shape (K,) for n=1, (K, n)
-    otherwise) to the K values, and ``grad_on(x, xi)`` to the (K, 2n)
-    gradients (dG/dx..., dG/dxi...).  A scalar call is the one row at that
-    point.
+    ``eval_on(x, xi)`` maps K points (x and xi of shape (K,)) to the K
+    values, and ``grad_on(x, xi)`` to the (K, 2) gradients (dG/dx, dG/dxi).
+    A scalar call is the one row at that point.
     """
 
-    n: int
     eval_on: Callable
     grad_on: Callable
     name: str = ""
 
     def __call__(self, x, xi):
-        return self.eval_on(_row(x, self.n), _row(xi, self.n))[0]
+        return self.eval_on(_row(x), _row(xi))[0]
 
     def gradient(self, x, xi) -> np.ndarray:
-        return self.gradient_on(_row(x, self.n), _row(xi, self.n))[0]
+        return self.gradient_on(_row(x), _row(xi))[0]
 
     def gradient_on(self, x, xi) -> np.ndarray:
-        """The (K, 2n) gradients at the K points (x[k], xi[k])."""
+        """The (K, 2) gradients at the K points (x[k], xi[k])."""
         return np.asarray(self.grad_on(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)),
                           dtype=float)
 
 
-def dilation_generator(n: int = 1) -> ScalarPhaseFunction:
-    """G(x, xi) = x . xi, the generator of phase-space dilations."""
-    if n == 1:
-        return ScalarPhaseFunction(n=1, eval_on=lambda x, xi: x * xi,
-                                   grad_on=lambda x, xi: np.column_stack([xi, x]), name="x.xi")
-    return ScalarPhaseFunction(n=n, eval_on=lambda x, xi: np.sum(x * xi, axis=1),
-                               grad_on=lambda x, xi: np.concatenate([xi, x], axis=1),
-                               name="x.xi")
+def dilation_generator() -> ScalarPhaseFunction:
+    """G(x, xi) = x xi, the generator of phase-space dilations."""
+    return ScalarPhaseFunction(eval_on=lambda x, xi: x * xi,
+                               grad_on=lambda x, xi: np.column_stack([xi, x]), name="x.xi")

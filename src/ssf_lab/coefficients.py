@@ -1,17 +1,20 @@
 """Closed-form leading coefficients of the spectral-shift expansions.
 
-For a potential with channel branches e_1(x) <= ... <= e_N(x) and limits
-thr_k at infinity, this module evaluates
+For a potential on the line with channel branches e_1(x) <= ... <= e_N(x)
+and limits thr_k at infinity, this module evaluates
 
 * ``gamma0``  -- the density coefficient
-      (omega_n/2) sum_k int [(tau - e_k(x))_+^((n-2)/2) - (tau - thr_k)_+^((n-2)/2)] dx,
+      sum_k int [(tau - e_k(x))_+^(-1/2) - (tau - thr_k)_+^(-1/2)] dx,
 * ``a0``      -- its tau-primitive (requires zero limit)
-      (omega_n/n) sum_k int [(tau - e_k(x))_+^(n/2) - tau_+^(n/2)] dx,
+      2 sum_k int [(tau - e_k(x))_+^(1/2) - tau_+^(1/2)] dx,
 * ``c0``      -- the weak-pairing coefficient
-      (omega_n/2) sum_k int int [f(thr_k + t) - f(e_k(x) + t)] t^((n-2)/2) dt dx,
-* ``gamma0_localized`` -- the phase-space localized density (n = 1)
+      sum_k int int_0^inf [f(thr_k + t) - f(e_k(x) + t)] t^(-1/2) dt dx,
+* ``gamma0_localized`` -- the phase-space localized density
       sum_k int g(x) [k(s_k) + k(-s_k)] / (2 s_k) dx,  s_k = (tau - e_k(x))_+^(1/2),
   for a product cutoff g(x) k(xi): the tau-derivative of its band volume.
+
+The sphere measure omega_1 = 2 of the general-dimension formulas is folded
+into these constants.
 
 Sign bookkeeping: the weak pairing -tr(f(P1) - f(P0)) expands with c0, while
 the counting difference N1 - N0 expands with a0 and its derivative gamma0;
@@ -20,7 +23,7 @@ constant-shift case and enforced by the test suite).
 
 Integrands are always formed as pointwise differences so a potential equal to
 its own limit yields exact zeros.  The inverse-square-root endpoint
-singularities of the n=1 densities are removed by bracketing the turning points
+singularities of the densities are removed by bracketing the turning points
 of tau - e_k(x) and substituting x = turning_point +/- u^2 locally.
 
 ``gamma0`` and ``a0`` take one tau or an array of them.  One call scans all
@@ -50,7 +53,6 @@ __all__ = [
     "bump_test_function",
     "plateau_test_function",
     "raised_cosine_test_function",
-    "sphere_volume",
     "gamma0",
     "a0",
     "c0",
@@ -137,22 +139,10 @@ def raised_cosine_test_function(support: tuple[float, float]) -> TestFunction:
     return TestFunction(support=(a, b), eval=_eval, kind="raised_cosine")
 
 
-def sphere_volume(n: int) -> float:
-    """omega_n, the measure of the unit sphere S^(n-1): 2, 2*pi, 4*pi, ..."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def _branch_values(v: MatrixPotential, xs: np.ndarray) -> np.ndarray:
-    """Sorted channel eigenvalues on a 1d coordinate grid, shape (len(xs), N),
-    from one ``v.on`` call (for n >= 2 along the first axis)."""
-    xs = np.asarray(xs, dtype=float)
-    if v.n != 1:
-        e1 = np.zeros(v.n)
-        e1[0] = 1.0
-        xs = xs[:, None] * e1
-    return np.linalg.eigvalsh(_hermitian_parts(v.on(xs)))
+    """Sorted channel eigenvalues on a coordinate grid, shape (len(xs), N),
+    from one ``v.on`` call."""
+    return np.linalg.eigvalsh(_hermitian_parts(v.on(np.asarray(xs, dtype=float))))
 
 
 def _branch_at(v: MatrixPotential, xs: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -214,10 +204,10 @@ def _turning_points(v: MatrixPotential, taus: np.ndarray, lo: float, hi: float,
 
 
 def _power_differences(v: MatrixPotential, taus: np.ndarray, consts: np.ndarray,
-                       exponent: float, weight, roots, lo: float, hi: float,
+                       exponent: float, roots, lo: float, hi: float,
                        atol: float) -> np.ndarray:
-    """int_lo^hi w(x) [(tau - e_k(x))_+^exponent - consts[t, k]] dx for every
-    tau and channel, shape (T, N), as one batch with the turning points as
+    """int_lo^hi [(tau - e_k(x))_+^exponent - consts[t, k]] dx for every tau
+    and channel, shape (T, N), as one batch with the turning points as
     breakpoints."""
     count = taus.size * v.N
     tau_o = np.repeat(taus, v.N)
@@ -226,8 +216,7 @@ def _power_differences(v: MatrixPotential, taus: np.ndarray, consts: np.ndarray,
 
     def diff(owner, xs):
         base = np.clip(tau_o[owner] - _branch_at(v, xs, k_o[owner]), 0.0, None)
-        vals = base ** exponent - c_o[owner]
-        return vals if weight is None else weight(xs) * vals
+        return base ** exponent - c_o[owner]
 
     out = adaptive_gauss_batch(diff, np.full(count, lo), np.full(count, hi), atol,
                                breakpoints=[pts for rt in roots for pts in rt])
@@ -309,20 +298,6 @@ def _singular_differences(v: MatrixPotential, taus: np.ndarray, c_inf: np.ndarra
     return out
 
 
-def _radial_weight(n: int):
-    if n == 1:
-        return None
-    return lambda xs: sphere_volume(n) * np.asarray(xs, dtype=float) ** (n - 1)
-
-
-def _coordinate_range(v: MatrixPotential):
-    if v.n == 1:
-        return (-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS)
-    if not v.radial:
-        raise NotImplementedError("n >= 2 coefficients need a radial potential")
-    return (0.0, DEFAULT_BOX_RADIUS)
-
-
 def _channel_sum(parts: np.ndarray) -> np.ndarray:
     """Sum of (T, N) per-channel parts over channels, in channel order."""
     total = np.zeros(parts.shape[0])
@@ -331,53 +306,47 @@ def _channel_sum(parts: np.ndarray) -> np.ndarray:
     return total
 
 
+def _check_energies(v: MatrixPotential, taus, *, zero_limit: bool = False) -> None:
+    """The preconditions of ``gamma0`` and, with ``zero_limit``, of ``a0`` at
+    the energies ``taus``: ValueError unless v's limit is zero, where
+    ``zero_limit`` asks it, and ThresholdError for a tau within 1e-6 of a
+    channel limit, where the integrand difference fails to be integrable."""
+    if zero_limit and float(np.max(np.abs(v.v_infinity))) > 1e-13:
+        raise ValueError("a0 requires the potential limit to be zero")
+    thresholds = v.thresholds()
+    for t in np.atleast_1d(np.asarray(taus, dtype=float)).ravel():
+        if np.min(np.abs(t - thresholds)) < 1e-6:
+            raise ThresholdError(f"tau={float(t)} is within 1e-06 of a channel limit")
+
+
 def gamma0(v: MatrixPotential, tau):
     """Leading density coefficient at energy tau (a float, or an array of tau).
 
-    Rejects tau within 1e-6 of a channel limit: there the integrand
-    difference fails to be integrable.
+    Rejects tau within 1e-6 of a channel limit (``_check_energies``).
     """
-    n = v.n
-    if n not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
+    _check_energies(v, tau)
     taus, scalar = _taus(tau)
     thresholds = v.thresholds()
-    for t in taus:
-        if np.min(np.abs(t - thresholds)) < 1e-6:
-            raise ThresholdError(f"tau={float(t)} is within 1e-06 of a channel limit")
-    lo, hi = _coordinate_range(v)
-    exponent = 0.5 * (n - 2)
-    c_inf = np.array([[(float(t) - float(thr)) ** exponent if t > thr else 0.0
+    lo, hi = -DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS
+    c_inf = np.array([[(float(t) - float(thr)) ** -0.5 if t > thr else 0.0
                        for thr in thresholds] for t in taus]).reshape(taus.size, v.N)
     roots = _turning_points(v, taus, lo, hi)
-    if exponent < 0.0:
-        parts = _singular_differences(v, taus, c_inf, roots, lo, hi, ATOL)
-    else:
-        parts = _power_differences(v, taus, c_inf, exponent, _radial_weight(n), roots,
-                                   lo, hi, ATOL)
-    out = 0.5 * sphere_volume(n) * _channel_sum(parts)
+    out = _channel_sum(_singular_differences(v, taus, c_inf, roots, lo, hi, ATOL))
     return float(out[0]) if scalar else out
 
 
 def a0(v: MatrixPotential, tau):
     """Leading coefficient of the counting difference (a float, or an array
-    of tau); needs a zero limit and rejects tau within 1e-6 of 0."""
-    n = v.n
-    if n not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
-    if float(np.max(np.abs(v.v_infinity))) > 1e-13:
-        raise ValueError("a0 requires the potential limit to be zero")
+    of tau); needs a zero limit and rejects tau within 1e-6 of 0
+    (``_check_energies``)."""
+    _check_energies(v, tau, zero_limit=True)
     taus, scalar = _taus(tau)
-    for t in taus:
-        if abs(t) < 1e-6:
-            raise ThresholdError(f"tau={float(t)} is too close to the threshold 0")
-    lo, hi = _coordinate_range(v)
-    exponent = 0.5 * n
-    tau_pow = np.array([float(t) ** exponent if t > 0.0 else 0.0 for t in taus])
+    lo, hi = -DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS
+    tau_pow = np.array([float(t) ** 0.5 if t > 0.0 else 0.0 for t in taus])
     roots = _turning_points(v, taus, lo, hi)
-    parts = _power_differences(v, taus, np.repeat(tau_pow[:, None], v.N, axis=1),
-                               exponent, _radial_weight(n), roots, lo, hi, ATOL)
-    out = sphere_volume(n) / n * _channel_sum(parts)
+    parts = _power_differences(v, taus, np.repeat(tau_pow[:, None], v.N, axis=1), 0.5,
+                               roots, lo, hi, ATOL)
+    out = 2.0 * _channel_sum(parts)
     return float(out[0]) if scalar else out
 
 
@@ -386,15 +355,10 @@ def c0(v: MatrixPotential, f: TestFunction) -> float:
 
     The inner energy integral runs over t in (0, inf) restricted to where
     either argument meets supp f; the substitution u^2 = t regularizes the
-    n = 1 endpoint and gives int g(t) t^((n-2)/2) dt = 2 int g(u^2) u^(n-1) du
-    in every dimension.  Each evaluation of the outer x-integrand computes the
-    inner integrals of all its nodes and channels as one batch.
+    endpoint and gives int g(t) t^(-1/2) dt = 2 int g(u^2) du.  Each
+    evaluation of the outer x-integrand computes the inner integrals of all
+    its nodes and channels as one batch.
     """
-    n = v.n
-    if n not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
-    lo, hi = _coordinate_range(v)
-    weight = _radial_weight(n)
     beta = f.support[1]
     thresholds = v.thresholds()
 
@@ -407,20 +371,20 @@ def c0(v: MatrixPotential, f: TestFunction) -> float:
 
         def g(j, us):
             t = us * us
-            return 2.0 * us ** (n - 1) * (f(t_o[j] + t) - f(e_o[j] + t))
+            return 2.0 * (f(t_o[j] + t) - f(e_o[j] + t))
 
         inner = adaptive_gauss_batch(g, np.zeros(node.size), u_hi[node, channel], C0_ATOL)
         vals = np.zeros(xs.size)
         for k in range(v.N):  # each node sums its channels in order
             vals[node[channel == k]] += inner[channel == k]
-        return vals if weight is None else weight(xs) * vals
+        return vals
 
-    value = float(adaptive_gauss_batch(outer, [lo], [hi], C0_ATOL)[0])
-    return 0.5 * sphere_volume(n) * value
+    return float(adaptive_gauss_batch(outer, [-DEFAULT_BOX_RADIUS], [DEFAULT_BOX_RADIUS],
+                                      C0_ATOL)[0])
 
 
 def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float) -> float:
-    """Phase-space localized density at energy tau for n = 1,
+    """Phase-space localized density at energy tau,
 
         sum_k int g(x) [k(s_k) + k(-s_k)] / (2 s_k) dx,  s_k = sqrt(tau - e_k(x)),
 
@@ -434,8 +398,6 @@ def gamma0_localized(v: MatrixPotential, chi: ProductCutoff, tau: float) -> floa
     Raises QuadratureError where the integral does not converge, as at a
     branch critical value inside supp g, where it diverges.
     """
-    if v.n != 1:
-        raise NotImplementedError("the localized density is implemented for n = 1")
     taus = np.array([float(tau)])
     lo, hi = chi.x_support
 

@@ -283,7 +283,7 @@ _CHECKS = {
 def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
     """The (kind, arguments) request of the experiment's certificate, its
     check block's keys over the defaults of the kind and the experiment.  A
-    direction T must be 2n numbers, not all zero."""
+    direction T must be 2 numbers, not both zero."""
     if experiment in ("check-mh", "trace"):
         kind = "shell"
     else:
@@ -308,10 +308,10 @@ def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
                 shell_tol=None if tol is None else _positive(tol, "check.shell_tol"),
                 box=tuple(_interval(side, f"check.box[{i}]") for i, side in enumerate(box)))
     if kind == "general":
-        return kind, dict(args, g=dilation_generator(inputs["v"].n))
+        return kind, dict(args, g=dilation_generator())
     if chk["T"] is None:
         return kind, dict(args, T=None)
-    t = np.asarray(_numbers(chk["T"], "check.T", 2 * inputs["v"].n))
+    t = np.asarray(_numbers(chk["T"], "check.T", 2))
     if not np.any(t):
         raise ConfigError(f"check.T must not be zero, got {chk['T']!r}")
     return kind, dict(args, T=t)
@@ -328,11 +328,19 @@ def _certificate(request: tuple):
     return mh.escape_check_general(**args)
 
 
+# the config key and input of the energies at which each experiment takes
+# gamma0 or a0 of its potential: coeffs and weyl take a0, so a zero limit
+_REFERENCE_ENERGIES = {"coeffs": ("tau_grid", "taus"), "weyl": ("tau_grid", "taus"),
+                       "derivative": ("tau0", "tau0")}
+
+
 def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     """Every input a config's runner reads, one for each top-level key of its
     experiment or variant ``kind``; a sweep's are its children's configs.
-    Besides each block's refusals: the ladder (``qz._check_ladder``) and the
-    top energy, of supp f or weyl's tau grid, above tau_max (WindowRangeError)."""
+    Besides each block's refusals: the ladder (``qz._check_ladder``), the
+    top energy, of supp f or weyl's tau grid, above tau_max (WindowRangeError),
+    a cutoff that breaks a grid's margins (``qz._check_margins``), and the
+    energies the closed-form references refuse (``coeffs._check_energies``)."""
     if experiment == "sweep":
         if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
             raise ConfigError("sweep needs a non-empty 'experiments' list")
@@ -386,6 +394,20 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
         qz._check_window(inputs["grids"][0], inputs["f"].support[1])
     elif "grids" in inputs:
         qz._check_window(inputs["grids"][0], float(inputs["taus"][-1]), "tau")
+    if "chi" in inputs:
+        for grid in inputs["grids"]:
+            try:
+                qz._check_margins(inputs["chi"], grid)
+            except qz.SupportMarginError as exc:
+                raise ConfigError(f"cutoff at h={grid.h:g}: {exc}") from exc
+    if kind in _REFERENCE_ENERGIES:
+        key, name = _REFERENCE_ENERGIES[kind]
+        try:
+            coeffs._check_energies(inputs["v"], inputs[name], zero_limit=kind != "derivative")
+        except coeffs.ThresholdError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"potential: {exc}") from exc
     if "check" in keys:
         inputs["certificate"] = _certificate_request(doc, experiment, inputs)
     if experiment == "ssf":

@@ -31,7 +31,6 @@ from .symbols import (
     MatrixSymbol,
     _hermitian_parts,
     fast_eigvalsh,
-    phase_halves,
     require_hermitian,
     shifted_symbol,
 )
@@ -183,10 +182,10 @@ class _Jet(NamedTuple):
 
 
 def _jets(h: MatrixSymbol, rhos: np.ndarray, kernel_tol: float | None) -> list:
-    """The jet of every row of ``rhos`` (K, 2n): H, its gradient and the eigh
+    """The jet of every row of ``rhos`` (K, 2): H, its gradient and the eigh
     of H each come from one call over all K points, and each point's
     hermiticity is checked (``require_hermitian``, first failure in order)."""
-    x, xi = phase_halves(rhos, h.n)
+    x, xi = rhos[:, 0], rhos[:, 1]
     a = require_hermitian(h.on(x, xi))
     values, vectors = np.linalg.eigh(a)
     grad = h.gradient_on(x, xi)
@@ -268,16 +267,13 @@ def _unit(phis: np.ndarray) -> np.ndarray:
 
 def _find_directions(h: MatrixSymbol, jets: list) -> list:
     """The unit T maximizing the kernel-projected directional derivative at
-    every point of ``jets``, or None where no T makes it positive; n = 1
-    only (NotImplementedError otherwise).
+    every point of ``jets``, or None where no T makes it positive.
 
     The points whose kernel projections share rank and dtype run in
     lock-step: the coarse scan and each golden-section step are one stacked
     eigvalsh over the points, and every value is the one a single point
     computes.
     """
-    if h.n != 1:
-        raise NotImplementedError("the direction search is implemented for n = 1")
     projs = []
     for jet in jets:
         mask = np.abs(jet.eig.values) <= jet.kernel_tol
@@ -349,12 +345,9 @@ def shell_sample(
     l_k are the eigenvalues of the hermitian part of p(x, xi), for any
     symbol; for a Schrodinger symbol they are xi^2 + e_k(x).  The points are
     x-major, and p is evaluated by one ``p.on`` call over the whole grid.
-    The box is the phase plane (n = 1; NotImplementedError otherwise), each
-    side with hi > lo, sampled at grid_points >= 2, and shell_tol is
-    positive (ValueError otherwise).
+    The box is the phase plane, each side with hi > lo, sampled at
+    grid_points >= 2, and shell_tol is positive (ValueError otherwise).
     """
-    if p.n != 1:
-        raise NotImplementedError("the shell sample is implemented for n = 1")
     if not shell_tol > 0:
         raise ValueError(f"shell_tol must be positive, got {shell_tol!r}")
     x_side, xi_side = box
@@ -455,10 +448,9 @@ def escape_check_general(
         return EscapeCertificate(valid=False, tau0=tau0, G_kind=g.name or "general",
                                  C=0.0, samples=pts, shell_tol=shell_tol,
                                  failures=["empty shell"])
-    n = p.n
     gp = p.gradient_on(pts[:, 0], pts[:, 1])
     gg = g.gradient_on(pts[:, 0], pts[:, 1])[:, :, None, None]
-    brackets = np.sum(gg[:, :n] * gp[:, n:], axis=1) - np.sum(gg[:, n:] * gp[:, :n], axis=1)
+    brackets = gg[:, 0] * gp[:, 1] - gg[:, 1] * gp[:, 0]
     ws = np.linalg.eigvalsh(brackets)[:, 0]
     worst = float(ws.min())
     failures = [pts[i].copy() for i in np.flatnonzero(ws <= 0.0)]
@@ -485,8 +477,6 @@ def escape_check_dilation(
     x_range has hi > lo and grid_points >= 2.
     """
     allowed_tol = 1e-9
-    if v.n != 1:
-        raise NotImplementedError("dilation check is implemented for n = 1")
     xs = _axis(x_range, grid_points, "x_range")
     # the first non-hermitian sample, in sample order, raises
     mats = require_hermitian(v.on(xs))

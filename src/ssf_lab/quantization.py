@@ -582,8 +582,6 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
     before anything is assembled (MemoryBudgetError, with both figures);
     each assembly admits its bytes again, and a solve what it adds.
     """
-    if v.n != 1:
-        raise NotImplementedError("the quantization engine is one-dimensional")
     samples = potential_samples(v, grid)
     label = f"schrodinger({v.name})"
     if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(_kinetic_column(grid)))):
@@ -896,9 +894,6 @@ class WindowTheta:
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
-    def theta(self, t):
-        return _theta_eval(self.kind, np.asarray(t, dtype=float) / self.eps)
-
     @property
     def is_even(self) -> bool:
         return self.kind == "bump_at_zero"
@@ -1102,6 +1097,13 @@ class SweepReport:
             yield [h, v, self.reference, e, slope]
 
 
+def _relative_errors(errors, reference):
+    """Errors over |reference|, elementwise, with the reference's modulus
+    held at 1e-300 or above: an exact zero against a zero reference has
+    relative error 0, not NaN."""
+    return errors / np.maximum(np.abs(reference), 1e-300)
+
+
 def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | None = None,
                   *, reference: float = 0.0, rel_errors=None) -> SweepReport:
     """The verdict of one h-sweep, in one of two forms, on the least-squares
@@ -1132,7 +1134,7 @@ def sweep_verdict(hs, values, order_threshold: float, rel_threshold: float | Non
     else:
         if rel_errors is None:
             errors = np.abs(values - reference)
-            rel_errors = errors / max(abs(reference), 1e-300)
+            rel_errors = _relative_errors(errors, reference)
         else:
             errors = values
         slope, below_floor = _log_slope(hs, errors, _COMPARISON_FLOOR)

@@ -38,6 +38,7 @@ from .quantization import (
     WindowRangeError,
     WindowTheta,
     _check_window,
+    _relative_errors,
     build_schrodinger,
     fourier_window,
     sweep_verdict,
@@ -164,7 +165,7 @@ def weyl_check(
         vals = 2.0 * math.pi * pair.h * np.asarray(ssf_mollified(pair, w, taus))
         err = np.abs(vals - ref)
         sup_err.append(float(np.max(err)))
-        sup_rel.append(float(np.max(err / np.abs(ref))))
+        sup_rel.append(float(np.max(_relative_errors(err, ref))))
     return sweep_verdict([pair.h for pair in pairs], sup_err, order_threshold, rel_threshold,
                          reference=float(np.max(np.abs(ref))), rel_errors=sup_rel)
 

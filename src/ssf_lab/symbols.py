@@ -1,24 +1,21 @@
 """Hermitian matrix fields, phase-space symbols, and eigenvalue branches.
 
-Conventions used throughout the package:
+Conventions used throughout the package, which is one-dimensional:
 
-* a potential V maps a point x in R^n to an N x N hermitian matrix; its
+* a potential V maps a point x of the line to an N x N hermitian matrix; its
   channel eigenvalues sorted increasingly are the "branches" e_1 <= ... <= e_N;
 * a symbol H maps a phase-space point (x, xi) to an N x N hermitian matrix;
   the model of interest is the Schrodinger symbol xi^2 I_N + V(x);
-* gradients are stacked as (d/dx_1 ... d/dx_n, d/dxi_1 ... d/dxi_n), i.e. an
-  array of shape (2n, N, N); for n=1 that is simply (d/dx, d/dxi).
-
-For n = 1 scalar coordinates are accepted everywhere.
+* gradients are stacked as (d/dx, d/dxi), i.e. an array of shape (2, N, N).
 
 A potential or symbol is built from its array form alone: ``eval_on`` maps
-K points at once, shape (K,) for n = 1 and (K, n) otherwise, to (K, N, N),
-and the optional ``grad_on`` gives the (K, n, N, N) gradients (a symbol's
-take the x and xi parts as two such arrays and give (K, 2n, N, N)).
-``v.on(xs)`` and ``v.gradient_on(xs)`` call them; without ``grad_on`` the
-gradients are central differences over the whole array.  A scalar call,
-``v(x)``, ``v.gradient(x)``, ``h(x, xi)``, ``h.at(rho)`` or
-``h.gradient(rho)``, is the one row of the array form at that point.
+K points at once, shape (K,), to (K, N, N), and the optional ``grad_on``
+gives the (K, 1, N, N) gradients (a symbol's take x and xi as two such
+arrays and give (K, 2, N, N)).  ``v.on(xs)`` and ``v.gradient_on(xs)`` call
+them; without ``grad_on`` the gradients are central differences over the
+whole array.  A scalar call, ``v(x)``, ``v.gradient(x)``, ``h(x, xi)``,
+``h.at(rho)`` or ``h.gradient(rho)``, is the one row of the array form at
+that point.
 """
 from __future__ import annotations
 
@@ -112,10 +109,10 @@ def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _row(c, n: int) -> np.ndarray:
+def _row(c) -> np.ndarray:
     """One point, or one half of a phase-space point, as the single-row
-    array an array form takes: shape (1,) for n = 1, (1, n) otherwise."""
-    return np.asarray(c, dtype=float).reshape((1,) if n == 1 else (1, n))
+    array of shape (1,) an array form takes."""
+    return np.asarray(c, dtype=float).reshape((1,))
 
 
 def _central_differences(evaluate, pts: np.ndarray) -> np.ndarray:
@@ -131,28 +128,19 @@ def _central_differences(evaluate, pts: np.ndarray) -> np.ndarray:
     return _hermitian_parts(np.swapaxes((up - down) / (2.0 * step[:, None, None]), 0, 1))
 
 
-def phase_halves(rhos: np.ndarray, n: int) -> tuple:
-    """The x and xi parts of the phase-space points ``rhos`` (K, 2n), each of
-    shape (K,) for n = 1 and (K, n) otherwise, as a symbol's array form
-    takes them."""
-    return (rhos[:, 0], rhos[:, 1]) if n == 1 else (rhos[:, :n], rhos[:, n:])
-
-
 @dataclass(frozen=True)
 class MatrixPotential:
     """Smooth hermitian N x N field V(x) with limit v_infinity at infinity.
 
-    ``eval_on`` maps K points (shape (K,) for n=1, (K, n) otherwise) to the
-    (K, N, N) hermitian values; ``grad_on``, when given, to the (K, n, N, N)
-    partial derivatives, and otherwise gradients are central differences.
+    ``eval_on`` maps K points, shape (K,), to the (K, N, N) hermitian
+    values; ``grad_on``, when given, to the (K, 1, N, N) derivatives, and
+    otherwise gradients are central differences.
     """
 
-    n: int
     N: int
     eval_on: Callable
     v_infinity: np.ndarray
     grad_on: Callable | None = None
-    radial: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -168,22 +156,21 @@ class MatrixPotential:
         object.__setattr__(self, "v_infinity", np.diag(diag).astype(float))
 
     def __call__(self, x) -> np.ndarray:
-        return require_hermitian(self.on(_row(x, self.n))[0])
+        return require_hermitian(self.on(_row(x))[0])
 
     def on(self, xs) -> np.ndarray:
         """V at every point of ``xs`` as one (K, N, N) array (not symmetrized)."""
         return np.asarray(self.eval_on(np.asarray(xs, dtype=float)))
 
     def gradient(self, x) -> np.ndarray:
-        return self.gradient_on(_row(x, self.n))[0]
+        return self.gradient_on(_row(x))[0]
 
     def gradient_on(self, xs) -> np.ndarray:
-        """The hermitized gradient at every point of ``xs``, (K, n, N, N)."""
+        """The hermitized gradient at every point of ``xs``, (K, 1, N, N)."""
         xs = np.asarray(xs, dtype=float)
         if self.grad_on is not None:
             return _hermitian_parts(np.asarray(self.grad_on(xs)))
-        return _central_differences(lambda pts: self.on(pts[:, 0] if self.n == 1 else pts),
-                                    xs.reshape(len(xs), self.n))
+        return _central_differences(lambda pts: self.on(pts[:, 0]), xs.reshape(len(xs), 1))
 
     def thresholds(self) -> np.ndarray:
         """Channel limits at infinity, computed through the same values-only
@@ -195,25 +182,25 @@ class MatrixPotential:
 class MatrixSymbol:
     """Phase-space symbol H(x, xi) valued in hermitian N x N matrices.
 
-    ``eval_on`` maps arrays x and xi of K points each (shape (K,) for n=1,
-    (K, n) otherwise) to (K, N, N); ``grad_on``, when given, to the
-    (K, 2n, N, N) gradients (d/dx..., d/dxi...), and otherwise gradients
-    are central differences in the 2n phase-space coordinates."""
+    ``eval_on`` maps arrays x and xi of K points each, shape (K,), to
+    (K, N, N); ``grad_on``, when given, to the (K, 2, N, N) gradients
+    (d/dx, d/dxi), and otherwise gradients are central differences in the
+    two phase-space coordinates."""
 
-    n: int
     N: int
     eval_on: Callable
     grad_on: Callable | None = None
     name: str = ""
 
     def __call__(self, x, xi) -> np.ndarray:
-        return require_hermitian(self.on(_row(x, self.n), _row(xi, self.n))[0])
+        return require_hermitian(self.on(_row(x), _row(xi))[0])
 
-    def _halves(self, rho) -> tuple:
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        if rho.shape != (2 * self.n,):
-            raise ValueError(f"phase point of shape {rho.shape} does not match 2n={2 * self.n}")
-        return phase_halves(rho[None, :], self.n)
+    @staticmethod
+    def _halves(rho) -> tuple:
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != (2,):
+            raise ValueError(f"a phase point is (x, xi), got shape {rho.shape}")
+        return rho[:1], rho[1:]
 
     def at(self, rho) -> np.ndarray:
         """H at the phase-space point rho = (x, xi), symmetrized."""
@@ -224,40 +211,38 @@ class MatrixSymbol:
         return np.asarray(self.eval_on(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)))
 
     def gradient(self, rho) -> np.ndarray:
-        """The hermitized (2n, N, N) gradient at the phase-space point rho."""
+        """The hermitized (2, N, N) gradient at the phase-space point rho."""
         return self.gradient_on(*self._halves(rho))[0]
 
     def gradient_on(self, x, xi) -> np.ndarray:
-        """The hermitized gradient at the K points (x[k], xi[k]), (K, 2n, N, N)."""
+        """The hermitized gradient at the K points (x[k], xi[k]), (K, 2, N, N)."""
         x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
         if self.grad_on is not None:
             return _hermitian_parts(np.asarray(self.grad_on(x, xi)))
-        return _central_differences(lambda rhos: self.on(*phase_halves(rhos, self.n)),
+        return _central_differences(lambda rhos: self.on(rhos[:, 0], rhos[:, 1]),
                                     np.column_stack([x, xi]))
 
 
 def schrodinger_symbol(v: MatrixPotential) -> MatrixSymbol:
-    """The symbol |xi|^2 I_N + V(x) with exact kinetic part and exact
+    """The symbol xi^2 I_N + V(x) with exact kinetic part and exact
     gradient, written as its array form over ``v.on`` and ``v.gradient_on``."""
     eye = np.eye(v.N)
 
     def _eval_on(x, xi):
-        xi2 = xi * xi if v.n == 1 else np.sum(xi * xi, axis=1)
-        return xi2[:, None, None] * eye + v.on(x)
+        return (xi * xi)[:, None, None] * eye + v.on(x)
 
     def _grad_on(x, xi):
-        kinetic = (2.0 * xi).reshape(len(xi), v.n)[:, :, None, None] * eye
+        kinetic = (2.0 * xi)[:, None, None, None] * eye
         return np.concatenate([v.gradient_on(x), kinetic], axis=1)
 
-    return MatrixSymbol(n=v.n, N=v.N, eval_on=_eval_on, grad_on=_grad_on,
-                        name=f"xi^2+{v.name or 'V'}")
+    return MatrixSymbol(N=v.N, eval_on=_eval_on, grad_on=_grad_on, name=f"xi^2+{v.name or 'V'}")
 
 
 def shifted_symbol(p: MatrixSymbol, tau0: float) -> MatrixSymbol:
     """The symbol tau0*I - p, the object whose kernel marks the energy shell,
     written as its array form over ``p.on`` and ``p.gradient_on``."""
     eye = np.eye(p.N)
-    return MatrixSymbol(n=p.n, N=p.N, eval_on=lambda x, xi: tau0 * eye - p.on(x, xi),
+    return MatrixSymbol(N=p.N, eval_on=lambda x, xi: tau0 * eye - p.on(x, xi),
                         grad_on=lambda x, xi: -p.gradient_on(x, xi), name=f"{tau0}-({p.name})")
 
 
@@ -273,12 +258,6 @@ def _diagonals(d: np.ndarray) -> np.ndarray:
     idx = np.arange(d.shape[-1])
     out[:, idx, idx] = d
     return out
-
-
-def _array_model(n_ch: int, on, grad_on, v_infinity, name: str) -> MatrixPotential:
-    """A one-dimensional model given by its array forms."""
-    return MatrixPotential(n=1, N=n_ch, eval_on=on, grad_on=grad_on, v_infinity=v_infinity,
-                           name=name)
 
 
 def model_potential(kind: str, **params) -> MatrixPotential:
@@ -304,10 +283,10 @@ def model_potential(kind: str, **params) -> MatrixPotential:
             raise ValueError("need at least one channel")
         n_ch = diag.size
         v_inf = np.diag(np.sort(diag))
-        return _array_model(
-            n_ch, lambda xs: np.repeat(v_inf[None], len(xs), axis=0),
-            lambda xs: np.zeros((len(xs), 1, n_ch, n_ch)),
-            v_inf, f"constant{tuple(np.diag(v_inf))}",
+        return MatrixPotential(
+            N=n_ch, eval_on=lambda xs: np.repeat(v_inf[None], len(xs), axis=0),
+            grad_on=lambda xs: np.zeros((len(xs), 1, n_ch, n_ch)),
+            v_infinity=v_inf, name=f"constant{tuple(np.diag(v_inf))}",
         )
 
     if kind == "diagonal_bumps":
@@ -330,14 +309,16 @@ def model_potential(kind: str, **params) -> MatrixPotential:
             u = (xs[:, None] - centers) / widths
             return _diagonals(depths * np.exp(-u * u) * (-2.0 * u / widths))[:, None]
 
-        return _array_model(len(depths), _on, _grad_on, np.diag(diag_inf), "diagonal_bumps")
+        return MatrixPotential(N=len(depths), eval_on=_on, grad_on=_grad_on,
+                               v_infinity=np.diag(diag_inf), name="diagonal_bumps")
 
     if kind == "conical_crossing":
         amp = float(params.get("amp", 1.0))
-        return _array_model(
-            2, lambda xs: (amp * xs * _gauss(xs))[:, None, None] * SIGMA3,
-            lambda xs: (amp * _gauss(xs) * (1.0 - 2.0 * xs * xs))[:, None, None, None] * SIGMA3,
-            zero2, "conical_crossing",
+        return MatrixPotential(
+            N=2, eval_on=lambda xs: (amp * xs * _gauss(xs))[:, None, None] * SIGMA3,
+            grad_on=lambda xs: ((amp * _gauss(xs) * (1.0 - 2.0 * xs * xs))[:, None, None, None]
+                                * SIGMA3),
+            v_infinity=zero2, name="conical_crossing",
         )
 
     if kind == "avoided_crossing":
@@ -348,11 +329,13 @@ def model_potential(kind: str, **params) -> MatrixPotential:
         # swaps sigma1 <-> sigma3, giving V' = a(x) sigma1 + g sigma3 with
         # diagonal limit diag(g, -g) -> sort.
         r = (SIGMA1 + SIGMA3) / math.sqrt(2.0)
-        return _array_model(
-            2, lambda xs: r @ ((amp * xs * _gauss(xs))[:, None, None] * SIGMA3 + gap * SIGMA1) @ r,
-            lambda xs: r @ ((amp * _gauss(xs) * (1.0 - 2.0 * xs * xs))[:, None, None, None]
-                            * SIGMA3) @ r,
-            np.diag([-gap, gap]), f"avoided_crossing(g={gap})",
+        return MatrixPotential(
+            N=2,
+            eval_on=lambda xs: r @ ((amp * xs * _gauss(xs))[:, None, None] * SIGMA3
+                                    + gap * SIGMA1) @ r,
+            grad_on=lambda xs: r @ ((amp * _gauss(xs) * (1.0 - 2.0 * xs * xs))[:, None, None, None]
+                                    * SIGMA3) @ r,
+            v_infinity=np.diag([-gap, gap]), name=f"avoided_crossing(g={gap})",
         )
 
     if kind == "reference":
@@ -378,14 +361,15 @@ def model_potential(kind: str, **params) -> MatrixPotential:
             out[:, 0, 1, 1] = -(xs - 1.0) * ex1
             return out
 
-        return _array_model(2, _on, _grad_on, zero2, "reference")
+        return MatrixPotential(N=2, eval_on=_on, grad_on=_grad_on, v_infinity=zero2,
+                               name="reference")
 
     if kind == "island":
         amp = float(params.get("amp", 3.0))
-        return _array_model(
-            1, lambda xs: (amp * xs * xs * _gauss(xs))[:, None, None],
-            lambda xs: (2.0 * amp * xs * (1.0 - xs * xs) * _gauss(xs))[:, None, None, None],
-            np.zeros((1, 1)), "island",
+        return MatrixPotential(
+            N=1, eval_on=lambda xs: (amp * xs * xs * _gauss(xs))[:, None, None],
+            grad_on=lambda xs: (2.0 * amp * xs * (1.0 - xs * xs) * _gauss(xs))[:, None, None, None],
+            v_infinity=np.zeros((1, 1)), name="island",
         )
 
     if kind == "rotating_crossing":
@@ -400,7 +384,8 @@ def model_potential(kind: str, **params) -> MatrixPotential:
                      + (2.0 * c * xs * (1.0 - xs * xs))[:, None, None] * SIGMA1)
             return (_gauss(xs)[:, None, None] * field)[:, None]
 
-        return _array_model(2, _on, _grad_on, zero2, "rotating_crossing")
+        return MatrixPotential(N=2, eval_on=_on, grad_on=_grad_on, v_infinity=zero2,
+                               name="rotating_crossing")
 
     raise ValueError(f"unknown model potential kind: {kind!r}")
 
@@ -408,8 +393,8 @@ def model_potential(kind: str, **params) -> MatrixPotential:
 def combine_potentials(v0: MatrixPotential, v1: MatrixPotential, scale: float = 1.0) -> MatrixPotential:
     """V0 + scale * V1 (used for families like V0 + h*V1 swept over h); its
     array form is that of the two terms, each evaluated by its ``on``."""
-    if (v0.n, v0.N) != (v1.n, v1.N):
-        raise ValueError("potentials live on different spaces")
+    if v0.N != v1.N:
+        raise ValueError("potentials have different channel counts")
 
     def _eval_on(xs):
         return v0.on(xs) + scale * v1.on(xs)
@@ -417,6 +402,6 @@ def combine_potentials(v0: MatrixPotential, v1: MatrixPotential, scale: float = 
     def _grad_on(xs):
         return v0.gradient_on(xs) + scale * v1.gradient_on(xs)
 
-    return MatrixPotential(n=v0.n, N=v0.N, eval_on=_eval_on, grad_on=_grad_on,
+    return MatrixPotential(N=v0.N, eval_on=_eval_on, grad_on=_grad_on,
                            v_infinity=v0.v_infinity + scale * v1.v_infinity,
                            name=f"{v0.name}+{scale}*{v1.name}")

@@ -126,7 +126,7 @@ def check_pointwise(h: MatrixSymbol, rho0, t) -> MicrohyperbolicityCertificate:
 
 def find_direction(h: MatrixSymbol, rho0) -> Direction | None:
     """Maximize the kernel-projected directional derivative over unit T on
-    the phase plane (n = 1; NotImplementedError otherwise).
+    the phase plane.
 
     256 equally spaced angles on the unit circle, then 40 golden-section
     steps around the best.  Returns None when no direction gives a positive
@@ -140,10 +140,8 @@ def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
     ker(V(x0) - tau0 I).
 
     Levels within ``default_shell_tol(tau0)`` of tau0 count as the kernel.
-    The candidates are +-1 (n = 1; NotImplementedError otherwise).
+    The candidates are +-1.
     """
-    if v.n != 1:
-        raise NotImplementedError("crossing condition is implemented for n = 1")
     a = v(x0) - tau0 * np.eye(v.N)
     eig = hermitian_eigen(a)
     mask = np.abs(eig.values) <= default_shell_tol(tau0)
@@ -192,7 +190,7 @@ def linearized_block_symbol(
         )
     u = eig.vectors
     kernel, rest = np.flatnonzero(mags <= kernel_tol), np.flatnonzero(mags > kernel_tol)
-    # kernel-block gradient components in the eigenframe, (2n, r, r)
+    # kernel-block gradient components in the eigenframe, (2, r, r)
     uk = u[:, kernel]
     gk = np.stack([uk.conj().T @ gi @ uk for gi in h.gradient(rho0)])
     # frozen complement
@@ -205,7 +203,7 @@ def linearized_block_symbol(
         out[:, rest[:, None], rest] = m22
         return _hermitian_parts(u @ out @ u.conj().T)
 
-    return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on, name=f"linearized({h.name})")
+    return MatrixSymbol(N=h.N, eval_on=_eval_on, name=f"linearized({h.name})")
 
 
 @dataclass(frozen=True)
@@ -246,10 +244,10 @@ def extend_to_global(h: MatrixSymbol, rho0, t,
             near, lin = h.on(x, xi), h0.on(x, xi)
             return np.where(r <= 1.0, near, radial_cutoff(r) * (near - lin) + lin)
 
-        return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on,
+        return MatrixSymbol(N=h.N, eval_on=_eval_on,
                             name=f"extended({h.name},delta={dlt:g})")
 
-    dim = 2 * h.n
+    dim = 2
 
     def verification_points(dlt: float):
         axes = [np.linspace(-4.0 * dlt, 4.0 * dlt, 9)] * dim
@@ -325,4 +323,4 @@ def flatten_symbol(h: MatrixSymbol, a: float) -> MatrixSymbol:
         inside = np.max(np.abs(vals), axis=1, initial=0.0) < a
         return np.where(inside[:, None, None], mats, flat)
 
-    return MatrixSymbol(n=h.n, N=h.N, eval_on=_eval_on, name=f"flattened({h.name},a={a:g})")
+    return MatrixSymbol(N=h.N, eval_on=_eval_on, name=f"flattened({h.name},a={a:g})")

@@ -69,7 +69,7 @@ def test_criterion_1_microhyperbolicity_suite():
         g = random_hermitian(rng, n)
 
         grad = np.stack([g, np.zeros((n, n), dtype=complex)])
-        return MatrixSymbol(n=1, N=n, eval_on=lambda x, xi: a + x[:, None, None] * g,
+        return MatrixSymbol(N=n, eval_on=lambda x, xi: a + x[:, None, None] * g,
                             grad_on=lambda x, xi: np.broadcast_to(grad, (len(x), *grad.shape))
                             ), a, g
 
@@ -105,7 +105,7 @@ def test_criterion_1_microhyperbolicity_suite():
 
     # global extension: verification grids all-positive for the three cases
     affine_grad = np.array([[[0.0]], [[-2.0]]])
-    affine = MatrixSymbol(n=1, N=1, eval_on=lambda x, xi: (-2.0 * (xi - 1.0))[:, None, None],
+    affine = MatrixSymbol(N=1, eval_on=lambda x, xi: (-2.0 * (xi - 1.0))[:, None, None],
                           grad_on=lambda x, xi: np.broadcast_to(affine_grad, (len(x), 2, 1, 1)))
     free = shifted_symbol(schrodinger_symbol(sl.model_potential("constant", v_inf=0.0, N=1)), 1.0)
     worst = []

@@ -171,7 +171,7 @@ def counting(base: MatrixPotential):
         calls["grad_on"] += 1
         return base.gradient_on(xs)
 
-    v = MatrixPotential(n=1, N=base.N, eval_on=on, grad_on=grad_on, v_infinity=base.v_infinity)
+    v = MatrixPotential(N=base.N, eval_on=on, grad_on=grad_on, v_infinity=base.v_infinity)
     return v, calls
 
 
@@ -272,7 +272,7 @@ class TestChecksThatStay:
             out[:, 0, 1] = np.where(xs > 0.5, xs, 0.0)
             return out
 
-        v = MatrixPotential(n=1, N=2, eval_on=on, grad_on=lambda xs: np.zeros((len(xs), 1, 2, 2)),
+        v = MatrixPotential(N=2, eval_on=on, grad_on=lambda xs: np.zeros((len(xs), 1, 2, 2)),
                             v_infinity=np.zeros((2, 2)))
         xs = np.linspace(-8.0, 8.0, 101)
         with pytest.raises(NonHermitianError) as err:
@@ -288,12 +288,12 @@ class TestChecksThatStay:
             out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = xi * xi - 1.0, 1e-3, 5.0
             return out
 
-        h = MatrixSymbol(n=1, N=2, eval_on=on)
+        h = MatrixSymbol(N=2, eval_on=on)
         with pytest.raises(NonHermitianError):
             check_on_energy_shell(h, 0.0, ((-1, 1), (-2, 2)), grid_points=21)
 
     def test_build_schrodinger_rejects_non_finite_samples(self):
-        v = MatrixPotential(n=1, N=1, v_infinity=np.zeros((1, 1)),
+        v = MatrixPotential(N=1, v_infinity=np.zeros((1, 1)),
                             eval_on=lambda xs: np.where(xs > 0.0, np.nan, 0.0)[:, None, None])
         with pytest.raises(ValueError, match="non-finite"):
             qz.build_schrodinger(v, qz.grid_for(1 / 8, 6.0, 4.0, 8192))

@@ -17,7 +17,6 @@ from ssf_lab.coefficients import (
     gamma0_localized,
     plateau_test_function,
     raised_cosine_test_function,
-    sphere_volume,
 )
 from ssf_lab.quadrature import QuadratureError, adaptive_gauss_batch, gauss_rule
 from ssf_lab.symbols import (
@@ -28,12 +27,11 @@ from ssf_lab.symbols import (
 
 # Frozen oracle values, computed with a 10^6-node composite Gauss rule (and,
 # for the singular case, cross-checked against an endpoint-substituted rule):
-#   gauss well V(x) = -exp(-x^2), N = 1, n = 1
+#   gauss well V(x) = -exp(-x^2), N = 1
 G0_WELL_TAU1 = -0.6005731066350251      # gamma0 at tau = 1 (no turning points)
 A0_WELL_TAU1 = 1.5438245654398481       # a0 at tau = 1
 G0_WELL_TAUHALF = 4.067442643182999     # gamma0 at tau = -0.5 (turning points)
 A0_WELL_TAUHALF = 1.7663355688295241    # a0 at tau = -0.5
-G0_RADIAL3 = 16.2523804092609           # gamma0 at tau = 1 for the radial n=3 well
 
 # the island's barrier top V(+-1) = 3/e: the branch 3x^2 exp(-x^2) is tangent
 # to tau there, so gamma0 and the localized density diverge logarithmically
@@ -42,15 +40,6 @@ ISLAND_TOP = 1.1036383235143269
 
 def gauss_well():
     return model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0])
-
-
-class TestSphereVolume:
-    def test_exact_values(self):
-        assert sphere_volume(1) == pytest.approx(2.0, abs=0)
-        assert sphere_volume(2) == pytest.approx(2.0 * math.pi, abs=1e-15)
-        assert sphere_volume(3) == pytest.approx(4.0 * math.pi, abs=1e-14)
-        with pytest.raises(ValueError):
-            sphere_volume(0)
 
 
 class TestTestFunctions:
@@ -86,12 +75,6 @@ class TestGamma0:
 
     def test_turning_point_case_frozen_oracle(self):
         assert gamma0(gauss_well(), -0.5) == pytest.approx(G0_WELL_TAUHALF, abs=1e-7)
-
-    def test_radial_three_dimensional(self):
-        v3 = MatrixPotential(
-            n=3, N=1, eval_on=lambda x: -np.exp(-np.sum(x * x, axis=1))[:, None, None],
-            v_infinity=np.zeros((1, 1)), radial=True)
-        assert gamma0(v3, 1.0) == pytest.approx(G0_RADIAL3, rel=1e-9)
 
     def test_threshold_rejection(self):
         with pytest.raises(ThresholdError):
@@ -273,7 +256,7 @@ class TestLocalizedDensity:
             seen.extend(xs.tolist())
             return base.on(xs)
 
-        v = MatrixPotential(n=1, N=2, eval_on=counting_on, grad_on=base.grad_on,
+        v = MatrixPotential(N=2, eval_on=counting_on, grad_on=base.grad_on,
                             v_infinity=base.v_infinity)
         scan = set(np.linspace(*self.CHI.x_support, TURNING_SCAN).tolist())
         out = gamma0_localized(v, self.CHI, 1.0)
@@ -314,7 +297,7 @@ C0_REF_BUMP = "0.008651378575620747"
 
 def _c0_reference(v, f, atol=1e-9):
     """c0 as it was computed before batching: one recursive inner integral per
-    outer node and channel (n = 1)."""
+    outer node and channel."""
     from test_quadrature import _adaptive_reference
 
     from ssf_lab.coefficients import _branch_values
@@ -333,14 +316,13 @@ def _c0_reference(v, f, atol=1e-9):
 
             def g(us, _e=ek, _t=thr):
                 t = us * us
-                return 2.0 * us ** 0 * (f(_t + t) - f(_e + t))
+                return 2.0 * (f(_t + t) - f(_e + t))
 
             total += _adaptive_reference(g, 0.0, u_hi, atol=atol)
         return total
 
-    value = _adaptive_reference(lambda xs: np.array([inner(float(x)) for x in xs]),
-                                -8.0, 8.0, atol=atol)
-    return 0.5 * sphere_volume(1) * value
+    return _adaptive_reference(lambda xs: np.array([inner(float(x)) for x in xs]),
+                               -8.0, 8.0, atol=atol)
 
 
 class TestBatchedCoefficients:
@@ -421,7 +403,7 @@ class TestBatchedCoefficients:
             seen.extend(xs.tolist())
             return base.on(xs)
 
-        v = MatrixPotential(n=1, N=2, eval_on=counting_on, grad_on=base.grad_on,
+        v = MatrixPotential(N=2, eval_on=counting_on, grad_on=base.grad_on,
                             v_infinity=base.v_infinity)
         scan = set(np.linspace(-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS, TURNING_SCAN).tolist())
         taus = np.linspace(1.8, 2.2, 41)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +613,11 @@ class TestWindowAndCheckBlocks:
 
 STOCK_CONFIGS = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
 
+# two diagonal wells with the channel limits 0 and 0.3
+SPLIT_LIMITS = {"kind": "diagonal_bumps",
+                "params": {"depths": [-1.0, 0.6], "centers": [0.0, 0.5], "widths": [1.0, 0.7],
+                           "v_inf": [0.0, 0.3]}}
+
 
 class TestRefusedBeforeSolve:
     """Every refusal of a trace or ssf sweep comes before its first operator,
@@ -745,9 +751,30 @@ class TestRefusedBeforeSolve:
         ("trace_thm3_crossing",
          {"cutoff": {"x": {"halfwidth": 0}, "xi": {"center": 0.0, "halfwidth": 2.0}}},
          ConfigError, "cutoff.x.halfwidth must be positive"),
+        # a cutoff that breaks a grid's margins, which weyl_quantize refuses
+        ("trace_thm3_crossing",
+         {"cutoff": {"x": {"center": 100.0}, "xi": {"center": 0.0, "halfwidth": 2.0}}},
+         ConfigError, r"cutoff at h=0.0625: x-support \[98.0, 102.0\] violates the margin"),
+        ("trace_thm3_crossing",
+         {"cutoff": {"x": {"center": 0.0}, "xi": {"center": 0.0, "halfwidth": 1000.0}}},
+         ConfigError, "cutoff at h=0.0625: xi-support .* exceeds the momentum window"),
+        # what a0 and gamma0 refuse: a0 a limit that is not zero, both a tau
+        # within 1e-6 of a channel limit
+        ("ssf_weyl_reference", {"potential": SPLIT_LIMITS}, ConfigError,
+         "potential: a0 requires the potential limit to be zero"),
+        ("coeffs_reference", {"potential": SPLIT_LIMITS}, ConfigError,
+         "potential: a0 requires the potential limit to be zero"),
+        ("ssf_weyl_reference", {"tau_grid": {"lo": -0.1, "hi": 0.1, "count": 3}}, ConfigError,
+         r"tau_grid: tau=0.0 is within 1e-06 of a channel limit"),
+        ("coeffs_reference", {"tau_grid": {"lo": -1.0, "hi": 1.0, "count": 5}}, ConfigError,
+         r"tau_grid: tau=0.0 is within 1e-06 of a channel limit"),
+        ("ssf_derivative_reference", {"potential": SPLIT_LIMITS, "tau0": 0.3}, ConfigError,
+         r"tau0: tau=0.3 is within 1e-06 of a channel limit"),
     ], ids=["change0-at least 3 h", "change1-thresholds.slope", "change2-ssf needs variant",
             "grid_key", "cutoff_key", "potential_kind", "tau_grid", "check_key",
-            "energy_above_tau_max", "m_cap", "grid_points", "shell_tol", "halfwidth"])
+            "energy_above_tau_max", "m_cap", "grid_points", "shell_tol", "halfwidth",
+            "cutoff_x_margin", "cutoff_xi_margin", "weyl_limit", "coeffs_limit",
+            "weyl_tau_at_limit", "coeffs_tau_at_limit", "derivative_tau0_at_limit"])
     def test_sweep_with_a_bad_child(self, tmp_path, no_assembly, capsys, child, change, error,
                                     named):
         # a bad block of the last child is refused at ingest, with the error
@@ -769,6 +796,10 @@ class TestRefusedBeforeSolve:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and re.search(named, err)
         assert not (tmp_path / "o").exists()
+
+    def test_derivative_takes_a_nonzero_limit(self):
+        # gamma0 needs no zero limit, only a tau0 off the channel limits
+        ExperimentConfig.from_dict(_config("ssf_derivative_reference", potential=SPLIT_LIMITS))
 
     # every number a config gives is read by one reader: an integer key takes
     # a JSON integer alone, a number key no string, bool, null, NaN or
@@ -1058,6 +1089,22 @@ class TestSsfReferenceSweep:
         run({"schema_version": 1, "experiment": "sweep", "experiments": children},
             str(tmp_path / "sweep"))
         assert pairs == hs and len(escapes) == 1
+
+
+    def test_weyl_on_a_constant_potential(self, tmp_path):
+        # value and reference are exactly 0 on every h: each relative error
+        # is 0, as in the weak and derivative sweeps, not 0/0
+        doc = dict(_config("ssf_weyl_reference"), h_list=[1 / 8, 1 / 16, 1 / 32],
+                   potential={"kind": "constant", "params": {"v_inf": 0, "N": 2}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run(doc, str(tmp_path / "o"))
+        assert result.report["verdicts"] == {"weyl": "PASS"}
+        rows = result.report["tables"]["main"]["rows"]
+        assert len(rows) == 3 and all(row[1] == row[2] == row[3] == 0.0 for row in rows)
+        with open(tmp_path / "o" / "data.csv") as fh:
+            header, *lines = [line.split(",") for line in fh.read().splitlines()]
+        assert [line[header.index("rel_error")] for line in lines] == ["0.0"] * 3
 
 
 class TestCli:

@@ -36,7 +36,6 @@ from ssf_lab.microhyperbolicity import (
 )
 from ssf_lab.quadrature import adaptive_gauss_batch
 from ssf_lab.symbols import (
-    SIGMA1,
     SIGMA3,
     MatrixPotential,
     MatrixSymbol,
@@ -63,7 +62,7 @@ def affine_jet_symbol(a, g):
     """H(rho) = A + rho_1 * G: a two-parameter jet with <e1, grad H> = G."""
     n_ch = a.shape[0]
     grad = np.stack([g, np.zeros_like(g)])
-    return MatrixSymbol(n=1, N=n_ch, eval_on=lambda x, xi: a + x[:, None, None] * g,
+    return MatrixSymbol(N=n_ch, eval_on=lambda x, xi: a + x[:, None, None] * g,
                         grad_on=lambda x, xi: np.broadcast_to(grad, (len(x), *grad.shape)))
 
 
@@ -81,7 +80,7 @@ def gauss_potential(mat, center=0.0, amp=1.0):
         return amp * np.exp(-((xs - center) ** 2))
 
     return MatrixPotential(
-        n=1, N=mat.shape[0], v_infinity=np.zeros(mat.shape),
+        N=mat.shape[0], v_infinity=np.zeros(mat.shape),
         eval_on=lambda xs: profile(xs)[:, None, None] * mat,
         grad_on=lambda xs: (-2.0 * (xs - center) * profile(xs))[:, None, None, None] * mat)
 
@@ -207,7 +206,7 @@ class TestCheckPointwise:
         cert = check_pointwise(h, [0.0, 1.0], [0.0, -1.0])
         for s in (0.5, 3.0, 10.0):
             hs = MatrixSymbol(
-                n=1, N=2,
+                N=2,
                 eval_on=lambda x, xi, _s=s: _s * h.on(x, xi),
                 grad_on=lambda x, xi, _s=s: _s * h.gradient_on(x, xi),
             )
@@ -230,11 +229,6 @@ class TestFindDirection:
     def test_crossing_failure(self):
         assert find_direction(crossing_symbol(0.0), [0.0, 0.0]) is None
 
-    def test_refuses_n_above_one(self):
-        h = jet_symbol(np.eye(2), np.stack([np.eye(2)] * 4), 2)
-        with pytest.raises(NotImplementedError):
-            find_direction(h, np.zeros(4))
-
     def test_against_brute_force(self):
         # scalar well: maximizer must match a dense direction scan
         v = gauss_potential(np.ones((1, 1)))
@@ -252,27 +246,7 @@ class TestFindDirection:
         assert d.vec[0] > 0
 
 
-def free_symbol_n2(calls: list) -> MatrixSymbol:
-    """|xi|^2 on R^4 (n = 2), whose array form sums xi over axis 1; each
-    call's x shape is recorded."""
-    def ev(x, xi):
-        calls.append(x.shape)
-        return np.sum(xi * xi, axis=1)[:, None, None]
-
-    return MatrixSymbol(n=2, N=1, eval_on=ev)
-
-
 class TestEnergyShell:
-    @pytest.mark.parametrize("T", [None, [0.0, 0.0, 0.0, 1.0]], ids=["search", "fixed"])
-    def test_refuses_n_above_one(self, T):
-        # the sample is a box of the phase plane; an n = 2 symbol is refused
-        # before its array form is called
-        calls = []
-        with pytest.raises(NotImplementedError):
-            check_on_energy_shell(free_symbol_n2(calls), 1.0, ((-2, 2), (-2, 2)), T=T,
-                                  grid_points=11)
-        assert calls == []
-
     def test_free_shell_certificate(self):
         cert = check_on_energy_shell(schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1)),
                                      1.0, ((-2, 2), (-2, 2)), grid_points=41)
@@ -345,7 +319,7 @@ class TestCrossingCondition:
         # kernel is one-dimensional; success exactly when the branch gradient
         # does not vanish there
         v = MatrixPotential(
-            n=1, N=2, v_infinity=np.diag([0.0, 2.0]),
+            N=2, v_infinity=np.diag([0.0, 2.0]),
             eval_on=lambda xs: np.stack([xs, 2.0 + xs * xs], axis=1)[:, :, None] * np.eye(2),
             grad_on=lambda xs: (np.stack([np.ones_like(xs), 2.0 * xs], axis=1)[:, :, None]
                                 * np.eye(2))[:, None])
@@ -359,7 +333,7 @@ class TestCrossingCondition:
         assert not res2.ok
 
     def test_conical_kernel_indefinite(self):
-        v = MatrixPotential(n=1, N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
+        v = MatrixPotential(N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
                             grad_on=constant_grad(SIGMA3[None]), v_infinity=np.zeros((2, 2)))
         res = crossing_condition(v, 0.0, 0.0)
         assert not res.ok
@@ -382,7 +356,7 @@ class TestDegenerateSampling:
         "shell_sample": shell_sample,
         "check_on_energy_shell": check_on_energy_shell,
         "escape_check_general": lambda p, **kw: escape_check_general(
-            p, dilation_generator(1), **kw),
+            p, dilation_generator(), **kw),
     }
 
     @pytest.mark.parametrize("check", SHELL_CHECKS)
@@ -455,21 +429,14 @@ class TestEscapeChecks:
 
     def test_general_free_exact(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        cert = escape_check_general(p, dilation_generator(1), 1.0, ((-2, 2), (-2, 2)),
+        cert = escape_check_general(p, dilation_generator(), 1.0, ((-2, 2), (-2, 2)),
                                     grid_points=41)
         assert cert.valid
         assert cert.C == pytest.approx(2.0, abs=1e-12)
 
-    def test_general_refuses_n_above_one(self):
-        calls = []
-        with pytest.raises(NotImplementedError):
-            escape_check_general(free_symbol_n2(calls), dilation_generator(2), 1.0,
-                                 ((-2, 2), (-2, 2)), grid_points=11)
-        assert calls == []
-
     def test_general_sign_flip_fails(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        neg = ScalarPhaseFunction(n=1, eval_on=lambda x, xi: -x * xi,
+        neg = ScalarPhaseFunction(eval_on=lambda x, xi: -x * xi,
                                   grad_on=lambda x, xi: np.column_stack([-xi, -x]))
         cert = escape_check_general(p, neg, 1.0, ((-2, 2), (-2, 2)), grid_points=41)
         assert not cert.valid
@@ -477,7 +444,7 @@ class TestEscapeChecks:
 
     def test_general_empty_shell_serializes(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        cert = escape_check_general(p, dilation_generator(1), -1.0,
+        cert = escape_check_general(p, dilation_generator(), -1.0,
                                     ((-3, 3), (-2.5, 2.5)))
         d = cert.to_json_dict()
         assert d["valid"] is False and not cert.certifies
@@ -491,10 +458,10 @@ class TestEscapeChecks:
         # and a refuted one does not; the property is not in the JSON
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
         box = ((-2, 2), (-2, 2))
-        neg = ScalarPhaseFunction(n=1, eval_on=lambda x, xi: -x * xi,
+        neg = ScalarPhaseFunction(eval_on=lambda x, xi: -x * xi,
                                   grad_on=lambda x, xi: np.column_stack([-xi, -x]))
         dilation = escape_check_dilation(model_potential("constant", v_inf=0.0, N=1), 1.0)
-        general = escape_check_general(p, dilation_generator(1), 1.0, box, grid_points=41)
+        general = escape_check_general(p, dilation_generator(), 1.0, box, grid_points=41)
         refuted = escape_check_general(p, neg, 1.0, box, grid_points=41)
         assert [(c.valid, c.certifies) for c in (dilation, general, refuted)] == [
             (True, True), (True, True), (False, False)]
@@ -502,7 +469,7 @@ class TestEscapeChecks:
 
     def test_general_failures_serialize_as_points(self):
         p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        neg = ScalarPhaseFunction(n=1, eval_on=lambda x, xi: -x * xi,
+        neg = ScalarPhaseFunction(eval_on=lambda x, xi: -x * xi,
                                   grad_on=lambda x, xi: np.column_stack([-xi, -x]))
         cert = escape_check_general(p, neg, 1.0, ((-2, 2), (-2, 2)), grid_points=41)
         d = cert.to_json_dict()
@@ -513,7 +480,7 @@ class TestEscapeChecks:
         # xi^2 = tau0 - e_k(x), evaluated on matched samples
         v = model_potential("reference")
         p = schrodinger_symbol(v)
-        g = dilation_generator(1)
+        g = dilation_generator()
         tau0 = 2.0
         for x in np.linspace(-2.5, 2.5, 21):
             evals = np.linalg.eigvalsh(v(x))
@@ -549,7 +516,7 @@ class TestLinearizedAndExtension:
             out[:, 1, 1] = 5.0
             return out
 
-        h = MatrixSymbol(n=1, N=2, eval_on=ev, grad_on=constant_grad(
+        h = MatrixSymbol(N=2, eval_on=ev, grad_on=constant_grad(
             [[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]))
         h0 = linearized_block_symbol(h, [0.0, 1.0])
         out = h0(0.3, 1.2)
@@ -563,7 +530,7 @@ class TestLinearizedAndExtension:
             linearized_block_symbol(h, [0.0, 0.0], kernel_tol=1e-8)
 
     def test_extension_of_affine_symbol_is_identity(self):
-        h = MatrixSymbol(n=1, N=1, eval_on=lambda x, xi: (-2.0 * (xi - 1.0))[:, None, None],
+        h = MatrixSymbol(N=1, eval_on=lambda x, xi: (-2.0 * (xi - 1.0))[:, None, None],
                          grad_on=constant_grad([[[0.0]], [[-2.0]]]))
         hd, rep = extend_to_global(h, [0.0, 1.0], [0.0, -1.0], 0.5)
         assert rep.ok
@@ -616,7 +583,7 @@ class TestFlatten:
 
     def test_constant_saturation(self):
         a = 1.0
-        h = MatrixSymbol(n=1, N=1, eval_on=lambda x, xi: np.full((len(x), 1, 1), 3.0 * a))
+        h = MatrixSymbol(N=1, eval_on=lambda x, xi: np.full((len(x), 1, 1), 3.0 * a))
         hf = flatten_symbol(h, a)
         val = hf(0.0, 0.0)[0, 0].real
         assert a <= val <= 2.0 * a
@@ -636,7 +603,7 @@ class TestFlatten:
         assert worst > 0
 
     def test_bound(self):
-        h = MatrixSymbol(n=1, N=2,
+        h = MatrixSymbol(N=2,
                          eval_on=lambda x, xi: (100.0 * x)[:, None, None] * np.diag([1.0, -1.0]))
         hf = flatten_symbol(h, 2.0)
         assert np.linalg.norm(hf(5.0, 0.0), 2) <= 2 * 2.0 + 1e-12
@@ -859,13 +826,13 @@ def _escape_check_general_loop(p, g, tau0, box, grid_points):
         ws.append(float(np.linalg.eigvalsh(gg[0] * gp[1] - gg[1] * gp[0]).min()))
     return pts, ws
 
-def jet_symbol(a, grads, n):
-    """H(rho) = A + <rho, grads> on R^(2n): a symbol with a prescribed gradient."""
+def jet_symbol(a, grads):
+    """H(rho) = A + <rho, grads> on the phase plane: a symbol with a prescribed gradient."""
     def ev(x, xi):
         rho = np.column_stack([x, xi])
         return a + sum(rho[:, i, None, None] * g for i, g in enumerate(grads))
 
-    return MatrixSymbol(n=n, N=a.shape[0], eval_on=ev, grad_on=constant_grad(grads))
+    return MatrixSymbol(N=a.shape[0], eval_on=ev, grad_on=constant_grad(grads))
 
 
 def random_jet(rng, n_ch):
@@ -880,7 +847,7 @@ def random_jet(rng, n_ch):
     grads = np.stack([random_hermitian(rng, n_ch) for _ in range(2)])
     if rng.integers(2):
         a, grads = a.real.copy(), grads.real.copy()
-    return jet_symbol(a, grads, 1)
+    return jet_symbol(a, grads)
 
 
 class TestBatchedMatchesLoops:
@@ -982,7 +949,7 @@ class TestBatchedMatchesLoops:
 
     def test_escape_check_dilation_rejects_non_hermitian_sample(self):
         v = MatrixPotential(
-            n=1, N=2, eval_on=lambda xs: np.where(xs > 1.0, 1.0, 0.0)[:, None, None] * SIGMA_UP,
+            N=2, eval_on=lambda xs: np.where(xs > 1.0, 1.0, 0.0)[:, None, None] * SIGMA_UP,
             grad_on=constant_grad(np.zeros((1, 2, 2))), v_infinity=np.zeros((2, 2)))
         with pytest.raises(NonHermitianError):
             escape_check_dilation(v, 1.0, grid_points=101)
@@ -993,21 +960,13 @@ class TestBatchedMatchesLoops:
         model_potential("conical_crossing"),
         model_potential("avoided_crossing", gap=0.2),
         model_potential("reference"),
-        MatrixPotential(n=2, N=2, eval_on=lambda x: (0.3 * SIGMA1 + x[:, 0, None, None] * SIGMA3
-                                                     - x[:, 1, None, None] * SIGMA1),
-                        grad_on=constant_grad(np.stack([SIGMA3, -SIGMA1])),
-                        v_infinity=np.zeros((2, 2))),
-    ], ids=["conical", "avoided", "reference", "linear_n2"])
+        gauss_potential([[1.5, 1j], [-1j, -0.5]], center=0.3),
+    ], ids=["conical", "avoided", "reference", "complex"])
     def test_crossing_condition(self, v, x0, level):
         # tau0 on the lower or upper level of V(x), or on neither
-        x = x0 if v.n == 1 else np.array([x0, 0.5 * x0])
-        tau0 = 1.0 if level is None else float(np.linalg.eigvalsh(v(x))[level])
-        if v.n != 1:
-            with pytest.raises(NotImplementedError):
-                crossing_condition(v, x, tau0)
-            return
-        res = crossing_condition(v, x, tau0)
-        ref = _crossing_condition_loop(v, x, tau0)
+        tau0 = 1.0 if level is None else float(np.linalg.eigvalsh(v(x0))[level])
+        res = crossing_condition(v, x0, tau0)
+        ref = _crossing_condition_loop(v, x0, tau0)
         if ref is None:
             assert res.note == "no level touches tau0"
             return
@@ -1019,8 +978,8 @@ class TestBatchedMatchesLoops:
 
     @pytest.mark.parametrize("tau0", [0.5, 2.0])
     @pytest.mark.parametrize("g", [
-        dilation_generator(1),
-        ScalarPhaseFunction(n=1, eval_on=lambda x, xi: (x - 0.5) * xi,
+        dilation_generator(),
+        ScalarPhaseFunction(eval_on=lambda x, xi: (x - 0.5) * xi,
                             grad_on=lambda x, xi: np.column_stack([xi, x - 0.5])),
     ], ids=["dilation", "shifted"])
     def test_escape_check_general(self, g, tau0):
@@ -1060,7 +1019,7 @@ class TestGoldenCertificates:
     def test_general_escape(self, kind, tau0, c, n_points, n_failures):
         # the bracket {xi^2 + V, x.xi} on the harness's default box and grid
         cert = escape_check_general(schrodinger_symbol(model_potential(kind)),
-                                    dilation_generator(1), tau0, ((-4.0, 4.0), (-3.0, 3.0)))
+                                    dilation_generator(), tau0, ((-4.0, 4.0), (-3.0, 3.0)))
         doc = cert.to_json_dict()
         assert cert.valid == (n_failures == 0)
         assert (doc["n_points"], len(cert.failures)) == (n_points, n_failures)

@@ -110,7 +110,7 @@ ASSEMBLY_MODELS = [
     model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]),
     model_potential("reference"),
     model_potential("avoided_crossing", gap=0.2),
-    MatrixPotential(n=1, N=2, v_infinity=np.diag([0.0, 0.3]), name="complex",
+    MatrixPotential(N=2, v_infinity=np.diag([0.0, 0.3]), name="complex",
                     eval_on=lambda xs: np.exp(-xs * xs)[:, None, None] * SIGMA2
                     + np.diag([0.0, 0.3])),
     model_potential("constant", v_inf=[0.3, 0.9], N=2),
@@ -226,7 +226,7 @@ class TestBuildSchrodinger:
             out[xs == spot, 0, 0] = bad
             return out
 
-        v = MatrixPotential(n=1, N=2, eval_on=field,
+        v = MatrixPotential(N=2, eval_on=field,
                             v_infinity=np.diag([-1.0, 0.3]), name="one-bad-node")
         assembled = []
         monkeypatch.setattr(qz, "_assemble_schrodinger", lambda *args: assembled.append(args))
@@ -389,12 +389,12 @@ class TestSplitSolve:
 
 class TestEigenvectorColumns:
     COUPLED = np.array([[0.3, 0.2], [0.2, 0.9]])
-    COUPLED_POTENTIAL = MatrixPotential(n=1, N=2, v_infinity=np.diag([0.3, 0.9]), name="coupled",
+    COUPLED_POTENTIAL = MatrixPotential(N=2, v_infinity=np.diag([0.3, 0.9]), name="coupled",
                                         eval_on=lambda xs, c=COUPLED: np.repeat(c[None], len(xs), axis=0))
 
     @pytest.mark.parametrize("v", [
         model_potential("constant", v_inf=0.0, N=1),
-        MatrixPotential(n=1, N=2, v_infinity=np.diag([0.3, 0.9]), name="coupled",
+        MatrixPotential(N=2, v_infinity=np.diag([0.3, 0.9]), name="coupled",
                         eval_on=lambda xs: np.repeat(TestEigenvectorColumns.COUPLED[None],
                                                      len(xs), axis=0)),
     ], ids=lambda v: v.name)
@@ -1057,11 +1057,11 @@ class TestWindows:
     def test_theta_invariants(self):
         w0 = WindowTheta("bump_at_zero", eps=0.3)
         ts = np.linspace(-2, 2, 2001)
-        vals = w0.theta(ts)
+        vals = qz._theta_eval(w0.kind, ts / w0.eps)
         assert np.all(vals[np.abs(ts) >= 0.3] == 0.0)
         assert np.all(vals[np.abs(ts) <= 0.3 / 4] == 1.0)
         wp = WindowTheta("bump_positive", eps=0.3)
-        vp = wp.theta(ts)
+        vp = qz._theta_eval(wp.kind, ts / wp.eps)
         assert np.all(vp[np.abs(ts) <= 0.15] == 0.0)
         assert np.all(vp[ts >= 0.3] == 0.0)
         assert np.any(vp > 0)

@@ -82,14 +82,14 @@ class TestHermitianEigen:
 class TestBranches:
     def test_diagonal_potential(self):
         v = MatrixPotential(
-            n=1, N=2, v_infinity=np.diag([0.0, 2.0]),
+            N=2, v_infinity=np.diag([0.0, 2.0]),
             eval_on=lambda xs: np.stack([np.exp(-xs * xs), np.full_like(xs, 2.0)],
                                         axis=1)[:, :, None] * np.eye(2),
         )
         assert np.allclose(hermitian_eigen(v(0.0)).values, [1.0, 2.0], atol=0)
 
     def test_linear_crossing(self):
-        v = MatrixPotential(n=1, N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
+        v = MatrixPotential(N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
                             v_infinity=np.zeros((2, 2)))
         assert np.allclose(hermitian_eigen(v(-0.5)).values, [-0.5, 0.5], atol=1e-15)
         assert np.allclose(hermitian_eigen(v(0.0)).values, [0.0, 0.0], atol=0)
@@ -125,8 +125,8 @@ class TestSymbolGradient:
             return np.stack([np.cos(x)[:, None, None] * SIGMA1,
                              (2.0 * xi)[:, None, None] * np.eye(2)], axis=1)
 
-        h_exact = MatrixSymbol(n=1, N=2, eval_on=ev, grad_on=gr)
-        h_fd = MatrixSymbol(n=1, N=2, eval_on=ev)
+        h_exact = MatrixSymbol(N=2, eval_on=ev, grad_on=gr)
+        h_fd = MatrixSymbol(N=2, eval_on=ev)
         rho = np.array([0.0, 1.0])
         ga = h_exact.gradient(rho)
         gf = h_fd.gradient(rho)
@@ -137,7 +137,7 @@ class TestSymbolGradient:
     def test_fd_agreement_on_random_sample(self, rng):
         v = model_potential("reference")
         p = schrodinger_symbol(v)
-        p_fd = MatrixSymbol(n=1, N=2, eval_on=p.eval_on)
+        p_fd = MatrixSymbol(N=2, eval_on=p.eval_on)
         for _ in range(100):
             rho = rng.uniform(-2, 2, size=2)
             ga = p.gradient(rho)
@@ -148,7 +148,7 @@ class TestSymbolGradient:
     def test_potential_fd_gradient_matches_analytic(self):
         # a potential without grad_on falls back to central differences in x
         ref = model_potential("reference")
-        fd = MatrixPotential(n=1, N=2, eval_on=ref.eval_on, v_infinity=ref.v_infinity)
+        fd = MatrixPotential(N=2, eval_on=ref.eval_on, v_infinity=ref.v_infinity)
         for x in np.linspace(-3.0, 3.0, 25):
             np.testing.assert_allclose(fd.gradient(x), ref.gradient(x), rtol=0, atol=1e-8)
 
@@ -192,10 +192,10 @@ class TestModelPotentials:
 
     def test_v_infinity_validation(self):
         with pytest.raises(ValueError):
-            MatrixPotential(n=1, N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
+            MatrixPotential(N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
                             v_infinity=np.diag([2.0, 1.0]))  # decreasing
         with pytest.raises(ValueError):
-            MatrixPotential(n=1, N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
+            MatrixPotential(N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
                             v_infinity=np.array([[0.0, 1.0], [1.0, 0.0]]))  # off-diagonal
 
 
