@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_BOX_RADIUS = 8.0  # model potentials are flat to < 1e-12 outside
+_BOX = (-DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS)  # what gamma0 and a0 integrate over
 TURNING_SCAN = 2048
 # absolute tolerances of the adaptive quadratures: gamma0 and a0, c0's inner
 # and outer integrals, and the localized density
@@ -319,6 +320,19 @@ def _check_energies(v: MatrixPotential, taus, *, zero_limit: bool = False) -> No
             raise ThresholdError(f"tau={float(t)} is within 1e-06 of a channel limit")
 
 
+def _gamma0_from(v: MatrixPotential, taus: np.ndarray, roots) -> np.ndarray:
+    """gamma0 at ``taus`` from their turning points ``roots`` on ``_BOX``."""
+    c_inf = np.array([[(float(t) - float(thr)) ** -0.5 if t > thr else 0.0
+                       for thr in v.thresholds()] for t in taus]).reshape(taus.size, v.N)
+    return _channel_sum(_singular_differences(v, taus, c_inf, roots, *_BOX, ATOL))
+
+
+def _a0_from(v: MatrixPotential, taus: np.ndarray, roots) -> np.ndarray:
+    """a0 at ``taus`` from their turning points ``roots`` on ``_BOX``."""
+    powers = np.array([[float(t) ** 0.5 if t > 0.0 else 0.0] * v.N for t in taus])
+    return 2.0 * _channel_sum(_power_differences(v, taus, powers, 0.5, roots, *_BOX, ATOL))
+
+
 def gamma0(v: MatrixPotential, tau):
     """Leading density coefficient at energy tau (a float, or an array of tau).
 
@@ -326,12 +340,7 @@ def gamma0(v: MatrixPotential, tau):
     """
     _check_energies(v, tau)
     taus, scalar = _taus(tau)
-    thresholds = v.thresholds()
-    lo, hi = -DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS
-    c_inf = np.array([[(float(t) - float(thr)) ** -0.5 if t > thr else 0.0
-                       for thr in thresholds] for t in taus]).reshape(taus.size, v.N)
-    roots = _turning_points(v, taus, lo, hi)
-    out = _channel_sum(_singular_differences(v, taus, c_inf, roots, lo, hi, ATOL))
+    out = _gamma0_from(v, taus, _turning_points(v, taus, *_BOX))
     return float(out[0]) if scalar else out
 
 
@@ -341,12 +350,7 @@ def a0(v: MatrixPotential, tau):
     (``_check_energies``)."""
     _check_energies(v, tau, zero_limit=True)
     taus, scalar = _taus(tau)
-    lo, hi = -DEFAULT_BOX_RADIUS, DEFAULT_BOX_RADIUS
-    tau_pow = np.array([float(t) ** 0.5 if t > 0.0 else 0.0 for t in taus])
-    roots = _turning_points(v, taus, lo, hi)
-    parts = _power_differences(v, taus, np.repeat(tau_pow[:, None], v.N, axis=1), 0.5,
-                               roots, lo, hi, ATOL)
-    out = 2.0 * _channel_sum(parts)
+    out = _a0_from(v, taus, _turning_points(v, taus, *_BOX))
     return float(out[0]) if scalar else out
 
 
@@ -420,5 +424,10 @@ class CoefficientProfile:
 
 
 def coefficient_profile(v: MatrixPotential, taus) -> CoefficientProfile:
-    taus = np.asarray(taus, dtype=float)
-    return CoefficientProfile(tau_grid=taus, gamma0=gamma0(v, taus), a0=a0(v, taus))
+    """gamma0 and a0 on ``taus`` from one turning-point scan; ``a0``'s
+    refusals hold ``gamma0``'s."""
+    _check_energies(v, taus, zero_limit=True)
+    taus, _ = _taus(taus)
+    roots = _turning_points(v, taus, *_BOX)
+    return CoefficientProfile(tau_grid=taus, gamma0=_gamma0_from(v, taus, roots),
+                              a0=_a0_from(v, taus, roots))

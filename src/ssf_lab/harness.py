@@ -72,9 +72,9 @@ _KEYS = {
     "thm2": _SWEEP_KEYS + ("window", "test_function", "tau_grid", "cutoff", "perturbation",
                            "d_sep"),
     "thm3": _SWEEP_KEYS + ("window", "test_function", "tau0", "cutoff", "check"),
-    "weak": _SWEEP_KEYS + ("h_term", "test_function", "tau0", "check"),
-    "weyl": _SWEEP_KEYS + ("h_term", "window", "tau0", "tau_grid", "check"),
-    "derivative": _SWEEP_KEYS + ("h_term", "window", "test_function", "tau0", "check"),
+    "weak": _SWEEP_KEYS + ("test_function", "tau0", "check"),
+    "weyl": _SWEEP_KEYS + ("window", "tau0", "tau_grid", "check"),
+    "derivative": _SWEEP_KEYS + ("window", "test_function", "tau0", "check"),
 }
 _VARIANTS = {
     "trace": ("thm1", "thm2", "thm3"),
@@ -183,12 +183,6 @@ def _model(name: str, spec) -> MatrixPotential:
         return model_potential(spec["kind"], **spec.get("params", {}))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad {name} spec: {exc}") from exc
-
-
-def _spelled(spec: dict | None) -> dict | None:
-    """A model block as ``_model`` reads it: its kind and params, {} when
-    none are given; None for no block."""
-    return {"kind": spec["kind"], "params": spec.get("params", {})} if spec else None
 
 
 def _grids_from(doc: dict, hs: tuple, default_R: float) -> list[qz.Grid1D]:
@@ -381,11 +375,6 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
         inputs["v1"] = combine_potentials(inputs["v"],
                                           _model("perturbation", doc.get("perturbation")))
         inputs["d_sep"] = _number(doc.get("d_sep", 2.0), "d_sep")
-    if "h_term" in keys:
-        inputs["term"] = _model("h_term", doc["h_term"]) if doc.get("h_term") else None
-        # the ssf configs of one run share their pairs where potential and h_term agree
-        inputs["model"] = json.dumps([_spelled(doc["potential"]), _spelled(doc.get("h_term"))],
-                                     sort_keys=True)
     if "tau_grid" in keys:
         inputs["taus"] = _tau_grid_from(doc)
     if "cutoff" in keys:
@@ -411,12 +400,15 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     if "check" in keys:
         inputs["certificate"] = _certificate_request(doc, experiment, inputs)
     if experiment == "ssf":
-        # the ssf configs of one run share an escape check where their
-        # potentials and certificate requests, defaults filled in, agree
+        # the ssf configs of one run share their pairs where their potentials,
+        # as ``_model`` reads them, agree, and an escape check where their
+        # certificate requests, defaults filled in, agree too
+        spec = doc["potential"]
+        inputs["model"] = json.dumps({"kind": spec["kind"], "params": spec.get("params", {})},
+                                     sort_keys=True)
         kind, args = inputs["certificate"]
         request = {key: val for key, val in args.items() if key not in ("v", "p", "g")}
-        inputs["share"] = ("escape", kind, json.dumps([_spelled(doc["potential"]), request],
-                                                      sort_keys=True))
+        inputs["share"] = ("escape", kind, inputs["model"], json.dumps(request, sort_keys=True))
     return inputs
 
 
@@ -482,13 +474,11 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
     elif variant == "thm3":
         rep = qz.theorem3_check(v, chi, f, tau0, grids, window, **limits)
     else:
-        # references come from the h-independent base potential
-        term, pairs = inputs["term"], []
+        pairs = []
         for grid in grids:
             key = ("pair", inputs["model"], grid)
             if key not in shared:
-                vh = v if term is None else combine_potentials(v, term, scale=grid.h)
-                shared[key] = ssf_mod.build_pair(vh, grid)
+                shared[key] = ssf_mod.build_pair(v, grid)
             pairs.append(shared[key])
         if variant == "weak":
             rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)
@@ -528,9 +518,9 @@ def report_identity_bytes(report: dict) -> bytes:
 def run(config, out_dir: str | None = None) -> RunResult:
     """Execute one experiment config; write CSV data and the JSON report.
 
-    One call solves each (potential, h_term, grid, h) spectrum and makes
-    each (potential, tau0) escape check of its ssf configs once: the
-    children of a sweep share them.
+    One call solves each (potential, grid, h) spectrum and makes each
+    (potential, tau0) escape check of its ssf configs once: the children of
+    a sweep share them.
     """
     if isinstance(config, (str, os.PathLike)):
         cfg = ExperimentConfig.from_json(config)

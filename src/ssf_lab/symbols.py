@@ -390,18 +390,17 @@ def model_potential(kind: str, **params) -> MatrixPotential:
     raise ValueError(f"unknown model potential kind: {kind!r}")
 
 
-def combine_potentials(v0: MatrixPotential, v1: MatrixPotential, scale: float = 1.0) -> MatrixPotential:
-    """V0 + scale * V1 (used for families like V0 + h*V1 swept over h); its
-    array form is that of the two terms, each evaluated by its ``on``."""
+def combine_potentials(v0: MatrixPotential, v1: MatrixPotential) -> MatrixPotential:
+    """V0 + V1, its array form that of the two terms, each evaluated by its ``on``."""
     if v0.N != v1.N:
         raise ValueError("potentials have different channel counts")
 
     def _eval_on(xs):
-        return v0.on(xs) + scale * v1.on(xs)
+        return v0.on(xs) + v1.on(xs)
 
     def _grad_on(xs):
-        return v0.gradient_on(xs) + scale * v1.gradient_on(xs)
+        return v0.gradient_on(xs) + v1.gradient_on(xs)
 
     return MatrixPotential(N=v0.N, eval_on=_eval_on, grad_on=_grad_on,
-                           v_infinity=v0.v_infinity + scale * v1.v_infinity,
-                           name=f"{v0.name}+{scale}*{v1.name}")
+                           v_infinity=v0.v_infinity + v1.v_infinity,
+                           name=f"{v0.name}+{v1.name}")

@@ -48,8 +48,7 @@ KINDS = {
     "rotating_crossing": model_potential("rotating_crossing", c=3.0),
     "combined": combine_potentials(model_potential("reference"),
                                    model_potential("diagonal_bumps", depths=[0.5, 0.3],
-                                                   centers=[5.0, 5.0], widths=[0.4, 0.4]),
-                                   scale=0.37),
+                                                   centers=[5.0, 5.0], widths=[0.4, 0.4])),
 }
 
 XS = np.concatenate([np.linspace(-8.0, 8.0, 401),

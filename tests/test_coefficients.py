@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ssf_lab import coefficients
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.coefficients import (
     ThresholdError,
@@ -283,6 +284,26 @@ class TestProfile:
         prof = coefficient_profile(v, [0.5, 1.0, 1.5])
         assert np.array_equal(prof.gamma0, np.zeros(3))
         assert np.array_equal(prof.a0, np.zeros(3))
+
+    @pytest.mark.parametrize("kind,taus", [("reference", np.linspace(1.8, 2.2, 25)),
+                                           ("island", np.linspace(0.4, 2.0, 9))])
+    def test_one_turning_point_scan(self, monkeypatch, kind, taus):
+        # gamma0 and a0 of a profile share one scan, and each keeps the bits
+        # it has when called alone
+        v = model_potential(kind)
+        scans = []
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return _turning_points(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "_turning_points", counting)
+        prof = coefficient_profile(v, taus)
+        assert len(scans) == 1
+        for got, alone in ((prof.gamma0, gamma0(v, taus)), (prof.a0, a0(v, taus))):
+            assert got.dtype == alone.dtype and got.shape == alone.shape == taus.shape
+            assert got.tobytes() == alone.tobytes()
+        assert len(scans) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -419,24 +419,28 @@ class TestRun:
         assert result.report["verdicts"]["thm3"] == "NOT_CERTIFIED"
         assert result.exit_code == 0
 
-    def test_h_term_supported(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "experiment": "ssf",
-            "variant": "weak",
-            "potential": {"kind": "diagonal_bumps",
-                          "params": {"depths": [-1.0], "centers": [0.0], "widths": [1.0]}},
-            "h_term": {"kind": "diagonal_bumps",
-                       "params": {"depths": [0.3], "centers": [0.5], "widths": [1.0]}},
-            "grid": {"R": 12.0, "tau_max": 2.0},
-            "h_list": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
-            "test_function": {"kind": "bump", "support": [0.8, 1.2]},
-            "tau0": 1.0,
-            "thresholds": {"rel": 0.5, "order": 0.8},
-            "out": str(tmp_path / "hterm"),
-        }
-        result = run(cfg)
-        assert "weak" in result.report["verdicts"]
+    @pytest.mark.parametrize("name", ["ssf_weak_reference", "ssf_weyl_reference",
+                                      "ssf_derivative_reference"])
+    def test_h_term_is_refused(self, tmp_path, no_assembly, capsys, name):
+        # no variant reads an h term: its references would come from the
+        # potential alone, so an h * V1 on each grid would leave an O(h)
+        # residual.  The key is refused at ingest, alone and as a sweep's
+        # second child, before the first child (coeffs) writes its report
+        term = {"kind": "diagonal_bumps",
+                "params": {"depths": [0.3, 0.3], "centers": [0.5, 0.5], "widths": [1.0, 1.0]}}
+        doc = _config(name, out=str(tmp_path / "alone"), h_term=term)
+        with pytest.raises(ConfigError, match="only, not h_term$"):
+            run(doc)
+        child = {k: v for k, v in doc.items() if k not in ("schema_version", "out")}
+        sweep = {"schema_version": 1, "experiment": "sweep", "out": str(tmp_path / "sweep"),
+                 "experiments": [_config("sweep_quick")["experiments"][2], child]}
+        with pytest.raises(ConfigError, match="only, not h_term$"):
+            run(sweep)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(sweep))
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        assert "h_term" in capsys.readouterr().err
+        assert list(tmp_path.rglob("report.json")) == []
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

@@ -216,7 +216,7 @@ class TestSymbolConstruction:
     def test_combine_potentials(self):
         v0 = model_potential("conical_crossing")
         v1 = model_potential("constant", v_inf=0.0, N=2)
-        w = combine_potentials(v0, v1, scale=0.5)
+        w = combine_potentials(v0, v1)
         assert np.allclose(w(0.7), v0(0.7), atol=0)
         with pytest.raises(ValueError):
             combine_potentials(v0, model_potential("constant", v_inf=0.0, N=1))
