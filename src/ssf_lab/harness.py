@@ -16,7 +16,8 @@ The trace and ssf experiments are h-sweeps, run by ``_run_sweep``: each
 writes the rows of one ``SweepReport`` (columns h, value, reference,
 rel_error, fitted_slope) and its verdict.  Every config is refused at
 ingest where its run cannot finish, and a sweep's verdict is issued only
-where a certificate carries the hypothesis; its checks are the numerics alone.
+where a certificate carries the hypothesis (``_HYPOTHESIS``, ``_KINDS``); its
+checks are the numerics alone.
 ``ConfigError`` lives beside that report in the quantization module and is
 re-exported here.
 """
@@ -37,7 +38,8 @@ from . import quantization as qz
 from . import ssf as ssf_mod
 from .bumps import Bump1D, ProductCutoff, dilation_generator
 from .quantization import ConfigError
-from .symbols import MatrixPotential, combine_potentials, model_potential, schrodinger_symbol
+from .symbols import (MODEL_PARAMS, MatrixPotential, combine_potentials, model_potential,
+                      schrodinger_symbol)
 
 __all__ = [
     "ConfigError",
@@ -108,10 +110,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{experiment} needs variant in {_VARIANTS[experiment]}, got {variant!r}"
             )
-        if variant == "thm2" and "check" in doc:
-            raise ConfigError("thm2 takes no check block: no certificate gates it")
         kind = variant if experiment in _VARIANTS else experiment
         name = experiment if kind == experiment else f"{experiment} {kind}"
+        if "check" in doc and kind not in _HYPOTHESIS:
+            raise ConfigError(f"{name} takes no check block: no certificate gates it")
         _refuse_extra(f"a {name} config", doc, _COMMON_KEYS + _KEYS[kind])
         return ExperimentConfig(raw=doc, experiment=experiment, variant=variant,
                                 out=str(doc.get("out", "out")),
@@ -126,6 +128,8 @@ class ExperimentConfig:
 def _refuse_extra(what: str, block: dict, keys: tuple, prefix: str = "") -> None:
     """ConfigError naming every key of ``block`` outside ``keys``."""
     extra = ", ".join(prefix + key for key in sorted(set(block) - set(keys)))
+    if extra and not keys:
+        raise ConfigError(f"{what} takes nothing, not {extra}")
     if extra:
         listed = keys[0] if len(keys) == 1 else ", ".join(keys[:-1]) + " and " + keys[-1]
         raise ConfigError(f"{what} takes {listed} only, not {extra}")
@@ -175,12 +179,15 @@ def _block(doc: dict, name: str, keys: tuple) -> dict:
 
 def _model(name: str, spec) -> MatrixPotential:
     """The model potential of the config's ``name`` block, which takes kind
-    and params only."""
+    and params only, and of its params those its kind reads."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"config needs {name}: {{kind, params}}")
     _refuse_extra(name, spec, ("kind", "params"), name + ".")
+    kind, params = spec["kind"], spec.get("params", {})
     try:
-        return model_potential(spec["kind"], **spec.get("params", {}))
+        if kind in MODEL_PARAMS:
+            _refuse_extra(f"the {kind} {name}", params, MODEL_PARAMS[kind], f"{name}.params.")
+        return model_potential(kind, **params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad {name} spec: {exc}") from exc
 
@@ -264,62 +271,70 @@ def _tau_grid_from(doc: dict) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-# the check-block keys of each certificate kind, with their defaults; a trace
-# sweep's shell check defaults to the box of its cutoff's supports and 41 points
-_CHECKS = {
-    "shell": {"box": [[-4.0, 4.0], [-3.0, 3.0]], "grid_points": 61, "shell_tol": None,
-              "T": None},
-    "dilation": {"x_range": (-8.0, 8.0), "grid_points": 2001},
-    "general": {"box": [[-4.0, 4.0], [-3.0, 3.0]], "grid_points": 61, "shell_tol": None},
+# The certificate kinds: the microhyperbolicity function that makes each, by
+# name, read at the call so that tests and spans that rebind it take effect;
+# its arguments from the potential; and its check-block keys with defaults,
+# grid_points among them.
+_KINDS = {
+    "shell": ("check_on_energy_shell", lambda v: {"p": schrodinger_symbol(v)},
+              {"box": [[-4.0, 4.0], [-3.0, 3.0]], "grid_points": 61, "shell_tol": None,
+               "T": None}),
+    "dilation": ("escape_check_dilation", lambda v: {"v": v},
+                 {"x_range": (-8.0, 8.0), "grid_points": 2001}),
+    "general": ("escape_check_general",
+                lambda v: {"p": schrodinger_symbol(v), "g": dilation_generator()},
+                {"box": [[-4.0, 4.0], [-3.0, 3.0]], "grid_points": 61, "shell_tol": None}),
 }
+# The kinds each experiment or variant takes, its default first (check-escape
+# names another by escape_kind); thm2, absent, takes none.  A sweep whose
+# certificate does not carry the hypothesis is NOT_CERTIFIED, save _UNGATED's.
+_HYPOTHESIS = {"check-mh": ("shell",), "check-escape": ("dilation", "general"),
+               "thm1": ("shell",), "thm3": ("shell",),
+               "weak": ("dilation",), "weyl": ("dilation",), "derivative": ("dilation",)}
+_UNGATED = ("weak",)
 
 
-def _certificate_request(doc: dict, experiment: str, inputs: dict) -> tuple:
-    """The (kind, arguments) request of the experiment's certificate, its
-    check block's keys over the defaults of the kind and the experiment.  A
-    direction T must be 2 numbers, not both zero."""
-    if experiment in ("check-mh", "trace"):
-        kind = "shell"
-    else:
-        kind = doc.get("escape_kind", "dilation")
-        if kind not in ("dilation", "general"):
-            raise ConfigError(f"escape_kind must be 'dilation' or 'general', got {kind!r}")
-    chk = dict(_CHECKS[kind])
-    if experiment == "trace":
+def _certificate_request(doc: dict, kind: str, inputs: dict) -> tuple:
+    """The (kind, arguments, key) request of an experiment or variant ``kind``:
+    its check block over the defaults of the kind and of a trace's cutoff, and
+    the run-wide key of the spelled potential and arguments.  T is not zero."""
+    kinds = _HYPOTHESIS[kind]
+    cert_kind = doc.get("escape_kind", kinds[0])
+    if cert_kind not in kinds:
+        raise ConfigError(f"escape_kind must be {' or '.join(map(repr, kinds))}, got {cert_kind!r}")
+    defaults = _KINDS[cert_kind][2]
+    chk = dict(defaults)
+    if "chi" in inputs:
         chi = inputs["chi"]
         chk.update(box=[list(chi.x_support), list(chi.xi_support)], grid_points=41)
-    chk.update(_block(doc, "check", tuple(_CHECKS[kind])))
-    args = {"tau0": inputs["tau0"],
-            "grid_points": _number(chk["grid_points"], "check.grid_points", integer=True)}
+    chk.update(_block(doc, "check", tuple(defaults)))
+    args = {"tau0": inputs["tau0"], **{key: chk[key] for key in defaults}}
+    args["grid_points"] = _number(args["grid_points"], "check.grid_points", integer=True)
     if args["grid_points"] < 2:
         raise ConfigError(f"check.grid_points must be at least 2, got {chk['grid_points']!r}")
-    if kind == "dilation":
-        return kind, dict(args, v=inputs["v"], x_range=_interval(chk["x_range"], "check.x_range"))
-    box, tol = chk["box"], chk["shell_tol"]
-    if not isinstance(box, (list, tuple)) or len(box) != 2:
-        raise ConfigError(f"check.box must be two [lo, hi] pairs, got {box!r}")
-    args.update(p=schrodinger_symbol(inputs["v"]),
-                shell_tol=None if tol is None else _positive(tol, "check.shell_tol"),
-                box=tuple(_interval(side, f"check.box[{i}]") for i, side in enumerate(box)))
-    if kind == "general":
-        return kind, dict(args, g=dilation_generator())
-    if chk["T"] is None:
-        return kind, dict(args, T=None)
-    t = np.asarray(_numbers(chk["T"], "check.T", 2))
-    if not np.any(t):
-        raise ConfigError(f"check.T must not be zero, got {chk['T']!r}")
-    return kind, dict(args, T=t)
+    if "x_range" in args:
+        args["x_range"] = _interval(args["x_range"], "check.x_range")
+    if "box" in args:
+        box = args["box"]
+        if not isinstance(box, (list, tuple)) or len(box) != 2:
+            raise ConfigError(f"check.box must be two [lo, hi] pairs, got {box!r}")
+        args["box"] = tuple(_interval(side, f"check.box[{i}]") for i, side in enumerate(box))
+    if args.get("shell_tol") is not None:
+        args["shell_tol"] = _positive(args["shell_tol"], "check.shell_tol")
+    if args.get("T") is not None:
+        args["T"] = np.asarray(_numbers(args["T"], "check.T", 2))
+        if not np.any(args["T"]):
+            raise ConfigError(f"check.T must not be zero, got {chk['T']!r}")
+    return cert_kind, args, json.dumps([cert_kind, inputs["model"], args], default=list)
 
 
-def _certificate(request: tuple):
-    """The certificate a (kind, arguments) request asks for, by a function read
-    from the microhyperbolicity module at the call: tests and spans rebind it."""
-    kind, args = request
-    if kind == "shell":
-        return mh.check_on_energy_shell(**args)
-    if kind == "dilation":
-        return mh.escape_check_dilation(**args)
-    return mh.escape_check_general(**args)
+def _certificate(inputs: dict, shared: dict):
+    """The certificate of a config's request, made once per run (``shared``)."""
+    kind, args, key = inputs["certificate"]
+    if key not in shared:
+        name, model, _ = _KINDS[kind]
+        shared[key] = getattr(mh, name)(**model(inputs["v"]), **args)
+    return shared[key]
 
 
 # the config key and input of the energies at which each experiment takes
@@ -348,7 +363,10 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
                 {"schema_version": SCHEMA_VERSION, **sub} if isinstance(sub, dict) else sub))
         return {"children": children}
     keys = _KEYS[kind]
-    inputs = {"v": _model("potential", doc.get("potential"))}
+    spec = doc.get("potential")
+    # one run shares pairs and certificates where the potentials, as spelled, agree
+    inputs = {"v": _model("potential", spec),
+              "model": json.dumps([spec["kind"], spec.get("params", {})], sort_keys=True)}
     if "h_list" in keys:
         if doc.get("h_list") is None:
             raise ConfigError(f"{experiment} needs an h_list")
@@ -389,6 +407,11 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
                 qz._check_margins(inputs["chi"], grid)
             except qz.SupportMarginError as exc:
                 raise ConfigError(f"cutoff at h={grid.h:g}: {exc}") from exc
+    if experiment == "ssf":
+        try:
+            ssf_mod._check_edge(inputs["v"], inputs["grids"][0].R)
+        except ssf_mod.MarginError as exc:
+            raise ConfigError(f"grid.R: {exc}") from exc
     if kind in _REFERENCE_ENERGIES:
         key, name = _REFERENCE_ENERGIES[kind]
         try:
@@ -397,18 +420,9 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
             raise ConfigError(f"{key}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"potential: {exc}") from exc
-    if "check" in keys:
-        inputs["certificate"] = _certificate_request(doc, experiment, inputs)
-    if experiment == "ssf":
-        # the ssf configs of one run share their pairs where their potentials,
-        # as ``_model`` reads them, agree, and an escape check where their
-        # certificate requests, defaults filled in, agree too
-        spec = doc["potential"]
-        inputs["model"] = json.dumps({"kind": spec["kind"], "params": spec.get("params", {})},
-                                     sort_keys=True)
-        kind, args = inputs["certificate"]
-        request = {key: val for key, val in args.items() if key not in ("v", "p", "g")}
-        inputs["share"] = ("escape", kind, inputs["model"], json.dumps(request, sort_keys=True))
+    if kind in _HYPOTHESIS:
+        inputs["certificate"] = _certificate_request(doc, kind, inputs)
+        inputs["gated"] = kind not in _UNGATED
     return inputs
 
 
@@ -425,9 +439,9 @@ def _sweep_table(rep: qz.SweepReport | None) -> tuple:
     return list(qz.SweepReport.COLUMNS), [] if rep is None else list(rep.rows())
 
 
-def _run_certificate(cfg: ExperimentConfig):
+def _run_certificate(cfg: ExperimentConfig, shared: dict):
     """check-mh or check-escape: one certificate, its sample points as rows."""
-    cert = _certificate(cfg.inputs["certificate"])
+    cert = _certificate(cfg.inputs, shared)
     if cfg.experiment == "check-mh":
         columns, points = ["x", "xi"], cert.points
         verdicts = {"microhyperbolic": "PASS" if cert.valid
@@ -446,25 +460,19 @@ def _run_coeffs(cfg: ExperimentConfig):
 
 
 def _run_sweep(cfg: ExperimentConfig, shared: dict):
-    """One trace or ssf h-sweep, gated by its hypothesis: thm1 and thm3 take
-    the shell certificate, the ssf variants the escape one (weak records it
-    ungated), thm2 none; one neither valid nor on an empty shell gives
-    NOT_CERTIFIED.  The ssf configs of one run share their pairs and escape
-    checks through ``shared``."""
+    """One trace or ssf h-sweep, gated by its hypothesis (``_HYPOTHESIS``): a
+    certificate neither valid nor on an empty shell gives NOT_CERTIFIED
+    before any operator or pair is built, save where the variant records it
+    ungated.  The configs of one run share certificates and pairs (``shared``)."""
     inputs, variant = cfg.inputs, cfg.variant
     v, grids, limits = inputs["v"], inputs["grids"], inputs["limits"]
     chi, f, window, tau0, taus = map(inputs.get, ("chi", "f", "window", "tau0", "taus"))
-    if variant == "thm2":
-        cert = None
-    elif cfg.experiment == "trace":
-        cert = _certificate(inputs["certificate"])
-    else:
-        if inputs["share"] not in shared:
-            shared[inputs["share"]] = _certificate(inputs["certificate"])
-        cert = shared[inputs["share"]]
-    certificates = [] if cert is None else [cert.to_json_dict()]
-    if variant not in ("thm2", "weak") and not cert.certifies:
-        return _sweep_table(None), certificates, {variant: "NOT_CERTIFIED"}
+    certificates = []
+    if "certificate" in inputs:
+        cert = _certificate(inputs, shared)
+        certificates.append(cert.to_json_dict())
+        if inputs["gated"] and not cert.certifies:
+            return _sweep_table(None), certificates, {variant: "NOT_CERTIFIED"}
 
     if variant == "thm1":
         rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
@@ -519,8 +527,8 @@ def run(config, out_dir: str | None = None) -> RunResult:
     """Execute one experiment config; write CSV data and the JSON report.
 
     One call solves each (potential, grid, h) spectrum and makes each
-    (potential, tau0) escape check of its ssf configs once: the children of
-    a sweep share them.
+    certificate (kind, potential, check arguments) once: the children of a
+    sweep share them.
     """
     if isinstance(config, (str, os.PathLike)):
         cfg = ExperimentConfig.from_json(config)
@@ -550,7 +558,7 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
     elif cfg.experiment == "coeffs":
         (columns, rows), certificates, verdicts = _run_coeffs(cfg)
     else:
-        (columns, rows), certificates, verdicts = _run_certificate(cfg)
+        (columns, rows), certificates, verdicts = _run_certificate(cfg, shared)
     elapsed = time.perf_counter() - t0
 
     with open(os.path.join(out, "data.csv"), "w") as fh:

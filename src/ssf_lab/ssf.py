@@ -78,22 +78,28 @@ class SpectralPair:
         return self.grid.h
 
 
+def _check_edge(v: MatrixPotential, R: float) -> None:
+    """MarginError when |V - V_inf| exceeds 1e-10 on 9 points within 1 of
+    each edge of the box [-R, R] (one ``v.on`` call)."""
+    seam = np.linspace(R - 1.0, R, 9)
+    worst = float(np.max(np.abs(v.on(np.concatenate([-seam, seam])) - v.v_infinity)))
+    if worst > 1e-10:
+        raise MarginError(f"|V - V_inf| = {worst:.2e} at the box edge exceeds 1e-10; enlarge R")
+
+
 def build_pair(v: MatrixPotential, grid: Grid1D) -> SpectralPair:
     """Solve P1 for its values and read P0's analytic constant-potential
     spectrum; no dense matrix outlives the call.  The values solve runs in
     place on P1's matrix, so the call's peak is that one matrix and a
-    workspace of a few vectors.  MarginError when |V - V_inf| exceeds 1e-10
-    on 9 points within 1 of each box edge (one ``v.on`` call).
+    workspace of a few vectors.  MarginError when the potential has not
+    reached its limit at the box edge (``_check_edge``).
 
     If the two spectra are equal bitwise, as they are when the hermitian
     parts of the V samples equal the limit at every node, ``lam0`` *is*
     ``lam1`` (shared object), so every difference-based estimator vanishes
     exactly.
     """
-    seam = np.linspace(grid.R - 1.0, grid.R, 9)
-    worst = float(np.max(np.abs(v.on(np.concatenate([-seam, seam])) - v.v_infinity)))
-    if worst > 1e-10:
-        raise MarginError(f"|V - V_inf| = {worst:.2e} at the box edge exceeds 1e-10; enlarge R")
+    _check_edge(v, grid.R)
     p1 = build_schrodinger(v, grid)
     lam1 = p1.eigenvalues()
     free = model_potential("constant", v_inf=np.diag(v.v_infinity).real, N=v.N)

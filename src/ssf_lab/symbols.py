@@ -260,6 +260,18 @@ def _diagonals(d: np.ndarray) -> np.ndarray:
     return out
 
 
+# the params each model kind reads; ``model_potential`` refuses any other
+MODEL_PARAMS = {
+    "constant": ("v_inf", "N"),
+    "diagonal_bumps": ("depths", "centers", "widths", "v_inf"),
+    "conical_crossing": ("amp",),
+    "avoided_crossing": ("amp", "gap"),
+    "reference": (),
+    "island": ("amp",),
+    "rotating_crossing": ("c",),
+}
+
+
 def model_potential(kind: str, **params) -> MatrixPotential:
     """Library of one-dimensional model potentials with analytic gradients.
 
@@ -269,8 +281,12 @@ def model_potential(kind: str, **params) -> MatrixPotential:
     sigma1), c 1 by default).  All models decay to their limit with Gaussian
     envelopes, so the decay hypothesis holds for every exponent.  Each is
     written once, as its array form (``eval_on``, ``grad_on``); its scalar
-    calls are rows of it.
+    calls are rows of it.  A param the kind does not read (``MODEL_PARAMS``)
+    is a ValueError.
     """
+    unread = sorted(set(params) - set(MODEL_PARAMS.get(kind, params)))
+    if unread:
+        raise ValueError(f"model {kind!r} reads no {', '.join(unread)}")
     zero2 = np.zeros((2, 2))
     if kind == "constant":
         diag = np.atleast_1d(np.asarray(params.get("v_inf", 0.0), dtype=float))

@@ -11,6 +11,7 @@ import pytest
 
 from mh_constructions import hermitian_eigen
 from ssf_lab import cli
+from ssf_lab import harness
 from ssf_lab import microhyperbolicity as mh
 from ssf_lab import quantization as qz
 from ssf_lab import ssf as ssf_mod
@@ -344,7 +345,7 @@ class TestRun:
             "experiment": "ssf",
             "variant": "weak",
             "potential": {"kind": "reference", "params": {}},
-            "grid": {"R": 6.0, "tau_max": 3.0, "m_cap": 8192},
+            "grid": {"R": 12.0, "tau_max": 3.0, "m_cap": 8192},
             "h_list": hs,
             "test_function": {"kind": "bump", "support": [1.8, 2.2]},
             "tau0": 2.0,
@@ -490,6 +491,10 @@ class TestWindowAndCheckBlocks:
         ("trace_thm3_crossing", "cutoff.x", "centre", 0.5),
         ("trace_thm1_free", "test_function", "plateu", [0.5, 1.5]),
         ("check_mh_crossing", "potential", "parms", {"v_inf": 1.0}),
+        # a param the kind does not read, as the island's amp misspelt
+        ("check_escape_island", "potential.params", "ampp", 30.0),
+        ("ssf_weak_reference", "potential.params", "amp", 2.0),
+        ("trace_thm2_locality", "perturbation.params", "depth", [0.5]),
     ])
     def test_unread_block_key_is_rejected(self, tmp_path, no_assembly, name, block, key, value):
         doc = _config(name, out=str(tmp_path / "o"))
@@ -706,6 +711,18 @@ class TestRefusedBeforeSolve:
         monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
         doc = _config("ssf_weak_reference", out=str(tmp_path / "o"), test_function=tf)
         TestWindowAndCheckBlocks._rejected(tmp_path, doc, named)
+
+    def test_ssf_box_too_small(self, tmp_path, no_assembly):
+        # the reference potential is 9e-3 from its limit at the edge of a box
+        # of R 4: the sweep is refused before its coeffs child writes anything
+        coeffs = _config("sweep_quick")["experiments"][2]
+        weak = dict(_config("ssf_weak_reference"), grid={"R": 4.0, "tau_max": 3.24})
+        del weak["out"], weak["schema_version"]
+        doc = {"schema_version": 1, "experiment": "sweep", "experiments": [coeffs, weak],
+               "out": str(tmp_path / "o")}
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc,
+                                           r"grid\.R: \|V - V_inf\| = 9\.16e-03 at the box edge")
+        assert list(tmp_path.rglob("report.json")) == []
 
     @pytest.mark.parametrize("name", ["ssf_weyl_reference", "ssf_derivative_reference"])
     def test_uncertified_ssf(self, tmp_path, no_assembly, name):
@@ -1109,6 +1126,89 @@ class TestSsfReferenceSweep:
         with open(tmp_path / "o" / "data.csv") as fh:
             header, *lines = [line.split(",") for line in fh.read().splitlines()]
         assert [line[header.index("rel_error")] for line in lines] == ["0.0"] * 3
+
+
+class TestHypothesisTables:
+    """Which certificate gates which verdict is ``harness._HYPOTHESIS``, and
+    how each kind is made ``harness._KINDS``; one run makes each certificate
+    once."""
+
+    def test_tables_name_what_they_use(self):
+        for name, _, _ in harness._KINDS.values():
+            assert callable(getattr(mh, name))
+        assert {kind for kinds in harness._HYPOTHESIS.values() for kind in kinds} \
+            <= set(harness._KINDS)
+        assert set(harness._UNGATED) <= set(harness._HYPOTHESIS)
+        # a config takes a check block exactly where it takes a certificate
+        assert {kind for kind, keys in harness._KEYS.items() if "check" in keys} \
+            == set(harness._HYPOTHESIS)
+
+    def test_a_new_kind_is_a_table_entry(self, tmp_path, no_assembly, monkeypatch):
+        # a kind whose certificate never carries the hypothesis withholds the
+        # verdicts of a trace and an ssf child, from its own check block
+        calls = []
+
+        class Refuted:
+            certifies = False
+
+            def to_json_dict(self):
+                return {"kind": "toy"}
+
+        def toy_check(v, tau0, grid_points):
+            calls.append((v.name, tau0, grid_points))
+            return Refuted()
+
+        monkeypatch.setattr(mh, "toy_check", toy_check, raising=False)
+        monkeypatch.setitem(harness._KINDS, "toy",
+                            ("toy_check", lambda v: {"v": v}, {"grid_points": 5}))
+        for variant in ("thm3", "weyl"):
+            monkeypatch.setitem(harness._HYPOTHESIS, variant, ("toy",))
+        thm3 = dict(_config("trace_thm3_crossing"), check={"grid_points": 7})
+        weyl = _config("ssf_weyl_reference")
+        for doc in (thm3, weyl):
+            del doc["out"], doc["schema_version"]
+        result = run({"schema_version": 1, "experiment": "sweep", "experiments": [thm3, weyl]},
+                     str(tmp_path / "sweep"))
+        assert result.report["verdicts"] == {"00:trace:thm3": "NOT_CERTIFIED",
+                                             "01:ssf:weyl": "NOT_CERTIFIED"}
+        # the thm3 child sets 7 points, and the weyl child takes the kind's 5
+        assert calls == [("conical_crossing", 1.0, 7), ("reference", 2.0, 5)]
+        with pytest.raises(ConfigError, match="not check.box$"):
+            run(dict(thm3, schema_version=1, check={"box": [[-1, 1], [-1, 1]]}))
+
+    # a check experiment and a sweep that ask one request, defaults filled in
+    SHARED = {
+        "shell": ("trace_thm3_crossing", "check-mh", "check_on_energy_shell",
+                  {"h_list": [1 / 16, 1 / 32, 1 / 64]}),
+        "dilation": ("ssf_weak_reference", "check-escape", "escape_check_dilation",
+                     {"h_list": [1 / 4, 1 / 8, 1 / 16],
+                      "grid": {"R": 7.0, "tau_max": 3.24, "m_cap": 8192}}),
+    }
+
+    @pytest.mark.parametrize("kind", SHARED)
+    def test_children_share_a_certificate(self, tmp_path, monkeypatch, kind):
+        name, experiment, function, changes = self.SHARED[kind]
+        swept = dict(_config(name), **changes)
+        del swept["out"], swept["schema_version"]
+        check = {key: swept[key] for key in ("potential", "tau0", "check") if key in swept}
+        children = [dict(check, experiment=experiment), swept]
+        calls = []
+        make = getattr(mh, function)
+
+        def count(*args, **kwargs):
+            calls.append(kwargs["tau0"])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(mh, function, count)
+        sweep = run({"schema_version": 1, "experiment": "sweep", "experiments": children},
+                    str(tmp_path / "sweep"))
+        assert len(calls) == 1
+        for i, (doc, path) in enumerate(zip(children, sweep.report["tables"]["children"])):
+            with open(path) as fh:
+                shared = json.load(fh)
+            alone = run(dict(doc, schema_version=1), str(tmp_path / f"alone{i}"))
+            assert report_identity_bytes(shared) == report_identity_bytes(alone.report)
+        assert len(calls) == 3
 
 
 class TestCli:

@@ -191,8 +191,8 @@ def _accepted() -> set:
     accepted = {("key", kind, key) for kind, keys in harness._KEYS.items()
                 for key in harness._COMMON_KEYS + keys}
     accepted |= {("variant", v) for variants in harness._VARIANTS.values() for v in variants}
-    for what, (module, name) in {"escape_kind": ("harness", "_certificate_request"),
-                                 "potential": ("symbols", "model_potential"),
+    accepted |= {("escape_kind", kind) for kind in harness._HYPOTHESIS["check-escape"]}
+    for what, (module, name) in {"potential": ("symbols", "model_potential"),
                                  "window": ("quantization", "WindowTheta"),
                                  "test_function": ("harness", "_test_function_from")}.items():
         accepted |= {(what, value) for value in _kinds_compared(module, name)}

@@ -190,6 +190,16 @@ class TestModelPotentials:
             model_potential("diagonal_bumps", depths=[1.0], centers=[0.0, 1.0],
                             widths=[1.0], v_inf=[0.0])
 
+    @pytest.mark.parametrize("kind,params,unread", [
+        ("island", {"ampp": 30.0}, "ampp"),
+        ("reference", {"amp": 2.0}, "amp"),
+        ("constant", {"v_inf": 0.0, "n": 2}, "n"),
+    ])
+    def test_unread_params(self, kind, params, unread):
+        # a misspelt param does not leave the model at its default
+        with pytest.raises(ValueError, match=f"model '{kind}' reads no {unread}$"):
+            model_potential(kind, **params)
+
     def test_v_infinity_validation(self):
         with pytest.raises(ValueError):
             MatrixPotential(N=2, eval_on=lambda xs: np.zeros((len(xs), 2, 2)),
