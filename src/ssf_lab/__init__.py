@@ -18,7 +18,6 @@ from .coefficients import (
 )
 from .harness import ExperimentConfig, reference_potential, run
 from .microhyperbolicity import (
-    Direction,
     EscapeCertificate,
     MicrohyperbolicityCertificate,
     boundary_value_extrapolate,
@@ -50,7 +49,6 @@ from .ssf import (
     weyl_check,
 )
 from .symbols import (
-    EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
     model_potential,

@@ -348,8 +348,9 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     experiment or variant ``kind``; a sweep's are its children's configs.
     Besides each block's refusals: the ladder (``qz._check_ladder``), the
     top energy, of supp f or weyl's tau grid, above tau_max (WindowRangeError),
-    a cutoff that breaks a grid's margins (``qz._check_margins``), and the
-    energies the closed-form references refuse (``coeffs._check_energies``)."""
+    a window that reads its profile past the profile's table, a cutoff that
+    breaks a grid's margins (``qz._check_margins``), and the energies the
+    closed-form references refuse (``coeffs._check_energies``)."""
     if experiment == "sweep":
         if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
             raise ConfigError("sweep needs a non-empty 'experiments' list")
@@ -401,6 +402,18 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
         qz._check_window(inputs["grids"][0], inputs["f"].support[1])
     elif "grids" in inputs:
         qz._check_window(inputs["grids"][0], float(inputs["taus"][-1]), "tau")
+    if "window" in inputs and "f" in inputs:
+        # the traces and the mollified density read the window profile at
+        # y = eps |tau - s| / h for s in supp f, farthest at the last h; past
+        # its table the profile reads 0.  weyl reads its primitive, which
+        # saturates there
+        taus = np.atleast_1d(inputs["taus"] if "taus" in inputs else inputs["tau0"])
+        eps, h = inputs["window"].eps, inputs["grids"][-1].h
+        y_max = eps * float(np.max(np.abs(taus[:, None] - inputs["f"].support))) / h
+        if y_max > qz._PROFILE_YMAX:
+            raise ConfigError(f"window.eps {eps:g} at h={h:g} reads the window profile up to "
+                              f"y = {y_max:.1f}, past the end of its table at "
+                              f"y = {qz._PROFILE_YMAX:g}")
     if "chi" in inputs:
         for grid in inputs["grids"]:
             try:

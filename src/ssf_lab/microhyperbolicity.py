@@ -10,7 +10,16 @@ Equivalently (kernel form), the compression of <T, grad H(rho0)> onto
 ker H(rho0) is positive definite.  This module certifies that form on a
 sampled energy shell, with a fixed direction or one searched at each point,
 certifies escape on the shell by a bracket with an escape function, and
-extrapolates boundary values of resolvent integrals.
+extrapolates boundary values of resolvent integrals of a potential's
+Schrodinger symbol.
+
+The shell check works on plain arrays.  A direction is a float vector: the
+one given as ``T`` is validated and normalized once, where it comes in
+(``_unit_direction``), and the direction search returns the (K, 2) array of
+its directions and the mask of the points where one is positive.  Each
+point's check (``_check_jet``) returns its (valid, C0, C1, margin), and
+the shell's certificate holds their worst values; it is the one
+certificate object the check makes.
 
 All checkers return certificate objects with a ``valid`` flag rather than
 raising: a refutation is an ordinary result, not an error.
@@ -26,7 +35,6 @@ import numpy as np
 from .bumps import ProductCutoff, ScalarPhaseFunction
 from .quadrature import adaptive_gauss_batch, gauss_rule
 from .symbols import (
-    EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
     _hermitian_parts,
@@ -36,7 +44,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "Direction",
     "MicrohyperbolicityCertificate",
     "EscapeCertificate",
     "BoundaryValue",
@@ -52,44 +59,17 @@ _COARSE = 256  # coarse direction samples of the direction search
 _REFINE_STEPS = 40  # golden-section steps of the direction search
 
 
-def _finite_vector(v) -> np.ndarray:
-    """``v`` as a float vector; ValueError when a component is not finite,
-    whose norm no tolerance comparison would refuse."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+def _unit_direction(t) -> np.ndarray:
+    """The direction ``t`` as a float vector divided by its norm; ValueError
+    for a non-finite component, whose norm no comparison would refuse, and
+    for a zero vector or one whose norm overflows."""
+    v = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(v)):
         raise ValueError(f"direction {v.tolist()} has a non-finite component")
-    return v
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector in phase space; components (x-part, xi-part)."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = _finite_vector(self.vec)
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"direction norm {nrm} is not 1")
-        object.__setattr__(self, "vec", v)
-
-    @staticmethod
-    def normalized(v) -> "Direction":
-        v = _finite_vector(v)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Direction(v / nrm)
-
-    def __neg__(self) -> "Direction":
-        return Direction(-self.vec)
-
-
-def _as_direction_vec(t) -> np.ndarray:
-    if isinstance(t, Direction):
-        return t.vec
-    return Direction.normalized(t).vec
+    nrm = float(np.linalg.norm(v))
+    if not 0.0 < nrm < math.inf:
+        raise ValueError(f"cannot normalize the direction {v.tolist()} of norm {nrm}")
+    return v / nrm
 
 
 def _failures_json(failures: list) -> list:
@@ -178,7 +158,8 @@ class _Jet(NamedTuple):
     a: np.ndarray            # H(rho)
     kernel_tol: float
     grad: np.ndarray         # H.gradient(rho)
-    eig: EigenBranchSet      # eigh of H(rho)
+    values: np.ndarray       # eigh of H(rho): sorted eigenvalues
+    vectors: np.ndarray      # and their orthonormal eigenvector columns
 
 
 def _jets(h: MatrixSymbol, rhos: np.ndarray, kernel_tol: float | None) -> list:
@@ -190,56 +171,43 @@ def _jets(h: MatrixSymbol, rhos: np.ndarray, kernel_tol: float | None) -> list:
     values, vectors = np.linalg.eigh(a)
     grad = h.gradient_on(x, xi)
     return [_Jet(rho, a[k], default_kernel_tol(a[k]) if kernel_tol is None else kernel_tol,
-                 grad[k], EigenBranchSet(values=values[k], vectors=vectors[k]))
+                 grad[k], values[k], vectors[k])
             for k, rho in enumerate(rhos)]
 
 
-def _kernel_compression(eig: EigenBranchSet, g: np.ndarray, kernel_tol: float):
-    mask = np.abs(eig.values) <= kernel_tol
-    if not np.any(mask):
-        return None, eig, mask
-    vk = eig.vectors[:, mask]
-    return vk.conj().T @ g @ vk, eig, mask
-
-
-def _check_jet(h: MatrixSymbol, jet: _Jet, t) -> MicrohyperbolicityCertificate:
-    """Kernel-form check at the jet's point: C0 = min-eig(S)/2 for S the
-    compression of <T, grad H> onto the near-kernel (sigma_min/2 for an
-    invertible H), and the smallest ladder C1 that certifies the point."""
-    rho0, a, kernel_tol = jet.rho, jet.a, jet.kernel_tol
-    tv = _as_direction_vec(t)
+def _check_jet(jet: _Jet, t) -> tuple:
+    """Kernel-form check at the jet's point in the direction ``t``, as
+    ``(valid, C0, C1, margin)``: C0 = min-eig(S)/2 for S the compression of
+    <T, grad H> onto the near-kernel (sigma_min/2 for an invertible H), and
+    the smallest ladder C1 that certifies the point.  A compression that is
+    not positive gives (False, c, 0, c) for its min-eig c, and an exhausted
+    ladder (False, C0, 2^20, the largest slack)."""
+    tv = np.asarray(t, dtype=float)
+    tv = tv / np.linalg.norm(tv)
     # <T, grad H>, T normalized once more, as the tests' one-point reference
     # (``directional_derivative`` in tests/mh_constructions.py) forms it
-    g = np.tensordot(_as_direction_vec(tv), jet.grad, axes=(0, 0))
-    s, eig, mask = _kernel_compression(jet.eig, g, kernel_tol)
-
-    if s is None:
-        c0 = 0.5 * float(np.min(np.abs(eig.values)))
+    g = np.tensordot(tv / np.linalg.norm(tv), jet.grad, axes=(0, 0))
+    mask = np.abs(jet.values) <= jet.kernel_tol
+    if not np.any(mask):
+        c0 = 0.5 * float(np.min(np.abs(jet.values)))
     else:
-        c = float(np.linalg.eigvalsh(s).min())
+        vk = jet.vectors[:, mask]
+        c = float(np.linalg.eigvalsh(vk.conj().T @ g @ vk).min())
         if c <= 0.0:
-            return MicrohyperbolicityCertificate(
-                valid=False, points=rho0[None, :], T=tv, C0=c, C1=0.0,
-                kernel_tol=kernel_tol, margin=c, failures=[rho0],
-            )
+            return False, c, 0.0, c
         c0 = 0.5 * c
 
     # the whole C1 ladder as one stacked problem; each rung is formed as the
     # tests' ``check_definition`` forms the slack of one C1, so each slack
     # equals its value bit for bit
-    rungs = g + np.asarray(C1_LADDER)[:, None, None] * (a.conj().T @ a) - c0 * np.eye(h.N)
+    a = jet.a
+    rungs = g + np.asarray(C1_LADDER)[:, None, None] * (a.conj().T @ a) - c0 * np.eye(len(a))
     slacks = np.linalg.eigvalsh(rungs)[:, 0]
     passing = np.flatnonzero(slacks >= 0.0)
     if passing.size:
         i = int(passing[0])
-        return MicrohyperbolicityCertificate(
-            valid=True, points=rho0[None, :], T=tv, C0=c0, C1=C1_LADDER[i],
-            kernel_tol=kernel_tol, margin=float(slacks[i]),
-        )
-    return MicrohyperbolicityCertificate(
-        valid=False, points=rho0[None, :], T=tv, C0=c0, C1=C1_LADDER[-1],
-        kernel_tol=kernel_tol, margin=float(slacks.max()), failures=[rho0],
-    )
+        return True, c0, C1_LADDER[i], float(slacks[i])
+    return False, c0, C1_LADDER[-1], float(slacks.max())
 
 
 def _min_eigs(tvecs: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -265,9 +233,10 @@ def _unit(phis: np.ndarray) -> np.ndarray:
                             np.fromiter(map(math.sin, angles), float, len(angles))])
 
 
-def _find_directions(h: MatrixSymbol, jets: list) -> list:
+def _find_directions(h: MatrixSymbol, jets: list) -> tuple:
     """The unit T maximizing the kernel-projected directional derivative at
-    every point of ``jets``, or None where no T makes it positive.
+    every point of ``jets``, as rows of a (K, 2) array, and the (K,) mask of
+    the points where it is positive: elsewhere no T makes it so.
 
     The points whose kernel projections share rank and dtype run in
     lock-step: the coarse scan and each golden-section step are one stacked
@@ -276,28 +245,29 @@ def _find_directions(h: MatrixSymbol, jets: list) -> list:
     """
     projs = []
     for jet in jets:
-        mask = np.abs(jet.eig.values) <= jet.kernel_tol
+        mask = np.abs(jet.values) <= jet.kernel_tol
         if not np.any(mask):
             # invertible point: any direction certifies; pick the one maximizing
             # the full directional derivative for definiteness
             mask = np.ones(h.N, dtype=bool)
-        vk = jet.eig.vectors[:, mask]
+        vk = jet.vectors[:, mask]
         projs.append(np.stack([vk.conj().T @ gi @ vk for gi in jet.grad]))
     groups: dict = {}
     for i, proj in enumerate(projs):
         groups.setdefault((proj.shape[1], proj.dtype.str), []).append(i)
-    out = [None] * len(jets)
+    directions = np.empty((len(jets), 2))
+    found = np.empty(len(jets), dtype=bool)
     for members in groups.values():
-        found = _golden_section(np.stack([projs[i] for i in members]))
-        for i, d in zip(members, found):
-            out[i] = d
-    return out
+        directions[members], found[members] = _golden_section(
+            np.stack([projs[i] for i in members]))
+    return directions, found
 
 
-def _golden_section(projs: np.ndarray) -> list:
+def _golden_section(projs: np.ndarray) -> tuple:
     """Best unit direction on the circle for each (2, r, r) projection of
     ``projs``: 256 coarse angles, then 40 golden-section steps, all points
-    at once; None where the best value is not positive."""
+    at once.  The (P, 2) directions, and the mask of those whose value is
+    positive."""
     angles = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
     vals = _min_eigs(_unit(angles)[None], projs)
     i_best = np.argmax(vals, axis=1)
@@ -318,7 +288,7 @@ def _golden_section(projs: np.ndarray) -> list:
         fc, fd = np.where(right, fp, fd), np.where(right, fc, fp)
     best = _unit(0.5 * (lo + hi))
     fbest = _min_eigs(best[:, None, :], projs)[:, 0]
-    return [None if f <= 0.0 else Direction(t) for t, f in zip(best, fbest)]
+    return best, fbest > 0.0
 
 
 def _axis(side, grid_points: int, name: str) -> np.ndarray:
@@ -384,7 +354,7 @@ def check_on_energy_shell(
     if shell_tol is None:
         shell_tol = default_shell_tol(tau0)
     kernel_tol = shell_tol
-    t_fixed = _as_direction_vec(T) if T is not None else None
+    t_fixed = None if T is None else _unit_direction(T)
     h = shifted_symbol(p, tau0)
     pts = shell_sample(p, tau0, box, shell_tol, grid_points)
     if pts.size == 0:
@@ -393,39 +363,26 @@ def check_on_energy_shell(
             kernel_tol=kernel_tol, margin=0.0, tau0=tau0, empty_shell=True,
         )
 
-    worst_c0 = math.inf
-    worst_c1 = 0.0
-    worst_margin = math.inf
-    failures = []
-    tvs = []
     jets = _jets(h, pts, kernel_tol)
-    if t_fixed is not None:
-        directions = [t_fixed] * len(jets)
+    if t_fixed is None:
+        directions, found = _find_directions(h, jets)
     else:
-        directions = [None if d is None else d.vec for d in _find_directions(h, jets)]
-    for jet, tv in zip(jets, directions):
-        if tv is None:
-            failures.append(jet.rho)
-            continue
-        cert = _check_jet(h, jet, tv)
-        if not cert.valid:
-            failures.append(jet.rho)
-            continue
-        tvs.append(tv)
-        worst_c0 = min(worst_c0, cert.C0)
-        worst_c1 = max(worst_c1, cert.C1)
-        worst_margin = min(worst_margin, cert.margin)
-
-    if failures:
+        directions, found = np.broadcast_to(t_fixed, pts.shape), np.ones(len(jets), dtype=bool)
+    # (valid, C0, C1, margin) at every point; a point without a direction fails
+    valid, c0, c1, margin = map(np.array, zip(*(
+        _check_jet(jet, t) if ok else (False, 0.0, 0.0, 0.0)
+        for jet, t, ok in zip(jets, directions, found))))
+    worst_c1 = float(np.max(c1[valid], initial=0.0))
+    if not valid.all():
         return MicrohyperbolicityCertificate(
             valid=False, points=pts, T=t_fixed, C0=0.0, C1=worst_c1,
             kernel_tol=kernel_tol, margin=-math.inf, tau0=tau0,
-            failures=list(failures),
+            failures=list(pts[~valid]),
         )
     return MicrohyperbolicityCertificate(
-        valid=True, points=pts, T=t_fixed, C0=worst_c0, C1=worst_c1,
-        kernel_tol=kernel_tol, margin=worst_margin, tau0=tau0,
-        per_point_T=np.asarray(tvs) if t_fixed is None else None,
+        valid=True, points=pts, T=t_fixed, C0=float(c0.min()), C1=worst_c1,
+        kernel_tol=kernel_tol, margin=float(margin.min()), tau0=tau0,
+        per_point_T=directions if t_fixed is None else None,
     )
 
 
@@ -508,36 +465,37 @@ class BoundaryValue:
     extrapolants: np.ndarray
 
 
-def _resolvent_trace_at(p: MatrixSymbol, g: complex, chi: ProductCutoff, z: complex,
-                        sandwich: bool, x_order: int) -> complex:
-    """integral of chi * g * tr[(z-p)^-2] (or g * tr[(z-p)^-1]) d rho, g a scalar.
+def _resolvent_trace_at(vx: np.ndarray, xm: np.ndarray, xw: np.ndarray, g: complex,
+                        chi: ProductCutoff, z: complex, sandwich: bool) -> complex:
+    """integral of chi * g * tr[(z-p)^-2] (or g * tr[(z-p)^-1]) d rho, g a
+    scalar, for p = xi^2 + V and ``vx`` the values of V at the Gauss x-nodes
+    ``xm`` (weights ``xw``) on supp chi.
 
     The real and imaginary xi-integrals of every x-node are the intervals of
     one adaptive_gauss_batch call: interval 2i is the real part at x-node i,
-    2i+1 the imaginary part.  Each call of the integrand evaluates p at its
-    distinct points by one ``p.on`` call.
+    2i+1 the imaginary part.  p at a point is xi^2 I + V(x), formed as
+    ``schrodinger_symbol`` forms it, with V read from ``vx``.
     """
     (xa, xb) = chi.x_support
     (qa, qb) = chi.xi_support
-    xn, xw = gauss_rule(x_order)
-    xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
+    eye = np.eye(vx.shape[-1])
 
     def integrand(owner, xi):
         # the two parts of one x-node share most of their points: solve each once
         pts, back = np.unique(owner // 2 + 1j * xi, return_inverse=True)
-        x, xi = xm[pts.real.astype(np.intp)], pts.imag
-        dz = z - fast_eigvalsh(p.on(x, xi))
-        val = g * np.sum(1.0 / (dz * dz) if sandwich else 1.0 / dz, axis=-1) * chi(x, xi)
+        node, xi = pts.real.astype(np.intp), pts.imag
+        dz = z - fast_eigvalsh((xi * xi)[:, None, None] * eye + vx[node])
+        val = g * np.sum(1.0 / (dz * dz) if sandwich else 1.0 / dz, axis=-1) * chi(xm[node], xi)
         val = val[back]
         return np.where(owner % 2 == 0, val.real, val.imag)
 
-    parts = adaptive_gauss_batch(integrand, np.full(2 * x_order, qa), np.full(2 * x_order, qb),
+    parts = adaptive_gauss_batch(integrand, np.full(2 * len(xm), qa), np.full(2 * len(xm), qb),
                                  atol=1e-11, rtol=1e-11)
     return 0.5 * (xb - xa) * np.sum(xw * (parts[0::2] + 1j * parts[1::2]))
 
 
 def boundary_value_extrapolate(
-    p: MatrixSymbol,
+    v: MatrixPotential,
     g_field,
     chi: ProductCutoff,
     tau: float,
@@ -546,30 +504,36 @@ def boundary_value_extrapolate(
     levels: int = 9,
     x_order: int = 48,
 ) -> BoundaryValue:
-    """Richardson extrapolation of a resolvent integral to the real axis.
+    """Richardson extrapolation of a resolvent integral to the real axis,
+    for the Schrodinger symbol p = xi^2 + V of the potential ``v``.
 
     ``form="sandwich"`` evaluates tr[(z-p)^-1 G (z-p)^-1]; ``form="single"``
     evaluates tr[(z-p)^-1 G] (the density route used by the localized
     coefficient cross-check).  G is a scalar or a scalar multiple of the
     identity; any other ``g_field`` raises ValueError.  z = tau + i*side*eps
-    with eps halving from 0.1; each level integrates the xi-integrals of all
-    ``x_order`` x-nodes in one ``adaptive_gauss_batch`` call with
-    atol = rtol = 1e-11.  Non-convergence is flagged when the last extrapolant
-    differences stop contracting by a factor 1.5.
+    with eps halving from 0.1; V is evaluated once, by one ``v.on`` call at
+    the ``x_order`` Gauss x-nodes on supp chi, and each level integrates the
+    xi-integrals of all x-nodes in one ``adaptive_gauss_batch`` call with
+    atol = rtol = 1e-11.  Non-convergence is flagged when the last
+    extrapolant differences stop contracting by a factor 1.5.
     """
     if form not in ("sandwich", "single"):
         raise ValueError(f"unknown form {form!r}")
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
     g = np.asarray(g_field)
-    if g.shape == (p.N, p.N) and np.array_equal(g, g[0, 0] * np.eye(p.N)):
+    if g.shape == (v.N, v.N) and np.array_equal(g, g[0, 0] * np.eye(v.N)):
         g = g[0, 0]
     if g.ndim != 0 or not np.issubdtype(g.dtype, np.number):
         raise ValueError("G must be a scalar or a scalar multiple of the identity")
+    (xa, xb) = chi.x_support
+    xn, xw = gauss_rule(x_order)
+    xm = 0.5 * (xa + xb) + 0.5 * (xb - xa) * xn
+    vx = v.on(xm)
     eps_list = [0.1 / 2**i for i in range(levels)]
     raw = np.array([
-        _resolvent_trace_at(p, complex(g), chi, tau + 1j * side * eps,
-                            form == "sandwich", x_order)
+        _resolvent_trace_at(vx, xm, xw, complex(g), chi, tau + 1j * side * eps,
+                            form == "sandwich")
         for eps in eps_list
     ])
     # Richardson triangle assuming an error series in powers of eps

@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "NonHermitianError",
-    "EigenBranchSet",
     "MatrixPotential",
     "MatrixSymbol",
     "require_hermitian",
@@ -75,14 +74,6 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     if bad.size:
         raise NonHermitianError(float(defects[bad[0]]), float(tols[bad[0]]))
     return _hermitian_parts(a)
-
-
-@dataclass(frozen=True)
-class EigenBranchSet:
-    """Sorted eigenvalues and orthonormal eigenvector columns of a hermitian matrix."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def fast_eigvalsh(a: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ condition, and the global extension and spectral flattening built on them.
 Those live here, with the small helpers only tests call:
 ``hermitian_eigen``, the smoothstep cutoff and the counting difference of a
 ``SpectralPair``.  Each single-point check runs the library's own stacked
-code (``_jets``, ``_check_jet``, ``_find_directions``) on one point.
+code (``_jets``, ``_check_jet``, ``_find_directions``) on one point, and a
+direction is a plain float vector.
 """
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ import numpy as np
 
 from ssf_lab.microhyperbolicity import (
     C1_LADDER,
-    Direction,
     MicrohyperbolicityCertificate,
-    _as_direction_vec,
     _check_jet,
     _find_directions,
     _jets,
@@ -31,7 +30,6 @@ from ssf_lab.microhyperbolicity import (
 )
 from ssf_lab.ssf import SpectralPair
 from ssf_lab.symbols import (
-    EigenBranchSet,
     MatrixPotential,
     MatrixSymbol,
     _hermitian_parts,
@@ -39,16 +37,16 @@ from ssf_lab.symbols import (
 )
 
 
-def hermitian_eigen(a: np.ndarray) -> EigenBranchSet:
-    """Eigendecomposition with sorted real values and orthonormal vectors.
+def hermitian_eigen(a: np.ndarray) -> tuple:
+    """Eigendecomposition: the sorted real values and the orthonormal vector
+    columns, as ``np.linalg.eigh`` gives them.
 
     Rejects inputs whose asymmetry exceeds ``require_hermitian``'s
     tolerance; ties in the spectrum are resolved by the (deterministic)
     underlying LAPACK ordering.
     """
-    sym = require_hermitian(a)
-    values, vectors = np.linalg.eigh(sym)
-    return EigenBranchSet(values=values, vectors=vectors)
+    values, vectors = np.linalg.eigh(require_hermitian(a))
+    return values, vectors
 
 
 def smootherstep(t):
@@ -88,9 +86,15 @@ class CrossingResult:
     note: str = ""
 
 
+def unit(t) -> np.ndarray:
+    """The direction ``t`` as a float vector divided by its norm."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return t / np.linalg.norm(t)
+
+
 def directional_derivative(h: MatrixSymbol, rho, t) -> np.ndarray:
-    """<T, grad H(rho)> as a hermitian matrix."""
-    return np.tensordot(_as_direction_vec(t), h.gradient(rho), axes=(0, 0))
+    """<T, grad H(rho)> as a hermitian matrix, T the normalized ``t``."""
+    return np.tensordot(unit(t), h.gradient(rho), axes=(0, 0))
 
 
 def check_definition(h: MatrixSymbol, rho, t, c0: float, c1: float) -> float:
@@ -119,20 +123,28 @@ def check_pointwise(h: MatrixSymbol, rho0, t) -> MicrohyperbolicityCertificate:
     positive definite; the certificate stores C0 = min-eig(S)/2 and the
     smallest ladder C1 that makes the compensated inequality hold at rho0.
     An invertible H(rho0) passes trivially with C0 = sigma_min/2.  The
-    kernel tolerance is ``default_kernel_tol``.
+    kernel tolerance is ``default_kernel_tol``.  The certificate is built
+    from ``_check_jet``'s (valid, C0, C1, margin) at the point.
     """
-    return _check_jet(h, _jet(h, rho0), t)
+    jet = _jet(h, rho0)
+    valid, c0, c1, margin = _check_jet(jet, t)
+    return MicrohyperbolicityCertificate(
+        valid=valid, points=jet.rho[None, :], T=unit(t), C0=c0, C1=c1,
+        kernel_tol=jet.kernel_tol, margin=margin, failures=[] if valid else [jet.rho],
+    )
 
 
-def find_direction(h: MatrixSymbol, rho0) -> Direction | None:
+def find_direction(h: MatrixSymbol, rho0) -> np.ndarray | None:
     """Maximize the kernel-projected directional derivative over unit T on
     the phase plane.
 
     256 equally spaced angles on the unit circle, then 40 golden-section
-    steps around the best.  Returns None when no direction gives a positive
-    value.  The kernel tolerance is ``default_kernel_tol``.
+    steps around the best.  Returns the unit vector, or None when no
+    direction gives a positive value.  The kernel tolerance is
+    ``default_kernel_tol``.
     """
-    return _find_directions(h, [_jet(h, rho0)])[0]
+    directions, found = _find_directions(h, [_jet(h, rho0)])
+    return directions[0] if found[0] else None
 
 
 def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
@@ -143,12 +155,12 @@ def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
     The candidates are +-1.
     """
     a = v(x0) - tau0 * np.eye(v.N)
-    eig = hermitian_eigen(a)
-    mask = np.abs(eig.values) <= default_shell_tol(tau0)
+    values, vectors = hermitian_eigen(a)
+    mask = np.abs(values) <= default_shell_tol(tau0)
     if not np.any(mask):
         return CrossingResult(ok=False, T1=None, C=None, kernel_dim=0,
                               best_value=-math.inf, note="no level touches tau0")
-    vk = eig.vectors[:, mask]
+    vk = vectors[:, mask]
     grad = v.gradient(x0)
     proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
 
@@ -180,15 +192,14 @@ def linearized_block_symbol(
     a = h.at(rho0)
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(a)
-    eig = hermitian_eigen(a)
-    mags = np.abs(eig.values)
+    values, u = hermitian_eigen(a)
+    mags = np.abs(values)
     ambiguous = (mags > kernel_tol) & (mags <= 10.0 * kernel_tol)
     if np.any(ambiguous):
         raise KernelSplitError(
             f"eigenvalue magnitude {mags[ambiguous].min():.3e} within a factor 10 "
             f"of kernel_tol={kernel_tol:.3e}; choose a different kernel_tol"
         )
-    u = eig.vectors
     kernel, rest = np.flatnonzero(mags <= kernel_tol), np.flatnonzero(mags > kernel_tol)
     # kernel-block gradient components in the eigenframe, (2, r, r)
     uk = u[:, kernel]
@@ -232,7 +243,7 @@ def extend_to_global(h: MatrixSymbol, rho0, t,
     report has ``ok=False``.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
-    tv = _as_direction_vec(t)
+    tv = unit(t)
     base = check_pointwise(h, rho0, tv)
     if not base.valid:
         raise ValueError("symbol is not microhyperbolic at rho0 in direction T")

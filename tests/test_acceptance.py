@@ -260,9 +260,9 @@ def test_criterion_6_coefficient_identities(vref):
         ok_add &= abs(sl.a0(vab, t) - a_sum) <= 1e-10 * max(1.0, abs(a_sum))
 
     # localized density against the boundary-value route
-    p = schrodinger_symbol(sl.model_potential("conical_crossing"))
-    dens = sl.gamma0_localized(sl.model_potential("conical_crossing"), CHI, 1.0)
-    bv = sl.boundary_value_extrapolate(p, np.eye(2), CHI, 1.0, side=+1,
+    v = sl.model_potential("conical_crossing")
+    dens = sl.gamma0_localized(v, CHI, 1.0)
+    bv = sl.boundary_value_extrapolate(v, np.eye(2), CHI, 1.0, side=+1,
                                        form="single", levels=8, x_order=32)
     ok_bv = abs(dens + bv.value.imag / math.pi) <= 1e-3
 

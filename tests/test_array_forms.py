@@ -256,11 +256,12 @@ class TestFixedEvaluationCounts:
 
     def test_boundary_value_route_makes_no_scalar_call(self):
         v, calls = counting(model_potential("conical_crossing"))
-        p = schrodinger_symbol(v)
-        out = boundary_value_extrapolate(p, 1.0, CHI, 1.0, form="single", levels=2, x_order=4)
-        ref = boundary_value_extrapolate(schrodinger_symbol(model_potential("conical_crossing")),
+        out = boundary_value_extrapolate(v, 1.0, CHI, 1.0, form="single", levels=2, x_order=4)
+        ref = boundary_value_extrapolate(model_potential("conical_crossing"),
                                          1.0, CHI, 1.0, form="single", levels=2, x_order=4)
         assert calls["on"] > 0 and out.value == ref.value
+        # V is read once, at the x-nodes, for every level and xi-point
+        assert calls == {"on": 1, "grad_on": 0}
 
 
 class TestChecksThatStay:

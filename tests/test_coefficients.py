@@ -23,7 +23,6 @@ from ssf_lab.quadrature import QuadratureError, adaptive_gauss_batch, gauss_rule
 from ssf_lab.symbols import (
     MatrixPotential,
     model_potential,
-    schrodinger_symbol,
 )
 
 # Frozen oracle values, computed with a 10^6-node composite Gauss rule (and,
@@ -269,9 +268,9 @@ class TestLocalizedDensity:
     def test_boundary_value_route(self):
         from ssf_lab.microhyperbolicity import boundary_value_extrapolate
 
-        p = schrodinger_symbol(model_potential("conical_crossing"))
-        dens = gamma0_localized(model_potential("conical_crossing"), self.CHI, 1.0)
-        bv = boundary_value_extrapolate(p, np.eye(2), self.CHI, 1.0, side=+1,
+        v = model_potential("conical_crossing")
+        dens = gamma0_localized(v, self.CHI, 1.0)
+        bv = boundary_value_extrapolate(v, np.eye(2), self.CHI, 1.0, side=+1,
                                         form="single", levels=8, x_order=32)
         route2 = -bv.value.imag / math.pi
         assert bv.converged

@@ -108,7 +108,7 @@ class TestReferencePotential:
 
     def test_branch_values(self):
         v = reference_potential()
-        e = hermitian_eigen(v(0.0)).values
+        e = hermitian_eigen(v(0.0))[0]
         assert e[0] == pytest.approx(-1.1829032360881848, abs=1e-13)
         assert e[1] == pytest.approx(0.366842956673906, abs=1e-13)
 
@@ -697,6 +697,41 @@ class TestRefusedBeforeSolve:
         doc = _config(name, out=str(tmp_path / "o"))
         doc["window"] = dict(doc["window"], kind="bump_positive")
         TestWindowAndCheckBlocks._rejected(tmp_path, doc, "window.kind")
+
+    @pytest.mark.parametrize("name,change,named", [
+        # thm1_free down to h = 1/2048, whose grids m_cap admits, reads the
+        # one-sided profile at y up to 0.7 / h
+        ("trace_thm1_free",
+         {"h_list": [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048],
+          "grid": {"R": 6.0, "tau_max": 2.56, "m_cap": 32768}},
+         "window.eps 1 at h=0.000488281 reads the window profile up to y = 1433.6,"),
+        # tau_grid's 0.9 against the top of supp f, 1.2
+        ("trace_thm2_locality", {"window": {"kind": "bump_at_zero", "eps": 40.0}},
+         "window.eps 40 at h=0.0078125 .* y = 1536.0,"),
+        ("trace_thm3_crossing", {"window": {"kind": "bump_at_zero", "eps": 20.0}},
+         "window.eps 20 at h=0.0078125 .* y = 1280.0,"),
+        ("ssf_derivative_reference", {"window": {"kind": "bump_at_zero", "eps": 12.0}},
+         "window.eps 12 at h=0.0078125 .* y = 1228.8,"),
+    ], ids=["thm1", "thm2", "thm3", "derivative"])
+    def test_window_past_its_profile(self, tmp_path, no_assembly, monkeypatch, name, change,
+                                     named):
+        # the profile is tabulated up to y = 1200 and reads 0 beyond, so a
+        # window that would read it there is refused at ingest
+        monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
+        doc = _config(name, out=str(tmp_path / "o"), **change)
+        TestWindowAndCheckBlocks._rejected(tmp_path, doc, named + " past the end of its table "
+                                           "at y = 1200$")
+        assert not (tmp_path / "o").exists()
+        # the ladder without its last h, or with it at half the eps, is read
+        # inside the table
+        ExperimentConfig.from_dict(dict(doc, h_list=doc["h_list"][:-1]))
+        ExperimentConfig.from_dict(dict(doc, window=dict(doc["window"],
+                                                         eps=doc["window"]["eps"] / 2)))
+
+    def test_weyl_window_reads_past_the_profile(self, no_assembly):
+        # weyl reads the profile's primitive, which saturates past the table
+        ExperimentConfig.from_dict(_config("ssf_weyl_reference",
+                                           window={"kind": "bump_at_zero", "eps": 40.0}))
 
     @pytest.mark.parametrize("tf,named", [
         ({"kind": "bump", "support": [1.8, 2.2], "plateau": [1.9, 2.1]},

@@ -18,14 +18,14 @@ from mh_constructions import (
     flatten_symbol,
     hermitian_eigen,
     linearized_block_symbol,
+    unit,
 )
 from ssf_lab.bumps import Bump1D, ProductCutoff, ScalarPhaseFunction, dilation_generator
 from ssf_lab.microhyperbolicity import (
     C1_LADDER,
-    Direction,
     EscapeCertificate,
-    _kernel_compression,
     _min_eigs,
+    _unit_direction,
     boundary_value_extrapolate,
     check_on_energy_shell,
     default_kernel_tol,
@@ -86,24 +86,47 @@ def gauss_potential(mat, center=0.0, amp=1.0):
 
 
 class TestDirection:
+    """The direction ``check_on_energy_shell`` takes as T, validated and
+    normalized where it comes in."""
+
+    P = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+    BOX = ((-2.0, 2.0), (0.2, 2.0))  # the xi > 0 half of the shell, which T = (0, -1) covers
+
     def test_normalization(self):
-        d = Direction.normalized([3.0, 4.0])
-        assert np.allclose(d.vec, [0.6, 0.8], atol=0)
-        assert np.allclose((-d).vec, [-0.6, -0.8], atol=0)
-        with pytest.raises(ValueError):
-            Direction(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            Direction.normalized([0.0, 0.0])
+        assert np.allclose(_unit_direction([3.0, 4.0]), [0.6, 0.8], atol=0)
+        assert np.allclose(_unit_direction((-3.0, -4.0)), [-0.6, -0.8], atol=0)
+        cert = check_on_energy_shell(self.P, 1.0, self.BOX, T=[0.0, -3.0], grid_points=21)
+        assert cert.valid and cert.T.tolist() == [0.0, -1.0]
 
     @pytest.mark.parametrize("vec", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
                                      [0.0, -math.inf]], ids=["nan", "one-nan", "inf", "-inf"])
     def test_non_finite_refused(self, vec):
         # the norm of a NaN vector is NaN, which no tolerance comparison
-        # refuses; each constructor refuses it by name
-        with pytest.raises(ValueError, match="non-finite"):
-            Direction(np.array(vec))
-        with pytest.raises(ValueError, match="non-finite"):
-            Direction.normalized(vec)
+        # refuses; the validator refuses it by name, before any sample
+        self._refused(vec, "non-finite")
+
+    @pytest.mark.parametrize("vec", [[0.0, 0.0], [1e308, 1e308]], ids=["zero", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_no_norm_refused(self, vec):
+        self._refused(vec, "cannot normalize")
+
+    def _refused(self, vec, match):
+        with pytest.raises(ValueError, match=match):
+            _unit_direction(vec)
+        for tau0 in (1.0, -5.0):  # a shell and an empty one
+            with pytest.raises(ValueError, match=match):
+                check_on_energy_shell(self.P, tau0, self.BOX, T=vec, grid_points=21)
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    @pytest.mark.parametrize("T", [[0.6, -0.8], [0.3, -2.0]], ids=["unit", "scaled"])
+    def test_forms_give_one_certificate(self, form, T):
+        p = schrodinger_symbol(model_potential("conical_crossing"))
+        box = ((-3.0, 3.0), (0.3, 2.5))
+        got = check_on_energy_shell(p, 1.0, box, T=form(T), grid_points=21)
+        ref = check_on_energy_shell(p, 1.0, box, T=np.array(T), grid_points=21)
+        assert got.valid
+        assert repr(got.to_json_dict()) == repr(ref.to_json_dict())
+        assert repr(got.T.tolist()) == repr(unit(T).tolist())
 
 
 class TestCheckDefinition:
@@ -224,7 +247,7 @@ class TestFindDirection:
     def test_free_symbol_maximizer(self):
         d = find_direction(free_symbol(), [0.0, 1.0])
         assert d is not None
-        assert np.allclose(d.vec, [0.0, -1.0], atol=1e-6)
+        assert np.allclose(d, [0.0, -1.0], atol=1e-6)
 
     def test_crossing_failure(self):
         assert find_direction(crossing_symbol(0.0), [0.0, 0.0]) is None
@@ -241,9 +264,9 @@ class TestFindDirection:
         vals = np.cos(angles) * grad[0] + np.sin(angles) * grad[1]
         best = angles[np.argmax(vals)]
         brute = np.array([math.cos(best), math.sin(best)])
-        assert float(np.dot(d.vec, brute)) > 1 - 1e-4
+        assert float(np.dot(d, brute)) > 1 - 1e-4
         # sign pattern: first component aligned with -sign(V'(1))
-        assert d.vec[0] > 0
+        assert d[0] > 0
 
 
 class TestEnergyShell:
@@ -616,9 +639,9 @@ class TestBoundaryValues:
 
     def test_single_resolvent_shell_density(self):
         # Im(F+ - F-) = -2 pi * (shell density), density by direct quadrature
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        bp = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=+1, form="single")
-        bm = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=-1, form="single")
+        v = model_potential("constant", v_inf=0.0, N=1)
+        bp = boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, side=+1, form="single")
+        bm = boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, side=-1, form="single")
         assert bp.converged and bm.converged
         ig, = adaptive_gauss_batch(lambda owner, x: self.CHI.g(x), [-2], [2], atol=1e-13)
         density = ig * (self.CHI.k(1.0) + self.CHI.k(-1.0)) / 2.0
@@ -628,9 +651,9 @@ class TestBoundaryValues:
 
     def test_sandwich_matches_density_derivative(self):
         # the two-resolvent form picks up the tau-derivative of the density
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        bp = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=+1, form="sandwich")
-        bm = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=-1, form="sandwich")
+        v = model_potential("constant", v_inf=0.0, N=1)
+        bp = boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, side=+1, form="sandwich")
+        bm = boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, side=-1, form="sandwich")
         ig, = adaptive_gauss_batch(lambda owner, x: self.CHI.g(x), [-2], [2], atol=1e-13)
 
         def density(s):
@@ -641,35 +664,35 @@ class TestBoundaryValues:
         assert (bp.value - bm.value).imag == pytest.approx(2.0 * math.pi * slope, abs=1e-4)
 
     def test_below_spectrum_real_limit(self):
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
-        bp = boundary_value_extrapolate(p, 1.0, self.CHI, -3.0, side=+1, form="sandwich")
-        bm = boundary_value_extrapolate(p, 1.0, self.CHI, -3.0, side=-1, form="sandwich")
+        v = model_potential("constant", v_inf=0.0, N=1)
+        bp = boundary_value_extrapolate(v, 1.0, self.CHI, -3.0, side=+1, form="sandwich")
+        bm = boundary_value_extrapolate(v, 1.0, self.CHI, -3.0, side=-1, form="sandwich")
         assert abs(bp.value - bm.value) < 1e-10
         assert abs(bp.value.imag) < 1e-10
 
     def test_crossing_at_level_reports_ratios(self):
         # no ground truth asserted: the run must complete and report its
         # contraction diagnostics
-        p = schrodinger_symbol(model_potential("conical_crossing"))
-        out = boundary_value_extrapolate(p, np.eye(2), self.CHI, 0.0, side=+1,
+        v = model_potential("conical_crossing")
+        out = boundary_value_extrapolate(v, np.eye(2), self.CHI, 0.0, side=+1,
                                          form="single", levels=6, x_order=24)
         assert out.ratios.size >= 3
         assert isinstance(out.converged, bool)
 
     def test_input_validation(self):
-        p = schrodinger_symbol(model_potential("constant", v_inf=0.0, N=1))
+        v = model_potential("constant", v_inf=0.0, N=1)
         with pytest.raises(ValueError):
-            boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, side=0)
+            boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, side=0)
         with pytest.raises(ValueError):
-            boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, form="weird")
+            boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, form="weird")
 
     def test_g_must_be_scalar_identity(self):
-        p = schrodinger_symbol(model_potential("conical_crossing"))
+        v = model_potential("conical_crossing")
         for g in (np.diag([1.0, 2.0]), lambda x, xi: np.eye(2), np.eye(3)):
             with pytest.raises(ValueError, match="scalar multiple of the identity"):
-                boundary_value_extrapolate(p, g, self.CHI, 1.0, levels=2, x_order=4)
-        one = boundary_value_extrapolate(p, 1.0, self.CHI, 1.0, levels=2, x_order=4)
-        two = boundary_value_extrapolate(p, 2.0 * np.eye(2), self.CHI, 1.0, levels=2, x_order=4)
+                boundary_value_extrapolate(v, g, self.CHI, 1.0, levels=2, x_order=4)
+        one = boundary_value_extrapolate(v, 1.0, self.CHI, 1.0, levels=2, x_order=4)
+        two = boundary_value_extrapolate(v, 2.0 * np.eye(2), self.CHI, 1.0, levels=2, x_order=4)
         assert two.value == pytest.approx(2.0 * one.value, rel=1e-9)
 
 
@@ -682,11 +705,11 @@ def _find_direction_loop(h, rho0, kernel_tol=None, coarse=256, refine_steps=40):
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(h.at(rho0))
     grad = h.gradient(rho0)
-    eig = hermitian_eigen(h.at(rho0))
-    mask = np.abs(eig.values) <= kernel_tol
+    values, vectors = hermitian_eigen(h.at(rho0))
+    mask = np.abs(values) <= kernel_tol
     if not np.any(mask):
         mask = np.ones(h.N, dtype=bool)
-    vk = eig.vectors[:, mask]
+    vk = vectors[:, mask]
     proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
 
     def value(tvec):
@@ -713,21 +736,22 @@ def _find_direction_loop(h, rho0, kernel_tol=None, coarse=256, refine_steps=40):
             fd = value(np.array([math.cos(d), math.sin(d)]))
     phi_best = 0.5 * (lo + hi)
     best = np.array([math.cos(phi_best), math.sin(phi_best)])
-    return None if value(best) <= 0.0 else Direction(best)
+    return None if value(best) <= 0.0 else best
 
 
 def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
-    tv = Direction.normalized(t).vec
+    tv = unit(t)
     a = h.at(rho0)
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(a)
-    s, eig, _ = _kernel_compression(hermitian_eigen(a), directional_derivative(h, rho0, tv),
-                                    kernel_tol)
-    if s is None:
-        c0 = 0.5 * float(np.min(np.abs(eig.values)))
+    values, vectors = hermitian_eigen(a)
+    mask = np.abs(values) <= kernel_tol
+    if not np.any(mask):
+        c0 = 0.5 * float(np.min(np.abs(values)))
     else:
-        c = float(np.linalg.eigvalsh(s).min())
+        vk = vectors[:, mask]
+        c = float(np.linalg.eigvalsh(vk.conj().T @ directional_derivative(h, rho0, tv) @ vk).min())
         if c <= 0.0:
             return dict(valid=False, C0=c, C1=0.0, margin=c)
         c0 = 0.5 * c
@@ -750,13 +774,13 @@ def _check_on_energy_shell_loop(p, tau0, box, T, grid_points):
     failures, tvs = [], []
     for rho in pts:
         if T is not None:
-            tv = Direction.normalized(T).vec
+            tv = unit(T)
         else:
             d = _find_direction_loop(h, rho, kernel_tol=tol)
             if d is None:
                 failures.append(rho)
                 continue
-            tv = d.vec
+            tv = d
         cert = _check_pointwise_loop(h, rho, tv, kernel_tol=tol)
         if not cert["valid"]:
             failures.append(rho)
@@ -784,7 +808,7 @@ def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
         gv = v.gradient(x)[0]
         sup_v = max(sup_v, float(np.linalg.norm(mat, 2)))
         sup_xdv = max(sup_xdv, 0.5 * float(np.linalg.norm(x * gv, 2)))
-        for k, ek in enumerate(hermitian_eigen(mat).values):
+        for k, ek in enumerate(hermitian_eigen(mat)[0]):
             if tau0 - ek < -allowed_tol:
                 continue
             samples.append((x, k))
@@ -804,11 +828,11 @@ def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
 
 def _crossing_condition_loop(v, x0, tau0):
     """(T1, value) of the best candidate, or None when no level touches tau0."""
-    eig = hermitian_eigen(v(x0) - tau0 * np.eye(v.N))
-    mask = np.abs(eig.values) <= default_shell_tol(tau0)
+    values, vectors = hermitian_eigen(v(x0) - tau0 * np.eye(v.N))
+    mask = np.abs(values) <= default_shell_tol(tau0)
     if not np.any(mask):
         return None
-    vk = eig.vectors[:, mask]
+    vk = vectors[:, mask]
     proj = np.stack([vk.conj().T @ gi @ vk for gi in v.gradient(x0)])
     cands = [np.array([1.0]), np.array([-1.0])]
     vals = [float(np.linalg.eigvalsh(np.tensordot(c, proj, axes=(0, 0))).min()) for c in cands]
@@ -871,7 +895,7 @@ class TestBatchedMatchesLoops:
         got, ref = find_direction(h, rho0), _find_direction_loop(h, rho0)
         assert (got is None) == (ref is None)
         if got is not None:
-            assert np.array_equal(got.vec, ref.vec)
+            assert np.array_equal(got, ref)
 
     def test_find_direction_on_shell_points(self):
         h = crossing_symbol(1.0)
@@ -879,7 +903,7 @@ class TestBatchedMatchesLoops:
             got, ref = find_direction(h, rho), _find_direction_loop(h, rho)
             assert (got is None) == (ref is None)
             if got is not None:
-                assert np.array_equal(got.vec, ref.vec)
+                assert np.array_equal(got, ref)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3]))
     def test_check_pointwise(self, seed, n_ch):

@@ -25,22 +25,22 @@ VREF0_BRANCHES = (-1.1829032360881848, 0.366842956673906)
 
 class TestHermitianEigen:
     def test_diagonal(self):
-        out = hermitian_eigen(np.diag([3.0, -1.0]))
-        assert np.allclose(out.values, [-1.0, 3.0], atol=0)
+        values, _ = hermitian_eigen(np.diag([3.0, -1.0]))
+        assert np.allclose(values, [-1.0, 3.0], atol=0)
 
     def test_pauli_sigma1(self):
-        out = hermitian_eigen(SIGMA1)
-        assert np.allclose(out.values, [-1.0, 1.0], atol=1e-15)
+        values, vectors = hermitian_eigen(SIGMA1)
+        assert np.allclose(values, [-1.0, 1.0], atol=1e-15)
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert abs(abs(np.vdot(out.vectors[:, 0], minus)) - 1.0) < 1e-12
-        assert abs(abs(np.vdot(out.vectors[:, 1], plus)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(vectors[:, 0], minus)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(vectors[:, 1], plus)) - 1.0) < 1e-12
 
     def test_random_reconstruction(self, rng):
         # oracle: direct multiplication of the spectral factors
         a = random_hermitian(rng, 4)
-        out = hermitian_eigen(a)
-        product = (out.vectors * out.values) @ out.vectors.conj().T
+        values, vectors = hermitian_eigen(a)
+        product = (vectors * values) @ vectors.conj().T
         assert np.max(np.abs(product - 0.5 * (a + a.conj().T))) < 1e-12
 
     def test_rejects_non_hermitian(self):
@@ -53,13 +53,13 @@ class TestHermitianEigen:
     def test_properties(self, n, seed):
         rng = np.random.default_rng(seed)
         a = random_hermitian(rng, n)
-        out = hermitian_eigen(a)
-        assert np.all(np.diff(out.values) >= 0)
-        gram = out.vectors.conj().T @ out.vectors
+        values, vectors = hermitian_eigen(a)
+        assert np.all(np.diff(values) >= 0)
+        gram = vectors.conj().T @ vectors
         assert np.max(np.abs(gram - np.eye(n))) < 1e-12
         scale = max(1.0, float(np.linalg.norm(a, 2)))
         for k in range(n):
-            res = a @ out.vectors[:, k] - out.values[k] * out.vectors[:, k]
+            res = a @ vectors[:, k] - values[k] * vectors[:, k]
             assert np.linalg.norm(res) < 1e-12 * scale
 
     def test_fast_eigvalsh_matches_lapack(self, rng):
@@ -86,25 +86,25 @@ class TestBranches:
             eval_on=lambda xs: np.stack([np.exp(-xs * xs), np.full_like(xs, 2.0)],
                                         axis=1)[:, :, None] * np.eye(2),
         )
-        assert np.allclose(hermitian_eigen(v(0.0)).values, [1.0, 2.0], atol=0)
+        assert np.allclose(hermitian_eigen(v(0.0))[0], [1.0, 2.0], atol=0)
 
     def test_linear_crossing(self):
         v = MatrixPotential(N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
                             v_infinity=np.zeros((2, 2)))
-        assert np.allclose(hermitian_eigen(v(-0.5)).values, [-0.5, 0.5], atol=1e-15)
-        assert np.allclose(hermitian_eigen(v(0.0)).values, [0.0, 0.0], atol=0)
+        assert np.allclose(hermitian_eigen(v(-0.5))[0], [-0.5, 0.5], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v(0.0))[0], [0.0, 0.0], atol=0)
 
     def test_reference_closed_form(self):
         v = model_potential("reference")
-        assert np.allclose(hermitian_eigen(v(0.0)).values, VREF0_BRANCHES, atol=1e-13)
+        assert np.allclose(hermitian_eigen(v(0.0))[0], VREF0_BRANCHES, atol=1e-13)
 
     def test_weyl_continuity_bound(self, rng):
         v = model_potential("reference")
         for _ in range(50):
             x = float(rng.uniform(-3, 3))
             d = float(rng.uniform(-0.3, 0.3))
-            e0 = hermitian_eigen(v(x)).values
-            e1 = hermitian_eigen(v(x + d)).values
+            e0 = hermitian_eigen(v(x))[0]
+            e1 = hermitian_eigen(v(x + d))[0]
             gap = float(np.linalg.norm(v(x + d) - v(x), 2))
             assert np.max(np.abs(e1 - e0)) <= gap + 1e-10
 
@@ -170,15 +170,15 @@ class TestModelPotentials:
         v = model_potential("conical_crossing")
         for x in (-1.1, -0.2, 0.4, 2.0):
             expect = abs(x) * math.exp(-x * x)
-            assert np.allclose(hermitian_eigen(v(x)).values, [-expect, expect], atol=1e-15)
-        assert np.allclose(hermitian_eigen(v(0.0)).values, [0.0, 0.0], atol=0)
+            assert np.allclose(hermitian_eigen(v(x))[0], [-expect, expect], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v(0.0))[0], [0.0, 0.0], atol=0)
 
     def test_avoided_crossing_gap(self):
         v = model_potential("avoided_crossing", gap=0.35)
-        assert np.allclose(hermitian_eigen(v(0.0)).values, [-0.35, 0.35], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v(0.0))[0], [-0.35, 0.35], atol=1e-15)
         # away from zero the branches avoid each other by at least the gap
         for x in (-1.0, 0.5, 1.5):
-            e = hermitian_eigen(v(x)).values
+            e = hermitian_eigen(v(x))[0]
             assert e[1] - e[0] >= 2 * 0.35 - 1e-12
 
     def test_invalid_params(self):
