@@ -297,7 +297,8 @@ _UNGATED = ("weak",)
 def _certificate_request(doc: dict, kind: str, inputs: dict) -> tuple:
     """The (kind, arguments, key) request of an experiment or variant ``kind``:
     its check block over the defaults of the kind and of a trace's cutoff, and
-    the run-wide key of the spelled potential and arguments.  T is not zero."""
+    the run-wide key of the spelled potential and arguments.  T has a finite,
+    nonzero norm, and is kept as given."""
     kinds = _HYPOTHESIS[kind]
     cert_kind = doc.get("escape_kind", kinds[0])
     if cert_kind not in kinds:
@@ -323,8 +324,12 @@ def _certificate_request(doc: dict, kind: str, inputs: dict) -> tuple:
         args["shell_tol"] = _positive(args["shell_tol"], "check.shell_tol")
     if args.get("T") is not None:
         args["T"] = np.asarray(_numbers(args["T"], "check.T", 2))
-        if not np.any(args["T"]):
-            raise ConfigError(f"check.T must not be zero, got {chk['T']!r}")
+        try:
+            with np.errstate(over="ignore"):
+                mh._unit_direction(args["T"])
+        except ValueError as exc:
+            raise ConfigError(f"check.T must not be zero and its norm must be finite, "
+                              f"got {chk['T']!r}: {exc}") from None
     return cert_kind, args, json.dumps([cert_kind, inputs["model"], args], default=list)
 
 

@@ -241,28 +241,6 @@ def _lapack_eigh() -> dict | None:
     return None
 
 
-@functools.cache
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or None where the C library lacks it."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except AttributeError:
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
-
-
-def _return_free_heap() -> None:
-    """Give the pages of freed heap blocks back to the system before a dense
-    allocation: glibc raises its mmap threshold to the largest block freed
-    (up to 32 MiB), so freed arrays of a few MB keep their pages resident
-    below the next, larger matrix.  A no-op without glibc."""
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
-
-
 def _routine(routines: dict, a: np.ndarray, driver: str):
     """The in-place ``driver`` for the square matrix ``a`` and its leading
     dimension: ``a`` is C-contiguous or a view into a larger C-ordered
@@ -591,7 +569,6 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
     def assembler(part: np.ndarray, name: str):
         def assemble():
             _admit(itemsize * (part.shape[1] * grid.M) ** 2, name, "the matrix")
-            _return_free_heap()
             return _assemble_schrodinger(grid, part)
         return assemble
 

@@ -936,10 +936,13 @@ class TestRefusedBeforeSolve:
         ([0.0, 1.0, 0.0], "check.T must be a list of 2 numbers"),
         ([math.inf, 1.0], r"check.T\[0\] must be a finite number"),
         (["1", 0.0], r"check.T\[0\] must be a finite number"),
-    ], ids=["zero", "length", "infinite", "string"])
+        ([1e200, 0.0], r"check.T must not be zero and its norm must be finite, "
+                       r"got \[1e\+200, 0.0\]: .* of norm inf"),
+    ], ids=["zero", "length", "infinite", "string", "norm-overflow"])
     def test_direction_refused_at_ingest(self, tmp_path, no_assembly, capsys, T, named):
         # a bad direction in the second child is refused before the first
-        # (coeffs, which no_assembly does not stop) writes its report
+        # (coeffs, which no_assembly does not stop) writes its report; a
+        # direction of finite components whose norm overflows, too
         coeffs = _config("sweep_quick")["experiments"][2]
         check_mh = {k: v for k, v in _config("check_mh_crossing").items()
                     if k not in ("schema_version", "out")}

@@ -1465,11 +1465,10 @@ class TestSmoothedTrace:
     # (H, supp f, window, bound): one step of the thm2, thm1 and thm3
     # set-ups at h = 1/64, 1/128 and 1/96, from H's construction to the
     # trace.  A fresh process makes the same step at h = 1/16 first, so that
-    # the library code a first step faults in is resident, gives its freed
-    # heap back to the system and forks; the child makes the step, and its
-    # growth is its own peak above its resident set at the fork, which heap
-    # left free by the set-up cannot absorb.  The growth in units of H's
-    # dim x dim float64 matrix read 1.48-1.64, 1.04-1.06 and 0.78-0.84 with
+    # the library code a first step faults in is resident, and forks; the
+    # child makes the step, and its growth is its own peak above its
+    # resident set at the fork.  The growth in units of H's dim x dim
+    # float64 matrix read 1.48-1.64, 1.04-1.06 and 0.78-0.84 with
     # A's rows read a block at a time and the split operator's channel blocks
     # alone, and 2.62-2.77, 1.90-2.04 and 1.10-1.19 with A's dense matrix
     # assembled beside H.  With each channel block assembled for its solve
@@ -1499,8 +1498,7 @@ class TestSmoothedTrace:
                 "import numpy as np\n"
                 "from ssf_lab.bumps import Bump1D, ProductCutoff\n"
                 "from ssf_lab.coefficients import bump_test_function\n"
-                "from ssf_lab.quantization import (WindowTheta, _return_free_heap,\n"
-                "                                  build_schrodinger, grid_for,\n"
+                "from ssf_lab.quantization import (WindowTheta, build_schrodinger, grid_for,\n"
                 "                                  smoothed_trace, weyl_quantize)\n"
                 "from ssf_lab.symbols import model_potential\n"
                 "chi = ProductCutoff(g=Bump1D(0.0, 2.0), k=Bump1D(0.0, 2.0))\n"
@@ -1516,7 +1514,6 @@ class TestSmoothedTrace:
                 "    return h.dim\n"
                 f"step(grid_for(1 / 16, {box}, 8192))\n"
                 f"grid = grid_for({h!r}, {box}, 8192)\n"
-                "_return_free_heap()\n"
                 "pid = os.fork()\n"
                 "if pid == 0:\n"
                 "    code = 1\n"

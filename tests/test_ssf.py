@@ -224,13 +224,12 @@ class TestBuildPair:
 
     def test_peak_memory_over_a_ladder(self):
         # three rounds of an h-ladder in a fresh process, as the three ssf
-        # configs of a sweep make them: freed heap is given back before each
-        # matrix is assembled, so the peak stays near the largest matrix's
-        # upper triangle; kept resident, the freed pages of the smaller steps
-        # add about 20 MB.  The growth read 1.03 matrices of 8 dim^2 bytes
-        # with both triangles held, and 0.68 with the upper one alone
-        if qz._malloc_trim() is None:
-            pytest.skip("the C library has no malloc_trim")
+        # configs of a sweep make them: each matrix lives in a mapping of its
+        # own, unmapped when it is freed, so the peak stays near the largest
+        # matrix's upper triangle.  The growth read 1.03 matrices of 8 dim^2
+        # bytes with both triangles held, and 0.68 with the upper one alone;
+        # with page-aligned rows it read 0.61 while freed heap was given back
+        # to the system before each assembly, and 0.63 now that it is not
         code = PEAK_RSS_SOURCE + (
             "from ssf_lab.quantization import grid_for\n"
             "from ssf_lab.ssf import build_pair\n"
