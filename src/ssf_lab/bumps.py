@@ -12,8 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from .symbols import _row
-
 __all__ = [
     "transition",
     "bump_profile",
@@ -57,7 +55,6 @@ class Bump1D:
 
     center: float = 0.0
     halfwidth: float = 1.0
-    amplitude: float = 1.0
 
     def __post_init__(self):
         # a zero width has no support: every value, and every trace, is 0
@@ -66,17 +63,11 @@ class Bump1D:
 
     def __call__(self, x):
         u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        return self.amplitude * bump_profile(u)
+        return bump_profile(u)
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
-
-    def integral(self, order: int = 200) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        a, b = self.support
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return float(half * np.sum(weights * self(mid + half * nodes)))
 
 
 @dataclass(frozen=True)
@@ -97,9 +88,6 @@ class ProductCutoff:
     def xi_support(self) -> tuple[float, float]:
         return self.k.support
 
-    def integral(self, order: int = 200) -> float:
-        return self.g.integral(order) * self.k.integral(order)
-
 
 @dataclass(frozen=True)
 class ScalarPhaseFunction:
@@ -108,18 +96,11 @@ class ScalarPhaseFunction:
 
     ``eval_on(x, xi)`` maps K points (x and xi of shape (K,)) to the K
     values, and ``grad_on(x, xi)`` to the (K, 2) gradients (dG/dx, dG/dxi).
-    A scalar call is the one row at that point.
     """
 
     eval_on: Callable
     grad_on: Callable
     name: str = ""
-
-    def __call__(self, x, xi):
-        return self.eval_on(_row(x), _row(xi))[0]
-
-    def gradient(self, x, xi) -> np.ndarray:
-        return self.gradient_on(_row(x), _row(xi))[0]
 
     def gradient_on(self, x, xi) -> np.ndarray:
         """The (K, 2) gradients at the K points (x[k], xi[k])."""

@@ -119,11 +119,6 @@ class ExperimentConfig:
                                 out=str(doc.get("out", "out")),
                                 inputs=_inputs_from(doc, experiment, kind))
 
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
-
 
 def _refuse_extra(what: str, block: dict, keys: tuple, prefix: str = "") -> None:
     """ConfigError naming every key of ``block`` outside ``keys``."""
@@ -201,7 +196,10 @@ def _grids_from(doc: dict, hs: tuple, default_R: float) -> list[qz.Grid1D]:
     R = _positive(g.get("R", default_R), "grid.R")
     tau_max = _positive(g["tau_max"], "grid.tau_max")
     m_cap = _number(g.get("m_cap", 8192), "grid.m_cap", integer=True)
-    return [qz.grid_for(h, R, tau_max, m_cap) for h in hs]
+    try:
+        return [qz.grid_for(h, R, tau_max, m_cap) for h in hs]
+    except qz.CoverageError as exc:
+        raise ConfigError(f"grid.m_cap: {exc}") from exc
 
 
 # the variants whose checks read the even window alone
@@ -351,11 +349,13 @@ _REFERENCE_ENERGIES = {"coeffs": ("tau_grid", "taus"), "weyl": ("tau_grid", "tau
 def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     """Every input a config's runner reads, one for each top-level key of its
     experiment or variant ``kind``; a sweep's are its children's configs.
-    Besides each block's refusals: the ladder (``qz._check_ladder``), the
-    top energy, of supp f or weyl's tau grid, above tau_max (WindowRangeError),
-    a window that reads its profile past the profile's table, a cutoff that
-    breaks a grid's margins (``qz._check_margins``), and the energies the
-    closed-form references refuse (``coeffs._check_energies``)."""
+    Besides each block's refusals: the ladder (``qz._check_ladder``), a
+    grid beyond m_cap (``qz.grid_for``), the top energy, of supp f or weyl's
+    tau grid, above tau_max (``qz._check_window``), a window that reads its
+    profile past the profile's table, a cutoff that breaks a grid's margins
+    (``qz._check_margins``), a perturbation within d_sep of the cutoff
+    (``qz._check_separation``), and the energies the closed-form references
+    refuse (``coeffs._check_energies``)."""
     if experiment == "sweep":
         if not isinstance(doc.get("experiments"), list) or not doc["experiments"]:
             raise ConfigError("sweep needs a non-empty 'experiments' list")
@@ -382,11 +382,12 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
         if any(h <= 0 for h in hs):
             raise ConfigError("h values must be positive")
         qz._check_ladder(hs)
-        # the decay variants' verdicts read the fitted order alone
+        # the decay variants' verdicts read the fitted order alone; a
+        # comparison's relative tolerance is positive
         thresholds = _block(doc, "thresholds", ("order",) if kind in ("thm1", "thm2")
                             else ("order", "rel"))
-        inputs["limits"] = {f"{key}_threshold": _number(val, f"thresholds.{key}")
-                            for key, val in thresholds.items()}
+        inputs["limits"] = {f"{key}_threshold": (_positive if key == "rel" else _number)(
+            val, f"thresholds.{key}") for key, val in thresholds.items()}
         inputs["grids"] = _grids_from(doc, hs, default_R=6.0 if experiment == "trace" else 8.0)
     if "tau0" in keys:
         inputs["tau0"] = _number(doc.get("tau0", 1.0 if experiment in ("check-mh", "trace")
@@ -398,15 +399,19 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
     if "perturbation" in keys:
         inputs["v1"] = combine_potentials(inputs["v"],
                                           _model("perturbation", doc.get("perturbation")))
-        inputs["d_sep"] = _number(doc.get("d_sep", 2.0), "d_sep")
+        inputs["d_sep"] = _positive(doc.get("d_sep", 2.0), "d_sep")
     if "tau_grid" in keys:
         inputs["taus"] = _tau_grid_from(doc)
     if "cutoff" in keys:
         inputs["chi"] = _cutoff_from(doc)
-    if "grids" in inputs and "f" in inputs:
-        qz._check_window(inputs["grids"][0], inputs["f"].support[1])
-    elif "grids" in inputs:
-        qz._check_window(inputs["grids"][0], float(inputs["taus"][-1]), "tau")
+    if "grids" in inputs:
+        try:
+            if "f" in inputs:
+                qz._check_window(inputs["grids"][0], inputs["f"].support[1])
+            else:
+                qz._check_window(inputs["grids"][0], float(inputs["taus"][-1]), "tau")
+        except qz.WindowRangeError as exc:
+            raise ConfigError(f"grid.tau_max: {exc}") from exc
     if "window" in inputs and "f" in inputs:
         # the traces and the mollified density read the window profile at
         # y = eps |tau - s| / h for s in supp f, farthest at the last h; past
@@ -425,6 +430,12 @@ def _inputs_from(doc: dict, experiment: str, kind: str) -> dict:
                 qz._check_margins(inputs["chi"], grid)
             except qz.SupportMarginError as exc:
                 raise ConfigError(f"cutoff at h={grid.h:g}: {exc}") from exc
+    if "v1" in inputs:
+        try:
+            qz._check_separation(inputs["v"], inputs["v1"], inputs["chi"],
+                                 inputs["grids"][0].R, inputs["d_sep"])
+        except qz.SupportMarginError as exc:
+            raise ConfigError(f"d_sep: {exc}") from exc
     if experiment == "ssf":
         try:
             ssf_mod._check_edge(inputs["v"], inputs["grids"][0].R)
@@ -541,19 +552,15 @@ def report_identity_bytes(report: dict) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def run(config, out_dir: str | None = None) -> RunResult:
-    """Execute one experiment config; write CSV data and the JSON report.
+def run(config: ExperimentConfig | dict, out_dir: str | None = None) -> RunResult:
+    """Execute one experiment config, as read or as its JSON document; write
+    CSV data and the JSON report.
 
     One call solves each (potential, grid, h) spectrum and makes each
     certificate (kind, potential, check arguments) once: the children of a
     sweep share them.
     """
-    if isinstance(config, (str, os.PathLike)):
-        cfg = ExperimentConfig.from_json(config)
-    elif isinstance(config, dict):
-        cfg = ExperimentConfig.from_dict(config)
-    else:
-        cfg = config
+    cfg = ExperimentConfig.from_dict(config) if isinstance(config, dict) else config
     return _run(cfg, out_dir if out_dir is not None else cfg.out, {})
 
 

@@ -157,7 +157,7 @@ class _Jet(NamedTuple):
     rho: np.ndarray
     a: np.ndarray            # H(rho)
     kernel_tol: float
-    grad: np.ndarray         # H.gradient(rho)
+    grad: np.ndarray         # grad H(rho), (2, N, N)
     values: np.ndarray       # eigh of H(rho): sorted eigenvalues
     vectors: np.ndarray      # and their orthonormal eigenvector columns
 

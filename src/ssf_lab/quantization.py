@@ -1,10 +1,10 @@
 """Periodic 1D Fourier-spectral discretization and Weyl quantization.
 
-The grid covers x in [-R, R) with M points and carries the scaled momenta
-p_m = (pi h / R) m, m = -M/2 .. M/2-1, so the kinetic operator is exactly
-diagonal with symbol p^2 on the momentum window.  Energies are reliable up
-to tau_max = (pi h M / (2R))^2 / 4: the momentum window must cover twice
-the classical shell radius (the assembly-time coverage rule).
+A grid is made from (R, h, tau_max): it covers x in [-R, R) with M points,
+the fewest even M whose momentum window covers twice the classical shell
+radius at tau_max (pi h M / (2R) >= 2 sqrt(tau_max)), and carries the
+scaled momenta p_m = (pi h / R) m, m = -M/2 .. M/2-1, so the kinetic
+operator is exactly diagonal with symbol p^2 on the momentum window.
 
 Weyl quantization of a cutoff chi(x, xi) = g(x) k(xi) (a ``ProductCutoff``)
 is the matrix
@@ -38,7 +38,7 @@ per h, the relative errors against a reference, the least-squares log-log
 order of the errors (at least 3 h with max/min >= 4) and PASS/FAIL in a
 decay or a comparison form.  The three trace-formula checks below are such
 sweeps, one value per grid (none when supp f reaches above a grid's
-reliable window: ``WindowRangeError``); the ssf module holds the weak,
+tau_max: ``WindowRangeError``); the ssf module holds the weak,
 Weyl-type and derivative sweeps, one value per ``SpectralPair``.
 """
 from __future__ import annotations
@@ -48,7 +48,7 @@ import functools
 import math
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -122,25 +122,19 @@ def required_points(R: float, h: float, tau_max: float) -> int:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic grid x in [-R, R), M even points, semiclassical parameter h."""
+    """Periodic grid x in [-R, R) for the semiclassical parameter h that
+    resolves the energies up to ``tau_max``: its M, derived, is the fewest
+    even points that cover them (``required_points``)."""
 
     R: float
-    M: int
     h: float
-    tau_max: float | None = None
+    tau_max: float
+    M: int = field(init=False)
 
     def __post_init__(self):
-        if self.M < 2 or self.M % 2:
-            raise ValueError("M must be even and >= 2")
-        if not (self.R > 0 and 0 < self.h):
-            raise ValueError("R and h must be positive")
-        if self.tau_max is not None:
-            need = required_points(self.R, self.h, self.tau_max)
-            if self.M < need:
-                raise CoverageError(
-                    f"M={self.M} below coverage for tau_max={self.tau_max}: need M>={need}",
-                    required_m=need,
-                )
+        if not (self.R > 0 and self.h > 0 and self.tau_max > 0):
+            raise ValueError("R, h and tau_max must be positive")
+        object.__setattr__(self, "M", required_points(self.R, self.h, self.tau_max))
 
     @property
     def dx(self) -> float:
@@ -170,28 +164,24 @@ class Grid1D:
     def p_max(self) -> float:
         return self.dp * (self.M // 2)
 
-    def reliable_tau_max(self) -> float:
-        return (0.5 * self.p_max) ** 2
-
 
 def grid_for(h: float, R: float, tau_max: float, m_cap: int) -> Grid1D:
     """The grid of one sweep step: the fewest points that cover ``tau_max``;
     CoverageError, with the required M, beyond ``m_cap``."""
-    m = required_points(R, h, tau_max)
-    if m > m_cap:
+    grid = Grid1D(R=R, h=h, tau_max=float(tau_max))
+    if grid.M > m_cap:
         raise CoverageError(
-            f"h={h} needs M={m} > cap {m_cap}: raise h, shrink R, or raise m_cap",
-            required_m=m,
+            f"h={h} needs M={grid.M} > cap {m_cap}: raise h, shrink R, or raise m_cap",
+            required_m=grid.M,
         )
-    return Grid1D(R=R, M=m, h=h, tau_max=float(tau_max))
+    return grid
 
 
 def _check_window(grid: Grid1D, top: float, what: str = "support") -> None:
     """WindowRangeError when ``top``, the top of an f's support or of a tau
     grid, lies above the energies ``grid`` resolves."""
-    tau_max = grid.reliable_tau_max() if grid.tau_max is None else grid.tau_max
-    if top > tau_max + 1e-12:
-        raise WindowRangeError(f"{what} up to {top} exceeds the reliable window {tau_max}")
+    if top > grid.tau_max + 1e-12:
+        raise WindowRangeError(f"{what} up to {top} exceeds the reliable window {grid.tau_max}")
 
 
 def _kinetic_column(grid: Grid1D) -> np.ndarray:
@@ -1144,16 +1134,12 @@ def theorem1_check(v: MatrixPotential, chi: ProductCutoff, f, tau0: float, grids
     return sweep_verdict([grid.h for grid in grids], values, order_threshold)
 
 
-def theorem2_check(v0: MatrixPotential, v1: MatrixPotential, chi: ProductCutoff, f, taus,
-                   grids, window: WindowTheta, *, d_sep: float = 2.0,
-                   order_threshold: float = 3.0) -> SweepReport:
-    """Locality: traces of two operators agreeing near supp chi must differ
-    only to high order in h (decay verdict).  Rejects perturbations closer
-    than ``d_sep`` on 4001 points of ``grids[0]``'s box (one ``on`` call
+def _check_separation(v0: MatrixPotential, v1: MatrixPotential, chi: ProductCutoff, R: float,
+                      d_sep: float) -> None:
+    """SupportMarginError where V1 differs from V0 within ``d_sep`` of the
+    cutoff's x-support, probed on 4001 points of [-R, R] (one ``on`` call
     per potential)."""
-    for grid in grids:
-        _check_window(grid, f.support[1])
-    probe = np.linspace(-grids[0].R, grids[0].R, 4001)
+    probe = np.linspace(-R, R, 4001)
     diff = np.max(np.abs(v1.on(probe) - v0.on(probe)), axis=(1, 2))
     moved = probe[diff > 1e-12]
     xa, xb = chi.x_support
@@ -1166,6 +1152,17 @@ def theorem2_check(v0: MatrixPotential, v1: MatrixPotential, chi: ProductCutoff,
             raise SupportMarginError(
                 f"perturbation support within {d_sep} of the cutoff support (gap {gap:.2f})"
             )
+
+
+def theorem2_check(v0: MatrixPotential, v1: MatrixPotential, chi: ProductCutoff, f, taus,
+                   grids, window: WindowTheta, *, d_sep: float = 2.0,
+                   order_threshold: float = 3.0) -> SweepReport:
+    """Locality: traces of two operators agreeing near supp chi must differ
+    only to high order in h (decay verdict).  Rejects perturbations closer
+    than ``d_sep`` to supp chi (``_check_separation``)."""
+    for grid in grids:
+        _check_window(grid, f.support[1])
+    _check_separation(v0, v1, chi, grids[0].R, d_sep)
     values = []
     for grid in grids:
         a_op = weyl_quantize(chi, grid)

@@ -8,14 +8,12 @@ Conventions used throughout the package, which is one-dimensional:
   the model of interest is the Schrodinger symbol xi^2 I_N + V(x);
 * gradients are stacked as (d/dx, d/dxi), i.e. an array of shape (2, N, N).
 
-A potential or symbol is built from its array form alone: ``eval_on`` maps
-K points at once, shape (K,), to (K, N, N), and the optional ``grad_on``
-gives the (K, 1, N, N) gradients (a symbol's take x and xi as two such
-arrays and give (K, 2, N, N)).  ``v.on(xs)`` and ``v.gradient_on(xs)`` call
-them; without ``grad_on`` the gradients are central differences over the
-whole array.  A scalar call, ``v(x)``, ``v.gradient(x)``, ``h(x, xi)``,
-``h.at(rho)`` or ``h.gradient(rho)``, is the one row of the array form at
-that point.
+A potential or symbol is built from its array form alone and called on
+arrays alone: ``eval_on`` maps K points at once, shape (K,), to (K, N, N),
+and the optional ``grad_on`` gives the (K, 1, N, N) gradients (a symbol's
+take x and xi as two such arrays and give (K, 2, N, N)).  ``v.on(xs)`` and
+``v.gradient_on(xs)`` call them; without ``grad_on`` the gradients are
+central differences over the whole array.  One point is an array of one.
 """
 from __future__ import annotations
 
@@ -100,12 +98,6 @@ def fast_eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _row(c) -> np.ndarray:
-    """One point, or one half of a phase-space point, as the single-row
-    array of shape (1,) an array form takes."""
-    return np.asarray(c, dtype=float).reshape((1,))
-
-
 def _central_differences(evaluate, pts: np.ndarray) -> np.ndarray:
     """Hermitized central differences of ``evaluate`` at every row of ``pts``
     (K, d) in each of its d coordinates, with the step 1e-5 (1 + |row|):
@@ -146,15 +138,9 @@ class MatrixPotential:
             raise ValueError("diagonal of v_infinity must be non-decreasing")
         object.__setattr__(self, "v_infinity", np.diag(diag).astype(float))
 
-    def __call__(self, x) -> np.ndarray:
-        return require_hermitian(self.on(_row(x))[0])
-
     def on(self, xs) -> np.ndarray:
         """V at every point of ``xs`` as one (K, N, N) array (not symmetrized)."""
         return np.asarray(self.eval_on(np.asarray(xs, dtype=float)))
-
-    def gradient(self, x) -> np.ndarray:
-        return self.gradient_on(_row(x))[0]
 
     def gradient_on(self, xs) -> np.ndarray:
         """The hermitized gradient at every point of ``xs``, (K, 1, N, N)."""
@@ -183,27 +169,9 @@ class MatrixSymbol:
     grad_on: Callable | None = None
     name: str = ""
 
-    def __call__(self, x, xi) -> np.ndarray:
-        return require_hermitian(self.on(_row(x), _row(xi))[0])
-
-    @staticmethod
-    def _halves(rho) -> tuple:
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != (2,):
-            raise ValueError(f"a phase point is (x, xi), got shape {rho.shape}")
-        return rho[:1], rho[1:]
-
-    def at(self, rho) -> np.ndarray:
-        """H at the phase-space point rho = (x, xi), symmetrized."""
-        return self(*self._halves(rho))
-
     def on(self, x, xi) -> np.ndarray:
         """H at the K points (x[k], xi[k]) as one (K, N, N) array (not symmetrized)."""
         return np.asarray(self.eval_on(np.asarray(x, dtype=float), np.asarray(xi, dtype=float)))
-
-    def gradient(self, rho) -> np.ndarray:
-        """The hermitized (2, N, N) gradient at the phase-space point rho."""
-        return self.gradient_on(*self._halves(rho))[0]
 
     def gradient_on(self, x, xi) -> np.ndarray:
         """The hermitized gradient at the K points (x[k], xi[k]), (K, 2, N, N)."""
@@ -271,8 +239,7 @@ def model_potential(kind: str, **params) -> MatrixPotential:
     by default) and ``rotating_crossing`` (exp(-x^2)(x sigma3 + c x^2
     sigma1), c 1 by default).  All models decay to their limit with Gaussian
     envelopes, so the decay hypothesis holds for every exponent.  Each is
-    written once, as its array form (``eval_on``, ``grad_on``); its scalar
-    calls are rows of it.  A param the kind does not read (``MODEL_PARAMS``)
+    written once, as its array form (``eval_on``, ``grad_on``).  A param the kind does not read (``MODEL_PARAMS``)
     is a ValueError.
     """
     unread = sorted(set(params) - set(MODEL_PARAMS.get(kind, params)))
@@ -307,7 +274,7 @@ def model_potential(kind: str, **params) -> MatrixPotential:
             raise ValueError("v_inf diagonal must be non-decreasing")
 
         # numpy's exp, as this model always used: it is elementwise the same
-        # for any array shape, so rows equal scalar calls
+        # for any array shape, so a row equals a one-point call
         def _on(xs):
             u = (xs[:, None] - centers) / widths
             return _diagonals(diag_inf + depths * np.exp(-u * u))
@@ -347,7 +314,7 @@ def model_potential(kind: str, **params) -> MatrixPotential:
 
     if kind == "reference":
         def _envelopes(xs):
-            # -(x - 1)^2 by Python's float power, as the scalar form always did
+            # -(x - 1)^2 by Python's float power, as this model always used
             shifted = np.fromiter((math.exp(-(y ** 2)) for y in (xs - 1.0).tolist()),
                                   float, len(xs))
             return _gauss(xs), shifted

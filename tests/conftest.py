@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ssf_lab import quantization as qz
+from ssf_lab.quadrature import adaptive_gauss_batch
 
 settings.register_profile(
     "numeric",
@@ -32,6 +33,22 @@ PEAK_RSS_SOURCE = (
     "def rss():\n"
     "    return _status('VmRSS')\n"
 )
+
+
+def sized_grid(M: int, h: float, R: float = 6.0) -> qz.Grid1D:
+    """The grid of M points at h: the one whose tau_max, just below the top
+    energy M points cover, derives that M."""
+    grid = qz.Grid1D(R=R, h=h, tau_max=(np.pi * h * M / (4.0 * R)) ** 2 * (1.0 - 1e-9))
+    assert grid.M == M
+    return grid
+
+
+def cutoff_integral(chi) -> float:
+    """The phase-space integral of a product cutoff, int g dx int k dxi."""
+    (xa, xb), (qa, qb) = chi.x_support, chi.xi_support
+    ig, ik = adaptive_gauss_batch(lambda owner, x: np.where(owner == 0, chi.g(x), chi.k(x)),
+                                  [xa, qa], [xb, qb], atol=1e-13)
+    return float(ig * ik)
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:

@@ -92,9 +92,16 @@ def unit(t) -> np.ndarray:
     return t / np.linalg.norm(t)
 
 
+def one_point(rho) -> tuple:
+    """The phase point rho = (x, xi) as the one-point x and xi arrays a
+    symbol's array form takes."""
+    rho = np.asarray(rho, dtype=float).reshape(2)
+    return rho[:1], rho[1:]
+
+
 def directional_derivative(h: MatrixSymbol, rho, t) -> np.ndarray:
     """<T, grad H(rho)> as a hermitian matrix, T the normalized ``t``."""
-    return np.tensordot(unit(t), h.gradient(rho), axes=(0, 0))
+    return np.tensordot(unit(t), h.gradient_on(*one_point(rho))[0], axes=(0, 0))
 
 
 def check_definition(h: MatrixSymbol, rho, t, c0: float, c1: float) -> float:
@@ -105,7 +112,7 @@ def check_definition(h: MatrixSymbol, rho, t, c0: float, c1: float) -> float:
     ``_check_jet`` forms each rung of its C1 ladder as this does, so each of
     its slacks equals this value bit for bit.
     """
-    a = h.at(np.atleast_1d(np.asarray(rho, dtype=float)))
+    a = require_hermitian(h.on(*one_point(rho))[0])
     g = directional_derivative(h, rho, t)
     mat = g + c1 * (a.conj().T @ a) - c0 * np.eye(h.N)
     return float(np.linalg.eigvalsh(mat).min())
@@ -154,14 +161,15 @@ def crossing_condition(v: MatrixPotential, x0, tau0: float) -> CrossingResult:
     Levels within ``default_shell_tol(tau0)`` of tau0 count as the kernel.
     The candidates are +-1.
     """
-    a = v(x0) - tau0 * np.eye(v.N)
+    x0 = np.reshape(np.asarray(x0, dtype=float), 1)
+    a = require_hermitian(v.on(x0)[0]) - tau0 * np.eye(v.N)
     values, vectors = hermitian_eigen(a)
     mask = np.abs(values) <= default_shell_tol(tau0)
     if not np.any(mask):
         return CrossingResult(ok=False, T1=None, C=None, kernel_dim=0,
                               best_value=-math.inf, note="no level touches tau0")
     vk = vectors[:, mask]
-    grad = v.gradient(x0)
+    grad = v.gradient_on(x0)[0]
     proj = np.stack([vk.conj().T @ gi @ vk for gi in grad])
 
     cands = np.array([[1.0], [-1.0]])
@@ -189,7 +197,7 @@ def linearized_block_symbol(
     differences.
     """
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
-    a = h.at(rho0)
+    a = require_hermitian(h.on(*one_point(rho0))[0])
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(a)
     values, u = hermitian_eigen(a)
@@ -203,7 +211,7 @@ def linearized_block_symbol(
     kernel, rest = np.flatnonzero(mags <= kernel_tol), np.flatnonzero(mags > kernel_tol)
     # kernel-block gradient components in the eigenframe, (2, r, r)
     uk = u[:, kernel]
-    gk = np.stack([uk.conj().T @ gi @ uk for gi in h.gradient(rho0)])
+    gk = np.stack([uk.conj().T @ gi @ uk for gi in h.gradient_on(*one_point(rho0))[0]])
     # frozen complement
     m22 = u[:, rest].conj().T @ a @ u[:, rest]
 

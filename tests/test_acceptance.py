@@ -12,11 +12,11 @@ import pytest
 
 import mh_constructions as mhc
 import ssf_lab as sl
-from conftest import cutoff_matrix, random_hermitian
+from conftest import cutoff_integral, cutoff_matrix, random_hermitian, sized_grid
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab.microhyperbolicity import C1_LADDER
 from ssf_lab.quadrature import gauss_rule
-from ssf_lab.quantization import Grid1D, WindowTheta, grid_for, required_points, weyl_quantize
+from ssf_lab.quantization import Grid1D, WindowTheta, grid_for, weyl_quantize
 from ssf_lab.ssf import build_pair, mollified_density_pairing
 from ssf_lab.symbols import MatrixSymbol, schrodinger_symbol, shifted_symbol
 
@@ -48,8 +48,7 @@ def vref():
 
 @pytest.fixture(scope="module")
 def vref_family(vref):
-    return [build_pair(vref, Grid1D(R=R_BOX, M=required_points(R_BOX, h, TAU_MAX), h=h,
-                                    tau_max=TAU_MAX))
+    return [build_pair(vref, Grid1D(R=R_BOX, h=h, tau_max=TAU_MAX))
             for h in H_LIST]
 
 
@@ -274,14 +273,14 @@ def test_criterion_6_coefficient_identities(vref):
 
 
 def test_criterion_7_quantization_identities():
-    g64 = Grid1D(R=6.0, M=required_points(6.0, 1 / 64, 1.5), h=1 / 64, tau_max=1.5)
+    g64 = Grid1D(R=6.0, h=1 / 64, tau_max=1.5)
     chi = ProductCutoff(g=Bump1D(0, 2.0), k=Bump1D(0, 1.2))
     a = weyl_quantize(chi, g64)
     tr = float(np.trace(cutoff_matrix(a)).real)
-    target = chi.integral(order=400) / (2.0 * math.pi * g64.h)
+    target = cutoff_integral(chi) / (2.0 * math.pi * g64.h)
     ok_tr = abs(tr - target) <= 1e-8 * abs(target)
 
-    gq = Grid1D(R=6.0, M=128, h=0.25, tau_max=1.5)
+    gq = sized_grid(128, 0.25)
     op = sl.build_schrodinger(sl.model_potential("constant", v_inf=[0.7], N=1), gq)
     ok_spec = np.array_equal(op.eigenvalues(), np.sort(gq.momenta**2 + 0.7))
 
@@ -293,7 +292,7 @@ def test_criterion_7_quantization_identities():
 
 def test_criterion_8_degenerate_exactness():
     v = sl.model_potential("constant", v_inf=[0.2, 0.8], N=2)
-    grid = Grid1D(R=8.0, M=required_points(8.0, 1 / 8, 2.0), h=1 / 8, tau_max=2.0)
+    grid = Grid1D(R=8.0, h=1 / 8, tau_max=2.0)
     pair = build_pair(v, grid)
     f = sl.bump_test_function((1.0, 1.6))
     w = WindowTheta("bump_at_zero", eps=0.25)

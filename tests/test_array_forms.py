@@ -1,6 +1,6 @@
 """Array forms of potentials and symbols: a row of a batch equals the same
-point alone bit for bit, a scalar call is that row, and the callers evaluate
-a potential a fixed number of times whatever their grid size."""
+point as a one-point batch bit for bit, and the callers evaluate a potential
+a fixed number of times whatever their grid size."""
 import json
 import math
 import os
@@ -62,7 +62,7 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestRowsEqualScalarCalls:
+class TestRowsEqualOnePointBatches:
     @pytest.mark.parametrize("name", list(KINDS))
     def test_potential_values_and_gradients(self, name):
         v = KINDS[name]
@@ -72,7 +72,7 @@ class TestRowsEqualScalarCalls:
         assert grads.shape == (len(XS), 1, v.N, v.N)
         for x, row, grow in zip(XS.tolist(), vals, grads):
             assert same_bits(row, v.on([x])[0])
-            assert same_bits(grow, v.gradient(x))
+            assert same_bits(grow, v.gradient_on([x])[0])
 
     @pytest.mark.parametrize("name", ["reference", "avoided_crossing", "rotating_crossing"])
     def test_symbol_values_and_gradients(self, name):
@@ -82,11 +82,11 @@ class TestRowsEqualScalarCalls:
             vals, grads = h.on(XS, xis), h.gradient_on(XS, xis)
             for x, xi, row, grow in zip(XS.tolist(), xis.tolist(), vals, grads):
                 assert same_bits(row, h.on([x], [xi])[0])
-                assert same_bits(grow, h.gradient(np.array([x, xi])))
+                assert same_bits(grow, h.gradient_on([x], [xi])[0])
 
-    def test_scalar_calls_are_the_closed_forms(self):
+    def test_one_point_rows_are_the_closed_forms(self):
         # the formulas the models have always had, one point at a time
-        # through math.exp; a scalar call is the one row of the array form
+        # through math.exp
         def reference(x):
             ex, ex1 = math.exp(-x * x), math.exp(-(x - 1.0) ** 2)
             return np.array([[-ex, 0.5 * ex], [0.5 * ex, 0.5 * ex1]])
@@ -110,7 +110,7 @@ class TestRowsEqualScalarCalls:
             for x in XS.tolist():
                 assert same_bits(v.on([x])[0], value(x))
                 g = grad(x)
-                assert same_bits(v.gradient(x), 0.5 * (g + np.swapaxes(g, 1, 2)))
+                assert same_bits(v.gradient_on([x])[0], 0.5 * (g + np.swapaxes(g, 1, 2)))
 
 
 class TestNewModels:
@@ -124,14 +124,14 @@ class TestNewModels:
 
     def test_island_profile(self):
         v = model_potential("island", amp=2.0)
-        assert v(1.0)[0, 0] == pytest.approx(2.0 / math.e, rel=1e-15)
-        assert v(0.0)[0, 0] == 0.0
+        assert v.on([1.0])[0, 0, 0] == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert v.on([0.0])[0, 0, 0] == 0.0
         assert np.array_equal(v.v_infinity, np.zeros((1, 1)))
 
     def test_rotating_crossing_is_not_split(self):
         grid = qz.grid_for(1 / 8, 6.0, 4.0, 8192)
         v = model_potential("rotating_crossing")
-        assert v(0.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
+        assert v.on([0.0])[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
         assert not isinstance(qz.build_schrodinger(v, grid), qz.SplitOperator)
         assert isinstance(qz.build_schrodinger(model_potential("conical_crossing"), grid),
                           qz.SplitOperator)
@@ -159,7 +159,7 @@ class TestFastEigvalsh:
 
 
 def counting(base: MatrixPotential):
-    """``base`` with counters on its array calls, which its scalar calls make too."""
+    """``base`` with counters on its array calls."""
     calls = {"on": 0, "grad_on": 0}
 
     def on(xs):

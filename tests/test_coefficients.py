@@ -210,12 +210,6 @@ class TestLocalizedDensity:
         oracle = ig * (self.CHI.k(1.0) + self.CHI.k(-1.0)) / (2.0 * math.sqrt(1.0))
         assert out == pytest.approx(oracle, rel=1e-5)
 
-    def test_zero_cutoff(self):
-        v = model_potential("constant", v_inf=0.0, N=1)
-        chi0 = ProductCutoff(g=Bump1D(0, 2.0, amplitude=0.0), k=Bump1D(0, 2.0))
-        out = gamma0_localized(v, chi0, 1.0)
-        assert out == 0.0
-
     @pytest.mark.parametrize("kind,params,tau,reference", LOCALIZED_REFERENCES,
                              ids=["-".join([k, *(f"{n}{x}" for n, x in p.items()), f"tau{t}"])
                                   for k, p, t, _ in LOCALIZED_REFERENCES])

@@ -91,14 +91,14 @@ class TestSweepSlope:
 class TestReferencePotential:
     def test_vanishes_at_infinity(self):
         v = reference_potential()
-        assert np.max(np.abs(v(12.0))) < 1e-50
+        assert np.max(np.abs(v.on([12.0]))) < 1e-50
         assert np.array_equal(v.v_infinity, np.zeros((2, 2)))
 
     def test_hermitian_at_random_points(self, rng):
         v = reference_potential()
         for _ in range(10):
             x = float(rng.uniform(-4, 4))
-            m = v(x)
+            m = v.on([x])[0]
             assert np.max(np.abs(m - m.conj().T)) == 0.0
 
     def test_escape_certified_at_two(self):
@@ -108,7 +108,7 @@ class TestReferencePotential:
 
     def test_branch_values(self):
         v = reference_potential()
-        e = hermitian_eigen(v(0.0))[0]
+        e = hermitian_eigen(v.on([0.0])[0])[0]
         assert e[0] == pytest.approx(-1.1829032360881848, abs=1e-13)
         assert e[1] == pytest.approx(0.366842956673906, abs=1e-13)
 
@@ -545,8 +545,10 @@ class TestWindowAndCheckBlocks:
     def test_ladder_beyond_m_cap_fails_before_the_certificate(self, tmp_path, no_assembly):
         doc = _config("trace_thm3_crossing", out=str(tmp_path / "o"))
         doc["grid"] = dict(doc["grid"], m_cap=512)
-        with pytest.raises(qz.CoverageError):
+        with pytest.raises(ConfigError, match="^grid.m_cap: h=0.015625 needs M=692 > cap 512") as err:
             run(doc)
+        # chained from the refusal a direct caller of grid_for gets
+        assert isinstance(err.value.__cause__, qz.CoverageError)
 
     def test_trace_fixed_direction(self, tmp_path):
         # no single direction certifies the free shell at both xi = +1 and -1
@@ -676,8 +678,10 @@ class TestRefusedBeforeSolve:
     def test_energy_above_tau_max(self, tmp_path, no_assembly, monkeypatch, name, change, named):
         monkeypatch.setattr(mh, "escape_check_dilation", _refuse)
         doc = _config(name, out=str(tmp_path / "o"), **change)
-        with pytest.raises(qz.WindowRangeError, match=named):
+        with pytest.raises(ConfigError, match=f"^grid.tau_max: {named}") as err:
             run(doc)
+        # chained from the refusal a direct caller of a theorem check gets
+        assert isinstance(err.value.__cause__, qz.WindowRangeError)
 
     def test_weyl_reads_no_f(self, tmp_path, no_assembly):
         # weyl takes no test function, so an f, here with supp f above
@@ -797,9 +801,9 @@ class TestRefusedBeforeSolve:
         ("trace_thm3_crossing", {"check": {"grid_points": 41, "mode": "per_point_T"}},
          ConfigError, "not check.mode$"),
         ("ssf_weak_reference", {"test_function": {"kind": "bump", "support": [3.0, 3.4]}},
-         qz.WindowRangeError, "support up to 3.4 exceeds the reliable window 3.24"),
+         ConfigError, "grid.tau_max: support up to 3.4 exceeds the reliable window 3.24"),
         ("ssf_derivative_reference", {"grid": {"R": 12.0, "tau_max": 3.24, "m_cap": 100}},
-         qz.CoverageError, "needs M=.* > cap 100"),
+         ConfigError, "grid.m_cap: h=0.0625 needs M=.* > cap 100"),
         ("trace_thm3_crossing", {"check": {"grid_points": -1}}, ConfigError,
          "check.grid_points must be at least 2"),
         ("trace_thm3_crossing", {"check": {"shell_tol": 0}}, ConfigError,
@@ -826,11 +830,22 @@ class TestRefusedBeforeSolve:
          r"tau_grid: tau=0.0 is within 1e-06 of a channel limit"),
         ("ssf_derivative_reference", {"potential": SPLIT_LIMITS, "tau0": 0.3}, ConfigError,
          r"tau0: tau=0.3 is within 1e-06 of a channel limit"),
+        # a thm2 perturbation that reaches supp chi, which theorem2_check
+        # refuses; a d_sep that is not positive, and a comparison's rel
+        ("trace_thm2_locality",
+         {"perturbation": {"kind": "diagonal_bumps",
+                           "params": {"depths": [0.5], "centers": [1.0], "widths": [0.4]}},
+          "h_list": [0.0625, 0.03125, 0.015625]},
+         ConfigError, r"d_sep: perturbation support within 2.0 of the cutoff support \(gap 0.00\)"),
+        ("trace_thm2_locality", {"d_sep": 0}, ConfigError, "d_sep must be positive, got 0"),
+        ("ssf_weak_reference", {"thresholds": {"rel": 0, "order": 1.5}}, ConfigError,
+         "thresholds.rel must be positive, got 0"),
     ], ids=["change0-at least 3 h", "change1-thresholds.slope", "change2-ssf needs variant",
             "grid_key", "cutoff_key", "potential_kind", "tau_grid", "check_key",
             "energy_above_tau_max", "m_cap", "grid_points", "shell_tol", "halfwidth",
             "cutoff_x_margin", "cutoff_xi_margin", "weyl_limit", "coeffs_limit",
-            "weyl_tau_at_limit", "coeffs_tau_at_limit", "derivative_tau0_at_limit"])
+            "weyl_tau_at_limit", "coeffs_tau_at_limit", "derivative_tau0_at_limit",
+            "thm2_within_d_sep", "d_sep_zero", "thresholds_rel_zero"])
     def test_sweep_with_a_bad_child(self, tmp_path, no_assembly, capsys, child, change, error,
                                     named):
         # a bad block of the last child is refused at ingest, with the error
@@ -915,6 +930,10 @@ class TestRefusedBeforeSolve:
         ("ssf_weak_reference", "grid.R", -12.0, "grid.R must be positive"),
         ("ssf_weak_reference", "grid.tau_max", 0, "grid.tau_max must be positive"),
         ("trace_thm3_crossing", "grid.tau_max", -2.0, "grid.tau_max must be positive"),
+        # a separation that refuses no overlap, and a comparison that passes
+        # nothing but an exact 0
+        ("trace_thm2_locality", "d_sep", -5, "d_sep must be positive"),
+        ("ssf_weyl_reference", "thresholds.rel", -1, "thresholds.rel must be positive"),
         ("ssf_weak_reference", "test_function.support", [1.8],
          "test_function.support must be a list of 2 numbers"),
         ("ssf_weak_reference", "test_function.support", [1.8, 2.0, 2.2],

@@ -18,6 +18,7 @@ from mh_constructions import (
     flatten_symbol,
     hermitian_eigen,
     linearized_block_symbol,
+    one_point,
     unit,
 )
 from ssf_lab.bumps import Bump1D, ProductCutoff, ScalarPhaseFunction, dilation_generator
@@ -41,6 +42,7 @@ from ssf_lab.symbols import (
     MatrixSymbol,
     NonHermitianError,
     model_potential,
+    require_hermitian,
     schrodinger_symbol,
     shifted_symbol,
 )
@@ -259,7 +261,7 @@ class TestFindDirection:
         h = shifted_symbol(schrodinger_symbol(v), tau0)
         rho0 = np.array([1.0, 1.0])
         d = find_direction(h, rho0)
-        grad = h.gradient(rho0)[:, 0, 0]
+        grad = h.gradient_on(*one_point(rho0))[0][:, 0, 0]
         angles = np.linspace(0, 2 * math.pi, 10000, endpoint=False)
         vals = np.cos(angles) * grad[0] + np.sin(angles) * grad[1]
         best = angles[np.argmax(vals)]
@@ -506,14 +508,14 @@ class TestEscapeChecks:
         g = dilation_generator()
         tau0 = 2.0
         for x in np.linspace(-2.5, 2.5, 21):
-            evals = np.linalg.eigvalsh(v(x))
-            gv = v.gradient(x)[0]
+            evals = np.linalg.eigvalsh(v.on([x])[0])
+            gv = v.gradient_on([x])[0, 0]
             for ek in evals:
                 if tau0 - ek <= 0:
                     continue
                 xi = math.sqrt(tau0 - ek)
-                gp = p.gradient(np.array([x, xi]))
-                gg = g.gradient(x, xi)
+                gp = p.gradient_on([x], [xi])[0]
+                gg = g.gradient_on([x], [xi])[0]
                 bracket = gg[0] * gp[1] - gg[1] * gp[0]
                 dil = 2.0 * (tau0 - ek) * np.eye(2) - x * gv
                 assert np.max(np.abs(bracket - dil)) < 1e-10
@@ -524,13 +526,13 @@ class TestLinearizedAndExtension:
         h = free_symbol(N=1, tau0=1.0)  # H(0,1) = 0
         h0 = linearized_block_symbol(h, [0.0, 1.0])
         for xi in (0.5, 1.0, 2.0, 5.0):
-            assert h0(0.3, xi)[0, 0].real == pytest.approx(-2.0 * (xi - 1.0), abs=1e-12)
+            assert h0.on([0.3], [xi])[0, 0, 0].real == pytest.approx(-2.0 * (xi - 1.0), abs=1e-12)
 
     def test_invertible_point_frozen(self):
         h = free_symbol(N=1, tau0=1.0)
         h0 = linearized_block_symbol(h, [0.0, 2.0])  # H = -3 invertible
         for xi in (0.0, 1.0, 3.0):
-            assert h0(1.0, xi)[0, 0].real == pytest.approx(-3.0, abs=1e-12)
+            assert h0.on([1.0], [xi])[0, 0, 0].real == pytest.approx(-3.0, abs=1e-12)
 
     def test_block_case(self):
         def ev(x, xi):
@@ -542,7 +544,7 @@ class TestLinearizedAndExtension:
         h = MatrixSymbol(N=2, eval_on=ev, grad_on=constant_grad(
             [[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]))
         h0 = linearized_block_symbol(h, [0.0, 1.0])
-        out = h0(0.3, 1.2)
+        out = h0.on([0.3], [1.2])[0]
         assert out[0, 0].real == pytest.approx(0.3 + 0.4, abs=1e-12)
         assert out[1, 1].real == pytest.approx(5.0, abs=1e-12)
         assert abs(out[0, 1]) < 1e-14
@@ -558,7 +560,7 @@ class TestLinearizedAndExtension:
         hd, rep = extend_to_global(h, [0.0, 1.0], [0.0, -1.0], 0.5)
         assert rep.ok
         for rho in ([0.0, 1.1], [3.0, -2.0], [0.0, 40.0]):
-            assert hd(rho[0], rho[1])[0, 0].real == pytest.approx(
+            assert hd.on([rho[0]], [rho[1]])[0, 0, 0].real == pytest.approx(
                 -2.0 * (rho[1] - 1.0), abs=1e-12)
 
     def test_extension_free_symbol_far_field_closed_form(self):
@@ -568,7 +570,7 @@ class TestLinearizedAndExtension:
         assert rep.worst_slack > 0
         # far field is the linearization H0 = -2(xi - 1)
         for xi in (3.0, 5.0, 100.0):
-            assert hd(0.0, xi)[0, 0].real == pytest.approx(-2.0 * (xi - 1.0), abs=1e-10)
+            assert hd.on([0.0], [xi])[0, 0, 0].real == pytest.approx(-2.0 * (xi - 1.0), abs=1e-10)
         # slack at a far-field sample matches the closed form
         c0_, c1_ = rep.C0, rep.C1
         xi = 1.0 + 8.0 * rep.delta
@@ -608,7 +610,7 @@ class TestFlatten:
         a = 1.0
         h = MatrixSymbol(N=1, eval_on=lambda x, xi: np.full((len(x), 1, 1), 3.0 * a))
         hf = flatten_symbol(h, a)
-        val = hf(0.0, 0.0)[0, 0].real
+        val = hf.on([0.0], [0.0])[0, 0, 0].real
         assert a <= val <= 2.0 * a
         assert val == pytest.approx(1.5 * a)
 
@@ -616,7 +618,8 @@ class TestFlatten:
         h = free_symbol(N=1, tau0=1.0)
         hd, rep = extend_to_global(h, [0.0, 1.0], [0.0, -1.0], 0.5)
         # radius over the frozen zone, doubled
-        radius = max(abs(hd(0.0, 1.0 + t)[0, 0].real) for t in np.linspace(-rep.delta, rep.delta, 9))
+        radius = max(abs(hd.on([0.0], [1.0 + t])[0, 0, 0].real)
+                     for t in np.linspace(-rep.delta, rep.delta, 9))
         hf = flatten_symbol(hd, max(2.0 * radius, 0.5))
         grid = np.linspace(-2.0, 2.0, 7)
         worst = min(
@@ -629,7 +632,7 @@ class TestFlatten:
         h = MatrixSymbol(N=2,
                          eval_on=lambda x, xi: (100.0 * x)[:, None, None] * np.diag([1.0, -1.0]))
         hf = flatten_symbol(h, 2.0)
-        assert np.linalg.norm(hf(5.0, 0.0), 2) <= 2 * 2.0 + 1e-12
+        assert np.linalg.norm(hf.on([5.0], [0.0])[0], 2) <= 2 * 2.0 + 1e-12
         with pytest.raises(ValueError):
             flatten_symbol(h, 0.0)
 
@@ -703,9 +706,9 @@ class TestBoundaryValues:
 def _find_direction_loop(h, rho0, kernel_tol=None, coarse=256, refine_steps=40):
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     if kernel_tol is None:
-        kernel_tol = default_kernel_tol(h.at(rho0))
-    grad = h.gradient(rho0)
-    values, vectors = hermitian_eigen(h.at(rho0))
+        kernel_tol = default_kernel_tol(require_hermitian(h.on(*one_point(rho0))[0]))
+    grad = h.gradient_on(*one_point(rho0))[0]
+    values, vectors = hermitian_eigen(require_hermitian(h.on(*one_point(rho0))[0]))
     mask = np.abs(values) <= kernel_tol
     if not np.any(mask):
         mask = np.ones(h.N, dtype=bool)
@@ -742,7 +745,7 @@ def _find_direction_loop(h, rho0, kernel_tol=None, coarse=256, refine_steps=40):
 def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
     tv = unit(t)
-    a = h.at(rho0)
+    a = require_hermitian(h.on(*one_point(rho0))[0])
     if kernel_tol is None:
         kernel_tol = default_kernel_tol(a)
     values, vectors = hermitian_eigen(a)
@@ -804,8 +807,8 @@ def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
     failures, samples = [], []
     eye = np.eye(v.N)
     for x in xs:
-        mat = v(x)
-        gv = v.gradient(x)[0]
+        mat = require_hermitian(v.on([x])[0])
+        gv = v.gradient_on([x])[0, 0]
         sup_v = max(sup_v, float(np.linalg.norm(mat, 2)))
         sup_xdv = max(sup_xdv, 0.5 * float(np.linalg.norm(x * gv, 2)))
         for k, ek in enumerate(hermitian_eigen(mat)[0]):
@@ -828,12 +831,12 @@ def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
 
 def _crossing_condition_loop(v, x0, tau0):
     """(T1, value) of the best candidate, or None when no level touches tau0."""
-    values, vectors = hermitian_eigen(v(x0) - tau0 * np.eye(v.N))
+    values, vectors = hermitian_eigen(require_hermitian(v.on([x0])[0]) - tau0 * np.eye(v.N))
     mask = np.abs(values) <= default_shell_tol(tau0)
     if not np.any(mask):
         return None
     vk = vectors[:, mask]
-    proj = np.stack([vk.conj().T @ gi @ vk for gi in v.gradient(x0)])
+    proj = np.stack([vk.conj().T @ gi @ vk for gi in v.gradient_on([x0])[0]])
     cands = [np.array([1.0]), np.array([-1.0])]
     vals = [float(np.linalg.eigvalsh(np.tensordot(c, proj, axes=(0, 0))).min()) for c in cands]
     i_best = int(np.argmax(vals))
@@ -845,8 +848,8 @@ def _escape_check_general_loop(p, g, tau0, box, grid_points):
     pts = shell_sample(p, tau0, box, default_shell_tol(tau0), grid_points)
     ws = []
     for x, xi in pts:
-        gp = p.gradient(np.array([x, xi]))
-        gg = g.gradient(x, xi)
+        gp = p.gradient_on([x], [xi])[0]
+        gg = g.gradient_on([x], [xi])[0]
         ws.append(float(np.linalg.eigvalsh(gg[0] * gp[1] - gg[1] * gp[0]).min()))
     return pts, ws
 
@@ -988,7 +991,8 @@ class TestBatchedMatchesLoops:
     ], ids=["conical", "avoided", "reference", "complex"])
     def test_crossing_condition(self, v, x0, level):
         # tau0 on the lower or upper level of V(x), or on neither
-        tau0 = 1.0 if level is None else float(np.linalg.eigvalsh(v(x0))[level])
+        tau0 = 1.0 if level is None else float(
+            np.linalg.eigvalsh(require_hermitian(v.on([x0])[0]))[level])
         res = crossing_condition(v, x0, tau0)
         ref = _crossing_condition_loop(v, x0, tau0)
         if ref is None:

@@ -11,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (PEAK_RSS_SOURCE, MatrixCutoff, cutoff_matrix, full_matrix,
-                      merged_split_pairs, plane_waves, random_hermitian)
+from conftest import (PEAK_RSS_SOURCE, MatrixCutoff, cutoff_integral, cutoff_matrix,
+                      full_matrix, merged_split_pairs, plane_waves, random_hermitian, sized_grid)
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab import quadrature
 from ssf_lab.coefficients import bump_test_function
@@ -44,8 +44,8 @@ from ssf_lab.quantization import GridOperator
 from ssf_lab.symbols import MatrixPotential, model_potential
 
 
-def small_grid(h=0.25, R=6.0, tau_max=1.5, M=None):
-    return Grid1D(R=R, M=M or required_points(R, h, tau_max), h=h, tau_max=tau_max)
+def small_grid(h=0.25, R=6.0, tau_max=1.5):
+    return Grid1D(R=R, h=h, tau_max=tau_max)
 
 
 def solved_pairs(op, window=(-math.inf, math.inf)):
@@ -119,25 +119,28 @@ ASSEMBLY_MODELS = [
 
 class TestGrid:
     def test_geometry(self):
-        g = Grid1D(R=6.0, M=128, h=0.25)
+        g = sized_grid(128, 0.25)
         assert g.M * g.dx == pytest.approx(2 * g.R, abs=0)
         assert g.dp == pytest.approx(math.pi * g.h / g.R)
         assert len(g.nodes) == 128 and g.nodes[0] == -6.0
         assert g.momenta[0] == -g.dp * 64 and g.momenta[-1] == g.dp * 63
 
     def test_coverage_rule(self):
-        need = required_points(6.0, 0.25, 1.5)
-        g = Grid1D(R=6.0, M=need, h=0.25, tau_max=1.5)
-        assert g.p_max >= 2.0 * math.sqrt(1.5)
-        with pytest.raises(CoverageError) as err:
-            Grid1D(R=6.0, M=need - 2, h=0.25, tau_max=1.5)
-        assert err.value.required_m == need
+        # M is the fewest even points whose momenta cover twice the shell
+        # radius at tau_max
+        g = Grid1D(R=6.0, h=0.25, tau_max=1.5)
+        assert g.M == required_points(6.0, 0.25, 1.5) and g.M % 2 == 0
+        assert g.p_max >= 2.0 * math.sqrt(1.5) > g.dp * (g.M // 2 - 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Grid1D(R=6.0, M=127, h=0.25)
-        with pytest.raises(ValueError):
-            Grid1D(R=-1.0, M=128, h=0.25)
+        for bad in ({"R": -1.0}, {"h": 0.0}, {"tau_max": 0.0}, {"tau_max": -1.5}):
+            with pytest.raises(ValueError, match="must be positive"):
+                Grid1D(**{"R": 6.0, "h": 0.25, "tau_max": 1.5, **bad})
+        # tau_max is required, and M is derived from it
+        with pytest.raises(TypeError):
+            Grid1D(R=6.0, h=0.25)
+        with pytest.raises(TypeError):
+            Grid1D(R=6.0, M=128, h=0.25, tau_max=1.5)
 
 
 class TestBuildSchrodinger:
@@ -158,7 +161,7 @@ class TestBuildSchrodinger:
         assert np.array_equal(op.eigenvalues(), np.sort(g.momenta**2 + 0.7))
 
     def test_hermitian_and_reconstruction(self):
-        g = small_grid(h=0.5, M=64)
+        g = sized_grid(64, 0.5)
         op = build_schrodinger(model_potential("reference"), g)
         mat = full_matrix(op)
         scale = np.max(np.abs(mat))
@@ -170,7 +173,7 @@ class TestBuildSchrodinger:
         v = model_potential("diagonal_bumps", depths=[-4.0], centers=[0.0],
                             widths=[2.0], v_inf=[4.0])
         h0 = 0.5
-        e0 = build_schrodinger(v, Grid1D(R=6.0, M=128, h=h0)).eigenvalues()[0]
+        e0 = build_schrodinger(v, sized_grid(128, h0)).eigenvalues()[0]
         m_f = 512
         xs = -6.0 + 12.0 * np.arange(m_f) / m_f
         dx = 12.0 / m_f
@@ -185,13 +188,13 @@ class TestBuildSchrodinger:
         assert abs(e0 - e0_fd) / abs(e0_fd) < 1e-6
 
     def test_analytic_pairs_reconstruct(self):
-        g = small_grid(h=0.5, M=64)
+        g = sized_grid(64, 0.5)
         op = build_schrodinger(model_potential("constant", v_inf=[0.3, 0.9], N=2), g)
         assert reconstruction_residual(op) < 1e-10
 
     @pytest.mark.parametrize("v", ASSEMBLY_MODELS, ids=lambda v: v.name)
     def test_assembly_matches_kron_reference(self, v, kron_reference):
-        g = small_grid(h=0.25, M=48)
+        g = sized_grid(48, 0.25)
         op = build_schrodinger(v, g)
         ref = kron_reference(v, g)
         assert op.matrix.dtype == ref.dtype
@@ -200,14 +203,14 @@ class TestBuildSchrodinger:
     @pytest.mark.parametrize("v", ASSEMBLY_MODELS, ids=lambda v: v.name)
     def test_stored_triangle_matches_kron_reference(self, v, kron_reference):
         # the operator holds the upper triangle and zeros below it
-        g = small_grid(h=0.25, M=48)
+        g = sized_grid(48, 0.25)
         op = build_schrodinger(v, g)
         assert np.array_equal(np.triu(op.matrix), np.triu(kron_reference(v, g)))
         assert not np.any(np.tril(op.matrix, -1))
 
     @pytest.mark.parametrize("v", ASSEMBLY_MODELS[:4], ids=lambda v: v.name)
     def test_values_are_the_bits_of_the_mirrored_reference(self, v, kron_reference):
-        g = small_grid(h=0.25, M=48)
+        g = sized_grid(48, 0.25)
         op = build_schrodinger(v, g)
         expect = np.linalg.eigvalsh(kron_reference(v, g))
         assert np.array_equal(np.linalg.eigvalsh(full_matrix(op)), expect)
@@ -218,7 +221,7 @@ class TestBuildSchrodinger:
     def test_non_finite_potential_rejected(self, monkeypatch, bad):
         # the samples are checked where the assembled matrix used to be: at
         # one node, before anything is assembled
-        g = small_grid(h=0.25, M=48)
+        g = sized_grid(48, 0.25)
         spot = g.nodes[17]
 
         def field(xs):
@@ -278,7 +281,7 @@ class TestBuildSchrodinger:
         assert grown <= rows + 2**20
 
     def test_constant_potential_assembles_on_demand(self, kron_reference):
-        g = small_grid(h=0.25, M=48)
+        g = sized_grid(48, 0.25)
         v = model_potential("constant", v_inf=[0.3, 0.9], N=2)
         op = build_schrodinger(v, g)
         op.eigenpairs()
@@ -511,7 +514,7 @@ class TestMemoryAdmission:
         monkeypatch.setattr(qz, "_assemble_schrodinger", stub)
         monkeypatch.setattr(qz, "physical_memory", lambda: 8 * 10**9)
         with pytest.raises(Reached) as reached:
-            build_schrodinger(model_potential("reference"), Grid1D(R=12.0, M=8192, h=1 / 512))
+            build_schrodinger(model_potential("reference"), sized_grid(8192, 1 / 512, R=12.0))
         assert reached.value.args == (16384,)
 
     @pytest.mark.parametrize("v", [model_potential("reference"),
@@ -598,12 +601,12 @@ class TestGridOperatorInterface:
 
     @pytest.mark.parametrize("keyword", ["matrix", "rows", "upper_only"])
     def test_removed_keyword_refused(self, keyword):
-        g = small_grid(h=0.5, M=32)
+        g = sized_grid(32, 0.5)
         with pytest.raises(TypeError, match=keyword):
             GridOperator(grid=g, N=1, assemble=lambda: np.eye(g.M), **{keyword: np.eye(g.M)})
 
     def test_assembler_required(self):
-        g = small_grid(h=0.5, M=32)
+        g = sized_grid(32, 0.5)
         with pytest.raises(TypeError, match="assemble"):
             GridOperator(grid=g, N=1)
 
@@ -696,7 +699,7 @@ class TestDenseSolve:
         # a contiguous copy that would make every page resident; a split
         # operator's channels each solve the block they hold, for its values
         # and for their own pairs
-        op = build_schrodinger(v, small_grid(h=0.25, M=m))
+        op = build_schrodinger(v, sized_grid(m, 0.25))
         parts = getattr(op, "channels", [op])
         held = [part.matrix for part in parts]
         assert all(mat.strides[0] > mat.shape[1] * mat.itemsize for mat in held)
@@ -748,7 +751,7 @@ class TestWindowedSolve:
     def test_dense(self, monkeypatch, rng, kind, fallback):
         if fallback:
             monkeypatch.setattr(qz, "_lapack_eigh", lambda: None)
-        g = small_grid(h=0.5, M=96)
+        g = sized_grid(96, 0.5)
         a = random_matrix(rng, g.M, kind)
         expect_vals, expect_vecs = np.linalg.eigh(a)
         lo, hi = self.gap_window(expect_vals, 20, 51)
@@ -770,7 +773,7 @@ class TestWindowedSolve:
         # in the window, one at lo is not
         if fallback:
             monkeypatch.setattr(qz, "_lapack_eigh", lambda: None)
-        g = Grid1D(R=6.0, M=8, h=0.5)
+        g = sized_grid(8, 0.5)
         a = np.diag(np.arange(8.0))
         for (lo, hi), expect in [((2.0, 5.0), [3.0, 4.0, 5.0]), ((2.5, 3.0), [3.0]),
                                  ((-1.0, 0.0), [0.0]), ((7.0, 9.0), [])]:
@@ -877,7 +880,7 @@ class TestMatrixOwnership:
         # an operator that assembles a copy of a caller's whole array solves
         # on that copy, as LAPACK reads its upper triangle: the array is
         # never written, and each solve assembles afresh
-        g = small_grid(h=0.5, M=64)
+        g = sized_grid(64, 0.5)
         a = random_matrix(rng, g.M, kind)
         before = a.copy()
         op = dense_operator(g, 1, a)
@@ -932,7 +935,7 @@ class TestWeylQuantize:
         g = small_grid(h=1 / 64)
         a = weyl_quantize(CHI, g)
         tr = float(np.trace(cutoff_matrix(a)).real)
-        target = CHI.integral(order=400) / (2.0 * math.pi * g.h)
+        target = cutoff_integral(CHI) / (2.0 * math.pi * g.h)
         assert abs(tr - target) <= 1e-8 * abs(target)
 
     def test_product_vs_general_path(self):
@@ -959,7 +962,7 @@ class TestWeylQuantize:
         # the blocked build against the product of the full M x M tables, on
         # the trace configs' grids; every grid has the antipodal tie
         monkeypatch.setattr(qz, "_WEYL_BLOCK", block)
-        g = Grid1D(R=R, M=required_points(R, h, tau_max), h=h)
+        g = Grid1D(R=R, h=h, tau_max=tau_max)
         chi = ProductCutoff(g=Bump1D(0, 2.0), k=k)
         kappa = np.fft.ifft(chi.k(g.momenta_fft_order))
         delta, mid_idx, ambiguous = index_tables(g)

@@ -12,11 +12,9 @@ from mh_constructions import ssf_counting
 from ssf_lab.coefficients import a0, bump_test_function, c0, plateau_test_function
 from ssf_lab.quantization import (
     ConfigError,
-    CoverageError,
     Grid1D,
     WindowTheta,
     build_schrodinger,
-    required_points,
 )
 from ssf_lab import quantization as qz
 from ssf_lab import ssf as ssf_mod
@@ -96,7 +94,7 @@ def gauss_well(depth=-1.0):
 
 
 def make_grid(h=1 / 16, R=12.0, tau_max=2.0):
-    return Grid1D(R=R, M=required_points(R, h, tau_max), h=h, tau_max=tau_max)
+    return Grid1D(R=R, h=h, tau_max=tau_max)
 
 
 def make_pair(v, h=1 / 16, R=12.0, tau_max=2.0):
@@ -150,7 +148,7 @@ class TestBuildPair:
         nodes = grid.nodes
         for j in (0, len(nodes) // 2, len(nodes) - 1):
             sl = slice(j * 2, (j + 1) * 2)
-            assert np.allclose(diff[sl, sl], v(nodes[j]) - v.v_infinity, atol=1e-12)
+            assert np.allclose(diff[sl, sl], v.on([nodes[j]])[0] - v.v_infinity, atol=1e-12)
         off = diff.copy()
         for j in range(len(nodes)):
             off[j * 2:(j + 1) * 2, j * 2:(j + 1) * 2] = 0.0
@@ -162,7 +160,7 @@ class TestBuildPair:
         p1 = build_schrodinger(v, grid)
         p0 = build_schrodinger(free_potential(v), grid)
         lhs = float(np.trace(full_matrix(p1) - full_matrix(p0)).real)
-        rhs = float(sum(np.trace(v(x) - v.v_infinity).real for x in grid.nodes))
+        rhs = float(sum(np.trace(v.on([x])[0] - v.v_infinity).real for x in grid.nodes))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("v", [gauss_well(), model_potential("reference")],
@@ -249,13 +247,9 @@ class TestBuildPair:
 
     def test_margin_rejection(self):
         wide = model_potential("diagonal_bumps", depths=[1.0], centers=[0.0], widths=[6.0])
-        grid = Grid1D(R=8.0, M=required_points(8.0, 1 / 8, 2.0), h=1 / 8, tau_max=2.0)
+        grid = Grid1D(R=8.0, h=1 / 8, tau_max=2.0)
         with pytest.raises(MarginError):
             build_pair(wide, grid)
-
-    def test_coverage_rejection(self):
-        with pytest.raises(CoverageError):
-            Grid1D(R=12.0, M=64, h=1 / 64, tau_max=2.0)
 
 
 class TestWeakPairing:
@@ -327,7 +321,7 @@ class TestCounting:
         v_shift = model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0],
                                   widths=[1.0], v_inf=[c])
         h = 1 / 8
-        grid = Grid1D(R=12.0, M=required_points(12.0, h, 3.0), h=h, tau_max=3.0)
+        grid = Grid1D(R=12.0, h=h, tau_max=3.0)
         p1 = build_pair(v, grid)
         p2 = build_pair(v_shift, grid)
         for tau in (-0.6, 0.35, 1.1):

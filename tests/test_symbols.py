@@ -86,26 +86,26 @@ class TestBranches:
             eval_on=lambda xs: np.stack([np.exp(-xs * xs), np.full_like(xs, 2.0)],
                                         axis=1)[:, :, None] * np.eye(2),
         )
-        assert np.allclose(hermitian_eigen(v(0.0))[0], [1.0, 2.0], atol=0)
+        assert np.allclose(hermitian_eigen(v.on([0.0])[0])[0], [1.0, 2.0], atol=0)
 
     def test_linear_crossing(self):
         v = MatrixPotential(N=2, eval_on=lambda xs: xs[:, None, None] * SIGMA3,
                             v_infinity=np.zeros((2, 2)))
-        assert np.allclose(hermitian_eigen(v(-0.5))[0], [-0.5, 0.5], atol=1e-15)
-        assert np.allclose(hermitian_eigen(v(0.0))[0], [0.0, 0.0], atol=0)
+        assert np.allclose(hermitian_eigen(v.on([-0.5])[0])[0], [-0.5, 0.5], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v.on([0.0])[0])[0], [0.0, 0.0], atol=0)
 
     def test_reference_closed_form(self):
         v = model_potential("reference")
-        assert np.allclose(hermitian_eigen(v(0.0))[0], VREF0_BRANCHES, atol=1e-13)
+        assert np.allclose(hermitian_eigen(v.on([0.0])[0])[0], VREF0_BRANCHES, atol=1e-13)
 
     def test_weyl_continuity_bound(self, rng):
         v = model_potential("reference")
         for _ in range(50):
             x = float(rng.uniform(-3, 3))
             d = float(rng.uniform(-0.3, 0.3))
-            e0 = hermitian_eigen(v(x))[0]
-            e1 = hermitian_eigen(v(x + d))[0]
-            gap = float(np.linalg.norm(v(x + d) - v(x), 2))
+            e0 = hermitian_eigen(v.on([x])[0])[0]
+            e1 = hermitian_eigen(v.on([x + d])[0])[0]
+            gap = float(np.linalg.norm(v.on([x + d])[0] - v.on([x])[0], 2))
             assert np.max(np.abs(e1 - e0)) <= gap + 1e-10
 
 
@@ -113,9 +113,9 @@ class TestSymbolGradient:
     def test_schrodinger_kinetic_exact(self):
         v = model_potential("reference")
         p = schrodinger_symbol(v)
-        g = p.gradient(np.array([0.3, 1.7]))
+        g = p.gradient_on([0.3], [1.7])[0]
         assert np.array_equal(g[1], 2.0 * 1.7 * np.eye(2))
-        assert np.allclose(g[0], v.gradient(0.3)[0], atol=0)
+        assert np.allclose(g[0], v.gradient_on([0.3])[0, 0], atol=0)
 
     def test_sin_symbol_analytic_vs_fd(self):
         def ev(x, xi):
@@ -127,9 +127,8 @@ class TestSymbolGradient:
 
         h_exact = MatrixSymbol(N=2, eval_on=ev, grad_on=gr)
         h_fd = MatrixSymbol(N=2, eval_on=ev)
-        rho = np.array([0.0, 1.0])
-        ga = h_exact.gradient(rho)
-        gf = h_fd.gradient(rho)
+        ga = h_exact.gradient_on([0.0], [1.0])[0]
+        gf = h_fd.gradient_on([0.0], [1.0])[0]
         assert np.allclose(ga[0], SIGMA1, atol=0)
         assert np.allclose(ga[1], 2.0 * np.eye(2), atol=0)
         assert np.max(np.abs(ga - gf)) < 1e-8
@@ -139,9 +138,9 @@ class TestSymbolGradient:
         p = schrodinger_symbol(v)
         p_fd = MatrixSymbol(N=2, eval_on=p.eval_on)
         for _ in range(100):
-            rho = rng.uniform(-2, 2, size=2)
-            ga = p.gradient(rho)
-            gf = p_fd.gradient(rho)
+            x, xi = rng.uniform(-2, 2, size=(2, 1))
+            ga = p.gradient_on(x, xi)[0]
+            gf = p_fd.gradient_on(x, xi)[0]
             scale = max(1.0, float(np.max(np.abs(ga))))
             assert np.max(np.abs(ga - gf)) / scale < 1e-6
 
@@ -149,36 +148,36 @@ class TestSymbolGradient:
         # a potential without grad_on falls back to central differences in x
         ref = model_potential("reference")
         fd = MatrixPotential(N=2, eval_on=ref.eval_on, v_infinity=ref.v_infinity)
-        for x in np.linspace(-3.0, 3.0, 25):
-            np.testing.assert_allclose(fd.gradient(x), ref.gradient(x), rtol=0, atol=1e-8)
+        xs = np.linspace(-3.0, 3.0, 25)
+        np.testing.assert_allclose(fd.gradient_on(xs), ref.gradient_on(xs), rtol=0, atol=1e-8)
 
     def test_hermitian_output_everywhere(self, rng):
         p = schrodinger_symbol(model_potential("conical_crossing"))
         for _ in range(20):
             x, xi = rng.uniform(-2, 2, size=2)
-            m = p(x, xi)
+            m = p.on([x], [xi])[0]
             assert np.max(np.abs(m - m.conj().T)) < 1e-14
 
 
 class TestModelPotentials:
     def test_constant_zero(self):
         v = model_potential("constant", v_inf=0.0, N=2)
-        assert np.array_equal(v(1.3), np.zeros((2, 2)))
-        assert np.array_equal(v.gradient(1.3), np.zeros((1, 2, 2)))
+        assert np.array_equal(v.on([1.3]), np.zeros((1, 2, 2)))
+        assert np.array_equal(v.gradient_on([1.3]), np.zeros((1, 1, 2, 2)))
 
     def test_conical_crossing_branches(self):
         v = model_potential("conical_crossing")
         for x in (-1.1, -0.2, 0.4, 2.0):
             expect = abs(x) * math.exp(-x * x)
-            assert np.allclose(hermitian_eigen(v(x))[0], [-expect, expect], atol=1e-15)
-        assert np.allclose(hermitian_eigen(v(0.0))[0], [0.0, 0.0], atol=0)
+            assert np.allclose(hermitian_eigen(v.on([x])[0])[0], [-expect, expect], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v.on([0.0])[0])[0], [0.0, 0.0], atol=0)
 
     def test_avoided_crossing_gap(self):
         v = model_potential("avoided_crossing", gap=0.35)
-        assert np.allclose(hermitian_eigen(v(0.0))[0], [-0.35, 0.35], atol=1e-15)
+        assert np.allclose(hermitian_eigen(v.on([0.0])[0])[0], [-0.35, 0.35], atol=1e-15)
         # away from zero the branches avoid each other by at least the gap
         for x in (-1.0, 0.5, 1.5):
-            e = hermitian_eigen(v(x))[0]
+            e = hermitian_eigen(v.on([x])[0])[0]
             assert e[1] - e[0] >= 2 * 0.35 - 1e-12
 
     def test_invalid_params(self):
@@ -220,13 +219,12 @@ class TestSymbolConstruction:
     def test_shifted_symbol(self):
         v = model_potential("constant", v_inf=0.0, N=1)
         h = shifted_symbol(schrodinger_symbol(v), 1.0)
-        assert h(0.0, 1.0)[0, 0] == 0.0
-        assert h(0.0, 0.0)[0, 0] == 1.0
+        assert h.on([0.0, 0.0], [1.0, 0.0])[:, 0, 0].tolist() == [0.0, 1.0]
 
     def test_combine_potentials(self):
         v0 = model_potential("conical_crossing")
         v1 = model_potential("constant", v_inf=0.0, N=2)
         w = combine_potentials(v0, v1)
-        assert np.allclose(w(0.7), v0(0.7), atol=0)
+        assert np.allclose(w.on([0.7]), v0.on([0.7]), atol=0)
         with pytest.raises(ValueError):
             combine_potentials(v0, model_potential("constant", v_inf=0.0, N=1))
