@@ -15,11 +15,11 @@ defined modulo the timings block (see ``report_identity_bytes``).
 The trace and ssf experiments are h-sweeps, run by ``_run_sweep``: each
 writes the rows of one ``SweepReport`` (columns h, value, reference,
 rel_error, fitted_slope) and its verdict.  Every config is refused at
-ingest where its run cannot finish, and a sweep's verdict is issued only
-where a certificate carries the hypothesis (``_HYPOTHESIS``, ``_KINDS``); its
-checks are the numerics alone.
-``ConfigError`` lives beside that report in the quantization module and is
-re-exported here.
+ingest where its run cannot finish, a sweep's verdict is issued only where
+a certificate carries the hypothesis (``_HYPOTHESIS``, ``_KINDS``), and a
+comparison's leading term is made here (``_REFERENCES``); its checks are
+the numerics alone.  ``ConfigError`` lives beside that report in the
+quantization module and is re-exported here.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,11 +37,13 @@ from . import microhyperbolicity as mh
 from . import quantization as qz
 from . import ssf as ssf_mod
 from .bumps import Bump1D, ProductCutoff, dilation_generator
+from .quadrature import QuadratureError
 from .quantization import ConfigError
 from .symbols import (MODEL_PARAMS, MatrixPotential, combine_potentials, model_potential,
                       schrodinger_symbol)
 
 __all__ = [
+    "CertificateError",
     "ConfigError",
     "ExperimentConfig",
     "reference_potential",
@@ -340,6 +342,31 @@ def _certificate(inputs: dict, shared: dict):
     return shared[key]
 
 
+class CertificateError(RuntimeError):
+    """A quantity the check's hypothesis should make finite does not converge."""
+
+
+def _localized_density(i: dict) -> float:
+    """gamma0_localized at tau0; CertificateError where it diverges."""
+    try:
+        return coeffs.gamma0_localized(i["v"], i["chi"], i["tau0"])
+    except QuadratureError as err:
+        raise CertificateError("localized density did not converge at this tau") from err
+
+
+def _times_f(density):
+    """The one rule of thm3 and derivative: f(tau0) times a density at tau0."""
+    return lambda i: float(i["f"](i["tau0"])) * density(i)
+
+
+# Each comparison's leading term; coeffs is read at the call, so that rebinding it takes effect.
+_REFERENCES = {
+    "thm3": _times_f(_localized_density),
+    "derivative": _times_f(lambda i: coeffs.gamma0(i["v"], i["tau0"])),
+    "weak": lambda i: coeffs.c0(i["v"], i["f"]),
+    "weyl": lambda i: coeffs.a0(i["v"], i["taus"]),
+}
+
 # the config key and input of the energies at which each experiment takes
 # gamma0 or a0 of its potential: coeffs and weyl take a0, so a zero limit
 _REFERENCE_ENERGIES = {"coeffs": ("tau_grid", "taus"), "weyl": ("tau_grid", "taus"),
@@ -491,8 +518,8 @@ def _run_coeffs(cfg: ExperimentConfig):
 def _run_sweep(cfg: ExperimentConfig, shared: dict):
     """One trace or ssf h-sweep, gated by its hypothesis (``_HYPOTHESIS``): a
     certificate neither valid nor on an empty shell gives NOT_CERTIFIED
-    before any operator or pair is built, save where the variant records it
-    ungated.  The configs of one run share certificates and pairs (``shared``)."""
+    before any reference, operator or pair is made, save where the variant
+    records it ungated.  The configs of one run share certificates and pairs."""
     inputs, variant = cfg.inputs, cfg.variant
     v, grids, limits = inputs["v"], inputs["grids"], inputs["limits"]
     chi, f, window, tau0, taus = map(inputs.get, ("chi", "f", "window", "tau0", "taus"))
@@ -502,6 +529,7 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         certificates.append(cert.to_json_dict())
         if inputs["gated"] and not cert.certifies:
             return _sweep_table(None), certificates, {variant: "NOT_CERTIFIED"}
+    reference = _REFERENCES[variant](inputs) if variant in _REFERENCES else None
 
     if variant == "thm1":
         rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
@@ -509,21 +537,20 @@ def _run_sweep(cfg: ExperimentConfig, shared: dict):
         rep = qz.theorem2_check(v, inputs["v1"], chi, f, taus, grids, window,
                                 d_sep=inputs["d_sep"], **limits)
     elif variant == "thm3":
-        rep = qz.theorem3_check(v, chi, f, tau0, grids, window, **limits)
+        rep = qz.theorem3_check(v, chi, f, tau0, grids, window, reference, **limits)
     else:
         pairs = []
         for grid in grids:
-            key = ("pair", inputs["model"], grid)
+            key = ("pair", inputs["model"], grid.R, grid.h, grid.M)
             if key not in shared:
                 shared[key] = ssf_mod.build_pair(v, grid)
-            pairs.append(shared[key])
+            pairs.append(replace(shared[key], grid=grid))
         if variant == "weak":
-            rep = ssf_mod.weak_check(pairs, f, coeffs.c0(v, f), **limits)
+            rep = ssf_mod.weak_check(pairs, f, reference, **limits)
         elif variant == "weyl":
-            rep = ssf_mod.weyl_check(pairs, taus, coeffs.a0(v, taus), window, **limits)
+            rep = ssf_mod.weyl_check(pairs, taus, reference, window, **limits)
         else:
-            rep = ssf_mod.derivative_check(pairs, tau0, f, window, coeffs.gamma0(v, tau0),
-                                           **limits)
+            rep = ssf_mod.derivative_check(pairs, tau0, f, window, reference, **limits)
     return _sweep_table(rep), certificates, {variant: rep.verdict}
 
 

@@ -92,7 +92,6 @@ class MicrohyperbolicityCertificate:
     tau0: float | None = None
     empty_shell: bool = False
     failures: list = field(default_factory=list)
-    per_point_T: np.ndarray | None = None
 
     @property
     def certifies(self) -> bool:
@@ -345,8 +344,8 @@ def check_on_energy_shell(
 
     A direction ``T`` is checked at every shell point (a zero or
     non-finite one is a ValueError before the shell is sampled); without
-    one each point searches its own, recorded in ``per_point_T``.  The kernel
-    tolerance is the shell tolerance, so that branches within the
+    one each point searches its own, which the certificate does not keep.
+    The kernel tolerance is the shell tolerance, so that branches within the
     sampling thickness of the shell count as near-kernel.  H, its
     gradient and its eigh at all shell points are each one stacked call
     (``_jets``), shared by the direction search and the pointwise check.
@@ -382,7 +381,6 @@ def check_on_energy_shell(
     return MicrohyperbolicityCertificate(
         valid=True, points=pts, T=t_fixed, C0=float(c0.min()), C1=worst_c1,
         kernel_tol=kernel_tol, margin=float(margin.min()), tau0=tau0,
-        per_point_T=directions if t_fixed is None else None,
     )
 
 

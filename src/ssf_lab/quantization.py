@@ -34,12 +34,12 @@ y = 1200) ship with the package (``scripts/window_profiles.py``), one
 table per window shape, interpolated by cubic Hermite polynomials.
 
 Every h-sweep ends in one ``SweepReport`` from ``sweep_verdict``: a value
-per h, the relative errors against a reference, the least-squares log-log
-order of the errors (at least 3 h with max/min >= 4) and PASS/FAIL in a
-decay or a comparison form.  The three trace-formula checks below are such
-sweeps, one value per grid (none when supp f reaches above a grid's
-tau_max: ``WindowRangeError``); the ssf module holds the weak,
-Weyl-type and derivative sweeps, one value per ``SpectralPair``.
+per h, the relative errors against a reference its caller makes, the
+least-squares log-log order of the errors (at least 3 h with max/min >= 4)
+and PASS/FAIL in a decay or a comparison form.  The three trace-formula
+checks below are such sweeps, one value per grid (none when supp f reaches
+above a grid's tau_max: ``WindowRangeError``); the ssf module holds the
+weak, Weyl-type and derivative sweeps, one value per ``SpectralPair``.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ from typing import ClassVar
 import numpy as np
 
 from .bumps import ProductCutoff, bump_profile, transition
-from .quadrature import QuadratureError
 from .symbols import MatrixPotential, _hermitian_parts
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "window_primitive",
     "smoothed_trace",
     "ConfigError",
-    "CertificateError",
     "SweepReport",
     "sweep_verdict",
     "theorem1_check",
@@ -1012,10 +1010,6 @@ class ConfigError(ValueError):
     """Config fails schema validation."""
 
 
-class CertificateError(RuntimeError):
-    """A quantity the check's hypothesis should make finite does not converge."""
-
-
 def _check_ladder(hs) -> None:
     """ConfigError unless the h-ladder admits a slope fit."""
     if len(hs) < 3 or float(np.max(hs) / np.min(hs)) < 4.0:
@@ -1175,23 +1169,15 @@ def theorem2_check(v0: MatrixPotential, v1: MatrixPotential, chi: ProductCutoff,
 
 
 def theorem3_check(v: MatrixPotential, chi: ProductCutoff, f, tau: float, grids,
-                   window: WindowTheta, *, rel_threshold: float = 0.05,
+                   window: WindowTheta, reference: float, *, rel_threshold: float = 0.05,
                    order_threshold: float = 1.0) -> SweepReport:
     """Leading term of the localized trace: 2 pi h tr(...) against
-    f(tau) * gamma0_localized(tau), with the fitted order of the residual.
-    CertificateError, before any operator is built, where the localized
-    density does not converge (a branch critical value in supp chi)."""
-    from .coefficients import gamma0_localized
-
+    ``reference``, its limit f(tau) * gamma0_localized(tau), with the fitted
+    order of the residual."""
     if not window.is_even:
         raise ValueError("the leading-term check uses the even window")
     for grid in grids:
         _check_window(grid, f.support[1])
-    try:
-        dens = gamma0_localized(v, chi, tau)
-    except QuadratureError as err:
-        raise CertificateError("localized density did not converge at this tau") from err
-    reference = float(f(tau)) * dens
     values = []
     for grid in grids:
         tr = smoothed_trace(weyl_quantize(chi, grid), build_schrodinger(v, grid), f, window, tau)

@@ -15,14 +15,14 @@ the leading coefficients of the coefficients module:
 
 * 2 pi h * (-tr(f(P1) - f(P0)))        ->  c0(f)        (weak pairing),
 * 2 pi h * mollified counting diff     ->  a0(tau)      (integrated form),
-* 2 pi h * mollified density diff      ->  gamma0(tau)  (derivative form).
+* 2 pi h * mollified density diff      ->  f(tau) gamma0(tau)  (derivative form).
 
 The three h-sweeps below (``weak_check``, ``weyl_check``,
 ``derivative_check``) take a list of ``SpectralPair`` in sweep order, h
-decreasing, and end in the quantization module's ``SweepReport``: comparison verdicts on the last
-relative error and the fitted order of the residuals.  They are the
-numerics alone: the harness decides, from the escape certificate, whether
-the Weyl-type and derivative verdicts are issued at all.
+decreasing, and the leading term ``reference``, and end in a comparison
+``SweepReport``.  They are the numerics alone: the harness makes each
+reference (``_REFERENCES``) and decides, from the escape certificate,
+whether the Weyl-type and derivative verdicts are issued at all.
 """
 from __future__ import annotations
 
@@ -134,37 +134,37 @@ def ssf_mollified(pair: SpectralPair, w: WindowTheta, tau):
 def weak_check(
     pairs: list[SpectralPair],
     f: TestFunction,
-    c0_reference: float,
+    reference: float,
     *,
     order_threshold: float = 1.5,
     rel_threshold: float = 0.03,
 ) -> SweepReport:
-    """2 pi h * weak pairing against the closed-form c0(f), with the fitted
-    order of the residual.  The weak asymptotics need no certificate.
-    """
+    """2 pi h * weak pairing against ``reference``, the closed-form c0(f),
+    with the fitted order of the residual; the weak asymptotics need no
+    certificate."""
     values = [2.0 * math.pi * pair.h * weak_pairing(pair, f) for pair in pairs]
     return sweep_verdict([pair.h for pair in pairs], values, order_threshold, rel_threshold,
-                         reference=c0_reference)
+                         reference=reference)
 
 
 def weyl_check(
     pairs: list[SpectralPair],
     taus,
-    a0_reference,
+    reference,
     w: WindowTheta,
     *,
     order_threshold: float = 0.7,
     rel_threshold: float = 0.05,
 ) -> SweepReport:
-    """sup-tau error of 2 pi h * mollified counting against the closed-form
-    leading coefficient a0 on ``taus``, with the fitted order of the remainder.
+    """sup-tau error of 2 pi h * mollified counting against ``reference``, the
+    closed-form a0 on ``taus``, with the fitted order of the remainder.
 
     The report's values are the sup errors, its reference is max |a0| and
     its relative errors are the sup of the pointwise ones.  The expansion
     holds under a shell or escape hypothesis for the window.
     """
     taus = np.asarray(taus, dtype=float)
-    ref = np.asarray(a0_reference, dtype=float)
+    ref = np.asarray(reference, dtype=float)
     sup_err = []
     sup_rel = []
     for pair in pairs:
@@ -193,20 +193,19 @@ def derivative_check(
     tau0: float,
     f: TestFunction,
     w: WindowTheta,
-    gamma0_reference: float,
+    reference: float,
     *,
     order_threshold: float = 1.5,
     rel_threshold: float = 0.05,
 ) -> SweepReport:
-    """Fixed-eps mollified density difference at tau0 against the closed-form
-    density coefficient; the residual should carry the even-power signature.
-
-    The pointwise expansion holds under the escape hypothesis; ``f`` should
-    be 1 near tau0.
+    """Fixed-eps mollified density difference at tau0 against ``reference``,
+    its limit f(tau0) * gamma0(tau0); the residual should carry the
+    even-power signature.  The pointwise expansion holds under the escape
+    hypothesis.
     """
     if not w.is_even:
         raise ValueError("derivative check uses the even window")
     values = [2.0 * math.pi * pair.h * mollified_density_pairing(pair, f, w, tau0)
               for pair in pairs]
     return sweep_verdict([pair.h for pair in pairs], values, order_threshold, rel_threshold,
-                         reference=float(gamma0_reference))
+                         reference=float(reference))

@@ -207,6 +207,7 @@ class TestCriterion5TraceFormulas:
         w = WindowTheta("bump_at_zero", eps=0.25)
         rep = sl.theorem3_check(free_potential, CHI, f, 1.0,
                                 _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w,
+                                float(f(1.0)) * sl.gamma0_localized(free_potential, CHI, 1.0),
                                 rel_threshold=0.02)
         ok = rep.verdict == "PASS"
         _report("5c trace leading term (scalar)", ok,
@@ -221,6 +222,7 @@ class TestCriterion5TraceFormulas:
         w = WindowTheta("bump_at_zero", eps=0.25)
         rep = sl.theorem3_check(vc, CHI, f, 1.0,
                                 _grids([1 / 16, 1 / 32, 1 / 64, 1 / 128], 6.0, 2.0), w,
+                                float(f(1.0)) * sl.gamma0_localized(vc, CHI, 1.0),
                                 rel_threshold=0.05)
         ok = rep.verdict == "PASS"
         _report("5d trace leading term (crossing)", ok,

@@ -11,6 +11,7 @@ import pytest
 
 from mh_constructions import hermitian_eigen
 from ssf_lab import cli
+from ssf_lab import coefficients as coeffs
 from ssf_lab import harness
 from ssf_lab import microhyperbolicity as mh
 from ssf_lab import quantization as qz
@@ -1168,6 +1169,32 @@ class TestSsfReferenceSweep:
             str(tmp_path / "sweep"))
         assert pairs == hs and len(escapes) == 1
 
+    def test_grids_apart_in_tau_max_alone_share_spectra(self, tmp_path, monkeypatch):
+        # tau_max 3.0 and 2.99 give M 212, 424, 848 and 212, 424, 846: the
+        # first two rungs are one matrix, solved once and read on each
+        # child's own grid
+        hs = [1 / 8, 1 / 16, 1 / 32]
+        children = [dict(_config("ssf_weak_reference"), h_list=hs,
+                         grid={"R": 12.0, "tau_max": tau_max, "m_cap": 8192})
+                    for tau_max in (3.0, 2.99)]
+        for doc in children:
+            del doc["out"], doc["schema_version"]
+        solves = []
+        evd = qz._evd
+
+        def count_solve(a):
+            solves.append(len(a))
+            return evd(a)
+
+        monkeypatch.setattr(qz, "_evd", count_solve)
+        sweep = run({"schema_version": 1, "experiment": "sweep", "experiments": children},
+                    str(tmp_path / "sweep"))
+        assert solves == [424, 848, 1696, 1692]
+        for i, (doc, path) in enumerate(zip(children, sweep.report["tables"]["children"])):
+            with open(path) as fh:
+                shared = json.load(fh)
+            alone = run(dict(doc, schema_version=1), str(tmp_path / f"alone{i}"))
+            assert report_identity_bytes(shared) == report_identity_bytes(alone.report)
 
     def test_weyl_on_a_constant_potential(self, tmp_path):
         # value and reference are exactly 0 on every h: each relative error
@@ -1196,6 +1223,8 @@ class TestHypothesisTables:
         assert {kind for kinds in harness._HYPOTHESIS.values() for kind in kinds} \
             <= set(harness._KINDS)
         assert set(harness._UNGATED) <= set(harness._HYPOTHESIS)
+        # a comparison has a leading term; thm1 and thm2 decay to 0
+        assert set(harness._REFERENCES) == {"thm3", "weak", "weyl", "derivative"}
         # a config takes a check block exactly where it takes a certificate
         assert {kind for kind, keys in harness._KEYS.items() if "check" in keys} \
             == set(harness._HYPOTHESIS)
@@ -1266,6 +1295,40 @@ class TestHypothesisTables:
             alone = run(dict(doc, schema_version=1), str(tmp_path / f"alone{i}"))
             assert report_identity_bytes(shared) == report_identity_bytes(alone.report)
         assert len(calls) == 3
+
+
+class TestReferences:
+    """Each comparison's leading term is a row of ``harness._REFERENCES``,
+    made once per sweep after the gate."""
+
+    def test_derivative_limit_is_f_times_gamma0(self, tmp_path):
+        # off the centre of a bump f, f(tau0) < 1: the mollified density
+        # tends to f(tau0) gamma0(tau0), not gamma0(tau0)
+        doc = dict(_config("ssf_derivative_reference"), tau0=2.1, h_list=[1 / 8, 1 / 16, 1 / 32],
+                   grid={"R": 7.0, "tau_max": 3.24, "m_cap": 8192},
+                   test_function={"kind": "bump", "support": [1.8, 2.2]})
+        result = run(doc, str(tmp_path / "o"))
+        rows = result.report["tables"]["main"]["rows"]
+        v = reference_potential()
+        f = coeffs.bump_test_function((1.8, 2.2))
+        expected = float(f(2.1)) * coeffs.gamma0(v, 2.1)
+        assert len(rows) == 3 and all(row[2] == expected for row in rows)
+        assert expected == pytest.approx(-0.02748439, abs=1e-8)
+
+    def test_diverging_localized_density_stops_the_run(self, tmp_path, monkeypatch, capsys):
+        # the island's barrier top 3/e is a critical value of xi^2 + V at
+        # (+-1, 0), inside supp chi: the shell check on a box away from it
+        # passes, and the reference diverges before any operator is built
+        monkeypatch.setattr(qz, "build_schrodinger", _refuse)
+        doc = dict(_config("trace_thm3_crossing", out=str(tmp_path / "o")),
+                   potential={"kind": "island", "params": {}}, tau0=1.1036383235143269,
+                   check={"box": [[1.5, 2.5], [-2.0, 2.0]], "grid_points": 41})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["trace", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: CertificateError: localized density did not converge")
+        assert list(tmp_path.rglob("report.json")) == []
 
 
 class TestCli:

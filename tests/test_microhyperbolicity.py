@@ -768,13 +768,13 @@ def _check_pointwise_loop(h, rho0, t, kernel_tol=None):
 
 
 def _check_on_energy_shell_loop(p, tau0, box, T, grid_points):
-    """(valid, C0, C1, margin, failures, per_point_T) of the shell check as
-    one find_direction and one check_pointwise per shell point."""
+    """(valid, C0, C1, margin, failures) of the shell check as one
+    find_direction and one check_pointwise per shell point."""
     tol = default_shell_tol(tau0)
     h = shifted_symbol(p, tau0)
     pts = shell_sample(p, tau0, box, tol, grid_points)
     worst_c0, worst_c1, worst_margin = math.inf, 0.0, math.inf
-    failures, tvs = [], []
+    failures = []
     for rho in pts:
         if T is not None:
             tv = unit(T)
@@ -788,16 +788,14 @@ def _check_on_energy_shell_loop(p, tau0, box, T, grid_points):
         if not cert["valid"]:
             failures.append(rho)
             continue
-        tvs.append(tv)
         worst_c0 = min(worst_c0, cert["C0"])
         worst_c1 = max(worst_c1, cert["C1"])
         worst_margin = min(worst_margin, cert["margin"])
     if pts.size == 0:
-        return (False, 0.0, 0.0, 0.0, [], None)
+        return (False, 0.0, 0.0, 0.0, [])
     if failures:
-        return (False, 0.0, worst_c1, -math.inf, [f.tolist() for f in failures], None)
-    return (True, worst_c0, worst_c1, worst_margin, [],
-            np.asarray(tvs).tolist() if T is None else None)
+        return (False, 0.0, worst_c1, -math.inf, [f.tolist() for f in failures])
+    return (True, worst_c0, worst_c1, worst_margin, [])
 
 
 def _escape_check_dilation_loop(v, tau0, allowed_tol=1e-9, grid_points=2001):
@@ -937,15 +935,14 @@ class TestBatchedMatchesLoops:
         gauss_potential([[1.5, 1j], [-1j, -0.5]]),
     ], ids=["free", "gauss_well", "conical", "avoided", "reference", "complex"])
     def test_check_on_energy_shell(self, v, tau0, mode, T):
-        # the lock-step directions and shared point data against one search
-        # and one pointwise check per shell point, equal by repr; ``mode``
-        # names the case, as T alone picks the fixed direction
+        # the constants and failures of the lock-step directions and shared
+        # point data against one search and one pointwise check per shell
+        # point, equal by repr; ``mode`` names the case, as T alone picks T
         box = ((-3.0, 3.0), (-2.5, 2.5))
         cert = check_on_energy_shell(schrodinger_symbol(v), tau0, box, T=T, grid_points=21)
         ref = _check_on_energy_shell_loop(schrodinger_symbol(v), tau0, box, T, 21)
         got = (cert.valid, cert.C0, cert.C1, cert.margin,
-               [np.asarray(f).tolist() for f in cert.failures],
-               None if cert.per_point_T is None else cert.per_point_T.tolist())
+               [np.asarray(f).tolist() for f in cert.failures])
         assert repr(got) == repr(ref)
 
     @pytest.mark.parametrize("tau0", [0.0, 0.5, 1.0, 2.0])
