@@ -515,21 +515,43 @@ def _run_coeffs(cfg: ExperimentConfig):
     return (["tau", "gamma0", "a0"], rows), [], {"coeffs": "COMPLETE"}
 
 
-def _run_sweep(cfg: ExperimentConfig, shared: dict):
-    """One trace or ssf h-sweep, gated by its hypothesis (``_HYPOTHESIS``): a
-    certificate neither valid nor on an empty shell gives NOT_CERTIFIED
-    before any reference, operator or pair is made, save where the variant
-    records it ungated.  The configs of one run share certificates and pairs."""
+def _gate(cfg: ExperimentConfig, shared: dict) -> tuple:
+    """(certificates, verdicts, reference) of a trace or ssf h-sweep, gated by
+    its hypothesis (``_HYPOTHESIS``): a certificate neither valid nor on an
+    empty shell gives NOT_CERTIFIED verdicts, and no reference, save where
+    the variant records it ungated; otherwise verdicts is None and the
+    reference is the variant's leading term (``_REFERENCES``), None for a
+    decay variant."""
     inputs, variant = cfg.inputs, cfg.variant
-    v, grids, limits = inputs["v"], inputs["grids"], inputs["limits"]
-    chi, f, window, tau0, taus = map(inputs.get, ("chi", "f", "window", "tau0", "taus"))
     certificates = []
     if "certificate" in inputs:
         cert = _certificate(inputs, shared)
         certificates.append(cert.to_json_dict())
         if inputs["gated"] and not cert.certifies:
-            return _sweep_table(None), certificates, {variant: "NOT_CERTIFIED"}
-    reference = _REFERENCES[variant](inputs) if variant in _REFERENCES else None
+            return certificates, {variant: "NOT_CERTIFIED"}, None
+    return certificates, None, _REFERENCES[variant](inputs) if variant in _REFERENCES else None
+
+
+def _prepare(cfg: ExperimentConfig, shared: dict):
+    """What a run makes before it writes anything: an h-sweep's gate and
+    reference (``_gate``), a sweep's list of its children's, in order, and
+    None for any other experiment.  A child that cannot finish (a reference
+    that diverges) so stops its sweep before any child writes."""
+    if cfg.experiment == "sweep":
+        return [_prepare(child, shared) for child in cfg.inputs["children"]]
+    return _gate(cfg, shared) if cfg.experiment in _VARIANTS else None
+
+
+def _run_sweep(cfg: ExperimentConfig, shared: dict, gate: tuple):
+    """One trace or ssf h-sweep, after its ``gate``: NOT_CERTIFIED before any
+    operator or pair is made where the gate stops it.  The configs of one
+    run share certificates and ssf pairs."""
+    certificates, stopped, reference = gate
+    if stopped:
+        return _sweep_table(None), certificates, stopped
+    inputs, variant = cfg.inputs, cfg.variant
+    v, grids, limits = inputs["v"], inputs["grids"], inputs["limits"]
+    chi, f, window, tau0, taus = map(inputs.get, ("chi", "f", "window", "tau0", "taus"))
 
     if variant == "thm1":
         rep = qz.theorem1_check(v, chi, f, tau0, grids, window, **limits)
@@ -583,22 +605,29 @@ def run(config: ExperimentConfig | dict, out_dir: str | None = None) -> RunResul
     """Execute one experiment config, as read or as its JSON document; write
     CSV data and the JSON report.
 
-    One call solves each (potential, grid, h) spectrum and makes each
-    certificate (kind, potential, check arguments) once: the children of a
-    sweep share them.
+    One call makes each certificate (kind, potential, check arguments) once,
+    and each ssf sweep's spectral pair (potential, R, h, M) once: the
+    children of a sweep share them.  A trace sweep solves its own
+    operators, so two trace children on one model and grid each solve.
+    Every gate and reference of a sweep's children is made before any
+    child writes (``_prepare``).
     """
     cfg = ExperimentConfig.from_dict(config) if isinstance(config, dict) else config
     return _run(cfg, out_dir if out_dir is not None else cfg.out, {})
 
 
-def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
-    os.makedirs(out, exist_ok=True)
+def _run(cfg: ExperimentConfig, out: str, shared: dict, prepared=None) -> RunResult:
+    """Run ``cfg`` into ``out``, after what ``_prepare`` makes for it
+    (``prepared``, made here when None)."""
     t0 = time.perf_counter()
+    if prepared is None:
+        prepared = _prepare(cfg, shared)
     if cfg.experiment == "sweep":
         verdicts = {}
         child_reports = []
-        for i, sub_cfg in enumerate(cfg.inputs["children"]):
-            result = _run(sub_cfg, os.path.join(out, f"{i:02d}_{sub_cfg.experiment}"), shared)
+        for i, (sub_cfg, ready) in enumerate(zip(cfg.inputs["children"], prepared)):
+            result = _run(sub_cfg, os.path.join(out, f"{i:02d}_{sub_cfg.experiment}"), shared,
+                          ready)
             child_reports.append(result.report_path)
             for key, val in result.report["verdicts"].items():
                 verdicts[f"{i:02d}:{sub_cfg.experiment}:{key}"] = val
@@ -606,13 +635,14 @@ def _run(cfg: ExperimentConfig, out: str, shared: dict) -> RunResult:
                              time.perf_counter() - t0)
 
     if cfg.experiment in _VARIANTS:
-        (columns, rows), certificates, verdicts = _run_sweep(cfg, shared)
+        (columns, rows), certificates, verdicts = _run_sweep(cfg, shared, prepared)
     elif cfg.experiment == "coeffs":
         (columns, rows), certificates, verdicts = _run_coeffs(cfg)
     else:
         (columns, rows), certificates, verdicts = _run_certificate(cfg, shared)
     elapsed = time.perf_counter() - t0
 
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "data.csv"), "w") as fh:
         fh.write("".join(",".join(map(str, line)) + "\n" for line in [columns, *rows]))
     return _write_report(out, cfg, certificates, {"main": {"columns": columns, "rows": rows}},
@@ -628,6 +658,7 @@ def _write_report(out: str, cfg: ExperimentConfig, certificates: list, tables: d
         "verdicts": verdicts,
         "timings": {"total_s": elapsed},
     }
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

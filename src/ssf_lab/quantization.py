@@ -19,8 +19,12 @@ wrapped-diagonal sums; nothing makes the M x M array.
 A ``GridOperator`` is a Schrodinger operator from ``build_schrodinger``,
 which holds only the triangle LAPACK reads.  It answers its spectrum, from
 a values-only solve in place, or its eigenpairs in an energy window (lo,
-hi].  One with uncoupled channels (``SplitOperator``) is solved a channel
-block at a time.  Each dense allocation admits its bytes against the
+hi].  One with invariant blocks (``SplitOperator``) is solved a block at a
+time, each spectrum once: its uncoupled channels, and the two eigenspaces
+of its reflection x -> -x (node j to node (-j) mod M, with a signed
+channel involution U) where it commutes with it, each of about half the
+dimension; a channel that the reflection maps onto another is that one's
+solve, reflected.  Each dense allocation admits its bytes against the
 host's memory where it is made (``MemoryBudgetError``).
 
 Smoothed traces sum f(lambda_j) K(tau - lambda_j) <u_j, A u_j> over the
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -363,6 +368,10 @@ class GridOperator:
     builds its matrix only when ``.matrix`` is read: ``eigenvalues``
     solves nothing and ``smoothed_trace`` forms no eigenvector, while
     ``eigenpairs`` solves the assembled matrix.
+
+    Its dimension is M N, the grid's points times its channels, unless
+    ``dim`` gives another: a block of a ``SplitOperator`` that is a parity
+    eigenspace holds about half of its channels' M N.
     """
 
     # no eigenvectors are cached; the attribute stays, fixed at None, for
@@ -370,18 +379,15 @@ class GridOperator:
     _vectors = None
 
     def __init__(self, grid: Grid1D, N: int, label: str = "", *, assemble,
-                 analytic: np.ndarray | None = None):
+                 analytic: np.ndarray | None = None, dim: int | None = None):
         self.grid = grid
         self.N = N
+        self.dim = grid.M * N if dim is None else dim
         self.label = label
         self._analytic = analytic
         self._assemble = assemble
         self._matrix: np.ndarray | None = None
         self._values: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.grid.M * self.N
 
     @property
     def matrix(self) -> np.ndarray:
@@ -434,18 +440,34 @@ class GridOperator:
 
 
 class SplitOperator:
-    """A Schrodinger operator with no entries between its N channels: the
-    direct sum of the one-channel operators ``channels``, channel c on the
-    rows and columns c::N, with no matrix of its own.  Each channel
-    assembles its M x M block for its solve and drops it after, so a solve
-    holds one block at a time.  ``eigenvalues`` merges the channels' values
-    by a stable sort; ``smoothed_trace`` asks the channels for their pairs
-    itself, and a split operator has no pairs or matrix of its own."""
+    """A Schrodinger operator solved as a direct sum of invariant blocks,
+    with no matrix of its own (``build_schrodinger`` makes one).
 
-    def __init__(self, grid: Grid1D, channels: tuple, label: str):
+    ``parts`` holds (op, placements): a ``GridOperator`` block ``op``,
+    solved once, and the summands it stands for, each a (channels, embed)
+    pair.  ``channels`` names the channels on whose rows (j N + c) the
+    summand's eigenvectors live, and ``embed`` maps op's eigenvectors, the
+    columns of a (op.dim, k) array, to grid order on those rows (row j n +
+    the place of c in ``channels``); None keeps them as solved.  The blocks
+    are, for the operator's reflection S = Pi (x) U (``_reflection``):
+
+    - an uncoupled channel c, solved on its own M x M block;
+    - a channel that S maps onto an earlier one: a second placement of
+      the earlier channel's blocks, with the vectors reflected,
+      u[j] -> u[(-j) mod M] (``_reflected``), and nothing assembled;
+    - the two eigenspaces of S in a channel, or in all N channels of a
+      coupled operator, each on a block of about half the dimension
+      (``_parity_blocks``).
+
+    Each block assembles its matrix for its solve and drops it after, so a
+    solve holds one block at a time.  ``eigenvalues`` merges the summands'
+    values by a stable sort; ``smoothed_trace`` asks the blocks for their
+    pairs itself, and a split operator has no pairs of its own."""
+
+    def __init__(self, grid: Grid1D, N: int, parts: tuple, label: str):
         self.grid = grid
-        self.channels = channels
-        self.N = len(channels)
+        self.N = N
+        self.parts = parts
         self.label = label
         self._values: np.ndarray | None = None
 
@@ -455,7 +477,9 @@ class SplitOperator:
 
     def eigenvalues(self) -> np.ndarray:
         if self._values is None:
-            values = [channel.eigenvalues() for channel in self.channels]
+            values = []
+            for op, placements in self.parts:
+                values += [op.eigenvalues()] * len(placements)
             self._values = np.sort(np.concatenate(values), kind="stable")
         return self._values
 
@@ -492,27 +516,157 @@ def _zeros_in_small_pages(n: int, dtype, aligned: bool = True) -> np.ndarray:
     return np.frombuffer(buf, dtype, offset=lead).reshape(n, lda)[:, :n]
 
 
-def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
+def _assemble_schrodinger(grid: Grid1D, samples: np.ndarray, parity=None) -> np.ndarray:
     """The C-order upper triangle of the kinetic circulant tensor identity
     plus the block-diagonal potential, in a (dim, dim) view from
     ``_zeros_in_small_pages`` of the final dtype (real unless a sample is
     complex) whose other entries are 0 and never written.  Row i N + a holds
     the kinetic entries c[(i - j) % M] = c[j - i] at the columns j N + a,
     j >= i, and the samples (i, a, b), b >= a, at the columns i N + b.
-    Every write indexes the view: a reshape of it would be a copy."""
+    Every write indexes the view: a reshape of it would be a copy.
+
+    With ``parity`` = (allowed, p), the block of one eigenspace of the
+    reflection (``_parity_blocks``) instead, on the sites i = 0 .. M/2: its
+    basis vector (i, k), for each allowed[i, k] in row-major order, is
+    q_i (x) w_k, with q_i = e_i at the fixed sites 0 and M/2 and (e_i +
+    p_k e_(M-i)) / sqrt 2 between.  The kinetic entry of (i, k) and (j, k)
+    is w_i w_j (c[j - i] + p_k c[i + j]), w = 1/sqrt 2 at a fixed site and
+    1 between, and ``samples`` (M/2 + 1, n, n) are the potential's
+    compressions to the sites."""
     if not np.any(samples.imag):
         samples = samples.real
     n = samples.shape[1]
-    dim = grid.M * n
-    mat = _zeros_in_small_pages(dim, np.result_type(samples.dtype, np.float64))
+    dtype = np.result_type(samples.dtype, np.float64)
     kin = _kinetic_column(grid)
-    for row in range(dim):
-        mat[row, row::n] = kin[:grid.M - row // n]
-    nodes = np.arange(0, dim, n)
+    if parity is None:
+        dim = grid.M * n
+        mat = _zeros_in_small_pages(dim, dtype)
+        for row in range(dim):
+            mat[row, row::n] = kin[:grid.M - row // n]
+        allowed = np.ones((grid.M, n), dtype=bool)
+        place = np.arange(dim).reshape(grid.M, n)
+    else:
+        allowed, p = parity
+        sites, chans = np.nonzero(allowed)
+        mat = _zeros_in_small_pages(sites.size, dtype)
+        weight = np.where((sites > 0) & (sites < grid.M // 2), 1.0, math.sqrt(0.5))
+        for k in range(n):
+            rows = np.flatnonzero(chans == k)
+            i, w = sites[rows], weight[rows]
+            for a, row in enumerate(rows):
+                mat[row, rows[a:]] = w[a] * w[a:] * (kin[i[a:] - i[a]]
+                                                      + p[k] * kin[(i[a] + i[a:]) % grid.M])
+        place = np.zeros(allowed.shape, dtype=np.intp)
+        place[allowed] = np.arange(sites.size)
     for a in range(n):
         for b in range(a, n):
-            mat[nodes + a, nodes + b] += samples[:, a, b]
+            both = allowed[:, a] & allowed[:, b]
+            mat[place[both, a], place[both, b]] += samples[both, a, b]
     return mat
+
+
+# reflected samples that agree to this share of max(1, max |sample|) are taken
+# as equal: the nodes x_j and x_(M-j) are negatives to a few ulp of R
+_REFLECTION_TOL = 1e-12
+
+
+def _reflects(samples: np.ndarray, image: np.ndarray, tol: float) -> bool:
+    """Whether the samples at the reflected nodes, samples[(-j) mod M],
+    equal ``image`` (M, n, n) within ``tol``: x -> -x maps node j to node
+    (-j) mod M on the periodic grid."""
+    m = len(samples)
+    return float(np.max(np.abs(samples[(-np.arange(m)) % m] - image))) <= tol
+
+
+def _reflection(samples: np.ndarray, tol: float):
+    """The reflection of an operator with the node samples ``samples``
+    (M, n, n): a signed channel involution U, as (perm, signs) with U e_a =
+    signs[a] e_perm[a], for which the reflected samples equal U s U^T
+    (``_reflects``), so that S = Pi (x) U commutes with the operator; None
+    where none does.  U and -U act alike, so signs[0] is 1; U = I is tried
+    first, and a permutation whose diagonals do not match is not tried
+    with any signs."""
+    n = samples.shape[1]
+    diagonals = np.diagonal(samples, axis1=1, axis2=2)
+    for perm in map(np.array, itertools.permutations(range(n))):
+        if not (np.array_equal(perm[perm], np.arange(n))
+                and _reflects(diagonals, diagonals[:, perm], tol)):
+            continue
+        for tail in itertools.product((1.0, -1.0), repeat=n - 1):
+            signs = np.array((1.0,) + tail)
+            if np.array_equal(signs[perm], signs) and _reflects(
+                    samples, np.outer(signs, signs) * samples[:, perm][:, :, perm], tol):
+                return perm, signs
+    return None
+
+
+def _channel_basis(perm: np.ndarray, signs: np.ndarray):
+    """(W, d): the real orthonormal eigenvectors of U = (perm, signs), as
+    W's columns, and their eigenvalues d = +-1.  A fixed channel a is its
+    own, with signs[a]; a swapped pair a < b has (e_a + e_b)/sqrt 2 in
+    column a, with signs[a], and (e_a - e_b)/sqrt 2 in column b, with
+    -signs[a]; a diagonal U's W is the identity, which changes no bit."""
+    n = len(perm)
+    w, d, r = np.zeros((n, n)), signs.copy(), math.sqrt(0.5)
+    for a, b in enumerate(perm):
+        if a == b:
+            w[a, a] = 1.0
+        elif a < b:
+            w[[a, b], a] = r
+            w[[a, b], b] = r, -r
+            d[b] = -signs[a]
+    return w, d
+
+
+def _parity_blocks(grid: Grid1D, samples: np.ndarray, reflection, label: str, block) -> list:
+    """The two eigenspaces of S = Pi (x) U (``_reflection``) on the
+    channels of ``samples`` (M, n, n), as [(op, embed)], op made by
+    ``block(samples, label, parity)`` and ``embed`` its vectors'
+    grid order (``_parity_embed``).
+
+    In U's eigenbasis W (eigenvalues d), the sigma = +-1 eigenspace is
+    spanned by q_i (x) w_k with spatial parity p_k = sigma d_k: at the
+    fixed sites 0 and M/2 the channels with d_k = sigma, between them
+    every channel.  Its dimension is n (M/2 - 1) plus twice the channels
+    with d_k = sigma.  The samples are compressed to it exactly, (s[i] +
+    P s[-i] P)/2 at the sites between, P = diag(p), so each block is the
+    operator's own compression, whatever the reflection's rounding."""
+    perm, signs = reflection
+    w, d = _channel_basis(perm, signs)
+    tilde = w.T @ samples @ w
+    m, half = grid.M, grid.M // 2
+    sites = np.arange(half + 1)
+    fixed = (sites == 0) | (sites == half)
+    out = []
+    for sigma, sign in ((1.0, "+"), (-1.0, "-")):
+        p = sigma * d
+        allowed = ~fixed[:, None] | (d == sigma)[None, :]
+        comp = tilde[:half + 1].copy()
+        comp[1:half] = 0.5 * (tilde[1:half] + np.outer(p, p) * tilde[m - 1:half:-1])
+        op = block(comp, f"{label}{sign}", (allowed, p))
+        out.append((op, functools.partial(_parity_embed, m, allowed, p, w)))
+    return out
+
+
+def _parity_embed(m: int, allowed: np.ndarray, p: np.ndarray, w, vecs: np.ndarray) -> np.ndarray:
+    """The columns of ``vecs``, in the basis of a parity block
+    (``_assemble_schrodinger``), in grid order: an (M n, k) array whose
+    row j n + a is sum_k W[a, k] q_i[j] v[(i, k)]."""
+    half, n, k = m // 2, allowed.shape[1], vecs.shape[1]
+    coef = np.zeros((half + 1, n, k), dtype=vecs.dtype)
+    coef[allowed] = vecs
+    coef[1:half] *= math.sqrt(0.5)
+    out = np.empty((m, n, k), dtype=vecs.dtype)
+    out[:half + 1] = coef
+    out[half + 1:] = p[:, None] * coef[half - 1:0:-1]
+    return (w @ out).reshape(m * n, k)
+
+
+def _reflected(embed, vecs: np.ndarray) -> np.ndarray:
+    """One channel's vectors as ``embed`` places them (as solved for None),
+    reflected: u[j] -> u[(-j) mod M]."""
+    u = vecs if embed is None else embed(vecs)
+    return u[(-np.arange(len(u))) % len(u)]
 
 
 def physical_memory() -> int:
@@ -537,16 +691,19 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
     The operator holds the C-order upper triangle alone, in small pages of
     which only the triangle's become resident.  It is assembled at once,
     except for a constant potential, which gets an analytic spectrum and a
-    matrix built when ``.matrix`` is read, and a split one, whose
-    off-diagonal samples are all 0: a ``SplitOperator`` of N one-channel
-    operators, each assembling its M x M block just before its solve.
+    matrix built when ``.matrix`` is read, and for one that splits into
+    blocks: a ``SplitOperator``, each of whose blocks is assembled just
+    before its solve.  An operator splits where its off-diagonal samples
+    are all 0, into its channels, or where it commutes with its reflection
+    S = Pi (x) U (``_reflection``), into S's two eigenspaces; a channel
+    that S maps onto an earlier one is that channel's blocks, reflected.
 
     The samples (V + V^H)/2 and the symmetrized kinetic column make the
     matrix exactly hermitian, so they are checked only to be finite
-    (ValueError).  What is assembled at once, dim^2 items or M^2 for a
-    channel block, is admitted against the host's physical memory here,
-    before anything is assembled (MemoryBudgetError, with both figures);
-    each assembly admits its bytes again, and a solve what it adds.
+    (ValueError).  What is assembled at once, dim^2 items or the largest
+    block's, is admitted against the host's physical memory here, before
+    anything is assembled (MemoryBudgetError, with both figures); each
+    assembly admits its bytes again, and a solve what it adds.
     """
     samples = potential_samples(v, grid)
     label = f"schrodinger({v.name})"
@@ -554,32 +711,53 @@ def build_schrodinger(v: MatrixPotential, grid: Grid1D) -> GridOperator | SplitO
         raise ValueError(f"{label} has a non-finite potential sample or kinetic entry")
     itemsize = np.dtype(complex if np.any(samples.imag) else float).itemsize
 
-    def assembler(part: np.ndarray, name: str):
+    def block(part: np.ndarray, name: str, parity=None, analytic=None) -> GridOperator:
+        """The operator of the samples ``part``, on a parity basis if given."""
+        dim = part.shape[1] * grid.M if parity is None else int(parity[0].sum())
+
         def assemble():
-            _admit(itemsize * (part.shape[1] * grid.M) ** 2, name, "the matrix")
-            return _assemble_schrodinger(grid, part)
-        return assemble
+            _admit(itemsize * dim ** 2, name, "the matrix")
+            return _assemble_schrodinger(grid, part, parity)
+        return GridOperator(grid=grid, N=part.shape[1], label=name, assemble=assemble,
+                            analytic=analytic, dim=dim)
 
-    if np.any(samples != samples[0]):
-        if v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)]):
-            _admit(itemsize * grid.M**2, label, "a channel block")
-            names = [f"{label}[{c}]" for c in range(v.N)]
-            channels = tuple(GridOperator(grid=grid, N=1, label=name,
-                                          assemble=assembler(samples[:, c:c + 1, c:c + 1], name))
-                             for c, name in enumerate(names))
-            return SplitOperator(grid, channels, label)
-        op = GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label))
-        op.matrix  # assembled here, where the build is timed; the first solve takes it
-        return op
+    if np.all(samples == samples[0]):
+        b0 = samples[0]
+        off = b0 - np.diag(np.diag(b0))
+        if np.max(np.abs(off), initial=0.0) == 0.0:
+            channel_vals = np.diag(b0).real.copy()
+        else:
+            channel_vals = np.linalg.eigvalsh(b0)
+        return block(samples, label, analytic=channel_vals)
 
-    b0 = samples[0]
-    off = b0 - np.diag(np.diag(b0))
-    if np.max(np.abs(off), initial=0.0) == 0.0:
-        channel_vals = np.diag(b0).real.copy()
-    else:
-        channel_vals = np.linalg.eigvalsh(b0)
-    return GridOperator(grid=grid, N=v.N, label=label, assemble=assembler(samples, label),
-                        analytic=channel_vals)
+    tol = _REFLECTION_TOL * max(1.0, float(np.max(np.abs(samples))))
+    split = v.N > 1 and not np.any(samples[:, ~np.eye(v.N, dtype=bool)])
+    # the samples of each channel of a split operator, else of the whole
+    groups = [samples[:, c:c + 1, c:c + 1] for c in range(v.N)] if split else [samples]
+    placed = []  # the (op, embed) summands of each group
+    for c, part in enumerate(groups):
+        partner = next((e for e in range(c) if _reflects(part, groups[e], tol)), None)
+        if partner is not None:
+            placed.append([(op, functools.partial(_reflected, embed))
+                           for op, embed in placed[partner]])
+            continue
+        reflection = _reflection(part, tol)
+        name = f"{label}[{c}]" if split else label
+        if reflection is not None:
+            placed.append(_parity_blocks(grid, part, reflection, name, block))
+        elif split:
+            placed.append([(block(part, name), None)])
+        else:
+            op = block(samples, label)
+            op.matrix  # assembled here, where the build is timed; the first solve takes it
+            return op
+    _admit(itemsize * max(op.dim for mine in placed for op, _ in mine) ** 2, label,
+           "its largest block")
+    by_block: dict = {}
+    for c, mine in enumerate(placed):
+        for op, embed in mine:
+            by_block.setdefault(op, []).append(((c,) if split else tuple(range(v.N)), embed))
+    return SplitOperator(grid, v.N, tuple((op, tuple(p)) for op, p in by_block.items()), label)
 
 
 def _index_block(m_pts: int, rows: np.ndarray, cols: np.ndarray):
@@ -942,10 +1120,14 @@ def _plane_wave_diagonal(a: _ProductRows, h_op: GridOperator, flat: np.ndarray) 
     return (np.fft.fft(a.lag_sums()) / m)[(flat // h_op.N - m // 2) % m]
 
 
-def _weighted_pairs(a: _ProductRows, h_op: GridOperator, f, window) -> tuple:
+def _weighted_pairs(a: _ProductRows, h_op: GridOperator, f, window, embeds=(None,)) -> list:
     """(lambda_j, f(lambda_j) <u_j, A u_j>) for the eigenpairs of ``h_op`` in
     ``window`` where f(lambda_j) is not 0, from an analytic spectrum's
-    values or else ``eigenpairs``, whose vectors are dropped on return."""
+    values or else one ``eigenpairs`` solve, whose vectors are dropped on
+    return: one pair of arrays for each of ``embeds``, the maps of the
+    vectors to grid order (None keeps them as solved) that a
+    ``SplitOperator`` places them by.  Each maps only the columns from the
+    first to the last weighted one."""
     analytic = h_op._analytic is not None
     if analytic:
         lam, flat = h_op._analytic_pairs(*window)
@@ -954,8 +1136,12 @@ def _weighted_pairs(a: _ProductRows, h_op: GridOperator, f, window) -> tuple:
     fv = np.broadcast_to(f(lam), lam.shape).astype(float)
     cols = np.flatnonzero(fv)
     if analytic:
-        return lam[cols], fv[cols] * _plane_wave_diagonal(a, h_op, flat[cols])
-    return lam[cols], fv[cols] * _cutoff_diagonal(a, vecs, cols)
+        return [(lam[cols], fv[cols] * _plane_wave_diagonal(a, h_op, flat[cols]))]
+    first, last = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+    span = vecs[:, first:last]
+    return [(lam[cols], fv[cols] * _cutoff_diagonal(a, span if embed is None else embed(span),
+                                                   cols - first))
+            for embed in embeds]
 
 
 def smoothed_trace(a: _ProductRows, h_op: GridOperator | SplitOperator, f, w: WindowTheta,
@@ -978,10 +1164,12 @@ def smoothed_trace(a: _ProductRows, h_op: GridOperator | SplitOperator, f, w: Wi
     is not callable, and a cutoff on another grid a GridMismatchError, all
     before anything is solved.
 
-    On a ``SplitOperator`` the cutoff is applied to its channels in turn:
-    each assembles its block, is solved and gets its <u_j, A u_j>, and
-    drops its block and eigenvectors before the next.  The channels'
-    (lambda_j, weight) lists are merged by one stable sort on lambda.
+    On a ``SplitOperator`` the cutoff is applied to its blocks in turn:
+    each assembles its matrix, is solved and gets its <u_j, A u_j> on each
+    of its placements' vectors (a mirror channel's are its partner's,
+    reflected), and drops its matrix and eigenvectors before the next.
+    The summands' (lambda_j, weight) lists are merged by one stable sort
+    on lambda.
     """
     if not hasattr(a, "blocks"):
         raise TypeError(f"{getattr(a, 'label', type(a).__name__)} is not a cutoff: "
@@ -991,7 +1179,8 @@ def smoothed_trace(a: _ProductRows, h_op: GridOperator | SplitOperator, f, w: Wi
     if not callable(f):
         raise TypeError(f"f must be a function of the eigenvalues, not {type(f).__name__}")
     window = getattr(f, "support", (-math.inf, math.inf))
-    parts = [_weighted_pairs(a, op, f, window) for op in getattr(h_op, "channels", [h_op])]
+    parts = [part for op, placements in getattr(h_op, "parts", [(h_op, [((), None)])])
+             for part in _weighted_pairs(a, op, f, window, [embed for _, embed in placements])]
     lam = np.concatenate([part[0] for part in parts])
     order = np.argsort(lam, kind="stable")
     lam, weights = lam[order], np.concatenate([part[1] for part in parts])[order]

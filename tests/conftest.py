@@ -60,17 +60,40 @@ def full_matrix(op) -> np.ndarray:
     """The whole matrix of a grid operator: the upper triangle of what it
     holds, mirrored into the lower one.  A Schrodinger operator holds only
     that triangle; an exactly hermitian matrix comes back unchanged.  A
-    split operator's channel c holds its block's triangle, which is placed
-    on the rows and columns c::N."""
-    parts = getattr(op, "channels", None)
+    split operator's is the sum over its summands of E B E^T, B the whole
+    matrix of a part's block and E its basis in grid order
+    (``embedded``): a channel block placed on the rows and columns c::N,
+    a parity block spread over the reflected nodes."""
+    parts = getattr(op, "parts", None)
     if parts is None:
         held = op.matrix
         return np.triu(held) + np.triu(held, 1).conj().T
-    blocks = [full_matrix(part) for part in parts]
-    mat = np.zeros((op.dim, op.dim), dtype=blocks[0].dtype)
-    for c, block in enumerate(blocks):
-        mat[c::op.N, c::op.N] = block
+    mat = 0.0
+    for block, placements in parts:
+        b = full_matrix(block)
+        for channels, embed in placements:
+            e = embedded(op, channels, embed, np.eye(block.dim))
+            mat = mat + e @ b @ e.T
     return mat
+
+
+def embedded(op, channels, embed, vecs: np.ndarray) -> np.ndarray:
+    """A block's columns ``vecs`` in the grid order of the split operator
+    ``op``: mapped by the summand's ``embed`` (as solved for None) onto the
+    rows of its ``channels``, a (dim, k) array that is 0 on the others."""
+    u = vecs if embed is None else embed(vecs)
+    out = np.zeros((op.grid.M, op.N, u.shape[1]), dtype=u.dtype)
+    out[:, list(channels)] = u.reshape(op.grid.M, len(channels), -1)
+    return out.reshape(op.dim, -1)
+
+
+def unblocked_operator(v, grid) -> qz.GridOperator:
+    """``v``'s Schrodinger operator as one ``GridOperator`` of the whole
+    (dim, dim) matrix, the way ``build_schrodinger`` makes one it does not
+    split: the unblocked reference of a split operator."""
+    samples = qz.potential_samples(v, grid)
+    return qz.GridOperator(grid=grid, N=v.N, label=f"unblocked({v.name})",
+                           assemble=lambda: qz._assemble_schrodinger(grid, samples))
 
 
 def _kron_reference(v, grid) -> np.ndarray:
@@ -112,19 +135,19 @@ def plane_waves(v, grid, flat: np.ndarray) -> np.ndarray:
 
 
 def merged_split_pairs(op, window=(-np.inf, np.inf)):
-    """The eigenpairs of a split operator in ``window``: its channels' own
-    pairs, merged by one stable sort on the values, with channel c's
-    vectors on the rows c::N of a (dim, k) array."""
-    vals, blocks = zip(*[channel.eigenpairs(window=window) for channel in op.channels])
-    offsets = np.cumsum([0] + [v.size for v in vals])
+    """The eigenpairs of a split operator in ``window``: each block solved
+    once, its pairs placed in grid order once for each of its summands
+    (``embedded``), and all merged by one stable sort on the values, as a
+    (dim, k) array of columns."""
+    vals, vectors = [], []
+    for block, placements in op.parts:
+        lam, vecs = block.eigenpairs(window=window)
+        for channels, embed in placements:
+            vals.append(lam)
+            vectors.append(embedded(op, channels, embed, vecs))
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
-    rank = np.empty(vals.size, dtype=np.intp)
-    rank[order] = np.arange(vals.size)
-    vectors = np.zeros((op.dim, vals.size), dtype=blocks[0].dtype)
-    for c, block in enumerate(blocks):
-        vectors[c::op.N, rank[offsets[c]:offsets[c + 1]]] = block
-    return vals[order], vectors
+    return vals[order], np.concatenate(vectors, axis=1)[:, order]
 
 
 def cutoff_matrix(a) -> np.ndarray:

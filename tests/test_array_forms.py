@@ -129,12 +129,19 @@ class TestNewModels:
         assert np.array_equal(v.v_infinity, np.zeros((1, 1)))
 
     def test_rotating_crossing_is_not_split(self):
+        # the coupled crossing is not split into its channels: its blocks
+        # are the two parity eigenspaces, each on both channels' rows.  The
+        # uncoupled crossing is: one channel block, placed on channel 0 and,
+        # reflected, on channel 1
         grid = qz.grid_for(1 / 8, 6.0, 4.0, 8192)
         v = model_potential("rotating_crossing")
         assert v.on([0.0])[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the branches cross at 0
-        assert not isinstance(qz.build_schrodinger(v, grid), qz.SplitOperator)
-        assert isinstance(qz.build_schrodinger(model_potential("conical_crossing"), grid),
-                          qz.SplitOperator)
+        rotating = qz.build_schrodinger(v, grid)
+        assert [[channels for channels, _ in placed] for _, placed in rotating.parts] == [
+            [(0, 1)], [(0, 1)]]
+        conical = qz.build_schrodinger(model_potential("conical_crossing"), grid)
+        assert [[channels for channels, _ in placed] for _, placed in conical.parts] == [
+            [(0,), (1,)]]
 
 
 class TestFastEigvalsh:

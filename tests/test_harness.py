@@ -1047,7 +1047,7 @@ class TestMemoryAdmission:
         # the operators of every stock sweep at its finest h fit half of an
         # 8 GB host; assembly stops at the admitted estimate, so none of them
         # is allocated
-        def stop(grid, samples):
+        def stop(grid, samples, parity=None):
             raise self.Assembled
 
         monkeypatch.setattr(qz, "physical_memory", lambda: 4 * 2**30)
@@ -1069,15 +1069,15 @@ class TestMemoryAdmission:
             for p in potentials:
                 try:
                     # an analytic spectrum checks its matrix when it is read,
-                    # a split one each channel block
+                    # a split one each block
                     op = qz.build_schrodinger(p, grid)
-                    getattr(op, "channels", [op])[0].matrix
+                    getattr(op, "parts", [(op,)])[0][0].matrix
                 except self.Assembled:
                     built += 1
         assert built == 17
 
     def test_cli_prints_the_figures(self, tmp_path, monkeypatch, capsys):
-        def refused(grid, samples):
+        def refused(grid, samples, parity=None):
             raise AssertionError("assembled past a refused admission")
 
         monkeypatch.setattr(qz, "physical_memory", lambda: 1 << 20)
@@ -1329,6 +1329,27 @@ class TestReferences:
         assert capsys.readouterr().err.startswith(
             "error: CertificateError: localized density did not converge")
         assert list(tmp_path.rglob("report.json")) == []
+
+    def test_diverging_child_stops_the_sweep_before_it_writes(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the same thm3 child after sweep_quick's coeffs child: every
+        # child's gate and reference is made before any child runs, so the
+        # coeffs child writes nothing either
+        monkeypatch.setattr(qz, "build_schrodinger", _refuse)
+        coeffs_child = next(child for child in _config("sweep_quick")["experiments"]
+                            if child["experiment"] == "coeffs")
+        thm3 = {key: val for key, val in _config("trace_thm3_crossing").items()
+                if key not in ("schema_version", "out")}
+        thm3.update(potential={"kind": "island", "params": {}}, tau0=1.1036383235143269,
+                    check={"box": [[1.5, 2.5], [-2.0, 2.0]], "grid_points": 41})
+        doc = {"schema_version": 1, "experiment": "sweep", "experiments": [coeffs_child, thm3]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: CertificateError: localized density did not converge")
+        assert not out.exists()
 
 
 class TestCli:

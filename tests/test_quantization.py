@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (PEAK_RSS_SOURCE, MatrixCutoff, cutoff_integral, cutoff_matrix,
-                      full_matrix, merged_split_pairs, plane_waves, random_hermitian, sized_grid)
+                      embedded, full_matrix, merged_split_pairs, plane_waves, random_hermitian,
+                      sized_grid, unblocked_operator)
 from ssf_lab.bumps import Bump1D, ProductCutoff
 from ssf_lab import quadrature
 from ssf_lab.coefficients import bump_test_function
@@ -191,10 +192,12 @@ class TestBuildSchrodinger:
         op = build_schrodinger(model_potential("constant", v_inf=[0.3, 0.9], N=2), g)
         assert reconstruction_residual(op) < 1e-10
 
+    # the whole matrix of each model, as an operator build_schrodinger does
+    # not split assembles it; the even ones split (TestReflection)
     @pytest.mark.parametrize("v", ASSEMBLY_MODELS, ids=lambda v: v.name)
     def test_assembly_matches_kron_reference(self, v, kron_reference):
         g = sized_grid(48, 0.25)
-        op = build_schrodinger(v, g)
+        op = unblocked_operator(v, g)
         ref = kron_reference(v, g)
         assert op.matrix.dtype == ref.dtype
         assert np.array_equal(full_matrix(op), ref)
@@ -203,17 +206,26 @@ class TestBuildSchrodinger:
     def test_stored_triangle_matches_kron_reference(self, v, kron_reference):
         # the operator holds the upper triangle and zeros below it
         g = sized_grid(48, 0.25)
-        op = build_schrodinger(v, g)
+        op = unblocked_operator(v, g)
         assert np.array_equal(np.triu(op.matrix), np.triu(kron_reference(v, g)))
         assert not np.any(np.tril(op.matrix, -1))
 
     @pytest.mark.parametrize("v", ASSEMBLY_MODELS[:4], ids=lambda v: v.name)
     def test_values_are_the_bits_of_the_mirrored_reference(self, v, kron_reference):
+        # the whole matrix's values are the reference's bits; an operator
+        # split by its reflection (avoided_crossing, complex) solves two
+        # other matrices, whose values agree to REFLECTION_DRIFT
         g = sized_grid(48, 0.25)
-        op = build_schrodinger(v, g)
+        whole = unblocked_operator(v, g)
         expect = np.linalg.eigvalsh(kron_reference(v, g))
-        assert np.array_equal(np.linalg.eigvalsh(full_matrix(op)), expect)
-        assert np.array_equal(op.eigenvalues(), expect)
+        assert np.array_equal(np.linalg.eigvalsh(full_matrix(whole)), expect)
+        assert np.array_equal(whole.eigenvalues(), expect)
+        op = build_schrodinger(v, g)
+        drift = np.max(np.abs(op.eigenvalues() - expect)) / np.max(np.abs(expect))
+        if isinstance(op, qz.SplitOperator):
+            assert drift <= REFLECTION_DRIFT
+        else:
+            assert drift == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)],
                              ids=["nan", "inf", "-inf", "complex-nan"])
@@ -292,6 +304,13 @@ class TestBuildSchrodinger:
 
 WHOLE = (-math.inf, math.inf)
 
+# the largest difference, relative to the largest |value|, that a split by
+# the reflection may make in the values and the traces against the whole
+# matrix's solve.  On the even models of TestReflection at h = 1/16, 1/32
+# and 1/64 it measured up to 1.3e-14 for the whole spectrum (7.4e-15 at the
+# tests' h), 3.3e-16 for a window's values and 4.0e-15 for the traces
+REFLECTION_DRIFT = 5e-14
+
 
 def counted(monkeypatch):
     """Record (shape, "values") of every matrix handed to the values solver,
@@ -318,7 +337,10 @@ DIAGONAL_2 = model_potential("diagonal_bumps", depths=[-1.0, 0.6], centers=[0.0,
 
 class TestSplitSolve:
     """A potential with no coupling between its channels is solved one
-    channel block at a time; coupled and one-channel potentials are not."""
+    block at a time: DIAGONAL_2's even channel 0 as its two parity halves
+    and its channel 1 whole, conical_crossing's channel 0 alone, whose
+    reflection is channel 1.  Operators that are neither uncoupled nor
+    even are not split."""
 
     @pytest.fixture(params=[DIAGONAL_2, model_potential("conical_crossing")],
                     ids=lambda v: v.name)
@@ -333,7 +355,10 @@ class TestSplitSolve:
     def test_pairs_per_channel(self, op, monkeypatch):
         calls = counted(monkeypatch)
         vals, vecs = merged_split_pairs(op)
-        assert calls == [((op.grid.M, op.grid.M), WHOLE)] * op.N
+        m = op.grid.M
+        dims = {"schrodinger(diagonal_bumps)": [m // 2 + 1, m // 2 - 1, m],
+                "schrodinger(conical_crossing)": [m]}[op.label]
+        assert calls == [((n, n), WHOLE) for n in dims]
         assert np.all(np.diff(vals) >= 0)
         assert reconstruction_residual(op) < 1e-10
         # every eigenvector lives on one channel's rows
@@ -342,7 +367,8 @@ class TestSplitSolve:
         # nothing is cached: a window is solved again, block by block
         window = (-math.inf, 0.5 * (vals[1] + vals[2]))
         assert merged_split_pairs(op, window)[1].shape == (op.dim, 2)
-        assert calls[-op.N:] == [((op.grid.M, op.grid.M), window)] * op.N
+        solved = len(op.parts)
+        assert calls[-solved:] == [((n, n), window) for (n, _), _ in calls[:solved]]
 
     def test_trace_matches_dense_solve(self, op):
         a = weyl_quantize(CHI, op.grid)
@@ -363,30 +389,182 @@ class TestSplitSolve:
             "grid = grid_for(1 / 96, 6.0, 2.0, 8192)\n"
             "before = peak_rss()\n"
             "op = build_schrodinger(model_potential('conical_crossing'), grid)\n"
-            "pairs = [part.eigenpairs(window=(0.5, 1.5)) for part in op.channels]\n"
+            "pairs = [block.eigenpairs(window=(0.5, 1.5)) for block, _ in op.parts]\n"
             "grown = peak_rss() - before\n"
             "k = sum(vals.size for vals, _ in pairs)\n"
-            "print(op.dim, k, isinstance(op, SplitOperator), grown)\n"
+            "print(op.dim, k, isinstance(op, SplitOperator), len(op.parts), grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        dim, k, split, grown = proc.stdout.split()
+        dim, k, split, blocks, grown = proc.stdout.split()
         dim, k, grown = int(dim), int(k), int(grown)
-        assert dim == 2076 and split == "True"
+        # channel 1 is channel 0 reflected, so only channel 0's M x M block
+        # is solved
+        assert dim == 2076 and split == "True" and blocks == "1"
         # the real matrix, the window's eigenvectors and 4 MB
         assert grown < 8 * dim * (dim + k) + 4e6
 
     @pytest.mark.parametrize("v", [
         model_potential("reference"),
-        model_potential("avoided_crossing", gap=0.2),
-        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+        model_potential("diagonal_bumps", depths=[-1.0], centers=[1e-3], widths=[1.0]),
     ], ids=lambda v: f"{v.name}-N{v.N}")
     def test_coupled_and_scalar_not_split(self, v, monkeypatch):
+        # reference is coupled and not even (its exp(-(x - 1)^2) entry); a
+        # bump 1e-3 off the centre is 1.7e-3 of its depth from even, far
+        # above the reflection's bound
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
         calls = counted(monkeypatch)
         op.eigenvalues()
         op.eigenpairs()
         assert calls == [((op.dim, op.dim), "values"), ((op.dim, op.dim), WHOLE)]
+
+
+# the models that commute with their reflection S = Pi (x) U: x -> -x maps
+# node j to node (-j) mod M, and U is the channel involution named
+EVEN_MODELS = [
+    model_potential("island"),
+    model_potential("rotating_crossing", c=3.0),
+    model_potential("avoided_crossing", gap=0.2),
+    model_potential("conical_crossing"),
+    model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
+]
+
+
+class TestReflection:
+    """An operator that commutes with its reflection S = Pi (x) U is solved
+    as S's two eigenspaces, each a block of about half the dimension, and
+    a channel that S maps onto another is that channel's solve, reflected.
+    Values, windowed pairs and traces are the unblocked solve's to
+    REFLECTION_DRIFT (vectors through their projectors, since conical's
+    mirror channels are degenerate)."""
+
+    @staticmethod
+    def gap_window(vals, lo_q, hi_q):
+        """A window whose ends sit in the middle of the first gap of 1e-6
+        or more at or above the lo_q and hi_q quantiles of ``vals``."""
+        ends = []
+        for q in (lo_q, hi_q):
+            i = int(q * vals.size)
+            while vals[i] - vals[i - 1] < 1e-6:
+                i += 1
+            ends.append(0.5 * (vals[i - 1] + vals[i]))
+        return tuple(ends)
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+    @pytest.mark.parametrize("v", EVEN_MODELS, ids=lambda v: v.name)
+    def test_matches_the_unblocked_solve(self, v, h):
+        g = small_grid(h=h, tau_max=2.0)
+        op = build_schrodinger(v, g)
+        assert isinstance(op, qz.SplitOperator)
+        whole = unblocked_operator(v, g)
+        expect = whole.eigenvalues()
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(op.eigenvalues() - expect)) <= REFLECTION_DRIFT * scale
+        window = self.gap_window(expect, 0.2, 0.6)
+        vals, vecs = merged_split_pairs(op, window)
+        expect_vals, expect_vecs = unblocked_operator(v, g).eigenpairs(window=window)
+        assert vals.size == expect_vals.size > 10
+        assert np.max(np.abs(vals - expect_vals)) <= REFLECTION_DRIFT * scale
+        assert np.max(np.abs(projector(vecs) - projector(expect_vecs))) <= 1e-10
+        a = weyl_quantize(CHI, g)
+        f = bump_test_function((0.5, 1.5))
+        w = WindowTheta("bump_at_zero", eps=0.25)
+        taus = np.linspace(0.9, 1.1, 5)
+        got = smoothed_trace(a, op, f, w, taus)
+        expect_trace = smoothed_trace(a, unblocked_operator(v, g), f, w, taus)
+        assert np.max(np.abs(got - expect_trace)) <= REFLECTION_DRIFT * np.max(np.abs(expect_trace))
+
+    @pytest.mark.parametrize("v", EVEN_MODELS + [ASSEMBLY_MODELS[3], DIAGONAL_2],
+                             ids=lambda v: v.name)
+    def test_embedded_blocks_rebuild_the_matrix(self, v, kron_reference):
+        # every summand's basis in grid order is orthonormal, the summands
+        # together span the grid, and sum E B E^T is the whole matrix
+        g = sized_grid(48, 0.25)
+        op = build_schrodinger(v, g)
+        bases = [embedded(op, channels, embed, np.eye(block.dim))
+                 for block, placements in op.parts for channels, embed in placements]
+        basis = np.concatenate(bases, axis=1)
+        assert basis.shape == (op.dim, op.dim)
+        assert np.max(np.abs(basis.T @ basis - np.eye(op.dim))) <= 1e-14
+        ref = kron_reference(v, g)
+        assert np.max(np.abs(full_matrix(op) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("v, perm, signs", [
+        (model_potential("island"), [0], [1.0]),
+        (model_potential("rotating_crossing", c=3.0), [1, 0], [1.0, 1.0]),
+        (model_potential("avoided_crossing", gap=0.2), [0, 1], [1.0, -1.0]),
+        (ASSEMBLY_MODELS[3], [0, 1], [1.0, 1.0]),
+        (model_potential("reference"), None, None),
+        (model_potential("diagonal_bumps", depths=[-1.0], centers=[1e-3], widths=[1.0]),
+         None, None),
+    ], ids=lambda x: getattr(x, "name", None))
+    def test_reflection_read_from_the_samples(self, v, perm, signs):
+        # U s U^T at the reflected nodes: rotating_crossing's is sigma1,
+        # avoided_crossing's sigma3, the even complex model's the identity;
+        # reference (its exp(-(x - 1)^2) entry) and a bump 1e-3 off the
+        # centre have none
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        samples = qz.potential_samples(v, g)
+        tol = qz._REFLECTION_TOL * max(1.0, np.max(np.abs(samples)))
+        found = qz._reflection(samples, tol)
+        if perm is None:
+            assert found is None
+        else:
+            assert [found[0].tolist(), found[1].tolist()] == [perm, signs]
+
+    def test_bound_is_rounding_level(self):
+        # the even models' reflected samples are U s U^T to 8.3e-15 of
+        # max(1, max |s|) on the grids of R 6 to 12 and h 1/8 to 1/512, the
+        # nodes x_j and x_(M-j) being negatives to a few ulp of R: a hundredth
+        # of the bound.  A bump displaced by c is about 1.7 c from even, so
+        # 5e-14 off the centre it is blocked and 1e-11 off it is not
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        m = g.M
+        for v in EVEN_MODELS:
+            samples = qz.potential_samples(v, g)
+            scale = max(1.0, np.max(np.abs(samples)))
+            perm, signs = qz._reflection(samples, 1e-8 * scale)
+            image = np.outer(signs, signs) * samples[:, perm][:, :, perm]
+            defect = np.max(np.abs(samples[(-np.arange(m)) % m] - image)) / scale
+            assert defect <= 1e-2 * qz._REFLECTION_TOL
+        for center, split in ((5e-14, True), (1e-11, False)):
+            v = model_potential("diagonal_bumps", depths=[-1.0], centers=[center], widths=[1.0])
+            assert isinstance(build_schrodinger(v, g), qz.SplitOperator) == split
+
+    def test_mirror_channel_is_its_partner_reflected(self):
+        # conical_crossing's channel 1 is channel 0 at -x: one block, placed
+        # as solved on channel 0 and reflected on channel 1
+        g = small_grid(h=1 / 16, tau_max=2.0)
+        op = build_schrodinger(model_potential("conical_crossing"), g)
+        (block, placements), = op.parts
+        assert block.dim == g.M and [channels for channels, _ in placements] == [(0,), (1,)]
+        vals, vecs = block.eigenpairs(window=(0.5, 1.5))
+        reflected = placements[1][1](vecs)
+        assert np.array_equal(reflected, vecs[(-np.arange(g.M)) % g.M])
+        channel_1 = unblocked_operator(model_potential("conical_crossing"), g)
+        dense = full_matrix(channel_1)[1::2, 1::2]
+        assert np.max(np.abs(dense @ reflected - reflected * vals)) <= 1e-12 * np.max(np.abs(vals))
+
+    def test_coupled_operator_never_assembles_its_matrix(self, monkeypatch):
+        # a spy on every small-page allocation: rotating_crossing's values
+        # and trace allocate blocks of dim M = dim / 2 and never the
+        # (dim, dim) triangle of the whole coupled operator
+        g = small_grid(h=1 / 32, tau_max=2.0)
+        sizes = []
+        allocate = qz._zeros_in_small_pages
+
+        def spy(n, dtype, aligned=True):
+            sizes.append(n)
+            return allocate(n, dtype, aligned)
+
+        monkeypatch.setattr(qz, "_zeros_in_small_pages", spy)
+        op = build_schrodinger(model_potential("rotating_crossing", c=3.0), g)
+        op.eigenvalues()
+        smoothed_trace(weyl_quantize(CHI, g), op, bump_test_function((0.5, 1.5)),
+                       WindowTheta("bump_at_zero", eps=0.25), 1.0)
+        assert op.dim == 2 * g.M and sizes and max(sizes) == g.M
+        # two blocks for the values, two and their eigenvectors for the trace
+        assert sizes == [g.M] * 6
 
 
 class TestEigenvectorColumns:
@@ -470,7 +648,7 @@ class TestMemoryAdmission:
 
     @pytest.fixture
     def no_assembly(self, monkeypatch):
-        def refused(grid, samples):
+        def refused(grid, samples, parity=None):
             raise AssertionError("assembled past a refused admission")
 
         monkeypatch.setattr(qz, "_assemble_schrodinger", refused)
@@ -482,10 +660,12 @@ class TestMemoryAdmission:
     ], ids=lambda v: v.name)
     def test_refused_with_figures(self, monkeypatch, no_assembly, v):
         # the build admits what the operator holds at once: the matrix,
-        # (N M)^2 items, or the M^2 of one channel block of conical_crossing,
-        # which is split and assembles each block when it is solved
+        # (N M)^2 items, or its largest block, which a split operator
+        # assembles when it is solved: conical_crossing's channel block of
+        # M^2, the even bump's parity half of (M/2 + 1)^2
         g = small_grid(h=1 / 16, tau_max=2.0)
-        need = 8 * g.M ** 2 * {"reference": 4, "diagonal_bumps": 1, "conical_crossing": 1}[v.name]
+        need = 8 * {"reference": 2 * g.M, "diagonal_bumps": g.M // 2 + 1,
+                    "conical_crossing": g.M}[v.name] ** 2
         monkeypatch.setattr(qz, "physical_memory", lambda: need - 1)
         with pytest.raises(MemoryBudgetError) as err:
             build_schrodinger(v, g)
@@ -507,7 +687,7 @@ class TestMemoryAdmission:
         class Reached(Exception):
             pass
 
-        def stub(grid, samples):
+        def stub(grid, samples, parity=None):
             raise Reached(grid.M * samples.shape[1])
 
         monkeypatch.setattr(qz, "_assemble_schrodinger", stub)
@@ -524,9 +704,9 @@ class TestMemoryAdmission:
         # are refused before anything is allocated, and the matrix stays for
         # the next request.  The pairs admit two matrices, the matrix and
         # LAPACK's eigenvectors, which are returned with no copy; a split
-        # operator's pairs are its channels', each of its own M x M block
+        # operator's pairs are its blocks', each of its own M x M block
         op = build_schrodinger(v, small_grid(h=1 / 16, tau_max=2.0))
-        parts = getattr(op, "channels", [op])
+        parts = [block for block, _ in getattr(op, "parts", [(op, ())])]
         size = max(part.matrix.nbytes for part in parts)
         monkeypatch.setattr(qz, "physical_memory", lambda: 2 * size - 1)
         tracemalloc.start()
@@ -547,13 +727,13 @@ class TestMemoryAdmission:
     # alone, the growth read 0.64-0.77 matrices for the spectrum and
     # 2.64-2.76 for the dense pairs, and 1.71-1.80 with the eigenvectors
     # returned as a view of the rows LAPACK wrote, with no copy.  A split
-    # operator's pairs are its channels' own, each solved on its M x M block
+    # operator's pairs are its blocks' own, each solved on its M x M block
     # alone, which is what the split pairs hold
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128], ids=["dim1844", "dim3688"])
     @pytest.mark.parametrize("name,request_,admitted", [
         ("reference", "eigenvalues", 1),
         ("reference", "eigenpairs", 2),
-        ("conical_crossing", "channels[0].eigenpairs", 2),
+        ("conical_crossing", "parts[0][0].eigenpairs", 2),
     ], ids=["values", "dense-pairs", "split-pairs"])
     def test_growth_within_the_admitted_bytes(self, h, name, request_, admitted):
         code = PEAK_RSS_SOURCE + (
@@ -566,7 +746,7 @@ class TestMemoryAdmission:
             f"op = build_schrodinger(model_potential({name!r}), grid)\n"
             f"op.{request_}()\n"
             "grown = peak_rss() - before\n"
-            "print(op.dim, getattr(op, 'channels', [op])[0].matrix.nbytes, grown)\n"
+            "print(op.dim, getattr(op, 'parts', [(op,)])[0][0].matrix.nbytes, grown)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -690,16 +870,18 @@ class TestDenseSolve:
             assert np.all(ends % mmap.PAGESIZE == 0), n
 
     @pytest.mark.parametrize("v, m", [(model_potential("reference"), 300),
-                                      (ASSEMBLY_MODELS[3], 150), (DIAGONAL_2, 520)],
+                                      (ASSEMBLY_MODELS[3], 300), (DIAGONAL_2, 1040)],
                              ids=["dense", "complex", "split"])
     @pytest.mark.parametrize("solve", ["eigenvalues", "eigenpairs"])
     def test_solve_takes_the_held_view(self, monkeypatch, v, m, solve):
         # the solve gets the assembled rows with their leading dimension, not
         # a contiguous copy that would make every page resident; a split
-        # operator's channels each solve the block they hold, for its values
-        # and for their own pairs
+        # operator's blocks each solve the matrix they hold, for its values
+        # and for their own pairs.  The even complex model and DIAGONAL_2's
+        # channel 0 split into parity halves, on grids where each half
+        # still has more items than a page
         op = build_schrodinger(v, sized_grid(m, 0.25))
-        parts = getattr(op, "channels", [op])
+        parts = [block for block, _ in getattr(op, "parts", [(op, ())])]
         held = [part.matrix for part in parts]
         assert all(mat.strides[0] > mat.shape[1] * mat.itemsize for mat in held)
         seen = []
@@ -817,8 +999,8 @@ class TestWindowedSolve:
         op = build_schrodinger(v, g)
         calls = counted(monkeypatch)
         vals, vecs = merged_split_pairs(op, (lo, hi))
-        assert calls == [((g.M, g.M), (lo, hi))] * v.N
-        assert all(channel._matrix is None for channel in op.channels)
+        assert calls == [((block.dim, block.dim), (lo, hi)) for block, _ in op.parts]
+        assert all(block._matrix is None for block, _ in op.parts)
         scale = np.max(np.abs(expect_vals))
         assert np.max(np.abs(vals - expect_vals[10:62])) <= 1e-12 * scale
         assert np.max(np.abs(dense @ vecs - vecs * vals)) <= 1e-11 * scale
@@ -855,24 +1037,27 @@ class TestMatrixOwnership:
                              ids=lambda v: v.name)
     def test_built_operator_drops_and_reassembles(self, v, solve):
         # a split operator holds no matrix and assembles nothing at its
-        # build: each channel assembles its block when it is solved, drops
-        # it, and assembles it again when it is read
+        # build: each block assembles its matrix when it is solved, drops
+        # it, and assembles the same bits again when it is read.
+        # DIAGONAL_2's channel 1 block is that channel's own samples
         g = small_grid(h=1 / 16, tau_max=2.0)
         op = build_schrodinger(v, g)
         samples = qz.potential_samples(v, g)
         split = isinstance(op, qz.SplitOperator)
-        parts = op.channels if split else (op,)
+        parts = [block for block, _ in op.parts] if split else [op]
         assert all((part._matrix is None) == split for part in parts)
+        first = [part._assemble() for part in parts]
         for target in (parts if solve == "eigenpairs" else [op]):
             getattr(target, solve)()
         assert all(part._matrix is None for part in parts)
-        for c, part in enumerate(parts):
-            own = samples[:, c:c + 1, c:c + 1] if split else samples
-            assert np.array_equal(part.matrix, qz._assemble_schrodinger(g, own))
+        for part, held in zip(parts, first):
+            assert np.array_equal(part.matrix, held)
             assert part.matrix is part.matrix
+        own = samples[:, 1:, 1:] if split else samples
+        assert np.array_equal(first[-1], qz._assemble_schrodinger(g, own))
         if split:
             assert [(part.N, part.label) for part in parts] == [
-                (1, f"{op.label}[{c}]") for c in range(op.N)]
+                (1, f"{op.label}[0]+"), (1, f"{op.label}[0]-"), (1, f"{op.label}[1]")]
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_passed_array_unchanged(self, rng, kind):
@@ -893,19 +1078,19 @@ class TestMatrixOwnership:
         assert np.max(np.abs(before @ vecs - vecs * vals)) <= 1e-12 * scale
 
     def test_split_releases_before_solving(self, monkeypatch):
-        # each channel's solve takes its own block, and no channel holds one
+        # each block's solve takes its own matrix, and no block holds one
         # while a solve runs
         op = build_schrodinger(DIAGONAL_2, small_grid(h=1 / 16, tau_max=2.0))
         held = []
         solve = qz._evr
 
         def spy(a, lo, hi):
-            held.append([channel._matrix is not None for channel in op.channels])
+            held.append([block._matrix is not None for block, _ in op.parts])
             return solve(a, lo, hi)
 
         monkeypatch.setattr(qz, "_evr", spy)
         merged_split_pairs(op)
-        assert held == [[False, False]] * 2
+        assert held == [[False, False, False]] * 3
 
 
 class TestWeylQuantize:
@@ -1376,11 +1561,12 @@ class TestSmoothedTrace:
         # cutoff.  BLAS picks its kernels by the shape of a product, so a
         # column of a product of a few rows agrees to rounding, not always
         # bit for bit.  A is read in blocks of 3 rows here, so each subset's
-        # sums run over many blocks.
+        # sums run over many blocks.  The even N1 bump's columns are those of
+        # its whole matrix's solve
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 3 * g.M)
         v = model_potential(kind, **params)
-        op = build_schrodinger(v, g)
+        op = build_schrodinger(v, g) if kind == "constant" else unblocked_operator(v, g)
         a = weyl_quantize(CHI, g)
         assert (op._analytic is not None) == (kind == "constant")
         if kind == "constant":
@@ -1403,11 +1589,12 @@ class TestSmoothedTrace:
             got = qz._cutoff_diagonal(a, vecs, sub)
             assert np.max(np.abs(got - full[sub])) <= 1e-14 * np.max(np.abs(full))
 
-    @pytest.mark.parametrize("v", [
-        model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]),
-        model_potential("conical_crossing"),
-    ], ids=["dense", "split"])
-    def test_trace_never_assembles_the_cutoff(self, monkeypatch, v):
+    @pytest.mark.parametrize("v, split", [
+        (model_potential("diagonal_bumps", depths=[-1.0], centers=[0.5], widths=[1.0]), False),
+        (model_potential("diagonal_bumps", depths=[-1.0], centers=[0.0], widths=[1.0]), True),
+        (model_potential("conical_crossing"), True),
+    ], ids=["dense", "parity", "split"])
+    def test_trace_never_assembles_the_cutoff(self, monkeypatch, v, split):
         # a product cutoff's rows are made a block at a time and never put
         # together: the trace is the bits of the one with the cutoff's dense
         # matrix, read in slices of the same rows
@@ -1418,18 +1605,22 @@ class TestSmoothedTrace:
         expect = smoothed_trace(MatrixCutoff(g, cutoff_matrix(a)), build_schrodinger(v, g), f, w,
                                 1.0)
         h_op = build_schrodinger(v, g)
-        assert isinstance(h_op, qz.SplitOperator) == (v.N > 1)
+        assert isinstance(h_op, qz.SplitOperator) == split
         assert smoothed_trace(a, h_op, f, w, 1.0) == expect
         assert smoothed_trace(a, build_schrodinger(v, g), f, w, 1.0) == expect
 
     @pytest.mark.parametrize("v", [DIAGONAL_2, model_potential("conical_crossing")],
                              ids=lambda v: v.name)
     def test_split_trace_holds_one_block_at_a_time(self, monkeypatch, v):
-        # a split operator's trace solves its channels in turn: each assembly
-        # is one M x M block, never the (N, M, M) stack, and block c and its
-        # eigenvectors are freed before block c + 1 is assembled.  The trace
-        # is the bits of the one formed from the channels' pairs merged into
-        # one (dim, k) array
+        # a split operator's trace solves its blocks in turn, each assembly
+        # one block, never the (N, M, M) stack, and each block and its
+        # eigenvectors are freed before the next is assembled.
+        # conical_crossing's channel 1 is channel 0 reflected: one M x M
+        # block is assembled and solved.  DIAGONAL_2's even channel 0 is its
+        # two parity halves, (M/2 + 1) and (M/2 - 1) square, and its channel
+        # 1 one M x M block.  The trace is the one formed from the blocks'
+        # pairs merged into one (dim, k) array, to REFLECTION_DRIFT: the
+        # diagonal of a reflected or parity summand sums in another order
         g = small_grid(h=1 / 16, tau_max=2.0)
         f = bump_test_function((0.5, 1.5))
         w = WindowTheta("bump_at_zero", eps=0.25)
@@ -1443,9 +1634,9 @@ class TestSmoothedTrace:
         shapes, freed = [], []
         assemble, solve = qz._assemble_schrodinger, qz._evr
 
-        def assemble_spy(grid, samples):
+        def assemble_spy(grid, samples, parity=None):
             assert all(ref() is None for ref in freed)
-            block = assemble(grid, samples)
+            block = assemble(grid, samples, parity)
             shapes.append(block.shape)
             freed.append(weakref.ref(block))
             return block
@@ -1459,10 +1650,12 @@ class TestSmoothedTrace:
         monkeypatch.setattr(qz, "_evr", solve_spy)
         h_op = build_schrodinger(v, g)
         assert isinstance(h_op, qz.SplitOperator)
-        assert np.array_equal(smoothed_trace(a, h_op, f, w, taus), expect)
-        assert shapes == [(g.M, g.M)] * v.N and len(freed) == 2 * v.N
+        got = smoothed_trace(a, h_op, f, w, taus)
+        assert np.max(np.abs(got - expect)) <= REFLECTION_DRIFT * np.max(np.abs(expect))
+        dims = {DIAGONAL_2.name: [g.M // 2 + 1, g.M // 2 - 1, g.M], "conical_crossing": [g.M]}
+        assert shapes == [(n, n) for n in dims[v.name]] and len(freed) == 2 * len(shapes)
         assert all(ref() is None for ref in freed)
-        assert all(channel._matrix is None for channel in h_op.channels)
+        assert all(block._matrix is None for block, _ in h_op.parts)
 
     # (H, supp f, window, bound): one step of the thm2, thm1 and thm3
     # set-ups at h = 1/64, 1/128 and 1/96, from H's construction to the
@@ -1602,13 +1795,14 @@ class TestRowBlockDiagonal:
     def test_product_cutoff(self, monkeypatch, v, k, held):
         # blocks of 7 rows, which M = 148 is not a multiple of; an even k
         # gives a real matrix, a shifted one a complex matrix, and the rows
-        # are made in that dtype from the first block on
+        # are made in that dtype from the first block on.  The columns are
+        # those of each model's whole matrix
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
         chi = ProductCutoff(g=Bump1D(0, 2.0), k=k)
         dense = cutoff_matrix(weyl_quantize(chi, g))
         assert dense.dtype == (float if k.center == 0 else complex)
-        lam, vecs = build_schrodinger(v, g).eigenpairs()
+        lam, vecs = unblocked_operator(v, g).eigenpairs()
         expect = self.dense_diagonal(dense, vecs, v.N)
         a = MatrixCutoff(g, dense) if held else weyl_quantize(chi, g)
         first = next(a.blocks())[1]
@@ -1625,17 +1819,18 @@ class TestRowBlockDiagonal:
         model_potential("constant", v_inf=[0.0, 0.3], N=2),
     ], ids=["N1", "N2-complex"])
     def test_held_matrix_read_in_slices(self, monkeypatch, v, diagonal):
-        # a real diagonal cutoff read in slices of 7 rows; the constant
-        # potential's columns are its complex plane waves, read in their C
-        # order and through the C-ordered copy of a column-major copy of them
+        # a real diagonal cutoff read in slices of 7 rows; the even bump's
+        # columns are its whole matrix's, and the constant potential's its
+        # complex plane waves, read in their C order and through the
+        # C-ordered copy of a column-major copy of them
         g = small_grid(h=1 / 16, tau_max=2.0)
         monkeypatch.setattr(qz, "_WEYL_BLOCK", 7 * g.M)
         a = MatrixCutoff(g, np.diag(diagonal(g.nodes)))
-        op = build_schrodinger(v, g)
-        if op._analytic is None:
-            lam, vecs = op.eigenpairs()
+        if v.N == 1:
+            lam, vecs = unblocked_operator(v, g).eigenpairs()
             layouts = [vecs]
         else:
+            op = build_schrodinger(v, g)
             raw, order = op._analytic_order()
             lam, vecs = raw[order], plane_waves(v, g, order)
             assert np.iscomplexobj(vecs)
